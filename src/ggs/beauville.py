@@ -18,6 +18,7 @@ independent oracle and both are cross-checked in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Iterator, NamedTuple
 
 from .certificate import CODE_VERSION, Certificate
@@ -42,15 +43,16 @@ __all__ = [
 
 SEARCH_ELEMENT_CAP = 100_000
 
-PRUNING_RULE = (
-    "candidate second triples sharing a maximal subgroup with the first triple "
-    "are skipped (elements whose images modulo the Frattini subgroup span the "
-    "same line cannot be ruled out cheaply and are left to the fallback phase)"
-)
-
 SEARCH_ORDER = (
     "pairs are scanned in label-vector order of (x1, y1) and then (x2, y2); "
     "the witness is the first successful pair under that order"
+)
+
+TABLE_ORDER = (
+    "the signature table pairs the label-least member of each conjugacy class "
+    "(classes in order of first appearance) with every element in enumeration "
+    "order and keeps the first pair realizing each signature; the witness is "
+    "the first pair of disjoint signatures (s1, s2) in table order, s1 first"
 )
 
 
@@ -254,44 +256,55 @@ def _generating_pairs(group: QuotientGroup) -> Iterator[tuple[Portrait, Portrait
                 yield x, y
 
 
-def _line_id(group: QuotientGroup, x: Portrait) -> int | None:
-    """Which maximal subgroup a non-Frattini element falls in, as a line id."""
-    ax, bx = group.coords_of(x)
-    if ax == 0 and bx == 0:
-        return None
-    if ax == 0:
-        return 1  # <b, G'>
-    if bx == 0:
-        return 0  # <a, G'>
-    return 1 + (bx * pow(ax, -1, group.vector.p)) % group.vector.p  # <ab^i, G'>
-
-
-def _triple_lines(group: QuotientGroup, t: GeneratingTriple) -> set[int]:
-    lines = {_line_id(group, z) for z in t.members()}
-    lines.discard(None)
-    return lines  # type: ignore[return-value]
-
-
 def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     """All realizable triple signatures, complete up to conjugation.
 
     Signatures are conjugation-invariant, so scanning class representatives
     against every element covers every generating pair up to simultaneous
-    conjugation, which realizes every signature.
+    conjugation, which realizes every signature.  Each signature maps to the
+    first pair realizing it, in the order stated by TABLE_ORDER.
     """
     if "signatures" in group.cache:
         return group.cache["signatures"]  # type: ignore[return-value]
     ids, _ = _socle_data(group)
+    elements = group.elements
+    coords = group.coords
+    socle = [ids.get(x.labels) for x in elements]
+    p = group.vector.p
+    # From level 2 on, SEARCH_ELEMENT_CAP keeps p <= 43 (a nonzero defining
+    # vector gives at least p^3 elements), so the label sums below fit in
+    # bytes.
+    assert coords is None or 2 * p - 2 < 256
+    reduce = bytes(v % p for v in range(256))
     table: dict[frozenset[int], list[str]] = {}
     for cls in group.conjugacy_classes():
         rep = min(cls)
-        for y in group.elements:
-            if not group.is_generating_pair(rep, y):
+        if coords is None:
+            # Level 1: the coordinates do not decide generation, and members
+            # of a generating triple may be the identity.
+            for y in elements:
+                if group.is_generating_pair(rep, y):
+                    sig = frozenset(
+                        ids[z.labels] for z in (rep, y, rep * y) if not z.is_identity()
+                    )
+                    if sig not in table:
+                        table[sig] = [rep.encode(), y.encode()]
+            continue
+        ar, br = group.coords_of(rep)
+        if not (ar or br):
+            continue  # a Frattini element lies in no generating pair
+        # From level 2 on, {x, y} generates exactly when the coordinate
+        # determinant is nonzero, and then x, y and xy are all nontrivial.
+        # The labels of x*y are lf + lg o pf; one translate reduces the byte
+        # sums mod p.
+        sr = ids[rep.labels]
+        lf = rep.labels
+        take = itemgetter(*rep.vertex_perm())
+        for y, (ay, by), sy in zip(elements, coords, socle):
+            if not (ar * by - br * ay) % p:
                 continue
-            xy = rep * y
-            sig = frozenset(
-                ids[z.labels] for z in (rep, y, xy) if not z.is_identity()
-            )
+            xy = bytes(map(add, lf, take(y.labels))).translate(reduce)
+            sig = frozenset((sr, sy, ids[xy]))
             if sig not in table:
                 table[sig] = [rep.encode(), y.encode()]
     group.cache["signatures"] = table
@@ -302,10 +315,10 @@ def search_beauville(group: QuotientGroup, strategy: str = "pruned") -> Certific
     """Search for a Beauville structure, or exhaust and report that none exists.
 
     strategy "pruned" decides existence on the complete signature table and
-    then hunts the witness pair, first under the maximal-subgroup pruning
-    rule, falling back to an unpruned pass for structures the rule skips.
-    strategy "exhaustive" is the literal oracle: it walks every generating
-    pair and intersects materialized Sigma member sets, with no pruning.
+    takes the witness from it: the stored pairs of the first two disjoint
+    signatures, confirmed by the literal pair check.  strategy "exhaustive"
+    is the literal oracle: it walks every generating pair and intersects
+    materialized Sigma member sets.
     """
     if strategy not in ("pruned", "exhaustive"):
         raise ValueError(f"unknown search strategy {strategy!r}")
@@ -403,65 +416,33 @@ def _searched_witness(
 
 def _search_pruned(group: QuotientGroup, cert: Certificate) -> Certificate:
     table = _signature_table(group)
-    sigs = list(table)
-    good: set[frozenset[int]] = set()
-    for i, s1 in enumerate(sigs):
-        for s2 in sigs[i + 1 :]:
-            if not s1 & s2:
-                good.add(s1)
-                good.add(s2)
     cert.check(
         "search_space",
         True,
-        f"{len(sigs)} triple signatures over socle orbits, complete up to conjugacy",
+        f"{len(table)} triple signatures over socle orbits, complete up to conjugacy",
     )
-    cert.notes.append(SEARCH_ORDER)
-    if not good:
+    cert.notes.append(TABLE_ORDER)
+    found = _witness_hunt(group, table)
+    if found is None:
         cert.verdict = "refuted"
         cert.notes.append(
             "no two realizable triples have disjoint socle-orbit signatures"
         )
         return cert
-
-    ids, _ = _socle_data(group)
-
-    def signature_of(x: Portrait, y: Portrait) -> frozenset[int]:
-        xy = x * y
-        return frozenset(ids[z.labels] for z in (x, y, xy) if not z.is_identity())
-
-    # Pruned witness hunt: second triples sharing a maximal subgroup with the
-    # first are skipped.  With fewer than six maximal subgroups (p = 3) no
-    # candidate survives, and some structures only exist inside one maximal
-    # subgroup pattern, so a miss here falls through to the unpruned pass.
-    use_pruning = group.vector.p + 1 >= 6 and group.coords is not None
-    if use_pruning:
-        cert.notes.append(f"pruning rule: {PRUNING_RULE}")
-        found = _witness_hunt(group, good, signature_of, pruned=True)
-        if found is not None:
-            cert.notes.append("witness found under the pruning rule")
-            return _searched_witness(group, cert, found[0], found[1])
-        cert.notes.append("pruned pass found no witness; rerunning unpruned")
-    found = _witness_hunt(group, good, signature_of, pruned=False)
-    if found is None:
-        raise RuntimeError("signature table promised a structure the hunt missed")
     return _searched_witness(group, cert, found[0], found[1])
 
 
-def _witness_hunt(group, good, signature_of, pruned):
-    for x1, y1 in _generating_pairs(group):
-        sig1 = signature_of(x1, y1)
-        if sig1 not in good:
-            continue
-        lines1 = (
-            _triple_lines(group, GeneratingTriple(x1, y1, x1 * y1)) if pruned else None
-        )
-        for x2, y2 in _generating_pairs(group):
-            if pruned:
-                t2 = GeneratingTriple(x2, y2, x2 * y2)
-                if _triple_lines(group, t2) & lines1:
-                    continue
-            if not (sig1 & signature_of(x2, y2)):
-                return (x1, y1), (x2, y2)
+def _witness_hunt(
+    group: QuotientGroup, table: dict[frozenset[int], list[str]]
+) -> tuple[tuple[Portrait, Portrait], tuple[Portrait, Portrait]] | None:
+    """The stored pairs of the first two disjoint signatures, in table order."""
+    sigs = list(table)
+    for i, s1 in enumerate(sigs):
+        for s2 in sigs[i + 1 :]:
+            if not s1 & s2:
+                (x1, y1), (x2, y2) = table[s1], table[s2]
+                element = group.element
+                return (element(x1), element(y1)), (element(x2), element(y2))
     return None
 
 

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .beauville import GeneratingTriple, NotGeneratingError, sigma_set
-from .certificate import CODE_VERSION
+from .certificate import CODE_VERSION, Certificate
 from .generators import DefiningVector, classify, parse_vector
 from .quotient import BudgetExceeded, DEFAULT_BUDGET, enumerate_quotient, predicted_order
 from .verifiers import CLAIMS, default_level, verify_claim
@@ -210,9 +210,10 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _cache_file(cache_dir: str, claim: str, params: dict) -> Path:
+def _cache_file(cache_dir: str, claim: str, params: dict, budget: int) -> Path:
+    # The budget decides between an exhaustive verdict and "skipped: scale".
     key = json.dumps(
-        {"claim": claim, "params": params, "version": CODE_VERSION},
+        {"budget": budget, "claim": claim, "params": params, "version": CODE_VERSION},
         sort_keys=True,
     )
     digest = hashlib.sha256(key.encode()).hexdigest()
@@ -220,6 +221,8 @@ def _cache_file(cache_dir: str, claim: str, params: dict) -> Path:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     v = _vector_from_args(args)
     n = args.level if args.level is not None else default_level(args.claim)
     params: dict = {"p": v.p, "e": list(v.e), "n": n}
@@ -229,13 +232,23 @@ def cmd_verify(args) -> int:
         params["y"] = args.y
 
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    cache_path = _cache_file(cache_dir, args.claim, params) if cache_dir else None
+    cache_path = (
+        _cache_file(cache_dir, args.claim, params, args.budget) if cache_dir else None
+    )
     doc_text = None
     if cache_path is not None and cache_path.exists():
-        doc_text = cache_path.read_text()
-        doc = json.loads(doc_text)
-        print(f"cache hit: {cache_path}", file=sys.stderr)
-    else:
+        try:
+            cached = Certificate.from_dict(json.loads(cache_path.read_text()))
+            doc_text = cached.canonical_json()
+            doc = cached.canonical_dict()
+        except (ValueError, KeyError, TypeError, AttributeError):
+            # Bytes that are not UTF-8 or JSON, or JSON that is not a certificate.
+            print(f"discarding corrupt cache file: {cache_path}", file=sys.stderr)
+            cache_path.unlink(missing_ok=True)
+            doc_text = None
+        else:
+            print(f"cache hit: {cache_path}", file=sys.stderr)
+    if doc_text is None:
         cert = verify_claim(
             args.claim,
             v,

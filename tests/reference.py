@@ -4,8 +4,9 @@ Everything here deliberately takes a different route from the package code:
 vertex maps are dictionaries keyed by letter tuples instead of flat arrays,
 composition recovers labels from composed vertex maps instead of the label
 formula, orders are found by repeated naive multiplication, root multiplicity
-comes from a Taylor shift instead of synthetic division, and Sigma sets are
-built by literally conjugating with every group element.
+comes from a Taylor shift instead of synthetic division, Sigma sets are
+built by literally conjugating with every group element, and the signature
+table tests generation and forms products pair by pair.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from itertools import product
 from math import comb
 
 from ggs import Portrait, QuotientGroup, TreeShape, tree_shape
+from ggs.beauville import _socle_data
 
 
 def internal_vertices(shape: TreeShape) -> list[tuple[int, ...]]:
@@ -130,3 +132,21 @@ def random_portrait(rng, shape: TreeShape) -> Portrait:
 
 def shapes_for_tests() -> list[TreeShape]:
     return [tree_shape(3, 1), tree_shape(3, 2), tree_shape(3, 3), tree_shape(5, 2)]
+
+
+def reference_signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
+    """Signature table by the pair-by-pair route: generation from
+    `is_generating_pair` and the product from `Portrait.__mul__`."""
+    ids, _ = _socle_data(group)
+    table: dict[frozenset[int], list[str]] = {}
+    for cls in group.conjugacy_classes():
+        rep = min(cls)
+        for y in group.elements:
+            if not group.is_generating_pair(rep, y):
+                continue
+            sig = frozenset(
+                ids[z.labels] for z in (rep, y, rep * y) if not z.is_identity()
+            )
+            if sig not in table:
+                table[sig] = [rep.encode(), y.encode()]
+    return table

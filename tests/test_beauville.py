@@ -7,11 +7,13 @@ import pytest
 
 from ggs import (
     BudgetExceeded,
+    DefiningVector,
     GeneratingTriple,
     NotGeneratingError,
     SEARCH_ELEMENT_CAP,
     build_special_elements,
     cyclic_subgroup,
+    enumerate_quotient,
     is_beauville_pair,
     search_beauville,
     sigma_set,
@@ -19,7 +21,9 @@ from ggs import (
     triple_signature,
 )
 
-from reference import brute_sigma
+from ggs.beauville import _signature_table
+
+from reference import brute_sigma, reference_signature_table
 
 
 def test_search_element_cap():
@@ -195,6 +199,30 @@ def test_search_verified_matches_known_structure(gs_g3):
     t1 = _decode(gs_g3, cert.witnesses["triple_1"])
     t2 = _decode(gs_g3, cert.witnesses["triple_2"])
     assert is_beauville_pair(t1, t2, gs_g3).verified
+
+
+@pytest.mark.parametrize(
+    "p, e, n",
+    [
+        (3, (1, -1), 2),
+        (3, (1, -1), 3),
+        (5, (1, 4, 1, 4), 2),
+        (3, (1, 0), 2),
+    ],
+)
+def test_signature_table_matches_reference(p, e, n):
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    table = _signature_table(group)
+    expected = reference_signature_table(group)
+    assert table == expected
+    assert list(table) == list(expected)
+    pruned = search_beauville(group, "pruned")
+    if pruned.verified:
+        t1 = _decode(group, pruned.witnesses["triple_1"])
+        t2 = _decode(group, pruned.witnesses["triple_2"])
+        assert is_beauville_pair(t1, t2, group).verified
+    if len(group) <= 2000:
+        assert pruned.verdict == search_beauville(group, "exhaustive").verdict
 
 
 def test_search_is_deterministic(e10_g2):

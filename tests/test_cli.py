@@ -175,3 +175,43 @@ def test_help():
     assert res.returncode == 0
     for sub in ("classify", "enumerate", "verify", "sigma"):
         assert sub in res.stdout
+
+
+def test_verify_cache_key_includes_budget(tmp_path):
+    cache = tmp_path / "cache"
+    base = ("verify", "prop-key", "--p", "3", "--e", "1,-1", "--cache-dir", str(cache))
+    small = run_cli(*base, "--budget", "10")
+    assert small.returncode == 0
+    assert "verdict: skipped: scale" in small.stdout
+    full = run_cli(*base)
+    assert full.returncode == 0
+    assert "cache hit" not in full.stderr
+    assert "verdict: verified" in full.stdout
+    assert len(list(cache.glob("*.json"))) == 2
+
+
+def test_verify_corrupt_cache_is_recomputed(tmp_path):
+    cache = tmp_path / "cache"
+    args = ("verify", "lemma-orders", "--p", "3", "--e", "1,-1",
+            "--format", "structured", "--cache-dir", str(cache))
+    first = run_cli(*args)
+    assert first.returncode == 0
+    (stored,) = cache.glob("*.json")
+    for corrupt in ("{", "{}", "[]"):
+        stored.write_text(corrupt)
+        again = run_cli(*args)
+        assert again.returncode == 0
+        assert "corrupt cache file" in again.stderr
+        assert json.loads(again.stdout)["verdict"] == "verified"
+        assert again.stdout == first.stdout
+        assert stored.read_text() == first.stdout
+
+
+def test_verify_rejects_nonpositive_workers(capsys):
+    from ggs.cli import main
+
+    for workers in ("0", "-3"):
+        code = main(["verify", "lemma-orders", "--p", "3", "--e", "1,-1",
+                     "--workers", workers])
+        assert code == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err

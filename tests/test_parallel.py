@@ -1,11 +1,12 @@
 """Ordered parallel map."""
 from __future__ import annotations
 
+import os
 from functools import partial
 
 from ggs import commutator, order, tree_shape
 from ggs.generators import make_a
-from ggs.parallel import pmap
+from ggs.parallel import _usable_cpus, pmap, pool_size
 
 
 def _square(x: int) -> int:
@@ -38,3 +39,12 @@ def test_pmap_with_portraits():
     assert pmap(order, xs, workers=2) == [order(x) for x in xs]
     fn = partial(commutator, a)
     assert pmap(fn, xs, workers=2) == [commutator(a, x) for x in xs]
+
+
+def test_pool_size_clamps_to_cpus():
+    assert pool_size(1, 8) == 1
+    assert pool_size(4, 8) == 4
+    assert pool_size(10_000, 8) == 8
+    assert pool_size(3, None) == 1
+    assert pool_size(0, 8) == 1
+    assert 1 <= _usable_cpus() <= os.cpu_count()
