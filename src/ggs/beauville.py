@@ -150,9 +150,8 @@ def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
 
 
 def _socle_key(group: QuotientGroup, x: Portrait) -> frozenset[bytes]:
-    """Key of the order-p subgroup inside <x>."""
-    p = group.vector.p
-    s = x ** (x.order() // p)
+    """Key of the order-p subgroup inside <x> (x nontrivial)."""
+    s = x.p_powers()[-2]
     keys = [group.identity.labels]
     g = s
     while not g.is_identity():
@@ -271,11 +270,7 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     coords = group.coords
     socle = [ids.get(x.labels) for x in elements]
     p = group.vector.p
-    # From level 2 on, SEARCH_ELEMENT_CAP keeps p <= 43 (a nonzero defining
-    # vector gives at least p^3 elements), so the label sums below fit in
-    # bytes.
-    assert coords is None or 2 * p - 2 < 256
-    reduce = bytes(v % p for v in range(256))
+    reduce = group.shape.reduce
     table: dict[frozenset[int], list[str]] = {}
     for cls in group.conjugacy_classes():
         rep = min(cls)

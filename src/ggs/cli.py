@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .beauville import GeneratingTriple, NotGeneratingError, sigma_set
@@ -210,10 +211,30 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 of the package's sources, read on first use, not at import.
+
+    It keys the certificate cache, so a code change that alters a
+    certificate never serves bytes cached by the old code, whether or not
+    CODE_VERSION was bumped.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_file(cache_dir: str, claim: str, params: dict, budget: int) -> Path:
     # The budget decides between an exhaustive verdict and "skipped: scale".
     key = json.dumps(
-        {"budget": budget, "claim": claim, "params": params, "version": CODE_VERSION},
+        {
+            "budget": budget,
+            "claim": claim,
+            "params": params,
+            "source": source_digest(),
+            "version": CODE_VERSION,
+        },
         sort_keys=True,
     )
     digest = hashlib.sha256(key.encode()).hexdigest()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -49,14 +50,28 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
+# Products add two labels in one byte before reducing them mod p, so
+# 2 * (p - 1) must stay below 256.
+MAX_PRIME = 127
+
+# Takes every label of a depth-1 portrait, whose one internal vertex is
+# fixed; itemgetter with a single index would return a scalar instead.
+_TAKE_ALL = itemgetter(slice(None))
+
+
 class TreeShape:
     """Truncated p-regular rooted tree: odd prime arity p, n levels of edges."""
 
-    __slots__ = ("p", "n", "level_starts", "internal_count", "zero_labels")
+    __slots__ = ("p", "n", "level_starts", "internal_count", "zero_labels", "reduce")
 
     def __init__(self, p: int, n: int):
         if not _is_odd_prime(p):
             raise ValueError(f"arity must be an odd prime, got {p}")
+        if p > MAX_PRIME:
+            raise ValueError(
+                f"arity must be at most {MAX_PRIME}, got {p}: products sum two "
+                "labels in one byte before reducing them mod p"
+            )
         if n < 1:
             raise ValueError(f"tree depth must be >= 1, got {n}")
         self.p = p
@@ -71,6 +86,8 @@ class TreeShape:
         self.level_starts = tuple(starts)
         self.internal_count = starts[n]
         self.zero_labels = bytes(self.internal_count)
+        # Translation table reducing a byte sum of two labels mod p.
+        self.reduce = bytes(v % p for v in range(256))
 
     @property
     def leaf_count(self) -> int:
@@ -159,15 +176,23 @@ class Portrait:
         return self._perm
 
     def __mul__(self, other: "Portrait") -> "Portrait":
-        """Composition self*other, acting on vertices as self first."""
-        if self.shape != other.shape:
+        """Composition self*other, acting on vertices as self first.
+
+        The labels are lf + lg o pf, summed bytewise and reduced by one
+        translate.  When other's vertex permutation is known, the product's
+        is composed from both operands' instead of being rebuilt later.
+        """
+        shape = self.shape
+        if shape is not other.shape and shape != other.shape:
             raise ValueError("cannot compose portraits of different shapes")
-        p = self.shape.p
-        lf, lg = self.labels, other.labels
-        pf = self.vertex_perm()
-        return Portrait._raw(
-            self.shape, bytes((lf[u] + lg[pf[u]]) % p for u in range(len(lf)))
+        pf = self._perm or self.vertex_perm()
+        take = itemgetter(*pf) if len(pf) > 1 else _TAKE_ALL
+        out = Portrait._raw(
+            shape, bytes(map(add, self.labels, take(other.labels))).translate(shape.reduce)
         )
+        if other._perm is not None:
+            out._perm = take(other._perm)
+        return out
 
     def inverse(self) -> "Portrait":
         p = self.shape.p
@@ -181,15 +206,15 @@ class Portrait:
     def __pow__(self, k: int) -> "Portrait":
         if k < 0:
             return self.inverse() ** (-k)
-        result = Portrait.identity(self.shape)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return Portrait.identity(self.shape) if result is None else result
 
     def conjugate_by(self, g: "Portrait", g_inv: "Portrait" | None = None) -> "Portrait":
         """self^g = g^-1 * self * g, fused into a single label pass."""
@@ -240,16 +265,25 @@ class Portrait:
             sections.append(Portrait._raw(child, b"".join(parts)))
         return PsiDecomposition(lab[0], tuple(sections))
 
+    def p_powers(self) -> list["Portrait"]:
+        """x, x^p, x^(p^2), ... up to and including the first identity.
+
+        The order of x is p^(len - 1), and for x != 1 the second-to-last
+        entry generates the order-p subgroup of <x>.
+        """
+        shape = self.shape
+        chain = [self]
+        g = self
+        while any(g.labels):
+            if len(chain) > shape.n:
+                raise RuntimeError("order exceeded the exponent bound of the tree")
+            g = g**shape.p
+            chain.append(g)
+        return chain
+
     def order(self) -> int:
         """Order of the automorphism, always a power of p."""
-        result = 1
-        g = self
-        while not g.is_identity():
-            g = g ** self.shape.p
-            result *= self.shape.p
-            if result > self.shape.p ** self.shape.n:
-                raise RuntimeError("order exceeded the exponent bound of the tree")
-        return result
+        return self.shape.p ** (len(self.p_powers()) - 1)
 
     def encode(self) -> str:
         """Canonical text form 'p,n:l0,l1,...'."""

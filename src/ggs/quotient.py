@@ -10,10 +10,11 @@ without further closures.
 
 from __future__ import annotations
 
+from operator import add, itemgetter
 from typing import Iterable, Iterator
 
 from .generators import DefiningVector, make_a, make_b
-from .portrait import Portrait, commutator, tree_shape
+from .portrait import _TAKE_ALL, Portrait, commutator, tree_shape
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -142,8 +143,17 @@ class QuotientGroup:
         self.b_inv = self.b.inverse()
         self.identity = Portrait.identity(self.shape)
 
-        gens = (self.a, self.b, self.a_inv, self.b_inv)
+        # The walk inlines Portrait.__mul__: the labels of x*g are
+        # lx + lg o px, and a Portrait (with the composed vertex permutation
+        # px then pg) is built only for labels not seen before.
+        gens = [
+            (g.labels, g.vertex_perm(), dc)
+            for g, dc in zip((self.a, self.b, self.a_inv, self.b_inv), _GEN_COORDS)
+        ]
         p = vector.p
+        shape, reduce = self.shape, self.shape.reduce
+        raw = Portrait._raw
+        self.identity.vertex_perm()
         elements = [self.identity]
         index: dict[bytes, int] = {self.identity.labels: 0}
         coords: list[tuple[int, int]] | None = [(0, 0)]
@@ -152,11 +162,15 @@ class QuotientGroup:
             x = elements[qi]
             cx = coords[qi] if coords is not None else None
             qi += 1
-            for g, dc in zip(gens, _GEN_COORDS):
-                y = x * g
-                known = index.get(y.labels)
+            lx, px = x.labels, x._perm
+            take = itemgetter(*px) if len(px) > 1 else _TAKE_ALL
+            for lg, pg, dc in gens:
+                key = bytes(map(add, lx, take(lg))).translate(reduce)
+                known = index.get(key)
                 if known is None:
-                    index[y.labels] = len(elements)
+                    y = raw(shape, key)
+                    y._perm = take(pg)
+                    index[key] = len(elements)
                     elements.append(y)
                     if coords is not None:
                         coords.append(((cx[0] + dc[0]) % p, (cx[1] + dc[1]) % p))
@@ -325,12 +339,15 @@ class QuotientGroup:
         if len(self) != p * p * len(derived):
             raise RuntimeError("derived subgroup does not have index p^2")
         tops = [self.a, self.b] + [self.a * self.b**i for i in range(1, p)]
+        elements, index = self.elements, self._index
         out = []
         for x in tops:
             members: list[Portrait] = []
             power = self.identity
             for _ in range(p):
-                members.extend(w * power for w in derived.elements)
+                members.extend(
+                    elements[index[(w * power).labels]] for w in derived.elements
+                )
                 power = power * x
             out.append(
                 SubgroupHandle(self, tuple(members), True, (x,) + derived.generators)
@@ -339,8 +356,13 @@ class QuotientGroup:
         return out
 
     def conjugacy_class(self, x: Portrait) -> tuple[Portrait, ...]:
-        """Orbit of x under conjugation, in discovery order."""
+        """Orbit of x under conjugation, in discovery order.
+
+        Members after x are the interned elements, which already carry their
+        vertex permutations.
+        """
         conj = ((self.a, self.a_inv), (self.b, self.b_inv))
+        elements, index = self.elements, self._index
         orbit = [x]
         seen = {x.labels}
         qi = 0
@@ -348,10 +370,10 @@ class QuotientGroup:
             y = orbit[qi]
             qi += 1
             for g, gi in conj:
-                z = y.conjugate_by(g, gi)
-                if z.labels not in seen:
-                    seen.add(z.labels)
-                    orbit.append(z)
+                key = y.conjugate_by(g, gi).labels
+                if key not in seen:
+                    seen.add(key)
+                    orbit.append(elements[index[key]])
         return tuple(orbit)
 
     def conjugacy_classes(self) -> list[tuple[Portrait, ...]]:

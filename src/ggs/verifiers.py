@@ -119,6 +119,14 @@ def _order(x: Portrait) -> int:
     return x.order()
 
 
+def _order_and_top(x: Portrait) -> tuple[int, bytes]:
+    """Order of x and the labels of x^(p^(n-1)), from one p-power chain."""
+    chain = x.p_powers()
+    shape = x.shape
+    top = chain[shape.n - 1].labels if shape.n <= len(chain) else shape.zero_labels
+    return shape.p ** (len(chain) - 1), top
+
+
 def _new_certificate(claim: str, v: DefiningVector, n: int, **extra) -> Certificate:
     params: dict = {"p": v.p, "e": list(v.e), "n": n}
     params.update(extra)
@@ -277,19 +285,19 @@ def _collision_scan(
         rep_powers = {}
         w = step
         for k in range(1, p):
-            rep_powers[k] = w
+            rep_powers[k] = w.labels
             w = w * step
         z_keysets.add(cyclic_subgroup(group, step).keys)
-        orders = pmap(_order, outside, workers)
-        for x, o in zip(outside, orders):
+        scanned = pmap(_order_and_top, outside, workers)
+        for x, (o, _) in zip(outside, scanned):
             if o != p**n:
                 order_bad.append(x)
-        for x in outside:
+        for x, (_, top) in zip(outside, scanned):
             k, ki = group.coords_of(x)
             if not (1 <= k <= p - 1) or ki != (k * i) % p:
                 coords_bad.append(x)
                 continue
-            if x ** (p ** (n - 1)) != rep_powers[k]:
+            if top != rep_powers[k]:
                 power_bad.append(x)
     all_ok &= cert.check(
         f"{prefix}orders_p_to_n",
@@ -1090,7 +1098,10 @@ def replay_certificate(
         and "triple_1" in cert.witnesses
         and "triple_2" in cert.witnesses
     ):
-        group = enumerate_quotient(v, params["n"], budget)
+        # The witnesses may live below params["n"] (thm-A at p = 3 checks
+        # them at level 3 for every n): replay at the level they encode.
+        level = Portrait.decode(cert.witnesses["triple_1"][0]).shape.n
+        group = enumerate_quotient(v, level, budget)
         t1 = _decode_triple(group, cert.witnesses["triple_1"])
         t2 = _decode_triple(group, cert.witnesses["triple_2"])
         return is_beauville_pair(t1, t2, group).verified

@@ -3,15 +3,16 @@
 Everything here deliberately takes a different route from the package code:
 vertex maps are dictionaries keyed by letter tuples instead of flat arrays,
 composition recovers labels from composed vertex maps instead of the label
-formula, orders are found by repeated naive multiplication, root multiplicity
-comes from a Taylor shift instead of synthetic division, Sigma sets are
-built by literally conjugating with every group element, and the signature
-table tests generation and forms products pair by pair.
+formula, orders are found by repeated naive multiplication or from the
+cycles of the leaf permutation, root multiplicity comes from a Taylor shift
+instead of synthetic division, Sigma sets are built by literally conjugating
+with every group element, and the signature table tests generation and forms
+products pair by pair.
 """
 from __future__ import annotations
 
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from ggs import Portrait, QuotientGroup, TreeShape, tree_shape
 from ggs.beauville import _socle_data
@@ -34,9 +35,12 @@ def portrait_from_dict(shape: TreeShape, labels: dict[tuple[int, ...], int]) -> 
     return Portrait(shape, [labels[u] for u in internal_vertices(shape)])
 
 
-def naive_image(f: Portrait, vertex: tuple[int, ...]) -> tuple[int, ...]:
+def naive_image(
+    f: Portrait, vertex: tuple[int, ...], lab: dict[tuple[int, ...], int] | None = None
+) -> tuple[int, ...]:
     """Image of a vertex, walking the original path and adding labels."""
-    lab = label_dict(f)
+    if lab is None:
+        lab = label_dict(f)
     out: list[int] = []
     for k, x in enumerate(vertex):
         out.append(1 + (x - 1 + lab[vertex[:k]]) % f.shape.p)
@@ -46,10 +50,11 @@ def naive_image(f: Portrait, vertex: tuple[int, ...]) -> tuple[int, ...]:
 def naive_vertex_map(f: Portrait) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The full action on every vertex of depth 1..n."""
     shape = f.shape
+    lab = label_dict(f)
     out = {}
     for depth in range(1, shape.n + 1):
         for v in product(range(1, shape.p + 1), repeat=depth):
-            out[v] = naive_image(f, v)
+            out[v] = naive_image(f, v, lab)
     return out
 
 
@@ -75,6 +80,21 @@ def naive_order(f: Portrait) -> int:
         k += 1
         assert k <= bound, "order exceeded the exponent bound"
     return k
+
+
+def leaf_cycle_order(f: Portrait) -> int:
+    """Order as the lcm of the cycle lengths of the action on the leaves."""
+    leaves = {v: w for v, w in naive_vertex_map(f).items() if len(v) == f.shape.n}
+    result, seen = 1, set()
+    for start in leaves:
+        length, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            v = leaves[v]
+            length += 1
+        if length:
+            result = lcm(result, length)
+    return result
 
 
 def shift_multiplicity(coeffs: list[int], p: int) -> int:

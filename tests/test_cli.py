@@ -215,3 +215,23 @@ def test_verify_rejects_nonpositive_workers(capsys):
                      "--workers", workers])
         assert code == 2
         assert "--workers must be at least 1" in capsys.readouterr().err
+
+
+def test_cache_key_follows_source_digest(monkeypatch, tmp_path):
+    import ggs.cli as cli
+
+    params = {"p": 3, "e": [1, 2], "n": 3}
+    assert len(cli.source_digest()) == 64
+    current = cli._cache_file(str(tmp_path), "lemma-orders", params, 100)
+    monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
+    edited = cli._cache_file(str(tmp_path), "lemma-orders", params, 100)
+    assert edited != current
+    assert edited == cli._cache_file(str(tmp_path), "lemma-orders", params, 100)
+
+
+def test_import_does_not_hash_sources():
+    code = "import ggs.cli; print(ggs.cli.source_digest.cache_info().currsize)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0"

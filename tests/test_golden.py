@@ -1,0 +1,71 @@
+"""Golden certificates: every claim replays to the exact stored bytes.
+
+Each file under tests/golden/ holds the canonical JSON of one certificate.
+The set covers every claim at its default level for three defining vectors
+(wherever the claim accepts the vector), plus a few deeper levels.  A kernel
+rewrite or a refactor must leave all of them byte-identical.
+
+A golden may change only together with a CODE_VERSION bump
+(src/ggs/certificate.py) recorded in CHANGES.md.  To regenerate after such
+a bump, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which rewrites every file from the current code.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from ggs import DefiningVector
+from ggs.verifiers import CLAIMS, default_level, verify_claim
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+VECTORS = ((3, (1, -1)), (3, (1, 0)), (5, (1, 4, 1, 4)))
+
+EXTRA = (
+    ("prop-collision", 3, (1, 0), 3),
+    ("thm-B", 3, (1, 0), 3),
+    ("order-formula", 3, (1, 0), 3),
+    ("thm-A", 3, (1, -1), 4),
+)
+
+
+def _name(claim: str, p: int, e: tuple[int, ...], n: int) -> str:
+    return f"{claim}__p{p}_e{'_'.join(str(x % p) for x in e)}__n{n}.json"
+
+
+def _golden_files() -> list[Path]:
+    return sorted(GOLDEN.glob("*.json"))
+
+
+def _parse(path: Path) -> tuple[str, int, tuple[int, ...], int]:
+    claim, vec, level = path.stem.split("__")
+    p_part, e_part = vec.split("_e")
+    return claim, int(p_part[1:]), tuple(int(x) for x in e_part.split("_")), int(level[1:])
+
+
+def test_golden_set_is_complete():
+    assert len(_golden_files()) == 30
+
+
+@pytest.mark.parametrize("path", _golden_files(), ids=lambda path: path.stem)
+def test_certificate_matches_golden(path: Path):
+    claim, p, e, n = _parse(path)
+    cert = verify_claim(claim, DefiningVector(p, e), n)
+    assert cert.canonical_json() == path.read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    defaults = [(c, p, e, default_level(c)) for c in sorted(CLAIMS) for p, e in VECTORS]
+    for claim, p, e, n in defaults + list(EXTRA):
+        try:
+            cert = verify_claim(claim, DefiningVector(p, e), n)
+        except ValueError:  # the claim does not accept this vector
+            continue
+        (GOLDEN / _name(claim, p, e, n)).write_text(cert.canonical_json())
+        print(claim, p, e, n, cert.verdict)

@@ -1,0 +1,94 @@
+"""Property tests of the portrait kernels against the slow oracles.
+
+The product kernel sums label bytes through an itemgetter and reduces them
+with one translate, composes vertex permutations of the operands, and takes
+a separate route on depth-1 trees; the power, order and p-power routines are
+built on it.  Each is checked here on random portraits of shapes from depth 1
+up to depth 5 and up to the largest supported prime, 127.
+"""
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ggs import Portrait, TreeShape, tree_shape
+from ggs.portrait import MAX_PRIME
+
+from reference import leaf_cycle_order, naive_compose, naive_order
+from test_cli import run_cli
+
+SHAPES = [(3, 1), (3, 3), (3, 5), (5, 2), (7, 2), (127, 1), (127, 2)]
+
+KERNEL_SETTINGS = settings(
+    max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def portraits(p: int, n: int) -> st.SearchStrategy[Portrait]:
+    shape = tree_shape(p, n)
+    size = shape.internal_count
+    return st.lists(
+        st.integers(0, p - 1), min_size=size, max_size=size
+    ).map(lambda labels: Portrait(shape, labels))
+
+
+def _fresh(x: Portrait) -> Portrait:
+    """Same labels, no cached vertex permutation."""
+    return Portrait(x.shape, x.labels)
+
+
+@pytest.mark.parametrize("p,n", SHAPES)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_product_matches_naive_compose(p, n, data):
+    x = data.draw(portraits(p, n))
+    y = data.draw(portraits(p, n))
+    assert x * y == naive_compose(x, y)
+    # Without y's permutation the product's is left to vertex_perm().
+    assert (x * y)._perm is None
+    y.vertex_perm()
+    xy = x * y
+    assert xy._perm is not None
+    assert xy.vertex_perm() == _fresh(xy).vertex_perm()
+
+
+@pytest.mark.parametrize("p,n", SHAPES)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_power_matches_repeated_products(p, n, data):
+    x = data.draw(portraits(p, n))
+    k = data.draw(st.integers(0, 2 * p * p))
+    expected = Portrait.identity(x.shape)
+    for _ in range(k):
+        expected = expected * x
+    got = x**k
+    assert got == expected
+    assert got.vertex_perm() == _fresh(got).vertex_perm()
+    assert x ** (-k) * got == Portrait.identity(x.shape)
+
+
+@pytest.mark.parametrize("p,n", SHAPES)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_order_and_p_powers_match_naive_order(p, n, data):
+    x = data.draw(portraits(p, n))
+    chain = x.p_powers()
+    # Repeated naive products need up to p^n steps; past 3^5 the order is
+    # read off the cycles of the leaf permutation instead.
+    expected = naive_order(x) if p**n <= 3**5 else leaf_cycle_order(x)
+    assert x.order() == p ** (len(chain) - 1) == expected
+    assert chain[0] is x
+    assert chain[-1].is_identity()
+    assert not any(g.is_identity() for g in chain[:-1])
+    for g, g_p in zip(chain, chain[1:]):
+        assert g_p == g**p
+
+
+def test_prime_above_byte_bound_is_rejected():
+    assert tree_shape(MAX_PRIME, 1).p == MAX_PRIME
+    with pytest.raises(ValueError, match="at most 127"):
+        TreeShape(131, 1)
+    res = run_cli("classify", "--p", "131")
+    assert res.returncode == 2
+    assert "at most 127" in res.stderr

@@ -265,6 +265,14 @@ def test_replay_witness_path(gs):
     assert replay_certificate(json.loads(cert.canonical_json()))
 
 
+def test_replay_witnesses_at_their_own_level(gs):
+    # thm-A at p = 3 keeps its level-3 witnesses for every n; replaying them
+    # in the level-4 quotient (3^19 elements) would exceed the budget.
+    cert = verify_claim("thm-A", gs, 4)
+    assert cert.verified
+    assert replay_certificate(json.loads(cert.canonical_json()))
+
+
 def test_replay_rerun_path(e10, gs):
     for claim, v, n in (("thm-B", e10, 2), ("lemma-orders", gs, 3)):
         cert = verify_claim(claim, v, n)
