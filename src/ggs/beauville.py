@@ -39,9 +39,14 @@ __all__ = [
     "search_beauville",
     "build_special_elements",
     "SEARCH_ELEMENT_CAP",
+    "LITERAL_SEARCH_CAP",
+    "cyclic_powers",
 ]
 
 SEARCH_ELEMENT_CAP = 100_000
+
+# The literal engine keeps one materialized Sigma set per generating pair.
+LITERAL_SEARCH_CAP = 2000
 
 SEARCH_ORDER = (
     "pairs are scanned in label-vector order of (x1, y1) and then (x2, y2); "
@@ -103,14 +108,19 @@ class SpecialElements(NamedTuple):
     v: Portrait
 
 
-def cyclic_subgroup(group: QuotientGroup, x: Portrait) -> SubgroupHandle:
-    """The cyclic subgroup <x> as a handle."""
-    powers = [group.identity]
+def cyclic_powers(x: Portrait) -> list[Portrait]:
+    """x, x^2, ... up to, not including, the first identity power."""
+    powers = []
     g = x
     while not g.is_identity():
         powers.append(g)
         g = g * x
-    return SubgroupHandle(group, tuple(powers), False, (x,))
+    return powers
+
+
+def cyclic_subgroup(group: QuotientGroup, x: Portrait) -> SubgroupHandle:
+    """The cyclic subgroup <x> as a handle."""
+    return SubgroupHandle(group, (group.identity, *cyclic_powers(x)), False, (x,))
 
 
 def subgroup_conjugation_orbit(
@@ -152,12 +162,7 @@ def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
 def _socle_key(group: QuotientGroup, x: Portrait) -> frozenset[bytes]:
     """Key of the order-p subgroup inside <x> (x nontrivial)."""
     s = x.p_powers()[-2]
-    keys = [group.identity.labels]
-    g = s
-    while not g.is_identity():
-        keys.append(g.labels)
-        g = g * s
-    return frozenset(keys)
+    return frozenset([group.identity.labels, *(g.labels for g in cyclic_powers(s))])
 
 
 def _socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
@@ -339,8 +344,8 @@ def search_beauville(group: QuotientGroup, strategy: str = "pruned") -> Certific
 
 
 def _search_literal(group: QuotientGroup, cert: Certificate) -> Certificate:
-    if len(group) > 2000:
-        raise BudgetExceeded(2000, len(group))
+    if len(group) > LITERAL_SEARCH_CAP:
+        raise BudgetExceeded(LITERAL_SEARCH_CAP, len(group))
     orbit_union: dict[frozenset[bytes], frozenset[bytes]] = {}
 
     def union_for(z: Portrait) -> frozenset[bytes]:

@@ -21,7 +21,7 @@ from .beauville import GeneratingTriple, NotGeneratingError, sigma_set
 from .certificate import CODE_VERSION, Certificate
 from .generators import DefiningVector, classify, parse_vector
 from .quotient import BudgetExceeded, DEFAULT_BUDGET, enumerate_quotient, predicted_order
-from .verifiers import CLAIMS, default_level, verify_claim
+from .verifiers import CLAIMS, claim_params, verify_claim
 from .words import WordSyntaxError, parse_word
 
 __all__ = ["main", "console_main"]
@@ -245,12 +245,7 @@ def cmd_verify(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     v = _vector_from_args(args)
-    n = args.level if args.level is not None else default_level(args.claim)
-    params: dict = {"p": v.p, "e": list(v.e), "n": n}
-    if args.claim == "lifting":
-        params["m"] = args.to if args.to is not None else n + 1
-        params["x"] = args.x
-        params["y"] = args.y
+    params = claim_params(args.claim, v, args.level, args.to, args.x, args.y)
 
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     cache_path = (
@@ -273,7 +268,7 @@ def cmd_verify(args) -> int:
         cert = verify_claim(
             args.claim,
             v,
-            n,
+            params["n"],
             m=args.to,
             x_word=args.x,
             y_word=args.y,

@@ -1,5 +1,8 @@
 """One verifier per documented claim, each returning a replayable certificate.
 
+`CLAIMS` is the claim registry: one record per claim id with its statement,
+its default level and its verifier.
+
 Claims about enumerable quotients are checked exhaustively.  Claims whose
 quotient exceeds the element budget degrade to the element-wise sub-checks
 that portraits support directly (orders, section identities, power
@@ -11,12 +14,14 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .beauville import (
     GeneratingTriple,
+    LITERAL_SEARCH_CAP,
     SEARCH_ELEMENT_CAP,
     build_special_elements,
+    cyclic_powers,
     cyclic_subgroup,
     is_beauville_pair,
     search_beauville,
@@ -30,89 +35,78 @@ from .quotient import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     QuotientGroup,
+    SubgroupHandle,
     enumerate_quotient,
     predicted_order,
 )
 from .words import evaluate_word
 
-__all__ = ["CLAIMS", "default_level", "verify_claim", "replay_certificate"]
+__all__ = ["CLAIMS", "claim_params", "default_level", "verify_claim", "replay_certificate"]
 
-# claim id -> one-line description (shown by the CLI and used as the statement)
-CLAIMS: dict[str, str] = {
-    "thm-A": (
-        "the level-n quotient of a periodic GGS group is a Beauville group "
-        "(covered range: p >= 5 with n >= 2, or p = 3 with n >= 3)"
-    ),
-    "thm-B": "no level-n quotient of a non-periodic GGS group is a Beauville group",
-    "thm-G2": (
-        "the level-2 quotient of a periodic GGS group is a Beauville group "
-        "exactly when p >= 5"
-    ),
-    "thm-G3": "the level-3 quotient of a periodic GGS group is a Beauville group",
-    "lemma-orders": (
-        "a^-1 b and every a b^i have order p^2 in the level-n quotient (n >= 3, "
-        "periodic vector)"
-    ),
-    "lemma-conjugates": (
-        "the conjugates of b by powers of a are pairwise distinct at tree depth 2"
-    ),
-    "lemma-center": (
-        "at p = 3 (periodic) the level-3 center has order 3, lies in the derived "
-        "subgroup of the first-level stabilizer, and its generator has sections "
-        "([a,b], [a,b], [a,b])"
-    ),
-    "lemma-comms-b": (
-        "at p = 3 (periodic) no nontrivial central element of the level-3 "
-        "quotient is a commutator [b, g]"
-    ),
-    "lemma-comms-a": (
-        "at p = 3 (periodic) the element with sections ([a,b], 1, 1) is not a "
-        "commutator [a, g] in the level-3 quotient"
-    ),
-    "prop-key": (
-        "<(ab^i)^p> equals a conjugate of <(ab^j)^p> in the level-n quotient "
-        "only when i = j (periodic vector)"
-    ),
-    "prop-collision": (
-        "in the level-n quotient of a non-periodic GGS group, every element of "
-        "<ab^i, derived> outside the derived subgroup has order p^n, its "
-        "p^(n-1)-th power is the matching power of ab^i, and all such powers "
-        "generate one cyclic subgroup"
-    ),
-    "eq-3.1": (
-        "psi((ab^i)^p) = ((b^i)^(a^(i*s_1)), ..., (b^i)^(a^(i*s_(p-1))), b^i) "
-        "where s_j are the prefix sums of the defining vector (periodic case)"
-    ),
-    "order-formula": (
-        "the level-n quotient has order p^(t*p^(n-2) + 1) for n >= 2 and "
-        "non-symmetric vectors, where t is the circulant rank; level 1 has order p"
-    ),
-    "lifting": (
-        "the orders of x, y and xy at tree depth m equal their orders at depth n "
-        "(order-preservation hypothesis for lifting a structure from depth n)"
-    ),
-}
+SCALE = "skipped: scale"
+ELEMENT_WISE = "element-wise portrait computation; no group enumeration"
+LEVEL_ONLY = "certificate covers the stated level only, not the statement for all levels"
 
-_DEFAULT_LEVEL = {
-    "thm-A": 3,
-    "thm-B": 2,
-    "thm-G2": 2,
-    "thm-G3": 3,
-    "lemma-orders": 3,
-    "lemma-conjugates": 2,
-    "lemma-center": 3,
-    "lemma-comms-b": 3,
-    "lemma-comms-a": 3,
-    "prop-key": 3,
-    "prop-collision": 2,
-    "eq-3.1": 3,
-    "order-formula": 2,
-    "lifting": 3,
-}
+
+class Claim(NamedTuple):
+    """A registry record; `verify` fills in the certificate and returns the verdict."""
+
+    statement: str
+    level: int
+    verify: Callable[[Certificate, DefiningVector, int, int, int], str]
 
 
 def default_level(claim: str) -> int:
-    return _DEFAULT_LEVEL[claim]
+    return CLAIMS[claim].level
+
+
+def claim_params(
+    claim: str,
+    v: DefiningVector,
+    n: int | None = None,
+    m: int | None = None,
+    x_word: str = "a",
+    y_word: str = "b",
+) -> dict:
+    """Certificate params of one run: p, e and the level n (default: the
+    claim's); lifting adds the target depth m (default n + 1) and its words."""
+    if n is None:
+        n = default_level(claim)
+    params: dict = {"p": v.p, "e": list(v.e), "n": n}
+    if claim == "lifting":
+        params.update(m=n + 1 if m is None else m, x=x_word, y=y_word)
+    return params
+
+
+# -- certificate skeleton --------------------------------------------------------
+
+
+def _verdict(ok: bool, passed: str = "verified") -> str:
+    return passed if ok else "refuted"
+
+
+def _enumerate(
+    cert: Certificate, v: DefiningVector, n: int, budget: int, exhaustive: bool = True
+) -> QuotientGroup:
+    """Enumerate the level-n quotient and record its size on the certificate."""
+    group = enumerate_quotient(v, n, budget)
+    cert.element_count = len(group)
+    cert.exhaustive = exhaustive
+    return group
+
+
+def _over_budget(
+    cert: Certificate, v: DefiningVector, n: int, budget: int, fallback: str = ""
+) -> bool:
+    """Whether the formula order exceeds the budget; if so, say so in a note."""
+    predicted = predicted_order(v, n)
+    if predicted is None or predicted <= budget:
+        return False
+    cert.notes.append(
+        f"predicted order {predicted} exceeds the budget {budget}"
+        + (f"; {fallback}" if fallback else "")
+    )
+    return True
 
 
 def _order(x: Portrait) -> int:
@@ -127,32 +121,19 @@ def _order_and_top(x: Portrait) -> tuple[int, bytes]:
     return shape.p ** (len(chain) - 1), top
 
 
-def _new_certificate(claim: str, v: DefiningVector, n: int, **extra) -> Certificate:
-    params: dict = {"p": v.p, "e": list(v.e), "n": n}
-    params.update(extra)
-    return Certificate(
-        claim=claim,
-        statement=CLAIMS[claim],
-        params=params,
-        verdict="",
-        exhaustive=False,
-        code_version=CODE_VERSION,
-    )
-
-
 def _generator_portraits(v: DefiningVector, n: int) -> tuple[Portrait, Portrait]:
     shape = tree_shape(v.p, n)
     return make_a(shape), make_b(v, shape)
 
 
-def _require_periodic(v: DefiningVector, claim: str) -> None:
+def _require_periodic(cert: Certificate, v: DefiningVector) -> None:
     if not v.periodic:
-        raise ValueError(f"{claim} concerns periodic vectors; {v} has nonzero sum")
+        raise ValueError(f"{cert.claim} concerns periodic vectors; {v} has nonzero sum")
 
 
-def _require_non_periodic(v: DefiningVector, claim: str) -> None:
+def _require_non_periodic(cert: Certificate, v: DefiningVector) -> None:
     if v.periodic:
-        raise ValueError(f"{claim} concerns non-periodic vectors; {v} sums to zero")
+        raise ValueError(f"{cert.claim} concerns non-periodic vectors; {v} sums to zero")
 
 
 # -- element-wise sub-check builders (no enumeration) ---------------------------
@@ -160,7 +141,6 @@ def _require_non_periodic(v: DefiningVector, claim: str) -> None:
 
 def _order_checks(
     cert: Certificate,
-    v: DefiningVector,
     n: int,
     items: list[tuple[str, Portrait, int]],
     prefix: str = "",
@@ -245,8 +225,7 @@ def _exponent_check(cert: Certificate, group: QuotientGroup, workers: int) -> bo
     orders = pmap(_order, group.elements, workers)
     bad = [x for x, o in zip(group.elements, orders) if o > p]
     if bad:
-        witness = min(bad)
-        cert.witnesses["exponent_witness"] = witness.encode()
+        cert.witnesses["exponent_witness"] = min(bad).encode()
     return cert.check(
         "exponent_p",
         not bad,
@@ -254,15 +233,13 @@ def _exponent_check(cert: Certificate, group: QuotientGroup, workers: int) -> bo
     )
 
 
-def _collision_scan(
-    cert: Certificate, group: QuotientGroup, workers: int, prefix: str = ""
-) -> frozenset | None:
+def _collision_scan(cert: Certificate, group: QuotientGroup, workers: int) -> bool:
     """Power-collision battery over every <ab^i, derived> coset element.
 
     Adds checks for: order p^n outside the derived subgroup, the coordinate
     decomposition g = (ab^i)^k * derived, the power collision
     g^(p^(n-1)) = (ab^i)^(k*p^(n-1)), and the single common cyclic subgroup.
-    Returns the common subgroup's member keys when everything passed.
+    At level 2 it also checks that the common subgroup is the center.
     """
     p, n = group.vector.p, group.shape.n
     derived = group.derived_subgroup()
@@ -276,46 +253,38 @@ def _collision_scan(
     for i in range(1, p):
         outside = [x for x in maxes[1 + i].elements if x.labels not in derived.keys]
         total += len(outside)
-        rep = group.a * group.b**i
-        step = rep ** (p ** (n - 1))
+        step = (group.a * group.b**i) ** (p ** (n - 1))
         if step.is_identity() or not (step**p).is_identity():
-            cert.check(f"{prefix}rep_power_order_i{i}", False, "step is not of order p")
+            cert.check(f"rep_power_order_i{i}", False, "step is not of order p")
             all_ok = False
             continue
-        rep_powers = {}
-        w = step
-        for k in range(1, p):
-            rep_powers[k] = w.labels
-            w = w * step
+        step_powers = cyclic_powers(step)  # step^k at index k - 1
         z_keysets.add(cyclic_subgroup(group, step).keys)
-        scanned = pmap(_order_and_top, outside, workers)
-        for x, (o, _) in zip(outside, scanned):
+        for x, (o, top) in zip(outside, pmap(_order_and_top, outside, workers)):
             if o != p**n:
                 order_bad.append(x)
-        for x, (_, top) in zip(outside, scanned):
             k, ki = group.coords_of(x)
             if not (1 <= k <= p - 1) or ki != (k * i) % p:
                 coords_bad.append(x)
-                continue
-            if top != rep_powers[k]:
+            elif top != step_powers[k - 1].labels:
                 power_bad.append(x)
     all_ok &= cert.check(
-        f"{prefix}orders_p_to_n",
+        "orders_p_to_n",
         not order_bad,
         f"all {total} coset elements across {p - 1} subgroups have order {p}^{n}",
     )
     all_ok &= cert.check(
-        f"{prefix}coset_coordinates",
+        "coset_coordinates",
         not coords_bad,
         "every coset element decomposes as (ab^i)^k times a derived element",
     )
     all_ok &= cert.check(
-        f"{prefix}power_collision",
+        "power_collision",
         not power_bad,
         f"g^({p}^{n - 1}) equals (ab^i)^(k*{p}^{n - 1}) for every such g",
     )
     all_ok &= cert.check(
-        f"{prefix}single_power_subgroup",
+        "single_power_subgroup",
         len(z_keysets) == 1,
         f"{len(z_keysets)} distinct cyclic subgroups from the collision powers",
     )
@@ -325,22 +294,32 @@ def _collision_scan(
         ("power", power_bad),
     ):
         if bad:
-            cert.witnesses[f"{prefix}{name}_witness"] = min(bad).encode()
+            cert.witnesses[f"{name}_witness"] = min(bad).encode()
     if not all_ok:
-        return None
+        return False
     z_keys = z_keysets.pop()
-    cert.witnesses[f"{prefix}common_subgroup"] = sorted(
-        group.element(k).encode() for k in z_keys
+    cert.witnesses["common_subgroup"] = sorted(group.element(k).encode() for k in z_keys)
+    return n != 2 or cert.check(
+        "equals_center",
+        z_keys == group.center().keys,
+        "the common subgroup is the center of the level-2 quotient",
     )
-    if n == 2:
-        all_ok = cert.check(
-            f"{prefix}equals_center",
-            z_keys == group.center().keys,
-            "the common subgroup is the center of the level-2 quotient",
-        )
-        if not all_ok:
-            return None
-    return z_keys
+
+
+def _collision_stage(
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> tuple[QuotientGroup | None, bool]:
+    """The power-collision checks of the non-periodic claims.
+
+    Returns the enumerated group (None when it is over budget and only the
+    representatives ab^i were checked) and whether the checks passed.
+    """
+    if _over_budget(
+        cert, v, n, budget, "checking the coset representatives ab^i element-wise only"
+    ):
+        return None, _rep_collision_checks(cert, v, n)
+    group = _enumerate(cert, v, n, budget)
+    return group, _collision_scan(cert, group, workers)
 
 
 def _line_of(coords: tuple[int, int], p: int) -> int:
@@ -407,24 +386,26 @@ def _pigeonhole_checks(cert: Certificate, group: QuotientGroup) -> bool:
 # -- p = 3 level-3 structure battery ---------------------------------------------
 
 
-def _gupta_sidki_structure(
-    cert: Certificate, group: QuotientGroup
-) -> tuple[GeneratingTriple, GeneratingTriple] | None:
-    """Full exhaustive battery for the level-3 structure at p = 3."""
-    special = build_special_elements(group)
-    u, v_el = special.u, special.v
-    a, b = group.a, group.b
-    ok = True
-
+def _center_checks(cert: Certificate, group: QuotientGroup) -> tuple[bool, SubgroupHandle]:
+    """|Z| = 3, and Z lies in the derived subgroup of the first-level stabilizer."""
     center = group.center()
     stab = group.level_stabilizer(1)
     stab_derived = group.subgroup_commutator(stab, stab)
-    ok &= cert.check("center_order", len(center) == 3, f"|Z| = {len(center)}")
+    ok = cert.check("center_order", len(center) == 3, f"|Z| = {len(center)}")
     ok &= cert.check(
         "center_in_stabilizer_derived",
         all(z in stab_derived for z in center),
         "Z lies in the derived subgroup of the first-level stabilizer",
     )
+    return ok, center
+
+
+def _gupta_sidki_structure(cert: Certificate, group: QuotientGroup) -> bool:
+    """Full exhaustive battery for the level-3 structure at p = 3."""
+    special = build_special_elements(group)
+    u, v_el = special.u, special.v
+    a, b = group.a, group.b
+    ok, center = _center_checks(cert, group)
     ok &= cert.check("u_central", u.labels in center.keys, "u generates Z")
     ok &= cert.check("u_order", u.order() == 3, f"order of u is {u.order()}")
     cert.witnesses["u"] = u.encode()
@@ -486,44 +467,39 @@ def _gupta_sidki_structure(
     )
     cert.witnesses["triple_1"] = t1.encode()
     cert.witnesses["triple_2"] = t2.encode()
-    return (t1, t2) if ok else None
+    return ok
 
 
 # -- per-claim verifiers ----------------------------------------------------------
 
 
 def verify_lemma_orders(
-    v: DefiningVector, n: int, budget: int, workers: int
-) -> Certificate:
-    _require_periodic(v, "lemma-orders")
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_periodic(cert, v)
     if n < 3:
         raise ValueError("the order claim concerns levels n >= 3")
-    cert = _new_certificate("lemma-orders", v, n)
     cert.exhaustive = True
-    cert.notes.append("element-wise portrait computation; no group enumeration")
-    ok = _order_checks(cert, v, n, _standard_order_items(v, n))
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    cert.notes.append(ELEMENT_WISE)
+    return _verdict(_order_checks(cert, n, _standard_order_items(v, n)))
 
 
-def verify_eq31(v: DefiningVector, n: int, budget: int, workers: int) -> Certificate:
-    _require_periodic(v, "eq-3.1")
+def verify_eq31(
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_periodic(cert, v)
     if n < 2:
         raise ValueError("the section identity needs depth n >= 2")
-    cert = _new_certificate("eq-3.1", v, n)
     cert.exhaustive = True
-    cert.notes.append("element-wise portrait computation; no group enumeration")
-    ok = _eq31_checks(cert, v, n)
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    cert.notes.append(ELEMENT_WISE)
+    return _verdict(_eq31_checks(cert, v, n))
 
 
 def verify_lemma_conjugates(
-    v: DefiningVector, n: int, budget: int, workers: int
-) -> Certificate:
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
     if n != 2:
         raise ValueError("the conjugate-distinctness claim concerns depth 2")
-    cert = _new_certificate("lemma-conjugates", v, 2)
     cert.exhaustive = True
     a, b = _generator_portraits(v, 2)
     conjugates = [b.conjugate_by(a**i) for i in range(v.p)]
@@ -540,54 +516,38 @@ def verify_lemma_conjugates(
         + (f"; collisions at {collisions}" if collisions else ""),
     )
     cert.witnesses["conjugates"] = [x.encode() for x in conjugates]
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    return _verdict(ok)
 
 
-def _require_gupta_sidki_level3(v: DefiningVector, n: int, claim: str) -> None:
-    _require_periodic(v, claim)
+def _require_gupta_sidki_level3(cert: Certificate, v: DefiningVector, n: int) -> None:
+    _require_periodic(cert, v)
     if v.p != 3:
-        raise ValueError(f"{claim} is specific to p = 3")
+        raise ValueError(f"{cert.claim} is specific to p = 3")
     if n != 3:
-        raise ValueError(f"{claim} concerns the level-3 quotient")
+        raise ValueError(f"{cert.claim} concerns the level-3 quotient")
 
 
 def verify_lemma_center(
-    v: DefiningVector, n: int, budget: int, workers: int
-) -> Certificate:
-    _require_gupta_sidki_level3(v, n, "lemma-center")
-    cert = _new_certificate("lemma-center", v, 3)
-    group = enumerate_quotient(v, 3, budget)
-    cert.element_count = len(group)
-    cert.exhaustive = True
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_gupta_sidki_level3(cert, v, n)
+    group = _enumerate(cert, v, 3, budget)
     special = build_special_elements(group)
-    center = group.center()
-    stab = group.level_stabilizer(1)
-    stab_derived = group.subgroup_commutator(stab, stab)
-    ok = cert.check("center_order", len(center) == 3, f"|Z| = {len(center)}")
-    ok &= cert.check(
-        "center_in_stabilizer_derived",
-        all(z in stab_derived for z in center),
-        "Z lies in the derived subgroup of the first-level stabilizer",
-    )
+    ok, center = _center_checks(cert, group)
     ok &= cert.check(
         "generator_sections",
         special.u.labels in center.keys and special.u.order() == 3,
         "a generator of Z has sections ([a,b], [a,b], [a,b])",
     )
     cert.witnesses["u"] = special.u.encode()
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    return _verdict(ok)
 
 
 def verify_lemma_comms_b(
-    v: DefiningVector, n: int, budget: int, workers: int
-) -> Certificate:
-    _require_gupta_sidki_level3(v, n, "lemma-comms-b")
-    cert = _new_certificate("lemma-comms-b", v, 3)
-    group = enumerate_quotient(v, 3, budget)
-    cert.element_count = len(group)
-    cert.exhaustive = True
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_gupta_sidki_level3(cert, v, n)
+    group = _enumerate(cert, v, 3, budget)
     center_keys = group.center().keys
     comms = pmap(partial(commutator, group.b), group.elements, workers)
     hits = sorted(
@@ -601,18 +561,14 @@ def verify_lemma_comms_b(
     )
     if hits:
         cert.witnesses["central_commutator"] = group.element(hits[0]).encode()
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    return _verdict(ok)
 
 
 def verify_lemma_comms_a(
-    v: DefiningVector, n: int, budget: int, workers: int
-) -> Certificate:
-    _require_gupta_sidki_level3(v, n, "lemma-comms-a")
-    cert = _new_certificate("lemma-comms-a", v, 3)
-    group = enumerate_quotient(v, 3, budget)
-    cert.element_count = len(group)
-    cert.exhaustive = True
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_gupta_sidki_level3(cert, v, n)
+    group = _enumerate(cert, v, 3, budget)
     special = build_special_elements(group)
     comms = pmap(partial(commutator, group.a), group.elements, workers)
     ok = cert.check(
@@ -621,50 +577,38 @@ def verify_lemma_comms_a(
         f"scanned all {len(group)} commutators [a, g]; none equals v",
     )
     cert.witnesses["v"] = special.v.encode()
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    return _verdict(ok)
 
 
 def verify_prop_key(
-    v: DefiningVector, n: int, budget: int, workers: int
-) -> Certificate:
-    _require_periodic(v, "prop-key")
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_periodic(cert, v)
     if n < 3:
         raise ValueError(
             "the power-subgroup claim needs n >= 3, where ab^i has order p^2"
         )
-    cert = _new_certificate("prop-key", v, n)
     p = v.p
-    predicted = predicted_order(v, n)
-    if predicted is not None and predicted > budget:
-        cert.notes.append(
-            f"predicted order {predicted} exceeds the budget {budget}; "
-            "running element-wise sub-checks only"
-        )
-        ok = _order_checks(cert, v, n, _standard_order_items(v, n), prefix="partial_")
+    if _over_budget(cert, v, n, budget, "running element-wise sub-checks only"):
+        ok = _order_checks(cert, n, _standard_order_items(v, n), prefix="partial_")
         ok &= _eq31_checks(cert, v, n, prefix="partial_")
-        cert.verdict = "skipped: scale" if ok else "refuted"
-        return cert
-    group = enumerate_quotient(v, n, budget)
-    cert.element_count = len(group)
-    cert.exhaustive = True
+        return _verdict(ok, SCALE)
+    group = _enumerate(cert, v, n, budget)
     cert.notes.append(
         "conjugates of <(ab^j)^p> are exhausted via conjugation-orbit closure, "
         "which reaches the orbit under the full group"
     )
-    w = {}
-    orbits = {}
+    bases, orbits = {}, {}
     for i in range(1, p):
-        w[i] = group.element(((group.a * group.b**i) ** p).labels)
-        cert.witnesses[f"w{i}"] = w[i].encode()
-        base = cyclic_subgroup(group, w[i]).keys
-        orbits[i] = set(subgroup_conjugation_orbit(group, base))
+        w = group.element(((group.a * group.b**i) ** p).labels)
+        cert.witnesses[f"w{i}"] = w.encode()
+        bases[i] = cyclic_subgroup(group, w).keys
+        orbits[i] = set(subgroup_conjugation_orbit(group, bases[i]))
     ok = True
     for i in range(1, p):
-        keys_i = cyclic_subgroup(group, w[i]).keys
         ok &= cert.check(
             f"self_conjugate_i{i}",
-            keys_i in orbits[i],
+            bases[i] in orbits[i],
             "the subgroup is in its own conjugation orbit (identity conjugator)",
         )
         for j in range(1, p):
@@ -672,37 +616,21 @@ def verify_prop_key(
                 continue
             ok &= cert.check(
                 f"distinct_i{i}_j{j}",
-                keys_i not in orbits[j],
+                bases[i] not in orbits[j],
                 f"no conjugate of <(ab^{j})^{p}> equals <(ab^{i})^{p}> "
                 f"(orbit of {len(orbits[j])} subgroups)",
             )
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    return _verdict(ok)
 
 
 def verify_prop_collision(
-    v: DefiningVector, n: int, budget: int, workers: int
-) -> Certificate:
-    _require_non_periodic(v, "prop-collision")
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_non_periodic(cert, v)
     if n < 2:
         raise ValueError("the collision claim concerns levels n >= 2")
-    cert = _new_certificate("prop-collision", v, n)
-    p = v.p
-    predicted = predicted_order(v, n)
-    if predicted is not None and predicted > budget:
-        cert.notes.append(
-            f"predicted order {predicted} exceeds the budget {budget}; "
-            "checking the coset representatives ab^i element-wise only"
-        )
-        ok = _rep_collision_checks(cert, v, n)
-        cert.verdict = "skipped: scale" if ok else "refuted"
-        return cert
-    group = enumerate_quotient(v, n, budget)
-    cert.element_count = len(group)
-    cert.exhaustive = True
-    z_keys = _collision_scan(cert, group, workers)
-    cert.verdict = "verified" if z_keys is not None else "refuted"
-    return cert
+    group, ok = _collision_stage(cert, v, n, budget, workers)
+    return _verdict(ok, SCALE if group is None else "verified")
 
 
 def _rep_collision_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
@@ -718,39 +646,25 @@ def _rep_collision_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
             f"partial_order_rep{i}", got == p**n, f"order of ab^{i} is {got}"
         )
         steps.append(rep ** (p ** (n - 1)))
-    first = {s.labels for s in _powers_of(steps[0])}
+    first = {s.labels for s in cyclic_powers(steps[0])}
     for i, s in enumerate(steps[1:], start=2):
         ok &= cert.check(
             f"partial_common_subgroup_rep{i}",
-            {x.labels for x in _powers_of(s)} == first,
+            {x.labels for x in cyclic_powers(s)} == first,
             f"<(ab^{i})^({p}^{n - 1})> matches the first representative's subgroup",
         )
     return ok
 
 
-def _powers_of(x: Portrait) -> list[Portrait]:
-    """x, x^2, ... around to the identity: the cyclic subgroup as a list."""
-    out = [x]
-    g = x * x
-    while g != x:
-        out.append(g)
-        g = g * x
-    return out
-
-
-def verify_thm_B(v: DefiningVector, n: int, budget: int, workers: int) -> Certificate:
-    _require_non_periodic(v, "thm-B")
+def verify_thm_B(
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_non_periodic(cert, v)
     if n < 1:
         raise ValueError("levels start at 1")
-    cert = _new_certificate("thm-B", v, n)
-    cert.notes.append(
-        "certificate covers the stated level only, not the statement for all levels"
-    )
-    p = v.p
+    cert.notes.append(LEVEL_ONLY)
     if n == 1:
-        group = enumerate_quotient(v, 1, budget)
-        cert.element_count = len(group)
-        cert.exhaustive = True
+        group = _enumerate(cert, v, 1, budget)
         cyclic = any(
             len(cyclic_subgroup(group, x)) == len(group) for x in group.elements
         )
@@ -761,22 +675,10 @@ def verify_thm_B(v: DefiningVector, n: int, budget: int, workers: int) -> Certif
             oracle.refuted,
             "the literal no-pruning search finds no structure",
         )
-        cert.verdict = "verified" if ok else "refuted"
-        return cert
-    predicted = predicted_order(v, n)
-    if predicted is not None and predicted > budget:
-        cert.notes.append(
-            f"predicted order {predicted} exceeds the budget {budget}; "
-            "checking the coset representatives ab^i element-wise only"
-        )
-        ok = _rep_collision_checks(cert, v, n)
-        cert.verdict = "skipped: scale" if ok else "refuted"
-        return cert
-    group = enumerate_quotient(v, n, budget)
-    cert.element_count = len(group)
-    cert.exhaustive = True
-    z_keys = _collision_scan(cert, group, workers)
-    ok = z_keys is not None
+        return _verdict(ok)
+    group, ok = _collision_stage(cert, v, n, budget, workers)
+    if group is None:
+        return _verdict(ok, SCALE)
     ok = _pigeonhole_checks(cert, group) and ok
     if ok:
         cert.notes.append(
@@ -786,34 +688,38 @@ def verify_thm_B(v: DefiningVector, n: int, budget: int, workers: int) -> Certif
             "Sigma sets meet trivially"
         )
     if n == 2 and ok:
-        oracle = search_beauville(group, "exhaustive")
-        ok &= cert.check(
-            "no_structure_oracle",
-            oracle.refuted,
-            "independent literal search (no pruning) also finds no structure",
-        )
+        if len(group) <= LITERAL_SEARCH_CAP:
+            oracle = search_beauville(group, "exhaustive")
+            ok &= cert.check(
+                "no_structure_oracle",
+                oracle.refuted,
+                "independent literal search (no pruning) also finds no structure",
+            )
+        else:
+            cert.notes.append(
+                f"group order {len(group)} exceeds the literal search cap "
+                f"{LITERAL_SEARCH_CAP}; the independent literal search is not run"
+            )
         pruned = search_beauville(group, "pruned")
         ok &= cert.check(
             "no_structure_signatures",
             pruned.refuted,
             "the signature-exhaustion search agrees",
         )
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    return _verdict(ok)
 
 
-def verify_thm_G2(v: DefiningVector, n: int, budget: int, workers: int) -> Certificate:
-    _require_periodic(v, "thm-G2")
+def verify_thm_G2(
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_periodic(cert, v)
     if n != 2:
         raise ValueError("this claim concerns the level-2 quotient")
-    cert = _new_certificate("thm-G2", v, 2)
     p = v.p
-    group = enumerate_quotient(v, 2, budget)
-    cert.element_count = len(group)
+    group = _enumerate(cert, v, 2, budget)
     if len(group) <= SEARCH_ELEMENT_CAP:
         _exponent_check(cert, group, workers)
         search = search_beauville(group, "pruned")
-        cert.exhaustive = True
         if p == 3:
             ok = cert.check(
                 "no_structure",
@@ -826,15 +732,12 @@ def verify_thm_G2(v: DefiningVector, n: int, budget: int, workers: int) -> Certi
                 search.verified,
                 "the search finds and confirms a structure",
             )
-            if search.verified:
-                cert.witnesses["triple_1"] = search.witnesses["triple_1"]
-                cert.witnesses["triple_2"] = search.witnesses["triple_2"]
-        for note in search.notes:
-            cert.notes.append(f"search: {note}")
-        cert.verdict = "verified" if ok else "refuted"
-        return cert
+            cert.witnesses.update(search.witnesses)  # the two triples, if found
+        cert.notes.extend(f"search: {note}" for note in search.notes)
+        return _verdict(ok)
     # Beyond the signature-search cap (p >= 7): confirm a fixed candidate whose
     # six members lie on six distinct maximal-subgroup lines, literally.
+    cert.exhaustive = False
     cert.notes.append(
         f"group order {len(group)} exceeds the search cap {SEARCH_ELEMENT_CAP}; "
         "verifying a fixed candidate pair literally instead of searching"
@@ -851,49 +754,36 @@ def verify_thm_G2(v: DefiningVector, n: int, budget: int, workers: int) -> Certi
     )
     cert.witnesses["triple_1"] = t1.encode()
     cert.witnesses["triple_2"] = t2.encode()
-    cert.exhaustive = False
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    return _verdict(ok)
 
 
-def verify_thm_G3(v: DefiningVector, n: int, budget: int, workers: int) -> Certificate:
-    _require_periodic(v, "thm-G3")
+def verify_thm_G3(
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_periodic(cert, v)
     if n != 3:
         raise ValueError("this claim concerns the level-3 quotient")
-    cert = _new_certificate("thm-G3", v, 3)
-    p = v.p
-    if p == 3:
-        group = enumerate_quotient(v, 3, budget)
-        cert.element_count = len(group)
-        cert.exhaustive = True
-        pair = _gupta_sidki_structure(cert, group)
-        cert.verdict = "verified" if pair is not None else "refuted"
-        return cert
-    predicted = predicted_order(v, 3)
-    if predicted is not None and predicted > budget:
-        cert.notes.append(
-            f"predicted order {predicted} exceeds the budget {budget}; "
-            "running the element-wise sub-checks for the standard triples"
-        )
+    if v.p == 3:
+        group = _enumerate(cert, v, 3, budget)
+        return _verdict(_gupta_sidki_structure(cert, group))
+    over = _over_budget(
+        cert, v, 3, budget, "running the element-wise sub-checks for the standard triples"
+    )
     ok = _standard_triples_checks(cert, v, 3)
-    if predicted is not None and predicted <= budget:
-        # Small enough after all: confirm the standard triple pair literally.
-        group = enumerate_quotient(v, 3, budget)
-        cert.element_count = len(group)
-        a, b = group.a, group.b
-        t1 = GeneratingTriple.make(group, a.inverse() * a.inverse(), a * b)
-        t2 = GeneratingTriple.make(group, a * b**2, b)
-        pair = is_beauville_pair(t1, t2, group)
-        ok &= cert.check(
-            "sigma_intersection_trivial", pair.verified, "the standard pair verifies"
-        )
-        cert.witnesses["triple_1"] = t1.encode()
-        cert.witnesses["triple_2"] = t2.encode()
-        cert.exhaustive = True
-        cert.verdict = "verified" if ok else "refuted"
-        return cert
-    cert.verdict = "skipped: scale" if ok else "refuted"
-    return cert
+    if over or predicted_order(v, 3) is None:
+        return _verdict(ok, SCALE)
+    # Small enough after all: confirm the standard triple pair literally.
+    group = _enumerate(cert, v, 3, budget)
+    a, b = group.a, group.b
+    t1 = GeneratingTriple.make(group, a.inverse() * a.inverse(), a * b)
+    t2 = GeneratingTriple.make(group, a * b**2, b)
+    pair = is_beauville_pair(t1, t2, group)
+    ok &= cert.check(
+        "sigma_intersection_trivial", pair.verified, "the standard pair verifies"
+    )
+    cert.witnesses["triple_1"] = t1.encode()
+    cert.witnesses["triple_2"] = t2.encode()
+    return _verdict(ok)
 
 
 def _standard_triples_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
@@ -908,7 +798,7 @@ def _standard_triples_checks(cert: Certificate, v: DefiningVector, n: int) -> bo
         ("y2_b", b, p),
         ("x2y2_ab3", a * b**3, p * p),
     ]
-    ok = _order_checks(cert, v, n, items)
+    ok = _order_checks(cert, n, items)
     ok &= _eq31_checks(cert, v, n)
     lhs = (a.inverse() * b).inverse()
     rhs = (a * b ** (p - 1)).conjugate_by(b)
@@ -923,45 +813,33 @@ def _standard_triples_checks(cert: Certificate, v: DefiningVector, n: int) -> bo
     return ok
 
 
-def verify_thm_A(v: DefiningVector, n: int, budget: int, workers: int) -> Certificate:
-    _require_periodic(v, "thm-A")
+def verify_thm_A(
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    _require_periodic(cert, v)
     p = v.p
     if not ((p >= 5 and n >= 2) or (p == 3 and n >= 3)):
         raise ValueError(
             "the claim covers p >= 5 with n >= 2, or p = 3 with n >= 3; "
             f"got p={p}, n={n}"
         )
-    cert = _new_certificate("thm-A", v, n)
-    cert.notes.append(
-        "certificate covers the stated level only, not the statement for all levels"
-    )
+    cert.notes.append(LEVEL_ONLY)
     if p >= 5 and n == 2:
-        inner = verify_thm_G2(v, 2, budget, workers)
-        cert.checks.extend(inner.checks)
-        cert.witnesses.update(inner.witnesses)
-        cert.notes.extend(f"level-2: {x}" for x in inner.notes)
-        cert.element_count = inner.element_count
-        cert.exhaustive = inner.exhaustive
-        cert.verdict = inner.verdict
-        return cert
+        k = len(cert.notes)
+        verdict = verify_thm_G2(cert, v, 2, budget, workers)
+        cert.notes[k:] = [f"level-2: {x}" for x in cert.notes[k:]]
+        return verdict
     if p == 3:
-        group = enumerate_quotient(v, 3, budget)
-        pair = _gupta_sidki_structure(cert, group)
-        ok = pair is not None
         if n == 3:
-            cert.element_count = len(group)
-            cert.exhaustive = True
-            cert.verdict = "verified" if ok else "refuted"
-            return cert
+            return verify_thm_G3(cert, v, 3, budget, workers)
+        ok = _gupta_sidki_structure(cert, enumerate_quotient(v, 3, budget))
         triple = [("x1_a", "a"), ("y1_b", "b"), ("x1y1_ab", "ab")]
         ok &= _lifting_checks(cert, v, triple, 3, n, prefix="lift_")
-        cert.exhaustive = False
         cert.notes.append(
             "conclusion: the structure verified exhaustively at depth 3 lifts to "
             f"depth {n} because the first triple's element orders are preserved"
         )
-        cert.verdict = "verified" if ok else "refuted"
-        return cert
+        return _verdict(ok)
     # p >= 5, n >= 3: the level-3 quotient has order p^(4p+1), far out of scale.
     ok = _standard_triples_checks(cert, v, 3)
     triple = [("x1_a-2", "A^2"), ("y1_ab", "ab"), ("x1y1_A_b", "Ab")]
@@ -971,73 +849,139 @@ def verify_thm_A(v: DefiningVector, n: int, budget: int, workers: int) -> Certif
         "the full Sigma-intersection check at this scale is not run; "
         "the element-wise sub-checks above are exhaustive over the stated elements"
     )
-    cert.verdict = "skipped: scale" if ok else "refuted"
-    return cert
+    return _verdict(ok, SCALE)
 
 
 def verify_lifting(
-    v: DefiningVector,
-    n: int,
-    budget: int,
-    workers: int,
-    m: int,
-    x_word: str,
-    y_word: str,
-) -> Certificate:
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
+    m, x_word, y_word = (cert.params[k] for k in ("m", "x", "y"))
     if m <= n:
         raise ValueError("the target depth m must exceed the source depth n")
-    cert = _new_certificate("lifting", v, n, m=m, x=x_word, y=y_word)
     cert.exhaustive = True
-    cert.notes.append("element-wise portrait computation; no group enumeration")
+    cert.notes.append(ELEMENT_WISE)
     xy = f"({x_word})({y_word})"
     triple = [("x", x_word), ("y", y_word), ("xy", xy)]
-    ok = _lifting_checks(cert, v, triple, n, m)
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    return _verdict(_lifting_checks(cert, v, triple, n, m))
 
 
 def verify_order_formula(
-    v: DefiningVector, n: int, budget: int, workers: int
-) -> Certificate:
-    cert = _new_certificate("order-formula", v, n)
+    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+) -> str:
     predicted = predicted_order(v, n)
     if predicted is None:
         try:
-            group = enumerate_quotient(v, n, budget)
+            group = _enumerate(cert, v, n, budget, exhaustive=False)
         except BudgetExceeded as exc:
             cert.notes.append(str(exc))
-            cert.verdict = "skipped: scale"
-            return cert
-        cert.element_count = len(group)
+            return SCALE
         cert.witnesses["enumerated_order"] = len(group)
         cert.notes.append(
             "no order formula applies to symmetric defining vectors at n >= 3; "
             "the enumerated size is reported without a cross-check"
         )
-        cert.verdict = "skipped: no formula for symmetric defining vectors"
-        return cert
-    if predicted > budget:
-        cert.notes.append(
-            f"predicted order {predicted} exceeds the budget {budget}"
-        )
-        cert.verdict = "skipped: scale"
-        return cert
-    group = enumerate_quotient(v, n, budget)
-    cert.element_count = len(group)
-    cert.exhaustive = True
-    t = v.rank
+        return "skipped: no formula for symmetric defining vectors"
+    if _over_budget(cert, v, n, budget):
+        return SCALE
+    group = _enumerate(cert, v, n, budget)
     ok = cert.check(
         "order_matches",
         len(group) == predicted,
-        f"enumerated {len(group)}, formula gives {predicted} (t = {t})",
+        f"enumerated {len(group)}, formula gives {predicted} (t = {v.rank})",
     )
     cert.witnesses["enumerated_order"] = len(group)
     cert.witnesses["predicted_order"] = predicted
-    cert.verdict = "verified" if ok else "refuted"
-    return cert
+    return _verdict(ok)
 
 
-# -- dispatch ---------------------------------------------------------------------
+# -- registry and dispatch --------------------------------------------------------
+
+CLAIMS: dict[str, Claim] = {
+    "thm-A": Claim(
+        "the level-n quotient of a periodic GGS group is a Beauville group "
+        "(covered range: p >= 5 with n >= 2, or p = 3 with n >= 3)",
+        3,
+        verify_thm_A,
+    ),
+    "thm-B": Claim(
+        "no level-n quotient of a non-periodic GGS group is a Beauville group",
+        2,
+        verify_thm_B,
+    ),
+    "thm-G2": Claim(
+        "the level-2 quotient of a periodic GGS group is a Beauville group "
+        "exactly when p >= 5",
+        2,
+        verify_thm_G2,
+    ),
+    "thm-G3": Claim(
+        "the level-3 quotient of a periodic GGS group is a Beauville group",
+        3,
+        verify_thm_G3,
+    ),
+    "lemma-orders": Claim(
+        "a^-1 b and every a b^i have order p^2 in the level-n quotient (n >= 3, "
+        "periodic vector)",
+        3,
+        verify_lemma_orders,
+    ),
+    "lemma-conjugates": Claim(
+        "the conjugates of b by powers of a are pairwise distinct at tree depth 2",
+        2,
+        verify_lemma_conjugates,
+    ),
+    "lemma-center": Claim(
+        "at p = 3 (periodic) the level-3 center has order 3, lies in the derived "
+        "subgroup of the first-level stabilizer, and its generator has sections "
+        "([a,b], [a,b], [a,b])",
+        3,
+        verify_lemma_center,
+    ),
+    "lemma-comms-b": Claim(
+        "at p = 3 (periodic) no nontrivial central element of the level-3 "
+        "quotient is a commutator [b, g]",
+        3,
+        verify_lemma_comms_b,
+    ),
+    "lemma-comms-a": Claim(
+        "at p = 3 (periodic) the element with sections ([a,b], 1, 1) is not a "
+        "commutator [a, g] in the level-3 quotient",
+        3,
+        verify_lemma_comms_a,
+    ),
+    "prop-key": Claim(
+        "<(ab^i)^p> equals a conjugate of <(ab^j)^p> in the level-n quotient "
+        "only when i = j (periodic vector)",
+        3,
+        verify_prop_key,
+    ),
+    "prop-collision": Claim(
+        "in the level-n quotient of a non-periodic GGS group, every element of "
+        "<ab^i, derived> outside the derived subgroup has order p^n, its "
+        "p^(n-1)-th power is the matching power of ab^i, and all such powers "
+        "generate one cyclic subgroup",
+        2,
+        verify_prop_collision,
+    ),
+    "eq-3.1": Claim(
+        "psi((ab^i)^p) = ((b^i)^(a^(i*s_1)), ..., (b^i)^(a^(i*s_(p-1))), b^i) "
+        "where s_j are the prefix sums of the defining vector (periodic case)",
+        3,
+        verify_eq31,
+    ),
+    "order-formula": Claim(
+        "the level-n quotient has order p^(t*p^(n-2) + 1) for n >= 2 and "
+        "non-symmetric vectors, where t is the circulant rank; level 1 has order p",
+        2,
+        verify_order_formula,
+    ),
+    "lifting": Claim(
+        "the orders of x, y and xy at tree depth m equal their orders at depth n "
+        "(order-preservation hypothesis for lifting a structure from depth n)",
+        3,
+        verify_lifting,
+    ),
+}
 
 
 def verify_claim(
@@ -1055,28 +999,17 @@ def verify_claim(
     if claim not in CLAIMS:
         known = ", ".join(sorted(CLAIMS))
         raise ValueError(f"unknown claim {claim!r}; known claims: {known}")
-    level = n if n is not None else default_level(claim)
     start = time.perf_counter()
-    if claim == "lifting":
-        target = m if m is not None else level + 1
-        cert = verify_lifting(v, level, budget, workers, target, x_word, y_word)
-    else:
-        fn: Callable = {
-            "thm-A": verify_thm_A,
-            "thm-B": verify_thm_B,
-            "thm-G2": verify_thm_G2,
-            "thm-G3": verify_thm_G3,
-            "lemma-orders": verify_lemma_orders,
-            "lemma-conjugates": verify_lemma_conjugates,
-            "lemma-center": verify_lemma_center,
-            "lemma-comms-b": verify_lemma_comms_b,
-            "lemma-comms-a": verify_lemma_comms_a,
-            "prop-key": verify_prop_key,
-            "prop-collision": verify_prop_collision,
-            "eq-3.1": verify_eq31,
-            "order-formula": verify_order_formula,
-        }[claim]
-        cert = fn(v, level, budget, workers)
+    params = claim_params(claim, v, n, m, x_word, y_word)
+    cert = Certificate(
+        claim=claim,
+        statement=CLAIMS[claim].statement,
+        params=params,
+        verdict="",
+        exhaustive=False,
+        code_version=CODE_VERSION,
+    )
+    cert.verdict = CLAIMS[claim].verify(cert, v, params["n"], budget, workers)
     cert.wall_time = time.perf_counter() - start
     return cert
 

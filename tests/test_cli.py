@@ -124,6 +124,20 @@ def test_verify_lifting_refuted_exit_code():
     assert "verdict: refuted" in res.stdout
 
 
+def test_verify_lifting_default_target_shares_cache(tmp_path):
+    # Without --to the target depth is n + 1 = 4, so both runs name one entry.
+    cache = tmp_path / "cache"
+    base = ("verify", "lifting", "--p", "3", "--e", "1,-1", "--cache-dir", str(cache))
+    first = run_cli(*base)
+    assert first.returncode == 0
+    assert "cache hit" not in first.stderr
+    second = run_cli(*base, "--to", "4")
+    assert second.returncode == 0
+    assert "cache hit" in second.stderr
+    assert second.stdout == first.stdout
+    assert len(list(cache.glob("*.json"))) == 1
+
+
 def test_verify_skip_is_exit_zero():
     res = run_cli("verify", "thm-A", "--p", "5", "--level", "3",
                   "--format", "structured")

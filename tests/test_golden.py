@@ -31,6 +31,11 @@ EXTRA = (
     ("thm-B", 3, (1, 0), 3),
     ("order-formula", 3, (1, 0), 3),
     ("thm-A", 3, (1, -1), 4),
+    ("prop-collision", 3, (1, 0), 4),
+    ("thm-B", 3, (1, 0), 4),
+    ("thm-B", 3, (1, 0), 1),
+    ("order-formula", 5, (1, 4, 1, 4), 3),
+    ("order-formula", 3, (1, 1), 3),
 )
 
 
@@ -49,7 +54,7 @@ def _parse(path: Path) -> tuple[str, int, tuple[int, ...], int]:
 
 
 def test_golden_set_is_complete():
-    assert len(_golden_files()) == 30
+    assert len(_golden_files()) == 35
 
 
 @pytest.mark.parametrize("path", _golden_files(), ids=lambda path: path.stem)

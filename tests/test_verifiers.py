@@ -11,13 +11,14 @@ from ggs import (
     replay_certificate,
     verify_claim,
 )
+from ggs import beauville, verifiers
 from ggs.verifiers import default_level
 
 
 def test_claims_table():
     assert len(CLAIMS) == 14
-    for claim, statement in CLAIMS.items():
-        assert statement and "p" in statement
+    for claim, record in CLAIMS.items():
+        assert record.statement and "p" in record.statement
         assert default_level(claim) >= 1
 
 
@@ -29,7 +30,7 @@ def test_unknown_claim(gs):
 
 def test_statement_copied_into_certificate(gs):
     cert = verify_claim("lemma-orders", gs, 3)
-    assert cert.statement == CLAIMS["lemma-orders"]
+    assert cert.statement == CLAIMS["lemma-orders"].statement
     assert cert.params == {"p": 3, "e": [1, 2], "n": 3}
     assert cert.wall_time > 0
 
@@ -251,6 +252,22 @@ def test_order_formula_symmetric_skips():
 def test_order_formula_over_budget(gs):
     cert = verify_claim("order-formula", gs, 4, budget=10_000)
     assert cert.verdict == "skipped: scale"
+
+
+def test_thm_b_skips_literal_oracle_above_its_cap(monkeypatch, e10):
+    # The level-2 quotient of e = (1, 0) has 81 elements, so a cap of 80
+    # takes the path that p >= 5 takes with the real cap.
+    monkeypatch.setattr(beauville, "LITERAL_SEARCH_CAP", 80)
+    monkeypatch.setattr(verifiers, "LITERAL_SEARCH_CAP", 80)
+    cert = verify_claim("thm-B", e10, 2)
+    assert cert.verified and cert.element_count == 81
+    names = [c.name for c in cert.checks]
+    assert "no_structure_oracle" not in names
+    assert names[-1] == "no_structure_signatures"
+    assert cert.notes[-1] == (
+        "group order 81 exceeds the literal search cap 80; "
+        "the independent literal search is not run"
+    )
 
 
 def test_default_levels():
