@@ -18,7 +18,9 @@ independent oracle and both are cross-checked in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import add, itemgetter
+from struct import Struct
 from typing import Iterator, NamedTuple
 
 from .certificate import CODE_VERSION, Certificate
@@ -270,18 +272,15 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     """
     if "signatures" in group.cache:
         return group.cache["signatures"]  # type: ignore[return-value]
-    ids, _ = _socle_data(group)
+    ids, count = _socle_data(group)
     elements = group.elements
     coords = group.coords
-    socle = [ids.get(x.labels) for x in elements]
-    p = group.vector.p
-    reduce = group.shape.reduce
     table: dict[frozenset[int], list[str]] = {}
-    for cls in group.conjugacy_classes():
-        rep = min(cls)
-        if coords is None:
-            # Level 1: the coordinates do not decide generation, and members
-            # of a generating triple may be the identity.
+    if coords is None:
+        # Level 1: the coordinates do not decide generation, and members of a
+        # generating triple may be the identity.
+        for cls in group.conjugacy_classes():
+            rep = min(cls)
             for y in elements:
                 if group.is_generating_pair(rep, y):
                     sig = frozenset(
@@ -289,23 +288,43 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
                     )
                     if sig not in table:
                         table[sig] = [rep.encode(), y.encode()]
-            continue
+        group.cache["signatures"] = table
+        return table
+    # From level 2 on, {x, y} generates exactly when the coordinate
+    # determinant is nonzero, and then x, y and xy are all nontrivial.  Each
+    # generating pair keys as one integer s_y * count + s_xy; dict.fromkeys keeps
+    # the distinct keys in order of first occurrence, which is the order in
+    # which the first pairs realizing each signature occur.
+    p = group.vector.p
+    socle_of = ids.__getitem__
+    split = Struct(f"{group.shape.internal_count}s").iter_unpack
+    first = itemgetter(0)
+    # Per line through the origin of the coordinate plane, that is per
+    # maximal subgroup: the mask of the elements outside it, their scaled
+    # socle ids and their positions.
+    lines: dict[tuple[int, int], tuple[bytes, list[int], list[int]]] = {}
+    for cls in group.conjugacy_classes():
+        rep = min(cls)
         ar, br = group.coords_of(rep)
         if not (ar or br):
             continue  # a Frattini element lies in no generating pair
-        # From level 2 on, {x, y} generates exactly when the coordinate
-        # determinant is nonzero, and then x, y and xy are all nontrivial.
-        # The labels of x*y are lf + lg o pf; one translate reduces the byte
-        # sums mod p.
+        line = (1, br * pow(ar, -1, p) % p) if ar else (0, 1)
+        if line not in lines:
+            la, lb = line
+            mask = bytes((la * by - lb * ay) % p != 0 for ay, by in coords)
+            lines[line] = (
+                mask,
+                [socle_of(y.labels) * count for y in compress(elements, mask)],
+                list(compress(range(len(elements)), mask)),
+            )
+        mask, scaled, partners = lines[line]
+        products = compress(split(group.left_products(rep)), mask)
+        keys = list(map(add, scaled, map(socle_of, map(first, products))))
         sr = ids[rep.labels]
-        lf = rep.labels
-        take = itemgetter(*rep.vertex_perm())
-        for y, (ay, by), sy in zip(elements, coords, socle):
-            if not (ar * by - br * ay) % p:
-                continue
-            xy = bytes(map(add, lf, take(y.labels))).translate(reduce)
-            sig = frozenset((sr, sy, ids[xy]))
+        for key in dict.fromkeys(keys):
+            sig = frozenset((sr, *divmod(key, count)))
             if sig not in table:
+                y = elements[partners[keys.index(key)]]
                 table[sig] = [rep.encode(), y.encode()]
     group.cache["signatures"] = table
     return table

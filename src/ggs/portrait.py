@@ -54,6 +54,10 @@ def _is_odd_prime(p: int) -> bool:
 # 2 * (p - 1) must stay below 256.
 MAX_PRIME = 127
 
+# A portrait holds one label byte per internal vertex; deeper trees than
+# this allows are refused before any label vector is allocated.
+MAX_INTERNAL_VERTICES = 1 << 24
+
 # Takes every label of a depth-1 portrait, whose one internal vertex is
 # fixed; itemgetter with a single index would return a scalar instead.
 _TAKE_ALL = itemgetter(slice(None))
@@ -81,6 +85,11 @@ class TreeShape:
         for _ in range(n):
             starts.append(starts[-1] + width)
             width *= p
+            if starts[-1] > MAX_INTERNAL_VERTICES:
+                raise ValueError(
+                    f"a depth-{n} tree at p={p} has more than "
+                    f"{MAX_INTERNAL_VERTICES} internal vertices, one label each"
+                )
         # level_starts[d] is the breadth-first index of the first depth-d vertex;
         # level_starts[n] is the total number of internal vertices.
         self.level_starts = tuple(starts)

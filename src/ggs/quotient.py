@@ -18,10 +18,14 @@ from .portrait import _TAKE_ALL, Portrait, commutator, tree_shape
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "MAX_LEVEL",
     "BudgetExceeded",
     "SubgroupHandle",
     "QuotientGroup",
+    "predicted_exponent",
     "predicted_order",
+    "exceeds_budget",
+    "written_order",
     "enumerate_quotient",
 ]
 
@@ -30,10 +34,21 @@ DEFAULT_BUDGET = 10_000_000
 _GEN_COORDS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
+# Deepest level accepted anywhere.  Portraits stop well before it (see
+# MAX_INTERNAL_VERTICES); past it even the exponent k of the predicted order
+# p^k grows too long to compute.
+MAX_LEVEL = 64
+
+# Orders p^k with k up to this bound are written in digits, larger ones as
+# "p^k": past it a decimal expansion is long to read, and past a few thousand
+# digits Python refuses to convert it to text at all.
+WRITTEN_EXPONENT_MAX = 64
+
+
 class BudgetExceeded(RuntimeError):
     """Raised when an enumeration would pass the element budget."""
 
-    def __init__(self, budget: int, partial: int, predicted: int | None = None):
+    def __init__(self, budget: int, partial: int, predicted: int | str | None = None):
         self.budget = budget
         self.partial = partial
         self.predicted = predicted
@@ -41,21 +56,53 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"enumeration budget {budget} exceeded ({detail})")
 
 
-def predicted_order(v: DefiningVector, n: int) -> int | None:
-    """Order of the level-n quotient when a closed form is known, else None.
+def predicted_exponent(v: DefiningVector, n: int) -> int | None:
+    """The k with |G_n| = p^k when a closed form is known, else None.
 
     Level 1 is cyclic of order p.  Level 2 has order p^(t+1) with t the
     circulant rank.  For non-symmetric vectors and n >= 2 the order is
     p^(t*p^(n-2)+1); no closed form is used for symmetric vectors past
     level 2.
     """
+    if not 1 <= n <= MAX_LEVEL:
+        raise ValueError(f"level must lie in 1..{MAX_LEVEL}, got {n}")
     if n == 1:
-        return v.p
+        return 1
     if n == 2:
-        return v.p ** (v.rank + 1)
+        return v.rank + 1
     if v.symmetric:
         return None
-    return v.p ** (v.rank * v.p ** (n - 2) + 1)
+    return v.rank * v.p ** (n - 2) + 1
+
+
+def predicted_order(v: DefiningVector, n: int) -> int | None:
+    """Order of the level-n quotient when a closed form is known, else None.
+
+    The exponent grows like p^(n-2), so at deep levels the order itself is
+    too large to compute or print; code that may see such levels uses
+    exceeds_budget and written_order.
+    """
+    k = predicted_exponent(v, n)
+    return None if k is None else v.p**k
+
+
+def exceeds_budget(v: DefiningVector, n: int, budget: int) -> bool:
+    """Whether the predicted order is known and larger than the budget.
+
+    Decided on the exponent: p >= 3, so p^k > budget once 2^k > budget.
+    """
+    k = predicted_exponent(v, n)
+    if k is None:
+        return False
+    return k >= budget.bit_length() or v.p**k > budget
+
+
+def written_order(v: DefiningVector, n: int) -> int | str | None:
+    """The predicted order in digits, or as "p^k" when k is large."""
+    k = predicted_exponent(v, n)
+    if k is None:
+        return None
+    return v.p**k if k <= WRITTEN_EXPONENT_MAX else f"{v.p}^{k}"
 
 
 class SubgroupHandle:
@@ -130,12 +177,14 @@ class QuotientGroup:
     """The level-n quotient of the GGS group with a given defining vector."""
 
     def __init__(self, vector: DefiningVector, n: int, budget: int = DEFAULT_BUDGET):
+        # Checked before the tree is built: at a deep level the tree alone
+        # can outgrow memory.
+        predicted = written_order(vector, n)
+        if exceeds_budget(vector, n, budget):
+            raise BudgetExceeded(budget, 0, predicted)
         self.vector = vector
         self.shape = tree_shape(vector.p, n)
         self.budget = budget
-        predicted = predicted_order(vector, n)
-        if predicted is not None and predicted > budget:
-            raise BudgetExceeded(budget, 0, predicted)
 
         self.a = make_a(self.shape)
         self.b = make_b(vector, self.shape)
@@ -214,6 +263,32 @@ class QuotientGroup:
         if isinstance(key, str):
             key = Portrait.decode(key).labels
         return self.elements[self._index[key]]
+
+    def label_columns(self) -> tuple[bytes, ...]:
+        """One bytes column per internal vertex: that vertex's label in every
+        element, in enumeration order."""
+        if "columns" not in self.cache:
+            flat = b"".join(x.labels for x in self.elements)
+            m = self.shape.internal_count
+            self.cache["columns"] = tuple(flat[k::m] for k in range(m))
+        return self.cache["columns"]  # type: ignore[return-value]
+
+    def left_products(self, x: Portrait) -> bytearray:
+        """The labels of x*y for every element y, concatenated in enumeration
+        order.
+
+        Column k of x*y is l_x[k] + col[pi_x(k)] mod p.  With x fixed that is
+        one translate per vertex, by the table adding l_x[k]; labels are below
+        p, so reduce[s:] (padded back to 256 bytes) adds s mod p.
+        """
+        columns = self.label_columns()
+        m = len(columns)
+        reduce = self.shape.reduce
+        shifts = [reduce[s:] + bytes(s) for s in range(self.vector.p)]
+        out = bytearray(len(self.elements) * m)
+        for k, (source, shift) in enumerate(zip(x.vertex_perm(), x.labels)):
+            out[k::m] = columns[source].translate(shifts[shift])
+        return out
 
     def coords_of(self, x: Portrait) -> tuple[int, int]:
         """Exponent sums of (a, b) modulo the derived subgroup."""
@@ -340,13 +415,19 @@ class QuotientGroup:
             raise RuntimeError("derived subgroup does not have index p^2")
         tops = [self.a, self.b] + [self.a * self.b**i for i in range(1, p)]
         elements, index = self.elements, self._index
+        reduce = self.shape.reduce
+        # The labels of w * x^j are l_w + l_(x^j) o pi_w: one itemgetter per
+        # derived element w serves every power.
+        cosets = [(w.labels, itemgetter(*w.vertex_perm())) for w in derived.elements]
         out = []
         for x in tops:
             members: list[Portrait] = []
             power = self.identity
             for _ in range(p):
+                lp = power.labels
                 members.extend(
-                    elements[index[(w * power).labels]] for w in derived.elements
+                    elements[index[bytes(map(add, lw, take(lp))).translate(reduce)]]
+                    for lw, take in cosets
                 )
                 power = power * x
             out.append(

@@ -37,7 +37,10 @@ from .quotient import (
     QuotientGroup,
     SubgroupHandle,
     enumerate_quotient,
+    exceeds_budget,
+    predicted_exponent,
     predicted_order,
+    written_order,
 )
 from .words import evaluate_word
 
@@ -99,11 +102,10 @@ def _over_budget(
     cert: Certificate, v: DefiningVector, n: int, budget: int, fallback: str = ""
 ) -> bool:
     """Whether the formula order exceeds the budget; if so, say so in a note."""
-    predicted = predicted_order(v, n)
-    if predicted is None or predicted <= budget:
+    if not exceeds_budget(v, n, budget):
         return False
     cert.notes.append(
-        f"predicted order {predicted} exceeds the budget {budget}"
+        f"predicted order {written_order(v, n)} exceeds the budget {budget}"
         + (f"; {fallback}" if fallback else "")
     )
     return True
@@ -770,7 +772,7 @@ def verify_thm_G3(
         cert, v, 3, budget, "running the element-wise sub-checks for the standard triples"
     )
     ok = _standard_triples_checks(cert, v, 3)
-    if over or predicted_order(v, 3) is None:
+    if over or predicted_exponent(v, 3) is None:
         return _verdict(ok, SCALE)
     # Small enough after all: confirm the standard triple pair literally.
     group = _enumerate(cert, v, 3, budget)
@@ -868,8 +870,7 @@ def verify_lifting(
 def verify_order_formula(
     cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
 ) -> str:
-    predicted = predicted_order(v, n)
-    if predicted is None:
+    if predicted_exponent(v, n) is None:
         try:
             group = _enumerate(cert, v, n, budget, exhaustive=False)
         except BudgetExceeded as exc:
@@ -884,6 +885,7 @@ def verify_order_formula(
     if _over_budget(cert, v, n, budget):
         return SCALE
     group = _enumerate(cert, v, n, budget)
+    predicted = predicted_order(v, n)
     ok = cert.check(
         "order_matches",
         len(group) == predicted,

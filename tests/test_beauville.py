@@ -208,6 +208,9 @@ def test_search_verified_matches_known_structure(gs_g3):
         (3, (1, -1), 3),
         (5, (1, 4, 1, 4), 2),
         (3, (1, 0), 2),
+        (7, (1, 2, 3, 4, 5, 6), 2),
+        (5, (1, 2, 3, 4), 2),
+        (3, (1, 0), 1),
     ],
 )
 def test_signature_table_matches_reference(p, e, n):

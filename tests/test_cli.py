@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 
-def run_cli(*args, env=None, cwd=None):
+def run_cli(*args, env=None, cwd=None, timeout=600):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -17,7 +17,7 @@ def run_cli(*args, env=None, cwd=None):
         text=True,
         env=full_env,
         cwd=cwd,
-        timeout=600,
+        timeout=timeout,
     )
 
 
@@ -61,6 +61,62 @@ def test_enumerate_budget_error():
                   "--budget", "100")
     assert res.returncode == 2
     assert "error" in res.stderr.lower()
+
+
+def _ends_cleanly(*args):
+    """Run a command that must neither hang nor crash: exit 0, or exit 2
+    with one plain error line."""
+    res = run_cli(*args, timeout=20)
+    assert "Traceback" not in res.stderr
+    assert "integer string conversion" not in res.stderr
+    if res.returncode == 2:
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+    else:
+        assert res.returncode == 0
+    return res
+
+
+def test_deep_order_formula_is_written_symbolically():
+    # The order 3^(2*3^38+1) is decided over budget on its exponent.
+    res = _ends_cleanly("verify", "order-formula", "--p", "3", "--e", "1,2",
+                        "--level", "40", "--format", "structured")
+    doc = json.loads(res.stdout)
+    assert doc["verdict"] == "skipped: scale"
+    assert doc["notes"] == [
+        "predicted order 3^2701703435345984179 exceeds the budget 10000000"
+    ]
+
+
+def test_deep_prop_key_runs_element_wise():
+    res = _ends_cleanly("verify", "prop-key", "--p", "3", "--e", "1,2",
+                        "--level", "10", "--format", "structured")
+    doc = json.loads(res.stdout)
+    assert doc["verdict"] == "skipped: scale"
+    assert doc["notes"] == [
+        "predicted order 3^13123 exceeds the budget 10000000; "
+        "running element-wise sub-checks only"
+    ]
+
+
+def test_deep_enumerate_is_refused_before_building_the_tree():
+    res = _ends_cleanly("enumerate", "--p", "3", "--e", "1,2", "--level", "17")
+    assert res.returncode == 2
+    assert "predicted order 3^28697815" in res.stderr
+    res = _ends_cleanly("enumerate", "--p", "3", "--e", "1,2", "--level", "40")
+    assert res.returncode == 2
+    assert "predicted order 3^2701703435345984179" in res.stderr
+
+
+def test_levels_past_the_tree_bound_exit_2():
+    # A symmetric vector has no order formula, so the tree bound refuses it.
+    for args in (
+        ("enumerate", "--p", "3", "--e", "1,1", "--level", "40"),
+        ("verify", "prop-key", "--p", "3", "--e", "1,2", "--level", "40"),
+        ("verify", "order-formula", "--p", "3", "--e", "1,2", "--level", "1000000"),
+        ("verify", "order-formula", "--p", "3", "--e", "1,2", "--level", "0"),
+    ):
+        assert _ends_cleanly(*args).returncode == 2
 
 
 def test_verify_text_output():

@@ -4,16 +4,27 @@ The product kernel sums label bytes through an itemgetter and reduces them
 with one translate, composes vertex permutations of the operands, and takes
 a separate route on depth-1 trees; the power, order and p-power routines are
 built on it.  Each is checked here on random portraits of shapes from depth 1
-up to depth 5 and up to the largest supported prime, 127.
+up to depth 5 and up to the largest supported prime, 127.  The batched left
+product of the signature table, which forms x*y for every element y of a
+quotient from its label columns, is checked the same way.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ggs import Portrait, TreeShape, tree_shape
-from ggs.portrait import MAX_PRIME
+from ggs import (
+    DefiningVector,
+    Portrait,
+    QuotientGroup,
+    TreeShape,
+    enumerate_quotient,
+    tree_shape,
+)
+from ggs.portrait import MAX_INTERNAL_VERTICES, MAX_PRIME
 
 from reference import leaf_cycle_order, naive_compose, naive_order
 from test_cli import run_cli
@@ -85,6 +96,34 @@ def test_order_and_p_powers_match_naive_order(p, n, data):
         assert g_p == g**p
 
 
+@lru_cache(maxsize=None)
+def _quotient(p: int, e: tuple[int, ...], n: int) -> QuotientGroup:
+    return enumerate_quotient(DefiningVector(p, e), n)
+
+
+@pytest.mark.parametrize(
+    "p,e,n",
+    [
+        (3, (1, 0), 1),
+        (3, (1, 0), 2),
+        (3, (1, -1), 3),
+        (5, (1, 4, 1, 4), 2),
+        (7, (1, 2, 3, 4, 5, 6), 2),
+    ],
+)
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_left_products_match_naive_compose(p, e, n, data):
+    group = _quotient(p, e, n)
+    # Any portrait of the shape, inside the quotient or not.
+    x = data.draw(portraits(p, n))
+    m = group.shape.internal_count
+    products = group.left_products(x)
+    assert len(products) == len(group) * m
+    for j, y in enumerate(group.elements):
+        assert products[j * m : (j + 1) * m] == naive_compose(x, y).labels
+
+
 def test_prime_above_byte_bound_is_rejected():
     assert tree_shape(MAX_PRIME, 1).p == MAX_PRIME
     with pytest.raises(ValueError, match="at most 127"):
@@ -92,3 +131,12 @@ def test_prime_above_byte_bound_is_rejected():
     res = run_cli("classify", "--p", "131")
     assert res.returncode == 2
     assert "at most 127" in res.stderr
+
+
+def test_tree_past_the_vertex_bound_is_rejected():
+    # (3^15 - 1) / 2 internal vertices fit under the bound, (3^16 - 1) / 2 do not.
+    assert TreeShape(3, 15).internal_count <= MAX_INTERNAL_VERTICES
+    with pytest.raises(ValueError, match="internal vertices"):
+        TreeShape(3, 16)
+    with pytest.raises(ValueError, match="internal vertices"):
+        TreeShape(127, 10**9)

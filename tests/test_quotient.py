@@ -12,6 +12,7 @@ from ggs import (
     enumerate_quotient,
     predicted_order,
 )
+from ggs.quotient import MAX_LEVEL, exceeds_budget, predicted_exponent, written_order
 
 from reference import brute_coords
 
@@ -34,6 +35,22 @@ def test_predicted_order_values(gs, e10):
     assert predicted_order(sym, 2) == 81
     assert predicted_order(sym, 3) is None  # no formula for symmetric vectors
     assert predicted_order(DefiningVector(5, (1, 4, 1, 4)), 2) == 5**5
+
+
+def test_budget_is_decided_on_the_exponent(gs):
+    assert [predicted_exponent(gs, n) for n in (1, 2, 3, 4)] == [1, 3, 7, 19]
+    assert written_order(gs, 4) == 3**19
+    assert written_order(gs, 6) == "3^163"  # 2 * 3^4 + 1 > WRITTEN_EXPONENT_MAX
+    assert written_order(DefiningVector(3, (1, 1)), 3) is None
+    for n in (2, 3, 4, 5):
+        for budget in (0, 26, 27, 2186, 2187, 3**19 - 1, 3**19, 10**12):
+            over = predicted_order(gs, n) > budget
+            assert exceeds_budget(gs, n, budget) == over
+    assert exceeds_budget(gs, MAX_LEVEL, DEFAULT_BUDGET)
+    assert not exceeds_budget(DefiningVector(3, (1, 1)), 3, 1)
+    for n in (0, MAX_LEVEL + 1):
+        with pytest.raises(ValueError, match="level must lie"):
+            predicted_exponent(gs, n)
 
 
 def test_symmetric_vector_size_differs_from_formula_shape():
