@@ -122,7 +122,7 @@ def cyclic_powers(x: Portrait) -> list[Portrait]:
 
 def cyclic_subgroup(group: QuotientGroup, x: Portrait) -> SubgroupHandle:
     """The cyclic subgroup <x> as a handle."""
-    return SubgroupHandle(group, (group.identity, *cyclic_powers(x)), False, (x,))
+    return SubgroupHandle(group, (group.identity, *cyclic_powers(x)), (x,))
 
 
 def subgroup_conjugation_orbit(

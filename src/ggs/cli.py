@@ -20,6 +20,7 @@ from pathlib import Path
 from .beauville import GeneratingTriple, NotGeneratingError, sigma_set
 from .certificate import CODE_VERSION, Certificate
 from .generators import DefiningVector, classify, parse_vector
+from .portrait import tree_shape
 from .quotient import BudgetExceeded, DEFAULT_BUDGET, enumerate_quotient, predicted_order
 from .verifiers import CLAIMS, claim_params, verify_claim
 from .words import WordSyntaxError, parse_word
@@ -31,6 +32,7 @@ CACHE_ENV = "GGS_CACHE_DIR"
 
 def _default_vector(p: int) -> DefiningVector:
     """Alternating vector (1, -1, 1, -1, ...): periodic since p - 1 is even."""
+    tree_shape(p, 1)  # rejects a bad p before its p - 1 entries are built
     return DefiningVector(p, tuple(1 if i % 2 == 0 else p - 1 for i in range(p - 1)))
 
 

@@ -69,13 +69,14 @@ class TreeShape:
     __slots__ = ("p", "n", "level_starts", "internal_count", "zero_labels", "reduce")
 
     def __init__(self, p: int, n: int):
-        if not _is_odd_prime(p):
-            raise ValueError(f"arity must be an odd prime, got {p}")
+        # The bound comes first: trial division of a huge p would not end.
         if p > MAX_PRIME:
             raise ValueError(
                 f"arity must be at most {MAX_PRIME}, got {p}: products sum two "
                 "labels in one byte before reducing them mod p"
             )
+        if not _is_odd_prime(p):
+            raise ValueError(f"arity must be an odd prime, got {p}")
         if n < 1:
             raise ValueError(f"tree depth must be >= 1, got {n}")
         self.p = p

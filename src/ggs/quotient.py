@@ -11,7 +11,7 @@ without further closures.
 from __future__ import annotations
 
 from operator import add, itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .generators import DefiningVector, make_a, make_b
 from .portrait import _TAKE_ALL, Portrait, commutator, tree_shape
@@ -108,19 +108,17 @@ def written_order(v: DefiningVector, n: int) -> int | str | None:
 class SubgroupHandle:
     """A subgroup of an enumerated quotient: member set plus generating data."""
 
-    __slots__ = ("group", "elements", "keys", "normal", "_generators")
+    __slots__ = ("group", "elements", "keys", "_generators")
 
     def __init__(
         self,
         group: "QuotientGroup",
         elements: tuple[Portrait, ...],
-        normal: bool,
         generators: tuple[Portrait, ...] | None = None,
     ):
         self.group = group
         self.elements = elements
         self.keys = frozenset(x.labels for x in elements)
-        self.normal = normal
         self._generators = generators
 
     def __len__(self) -> int:
@@ -142,35 +140,40 @@ class SubgroupHandle:
         if self._generators is None:
             gens: list[Portrait] = []
             have = {self.group.identity.labels}
-            ordered = [self.group.identity]
             for x in sorted(self.elements):
-                if x.labels in have:
-                    continue
-                gens.append(x)
-                grown, _ = _closure(self.group.identity, ordered, have, gens)
-                ordered = grown
+                if x.labels not in have:
+                    gens.append(x)
+                    closed = _walk(self.group, [self.group.identity], _right(gens))
+                    have = {y.labels for y in closed}
             self._generators = tuple(gens)
         return self._generators
 
 
-def _closure(
-    identity: Portrait,
-    seed_elements: list[Portrait],
-    seen: set[bytes],
-    gens: list[Portrait],
-) -> tuple[list[Portrait], set[bytes]]:
-    """Close seed_elements under right multiplication by gens, in place."""
-    elements = list(seed_elements)
-    qi = 0
-    while qi < len(elements):
-        x = elements[qi]
-        qi += 1
-        for g in gens:
-            y = x * g
-            if y.labels not in seen:
-                seen.add(y.labels)
-                elements.append(y)
-    return elements, seen
+def _walk(
+    group: "QuotientGroup", start: Iterable[Portrait], steps: list[Callable]
+) -> list[Portrait]:
+    """The interned elements reachable from start under the unary step maps,
+    in discovery order, start first."""
+    elements, index = group.elements, group._index
+    found = [elements[index[x.labels]] for x in start]
+    seen = {x.labels for x in found}
+    for x in found:  # grows while it is read: breadth-first order
+        for step in steps:
+            key = step(x).labels
+            if key not in seen:
+                seen.add(key)
+                found.append(elements[index[key]])
+    return found
+
+
+def _right(gens: Iterable[Portrait]) -> list[Callable]:
+    """Step maps x -> x*g."""
+    return [lambda x, g=g: x * g for g in gens]
+
+
+def _distinct(xs: Iterable[Portrait]) -> list[Portrait]:
+    """The non-identity elements of xs, each once, in first-seen order."""
+    return list({x.labels: x for x in xs if not x.is_identity()}.values())
 
 
 class QuotientGroup:
@@ -303,56 +306,36 @@ class QuotientGroup:
         if self.coords is not None:
             (ax, bx), (ay, by) = self.coords_of(x), self.coords_of(y)
             return (ax * by - ay * bx) % self.vector.p != 0
-        seen = {self.identity.labels}
-        closed, _ = _closure(self.identity, [self.identity], seen, [x, y])
-        return len(closed) == len(self)
+        return len(_walk(self, [self.identity], _right([x, y]))) == len(self)
 
     # -- subgroup machinery ----------------------------------------------------
 
     def as_subgroup(self) -> SubgroupHandle:
-        return SubgroupHandle(self, self.elements, True, (self.a, self.b))
+        return SubgroupHandle(self, self.elements, (self.a, self.b))
 
-    def _subgroup(self, gens: Iterable[Portrait], normal: bool) -> SubgroupHandle:
-        gen_list = []
-        seen_gen = set()
-        for g in gens:
-            if not g.is_identity() and g.labels not in seen_gen:
-                seen_gen.add(g.labels)
-                gen_list.append(g)
-        elements, _ = _closure(
-            self.identity, [self.identity], {self.identity.labels}, gen_list
-        )
-        return SubgroupHandle(self, tuple(elements), normal, tuple(gen_list))
+    def _conjugations(
+        self, conjugators: Iterable[Portrait] | None = None
+    ) -> list[Callable]:
+        """Step maps x -> x^c = c^-1 x c, by a and b unless conjugators are given."""
+        if conjugators is None:
+            pairs = [(self.a, self.a_inv), (self.b, self.b_inv)]
+        else:
+            pairs = [(c, c.inverse()) for c in _distinct(conjugators)]
+        return [lambda x, c=c, ci=ci: x.conjugate_by(c, ci) for c, ci in pairs]
 
     def normal_closure(
         self, seeds: Iterable[Portrait], conjugators: Iterable[Portrait] | None = None
     ) -> SubgroupHandle:
-        """Smallest subgroup containing the seeds and closed under conjugation."""
-        conj = list(conjugators) if conjugators is not None else [self.a, self.b]
-        conj_inv = [g.inverse() for g in conj]
-        gens = []
-        seen_gen = set()
-        for g in seeds:
-            if not g.is_identity() and g.labels not in seen_gen:
-                seen_gen.add(g.labels)
-                gens.append(g)
-        seen = {self.identity.labels}
-        elements = [self.identity]
-        while True:
-            elements, seen = _closure(self.identity, elements, seen, gens)
-            new_gen = None
-            for x in elements:
-                for g, gi in zip(conj, conj_inv):
-                    y = x.conjugate_by(g, gi)
-                    if y.labels not in seen:
-                        new_gen = y
-                        break
-                if new_gen is not None:
-                    break
-            if new_gen is None:
-                return SubgroupHandle(self, tuple(elements), True, tuple(gens))
-            seen_gen.add(new_gen.labels)
-            gens.append(new_gen)
+        """Smallest subgroup containing the seeds and closed under conjugation.
+
+        One walk from 1 under x -> x*s (s a seed) and x -> x^c (c a
+        conjugator).  The group is finite, so x -> x^(c^-1) is a power of
+        x -> x^c and the walked set also holds x * s^c = (x^(c^-1) * s)^c;
+        by induction it is closed under right multiplication by every
+        conjugate of every seed, which generate the normal closure.
+        """
+        steps = _right(_distinct(seeds)) + self._conjugations(conjugators)
+        return SubgroupHandle(self, tuple(_walk(self, [self.identity], steps)))
 
     def derived_subgroup(self) -> SubgroupHandle:
         """Normal closure of [a, b]."""
@@ -365,43 +348,31 @@ class QuotientGroup:
             members = tuple(
                 g for g in self.elements if g * self.a == self.a * g and g * self.b == self.b * g
             )
-            self.cache["center"] = SubgroupHandle(self, members, True)
+            self.cache["center"] = SubgroupHandle(self, members)
         return self.cache["center"]  # type: ignore[return-value]
 
     def frattini(self) -> SubgroupHandle:
         """Derived subgroup together with all p-th powers."""
-        if "frattini" in self.cache:
-            return self.cache["frattini"]  # type: ignore[return-value]
-        derived = self.derived_subgroup()
-        gens = list(derived.generators)
-        elements = list(derived.elements)
-        seen = set(derived.keys)
-        p = self.vector.p
-        for g in self.elements:
-            q = g**p
-            if q.labels not in seen:
-                gens.append(q)
-                elements, seen = _closure(self.identity, elements, seen, [q])
-        handle = SubgroupHandle(self, tuple(elements), True, tuple(gens))
-        self.cache["frattini"] = handle
-        return handle
+        if "frattini" not in self.cache:
+            derived = self.derived_subgroup()
+            p = self.vector.p
+            powers = _distinct(q for g in self.elements if (q := g**p) not in derived)
+            members = _walk(self, derived.elements, _right(powers))
+            self.cache["frattini"] = SubgroupHandle(self, tuple(members))
+        return self.cache["frattini"]  # type: ignore[return-value]
 
     def level_stabilizer(self, k: int) -> SubgroupHandle:
         """Elements acting trivially on the first k levels."""
         key = f"stab:{k}"
         if key not in self.cache:
             members = tuple(g for g in self.elements if g.stabilizes_level(k))
-            self.cache[key] = SubgroupHandle(self, members, True)
+            self.cache[key] = SubgroupHandle(self, members)
         return self.cache[key]  # type: ignore[return-value]
 
     def subgroup_commutator(self, h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
         """[H, K]: normal closure in <H, K> of the generator commutators."""
         seeds = [commutator(x, y) for x in h.generators for y in k.generators]
-        conjugators = list(h.generators) + list(k.generators)
-        closure = self.normal_closure(seeds, conjugators)
-        return SubgroupHandle(
-            self, closure.elements, h.normal and k.normal, closure.generators
-        )
+        return self.normal_closure(seeds, h.generators + k.generators)
 
     def maximal_subgroups(self) -> list[SubgroupHandle]:
         """The p+1 maximal subgroups <a, G'>, <b, G'>, <ab^i, G'> for n >= 2."""
@@ -430,32 +401,14 @@ class QuotientGroup:
                     for lw, take in cosets
                 )
                 power = power * x
-            out.append(
-                SubgroupHandle(self, tuple(members), True, (x,) + derived.generators)
-            )
+            out.append(SubgroupHandle(self, tuple(members)))
         self.cache["maximal"] = out
         return out
 
     def conjugacy_class(self, x: Portrait) -> tuple[Portrait, ...]:
-        """Orbit of x under conjugation, in discovery order.
-
-        Members after x are the interned elements, which already carry their
-        vertex permutations.
-        """
-        conj = ((self.a, self.a_inv), (self.b, self.b_inv))
-        elements, index = self.elements, self._index
-        orbit = [x]
-        seen = {x.labels}
-        qi = 0
-        while qi < len(orbit):
-            y = orbit[qi]
-            qi += 1
-            for g, gi in conj:
-                key = y.conjugate_by(g, gi).labels
-                if key not in seen:
-                    seen.add(key)
-                    orbit.append(elements[index[key]])
-        return tuple(orbit)
+        """Orbit of x under conjugation, in discovery order, as interned
+        elements (which already carry their vertex permutations)."""
+        return tuple(_walk(self, [x], self._conjugations()))
 
     def conjugacy_classes(self) -> list[tuple[Portrait, ...]]:
         """All conjugacy classes, in order of first appearance."""

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from .portrait import Portrait
 
-__all__ = ["WordSyntaxError", "evaluate_word", "parse_word"]
+__all__ = ["MAX_NESTING", "WordSyntaxError", "evaluate_word", "parse_word"]
+
+# Deepest parenthesis nesting accepted.  The parser recurses once per open
+# parenthesis, so a deeper word would exhaust Python's recursion limit.
+MAX_NESTING = 100
 
 
 class WordSyntaxError(ValueError):
@@ -24,6 +28,7 @@ class _Parser:
     def __init__(self, text: str, a: Portrait, b: Portrait):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.atoms = {"a": a, "b": b, "A": a.inverse(), "B": b.inverse()}
         self.identity = Portrait.identity(a.shape)
 
@@ -51,9 +56,15 @@ class _Parser:
     def factor(self) -> Portrait:
         c = self.peek()
         if c == "(":
+            if self.depth == MAX_NESTING:
+                raise WordSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", self.pos
+                )
+            self.depth += 1
             self.pos += 1
             atom = self.word(in_group=True)
             self.pos += 1  # consume ')'
+            self.depth -= 1
         elif c in self.atoms:
             atom = self.atoms[c]
             self.pos += 1

@@ -5,9 +5,9 @@ vertex maps are dictionaries keyed by letter tuples instead of flat arrays,
 composition recovers labels from composed vertex maps instead of the label
 formula, orders are found by repeated naive multiplication or from the
 cycles of the leaf permutation, root multiplicity comes from a Taylor shift
-instead of synthetic division, Sigma sets are built by literally conjugating
-with every group element, and the signature table tests generation and forms
-products pair by pair.
+instead of synthetic division, Sigma sets and normal closures are built by
+literally conjugating with every element, and the signature table tests
+generation and forms products pair by pair.
 """
 from __future__ import annotations
 
@@ -138,6 +138,40 @@ def brute_coords(group: QuotientGroup, x: Portrait) -> tuple[int, int]:
             if (rep.inverse() * x).labels in derived.keys:
                 return (i, j)
     raise AssertionError("element not covered by the a^i b^j G' cosets")
+
+
+def brute_generated(group: QuotientGroup, gens: list[Portrait]) -> dict[bytes, Portrait]:
+    """<gens> keyed by labels, closed under right multiplication with a stack."""
+    members = {group.identity.labels: group.identity}
+    stack = [group.identity]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = x * g
+            if y.labels not in members:
+                members[y.labels] = y
+                stack.append(y)
+    return members
+
+
+def brute_normal_closure(
+    group: QuotientGroup, seeds: list[Portrait], conjugators: list[Portrait]
+) -> frozenset[bytes]:
+    """Smallest subgroup holding every seed and closed under conjugation by
+    <conjugators>: each seed is conjugated by every element g of
+    <conjugators> as g^-1 * s * g, and each conjugate not yet in the subgroup
+    joins the generators, which are closed under multiplication with a stack."""
+    distinct = list({s.labels: s for s in seeds}.values())
+    gens: list[Portrait] = []
+    members = brute_generated(group, gens)
+    for g in brute_generated(group, conjugators).values():
+        gi = g.inverse()
+        for s in distinct:
+            c = gi * s * g
+            if c.labels not in members:
+                gens.append(c)
+                members = brute_generated(group, gens)
+    return frozenset(members)
 
 
 def two_level_b_labels(p: int, e: tuple[int, ...]) -> list[int]:

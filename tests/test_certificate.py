@@ -2,7 +2,12 @@
 from __future__ import annotations
 
 import json
+import warnings
+from pathlib import Path
 
+import pytest
+
+import ggs
 from ggs import CODE_VERSION, Certificate, SCHEMA
 
 
@@ -68,3 +73,12 @@ def test_from_dict_roundtrip():
     assert back.claim == "demo"
     assert back.checks[0].name == "first"
     assert back.witnesses == cert.witnesses
+
+
+def test_package_version_is_read_from_the_code():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] support is marked beta
+        config = pyprojecttoml.read_configuration(str(path))
+    assert config["project"]["version"] == ggs.__version__ == CODE_VERSION

@@ -119,6 +119,22 @@ def test_levels_past_the_tree_bound_exit_2():
         assert _ends_cleanly(*args).returncode == 2
 
 
+def test_huge_prime_exits_2_at_once():
+    huge = "1000000000000000003"
+    for args in (("classify", "--p", huge), ("classify", "--p", huge, "--e", "1,-1")):
+        res = _ends_cleanly(*args)
+        assert res.returncode == 2
+        assert "at most 127" in res.stderr
+
+
+def test_deeply_nested_word_exits_2():
+    deep = "(" * 3000 + "a" + ")" * 3000
+    res = _ends_cleanly("sigma", "--p", "3", "--e", "1,-1", "--level", "2",
+                        "--x", deep, "--y", "b")
+    assert res.returncode == 2
+    assert "nested deeper than 100 at position 100" in res.stderr
+
+
 def test_verify_text_output():
     res = run_cli("verify", "lemma-conjugates", "--p", "3", "--e", "1,-1")
     assert res.returncode == 0

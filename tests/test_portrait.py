@@ -228,6 +228,13 @@ def test_encode_decode():
             Portrait.decode(bad)
 
 
+def test_decode_refuses_a_huge_prime_at_once():
+    # Trial division up to 10^9 would not end; the arity bound answers first.
+    with pytest.raises(ValueError, match="malformed") as err:
+        Portrait.decode("1000000000000000003,1:0")
+    assert "at most 127" in str(err.value.__cause__)
+
+
 def test_ordering_is_label_order():
     rng = random.Random(73)
     sh = tree_shape(3, 2)

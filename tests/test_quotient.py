@@ -9,12 +9,18 @@ from ggs import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     DefiningVector,
+    commutator,
     enumerate_quotient,
     predicted_order,
 )
 from ggs.quotient import MAX_LEVEL, exceeds_budget, predicted_exponent, written_order
 
-from reference import brute_coords
+from reference import brute_coords, brute_generated, brute_normal_closure
+
+
+@pytest.fixture(scope="module")
+def e10_g3(e10):
+    return enumerate_quotient(e10, 3)
 
 
 def test_default_budget():
@@ -229,17 +235,61 @@ def test_cayley_dot(gs_g2):
     assert dot.count("->") == 2 * 27
 
 
-def test_subgroup_generators(gs_g2):
-    der = gs_g2.derived_subgroup()
-    gens = der.generators
-    assert gens
-    closure = {gs_g2.identity.labels}
-    frontier = [gs_g2.identity]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x * g
-            if y.labels not in closure:
-                closure.add(y.labels)
-                frontier.append(y)
-    assert closure == set(der.keys)
+def test_subgroup_generators(gs_g2, e10_g2):
+    assert gs_g2.derived_subgroup().generators
+    for group in (gs_g2, e10_g2):
+        st1 = group.level_stabilizer(1)
+        handles = [
+            group.as_subgroup(),
+            group.derived_subgroup(),
+            group.frattini(),
+            group.center(),
+            st1,
+            group.subgroup_commutator(st1, st1),
+            group.normal_closure([group.b], [group.a]),
+            *group.maximal_subgroups(),
+            *group.lower_central_series(),
+        ]
+        for h in handles:
+            assert frozenset(brute_generated(group, h.generators)) == h.keys
+
+
+def test_normal_closure_matches_reference(gs_g2, gs_g3, e10_g2):
+    for group in (gs_g2, gs_g3, e10_g2):
+        a, b = group.a, group.b
+        for seeds, conjugators in (
+            ([b], None),
+            ([b], [a]),
+            ([a], [b]),
+            ([a * b * b], [a * b]),
+            ([group.identity], None),
+        ):
+            expected = brute_normal_closure(group, seeds, conjugators or [a, b])
+            assert group.normal_closure(seeds, conjugators).keys == expected
+
+
+def test_derived_and_stabilizer_commutator_match_reference(gs_g2, gs_g3, e10_g2, e10_g3):
+    for group in (gs_g2, gs_g3, e10_g2, e10_g3):
+        a, b = group.a, group.b
+        expected = brute_normal_closure(group, [commutator(a, b)], [a, b])
+        assert group.derived_subgroup().keys == expected
+        st1 = group.level_stabilizer(1)
+        gens = st1.generators
+        seeds = [commutator(x, y) for x in gens for y in gens]
+        expected = brute_normal_closure(group, seeds, list(gens))
+        assert group.subgroup_commutator(st1, st1).keys == expected
+    assert len(e10_g3.subgroup_commutator(st1, st1)) == 729
+
+
+def test_lower_central_series_matches_reference(gs_g2, gs_g3, e10_g2):
+    for group in (gs_g2, gs_g3, e10_g2):
+        a, b = group.a, group.b
+        # gamma_(i+1) = [gamma_i, G] is the normal closure of the [x, a] and
+        # [x, b] with x running over gamma_i, or over {a, b} for gamma_1 = G.
+        expected = [frozenset(x.labels for x in group)]
+        members = [a, b]
+        while len(expected[-1]) > 1:
+            seeds = [commutator(x, g) for x in members for g in (a, b)]
+            expected.append(brute_normal_closure(group, seeds, [a, b]))
+            members = [group.element(k) for k in expected[-1]]
+        assert [h.keys for h in group.lower_central_series()] == expected

@@ -5,6 +5,7 @@ import pytest
 
 from ggs import DefiningVector, WordSyntaxError, evaluate_word, parse_word, tree_shape
 from ggs.generators import make_a, make_b
+from ggs.words import MAX_NESTING
 
 
 def _gens(p=3, e=(1, -1), n=3):
@@ -60,6 +61,17 @@ def test_syntax_errors():
         assert err.value.position == pos
     with pytest.raises(WordSyntaxError):
         evaluate_word("2a", a, b)
+
+
+def test_nesting_cap():
+    a, b = _gens()
+    deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert evaluate_word(deepest, a, b) == a
+    assert evaluate_word("(a)" * 1000, a, b) == a**1000  # siblings do not nest
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(WordSyntaxError, match="nested deeper") as err:
+            evaluate_word("(" * depth + "a" + ")" * depth, a, b)
+        assert err.value.position == MAX_NESTING
 
 
 def test_parse_word_binds_to_group(gs_g3):
