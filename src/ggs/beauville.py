@@ -26,7 +26,13 @@ from typing import Iterator, NamedTuple
 from .certificate import CODE_VERSION, Certificate
 from .generators import make_a, make_b
 from .portrait import Portrait, PsiDecomposition, assemble, commutator, tree_shape
-from .quotient import BudgetExceeded, QuotientGroup, SubgroupHandle
+from .quotient import (
+    BudgetExceeded,
+    QuotientGroup,
+    SubgroupHandle,
+    map_power_classes,
+    p_power_chains,
+)
 
 __all__ = [
     "NotGeneratingError",
@@ -161,10 +167,11 @@ def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
 # -- socle-orbit signatures ----------------------------------------------------
 
 
-def _socle_key(group: QuotientGroup, x: Portrait) -> frozenset[bytes]:
-    """Key of the order-p subgroup inside <x> (x nontrivial)."""
-    s = x.p_powers()[-2]
-    return frozenset([group.identity.labels, *(g.labels for g in cyclic_powers(s))])
+def _socles(batch: list[Portrait]) -> list[bytes | None]:
+    """Labels of the last nontrivial p-power of each member of a power class
+    (a generator of the order-p subgroup of <x>), None for the identity."""
+    exps, levels = p_power_chains(batch)
+    return [levels[e - 1][j] if e else None for j, e in enumerate(exps)]
 
 
 def _socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
@@ -173,17 +180,22 @@ def _socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
         return group.cache["socle"]  # type: ignore[return-value]
     ids: dict[bytes, int] = {}
     subgroup_ids: dict[frozenset[bytes], int] = {}
+    socle_ids: dict[bytes, int] = {}
     next_id = 0
-    for x in group.elements:
-        if x.is_identity():
+    for x, s in zip(group.elements, map_power_classes(_socles, group.elements)):
+        if s is None:
             continue
-        key = _socle_key(group, x)
-        oid = subgroup_ids.get(key)
+        oid = socle_ids.get(s)
         if oid is None:
-            oid = next_id
-            next_id += 1
-            for image in subgroup_conjugation_orbit(group, key):
-                subgroup_ids[image] = oid
+            powers = cyclic_powers(group.element(s))
+            key = frozenset([group.identity.labels, *(g.labels for g in powers)])
+            oid = subgroup_ids.get(key)
+            if oid is None:
+                oid = next_id
+                next_id += 1
+                for image in subgroup_conjugation_orbit(group, key):
+                    subgroup_ids[image] = oid
+            socle_ids[s] = oid
         ids[x.labels] = oid
     group.cache["socle"] = (ids, next_id)
     return ids, next_id

@@ -8,7 +8,6 @@ byte-identical for 1 and N workers.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -40,6 +39,11 @@ def pmap(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
         workers = pool_size(workers, _usable_cpus())
     if workers <= 1 or len(data) < 4:
         return [fn(x) for x in data]
+    # Imported here: the pool machinery (multiprocessing and its helpers)
+    # would otherwise load with the package, on every start-up and
+    # single-worker run.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(data) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, data, chunksize=chunk))

@@ -10,11 +10,16 @@ without further closures.
 
 from __future__ import annotations
 
-from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator
+import gc
+from functools import lru_cache, reduce as fold
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_, itemgetter, or_
+from struct import Struct
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .generators import DefiningVector, make_a, make_b
-from .portrait import _TAKE_ALL, Portrait, commutator, tree_shape
+from .parallel import pmap
+from .portrait import Portrait, TreeShape, commutator, tree_shape
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -27,11 +32,26 @@ __all__ = [
     "exceeds_budget",
     "written_order",
     "enumerate_quotient",
+    "p_power_chains",
+    "map_power_classes",
 ]
 
 DEFAULT_BUDGET = 10_000_000
 
 _GEN_COORDS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+# The batched kernels hold vertex indices in bytes and move them with
+# translate tables, so enumeration is limited to trees with at most this many
+# internal vertices.  No quotient past it is enumerable anyway: the order
+# p^(t*p^(n-2)+1-delta*(p^(n-2)-1)/(p-1)) with t >= 2 is at least 17^34 on
+# every such tree.
+MAX_BATCH_VERTICES = 256
+
+# Elements per chunk of the enumeration walk; a chunk holds the rows of four
+# products per element at once.
+WALK_CHUNK = 2048
+
+R = TypeVar("R")
 
 
 # Deepest level accepted anywhere.  Portraits stop well before it (see
@@ -46,14 +66,25 @@ WRITTEN_EXPONENT_MAX = 64
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an enumeration would pass the element budget."""
+    """Raised when an enumeration would pass the element budget, or is
+    refused outright because its tree is too large to walk."""
 
-    def __init__(self, budget: int, partial: int, predicted: int | str | None = None):
+    def __init__(
+        self,
+        budget: int,
+        partial: int,
+        predicted: int | str | None = None,
+        reason: str | None = None,
+    ):
         self.budget = budget
         self.partial = partial
         self.predicted = predicted
-        detail = f"predicted order {predicted}" if predicted else f"stopped at {partial} elements"
-        super().__init__(f"enumeration budget {budget} exceeded ({detail})")
+        if reason is None:
+            detail = (
+                f"predicted order {predicted}" if predicted else f"stopped at {partial} elements"
+            )
+            reason = f"enumeration budget {budget} exceeded ({detail})"
+        super().__init__(reason)
 
 
 def predicted_exponent(v: DefiningVector, n: int) -> int | None:
@@ -118,7 +149,7 @@ class SubgroupHandle:
     ):
         self.group = group
         self.elements = elements
-        self.keys = frozenset(x.labels for x in elements)
+        self.keys = frozenset(map(attrgetter("labels"), elements))
         self._generators = generators
 
     def __len__(self) -> int:
@@ -136,15 +167,35 @@ class SubgroupHandle:
 
     @property
     def generators(self) -> tuple[Portrait, ...]:
-        """A generating subset, extracted greedily in canonical element order."""
+        """A generating subset, extracted greedily in canonical element order.
+
+        Each new generator x grows H = <gens> to <H, x> by whole right
+        cosets H*y: y runs over products r*g of the cosets' representatives
+        r with every generator g, and a coset joins when y is not yet in.
+        """
         if self._generators is None:
+            one = self.group.identity
+            shape = one.shape
             gens: list[Portrait] = []
-            have = {self.group.identity.labels}
+            have = {one.labels}
+            labels, perms = [one.labels], [bytes(one.vertex_perm())]
             for x in sorted(self.elements):
-                if x.labels not in have:
-                    gens.append(x)
-                    closed = _walk(self.group, [self.group.identity], _right(gens))
-                    have = {y.labels for y in closed}
+                if x.labels in have:
+                    continue
+                gens.append(x)
+                batch = _Batch(shape, b"".join(labels), b"".join(perms))
+                reps = [one]
+                for r in reps:  # grows while it is read
+                    for g in gens:
+                        y = r * g
+                        if y.labels in have:
+                            continue
+                        coset_labels, coset_perms = batch.times(y)
+                        rows = _rows(coset_labels, batch.width)
+                        have.update(_split(rows, shape.internal_count))
+                        labels.append(rows)
+                        perms.append(_rows(coset_perms, batch.width))
+                        reps.append(y)
             self._generators = tuple(gens)
         return self._generators
 
@@ -176,6 +227,192 @@ def _distinct(xs: Iterable[Portrait]) -> list[Portrait]:
     return list({x.labels: x for x in xs if not x.is_identity()}.values())
 
 
+# -- column kernels ----------------------------------------------------------------
+#
+# A batch of elements is held as byte columns, one per internal vertex: column
+# k holds the label (or the vertex-permutation image) at vertex k of every
+# element.  Labels are below p <= 127, so two label columns read as
+# little-endian integers add without any byte carrying into the next.
+
+
+def _columns(rows: bytes, m: int) -> list[bytes]:
+    """The m columns of concatenated rows of length m."""
+    return [rows[k::m] for k in range(m)]
+
+
+def _rows(columns: Sequence[bytes], width: int) -> bytearray:
+    """The concatenated rows of columns of the given width; inverts _columns."""
+    m = len(columns)
+    out = bytearray(width * m)
+    for k, column in enumerate(columns):
+        out[k::m] = column
+    return out
+
+
+@lru_cache(maxsize=None)
+def _row_block(m: int) -> Struct:
+    """Unpacker of 64 rows of length m.  A fixed block keeps struct's
+    cache of compiled formats small: one format per batch size would fill
+    it with formats tens of kilobytes long."""
+    return Struct(f"{m}s" * 64)
+
+
+def _split(rows: bytes, m: int) -> list[bytes]:
+    """Concatenated rows of length m, one bytes object each."""
+    block = _row_block(m)
+    full = len(rows) - len(rows) % block.size
+    out = list(chain.from_iterable(block.iter_unpack(memoryview(rows)[:full])))
+    tail = bytes(rows[full:])
+    out += [tail[i : i + m] for i in range(0, len(tail), m)]
+    return out
+
+
+def _vertex_table(values: Sequence[int]) -> bytes:
+    """Translate table taking vertex index v to values[v]."""
+    return bytes(values).ljust(256, b"\0")
+
+
+def _perm_rows(xs: Iterable[Portrait]) -> bytes:
+    """The vertex permutations of xs as concatenated byte rows."""
+    return b"".join(bytes(x.vertex_perm()) for x in xs)
+
+
+class _Batch:
+    """Elements as label columns (little-endian integers, ready to add) and
+    vertex-permutation columns, for right products with one element at a time."""
+
+    __slots__ = ("width", "reduce", "labels", "perms")
+
+    def __init__(self, shape: TreeShape, labels: bytes, perms: bytes):
+        m = shape.internal_count
+        self.width = len(labels) // m
+        self.reduce = shape.reduce
+        self.labels = [int.from_bytes(c, "little") for c in _columns(labels, m)]
+        self.perms = _columns(perms, m)
+
+    def times(self, g: Portrait) -> tuple[list[bytes], list[bytes]]:
+        """Label and vertex-permutation columns of x*g for every x.
+
+        Label column k is L_k + l_g[pi_x(k)] mod p: the perm column
+        translated by l_g, added and reduced.  Perm column k is
+        pi_g(pi_x(k)): one translate.
+        """
+        width, reduce = self.width, self.reduce
+        by_label = _vertex_table(g.labels)
+        by_perm = _vertex_table(g.vertex_perm())
+        labels = [
+            (lk + int.from_bytes(pk.translate(by_label), "little"))
+            .to_bytes(width, "little")
+            .translate(reduce)
+            for lk, pk in zip(self.labels, self.perms)
+        ]
+        return labels, [pk.translate(by_perm) for pk in self.perms]
+
+
+def _coords_agree(
+    index: dict[bytes, int],
+    coords: tuple[bytearray, bytearray],
+    keys: Sequence[bytes],
+    values: bytes,
+) -> bool:
+    """Whether every product of a walk chunk by a or b carries the
+    coordinates recorded for its element.
+
+    keys holds four products (by a, b, a^-1, b^-1) per chunk element, and
+    values their perm rows, each followed by its two coordinates.  Products
+    by a^-1 and b^-1 need no check: by the end of the walk, each
+    y = x * a^-1 has had its product y * a = x checked.
+    """
+    width = len(values) // len(keys)  # m + 2
+    for g in (0, 1):
+        found = list(map(index.__getitem__, keys[g::4]))
+        for axis, column in enumerate(coords):
+            made = values[g * width + width - 2 + axis :: 4 * width]
+            if bytes(map(column.__getitem__, found)) != made:
+                return False
+    return True
+
+
+# Byte j of a column OR becomes 1 when element j has a nonzero label.
+_NONZERO = bytes([0]) + bytes([1]) * 255
+
+
+def _sum_mod(terms: Iterable[int], width: int, reduce: bytes, room: int) -> bytes:
+    """Sum mod p of label columns given as integers; up to room of them
+    (room * (p - 1) <= 255) are added before each reduction."""
+    total, count = 0, 0
+    for term in terms:
+        if count == room:
+            total = int.from_bytes(total.to_bytes(width, "little").translate(reduce), "little")
+            count = 1
+        total += term
+        count += 1
+    return total.to_bytes(width, "little").translate(reduce)
+
+
+def p_power_chains(batch: Sequence[Portrait]) -> tuple[bytes, list[list[bytes]]]:
+    """The p-power chains x, x^p, ..., x^(p^(n-1)) of a batch of elements
+    that share their labels above the last level, and so one vertex
+    permutation pi.
+
+    Returns the order exponents (the order of batch[j] is p^exps[j]) and,
+    for i = 0..n-1, the labels of every x^(p^i).  With x^(j+1) = x^j * x
+    and pi_(x^j) = pi^j, label column k of x^p is the sum of the columns
+    pi^j(k) for j < p, and every member's x^p shares the permutation pi^p.
+    """
+    shape = batch[0].shape
+    p, m, reduce = shape.p, shape.internal_count, shape.reduce
+    width = len(batch)
+    room = 255 // (p - 1)
+    perm = batch[0].vertex_perm()
+    rows = b"".join(x.labels for x in batch)
+    exps = 0
+    levels: list[list[bytes]] = []
+    for _ in range(shape.n):
+        ints = [int.from_bytes(c, "little") for c in _columns(rows, m)]
+        live = fold(or_, ints).to_bytes(width, "little")
+        if not any(live):
+            break
+        levels.append(_split(rows, m))
+        exps += int.from_bytes(live.translate(_NONZERO), "little")
+        orbits = [range(m)]  # orbits[j][k] = pi^j(k)
+        for _ in range(p):
+            orbits.append([perm[k] for k in orbits[-1]])
+        perm = orbits.pop()
+        rows = _rows(
+            [_sum_mod((ints[o[k]] for o in orbits), width, reduce, room) for k in range(m)],
+            width,
+        )
+    else:
+        if any(rows):
+            raise RuntimeError("order exceeded the exponent bound of the tree")
+    zero = [shape.zero_labels] * width
+    levels += [zero] * (shape.n - len(levels))
+    return exps.to_bytes(width, "little"), levels
+
+
+def map_power_classes(
+    fn: Callable[[list[Portrait]], list[R]], xs: Sequence[Portrait], workers: int = 1
+) -> list[R]:
+    """fn over xs split into power classes, with results in the order of xs.
+
+    A power class holds the elements sharing their labels above the last
+    level, the batch p_power_chains takes; fn returns one result per member.
+    pmap spreads the classes over the workers.
+    """
+    if not xs:
+        return []
+    cut = slice(xs[0].shape.level_starts[xs[0].shape.n - 1])
+    keys = list(map(itemgetter(cut), map(attrgetter("labels"), xs)))
+    classes: dict[bytes, list[Portrait]] = {}
+    for key, x in zip(keys, xs):
+        classes.setdefault(key, []).append(x)
+    # Members of a class keep their order in xs, so each element takes the
+    # next unused result of its class.
+    results = dict(zip(classes, map(iter, pmap(fn, list(classes.values()), workers))))
+    return list(map(next, map(results.__getitem__, keys)))
+
+
 class QuotientGroup:
     """The level-n quotient of the GGS group with a given defining vector."""
 
@@ -185,6 +422,15 @@ class QuotientGroup:
         predicted = written_order(vector, n)
         if exceeds_budget(vector, n, budget):
             raise BudgetExceeded(budget, 0, predicted)
+        vertices = (vector.p**n - 1) // (vector.p - 1)
+        if vertices > MAX_BATCH_VERTICES:
+            raise BudgetExceeded(
+                budget,
+                0,
+                predicted,
+                f"enumeration refused: a depth-{n} tree at p={vector.p} has {vertices} "
+                f"internal vertices, more than the {MAX_BATCH_VERTICES} the walk handles",
+            )
         self.vector = vector
         self.shape = tree_shape(vector.p, n)
         self.budget = budget
@@ -194,54 +440,82 @@ class QuotientGroup:
         self.a_inv = self.a.inverse()
         self.b_inv = self.b.inverse()
         self.identity = Portrait.identity(self.shape)
-
-        # The walk inlines Portrait.__mul__: the labels of x*g are
-        # lx + lg o px, and a Portrait (with the composed vertex permutation
-        # px then pg) is built only for labels not seen before.
-        gens = [
-            (g.labels, g.vertex_perm(), dc)
-            for g, dc in zip((self.a, self.b, self.a_inv, self.b_inv), _GEN_COORDS)
-        ]
-        p = vector.p
-        shape, reduce = self.shape, self.shape.reduce
-        raw = Portrait._raw
         self.identity.vertex_perm()
+        # The walk makes two tracked objects per element and no reference
+        # cycles, so the cyclic collector's repeated passes over the growing
+        # queue would find nothing; it is paused while the walk runs.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.elements, self._index, self.coords = self._walk_queue(n, budget, predicted)
+        finally:
+            if collecting:
+                gc.enable()
+        self.cache: dict[str, object] = {}
+
+    def _walk_queue(
+        self, n: int, budget: int, predicted: int | str | None
+    ) -> tuple[tuple[Portrait, ...], dict[bytes, int], tuple[tuple[int, int], ...] | None]:
+        """Breadth-first closure of 1 under right multiplication by a, b, a^-1
+        and b^-1, with exponent-sum coordinates.
+
+        The queue is read in consecutive chunks.  Each chunk forms its
+        products with every generator column-wise (_Batch.times), and the
+        new ones join the queue in the order a one-at-a-time walk finds
+        them: element-major, generator-minor.
+        """
+        shape = self.shape
+        p, m = shape.p, shape.internal_count
+        gens = (self.a, self.b, self.a_inv, self.b_inv)
+        shifts = [shape.reduce[d % p :] + bytes(d % p) for d in range(p)]
+        steps = [(shifts[da % p], shifts[db % p]) for da, db in _GEN_COORDS]
+        new = object.__new__
         elements = [self.identity]
         index: dict[bytes, int] = {self.identity.labels: 0}
-        coords: list[tuple[int, int]] | None = [(0, 0)]
+        perm_rows = bytearray(self.identity.vertex_perm())
+        coords = (bytearray(1), bytearray(1))
+        consistent = True
         qi = 0
         while qi < len(elements):
-            x = elements[qi]
-            cx = coords[qi] if coords is not None else None
-            qi += 1
-            lx, px = x.labels, x._perm
-            take = itemgetter(*px) if len(px) > 1 else _TAKE_ALL
-            for lg, pg, dc in gens:
-                key = bytes(map(add, lx, take(lg))).translate(reduce)
-                known = index.get(key)
-                if known is None:
-                    y = raw(shape, key)
-                    y._perm = take(pg)
-                    index[key] = len(elements)
-                    elements.append(y)
-                    if coords is not None:
-                        coords.append(((cx[0] + dc[0]) % p, (cx[1] + dc[1]) % p))
-                    if len(elements) > budget:
-                        raise BudgetExceeded(budget, len(elements), predicted)
-                elif coords is not None:
-                    cy = ((cx[0] + dc[0]) % p, (cx[1] + dc[1]) % p)
-                    if coords[known] != cy:
-                        if n >= 2:
-                            raise RuntimeError(
-                                "exponent-sum coordinates conflicted at level >= 2"
-                            )
-                        coords = None  # level 1: b collapses onto the identity
-        self.elements: tuple[Portrait, ...] = tuple(elements)
-        self._index = index
-        self.coords: tuple[tuple[int, int], ...] | None = (
-            tuple(coords) if coords is not None else None
-        )
-        self.cache: dict[str, object] = {}
+            stop = min(len(elements), qi + WALK_CHUNK)
+            width = stop - qi
+            batch = _Batch(
+                shape,
+                b"".join(x.labels for x in elements[qi:stop]),
+                perm_rows[qi * m : stop * m],
+            )
+            label_columns: list[bytes] = []
+            value_columns: list[bytes] = []  # the product's perm, then its coordinates
+            for g, step in zip(gens, steps):
+                labels, perms = batch.times(g)
+                label_columns += labels
+                value_columns += perms
+                value_columns += [c[qi:stop].translate(s) for c, s in zip(coords, step)]
+            keys = _split(_rows(label_columns, width), m)
+            values = _rows(value_columns, width)
+            unknown = list(map(is_, map(index.get, keys), repeat(None)))
+            # Equal keys are one element, with one permutation and, unless the
+            # check below fails, one pair of coordinates; the dict keeps the
+            # first-seen key order.
+            table = dict(zip(compress(keys, unknown), compress(_split(values, m + 2), unknown)))
+            if len(elements) + len(table) > budget:
+                raise BudgetExceeded(budget, budget + 1, predicted)
+            columns = _columns(b"".join(table.values()), m + 2)
+            perms = _rows(columns[:m], len(table))
+            perm_rows += perms
+            index.update(zip(table, range(len(elements), len(elements) + len(table))))
+            for key, perm in zip(table, map(tuple, _split(perms, m))):
+                y = new(Portrait)
+                y.shape, y.labels, y._perm = shape, key, perm
+                elements.append(y)
+            coords[0].extend(columns[m])
+            coords[1].extend(columns[m + 1])
+            if consistent and not _coords_agree(index, coords, keys, values):
+                if n >= 2:
+                    raise RuntimeError("exponent-sum coordinates conflicted at level >= 2")
+                consistent = False  # level 1: b collapses onto the identity
+            qi = stop
+        return tuple(elements), index, tuple(zip(*coords)) if consistent else None
 
     # -- basic container behaviour -------------------------------------------
 
@@ -386,20 +660,21 @@ class QuotientGroup:
             raise RuntimeError("derived subgroup does not have index p^2")
         tops = [self.a, self.b] + [self.a * self.b**i for i in range(1, p)]
         elements, index = self.elements, self._index
-        reduce = self.shape.reduce
-        # The labels of w * x^j are l_w + l_(x^j) o pi_w: one itemgetter per
-        # derived element w serves every power.
-        cosets = [(w.labels, itemgetter(*w.vertex_perm())) for w in derived.elements]
+        m = self.shape.internal_count
+        # The coset G' * x^j is every w * x^j: one right product of the
+        # derived subgroup's columns.
+        batch = _Batch(
+            self.shape,
+            b"".join(w.labels for w in derived.elements),
+            _perm_rows(derived.elements),
+        )
         out = []
         for x in tops:
             members: list[Portrait] = []
             power = self.identity
             for _ in range(p):
-                lp = power.labels
-                members.extend(
-                    elements[index[bytes(map(add, lw, take(lp))).translate(reduce)]]
-                    for lw, take in cosets
-                )
+                keys = _split(_rows(batch.times(power)[0], batch.width), m)
+                members.extend(map(elements.__getitem__, map(index.__getitem__, keys)))
                 power = power * x
             out.append(SubgroupHandle(self, tuple(members)))
         self.cache["maximal"] = out

@@ -30,7 +30,7 @@ from .beauville import (
 from .certificate import CODE_VERSION, Certificate
 from .generators import DefiningVector, make_a, make_b
 from .parallel import pmap
-from .portrait import Portrait, commutator, tree_shape
+from .portrait import Portrait, TreeShape, commutator, tree_shape
 from .quotient import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -38,6 +38,8 @@ from .quotient import (
     SubgroupHandle,
     enumerate_quotient,
     exceeds_budget,
+    map_power_classes,
+    p_power_chains,
     predicted_exponent,
     predicted_order,
     written_order,
@@ -111,16 +113,21 @@ def _over_budget(
     return True
 
 
-def _order(x: Portrait) -> int:
-    return x.order()
+def _orders_of(shape: TreeShape, exps: bytes) -> list[int]:
+    """The orders p^e for order exponents e."""
+    return list(map([shape.p**k for k in range(shape.n + 1)].__getitem__, exps))
 
 
-def _order_and_top(x: Portrait) -> tuple[int, bytes]:
-    """Order of x and the labels of x^(p^(n-1)), from one p-power chain."""
-    chain = x.p_powers()
-    shape = x.shape
-    top = chain[shape.n - 1].labels if shape.n <= len(chain) else shape.zero_labels
-    return shape.p ** (len(chain) - 1), top
+def _orders(batch: list[Portrait]) -> list[int]:
+    """Orders of a power class, from its batched p-power chains."""
+    exps, _ = p_power_chains(batch)
+    return _orders_of(batch[0].shape, exps)
+
+
+def _orders_and_tops(batch: list[Portrait]) -> list[tuple[int, bytes]]:
+    """Order of each x of a power class and the labels of x^(p^(n-1))."""
+    exps, levels = p_power_chains(batch)
+    return list(zip(_orders_of(batch[0].shape, exps), levels[-1]))
 
 
 def _generator_portraits(v: DefiningVector, n: int) -> tuple[Portrait, Portrait]:
@@ -224,7 +231,7 @@ def _lifting_checks(
 def _exponent_check(cert: Certificate, group: QuotientGroup, workers: int) -> bool:
     """Exhaustive scan: every element's order divides p (periodic level 2)."""
     p = group.vector.p
-    orders = pmap(_order, group.elements, workers)
+    orders = map_power_classes(_orders, group.elements, workers)
     bad = [x for x, o in zip(group.elements, orders) if o > p]
     if bad:
         cert.witnesses["exponent_witness"] = min(bad).encode()
@@ -262,7 +269,7 @@ def _collision_scan(cert: Certificate, group: QuotientGroup, workers: int) -> bo
             continue
         step_powers = cyclic_powers(step)  # step^k at index k - 1
         z_keysets.add(cyclic_subgroup(group, step).keys)
-        for x, (o, top) in zip(outside, pmap(_order_and_top, outside, workers)):
+        for x, (o, top) in zip(outside, map_power_classes(_orders_and_tops, outside, workers)):
             if o != p**n:
                 order_bad.append(x)
             k, ki = group.coords_of(x)

@@ -6,16 +6,19 @@ composition recovers labels from composed vertex maps instead of the label
 formula, orders are found by repeated naive multiplication or from the
 cycles of the leaf permutation, root multiplicity comes from a Taylor shift
 instead of synthetic division, Sigma sets and normal closures are built by
-literally conjugating with every element, and the signature table tests
-generation and forms products pair by pair.
+literally conjugating with every element, the signature table tests
+generation and forms products pair by pair, the quotient is walked one
+element and one product at a time, and greedy generators are closed anew
+after every pick.
 """
 from __future__ import annotations
 
 from itertools import product
 from math import comb, lcm
 
-from ggs import Portrait, QuotientGroup, TreeShape, tree_shape
+from ggs import DefiningVector, Portrait, QuotientGroup, TreeShape, tree_shape
 from ggs.beauville import _socle_data
+from ggs.generators import make_a, make_b
 
 
 def internal_vertices(shape: TreeShape) -> list[tuple[int, ...]]:
@@ -172,6 +175,49 @@ def brute_normal_closure(
                 gens.append(c)
                 members = brute_generated(group, gens)
     return frozenset(members)
+
+
+def queue_walk(
+    v: DefiningVector, n: int
+) -> tuple[list[Portrait], tuple[tuple[int, int], ...] | None]:
+    """The level-n quotient by a one-element-at-a-time queue walk: each element
+    in turn is multiplied on the right by a, b, a^-1 and b^-1, and products
+    not seen before join the queue.  Returns the elements in queue order,
+    each product keeping the vertex permutation composed from its operands,
+    and the exponent-sum coordinates (None at level 1, where b is trivial)."""
+    shape = tree_shape(v.p, n)
+    a, b = make_a(shape), make_b(v, shape)
+    steps = [(a, (1, 0)), (b, (0, 1)), (a.inverse(), (-1, 0)), (b.inverse(), (0, -1))]
+    for g, _ in steps:
+        g.vertex_perm()
+    one = Portrait.identity(shape)
+    one.vertex_perm()
+    elements, coords = [one], {one.labels: (0, 0)}
+    for x in elements:  # grows while it is read
+        cx = coords[x.labels]
+        for g, (da, db) in steps:
+            y = x * g
+            cy = ((cx[0] + da) % v.p, (cx[1] + db) % v.p)
+            if y.labels not in coords:
+                coords[y.labels] = cy
+                elements.append(y)
+            elif coords[y.labels] != cy:
+                assert n == 1, "exponent-sum coordinates conflicted at level >= 2"
+    if n == 1:
+        return elements, None
+    return elements, tuple(coords[x.labels] for x in elements)
+
+
+def greedy_generators(group: QuotientGroup, members) -> list[Portrait]:
+    """Generators picked in label order, each one not yet generated by those
+    before it; after each pick the subgroup is closed anew from scratch."""
+    gens: list[Portrait] = []
+    have = brute_generated(group, gens)
+    for x in sorted(members):
+        if x.labels not in have:
+            gens.append(x)
+            have = brute_generated(group, gens)
+    return gens
 
 
 def two_level_b_labels(p: int, e: tuple[int, ...]) -> list[int]:

@@ -119,6 +119,19 @@ def test_levels_past_the_tree_bound_exit_2():
         assert _ends_cleanly(*args).returncode == 2
 
 
+def test_tree_past_the_walk_vertex_limit_is_refused_at_once():
+    # A symmetric vector has no predicted order; its depth-6 tree has 364
+    # internal vertices, past the 256 the enumeration walk handles.
+    res = _ends_cleanly("enumerate", "--p", "3", "--e", "1,1", "--level", "6")
+    assert res.returncode == 2
+    assert "364 internal vertices, more than the 256" in res.stderr
+    res = _ends_cleanly("verify", "order-formula", "--p", "3", "--e", "1,1",
+                        "--level", "6", "--format", "structured")
+    doc = json.loads(res.stdout)
+    assert doc["verdict"] == "skipped: scale"
+    assert "more than the 256" in doc["notes"][0]
+
+
 def test_huge_prime_exits_2_at_once():
     huge = "1000000000000000003"
     for args in (("classify", "--p", huge), ("classify", "--p", huge, "--e", "1,-1")):

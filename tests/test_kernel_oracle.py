@@ -6,7 +6,10 @@ a separate route on depth-1 trees; the power, order and p-power routines are
 built on it.  Each is checked here on random portraits of shapes from depth 1
 up to depth 5 and up to the largest supported prime, 127.  The batched left
 product of the signature table, which forms x*y for every element y of a
-quotient from its label columns, is checked the same way.
+quotient from its label columns, is checked the same way, and so are the
+column kernels of the enumeration walk: right products of a batch of
+elements by one element, and batched p-power chains of elements sharing
+their labels above the last level.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from ggs import (
     tree_shape,
 )
 from ggs.portrait import MAX_INTERNAL_VERTICES, MAX_PRIME
+from ggs.quotient import _Batch, _columns, _perm_rows, _rows, p_power_chains
 
 from reference import leaf_cycle_order, naive_compose, naive_order
 from test_cli import run_cli
@@ -122,6 +126,76 @@ def test_left_products_match_naive_compose(p, e, n, data):
     assert len(products) == len(group) * m
     for j, y in enumerate(group.elements):
         assert products[j * m : (j + 1) * m] == naive_compose(x, y).labels
+
+
+# Trees the column kernels serve: at most 256 internal vertices.
+BATCH_SHAPES = [(3, 1), (3, 3), (3, 4), (5, 2), (7, 2), (127, 2)]
+
+
+@pytest.mark.parametrize("p,n", BATCH_SHAPES)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_right_product_columns_match_naive_compose(p, n, data):
+    xs = data.draw(st.lists(portraits(p, n), min_size=1, max_size=6))
+    g = data.draw(portraits(p, n))
+    m = xs[0].shape.internal_count
+    batch = _Batch(xs[0].shape, b"".join(x.labels for x in xs), _perm_rows(xs))
+    labels, perms = batch.times(g)
+    label_rows, perm_rows = _rows(labels, len(xs)), _rows(perms, len(xs))
+    for j, x in enumerate(xs):
+        expected = naive_compose(x, g)
+        assert label_rows[j * m : (j + 1) * m] == expected.labels
+        assert tuple(perm_rows[j * m : (j + 1) * m]) == _fresh(expected).vertex_perm()
+
+
+def power_classes(p: int, n: int) -> st.SearchStrategy[list[Portrait]]:
+    """Portraits sharing their labels above the last level."""
+    shape = tree_shape(p, n)
+    cut = shape.level_starts[n - 1]
+    labels = st.integers(0, p - 1)
+    top = st.lists(labels, min_size=cut, max_size=cut)
+    rest = shape.internal_count - cut
+    last = st.lists(labels, min_size=rest, max_size=rest)
+    return top.flatmap(
+        lambda head: st.lists(
+            last.map(lambda tail: Portrait(shape, head + tail)), min_size=1, max_size=5
+        )
+    )
+
+
+@pytest.mark.parametrize("p,n", BATCH_SHAPES)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_power_chains_match_p_powers(p, n, data):
+    batch = data.draw(power_classes(p, n))
+    exps, levels = p_power_chains(batch)
+    assert len(exps) == len(batch) and len(levels) == n
+    for j, x in enumerate(batch):
+        chain = x.p_powers()
+        assert exps[j] == len(chain) - 1
+        expected = [g.labels for g in chain[:-1]]
+        expected += [x.shape.zero_labels] * (n - len(expected))
+        assert [level[j] for level in levels] == expected
+        # as in test_order_and_p_powers_match_naive_order
+        order = naive_order(x) if p**n <= 3**5 else leaf_cycle_order(x)
+        assert p ** exps[j] == order
+
+
+def test_power_chains_of_a_whole_quotient():
+    group = _quotient(3, (1, 0), 2)
+    cut = group.shape.level_starts[1]
+    classes: dict[bytes, list[Portrait]] = {}
+    for x in group.elements:
+        classes.setdefault(x.labels[:cut], []).append(x)
+    for batch in classes.values():
+        exps, _ = p_power_chains(batch)
+        assert [group.shape.p**e for e in exps] == [naive_order(x) for x in batch]
+
+
+def test_columns_and_rows_invert_each_other():
+    rows = bytes(range(12))
+    assert _columns(rows, 3) == [bytes([0, 3, 6, 9]), bytes([1, 4, 7, 10]), bytes([2, 5, 8, 11])]
+    assert _rows(_columns(rows, 3), 4) == rows
 
 
 def test_prime_above_byte_bound_is_rejected():

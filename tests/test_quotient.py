@@ -9,13 +9,28 @@ from ggs import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     DefiningVector,
+    Portrait,
+    SubgroupHandle,
     commutator,
     enumerate_quotient,
     predicted_order,
 )
-from ggs.quotient import MAX_LEVEL, exceeds_budget, predicted_exponent, written_order
+from ggs import quotient
+from ggs.quotient import (
+    MAX_BATCH_VERTICES,
+    MAX_LEVEL,
+    exceeds_budget,
+    predicted_exponent,
+    written_order,
+)
 
-from reference import brute_coords, brute_generated, brute_normal_closure
+from reference import (
+    brute_coords,
+    brute_generated,
+    brute_normal_closure,
+    greedy_generators,
+    queue_walk,
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +94,58 @@ def test_budget_exceeded_mid_enumeration():
         enumerate_quotient(DefiningVector(3, (1, 1)), 3, budget=100)
     assert err.value.predicted is None
     assert err.value.partial >= 100
+
+
+@pytest.mark.parametrize(
+    "p,e,n",
+    [
+        (3, (1, -1), 3),
+        (3, (1, 0), 3),
+        (3, (1, 1), 3),
+        (5, (1, 4, 1, 4), 2),
+        (7, (1, 2, 3, 4, 5, 6), 2),
+        (3, (1, 0), 1),
+        (5, (1, 4, 1, 4), 1),
+        (7, (1, 2, 3, 4, 5, 6), 1),
+    ],
+)
+def test_walk_matches_queue_walk(p, e, n):
+    v = DefiningVector(p, e)
+    group = enumerate_quotient(v, n)
+    expected, coords = queue_walk(v, n)
+    assert [x.labels for x in group.elements] == [x.labels for x in expected]
+    assert group.coords == coords
+    assert group._index == {x.labels: i for i, x in enumerate(expected)}
+    assert [x._perm for x in group.elements] == [x._perm for x in expected]
+    for x in group.elements[:: max(1, len(group) // 500)]:
+        assert x.vertex_perm() == Portrait(x.shape, x.labels).vertex_perm()
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        ((1, 0), (0, 2), (-1, 0), (0, -1)),  # b moves the b-coordinate twice
+        ((1, 0), (0, 1), (-1, 1), (0, -1)),  # a^-1 also moves the b-coordinate
+    ],
+)
+def test_corrupt_coordinate_step_is_caught(e10, steps, monkeypatch):
+    monkeypatch.setattr(quotient, "_GEN_COORDS", steps)
+    with pytest.raises(RuntimeError, match="coordinates conflicted"):
+        enumerate_quotient(e10, 2)
+    # At level 1, b is trivial and the coordinates are dropped instead.
+    assert enumerate_quotient(e10, 1).coords is None
+
+
+def test_walk_refuses_trees_past_the_vertex_limit():
+    sym = DefiningVector(3, (1, 1))
+    # (3^5 - 1) / 2 = 121 internal vertices: walked until the budget stops it.
+    with pytest.raises(BudgetExceeded, match="stopped at 101 elements"):
+        enumerate_quotient(sym, 5, budget=100)
+    # (3^6 - 1) / 2 = 364: refused before the tree is built.
+    with pytest.raises(BudgetExceeded, match=f"more than the {MAX_BATCH_VERTICES}") as err:
+        enumerate_quotient(sym, 6)
+    assert err.value.partial == 0
+    assert "364 internal vertices" in str(err.value)
 
 
 def test_membership_and_element(gs_g2):
@@ -252,6 +319,9 @@ def test_subgroup_generators(gs_g2, e10_g2):
         ]
         for h in handles:
             assert frozenset(brute_generated(group, h.generators)) == h.keys
+            # The coset-growing pick equals the pick that re-closes each time.
+            fresh = SubgroupHandle(group, h.elements)
+            assert list(fresh.generators) == greedy_generators(group, h.elements)
 
 
 def test_normal_closure_matches_reference(gs_g2, gs_g3, e10_g2):

@@ -316,3 +316,16 @@ def test_worker_determinism(e10, gs):
         one = verify_claim(claim, v, n, workers=1)
         two = verify_claim(claim, v, n, workers=2)
         assert one.canonical_json() == two.canonical_json()
+
+
+def test_power_class_scans_match_across_workers(e10):
+    # The collision scan, the exponent check and the socle table map batched
+    # p-power chains over power classes; a pool must change no byte.
+    for claim, v, n in (
+        ("prop-collision", e10, 3),
+        ("thm-G2", DefiningVector(5, (1, 4, 1, 4)), 2),
+    ):
+        one = verify_claim(claim, v, n, workers=1)
+        two = verify_claim(claim, v, n, workers=2)
+        assert one.verified
+        assert one.canonical_json() == two.canonical_json()
