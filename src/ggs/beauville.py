@@ -4,6 +4,9 @@ For a generating pair (x, y) the set Sigma(x, y) collects every conjugate
 of the cyclic subgroups <x>, <y>, <xy>.  A Beauville structure is a pair
 of generating triples whose Sigma sets meet only in the identity.
 
+Every orbit is read off the element conjugacy classes: <z>^g = <z^g>, and
+<s> is conjugate to <t> exactly when s is conjugate to a power of t.
+
 Two engines are provided.  The literal one materializes Sigma member sets
 and intersects them.  The signature engine reduces the same question to
 conjugation orbits of order-p subgroups: a nontrivial element common to
@@ -11,8 +14,8 @@ two Sigma sets exists exactly when some cyclic group on one side and some
 on the other have conjugate order-p subgroups (in a finite p-group every
 nontrivial intersection of cyclic subgroups contains both their unique
 minimal subgroups, which therefore coincide).  The signature engine is
-exact and fast enough to exhaust; the literal engine is kept as an
-independent oracle and both are cross-checked in the test suite.
+exact and fast enough to exhaust; both engines are cross-checked in the
+test suite against brute-force oracles that conjugate by every element.
 """
 
 from __future__ import annotations
@@ -134,33 +137,31 @@ def cyclic_subgroup(group: QuotientGroup, x: Portrait) -> SubgroupHandle:
 def subgroup_conjugation_orbit(
     group: QuotientGroup, members: frozenset[bytes]
 ) -> list[frozenset[bytes]]:
-    """Orbit of a subgroup under conjugation, walking generator conjugations."""
-    conj = ((group.a, group.a_inv), (group.b, group.b_inv))
-    seen = {members}
-    queue = [members]
-    qi = 0
-    while qi < len(queue):
-        current = queue[qi]
-        qi += 1
-        for g, gi in conj:
-            image = frozenset(
-                group.element(k).conjugate_by(g, gi).labels for k in current
-            )
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return queue
+    """Orbit of a cyclic subgroup under conjugation: <x>^g = <x^g>, so the
+    orbit is the subgroups generated by the class of a generator x, in the
+    class's discovery order."""
+    x = max(sorted(map(group.element, members)), key=Portrait.order)
+    if cyclic_subgroup(group, x).keys != members:
+        raise ValueError("conjugation orbits are taken of cyclic subgroups only")
+    orbit = (cyclic_subgroup(group, y).keys for y in group.conjugacy_class(x))
+    return list(dict.fromkeys(orbit))
+
+
+def _conjugates_of_powers(group: QuotientGroup, z: Portrait) -> set[bytes]:
+    """The nontrivial members of every conjugate of <z>: the classes of the
+    powers of z."""
+    members: set[bytes] = set()
+    for w in cyclic_powers(z):
+        if w.labels not in members:
+            members.update(y.labels for y in group.conjugacy_class(w))
+    return members
 
 
 def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
-    """Sigma of a triple via conjugation orbits of the three cyclic subgroups."""
-    members: set[bytes] = {group.identity.labels}
+    """Sigma of a triple: the identity and the classes of the powers of x, y, xy."""
+    members = {group.identity.labels}
     for z in triple.members():
-        if z.is_identity():
-            continue
-        base = cyclic_subgroup(group, z).keys
-        for subgroup in subgroup_conjugation_orbit(group, base):
-            members.update(subgroup)
+        members |= _conjugates_of_powers(group, z)
     return SigmaSet(frozenset(members), triple)
 
 
@@ -175,30 +176,26 @@ def _socles(batch: list[Portrait]) -> list[bytes | None]:
 
 
 def _socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
-    """Per-element id of the conjugation orbit of its socle subgroup."""
+    """Per-element id of the conjugation orbit of its socle subgroup.  An
+    orbit is named by the least class index among the powers of a socle, and
+    the names are numbered densely in order of first appearance."""
     if "socle" in group.cache:
         return group.cache["socle"]  # type: ignore[return-value]
+    classes = group.conjugacy_classes()
+    class_of = {y.labels: c for c, cls in enumerate(classes) for y in cls}
+    dense: dict[int, int] = {}  # orbit name -> id
+    orbit_of: dict[int, int] = {}  # socle class -> id
     ids: dict[bytes, int] = {}
-    subgroup_ids: dict[frozenset[bytes], int] = {}
-    socle_ids: dict[bytes, int] = {}
-    next_id = 0
     for x, s in zip(group.elements, map_power_classes(_socles, group.elements)):
         if s is None:
             continue
-        oid = socle_ids.get(s)
-        if oid is None:
-            powers = cyclic_powers(group.element(s))
-            key = frozenset([group.identity.labels, *(g.labels for g in powers)])
-            oid = subgroup_ids.get(key)
-            if oid is None:
-                oid = next_id
-                next_id += 1
-                for image in subgroup_conjugation_orbit(group, key):
-                    subgroup_ids[image] = oid
-            socle_ids[s] = oid
-        ids[x.labels] = oid
-    group.cache["socle"] = (ids, next_id)
-    return ids, next_id
+        c = class_of[s]
+        if c not in orbit_of:
+            name = min(class_of[w.labels] for w in cyclic_powers(classes[c][0]))
+            orbit_of[c] = dense.setdefault(name, len(dense))
+        ids[x.labels] = orbit_of[c]
+    group.cache["socle"] = (ids, len(dense))
+    return ids, len(dense)
 
 
 def triple_signature(group: QuotientGroup, triple: GeneratingTriple) -> frozenset[int]:
@@ -377,23 +374,20 @@ def search_beauville(group: QuotientGroup, strategy: str = "pruned") -> Certific
 def _search_literal(group: QuotientGroup, cert: Certificate) -> Certificate:
     if len(group) > LITERAL_SEARCH_CAP:
         raise BudgetExceeded(LITERAL_SEARCH_CAP, len(group))
-    orbit_union: dict[frozenset[bytes], frozenset[bytes]] = {}
+    one = frozenset([group.identity.labels])
+    conjugates: dict[bytes, frozenset[bytes]] = {}
 
     def union_for(z: Portrait) -> frozenset[bytes]:
-        base = cyclic_subgroup(group, z).keys
-        if base not in orbit_union:
-            members: set[bytes] = set()
-            for subgroup in subgroup_conjugation_orbit(group, base):
-                members.update(subgroup)
-            orbit_union[base] = frozenset(members)
-        return orbit_union[base]
+        if z.labels not in conjugates:
+            conjugates[z.labels] = frozenset(_conjugates_of_powers(group, z))
+        return conjugates[z.labels]
 
     pairs: list[tuple[Portrait, Portrait]] = []
     sigma_index: list[int] = []
     distinct: dict[frozenset[bytes], int] = {}
     sigmas: list[frozenset[bytes]] = []
     for x, y in _generating_pairs(group):
-        sigma = union_for(x) | union_for(y) | union_for(x * y)
+        sigma = one | union_for(x) | union_for(y) | union_for(x * y)
         idx = distinct.get(sigma)
         if idx is None:
             idx = len(sigmas)

@@ -65,9 +65,6 @@ class Certificate:
         self.checks.append(Check(name, passed, detail))
         return passed
 
-    def all_checks_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def canonical_dict(self) -> dict:
         return {
             "schema": SCHEMA,

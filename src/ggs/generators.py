@@ -65,12 +65,6 @@ class DefiningVector:
         """Rank t of the p x p circulant built from (e_1, ..., e_{p-1}, 0)."""
         return analyze_circulant(self).rank_gauss
 
-    def normalized(self) -> "DefiningVector":
-        """Scale so the first nonzero entry is 1 (same group up to isomorphism)."""
-        lead = next(x for x in self.e if x)
-        scale = pow(lead, -1, self.p)
-        return DefiningVector(self.p, tuple(x * scale for x in self.e))
-
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.e)
 

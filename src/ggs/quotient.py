@@ -537,9 +537,11 @@ class QuotientGroup:
 
     def element(self, key: bytes | str) -> Portrait:
         """The interned element with the given label key or text encoding."""
-        if isinstance(key, str):
-            key = Portrait.decode(key).labels
-        return self.elements[self._index[key]]
+        i = self._index.get(Portrait.decode(key).labels if isinstance(key, str) else key)
+        if i is None:
+            text = key if isinstance(key, str) else Portrait(self.shape, key).encode()
+            raise ValueError(f"not an element of this quotient: {text}")
+        return self.elements[i]
 
     def label_columns(self) -> tuple[bytes, ...]:
         """One bytes column per internal vertex: that vertex's label in every

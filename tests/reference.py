@@ -5,11 +5,12 @@ vertex maps are dictionaries keyed by letter tuples instead of flat arrays,
 composition recovers labels from composed vertex maps instead of the label
 formula, orders are found by repeated naive multiplication or from the
 cycles of the leaf permutation, root multiplicity comes from a Taylor shift
-instead of synthetic division, Sigma sets and normal closures are built by
-literally conjugating with every element, the signature table tests
-generation and forms products pair by pair, the quotient is walked one
-element and one product at a time, and greedy generators are closed anew
-after every pick.
+instead of synthetic division, Sigma sets, conjugacy classes and normal
+closures are built by literally conjugating with every element, socle
+orbits by walking subgroup member sets under conjugation, the signature
+table tests generation and forms products pair by pair, the quotient is
+walked one element and one product at a time, and greedy generators are
+closed anew after every pick.
 """
 from __future__ import annotations
 
@@ -117,19 +118,76 @@ def shift_multiplicity(coeffs: list[int], p: int) -> int:
     return m
 
 
+def brute_conjugates_of_powers(group: QuotientGroup, z: Portrait) -> frozenset[bytes]:
+    """Every power of z, the identity included, conjugated by every element."""
+    powers = [z]
+    w = z * z
+    while w != z:
+        powers.append(w)
+        w = w * z
+    out = set()
+    for g in group:
+        gi = g.inverse()
+        out.update((gi * pw * g).labels for pw in powers)
+    return frozenset(out)
+
+
 def brute_sigma(group: QuotientGroup, x: Portrait, y: Portrait) -> frozenset[bytes]:
     """Union of all conjugates of <x>, <y>, <xy>, conjugating by every element."""
     out = {group.identity.labels}
     for z in (x, y, x * y):
-        powers = [z]
-        w = z * z
-        while w != z:
-            powers.append(w)
-            w = w * z
-        for g in group:
-            gi = g.inverse()
-            out.update((gi * pw * g).labels for pw in powers)
+        out |= brute_conjugates_of_powers(group, z)
     return frozenset(out)
+
+
+def brute_classes(group: QuotientGroup) -> list[frozenset[bytes]]:
+    """Conjugacy classes as label sets, in order of first appearance: each
+    element not yet placed is conjugated by every element as g^-1 * x * g."""
+    pairs = [(g, g.inverse()) for g in group]
+    placed: set[bytes] = set()
+    classes = []
+    for x in group:
+        if x.labels not in placed:
+            cls = frozenset((gi * x * g).labels for g, gi in pairs)
+            placed |= cls
+            classes.append(cls)
+    return classes
+
+
+def walk_subgroup_orbit(
+    group: QuotientGroup, members: frozenset[bytes]
+) -> list[frozenset[bytes]]:
+    """Orbit of any subgroup under conjugation: member sets walked breadth
+    first under conjugation by a and b, each member moved as g^-1 * x * g."""
+    conj = [(group.a, group.a.inverse()), (group.b, group.b.inverse())]
+    queue = [frozenset(members)]
+    seen = set(queue)
+    for current in queue:  # grows while it is read
+        for g, gi in conj:
+            image = frozenset((gi * group.element(k) * g).labels for k in current)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return queue
+
+
+def walk_socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
+    """Per-element socle-orbit ids by the subgroup walk: each element's socle
+    is the second-to-last entry of its p-power chain, and each new socle
+    subgroup's whole orbit is walked and takes the next id."""
+    ids: dict[bytes, int] = {}
+    subgroup_ids: dict[frozenset[bytes], int] = {}
+    count = 0
+    for x in group:
+        if x.is_identity():
+            continue
+        key = frozenset(brute_generated(group, [x.p_powers()[-2]]))
+        if key not in subgroup_ids:
+            for image in walk_subgroup_orbit(group, key):
+                subgroup_ids[image] = count
+            count += 1
+        ids[x.labels] = subgroup_ids[key]
+    return ids, count
 
 
 def brute_coords(group: QuotientGroup, x: Portrait) -> tuple[int, int]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggs import (
     BudgetExceeded,
@@ -21,9 +23,17 @@ from ggs import (
     triple_signature,
 )
 
-from ggs.beauville import _signature_table
+from ggs.beauville import _conjugates_of_powers, _signature_table, _socle_data
 
-from reference import brute_sigma, reference_signature_table
+from reference import (
+    brute_conjugates_of_powers,
+    brute_sigma,
+    reference_signature_table,
+    walk_socle_data,
+    walk_subgroup_orbit,
+)
+
+ORACLE_SETTINGS = settings(max_examples=30, deadline=None)
 
 
 def test_search_element_cap():
@@ -42,7 +52,7 @@ def test_subgroup_conjugation_orbit(gs_g2):
     start = frozenset(x.labels for x in cyclic_subgroup(gs_g2, gs_g2.a))
     orbit = subgroup_conjugation_orbit(gs_g2, start)
     assert len(orbit) == 3
-    assert start in orbit
+    assert orbit[0] == start
     sizes = {len(s) for s in orbit}
     assert sizes == {3}
     # closed under further conjugation
@@ -53,6 +63,48 @@ def test_subgroup_conjugation_orbit(gs_g2):
                 (gi * gs_g2.element(k) * g).labels for k in member
             )
             assert moved in orbit
+    # A maximal subgroup has order 9 and exponent 3, so it is not cyclic.
+    with pytest.raises(ValueError, match="cyclic"):
+        subgroup_conjugation_orbit(gs_g2, gs_g2.maximal_subgroups()[0].keys)
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_subgroup_conjugation_orbit_matches_walk(gs_g2, gs_g3, e10_g2, data):
+    group = data.draw(st.sampled_from((gs_g2, gs_g3, e10_g2)))
+    z = data.draw(st.sampled_from(group.elements))
+    members = cyclic_subgroup(group, z).keys
+    orbit = subgroup_conjugation_orbit(group, members)
+    assert len(orbit) == len(set(orbit))
+    assert set(orbit) == set(walk_subgroup_orbit(group, members))
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_conjugates_of_powers_match_brute(gs_g2, gs_g3, e10_g2, data):
+    group = data.draw(st.sampled_from((gs_g2, gs_g3, e10_g2)))
+    z = data.draw(st.sampled_from(group.elements))
+    members = _conjugates_of_powers(group, z)
+    assert group.identity.labels not in members
+    assert members | {group.identity.labels} == brute_conjugates_of_powers(group, z)
+
+
+@pytest.mark.parametrize(
+    "p, e, n",
+    [
+        (3, (1, 2), 2),
+        (3, (1, 2), 3),
+        (3, (1, 0), 2),
+        (3, (1, 0), 3),
+        (3, (1, 1), 3),
+        (5, (1, 4, 1, 4), 2),
+        (5, (1, 0, 0, 0), 2),
+        (5, (1, 2, 3, 4), 2),
+    ],
+)
+def test_socle_orbits_match_walk_oracle(p, e, n):
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    assert _socle_data(group) == walk_socle_data(group)
 
 
 def test_generating_triple(gs_g2):

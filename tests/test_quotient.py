@@ -25,6 +25,7 @@ from ggs.quotient import (
 )
 
 from reference import (
+    brute_classes,
     brute_coords,
     brute_generated,
     brute_normal_closure,
@@ -153,8 +154,11 @@ def test_membership_and_element(gs_g2):
     assert gs_g2.a.labels in gs_g2
     assert gs_g2.element(gs_g2.b.labels) == gs_g2.b
     assert gs_g2.element("3,2:0,1,2,0") == gs_g2.b
-    with pytest.raises(KeyError):
-        gs_g2.element("3,2:0,1,0,0")  # a valid portrait outside the group
+    # A valid portrait outside the group, by encoding and by label key.
+    with pytest.raises(ValueError, match="not an element of this quotient: 3,2:0,1,0,0"):
+        gs_g2.element("3,2:0,1,0,0")
+    with pytest.raises(ValueError, match="not an element of this quotient: 3,2:0,1,0,0"):
+        gs_g2.element(bytes([0, 1, 0, 0]))
 
 
 def test_element_outside_group(gs_g2):
@@ -262,12 +266,14 @@ def test_subgroup_commutator(gs_g3):
 
 
 def test_conjugacy_classes(gs_g2, gs_g3, e10_g2):
-    for group, count in ((gs_g2, 11), (gs_g3, 59), (e10_g2, 17)):
+    p5 = enumerate_quotient(DefiningVector(5, (1, 2, 3, 4)), 2)
+    for group, count in ((gs_g2, 11), (gs_g3, 59), (e10_g2, 17), (p5, 29)):
         classes = group.conjugacy_classes()
         assert len(classes) == count
         assert sum(len(c) for c in classes) == len(group)
         for c in classes:
             assert len(group) % len(c) == 0
+        assert [frozenset(x.labels for x in c) for c in classes] == brute_classes(group)
     assert gs_g2.conjugacy_class(gs_g2.identity) == (gs_g2.identity,)
 
 

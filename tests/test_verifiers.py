@@ -309,6 +309,16 @@ def test_replay_rejects_corrupt_witness(gs):
     doc["witnesses"]["triple_1"][2] = doc["witnesses"]["triple_1"][0]
     with pytest.raises(ValueError):
         replay_certificate(doc)
+    # Two labels flipped: still a well-formed portrait, but not an element
+    # of the quotient.
+    doc = json.loads(cert.canonical_json())
+    head, body = doc["witnesses"]["triple_1"][0].split(":")
+    labels = [int(x) for x in body.split(",")]
+    labels[-2:] = [(x + 1) % 3 for x in labels[-2:]]
+    tampered = f"{head}:{','.join(map(str, labels))}"
+    doc["witnesses"]["triple_1"][0] = tampered
+    with pytest.raises(ValueError, match=f"not an element of this quotient: {tampered}"):
+        replay_certificate(doc)
 
 
 def test_worker_determinism(e10, gs):
