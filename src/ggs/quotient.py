@@ -11,6 +11,7 @@ without further closures.
 from __future__ import annotations
 
 import gc
+from array import array
 from functools import lru_cache, reduce as fold
 from itertools import chain, compress, repeat
 from operator import attrgetter, is_, itemgetter, or_
@@ -47,8 +48,9 @@ _GEN_COORDS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 # every such tree.
 MAX_BATCH_VERTICES = 256
 
-# Elements per chunk of the enumeration walk; a chunk holds the rows of four
-# products per element at once.
+# Elements per chunk of the enumeration and subgroup walks and of the
+# conjugation tables; a chunk holds the rows of every step's image of each
+# element at once (four products in the enumeration walk).
 WALK_CHUNK = 2048
 
 R = TypeVar("R")
@@ -203,23 +205,34 @@ class SubgroupHandle:
 def _walk(
     group: "QuotientGroup", start: Iterable[Portrait], steps: list[Callable]
 ) -> list[Portrait]:
-    """The interned elements reachable from start under the unary step maps,
-    in discovery order, start first."""
-    elements, index = group.elements, group._index
+    """The interned elements reachable from start under the step maps, in
+    discovery order, start first.
+
+    A step map takes a _Batch to the label columns of its images.  The found
+    list is read in chunks of WALK_CHUNK elements, each step applied to a
+    whole chunk at once, and new elements join in the order a one-at-a-time
+    walk finds them: element-major, step-minor.
+    """
+    shape, elements, index = group.shape, group.elements, group._index
+    m = shape.internal_count
     found = [elements[index[x.labels]] for x in start]
     seen = {x.labels for x in found}
-    for x in found:  # grows while it is read: breadth-first order
-        for step in steps:
-            key = step(x).labels
-            if key not in seen:
-                seen.add(key)
-                found.append(elements[index[key]])
+    done = 0
+    while done < len(found):  # found grows while it is read: breadth-first order
+        chunk = found[done : done + WALK_CHUNK]
+        batch = _Batch(shape, b"".join(map(attrgetter("labels"), chunk)), _perm_rows(chunk))
+        columns = [column for step in steps for column in step(batch)]
+        keys = dict.fromkeys(_split(_rows(columns, len(chunk)), m))
+        new = [key for key in keys if key not in seen]
+        seen.update(new)
+        found += map(elements.__getitem__, map(index.__getitem__, new))
+        done += len(chunk)
     return found
 
 
 def _right(gens: Iterable[Portrait]) -> list[Callable]:
     """Step maps x -> x*g."""
-    return [lambda x, g=g: x * g for g in gens]
+    return [lambda batch, g=g: batch.times(g)[0] for g in gens]
 
 
 def _distinct(xs: Iterable[Portrait]) -> list[Portrait]:
@@ -274,21 +287,45 @@ def _vertex_table(values: Sequence[int]) -> bytes:
 
 def _perm_rows(xs: Iterable[Portrait]) -> bytes:
     """The vertex permutations of xs as concatenated byte rows."""
-    return b"".join(bytes(x.vertex_perm()) for x in xs)
+    return b"".join(map(bytes, map(Portrait.vertex_perm, xs)))
+
+
+@lru_cache(maxsize=None)
+def _add_tables(p: int) -> tuple[bytes, ...]:
+    """Translate tables taking every byte b to (b + s) mod p, for s < p."""
+    return tuple(bytes((b + s) % p for b in range(256)) for s in range(p))
 
 
 class _Batch:
     """Elements as label columns (little-endian integers, ready to add) and
-    vertex-permutation columns, for right products with one element at a time."""
+    vertex-permutation columns, for right products with and conjugates by
+    one element at a time."""
 
-    __slots__ = ("width", "reduce", "labels", "perms")
+    __slots__ = ("width", "add", "labels", "perms")
 
     def __init__(self, shape: TreeShape, labels: bytes, perms: bytes):
         m = shape.internal_count
         self.width = len(labels) // m
-        self.reduce = shape.reduce
+        self.add = _add_tables(shape.p)
         self.labels = [int.from_bytes(c, "little") for c in _columns(labels, m)]
         self.perms = _columns(perms, m)
+
+    def conjugate(self, c: Portrait, ci: Portrait) -> list[bytes]:
+        """Label columns of x^c = c^-1 * x * c for every x, where ci = c^-1.
+
+        Column u is l_ci[u] + L_v + l_c[P_v] mod p with v = pi_ci(u).  The
+        last two terms add as integers, at most 2(p - 1) <= 252 per byte;
+        then one translate adds the constant l_ci[u] and reduces.  A
+        three-term byte sum would overflow once p > 85.
+        """
+        width, labels, perms, add = self.width, self.labels, self.perms, self.add
+        by_label = _vertex_table(c.labels)
+        return [
+            (labels[v] + int.from_bytes(perms[v].translate(by_label), "little"))
+            .to_bytes(width, "little")
+            .translate(add[s])
+            for s, v in zip(ci.labels, ci.vertex_perm())
+        ]
 
     def times(self, g: Portrait) -> tuple[list[bytes], list[bytes]]:
         """Label and vertex-permutation columns of x*g for every x.
@@ -297,7 +334,7 @@ class _Batch:
         translated by l_g, added and reduced.  Perm column k is
         pi_g(pi_x(k)): one translate.
         """
-        width, reduce = self.width, self.reduce
+        width, reduce = self.width, self.add[0]
         by_label = _vertex_table(g.labels)
         by_perm = _vertex_table(g.vertex_perm())
         labels = [
@@ -467,7 +504,7 @@ class QuotientGroup:
         shape = self.shape
         p, m = shape.p, shape.internal_count
         gens = (self.a, self.b, self.a_inv, self.b_inv)
-        shifts = [shape.reduce[d % p :] + bytes(d % p) for d in range(p)]
+        shifts = _add_tables(p)
         steps = [(shifts[da % p], shifts[db % p]) for da, db in _GEN_COORDS]
         new = object.__new__
         elements = [self.identity]
@@ -535,13 +572,18 @@ class QuotientGroup:
             f"n={self.shape.n}, order={len(self)})"
         )
 
-    def element(self, key: bytes | str) -> Portrait:
-        """The interned element with the given label key or text encoding."""
+    def _position(self, key: bytes | str) -> int:
+        """Enumeration index of the element with the given label key or text
+        encoding."""
         i = self._index.get(Portrait.decode(key).labels if isinstance(key, str) else key)
         if i is None:
             text = key if isinstance(key, str) else Portrait(self.shape, key).encode()
             raise ValueError(f"not an element of this quotient: {text}")
-        return self.elements[i]
+        return i
+
+    def element(self, key: bytes | str) -> Portrait:
+        """The interned element with the given label key or text encoding."""
+        return self.elements[self._position(key)]
 
     def label_columns(self) -> tuple[bytes, ...]:
         """One bytes column per internal vertex: that vertex's label in every
@@ -557,13 +599,11 @@ class QuotientGroup:
         order.
 
         Column k of x*y is l_x[k] + col[pi_x(k)] mod p.  With x fixed that is
-        one translate per vertex, by the table adding l_x[k]; labels are below
-        p, so reduce[s:] (padded back to 256 bytes) adds s mod p.
+        one translate per vertex, by the table adding l_x[k] mod p.
         """
         columns = self.label_columns()
         m = len(columns)
-        reduce = self.shape.reduce
-        shifts = [reduce[s:] + bytes(s) for s in range(self.vector.p)]
+        shifts = _add_tables(self.vector.p)
         out = bytearray(len(self.elements) * m)
         for k, (source, shift) in enumerate(zip(x.vertex_perm(), x.labels)):
             out[k::m] = columns[source].translate(shifts[shift])
@@ -597,7 +637,25 @@ class QuotientGroup:
             pairs = [(self.a, self.a_inv), (self.b, self.b_inv)]
         else:
             pairs = [(c, c.inverse()) for c in _distinct(conjugators)]
-        return [lambda x, c=c, ci=ci: x.conjugate_by(c, ci) for c, ci in pairs]
+        return [lambda batch, c=c, ci=ci: batch.conjugate(c, ci) for c, ci in pairs]
+
+    def _conjugation_tables(self) -> tuple[array, array]:
+        """The index of x^a and the index of x^b, for every element x in
+        enumeration order; built chunk by chunk with _Batch.conjugate."""
+        if "conjugation" not in self.cache:
+            elements, index = self.elements, self._index
+            m = self.shape.internal_count
+            tables = (array("I"), array("I"))
+            pairs = ((self.a, self.a_inv), (self.b, self.b_inv))
+            for start in range(0, len(elements), WALK_CHUNK):
+                chunk = elements[start : start + WALK_CHUNK]
+                labels = b"".join(map(attrgetter("labels"), chunk))
+                batch = _Batch(self.shape, labels, _perm_rows(chunk))
+                for table, (c, ci) in zip(tables, pairs):
+                    keys = _split(_rows(batch.conjugate(c, ci), batch.width), m)
+                    table.extend(map(index.__getitem__, keys))
+            self.cache["conjugation"] = tables
+        return self.cache["conjugation"]  # type: ignore[return-value]
 
     def normal_closure(
         self, seeds: Iterable[Portrait], conjugators: Iterable[Portrait] | None = None
@@ -620,9 +678,11 @@ class QuotientGroup:
         return self.cache["derived"]  # type: ignore[return-value]
 
     def center(self) -> SubgroupHandle:
+        """The elements fixed by conjugation with a and with b."""
         if "center" not in self.cache:
+            by_a, by_b = self._conjugation_tables()
             members = tuple(
-                g for g in self.elements if g * self.a == self.a * g and g * self.b == self.b * g
+                x for i, x in enumerate(self.elements) if by_a[i] == i and by_b[i] == i
             )
             self.cache["center"] = SubgroupHandle(self, members)
         return self.cache["center"]  # type: ignore[return-value]
@@ -651,54 +711,71 @@ class QuotientGroup:
         return self.normal_closure(seeds, h.generators + k.generators)
 
     def maximal_subgroups(self) -> list[SubgroupHandle]:
-        """The p+1 maximal subgroups <a, G'>, <b, G'>, <ab^i, G'> for n >= 2."""
+        """The p+1 maximal subgroups <a, G'>, <b, G'>, <ab^i, G'> for n >= 2,
+        each the elements whose coordinates lie on the line through those of
+        a, b or ab^i, in enumeration order.
+
+        The coordinates map G onto C_p x C_p (the walk checked that they add
+        along every product by a and b), so their kernel has index p^2 and
+        holds G'.  Once G' has index p^2 too, the kernel is G', and <x, G'>
+        is the preimage of the line through the coordinates of x.
+        """
         if self.shape.n < 2:
             raise ValueError("maximal subgroups are tabulated for levels >= 2")
         if "maximal" in self.cache:
             return self.cache["maximal"]  # type: ignore[return-value]
-        derived = self.derived_subgroup()
         p = self.vector.p
-        if len(self) != p * p * len(derived):
+        if len(self) != p * p * len(self.derived_subgroup()):
             raise RuntimeError("derived subgroup does not have index p^2")
-        tops = [self.a, self.b] + [self.a * self.b**i for i in range(1, p)]
-        elements, index = self.elements, self._index
-        m = self.shape.internal_count
-        # The coset G' * x^j is every w * x^j: one right product of the
-        # derived subgroup's columns.
-        batch = _Batch(
-            self.shape,
-            b"".join(w.labels for w in derived.elements),
-            _perm_rows(derived.elements),
-        )
+        directions = [(1, 0), (0, 1)] + [(1, i) for i in range(1, p)]
+        # Line j of every element, p + 1 for (0, 0), which lies on all lines.
+        line_of = {
+            (k * da % p, k * db % p): j
+            for j, (da, db) in enumerate(directions)
+            for k in range(1, p)
+        }
+        line_of[0, 0] = p + 1
+        lines = bytes(map(line_of.__getitem__, self.coords))
         out = []
-        for x in tops:
-            members: list[Portrait] = []
-            power = self.identity
-            for _ in range(p):
-                keys = _split(_rows(batch.times(power)[0], batch.width), m)
-                members.extend(map(elements.__getitem__, map(index.__getitem__, keys)))
-                power = power * x
+        for j in range(p + 1):
+            on_line = bytearray(256)
+            on_line[j] = on_line[p + 1] = 1
+            members = compress(self.elements, lines.translate(on_line))
             out.append(SubgroupHandle(self, tuple(members)))
         self.cache["maximal"] = out
         return out
 
+    def _class_of(self, i: int) -> list[int]:
+        """Indices of the conjugacy class of element i, in discovery order:
+        breadth-first under x -> x^a, then x -> x^b."""
+        by_a, by_b = self._conjugation_tables()
+        found, seen = [i], {i}
+        for j in found:  # grows while it is read
+            for k in (by_a[j], by_b[j]):
+                if k not in seen:
+                    seen.add(k)
+                    found.append(k)
+        return found
+
     def conjugacy_class(self, x: Portrait) -> tuple[Portrait, ...]:
         """Orbit of x under conjugation, in discovery order, as interned
         elements (which already carry their vertex permutations)."""
-        return tuple(_walk(self, [x], self._conjugations()))
+        return tuple(map(self.elements.__getitem__, self._class_of(self._position(x.labels))))
 
     def conjugacy_classes(self) -> list[tuple[Portrait, ...]]:
         """All conjugacy classes, in order of first appearance."""
         if "classes" in self.cache:
             return self.cache["classes"]  # type: ignore[return-value]
-        assigned: set[bytes] = set()
+        elements = self.elements
+        assigned = bytearray(len(elements))
         classes = []
-        for x in self.elements:
-            if x.labels in assigned:
+        for i in range(len(elements)):
+            if assigned[i]:
                 continue
-            orbit = self.conjugacy_class(x)
-            assigned.update(y.labels for y in orbit)
-            classes.append(orbit)
+            orbit = self._class_of(i)
+            for j in orbit:
+                assigned[j] = 1
+            classes.append(tuple(map(elements.__getitem__, orbit)))
         self.cache["classes"] = classes
         return classes
 

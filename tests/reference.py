@@ -8,9 +8,9 @@ cycles of the leaf permutation, root multiplicity comes from a Taylor shift
 instead of synthetic division, Sigma sets, conjugacy classes and normal
 closures are built by literally conjugating with every element, socle
 orbits by walking subgroup member sets under conjugation, the signature
-table tests generation and forms products pair by pair, the quotient is
-walked one element and one product at a time, and greedy generators are
-closed anew after every pick.
+table tests generation and forms products pair by pair, the quotient and
+its closures are walked one element and one product at a time, and greedy
+generators are closed anew after every pick.
 """
 from __future__ import annotations
 
@@ -188,6 +188,20 @@ def walk_socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
             count += 1
         ids[x.labels] = subgroup_ids[key]
     return ids, count
+
+
+def element_walk(start: list[Portrait], steps: list) -> list[bytes]:
+    """Labels reachable from start under the step maps (Portrait to
+    Portrait), one element and one step at a time, in discovery order."""
+    found = list(start)
+    seen = {x.labels for x in found}
+    for x in found:  # grows while it is read
+        for step in steps:
+            y = step(x)
+            if y.labels not in seen:
+                seen.add(y.labels)
+                found.append(y)
+    return [x.labels for x in found]
 
 
 def brute_coords(group: QuotientGroup, x: Portrait) -> tuple[int, int]:

@@ -9,7 +9,9 @@ product of the signature table, which forms x*y for every element y of a
 quotient from its label columns, is checked the same way, and so are the
 column kernels of the enumeration walk: right products of a batch of
 elements by one element, and batched p-power chains of elements sharing
-their labels above the last level.
+their labels above the last level.  So is the column conjugation of the
+subgroup walks and class tables, together with the whole-group tables of
+x -> x^a and x -> x^b that it builds.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from ggs import (
     enumerate_quotient,
     tree_shape,
 )
+from ggs import quotient
 from ggs.portrait import MAX_INTERNAL_VERTICES, MAX_PRIME
 from ggs.quotient import _Batch, _columns, _perm_rows, _rows, p_power_chains
 
@@ -146,6 +149,65 @@ def test_right_product_columns_match_naive_compose(p, n, data):
         expected = naive_compose(x, g)
         assert label_rows[j * m : (j + 1) * m] == expected.labels
         assert tuple(perm_rows[j * m : (j + 1) * m]) == _fresh(expected).vertex_perm()
+
+
+# Primes from the smallest to the largest supported; at p = 127 a three-term
+# byte sum l_ci[u] + L_v + l_c[P_v] would overflow.
+CONJUGATE_SHAPES = [(3, 1), (3, 3), (5, 2), (7, 2), (127, 1), (127, 2)]
+
+
+def _conjugate_rows(xs: list[Portrait], c: Portrait) -> bytearray:
+    batch = _Batch(xs[0].shape, b"".join(x.labels for x in xs), _perm_rows(xs))
+    return _rows(batch.conjugate(c, c.inverse()), len(xs))
+
+
+@pytest.mark.parametrize("p,n", CONJUGATE_SHAPES)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_conjugate_columns_match_conjugate_by_and_naive_compose(p, n, data):
+    xs = data.draw(st.lists(portraits(p, n), min_size=1, max_size=3))
+    c = data.draw(portraits(p, n))
+    m = xs[0].shape.internal_count
+    rows = _conjugate_rows(xs, c)
+    for j, x in enumerate(xs):
+        expected = naive_compose(naive_compose(c.inverse(), x), c)
+        assert rows[j * m : (j + 1) * m] == x.conjugate_by(c).labels == expected.labels
+
+
+@pytest.mark.parametrize("p,n", [(127, 1), (127, 2)])
+def test_conjugate_columns_at_the_largest_labels(p, n):
+    # Every label p - 1: each byte of L_v + l_c[P_v] holds 2(p - 1) = 252.
+    shape = tree_shape(p, n)
+    top = Portrait(shape, [p - 1] * shape.internal_count)
+    xs = [top, Portrait.identity(shape), top**2]
+    m = shape.internal_count
+    rows = _conjugate_rows(xs, top)
+    for j, x in enumerate(xs):
+        assert rows[j * m : (j + 1) * m] == x.conjugate_by(top).labels
+
+
+@pytest.mark.parametrize(
+    "p,e,n",
+    [
+        (3, (1, 0), 1),
+        (3, (1, -1), 3),
+        (5, (1, 4, 1, 4), 2),
+        (7, (1, 2, 3, 4, 5, 6), 2),
+    ],
+)
+def test_conjugation_tables_are_permutations(p, e, n, monkeypatch):
+    # Chunks of 7 elements, so each table is built from many batches.
+    monkeypatch.setattr(quotient, "WALK_CHUNK", 7)
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    tables = group._conjugation_tables()
+    for table in tables:
+        assert table.typecode == "I"
+        assert sorted(table) == list(range(len(group)))
+    step = max(1, len(group) // 300)
+    for table, (c, ci) in zip(tables, ((group.a, group.a_inv), (group.b, group.b_inv))):
+        for i in range(0, len(group), step):
+            x = group.elements[i]
+            assert group.elements[table[i]].labels == (ci * x * c).labels
 
 
 def power_classes(p: int, n: int) -> st.SearchStrategy[list[Portrait]]:

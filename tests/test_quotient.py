@@ -29,6 +29,7 @@ from reference import (
     brute_coords,
     brute_generated,
     brute_normal_closure,
+    element_walk,
     greedy_generators,
     queue_walk,
 )
@@ -159,6 +160,8 @@ def test_membership_and_element(gs_g2):
         gs_g2.element("3,2:0,1,0,0")
     with pytest.raises(ValueError, match="not an element of this quotient: 3,2:0,1,0,0"):
         gs_g2.element(bytes([0, 1, 0, 0]))
+    with pytest.raises(ValueError, match="not an element of this quotient: 3,2:0,1,0,0"):
+        gs_g2.conjugacy_class(Portrait(gs_g2.shape, [0, 1, 0, 0]))
 
 
 def test_element_outside_group(gs_g2):
@@ -211,10 +214,13 @@ def test_frattini_equals_derived(gs_g2, gs_g3, e10_g2):
 
 
 def test_center(gs_g2, gs_g3, e10_g2):
-    for group, size in ((gs_g2, 3), (gs_g3, 3), (e10_g2, 3)):
+    p5 = enumerate_quotient(DefiningVector(5, (1, 4, 1, 4)), 2)
+    for group, size in ((gs_g2, 3), (gs_g3, 3), (e10_g2, 3), (p5, 5)):
         z = group.center()
         assert len(z) == size
         assert group.identity in z
+        a, b = group.a, group.b
+        assert z.elements == tuple(x for x in group if x * a == a * x and x * b == b * x)
     assert sorted(x.encode() for x in e10_g2.center()) == [
         "3,2:0,0,0,0",
         "3,2:0,1,1,1",
@@ -238,6 +244,22 @@ def test_maximal_subgroups(gs_g2, e10_g2):
         assert group.b in maxes[1]
         for i in range(1, p):
             assert group.a * group.b ** i in maxes[1 + i]
+
+
+def test_maximal_subgroups_match_brute_closures(gs_g3, e10_g3):
+    p5 = enumerate_quotient(DefiningVector(5, (1, 2, 3, 4)), 2)
+    for group in (gs_g3, e10_g3, p5):
+        a, b, p = group.a, group.b, group.vector.p
+        derived = group.derived_subgroup()
+        gens = list(derived.generators)
+        assert frozenset(brute_generated(group, gens)) == derived.keys
+        tops = [a, b] + [a * b**i for i in range(1, p)]
+        maxes = group.maximal_subgroups()
+        assert [m.keys for m in maxes] == [
+            frozenset(brute_generated(group, [x] + gens)) for x in tops
+        ]
+        for m in maxes:
+            assert [x.labels for x in m] == [x.labels for x in group if x in m]
 
 
 def test_maximal_subgroups_partition(gs_g2):
@@ -328,6 +350,41 @@ def test_subgroup_generators(gs_g2, e10_g2):
             # The coset-growing pick equals the pick that re-closes each time.
             fresh = SubgroupHandle(group, h.elements)
             assert list(fresh.generators) == greedy_generators(group, h.elements)
+
+
+def _conjugation(c: Portrait):
+    ci = c.inverse()
+    return lambda x: ci * x * c
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, chunk, monkeypatch):
+    """Chunked column walks find elements in the order of a walk that takes
+    one element and one step at a time: element-major, step-minor.  With the
+    default chunk the derived subgroup of e10_g3 (6561 elements) spans
+    several chunks; with chunks of 7 every walk does."""
+    groups = [e10_g3]
+    if chunk is not None:
+        monkeypatch.setattr(quotient, "WALK_CHUNK", chunk)
+        groups = [enumerate_quotient(gs, 3), enumerate_quotient(e10, 2)]
+    for group in groups:
+        a, b, one = group.a, group.b, group.identity
+        by_a, by_b = _conjugation(a), _conjugation(b)
+        s = commutator(a, b)
+        expected = element_walk([one], [lambda x: x * s, by_a, by_b])
+        assert [x.labels for x in group.derived_subgroup()] == expected
+        closure = group.normal_closure([b, b], [a * b, a * b])
+        expected = element_walk([one], [lambda x: x * b, _conjugation(a * b)])
+        assert [x.labels for x in closure] == expected
+        for x in group.elements[:: max(1, len(group) // 40)]:
+            expected = element_walk([x], [by_a, by_b])
+            assert [y.labels for y in group.conjugacy_class(x)] == expected
+        expected, placed = [], set()
+        for x in group:
+            if x.labels not in placed:
+                expected.append(element_walk([x], [by_a, by_b]))
+                placed.update(expected[-1])
+        assert [[y.labels for y in c] for c in group.conjugacy_classes()] == expected
 
 
 def test_normal_closure_matches_reference(gs_g2, gs_g3, e10_g2):
