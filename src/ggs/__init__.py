@@ -58,7 +58,6 @@ from .beauville import (
 )
 from .verifiers import CLAIMS, replay_certificate, verify_claim
 from .words import WordSyntaxError, evaluate_word, parse_word
-from .parallel import pmap
 
 __version__ = CODE_VERSION
 
@@ -115,6 +114,5 @@ __all__ = [
     "WordSyntaxError",
     "evaluate_word",
     "parse_word",
-    "pmap",
     "__version__",
 ]

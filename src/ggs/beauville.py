@@ -33,6 +33,7 @@ from .quotient import (
     BudgetExceeded,
     QuotientGroup,
     SubgroupHandle,
+    coordinate_line,
     map_power_classes,
     p_power_chains,
 )
@@ -283,9 +284,8 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
         return group.cache["signatures"]  # type: ignore[return-value]
     ids, count = _socle_data(group)
     elements = group.elements
-    coords = group.coords
     table: dict[frozenset[int], list[str]] = {}
-    if coords is None:
+    if group.coords is None:
         # Level 1: the coordinates do not decide generation, and members of a
         # generating triple may be the identity.
         for cls in group.conjugacy_classes():
@@ -309,24 +309,26 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     split = Struct(f"{group.shape.internal_count}s").iter_unpack
     first = itemgetter(0)
     # Per line through the origin of the coordinate plane, that is per
-    # maximal subgroup: the mask of the elements outside it, their scaled
-    # socle ids and their positions.
-    lines: dict[tuple[int, int], tuple[bytes, list[int], list[int]]] = {}
+    # maximal subgroup: the mask of the elements off it and off the origin
+    # (those completing a generating pair), their scaled socle ids and their
+    # positions.
+    lines = group.lines()
+    partners_of: dict[int, tuple[bytes, list[int], list[int]]] = {}
     for cls in group.conjugacy_classes():
         rep = min(cls)
-        ar, br = group.coords_of(rep)
-        if not (ar or br):
+        line = coordinate_line(*group.coords_of(rep), p)
+        if line == p + 1:
             continue  # a Frattini element lies in no generating pair
-        line = (1, br * pow(ar, -1, p) % p) if ar else (0, 1)
-        if line not in lines:
-            la, lb = line
-            mask = bytes((la * by - lb * ay) % p != 0 for ay, by in coords)
-            lines[line] = (
+        if line not in partners_of:
+            off_line = bytearray([1]) * 256
+            off_line[line] = off_line[p + 1] = 0
+            mask = lines.translate(off_line)
+            partners_of[line] = (
                 mask,
                 [socle_of(y.labels) * count for y in compress(elements, mask)],
                 list(compress(range(len(elements)), mask)),
             )
-        mask, scaled, partners = lines[line]
+        mask, scaled, partners = partners_of[line]
         products = compress(split(group.left_products(rep)), mask)
         keys = list(map(add, scaled, map(socle_of, map(first, products))))
         sr = ids[rep.labels]

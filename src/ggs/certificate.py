@@ -4,8 +4,8 @@ A certificate records one claim checked at concrete parameters: verdict,
 witnesses in canonical portrait encoding, whether the check was
 exhaustive, and the individual sub-checks.  Serialization is canonical
 JSON (sorted keys, fixed separators); the wall-clock time is kept on the
-object for reporting but excluded from the canonical form so that reruns,
-cache hits, and different worker counts produce byte-identical documents.
+object for reporting but excluded from the canonical form so that reruns
+and cache hits produce byte-identical documents.
 """
 
 from __future__ import annotations

@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--to", type=int, default=None, help="target depth m (lifting)")
     v.add_argument("--x", type=str, default="a", help="word for x (lifting)")
     v.add_argument("--y", type=str, default="b", help="word for y (lifting)")
-    v.add_argument("--workers", type=int, default=1, help="parallel workers")
     v.add_argument(
         "--cache-dir",
         type=str,
@@ -244,8 +243,6 @@ def _cache_file(cache_dir: str, claim: str, params: dict, budget: int) -> Path:
 
 
 def cmd_verify(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     v = _vector_from_args(args)
     params = claim_params(args.claim, v, args.level, args.to, args.x, args.y)
 
@@ -275,7 +272,6 @@ def cmd_verify(args) -> int:
             x_word=args.x,
             y_word=args.y,
             budget=args.budget,
-            workers=args.workers,
         )
         doc_text = cert.canonical_json()
         doc = cert.canonical_dict()

@@ -32,6 +32,7 @@ __all__ = [
     "predicted_order",
     "exceeds_budget",
     "written_order",
+    "coordinate_line",
     "enumerate_quotient",
     "p_power_chains",
     "map_power_classes",
@@ -136,6 +137,18 @@ def written_order(v: DefiningVector, n: int) -> int | str | None:
     if k is None:
         return None
     return v.p**k if k <= WRITTEN_EXPONENT_MAX else f"{v.p}^{k}"
+
+
+def coordinate_line(a: int, b: int, p: int) -> int:
+    """Number of the line of F_p^2 = G/G' through the coordinates (a, b).
+
+    Line 0 is <a>G', line 1 is <b>G' and line 1 + i is <ab^i>G' for
+    i = 1..p-1; (0, 0) lies on every line and gets p + 1.
+    """
+    a, b = a % p, b % p
+    if not a:
+        return 1 if b else p + 1
+    return 1 + b * pow(a, -1, p) % p if b else 0
 
 
 class SubgroupHandle:
@@ -429,13 +442,12 @@ def p_power_chains(batch: Sequence[Portrait]) -> tuple[bytes, list[list[bytes]]]
 
 
 def map_power_classes(
-    fn: Callable[[list[Portrait]], list[R]], xs: Sequence[Portrait], workers: int = 1
+    fn: Callable[[list[Portrait]], list[R]], xs: Sequence[Portrait]
 ) -> list[R]:
     """fn over xs split into power classes, with results in the order of xs.
 
     A power class holds the elements sharing their labels above the last
     level, the batch p_power_chains takes; fn returns one result per member.
-    pmap spreads the classes over the workers.
     """
     if not xs:
         return []
@@ -446,7 +458,7 @@ def map_power_classes(
         classes.setdefault(key, []).append(x)
     # Members of a class keep their order in xs, so each element takes the
     # next unused result of its class.
-    results = dict(zip(classes, map(iter, pmap(fn, list(classes.values()), workers))))
+    results = dict(zip(classes, map(iter, pmap(fn, classes.values()))))
     return list(map(next, map(results.__getitem__, keys)))
 
 
@@ -615,6 +627,16 @@ class QuotientGroup:
             raise ValueError("coordinates are undefined for the level-1 quotient")
         return self.coords[self._index[x.labels]]
 
+    def lines(self) -> bytes:
+        """The coordinate_line of every element, in enumeration order."""
+        if "lines" not in self.cache:
+            if self.coords is None:
+                raise ValueError("coordinates are undefined for the level-1 quotient")
+            p = self.vector.p
+            number = {(a, b): coordinate_line(a, b, p) for a in range(p) for b in range(p)}
+            self.cache["lines"] = bytes(map(number.__getitem__, self.coords))
+        return self.cache["lines"]  # type: ignore[return-value]
+
     def is_generating_pair(self, x: Portrait, y: Portrait) -> bool:
         """Whether {x, y} generates the quotient."""
         if x.labels not in self._index or y.labels not in self._index:
@@ -712,8 +734,8 @@ class QuotientGroup:
 
     def maximal_subgroups(self) -> list[SubgroupHandle]:
         """The p+1 maximal subgroups <a, G'>, <b, G'>, <ab^i, G'> for n >= 2,
-        each the elements whose coordinates lie on the line through those of
-        a, b or ab^i, in enumeration order.
+        in the order of coordinate_line: each holds the elements on its
+        line, in enumeration order.
 
         The coordinates map G onto C_p x C_p (the walk checked that they add
         along every product by a and b), so their kernel has index p^2 and
@@ -727,15 +749,7 @@ class QuotientGroup:
         p = self.vector.p
         if len(self) != p * p * len(self.derived_subgroup()):
             raise RuntimeError("derived subgroup does not have index p^2")
-        directions = [(1, 0), (0, 1)] + [(1, i) for i in range(1, p)]
-        # Line j of every element, p + 1 for (0, 0), which lies on all lines.
-        line_of = {
-            (k * da % p, k * db % p): j
-            for j, (da, db) in enumerate(directions)
-            for k in range(1, p)
-        }
-        line_of[0, 0] = p + 1
-        lines = bytes(map(line_of.__getitem__, self.coords))
+        lines = self.lines()
         out = []
         for j in range(p + 1):
             on_line = bytearray(256)

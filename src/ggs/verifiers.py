@@ -36,6 +36,7 @@ from .quotient import (
     DEFAULT_BUDGET,
     QuotientGroup,
     SubgroupHandle,
+    coordinate_line,
     enumerate_quotient,
     exceeds_budget,
     map_power_classes,
@@ -58,7 +59,7 @@ class Claim(NamedTuple):
 
     statement: str
     level: int
-    verify: Callable[[Certificate, DefiningVector, int, int, int], str]
+    verify: Callable[[Certificate, DefiningVector, int, int], str]
 
 
 def default_level(claim: str) -> int:
@@ -228,10 +229,10 @@ def _lifting_checks(
 # -- enumerated sub-check builders ----------------------------------------------
 
 
-def _exponent_check(cert: Certificate, group: QuotientGroup, workers: int) -> bool:
+def _exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
     """Exhaustive scan: every element's order divides p (periodic level 2)."""
     p = group.vector.p
-    orders = map_power_classes(_orders, group.elements, workers)
+    orders = map_power_classes(_orders, group.elements)
     bad = [x for x, o in zip(group.elements, orders) if o > p]
     if bad:
         cert.witnesses["exponent_witness"] = min(bad).encode()
@@ -242,7 +243,7 @@ def _exponent_check(cert: Certificate, group: QuotientGroup, workers: int) -> bo
     )
 
 
-def _collision_scan(cert: Certificate, group: QuotientGroup, workers: int) -> bool:
+def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     """Power-collision battery over every <ab^i, derived> coset element.
 
     Adds checks for: order p^n outside the derived subgroup, the coordinate
@@ -269,7 +270,7 @@ def _collision_scan(cert: Certificate, group: QuotientGroup, workers: int) -> bo
             continue
         step_powers = cyclic_powers(step)  # step^k at index k - 1
         z_keysets.add(cyclic_subgroup(group, step).keys)
-        for x, (o, top) in zip(outside, map_power_classes(_orders_and_tops, outside, workers)):
+        for x, (o, top) in zip(outside, map_power_classes(_orders_and_tops, outside)):
             if o != p**n:
                 order_bad.append(x)
             k, ki = group.coords_of(x)
@@ -316,7 +317,7 @@ def _collision_scan(cert: Certificate, group: QuotientGroup, workers: int) -> bo
 
 
 def _collision_stage(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+    cert: Certificate, v: DefiningVector, n: int, budget: int
 ) -> tuple[QuotientGroup | None, bool]:
     """The power-collision checks of the non-periodic claims.
 
@@ -328,16 +329,7 @@ def _collision_stage(
     ):
         return None, _rep_collision_checks(cert, v, n)
     group = _enumerate(cert, v, n, budget)
-    return group, _collision_scan(cert, group, workers)
-
-
-def _line_of(coords: tuple[int, int], p: int) -> int:
-    ax, bx = coords
-    if ax == 0:
-        return 1
-    if bx == 0:
-        return 0
-    return 1 + (bx * pow(ax, -1, p)) % p
+    return group, _collision_scan(cert, group)
 
 
 def _pigeonhole_checks(cert: Certificate, group: QuotientGroup) -> bool:
@@ -361,9 +353,9 @@ def _pigeonhole_checks(cert: Certificate, group: QuotientGroup) -> bool:
         for c2 in nonzero:
             if (c1[0] * c2[1] - c1[1] * c2[0]) % p == 0:
                 continue
-            c3 = ((c1[0] + c2[0]) % p, (c1[1] + c2[1]) % p)
-            lines = {_line_of(c, p) for c in (c1, c2, c3)}
-            if len(lines) != 3 or not (lines - {0, 1}):
+            c3 = (c1[0] + c2[0], c1[1] + c2[1])
+            spanned = {coordinate_line(*c, p) for c in (c1, c2, c3)}
+            if len(spanned) != 3 or not (spanned - {0, 1}):
                 bad = (c1, c2)
                 break
         if bad:
@@ -376,14 +368,10 @@ def _pigeonhole_checks(cert: Certificate, group: QuotientGroup) -> bool:
     )
     derived = group.derived_subgroup()
     maxes = group.maximal_subgroups()
-    counts_ok = True
-    for i in range(1, p):
-        on_line = sum(
-            1
-            for c in group.coords
-            if c != (0, 0) and _line_of(c, p) == 1 + i
-        )
-        counts_ok &= on_line == len(maxes[1 + i]) - len(derived)
+    lines = group.lines()
+    counts_ok = all(
+        lines.count(1 + i) == len(maxes[1 + i]) - len(derived) for i in range(1, p)
+    )
     ok &= cert.check(
         "line_coset_bijection",
         counts_ok,
@@ -482,9 +470,7 @@ def _gupta_sidki_structure(cert: Certificate, group: QuotientGroup) -> bool:
 # -- per-claim verifiers ----------------------------------------------------------
 
 
-def verify_lemma_orders(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
-) -> str:
+def verify_lemma_orders(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     _require_periodic(cert, v)
     if n < 3:
         raise ValueError("the order claim concerns levels n >= 3")
@@ -493,9 +479,7 @@ def verify_lemma_orders(
     return _verdict(_order_checks(cert, n, _standard_order_items(v, n)))
 
 
-def verify_eq31(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
-) -> str:
+def verify_eq31(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     _require_periodic(cert, v)
     if n < 2:
         raise ValueError("the section identity needs depth n >= 2")
@@ -505,7 +489,7 @@ def verify_eq31(
 
 
 def verify_lemma_conjugates(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+    cert: Certificate, v: DefiningVector, n: int, budget: int
 ) -> str:
     if n != 2:
         raise ValueError("the conjugate-distinctness claim concerns depth 2")
@@ -536,9 +520,7 @@ def _require_gupta_sidki_level3(cert: Certificate, v: DefiningVector, n: int) ->
         raise ValueError(f"{cert.claim} concerns the level-3 quotient")
 
 
-def verify_lemma_center(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
-) -> str:
+def verify_lemma_center(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     _require_gupta_sidki_level3(cert, v, n)
     group = _enumerate(cert, v, 3, budget)
     special = build_special_elements(group)
@@ -553,12 +535,12 @@ def verify_lemma_center(
 
 
 def verify_lemma_comms_b(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+    cert: Certificate, v: DefiningVector, n: int, budget: int
 ) -> str:
     _require_gupta_sidki_level3(cert, v, n)
     group = _enumerate(cert, v, 3, budget)
     center_keys = group.center().keys
-    comms = pmap(partial(commutator, group.b), group.elements, workers)
+    comms = pmap(partial(commutator, group.b), group.elements)
     hits = sorted(
         c.labels for c in comms if not c.is_identity() and c.labels in center_keys
     )
@@ -574,12 +556,12 @@ def verify_lemma_comms_b(
 
 
 def verify_lemma_comms_a(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+    cert: Certificate, v: DefiningVector, n: int, budget: int
 ) -> str:
     _require_gupta_sidki_level3(cert, v, n)
     group = _enumerate(cert, v, 3, budget)
     special = build_special_elements(group)
-    comms = pmap(partial(commutator, group.a), group.elements, workers)
+    comms = pmap(partial(commutator, group.a), group.elements)
     ok = cert.check(
         "not_a_commutator",
         all(c != special.v for c in comms),
@@ -589,9 +571,7 @@ def verify_lemma_comms_a(
     return _verdict(ok)
 
 
-def verify_prop_key(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
-) -> str:
+def verify_prop_key(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     _require_periodic(cert, v)
     if n < 3:
         raise ValueError(
@@ -633,12 +613,12 @@ def verify_prop_key(
 
 
 def verify_prop_collision(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+    cert: Certificate, v: DefiningVector, n: int, budget: int
 ) -> str:
     _require_non_periodic(cert, v)
     if n < 2:
         raise ValueError("the collision claim concerns levels n >= 2")
-    group, ok = _collision_stage(cert, v, n, budget, workers)
+    group, ok = _collision_stage(cert, v, n, budget)
     return _verdict(ok, SCALE if group is None else "verified")
 
 
@@ -665,9 +645,7 @@ def _rep_collision_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
     return ok
 
 
-def verify_thm_B(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
-) -> str:
+def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     _require_non_periodic(cert, v)
     if n < 1:
         raise ValueError("levels start at 1")
@@ -685,7 +663,7 @@ def verify_thm_B(
             "the literal no-pruning search finds no structure",
         )
         return _verdict(ok)
-    group, ok = _collision_stage(cert, v, n, budget, workers)
+    group, ok = _collision_stage(cert, v, n, budget)
     if group is None:
         return _verdict(ok, SCALE)
     ok = _pigeonhole_checks(cert, group) and ok
@@ -718,16 +696,14 @@ def verify_thm_B(
     return _verdict(ok)
 
 
-def verify_thm_G2(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
-) -> str:
+def verify_thm_G2(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     _require_periodic(cert, v)
     if n != 2:
         raise ValueError("this claim concerns the level-2 quotient")
     p = v.p
     group = _enumerate(cert, v, 2, budget)
     if len(group) <= SEARCH_ELEMENT_CAP:
-        _exponent_check(cert, group, workers)
+        _exponent_check(cert, group)
         search = search_beauville(group, "pruned")
         if p == 3:
             ok = cert.check(
@@ -766,9 +742,7 @@ def verify_thm_G2(
     return _verdict(ok)
 
 
-def verify_thm_G3(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
-) -> str:
+def verify_thm_G3(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     _require_periodic(cert, v)
     if n != 3:
         raise ValueError("this claim concerns the level-3 quotient")
@@ -822,9 +796,7 @@ def _standard_triples_checks(cert: Certificate, v: DefiningVector, n: int) -> bo
     return ok
 
 
-def verify_thm_A(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
-) -> str:
+def verify_thm_A(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     _require_periodic(cert, v)
     p = v.p
     if not ((p >= 5 and n >= 2) or (p == 3 and n >= 3)):
@@ -835,12 +807,12 @@ def verify_thm_A(
     cert.notes.append(LEVEL_ONLY)
     if p >= 5 and n == 2:
         k = len(cert.notes)
-        verdict = verify_thm_G2(cert, v, 2, budget, workers)
+        verdict = verify_thm_G2(cert, v, 2, budget)
         cert.notes[k:] = [f"level-2: {x}" for x in cert.notes[k:]]
         return verdict
     if p == 3:
         if n == 3:
-            return verify_thm_G3(cert, v, 3, budget, workers)
+            return verify_thm_G3(cert, v, 3, budget)
         ok = _gupta_sidki_structure(cert, enumerate_quotient(v, 3, budget))
         triple = [("x1_a", "a"), ("y1_b", "b"), ("x1y1_ab", "ab")]
         ok &= _lifting_checks(cert, v, triple, 3, n, prefix="lift_")
@@ -861,9 +833,7 @@ def verify_thm_A(
     return _verdict(ok, SCALE)
 
 
-def verify_lifting(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
-) -> str:
+def verify_lifting(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     m, x_word, y_word = (cert.params[k] for k in ("m", "x", "y"))
     if m <= n:
         raise ValueError("the target depth m must exceed the source depth n")
@@ -875,7 +845,7 @@ def verify_lifting(
 
 
 def verify_order_formula(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, workers: int
+    cert: Certificate, v: DefiningVector, n: int, budget: int
 ) -> str:
     if predicted_exponent(v, n) is None:
         try:
@@ -1004,7 +974,14 @@ def verify_claim(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> Certificate:
-    """Run the verifier for one claim id and stamp the wall time."""
+    """Run the verifier for one claim id and stamp the wall time.
+
+    Every verifier runs in this process.  `workers` accepts only 1: the
+    benchmark harness under perfbench/ still passes workers=1, and the
+    keyword goes once that harness stops passing it.
+    """
+    if workers != 1:
+        raise ValueError(f"verifiers run in one process; workers must be 1, got {workers}")
     if claim not in CLAIMS:
         known = ", ".join(sorted(CLAIMS))
         raise ValueError(f"unknown claim {claim!r}; known claims: {known}")
@@ -1018,14 +995,12 @@ def verify_claim(
         exhaustive=False,
         code_version=CODE_VERSION,
     )
-    cert.verdict = CLAIMS[claim].verify(cert, v, params["n"], budget, workers)
+    cert.verdict = CLAIMS[claim].verify(cert, v, params["n"], budget)
     cert.wall_time = time.perf_counter() - start
     return cert
 
 
-def replay_certificate(
-    doc: dict, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> bool:
+def replay_certificate(doc: dict, budget: int = DEFAULT_BUDGET) -> bool:
     """Re-verify a stored certificate.
 
     Verified certificates carrying witness triples are replayed by checking
@@ -1055,7 +1030,6 @@ def replay_certificate(
         x_word=params.get("x", "a"),
         y_word=params.get("y", "b"),
         budget=budget,
-        workers=workers,
     )
     return fresh.canonical_json() == cert.canonical_json()
 

@@ -3,8 +3,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, env=None, cwd=None, timeout=600):
@@ -306,14 +313,40 @@ def test_verify_corrupt_cache_is_recomputed(tmp_path):
         assert stored.read_text() == first.stdout
 
 
-def test_verify_rejects_nonpositive_workers(capsys):
-    from ggs.cli import main
+def test_verify_refuses_workers():
+    from ggs import DefiningVector, verify_claim
 
-    for workers in ("0", "-3"):
-        code = main(["verify", "lemma-orders", "--p", "3", "--e", "1,-1",
-                     "--workers", workers])
-        assert code == 2
-        assert "--workers must be at least 1" in capsys.readouterr().err
+    res = run_cli("verify", "lemma-orders", "--p", "3", "--workers", "2")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --workers 2" in res.stderr
+    v = DefiningVector(3, (1, -1))
+    with pytest.raises(ValueError, match="workers must be 1, got 2"):
+        verify_claim("lemma-orders", v, 3, workers=2)
+    golden = ROOT / "tests" / "golden" / "lemma-orders__p3_e1_2__n3.json"
+    assert verify_claim("lemma-orders", v, 3, workers=1).canonical_json() == golden.read_text()
+
+
+def _readme_usage_commands() -> list[list[str]]:
+    """Arguments of each `ggs` line in the first sh block of README.md that
+    has any: the command-line usage examples."""
+    text = (ROOT / "README.md").read_text()
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        commands = [shlex.split(x)[1:] for x in block.splitlines() if x.startswith("ggs ")]
+        if commands:
+            return commands
+    return []
+
+
+def test_readme_usage_block_runs(tmp_path, monkeypatch, capsys):
+    from ggs.cli import CACHE_ENV, main
+
+    commands = _readme_usage_commands()
+    assert {c[0] for c in commands} == {"classify", "enumerate", "verify", "sigma"}
+    monkeypatch.chdir(tmp_path)  # --dump and --cayley write files
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert (tmp_path / "elements.txt").exists() and (tmp_path / "graph.dot").exists()
 
 
 def test_cache_key_follows_source_digest(monkeypatch, tmp_path):

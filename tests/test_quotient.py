@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ggs import (
     DEFAULT_BUDGET,
@@ -19,6 +21,7 @@ from ggs import quotient
 from ggs.quotient import (
     MAX_BATCH_VERTICES,
     MAX_LEVEL,
+    coordinate_line,
     exceeds_budget,
     predicted_exponent,
     written_order,
@@ -268,6 +271,37 @@ def test_maximal_subgroups_partition(gs_g2):
     for x in gs_g2:
         hits = sum(x in m for m in maxes)
         assert hits == (4 if x.labels in frat.keys else 1)
+
+
+@given(data=st.data())
+def test_coordinate_lines_differ_exactly_on_independent_pairs(data):
+    p = data.draw(st.sampled_from((3, 5, 7, 11, 127)))
+    point = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    c1 = data.draw(point.filter(any))
+    if data.draw(st.booleans()):
+        c2 = data.draw(point.filter(any))
+    else:  # a multiple of c1, which the first draw rarely hits at large p
+        k = data.draw(st.integers(1, p - 1))
+        c2 = (k * c1[0] % p, k * c1[1] % p)
+    det = (c1[0] * c2[1] - c1[1] * c2[0]) % p
+    l1, l2 = coordinate_line(*c1, p), coordinate_line(*c2, p)
+    assert 0 <= l1 <= p and 0 <= l2 <= p
+    assert (det != 0) == (l1 != l2)
+
+
+def test_coordinate_line_numbering(gs_g2, e10_g3):
+    for p in (3, 5, 127):
+        assert coordinate_line(1, 0, p) == 0
+        assert coordinate_line(0, 1, p) == 1
+        assert [coordinate_line(1, i, p) for i in range(1, p)] == list(range(2, p + 1))
+        assert coordinate_line(0, 0, p) == coordinate_line(p, -p, p) == p + 1
+    for group in (gs_g2, e10_g3):
+        p, lines = group.vector.p, group.lines()
+        assert lines == bytes(coordinate_line(*c, p) for c in group.coords)
+        for j, m in enumerate(group.maximal_subgroups()):
+            assert [x in m for x in group] == [k in (j, p + 1) for k in lines]
+    with pytest.raises(ValueError, match="level-1"):
+        enumerate_quotient(DefiningVector(3, (1, 0)), 1).lines()
 
 
 def test_level_stabilizers(gs_g3):

@@ -319,23 +319,3 @@ def test_replay_rejects_corrupt_witness(gs):
     doc["witnesses"]["triple_1"][0] = tampered
     with pytest.raises(ValueError, match=f"not an element of this quotient: {tampered}"):
         replay_certificate(doc)
-
-
-def test_worker_determinism(e10, gs):
-    for claim, v, n in (("thm-B", e10, 2), ("lemma-comms-b", gs, 3)):
-        one = verify_claim(claim, v, n, workers=1)
-        two = verify_claim(claim, v, n, workers=2)
-        assert one.canonical_json() == two.canonical_json()
-
-
-def test_power_class_scans_match_across_workers(e10):
-    # The collision scan, the exponent check and the socle table map batched
-    # p-power chains over power classes; a pool must change no byte.
-    for claim, v, n in (
-        ("prop-collision", e10, 3),
-        ("thm-G2", DefiningVector(5, (1, 4, 1, 4)), 2),
-    ):
-        one = verify_claim(claim, v, n, workers=1)
-        two = verify_claim(claim, v, n, workers=2)
-        assert one.verified
-        assert one.canonical_json() == two.canonical_json()
