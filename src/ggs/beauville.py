@@ -36,6 +36,7 @@ from .quotient import (
     coordinate_line,
     map_power_classes,
     p_power_chains,
+    stage,
 )
 
 __all__ = [
@@ -132,7 +133,7 @@ def cyclic_powers(x: Portrait) -> list[Portrait]:
 
 def cyclic_subgroup(group: QuotientGroup, x: Portrait) -> SubgroupHandle:
     """The cyclic subgroup <x> as a handle."""
-    return SubgroupHandle(group, (group.identity, *cyclic_powers(x)), (x,))
+    return SubgroupHandle((group.identity, *cyclic_powers(x)), (x,))
 
 
 def subgroup_conjugation_orbit(
@@ -176,12 +177,11 @@ def _socles(batch: list[Portrait]) -> list[bytes | None]:
     return [levels[e - 1][j] if e else None for j, e in enumerate(exps)]
 
 
+@stage
 def _socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
     """Per-element id of the conjugation orbit of its socle subgroup.  An
     orbit is named by the least class index among the powers of a socle, and
     the names are numbered densely in order of first appearance."""
-    if "socle" in group.cache:
-        return group.cache["socle"]  # type: ignore[return-value]
     classes = group.conjugacy_classes()
     class_of = {y.labels: c for c, cls in enumerate(classes) for y in cls}
     dense: dict[int, int] = {}  # orbit name -> id
@@ -195,7 +195,6 @@ def _socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
             name = min(class_of[w.labels] for w in cyclic_powers(classes[c][0]))
             orbit_of[c] = dense.setdefault(name, len(dense))
         ids[x.labels] = orbit_of[c]
-    group.cache["socle"] = (ids, len(dense))
     return ids, len(dense)
 
 
@@ -257,10 +256,9 @@ def is_beauville_pair(
     return cert
 
 
+@stage
 def _sorted_elements(group: QuotientGroup) -> list[Portrait]:
-    if "sorted" not in group.cache:
-        group.cache["sorted"] = sorted(group.elements)
-    return group.cache["sorted"]  # type: ignore[return-value]
+    return sorted(group.elements)
 
 
 def _generating_pairs(group: QuotientGroup) -> Iterator[tuple[Portrait, Portrait]]:
@@ -272,6 +270,7 @@ def _generating_pairs(group: QuotientGroup) -> Iterator[tuple[Portrait, Portrait
                 yield x, y
 
 
+@stage
 def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     """All realizable triple signatures, complete up to conjugation.
 
@@ -280,8 +279,6 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     conjugation, which realizes every signature.  Each signature maps to the
     first pair realizing it, in the order stated by TABLE_ORDER.
     """
-    if "signatures" in group.cache:
-        return group.cache["signatures"]  # type: ignore[return-value]
     ids, count = _socle_data(group)
     elements = group.elements
     table: dict[frozenset[int], list[str]] = {}
@@ -297,7 +294,6 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
                     )
                     if sig not in table:
                         table[sig] = [rep.encode(), y.encode()]
-        group.cache["signatures"] = table
         return table
     # From level 2 on, {x, y} generates exactly when the coordinate
     # determinant is nonzero, and then x, y and xy are all nontrivial.  Each
@@ -337,7 +333,6 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
             if sig not in table:
                 y = elements[partners[keys.index(key)]]
                 table[sig] = [rep.encode(), y.encode()]
-    group.cache["signatures"] = table
     return table
 
 

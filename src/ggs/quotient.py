@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import gc
 from array import array
-from functools import lru_cache, reduce as fold
+from functools import cached_property, lru_cache, reduce as fold, wraps
 from itertools import chain, compress, repeat
-from operator import attrgetter, is_, itemgetter, or_
+from operator import attrgetter, getitem, is_, itemgetter, or_
 from struct import Struct
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, cast
 
 from .generators import DefiningVector, make_a, make_b
 from .parallel import pmap
@@ -55,6 +55,7 @@ MAX_BATCH_VERTICES = 256
 WALK_CHUNK = 2048
 
 R = TypeVar("R")
+F = TypeVar("F", bound=Callable)
 
 
 # Deepest level accepted anywhere.  Portraits stop well before it (see
@@ -151,24 +152,42 @@ def coordinate_line(a: int, b: int, p: int) -> int:
     return 1 + b * pow(a, -1, p) % p if b else 0
 
 
+def stage(fn: F) -> F:
+    """Memoise a derived table of a group: fn(group, *args) runs once per
+    group and tuple of positional arguments, stored in the group's own dict
+    under the stage name plus the arguments.  Stored results must not refer
+    to the group, so that it is freed as soon as it is dropped.
+    """
+    name = fn.__qualname__
+
+    @wraps(fn)
+    def memo(group, *args):
+        key, store = (name, *args), group._stages
+        if key not in store:
+            store[key] = fn(group, *args)
+        return store[key]
+
+    return cast(F, memo)
+
+
 class SubgroupHandle:
     """A subgroup of an enumerated quotient: member set plus generating data."""
 
-    __slots__ = ("group", "elements", "keys", "_generators")
-
     def __init__(
         self,
-        group: "QuotientGroup",
         elements: tuple[Portrait, ...],
         generators: tuple[Portrait, ...] | None = None,
     ):
-        self.group = group
-        self.elements = elements
-        self.keys = frozenset(map(attrgetter("labels"), elements))
+        self.elements = elements  # distinct, so len() counts them
         self._generators = generators
 
+    @cached_property
+    def keys(self) -> frozenset[bytes]:
+        """The label keys of the members, built on first read."""
+        return frozenset(map(attrgetter("labels"), self.elements))
+
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.elements)
 
     def __iter__(self) -> Iterator[Portrait]:
         return iter(self.elements)
@@ -176,9 +195,6 @@ class SubgroupHandle:
     def __contains__(self, x: Portrait | bytes) -> bool:
         key = x.labels if isinstance(x, Portrait) else x
         return key in self.keys
-
-    def index(self) -> int:
-        return len(self.group) // len(self)
 
     @property
     def generators(self) -> tuple[Portrait, ...]:
@@ -189,8 +205,8 @@ class SubgroupHandle:
         r with every generator g, and a coset joins when y is not yet in.
         """
         if self._generators is None:
-            one = self.group.identity
-            shape = one.shape
+            shape = self.elements[0].shape
+            one = Portrait.identity(shape)
             gens: list[Portrait] = []
             have = {one.labels}
             labels, perms = [one.labels], [bytes(one.vertex_perm())]
@@ -482,7 +498,6 @@ class QuotientGroup:
             )
         self.vector = vector
         self.shape = tree_shape(vector.p, n)
-        self.budget = budget
 
         self.a = make_a(self.shape)
         self.b = make_b(vector, self.shape)
@@ -500,13 +515,14 @@ class QuotientGroup:
         finally:
             if collecting:
                 gc.enable()
-        self.cache: dict[str, object] = {}
+        self._stages: dict[tuple, object] = {}  # the store of every @stage method
 
     def _walk_queue(
         self, n: int, budget: int, predicted: int | str | None
-    ) -> tuple[tuple[Portrait, ...], dict[bytes, int], tuple[tuple[int, int], ...] | None]:
+    ) -> tuple[tuple[Portrait, ...], dict[bytes, int], tuple[bytes, bytes] | None]:
         """Breadth-first closure of 1 under right multiplication by a, b, a^-1
-        and b^-1, with exponent-sum coordinates.
+        and b^-1, with exponent-sum coordinates: one byte column per
+        generator, holding each element's exponent sum mod p.
 
         The queue is read in consecutive chunks.  Each chunk forms its
         products with every generator column-wise (_Batch.times), and the
@@ -564,7 +580,7 @@ class QuotientGroup:
                     raise RuntimeError("exponent-sum coordinates conflicted at level >= 2")
                 consistent = False  # level 1: b collapses onto the identity
             qi = stop
-        return tuple(elements), index, tuple(zip(*coords)) if consistent else None
+        return tuple(elements), index, tuple(map(bytes, coords)) if consistent else None
 
     # -- basic container behaviour -------------------------------------------
 
@@ -597,14 +613,12 @@ class QuotientGroup:
         """The interned element with the given label key or text encoding."""
         return self.elements[self._position(key)]
 
+    @stage
     def label_columns(self) -> tuple[bytes, ...]:
         """One bytes column per internal vertex: that vertex's label in every
         element, in enumeration order."""
-        if "columns" not in self.cache:
-            flat = b"".join(x.labels for x in self.elements)
-            m = self.shape.internal_count
-            self.cache["columns"] = tuple(flat[k::m] for k in range(m))
-        return self.cache["columns"]  # type: ignore[return-value]
+        rows = b"".join(x.labels for x in self.elements)
+        return tuple(_columns(rows, self.shape.internal_count))
 
     def left_products(self, x: Portrait) -> bytearray:
         """The labels of x*y for every element y, concatenated in enumeration
@@ -625,17 +639,19 @@ class QuotientGroup:
         """Exponent sums of (a, b) modulo the derived subgroup."""
         if self.coords is None:
             raise ValueError("coordinates are undefined for the level-1 quotient")
-        return self.coords[self._index[x.labels]]
+        a, b = self.coords
+        i = self._index[x.labels]
+        return a[i], b[i]
 
+    @stage
     def lines(self) -> bytes:
         """The coordinate_line of every element, in enumeration order."""
-        if "lines" not in self.cache:
-            if self.coords is None:
-                raise ValueError("coordinates are undefined for the level-1 quotient")
-            p = self.vector.p
-            number = {(a, b): coordinate_line(a, b, p) for a in range(p) for b in range(p)}
-            self.cache["lines"] = bytes(map(number.__getitem__, self.coords))
-        return self.cache["lines"]  # type: ignore[return-value]
+        if self.coords is None:
+            raise ValueError("coordinates are undefined for the level-1 quotient")
+        a, b = self.coords
+        p = self.vector.p
+        rows = [bytes(coordinate_line(i, j, p) for j in range(p)) for i in range(p)]
+        return bytes(map(getitem, map(rows.__getitem__, a), b))
 
     def is_generating_pair(self, x: Portrait, y: Portrait) -> bool:
         """Whether {x, y} generates the quotient."""
@@ -649,7 +665,7 @@ class QuotientGroup:
     # -- subgroup machinery ----------------------------------------------------
 
     def as_subgroup(self) -> SubgroupHandle:
-        return SubgroupHandle(self, self.elements, (self.a, self.b))
+        return SubgroupHandle(self.elements, (self.a, self.b))
 
     def _conjugations(
         self, conjugators: Iterable[Portrait] | None = None
@@ -661,23 +677,22 @@ class QuotientGroup:
             pairs = [(c, c.inverse()) for c in _distinct(conjugators)]
         return [lambda batch, c=c, ci=ci: batch.conjugate(c, ci) for c, ci in pairs]
 
+    @stage
     def _conjugation_tables(self) -> tuple[array, array]:
         """The index of x^a and the index of x^b, for every element x in
         enumeration order; built chunk by chunk with _Batch.conjugate."""
-        if "conjugation" not in self.cache:
-            elements, index = self.elements, self._index
-            m = self.shape.internal_count
-            tables = (array("I"), array("I"))
-            pairs = ((self.a, self.a_inv), (self.b, self.b_inv))
-            for start in range(0, len(elements), WALK_CHUNK):
-                chunk = elements[start : start + WALK_CHUNK]
-                labels = b"".join(map(attrgetter("labels"), chunk))
-                batch = _Batch(self.shape, labels, _perm_rows(chunk))
-                for table, (c, ci) in zip(tables, pairs):
-                    keys = _split(_rows(batch.conjugate(c, ci), batch.width), m)
-                    table.extend(map(index.__getitem__, keys))
-            self.cache["conjugation"] = tables
-        return self.cache["conjugation"]  # type: ignore[return-value]
+        elements, index = self.elements, self._index
+        m = self.shape.internal_count
+        tables = (array("I"), array("I"))
+        pairs = ((self.a, self.a_inv), (self.b, self.b_inv))
+        for start in range(0, len(elements), WALK_CHUNK):
+            chunk = elements[start : start + WALK_CHUNK]
+            labels = b"".join(map(attrgetter("labels"), chunk))
+            batch = _Batch(self.shape, labels, _perm_rows(chunk))
+            for table, (c, ci) in zip(tables, pairs):
+                keys = _split(_rows(batch.conjugate(c, ci), batch.width), m)
+                table.extend(map(index.__getitem__, keys))
+        return tables
 
     def normal_closure(
         self, seeds: Iterable[Portrait], conjugators: Iterable[Portrait] | None = None
@@ -691,47 +706,39 @@ class QuotientGroup:
         conjugate of every seed, which generate the normal closure.
         """
         steps = _right(_distinct(seeds)) + self._conjugations(conjugators)
-        return SubgroupHandle(self, tuple(_walk(self, [self.identity], steps)))
+        return SubgroupHandle(tuple(_walk(self, [self.identity], steps)))
 
+    @stage
     def derived_subgroup(self) -> SubgroupHandle:
         """Normal closure of [a, b]."""
-        if "derived" not in self.cache:
-            self.cache["derived"] = self.normal_closure([commutator(self.a, self.b)])
-        return self.cache["derived"]  # type: ignore[return-value]
+        return self.normal_closure([commutator(self.a, self.b)])
 
+    @stage
     def center(self) -> SubgroupHandle:
         """The elements fixed by conjugation with a and with b."""
-        if "center" not in self.cache:
-            by_a, by_b = self._conjugation_tables()
-            members = tuple(
-                x for i, x in enumerate(self.elements) if by_a[i] == i and by_b[i] == i
-            )
-            self.cache["center"] = SubgroupHandle(self, members)
-        return self.cache["center"]  # type: ignore[return-value]
+        by_a, by_b = self._conjugation_tables()
+        members = tuple(x for i, x in enumerate(self.elements) if by_a[i] == i and by_b[i] == i)
+        return SubgroupHandle(members)
 
+    @stage
     def frattini(self) -> SubgroupHandle:
         """Derived subgroup together with all p-th powers."""
-        if "frattini" not in self.cache:
-            derived = self.derived_subgroup()
-            p = self.vector.p
-            powers = _distinct(q for g in self.elements if (q := g**p) not in derived)
-            members = _walk(self, derived.elements, _right(powers))
-            self.cache["frattini"] = SubgroupHandle(self, tuple(members))
-        return self.cache["frattini"]  # type: ignore[return-value]
+        derived = self.derived_subgroup()
+        p = self.vector.p
+        powers = _distinct(q for g in self.elements if (q := g**p) not in derived)
+        return SubgroupHandle(tuple(_walk(self, derived.elements, _right(powers))))
 
+    @stage
     def level_stabilizer(self, k: int) -> SubgroupHandle:
         """Elements acting trivially on the first k levels."""
-        key = f"stab:{k}"
-        if key not in self.cache:
-            members = tuple(g for g in self.elements if g.stabilizes_level(k))
-            self.cache[key] = SubgroupHandle(self, members)
-        return self.cache[key]  # type: ignore[return-value]
+        return SubgroupHandle(tuple(g for g in self.elements if g.stabilizes_level(k)))
 
     def subgroup_commutator(self, h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
         """[H, K]: normal closure in <H, K> of the generator commutators."""
         seeds = [commutator(x, y) for x in h.generators for y in k.generators]
         return self.normal_closure(seeds, h.generators + k.generators)
 
+    @stage
     def maximal_subgroups(self) -> list[SubgroupHandle]:
         """The p+1 maximal subgroups <a, G'>, <b, G'>, <ab^i, G'> for n >= 2,
         in the order of coordinate_line: each holds the elements on its
@@ -744,8 +751,6 @@ class QuotientGroup:
         """
         if self.shape.n < 2:
             raise ValueError("maximal subgroups are tabulated for levels >= 2")
-        if "maximal" in self.cache:
-            return self.cache["maximal"]  # type: ignore[return-value]
         p = self.vector.p
         if len(self) != p * p * len(self.derived_subgroup()):
             raise RuntimeError("derived subgroup does not have index p^2")
@@ -755,8 +760,7 @@ class QuotientGroup:
             on_line = bytearray(256)
             on_line[j] = on_line[p + 1] = 1
             members = compress(self.elements, lines.translate(on_line))
-            out.append(SubgroupHandle(self, tuple(members)))
-        self.cache["maximal"] = out
+            out.append(SubgroupHandle(tuple(members)))
         return out
 
     def _class_of(self, i: int) -> list[int]:
@@ -776,10 +780,9 @@ class QuotientGroup:
         elements (which already carry their vertex permutations)."""
         return tuple(map(self.elements.__getitem__, self._class_of(self._position(x.labels))))
 
+    @stage
     def conjugacy_classes(self) -> list[tuple[Portrait, ...]]:
         """All conjugacy classes, in order of first appearance."""
-        if "classes" in self.cache:
-            return self.cache["classes"]  # type: ignore[return-value]
         elements = self.elements
         assigned = bytearray(len(elements))
         classes = []
@@ -790,7 +793,6 @@ class QuotientGroup:
             for j in orbit:
                 assigned[j] = 1
             classes.append(tuple(map(elements.__getitem__, orbit)))
-        self.cache["classes"] = classes
         return classes
 
     def order_histogram(self) -> dict[int, int]:

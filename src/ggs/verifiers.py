@@ -341,7 +341,7 @@ def _pigeonhole_checks(cert: Certificate, group: QuotientGroup) -> bool:
     """
     p = group.vector.p
     assert group.coords is not None
-    realized = {c for c in group.coords if c != (0, 0)}
+    realized = set(zip(*group.coords)) - {(0, 0)}
     ok = cert.check(
         "coords_realized",
         len(realized) == p * p - 1,

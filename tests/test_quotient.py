@@ -1,7 +1,9 @@
 """Finite quotient enumeration and subgroup machinery."""
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from ggs import (
     predicted_order,
 )
 from ggs import quotient
+from ggs.beauville import _signature_table
 from ggs.quotient import (
     MAX_BATCH_VERTICES,
     MAX_LEVEL,
@@ -119,7 +122,11 @@ def test_walk_matches_queue_walk(p, e, n):
     group = enumerate_quotient(v, n)
     expected, coords = queue_walk(v, n)
     assert [x.labels for x in group.elements] == [x.labels for x in expected]
-    assert group.coords == coords
+    if coords is None:
+        assert group.coords is None
+    else:
+        assert [type(column) for column in group.coords] == [bytes, bytes]
+        assert tuple(zip(*group.coords)) == coords
     assert group._index == {x.labels: i for i, x in enumerate(expected)}
     assert [x._perm for x in group.elements] == [x._perm for x in expected]
     for x in group.elements[:: max(1, len(group) // 500)]:
@@ -207,7 +214,6 @@ def test_derived_subgroup(gs_g2, gs_g3, e10_g2):
     for group, size in ((gs_g2, 3), (gs_g3, 243), (e10_g2, 9)):
         der = group.derived_subgroup()
         assert len(der) == size
-        assert der.index() == len(group) // size
         assert len(group) == size * group.vector.p ** 2  # index p^2 always
 
 
@@ -297,7 +303,7 @@ def test_coordinate_line_numbering(gs_g2, e10_g3):
         assert coordinate_line(0, 0, p) == coordinate_line(p, -p, p) == p + 1
     for group in (gs_g2, e10_g3):
         p, lines = group.vector.p, group.lines()
-        assert lines == bytes(coordinate_line(*c, p) for c in group.coords)
+        assert lines == bytes(coordinate_line(*c, p) for c in zip(*group.coords))
         for j, m in enumerate(group.maximal_subgroups()):
             assert [x in m for x in group] == [k in (j, p + 1) for k in lines]
     with pytest.raises(ValueError, match="level-1"):
@@ -382,7 +388,7 @@ def test_subgroup_generators(gs_g2, e10_g2):
         for h in handles:
             assert frozenset(brute_generated(group, h.generators)) == h.keys
             # The coset-growing pick equals the pick that re-closes each time.
-            fresh = SubgroupHandle(group, h.elements)
+            fresh = SubgroupHandle(h.elements)
             assert list(fresh.generators) == greedy_generators(group, h.elements)
 
 
@@ -460,3 +466,42 @@ def test_lower_central_series_matches_reference(gs_g2, gs_g3, e10_g2):
             expected.append(brute_normal_closure(group, seeds, [a, b]))
             members = [group.element(k) for k in expected[-1]]
         assert [h.keys for h in group.lower_central_series()] == expected
+
+
+def test_stages_are_memoised_per_argument(e10):
+    group = enumerate_quotient(e10, 2)
+    for stage in (
+        group.derived_subgroup,
+        group.center,
+        group.frattini,
+        group.maximal_subgroups,
+        group.conjugacy_classes,
+        group.lines,
+        group.label_columns,
+    ):
+        assert stage() is stage()
+    assert _signature_table(group) is _signature_table(group)
+    st1, st2 = group.level_stabilizer(1), group.level_stabilizer(2)
+    assert group.level_stabilizer(1) is st1 and group.level_stabilizer(2) is st2
+    assert (len(st1), len(st2)) == (27, 1)
+
+
+def test_finished_group_is_freed_without_the_cyclic_collector(e10):
+    """No derived table refers back to its group, so dropping the last
+    reference frees the group at once, with the cyclic collector off."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        group = enumerate_quotient(e10, 2)
+        group.derived_subgroup().generators
+        group.center()
+        group.maximal_subgroups()
+        group.level_stabilizer(1)
+        group.conjugacy_classes()
+        _signature_table(group)
+        ref = weakref.ref(group)
+        del group
+        assert ref() is None
+    finally:
+        if collecting:
+            gc.enable()
