@@ -308,7 +308,6 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     # maximal subgroup: the mask of the elements off it and off the origin
     # (those completing a generating pair), their scaled socle ids and their
     # positions.
-    lines = group.lines()
     partners_of: dict[int, tuple[bytes, list[int], list[int]]] = {}
     for cls in group.conjugacy_classes():
         rep = min(cls)
@@ -316,9 +315,7 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
         if line == p + 1:
             continue  # a Frattini element lies in no generating pair
         if line not in partners_of:
-            off_line = bytearray([1]) * 256
-            off_line[line] = off_line[p + 1] = 0
-            mask = lines.translate(off_line)
+            mask = group.line_mask(*(j for j in range(p + 1) if j != line))
             partners_of[line] = (
                 mask,
                 [socle_of(y.labels) * count for y in compress(elements, mask)],

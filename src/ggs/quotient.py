@@ -2,10 +2,10 @@
 
 The level-n quotient is the image of the group in the automorphisms of the
 depth-n tree, produced by breadth-first closure of {a, b} under right
-multiplication.  Exponent-sum coordinates modulo the derived subgroup are
-tracked during the walk; for n >= 2 the derived quotient is C_p x C_p, so
-these coordinates decide generation and maximal-subgroup membership
-without further closures.
+multiplication.  Exponent-sum coordinates are tracked during the walk; for
+n >= 2 they map G onto G/G' = C_p x C_p, so the derived subgroup, the p + 1
+maximal subgroups and generation are all read off them (lines()) without
+further closures, and the Frattini subgroup G'G^p equals G'.
 """
 
 from __future__ import annotations
@@ -231,11 +231,9 @@ class SubgroupHandle:
         return self._generators
 
 
-def _walk(
-    group: "QuotientGroup", start: Iterable[Portrait], steps: list[Callable]
-) -> list[Portrait]:
-    """The interned elements reachable from start under the step maps, in
-    discovery order, start first.
+def _walk(group: "QuotientGroup", steps: list[Callable]) -> list[Portrait]:
+    """The interned elements reachable from 1 under the step maps, in
+    discovery order, 1 first.
 
     A step map takes a _Batch to the label columns of its images.  The found
     list is read in chunks of WALK_CHUNK elements, each step applied to a
@@ -244,8 +242,8 @@ def _walk(
     """
     shape, elements, index = group.shape, group.elements, group._index
     m = shape.internal_count
-    found = [elements[index[x.labels]] for x in start]
-    seen = {x.labels for x in found}
+    found = [group.identity]
+    seen = {group.identity.labels}
     done = 0
     while done < len(found):  # found grows while it is read: breadth-first order
         chunk = found[done : done + WALK_CHUNK]
@@ -653,6 +651,14 @@ class QuotientGroup:
         rows = [bytes(coordinate_line(i, j, p) for j in range(p)) for i in range(p)]
         return bytes(map(getitem, map(rows.__getitem__, a), b))
 
+    def line_mask(self, *lines: int) -> bytes:
+        """One byte per element in enumeration order: 1 when its
+        coordinate_line is one of lines, else 0."""
+        table = bytearray(256)
+        for j in lines:
+            table[j] = 1
+        return self.lines().translate(table)
+
     def is_generating_pair(self, x: Portrait, y: Portrait) -> bool:
         """Whether {x, y} generates the quotient."""
         if x.labels not in self._index or y.labels not in self._index:
@@ -660,22 +666,12 @@ class QuotientGroup:
         if self.coords is not None:
             (ax, bx), (ay, by) = self.coords_of(x), self.coords_of(y)
             return (ax * by - ay * bx) % self.vector.p != 0
-        return len(_walk(self, [self.identity], _right([x, y]))) == len(self)
+        return len(_walk(self, _right([x, y]))) == len(self)
 
     # -- subgroup machinery ----------------------------------------------------
 
     def as_subgroup(self) -> SubgroupHandle:
         return SubgroupHandle(self.elements, (self.a, self.b))
-
-    def _conjugations(
-        self, conjugators: Iterable[Portrait] | None = None
-    ) -> list[Callable]:
-        """Step maps x -> x^c = c^-1 x c, by a and b unless conjugators are given."""
-        if conjugators is None:
-            pairs = [(self.a, self.a_inv), (self.b, self.b_inv)]
-        else:
-            pairs = [(c, c.inverse()) for c in _distinct(conjugators)]
-        return [lambda batch, c=c, ci=ci: batch.conjugate(c, ci) for c, ci in pairs]
 
     @stage
     def _conjugation_tables(self) -> tuple[array, array]:
@@ -695,23 +691,38 @@ class QuotientGroup:
         return tables
 
     def normal_closure(
-        self, seeds: Iterable[Portrait], conjugators: Iterable[Portrait] | None = None
+        self, seeds: Iterable[Portrait], conjugators: Iterable[Portrait]
     ) -> SubgroupHandle:
-        """Smallest subgroup containing the seeds and closed under conjugation.
+        """Smallest subgroup containing the seeds and closed under conjugation
+        by the conjugators.
 
-        One walk from 1 under x -> x*s (s a seed) and x -> x^c (c a
-        conjugator).  The group is finite, so x -> x^(c^-1) is a power of
-        x -> x^c and the walked set also holds x * s^c = (x^(c^-1) * s)^c;
+        One walk from 1 under x -> x*s (s a seed) and x -> x^c = c^-1 x c
+        (c a conjugator).  The group is finite, so x -> x^(c^-1) is a power
+        of x -> x^c and the walked set also holds x * s^c = (x^(c^-1) * s)^c;
         by induction it is closed under right multiplication by every
         conjugate of every seed, which generate the normal closure.
         """
-        steps = _right(_distinct(seeds)) + self._conjugations(conjugators)
-        return SubgroupHandle(tuple(_walk(self, [self.identity], steps)))
+        conjugations = [
+            lambda batch, c=c, ci=c.inverse(): batch.conjugate(c, ci)
+            for c in _distinct(conjugators)
+        ]
+        steps = _right(_distinct(seeds)) + conjugations
+        return SubgroupHandle(tuple(_walk(self, steps)))
 
     @stage
     def derived_subgroup(self) -> SubgroupHandle:
-        """Normal closure of [a, b]."""
-        return self.normal_closure([commutator(self.a, self.b)])
+        """G', in enumeration order: the elements on line p + 1, at (0, 0).
+
+        For n >= 2 the coordinates map G onto C_p x C_p (the walk checked
+        that they add along every product by a and b), so their kernel K
+        contains G' and has index p^2.  G/G' is abelian and generated by the
+        images of a and b, both of order p, so |G:G'| <= p^2.  Hence K = G'.
+        At level 1 the quotient is <a> = C_p, abelian, so G' = 1.
+        """
+        if self.coords is None:
+            return SubgroupHandle((self.identity,))
+        p = self.vector.p
+        return SubgroupHandle(tuple(compress(self.elements, self.line_mask(p + 1))))
 
     @stage
     def center(self) -> SubgroupHandle:
@@ -719,14 +730,6 @@ class QuotientGroup:
         by_a, by_b = self._conjugation_tables()
         members = tuple(x for i, x in enumerate(self.elements) if by_a[i] == i and by_b[i] == i)
         return SubgroupHandle(members)
-
-    @stage
-    def frattini(self) -> SubgroupHandle:
-        """Derived subgroup together with all p-th powers."""
-        derived = self.derived_subgroup()
-        p = self.vector.p
-        powers = _distinct(q for g in self.elements if (q := g**p) not in derived)
-        return SubgroupHandle(tuple(_walk(self, derived.elements, _right(powers))))
 
     @stage
     def level_stabilizer(self, k: int) -> SubgroupHandle:
@@ -744,24 +747,16 @@ class QuotientGroup:
         in the order of coordinate_line: each holds the elements on its
         line, in enumeration order.
 
-        The coordinates map G onto C_p x C_p (the walk checked that they add
-        along every product by a and b), so their kernel has index p^2 and
-        holds G'.  Once G' has index p^2 too, the kernel is G', and <x, G'>
-        is the preimage of the line through the coordinates of x.
+        The coordinate kernel is G' (derived_subgroup), so <x, G'> is the
+        preimage of the line through the coordinates of x.
         """
         if self.shape.n < 2:
             raise ValueError("maximal subgroups are tabulated for levels >= 2")
         p = self.vector.p
-        if len(self) != p * p * len(self.derived_subgroup()):
-            raise RuntimeError("derived subgroup does not have index p^2")
-        lines = self.lines()
-        out = []
-        for j in range(p + 1):
-            on_line = bytearray(256)
-            on_line[j] = on_line[p + 1] = 1
-            members = compress(self.elements, lines.translate(on_line))
-            out.append(SubgroupHandle(tuple(members)))
-        return out
+        return [
+            SubgroupHandle(tuple(compress(self.elements, self.line_mask(j, p + 1))))
+            for j in range(p + 1)
+        ]
 
     def _class_of(self, i: int) -> list[int]:
         """Indices of the conjugacy class of element i, in discovery order:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
+from itertools import compress
 from typing import Callable, NamedTuple
 
 from .beauville import (
@@ -244,7 +245,8 @@ def _exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
 
 
 def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
-    """Power-collision battery over every <ab^i, derived> coset element.
+    """Power-collision battery over every <ab^i, derived> coset element: the
+    elements on line 1 + i of the coordinate plane.
 
     Adds checks for: order p^n outside the derived subgroup, the coordinate
     decomposition g = (ab^i)^k * derived, the power collision
@@ -252,8 +254,6 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     At level 2 it also checks that the common subgroup is the center.
     """
     p, n = group.vector.p, group.shape.n
-    derived = group.derived_subgroup()
-    maxes = group.maximal_subgroups()
     all_ok = True
     z_keysets: set[frozenset] = set()
     total = 0
@@ -261,7 +261,8 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     power_bad: list[Portrait] = []
     coords_bad: list[Portrait] = []
     for i in range(1, p):
-        outside = [x for x in maxes[1 + i].elements if x.labels not in derived.keys]
+        on_line = group.line_mask(1 + i)
+        outside = list(compress(group.elements, on_line))
         total += len(outside)
         step = (group.a * group.b**i) ** (p ** (n - 1))
         if step.is_identity() or not (step**p).is_identity():
@@ -270,10 +271,12 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
             continue
         step_powers = cyclic_powers(step)  # step^k at index k - 1
         z_keysets.add(cyclic_subgroup(group, step).keys)
-        for x, (o, top) in zip(outside, map_power_classes(_orders_and_tops, outside)):
+        coords = zip(*(compress(column, on_line) for column in group.coords))
+        for x, (k, ki), (o, top) in zip(
+            outside, coords, map_power_classes(_orders_and_tops, outside)
+        ):
             if o != p**n:
                 order_bad.append(x)
-            k, ki = group.coords_of(x)
             if not (1 <= k <= p - 1) or ki != (k * i) % p:
                 coords_bad.append(x)
             elif top != step_powers[k - 1].labels:

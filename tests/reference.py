@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb, lcm
 
-from ggs import DefiningVector, Portrait, QuotientGroup, TreeShape, tree_shape
+from ggs import DefiningVector, Portrait, QuotientGroup, TreeShape, commutator, tree_shape
 from ggs.beauville import _socle_data
 from ggs.generators import make_a, make_b
 
@@ -205,12 +205,14 @@ def element_walk(start: list[Portrait], steps: list) -> list[bytes]:
 
 
 def brute_coords(group: QuotientGroup, x: Portrait) -> tuple[int, int]:
-    """Image of x in G/G' as (a-exponent, b-exponent), by scanning all cosets."""
-    derived = group.derived_subgroup()
+    """Image of x in G/G' as (a-exponent, b-exponent), by scanning all cosets
+    of G' built as the normal closure of [a, b]."""
+    a, b = group.a, group.b
+    derived = brute_normal_closure(group, [commutator(a, b)], [a, b])
     for i in range(group.vector.p):
         for j in range(group.vector.p):
-            rep = group.a**i * group.b**j
-            if (rep.inverse() * x).labels in derived.keys:
+            rep = a**i * b**j
+            if (rep.inverse() * x).labels in derived:
                 return (i, j)
     raise AssertionError("element not covered by the a^i b^j G' cosets")
 

@@ -218,8 +218,14 @@ def test_derived_subgroup(gs_g2, gs_g3, e10_g2):
 
 
 def test_frattini_equals_derived(gs_g2, gs_g3, e10_g2):
+    """Phi = G'G^p, closed from the brute G' and the distinct p-th powers,
+    is the derived subgroup: G/G' is elementary abelian."""
     for group in (gs_g2, gs_g3, e10_g2):
-        assert group.frattini().keys == group.derived_subgroup().keys
+        a, b, p = group.a, group.b, group.vector.p
+        derived = brute_normal_closure(group, [commutator(a, b)], [a, b])
+        powers = {(x**p).labels for x in group}
+        gens = [group.element(k) for k in sorted(derived | powers)]
+        assert frozenset(brute_generated(group, gens)) == group.derived_subgroup().keys
 
 
 def test_center(gs_g2, gs_g3, e10_g2):
@@ -273,10 +279,10 @@ def test_maximal_subgroups_match_brute_closures(gs_g3, e10_g3):
 
 def test_maximal_subgroups_partition(gs_g2):
     maxes = gs_g2.maximal_subgroups()
-    frat = gs_g2.frattini()
+    derived = gs_g2.derived_subgroup()
     for x in gs_g2:
         hits = sum(x in m for m in maxes)
-        assert hits == (4 if x.labels in frat.keys else 1)
+        assert hits == (4 if x.labels in derived.keys else 1)
 
 
 @given(data=st.data())
@@ -306,6 +312,9 @@ def test_coordinate_line_numbering(gs_g2, e10_g3):
         assert lines == bytes(coordinate_line(*c, p) for c in zip(*group.coords))
         for j, m in enumerate(group.maximal_subgroups()):
             assert [x in m for x in group] == [k in (j, p + 1) for k in lines]
+            assert group.line_mask(j) == bytes(k == j for k in lines)
+        assert group.line_mask() == bytes(len(group))
+        assert group.line_mask(*range(p + 2)) == bytes([1]) * len(group)
     with pytest.raises(ValueError, match="level-1"):
         enumerate_quotient(DefiningVector(3, (1, 0)), 1).lines()
 
@@ -317,7 +326,7 @@ def test_level_stabilizers(gs_g3):
     assert all(x.stabilizes_level(1) for x in st1)
     assert len(gs_g3.level_stabilizer(2)) == 81
     assert len(gs_g3.level_stabilizer(3)) == 1
-    assert gs_g3.normal_closure([gs_g3.b]).keys == st1.keys
+    assert gs_g3.normal_closure([gs_g3.b], [gs_g3.a, gs_g3.b]).keys == st1.keys
 
 
 def test_subgroup_commutator(gs_g3):
@@ -377,7 +386,7 @@ def test_subgroup_generators(gs_g2, e10_g2):
         handles = [
             group.as_subgroup(),
             group.derived_subgroup(),
-            group.frattini(),
+            group.normal_closure([commutator(group.a, group.b)], [group.a, group.b]),
             group.center(),
             st1,
             group.subgroup_commutator(st1, st1),
@@ -401,8 +410,9 @@ def _conjugation(c: Portrait):
 def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, chunk, monkeypatch):
     """Chunked column walks find elements in the order of a walk that takes
     one element and one step at a time: element-major, step-minor.  With the
-    default chunk the derived subgroup of e10_g3 (6561 elements) spans
-    several chunks; with chunks of 7 every walk does."""
+    default chunk the normal closure of [a, b] in e10_g3 (6561 elements)
+    spans several chunks; with chunks of 7 every walk does.  The derived
+    subgroup is read off the coordinates, in enumeration order."""
     groups = [e10_g3]
     if chunk is not None:
         monkeypatch.setattr(quotient, "WALK_CHUNK", chunk)
@@ -412,7 +422,9 @@ def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, chunk, monkeypatch)
         by_a, by_b = _conjugation(a), _conjugation(b)
         s = commutator(a, b)
         expected = element_walk([one], [lambda x: x * s, by_a, by_b])
-        assert [x.labels for x in group.derived_subgroup()] == expected
+        assert [x.labels for x in group.normal_closure([s], [a, b])] == expected
+        derived = group.derived_subgroup()
+        assert [x.labels for x in derived] == [x.labels for x in group if x in derived]
         closure = group.normal_closure([b, b], [a * b, a * b])
         expected = element_walk([one], [lambda x: x * b, _conjugation(a * b)])
         assert [x.labels for x in closure] == expected
@@ -431,18 +443,20 @@ def test_normal_closure_matches_reference(gs_g2, gs_g3, e10_g2):
     for group in (gs_g2, gs_g3, e10_g2):
         a, b = group.a, group.b
         for seeds, conjugators in (
-            ([b], None),
+            ([b], [a, b]),
             ([b], [a]),
             ([a], [b]),
             ([a * b * b], [a * b]),
-            ([group.identity], None),
+            ([group.identity], [a, b]),
         ):
-            expected = brute_normal_closure(group, seeds, conjugators or [a, b])
+            expected = brute_normal_closure(group, seeds, conjugators)
             assert group.normal_closure(seeds, conjugators).keys == expected
 
 
-def test_derived_and_stabilizer_commutator_match_reference(gs_g2, gs_g3, e10_g2, e10_g3):
-    for group in (gs_g2, gs_g3, e10_g2, e10_g3):
+def test_derived_and_stabilizer_commutator_match_reference(gs, gs_g2, gs_g3, e10_g2, e10_g3):
+    g1 = enumerate_quotient(gs, 1)
+    p5 = enumerate_quotient(DefiningVector(5, (1, 2, 3, 4)), 2)
+    for group in (g1, gs_g2, gs_g3, e10_g2, e10_g3, p5):
         a, b = group.a, group.b
         expected = brute_normal_closure(group, [commutator(a, b)], [a, b])
         assert group.derived_subgroup().keys == expected
@@ -451,6 +465,7 @@ def test_derived_and_stabilizer_commutator_match_reference(gs_g2, gs_g3, e10_g2,
         seeds = [commutator(x, y) for x in gens for y in gens]
         expected = brute_normal_closure(group, seeds, list(gens))
         assert group.subgroup_commutator(st1, st1).keys == expected
+    st1 = e10_g3.level_stabilizer(1)
     assert len(e10_g3.subgroup_commutator(st1, st1)) == 729
 
 
@@ -473,7 +488,6 @@ def test_stages_are_memoised_per_argument(e10):
     for stage in (
         group.derived_subgroup,
         group.center,
-        group.frattini,
         group.maximal_subgroups,
         group.conjugacy_classes,
         group.lines,
