@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import add, itemgetter
 from struct import Struct
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .certificate import CODE_VERSION, Certificate
 from .generators import make_a, make_b
-from .portrait import Portrait, PsiDecomposition, assemble, commutator, tree_shape
+from .portrait import Portrait, PsiDecomposition, TreeShape, assemble, commutator, tree_shape
 from .quotient import (
     BudgetExceeded,
     QuotientGroup,
@@ -152,10 +152,11 @@ def subgroup_conjugation_orbit(
 def _conjugates_of_powers(group: QuotientGroup, z: Portrait) -> set[bytes]:
     """The nontrivial members of every conjugate of <z>: the classes of the
     powers of z."""
+    keys = group.label_keys
     members: set[bytes] = set()
     for w in cyclic_powers(z):
         if w.labels not in members:
-            members.update(y.labels for y in group.conjugacy_class(w))
+            members.update(map(keys.__getitem__, group._class_of(group._position(w.labels))))
     return members
 
 
@@ -170,10 +171,10 @@ def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
 # -- socle-orbit signatures ----------------------------------------------------
 
 
-def _socles(batch: list[Portrait]) -> list[bytes | None]:
+def _socles(shape: TreeShape, rows: bytes, perm: Sequence[int]) -> list[bytes | None]:
     """Labels of the last nontrivial p-power of each member of a power class
     (a generator of the order-p subgroup of <x>), None for the identity."""
-    exps, levels = p_power_chains(batch)
+    exps, levels = p_power_chains(shape, rows, perm)
     return [levels[e - 1][j] if e else None for j, e in enumerate(exps)]
 
 
@@ -187,14 +188,15 @@ def _socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
     dense: dict[int, int] = {}  # orbit name -> id
     orbit_of: dict[int, int] = {}  # socle class -> id
     ids: dict[bytes, int] = {}
-    for x, s in zip(group.elements, map_power_classes(_socles, group.elements)):
+    keys = group.label_keys
+    for key, s in zip(keys, map_power_classes(_socles, group.shape, keys)):
         if s is None:
             continue
         c = class_of[s]
         if c not in orbit_of:
             name = min(class_of[w.labels] for w in cyclic_powers(classes[c][0]))
             orbit_of[c] = dense.setdefault(name, len(dense))
-        ids[x.labels] = orbit_of[c]
+        ids[key] = orbit_of[c]
     return ids, len(dense)
 
 

@@ -6,11 +6,18 @@ multiplication.  Exponent-sum coordinates are tracked during the walk; for
 n >= 2 they map G onto G/G' = C_p x C_p, so the derived subgroup, the p + 1
 maximal subgroups and generation are all read off them (lines()) without
 further closures, and the Frattini subgroup G'G^p equals G'.
+
+The walk stores its result as rows, not objects: the label key of every
+element (the bytes that also key the element index), one buffer of vertex
+permutations with m bytes per element (m internal vertices), and the
+coordinate columns.  The scans over every element (orders, powers, socles,
+conjugation tables, class members) read these rows.  The interned Portrait
+elements are built from them only when a caller asks for them, in one pass
+on the first read of `elements`, or one at a time through `element`.
 """
 
 from __future__ import annotations
 
-import gc
 from array import array
 from functools import cached_property, lru_cache, reduce as fold, wraps
 from itertools import chain, compress, repeat
@@ -231,28 +238,30 @@ class SubgroupHandle:
         return self._generators
 
 
-def _walk(group: "QuotientGroup", steps: list[Callable]) -> list[Portrait]:
-    """The interned elements reachable from 1 under the step maps, in
-    discovery order, 1 first.
+def _walk(group: "QuotientGroup", steps: list[Callable]) -> list[int]:
+    """Enumeration indices of the elements reachable from 1 under the step
+    maps, in discovery order, 1 first.
 
     A step map takes a _Batch to the label columns of its images.  The found
     list is read in chunks of WALK_CHUNK elements, each step applied to a
     whole chunk at once, and new elements join in the order a one-at-a-time
     walk finds them: element-major, step-minor.
     """
-    shape, elements, index = group.shape, group.elements, group._index
+    shape, keys, index = group.shape, group.label_keys, group._index
     m = shape.internal_count
-    found = [group.identity]
-    seen = {group.identity.labels}
+    found = [0]
+    seen = {0}
     done = 0
     while done < len(found):  # found grows while it is read: breadth-first order
         chunk = found[done : done + WALK_CHUNK]
-        batch = _Batch(shape, b"".join(map(attrgetter("labels"), chunk)), _perm_rows(chunk))
+        batch = _Batch(
+            shape, b"".join(map(keys.__getitem__, chunk)), b"".join(map(group._perm_row, chunk))
+        )
         columns = [column for step in steps for column in step(batch)]
-        keys = dict.fromkeys(_split(_rows(columns, len(chunk)), m))
-        new = [key for key in keys if key not in seen]
+        images = map(index.__getitem__, dict.fromkeys(_split(_rows(columns, len(chunk)), m)))
+        new = [i for i in images if i not in seen]
         seen.update(new)
-        found += map(elements.__getitem__, map(index.__getitem__, new))
+        found += new
         done += len(chunk)
     return found
 
@@ -310,11 +319,6 @@ def _split(rows: bytes, m: int) -> list[bytes]:
 def _vertex_table(values: Sequence[int]) -> bytes:
     """Translate table taking vertex index v to values[v]."""
     return bytes(values).ljust(256, b"\0")
-
-
-def _perm_rows(xs: Iterable[Portrait]) -> bytes:
-    """The vertex permutations of xs as concatenated byte rows."""
-    return b"".join(map(bytes, map(Portrait.vertex_perm, xs)))
 
 
 @lru_cache(maxsize=None)
@@ -414,22 +418,21 @@ def _sum_mod(terms: Iterable[int], width: int, reduce: bytes, room: int) -> byte
     return total.to_bytes(width, "little").translate(reduce)
 
 
-def p_power_chains(batch: Sequence[Portrait]) -> tuple[bytes, list[list[bytes]]]:
+def p_power_chains(
+    shape: TreeShape, rows: bytes, perm: Sequence[int]
+) -> tuple[bytes, list[list[bytes]]]:
     """The p-power chains x, x^p, ..., x^(p^(n-1)) of a batch of elements
     that share their labels above the last level, and so one vertex
-    permutation pi.
+    permutation perm; rows holds their labels, concatenated.
 
-    Returns the order exponents (the order of batch[j] is p^exps[j]) and,
+    Returns the order exponents (the order of member j is p^exps[j]) and,
     for i = 0..n-1, the labels of every x^(p^i).  With x^(j+1) = x^j * x
     and pi_(x^j) = pi^j, label column k of x^p is the sum of the columns
     pi^j(k) for j < p, and every member's x^p shares the permutation pi^p.
     """
-    shape = batch[0].shape
     p, m, reduce = shape.p, shape.internal_count, shape.reduce
-    width = len(batch)
+    width = len(rows) // m
     room = 255 // (p - 1)
-    perm = batch[0].vertex_perm()
-    rows = b"".join(x.labels for x in batch)
     exps = 0
     levels: list[list[bytes]] = []
     for _ in range(shape.n):
@@ -456,24 +459,36 @@ def p_power_chains(batch: Sequence[Portrait]) -> tuple[bytes, list[list[bytes]]]
 
 
 def map_power_classes(
-    fn: Callable[[list[Portrait]], list[R]], xs: Sequence[Portrait]
+    fn: Callable[[TreeShape, bytes, Sequence[int]], list[R]],
+    shape: TreeShape,
+    keys: Sequence[bytes],
 ) -> list[R]:
-    """fn over xs split into power classes, with results in the order of xs.
+    """fn over the elements with the given label keys, split into power
+    classes, with results in the order of keys.
 
     A power class holds the elements sharing their labels above the last
-    level, the batch p_power_chains takes; fn returns one result per member.
+    level: fn takes its rows and shared vertex permutation, as
+    p_power_chains does, and returns one result per member.
     """
-    if not xs:
-        return []
-    cut = slice(xs[0].shape.level_starts[xs[0].shape.n - 1])
-    keys = list(map(itemgetter(cut), map(attrgetter("labels"), xs)))
-    classes: dict[bytes, list[Portrait]] = {}
-    for key, x in zip(keys, xs):
-        classes.setdefault(key, []).append(x)
-    # Members of a class keep their order in xs, so each element takes the
+    tops = list(map(itemgetter(slice(shape.level_starts[shape.n - 1])), keys))
+    classes: dict[bytes, list[bytes]] = {}
+    for top, key in zip(tops, keys):
+        classes.setdefault(top, []).append(key)
+
+    def run(members: list[bytes]) -> list[R]:
+        return fn(shape, b"".join(members), Portrait(shape, members[0]).vertex_perm())
+
+    # Members of a class keep their order in keys, so each element takes the
     # next unused result of its class.
-    results = dict(zip(classes, map(iter, pmap(fn, classes.values()))))
-    return list(map(next, map(results.__getitem__, keys)))
+    results = dict(zip(classes, map(iter, pmap(run, classes.values()))))
+    return list(map(next, map(results.__getitem__, tops)))
+
+
+def _interned(shape: TreeShape, key: bytes, perm: tuple[int, ...]) -> Portrait:
+    """The element with label key, carrying its vertex permutation perm."""
+    x = object.__new__(Portrait)
+    x.shape, x.labels, x._perm = shape, key, perm
+    return x
 
 
 class QuotientGroup:
@@ -503,21 +518,17 @@ class QuotientGroup:
         self.b_inv = self.b.inverse()
         self.identity = Portrait.identity(self.shape)
         self.identity.vertex_perm()
-        # The walk makes two tracked objects per element and no reference
-        # cycles, so the cyclic collector's repeated passes over the growing
-        # queue would find nothing; it is paused while the walk runs.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            self.elements, self._index, self.coords = self._walk_queue(n, budget, predicted)
-        finally:
-            if collecting:
-                gc.enable()
+        self.label_keys, self._index, self._perms, self.coords = self._walk_queue(
+            n, budget, predicted
+        )
+        # Elements built one at a time by index, before `elements` is; the
+        # full tuple takes these objects over, so each element stays one.
+        self._made: dict[int, Portrait] = {0: self.identity}
         self._stages: dict[tuple, object] = {}  # the store of every @stage method
 
     def _walk_queue(
         self, n: int, budget: int, predicted: int | str | None
-    ) -> tuple[tuple[Portrait, ...], dict[bytes, int], tuple[bytes, bytes] | None]:
+    ) -> tuple[tuple[bytes, ...], dict[bytes, int], bytes, tuple[bytes, bytes] | None]:
         """Breadth-first closure of 1 under right multiplication by a, b, a^-1
         and b^-1, with exponent-sum coordinates: one byte column per
         generator, holding each element's exponent sum mod p.
@@ -525,28 +536,25 @@ class QuotientGroup:
         The queue is read in consecutive chunks.  Each chunk forms its
         products with every generator column-wise (_Batch.times), and the
         new ones join the queue in the order a one-at-a-time walk finds
-        them: element-major, generator-minor.
+        them: element-major, generator-minor.  Returns the rows: the label
+        keys in enumeration order, the index of each key, the vertex
+        permutations (m bytes per element) and the coordinate columns.
         """
         shape = self.shape
         p, m = shape.p, shape.internal_count
         gens = (self.a, self.b, self.a_inv, self.b_inv)
         shifts = _add_tables(p)
         steps = [(shifts[da % p], shifts[db % p]) for da, db in _GEN_COORDS]
-        new = object.__new__
-        elements = [self.identity]
+        keys = [self.identity.labels]
         index: dict[bytes, int] = {self.identity.labels: 0}
         perm_rows = bytearray(self.identity.vertex_perm())
         coords = (bytearray(1), bytearray(1))
         consistent = True
         qi = 0
-        while qi < len(elements):
-            stop = min(len(elements), qi + WALK_CHUNK)
+        while qi < len(keys):
+            stop = min(len(keys), qi + WALK_CHUNK)
             width = stop - qi
-            batch = _Batch(
-                shape,
-                b"".join(x.labels for x in elements[qi:stop]),
-                perm_rows[qi * m : stop * m],
-            )
+            batch = _Batch(shape, b"".join(keys[qi:stop]), perm_rows[qi * m : stop * m])
             label_columns: list[bytes] = []
             value_columns: list[bytes] = []  # the product's perm, then its coordinates
             for g, step in zip(gens, steps):
@@ -554,36 +562,35 @@ class QuotientGroup:
                 label_columns += labels
                 value_columns += perms
                 value_columns += [c[qi:stop].translate(s) for c, s in zip(coords, step)]
-            keys = _split(_rows(label_columns, width), m)
+            products = _split(_rows(label_columns, width), m)
             values = _rows(value_columns, width)
-            unknown = list(map(is_, map(index.get, keys), repeat(None)))
+            unknown = list(map(is_, map(index.get, products), repeat(None)))
             # Equal keys are one element, with one permutation and, unless the
             # check below fails, one pair of coordinates; the dict keeps the
             # first-seen key order.
-            table = dict(zip(compress(keys, unknown), compress(_split(values, m + 2), unknown)))
-            if len(elements) + len(table) > budget:
+            table = dict(
+                zip(compress(products, unknown), compress(_split(values, m + 2), unknown))
+            )
+            if len(keys) + len(table) > budget:
                 raise BudgetExceeded(budget, budget + 1, predicted)
             columns = _columns(b"".join(table.values()), m + 2)
-            perms = _rows(columns[:m], len(table))
-            perm_rows += perms
-            index.update(zip(table, range(len(elements), len(elements) + len(table))))
-            for key, perm in zip(table, map(tuple, _split(perms, m))):
-                y = new(Portrait)
-                y.shape, y.labels, y._perm = shape, key, perm
-                elements.append(y)
+            perm_rows += _rows(columns[:m], len(table))
+            index.update(zip(table, range(len(keys), len(keys) + len(table))))
+            keys += table
             coords[0].extend(columns[m])
             coords[1].extend(columns[m + 1])
-            if consistent and not _coords_agree(index, coords, keys, values):
+            if consistent and not _coords_agree(index, coords, products, values):
                 if n >= 2:
                     raise RuntimeError("exponent-sum coordinates conflicted at level >= 2")
                 consistent = False  # level 1: b collapses onto the identity
             qi = stop
-        return tuple(elements), index, tuple(map(bytes, coords)) if consistent else None
+        coords_out = tuple(map(bytes, coords)) if consistent else None
+        return tuple(keys), index, bytes(perm_rows), coords_out
 
     # -- basic container behaviour -------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.label_keys)
 
     def __iter__(self) -> Iterator[Portrait]:
         return iter(self.elements)
@@ -598,6 +605,33 @@ class QuotientGroup:
             f"n={self.shape.n}, order={len(self)})"
         )
 
+    def _perm_row(self, i: int) -> bytes:
+        """The vertex permutation of element i, one byte per vertex."""
+        m = self.shape.internal_count
+        return self._perms[i * m : (i + 1) * m]
+
+    @cached_property
+    def elements(self) -> tuple[Portrait, ...]:
+        """Every element as an interned Portrait carrying its vertex
+        permutation, in enumeration order, the identity first; built from
+        the rows on first read."""
+        shape = self.shape
+        perms = Struct(f"{shape.internal_count}B").iter_unpack(self._perms)
+        elements = list(map(_interned, repeat(shape), self.label_keys, perms))
+        for i, x in self._made.items():
+            elements[i] = x
+        return tuple(elements)
+
+    def _at(self, i: int) -> Portrait:
+        """The interned element at enumeration index i; built alone when
+        `elements` has not been read."""
+        if "elements" in vars(self):
+            return self.elements[i]
+        x = self._made.get(i)
+        if x is None:
+            x = self._made[i] = _interned(self.shape, self.label_keys[i], tuple(self._perm_row(i)))
+        return x
+
     def _position(self, key: bytes | str) -> int:
         """Enumeration index of the element with the given label key or text
         encoding."""
@@ -609,13 +643,13 @@ class QuotientGroup:
 
     def element(self, key: bytes | str) -> Portrait:
         """The interned element with the given label key or text encoding."""
-        return self.elements[self._position(key)]
+        return self._at(self._position(key))
 
     @stage
     def label_columns(self) -> tuple[bytes, ...]:
         """One bytes column per internal vertex: that vertex's label in every
         element, in enumeration order."""
-        rows = b"".join(x.labels for x in self.elements)
+        rows = b"".join(self.label_keys)
         return tuple(_columns(rows, self.shape.internal_count))
 
     def left_products(self, x: Portrait) -> bytearray:
@@ -628,7 +662,7 @@ class QuotientGroup:
         columns = self.label_columns()
         m = len(columns)
         shifts = _add_tables(self.vector.p)
-        out = bytearray(len(self.elements) * m)
+        out = bytearray(len(self) * m)
         for k, (source, shift) in enumerate(zip(x.vertex_perm(), x.labels)):
             out[k::m] = columns[source].translate(shifts[shift])
         return out
@@ -676,18 +710,18 @@ class QuotientGroup:
     @stage
     def _conjugation_tables(self) -> tuple[array, array]:
         """The index of x^a and the index of x^b, for every element x in
-        enumeration order; built chunk by chunk with _Batch.conjugate."""
-        elements, index = self.elements, self._index
+        enumeration order; built chunk by chunk with _Batch.conjugate from
+        the joined label keys and a slice of the permutation rows."""
+        keys, perms, index = self.label_keys, self._perms, self._index
         m = self.shape.internal_count
         tables = (array("I"), array("I"))
         pairs = ((self.a, self.a_inv), (self.b, self.b_inv))
-        for start in range(0, len(elements), WALK_CHUNK):
-            chunk = elements[start : start + WALK_CHUNK]
-            labels = b"".join(map(attrgetter("labels"), chunk))
-            batch = _Batch(self.shape, labels, _perm_rows(chunk))
+        for start in range(0, len(keys), WALK_CHUNK):
+            stop = start + WALK_CHUNK
+            batch = _Batch(self.shape, b"".join(keys[start:stop]), perms[start * m : stop * m])
             for table, (c, ci) in zip(tables, pairs):
-                keys = _split(_rows(batch.conjugate(c, ci), batch.width), m)
-                table.extend(map(index.__getitem__, keys))
+                images = _split(_rows(batch.conjugate(c, ci), batch.width), m)
+                table.extend(map(index.__getitem__, images))
         return tables
 
     def normal_closure(
@@ -707,7 +741,7 @@ class QuotientGroup:
             for c in _distinct(conjugators)
         ]
         steps = _right(_distinct(seeds)) + conjugations
-        return SubgroupHandle(tuple(_walk(self, steps)))
+        return SubgroupHandle(tuple(map(self.elements.__getitem__, _walk(self, steps))))
 
     @stage
     def derived_subgroup(self) -> SubgroupHandle:
@@ -728,8 +762,8 @@ class QuotientGroup:
     def center(self) -> SubgroupHandle:
         """The elements fixed by conjugation with a and with b."""
         by_a, by_b = self._conjugation_tables()
-        members = tuple(x for i, x in enumerate(self.elements) if by_a[i] == i and by_b[i] == i)
-        return SubgroupHandle(members)
+        fixed = (i for i in range(len(self)) if by_a[i] == i and by_b[i] == i)
+        return SubgroupHandle(tuple(map(self._at, fixed)))
 
     @stage
     def level_stabilizer(self, k: int) -> SubgroupHandle:
@@ -773,7 +807,7 @@ class QuotientGroup:
     def conjugacy_class(self, x: Portrait) -> tuple[Portrait, ...]:
         """Orbit of x under conjugation, in discovery order, as interned
         elements (which already carry their vertex permutations)."""
-        return tuple(map(self.elements.__getitem__, self._class_of(self._position(x.labels))))
+        return tuple(map(self._at, self._class_of(self._position(x.labels))))
 
     @stage
     def conjugacy_classes(self) -> list[tuple[Portrait, ...]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from functools import partial
 from itertools import compress
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .beauville import (
     GeneratingTriple,
@@ -120,16 +120,18 @@ def _orders_of(shape: TreeShape, exps: bytes) -> list[int]:
     return list(map([shape.p**k for k in range(shape.n + 1)].__getitem__, exps))
 
 
-def _orders(batch: list[Portrait]) -> list[int]:
+def _orders(shape: TreeShape, rows: bytes, perm: Sequence[int]) -> list[int]:
     """Orders of a power class, from its batched p-power chains."""
-    exps, _ = p_power_chains(batch)
-    return _orders_of(batch[0].shape, exps)
+    exps, _ = p_power_chains(shape, rows, perm)
+    return _orders_of(shape, exps)
 
 
-def _orders_and_tops(batch: list[Portrait]) -> list[tuple[int, bytes]]:
+def _orders_and_tops(
+    shape: TreeShape, rows: bytes, perm: Sequence[int]
+) -> list[tuple[int, bytes]]:
     """Order of each x of a power class and the labels of x^(p^(n-1))."""
-    exps, levels = p_power_chains(batch)
-    return list(zip(_orders_of(batch[0].shape, exps), levels[-1]))
+    exps, levels = p_power_chains(shape, rows, perm)
+    return list(zip(_orders_of(shape, exps), levels[-1]))
 
 
 def _generator_portraits(v: DefiningVector, n: int) -> tuple[Portrait, Portrait]:
@@ -232,11 +234,11 @@ def _lifting_checks(
 
 def _exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
     """Exhaustive scan: every element's order divides p (periodic level 2)."""
-    p = group.vector.p
-    orders = map_power_classes(_orders, group.elements)
-    bad = [x for x, o in zip(group.elements, orders) if o > p]
+    p, keys = group.vector.p, group.label_keys
+    orders = map_power_classes(_orders, group.shape, keys)
+    bad = [key for key, o in zip(keys, orders) if o > p]
     if bad:
-        cert.witnesses["exponent_witness"] = min(bad).encode()
+        cert.witnesses["exponent_witness"] = group.element(min(bad)).encode()
     return cert.check(
         "exponent_p",
         not bad,
@@ -257,12 +259,12 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     all_ok = True
     z_keysets: set[frozenset] = set()
     total = 0
-    order_bad: list[Portrait] = []
-    power_bad: list[Portrait] = []
-    coords_bad: list[Portrait] = []
+    order_bad: list[bytes] = []  # label keys
+    power_bad: list[bytes] = []
+    coords_bad: list[bytes] = []
     for i in range(1, p):
         on_line = group.line_mask(1 + i)
-        outside = list(compress(group.elements, on_line))
+        outside = list(compress(group.label_keys, on_line))
         total += len(outside)
         step = (group.a * group.b**i) ** (p ** (n - 1))
         if step.is_identity() or not (step**p).is_identity():
@@ -272,15 +274,15 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
         step_powers = cyclic_powers(step)  # step^k at index k - 1
         z_keysets.add(cyclic_subgroup(group, step).keys)
         coords = zip(*(compress(column, on_line) for column in group.coords))
-        for x, (k, ki), (o, top) in zip(
-            outside, coords, map_power_classes(_orders_and_tops, outside)
+        for key, (k, ki), (o, top) in zip(
+            outside, coords, map_power_classes(_orders_and_tops, group.shape, outside)
         ):
             if o != p**n:
-                order_bad.append(x)
+                order_bad.append(key)
             if not (1 <= k <= p - 1) or ki != (k * i) % p:
-                coords_bad.append(x)
+                coords_bad.append(key)
             elif top != step_powers[k - 1].labels:
-                power_bad.append(x)
+                power_bad.append(key)
     all_ok &= cert.check(
         "orders_p_to_n",
         not order_bad,
@@ -307,7 +309,7 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
         ("power", power_bad),
     ):
         if bad:
-            cert.witnesses[f"{name}_witness"] = min(bad).encode()
+            cert.witnesses[f"{name}_witness"] = group.element(min(bad)).encode()
     if not all_ok:
         return False
     z_keys = z_keysets.pop()

@@ -31,7 +31,7 @@ from ggs import (
 )
 from ggs import quotient
 from ggs.portrait import MAX_INTERNAL_VERTICES, MAX_PRIME
-from ggs.quotient import _Batch, _columns, _perm_rows, _rows, p_power_chains
+from ggs.quotient import _Batch, _columns, _rows, p_power_chains
 
 from reference import leaf_cycle_order, naive_compose, naive_order
 from test_cli import run_cli
@@ -54,6 +54,11 @@ def portraits(p: int, n: int) -> st.SearchStrategy[Portrait]:
 def _fresh(x: Portrait) -> Portrait:
     """Same labels, no cached vertex permutation."""
     return Portrait(x.shape, x.labels)
+
+
+def _perm_rows(xs: list[Portrait]) -> bytes:
+    """The vertex permutations of xs as concatenated byte rows."""
+    return b"".join(bytes(x.vertex_perm()) for x in xs)
 
 
 @pytest.mark.parametrize("p,n", SHAPES)
@@ -230,7 +235,9 @@ def power_classes(p: int, n: int) -> st.SearchStrategy[list[Portrait]]:
 @given(data=st.data())
 def test_power_chains_match_p_powers(p, n, data):
     batch = data.draw(power_classes(p, n))
-    exps, levels = p_power_chains(batch)
+    exps, levels = p_power_chains(
+        batch[0].shape, b"".join(x.labels for x in batch), batch[0].vertex_perm()
+    )
     assert len(exps) == len(batch) and len(levels) == n
     for j, x in enumerate(batch):
         chain = x.p_powers()
@@ -250,7 +257,9 @@ def test_power_chains_of_a_whole_quotient():
     for x in group.elements:
         classes.setdefault(x.labels[:cut], []).append(x)
     for batch in classes.values():
-        exps, _ = p_power_chains(batch)
+        exps, _ = p_power_chains(
+            group.shape, b"".join(x.labels for x in batch), batch[0].vertex_perm()
+        )
         assert [group.shape.p**e for e in exps] == [naive_order(x) for x in batch]
 
 

@@ -104,19 +104,19 @@ def test_budget_exceeded_mid_enumeration():
     assert err.value.partial >= 100
 
 
-@pytest.mark.parametrize(
-    "p,e,n",
-    [
-        (3, (1, -1), 3),
-        (3, (1, 0), 3),
-        (3, (1, 1), 3),
-        (5, (1, 4, 1, 4), 2),
-        (7, (1, 2, 3, 4, 5, 6), 2),
-        (3, (1, 0), 1),
-        (5, (1, 4, 1, 4), 1),
-        (7, (1, 2, 3, 4, 5, 6), 1),
-    ],
-)
+WALK_CASES = [
+    (3, (1, -1), 3),
+    (3, (1, 0), 3),
+    (3, (1, 1), 3),
+    (5, (1, 4, 1, 4), 2),
+    (7, (1, 2, 3, 4, 5, 6), 2),
+    (3, (1, 0), 1),
+    (5, (1, 4, 1, 4), 1),
+    (7, (1, 2, 3, 4, 5, 6), 1),
+]
+
+
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
 def test_walk_matches_queue_walk(p, e, n):
     v = DefiningVector(p, e)
     group = enumerate_quotient(v, n)
@@ -131,6 +131,31 @@ def test_walk_matches_queue_walk(p, e, n):
     assert [x._perm for x in group.elements] == [x._perm for x in expected]
     for x in group.elements[:: max(1, len(group) // 500)]:
         assert x.vertex_perm() == Portrait(x.shape, x.labels).vertex_perm()
+
+
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_elements_are_built_from_the_rows(p, e, n):
+    v = DefiningVector(p, e)
+    group = enumerate_quotient(v, n)
+    expected, _ = queue_walk(v, n)
+    # Size, membership and the coordinate lines come from the rows alone.
+    sample = expected[:: max(1, len(expected) // 50)]
+    assert len(group) == len(expected)
+    assert all(x in group and x.labels in group for x in sample)
+    if n >= 2:
+        assert len(group.lines()) == len(group)
+        assert group.line_mask(p + 1).count(1) == len(group) // p**2
+    middle = len(group) // 2
+    early = group.element(expected[middle].labels)  # built alone
+    assert "elements" not in vars(group)
+    elements = group.elements
+    assert [x.labels for x in elements] == [x.labels for x in expected]
+    assert elements[0] is group.identity
+    assert elements[middle] is early
+    for x in elements:
+        assert x._perm == Portrait(x.shape, x.labels).vertex_perm()
+    for i in range(0, len(group), max(1, len(group) // 500)):
+        assert group.element(elements[i].labels) is elements[i]
 
 
 @pytest.mark.parametrize(

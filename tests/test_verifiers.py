@@ -2,16 +2,22 @@
 from __future__ import annotations
 
 import json
+from itertools import compress
 
 import pytest
 
 from ggs import (
     CLAIMS,
     DefiningVector,
+    GeneratingTriple,
+    Portrait,
+    enumerate_quotient,
     replay_certificate,
+    sigma_set,
     verify_claim,
 )
 from ggs import beauville, verifiers
+from ggs.beauville import cyclic_powers
 from ggs.verifiers import default_level
 
 
@@ -98,6 +104,63 @@ def test_prop_collision(e10, gs):
     assert cert.verified and cert.exhaustive
     with pytest.raises(ValueError):
         verify_claim("prop-collision", gs, 2)
+
+
+def _least_on_lines(group, *lines: int) -> str:
+    """Encoding of the label-least element on the given coordinate lines."""
+    key = min(compress(group.label_keys, group.line_mask(*lines)))
+    return Portrait(group.shape, key).encode()
+
+
+@pytest.mark.parametrize("broken", ["order", "coords", "power"])
+def test_collision_scan_names_the_least_offender(e10, monkeypatch, broken):
+    group = enumerate_quotient(e10, 2)
+    if broken == "order":
+        # Every order reads one power of p short: all of lines 2 and 3 offend.
+        monkeypatch.setattr(
+            verifiers, "_orders_of", lambda shape, exps: [shape.p ** (e - 1) for e in exps]
+        )
+        offenders = (2, 3)
+    elif broken == "coords":
+        # The b-coordinates of line 2 move after the lines were read off them.
+        lines = group.lines()
+        a, b = group.coords
+        group.coords = (a, bytes((y + (line == 2)) % 3 for y, line in zip(b, lines)))
+        offenders = (2,)
+    else:
+        # The powers of the second step (line 3) come out shifted by one.
+        calls = []
+
+        def shifted(x):
+            calls.append(x)
+            powers = cyclic_powers(x)
+            return powers[1:] + powers[:1] if len(calls) == 2 else powers
+
+        monkeypatch.setattr(verifiers, "cyclic_powers", shifted)
+        offenders = (3,)
+    monkeypatch.setattr(verifiers, "enumerate_quotient", lambda v, n, budget: group)
+    cert = verify_claim("prop-collision", e10, 2)
+    assert cert.verdict == "refuted"
+    witnesses = {k: w for k, w in cert.witnesses.items() if k.endswith("_witness")}
+    assert witnesses == {f"{broken}_witness": _least_on_lines(group, *offenders)}
+
+
+def test_scans_build_no_per_element_objects(e10, gs, monkeypatch):
+    """The collision scan and the Sigma sets read the label and permutation
+    rows; neither builds the tuple of Portrait elements."""
+    groups = []
+
+    def enumerate_and_keep(v, n, budget):
+        groups.append(enumerate_quotient(v, n, budget))
+        return groups[-1]
+
+    monkeypatch.setattr(verifiers, "enumerate_quotient", enumerate_and_keep)
+    assert verify_claim("prop-collision", e10, 3).verified
+    assert "elements" not in vars(groups[0])
+    group = enumerate_quotient(gs, 3)
+    sigma = sigma_set(GeneratingTriple.make(group, group.a, group.b), group)
+    assert len(sigma) > 1
+    assert "elements" not in vars(group)
 
 
 def test_thm_b_level_one(e10):
