@@ -133,7 +133,7 @@ def cyclic_powers(x: Portrait) -> list[Portrait]:
 
 def cyclic_subgroup(group: QuotientGroup, x: Portrait) -> SubgroupHandle:
     """The cyclic subgroup <x> as a handle."""
-    return SubgroupHandle((group.identity, *cyclic_powers(x)), (x,))
+    return SubgroupHandle((group.identity, *cyclic_powers(x)))
 
 
 def subgroup_conjugation_orbit(
@@ -501,8 +501,6 @@ def build_special_elements(group: QuotientGroup) -> SpecialElements:
     if v not in group:
         raise RuntimeError("([a,b],1,1) did not land in the enumerated quotient")
     v = group.element(v.labels)
-    stab = group.level_stabilizer(1)
-    stab_derived = group.subgroup_commutator(stab, stab)
-    if v not in stab_derived:
+    if v not in group.stabilizer_derived():
         raise RuntimeError("([a,b],1,1) is not in the stabilizer derived subgroup")
     return SpecialElements(u=u, v=v)

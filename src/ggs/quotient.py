@@ -178,15 +178,10 @@ def stage(fn: F) -> F:
 
 
 class SubgroupHandle:
-    """A subgroup of an enumerated quotient: member set plus generating data."""
+    """A subgroup of an enumerated quotient: its members and their keys."""
 
-    def __init__(
-        self,
-        elements: tuple[Portrait, ...],
-        generators: tuple[Portrait, ...] | None = None,
-    ):
+    def __init__(self, elements: tuple[Portrait, ...]):
         self.elements = elements  # distinct, so len() counts them
-        self._generators = generators
 
     @cached_property
     def keys(self) -> frozenset[bytes]:
@@ -202,40 +197,6 @@ class SubgroupHandle:
     def __contains__(self, x: Portrait | bytes) -> bool:
         key = x.labels if isinstance(x, Portrait) else x
         return key in self.keys
-
-    @property
-    def generators(self) -> tuple[Portrait, ...]:
-        """A generating subset, extracted greedily in canonical element order.
-
-        Each new generator x grows H = <gens> to <H, x> by whole right
-        cosets H*y: y runs over products r*g of the cosets' representatives
-        r with every generator g, and a coset joins when y is not yet in.
-        """
-        if self._generators is None:
-            shape = self.elements[0].shape
-            one = Portrait.identity(shape)
-            gens: list[Portrait] = []
-            have = {one.labels}
-            labels, perms = [one.labels], [bytes(one.vertex_perm())]
-            for x in sorted(self.elements):
-                if x.labels in have:
-                    continue
-                gens.append(x)
-                batch = _Batch(shape, b"".join(labels), b"".join(perms))
-                reps = [one]
-                for r in reps:  # grows while it is read
-                    for g in gens:
-                        y = r * g
-                        if y.labels in have:
-                            continue
-                        coset_labels, coset_perms = batch.times(y)
-                        rows = _rows(coset_labels, batch.width)
-                        have.update(_split(rows, shape.internal_count))
-                        labels.append(rows)
-                        perms.append(_rows(coset_perms, batch.width))
-                        reps.append(y)
-            self._generators = tuple(gens)
-        return self._generators
 
 
 def _walk(group: "QuotientGroup", steps: list[Callable]) -> list[int]:
@@ -704,9 +665,6 @@ class QuotientGroup:
 
     # -- subgroup machinery ----------------------------------------------------
 
-    def as_subgroup(self) -> SubgroupHandle:
-        return SubgroupHandle(self.elements, (self.a, self.b))
-
     @stage
     def _conjugation_tables(self) -> tuple[array, array]:
         """The index of x^a and the index of x^b, for every element x in
@@ -741,7 +699,7 @@ class QuotientGroup:
             for c in _distinct(conjugators)
         ]
         steps = _right(_distinct(seeds)) + conjugations
-        return SubgroupHandle(tuple(map(self.elements.__getitem__, _walk(self, steps))))
+        return SubgroupHandle(tuple(map(self._at, _walk(self, steps))))
 
     @stage
     def derived_subgroup(self) -> SubgroupHandle:
@@ -770,10 +728,20 @@ class QuotientGroup:
         """Elements acting trivially on the first k levels."""
         return SubgroupHandle(tuple(g for g in self.elements if g.stabilizes_level(k)))
 
-    def subgroup_commutator(self, h: SubgroupHandle, k: SubgroupHandle) -> SubgroupHandle:
-        """[H, K]: normal closure in <H, K> of the generator commutators."""
-        seeds = [commutator(x, y) for x in h.generators for y in k.generators]
-        return self.normal_closure(seeds, h.generators + k.generators)
+    @stage
+    def stabilizer_derived(self) -> SubgroupHandle:
+        """st(1)', the derived subgroup of the first-level stabilizer: the
+        normal closure of the [b, b^(a^k)] for k = 1..p-1.
+
+        st(1) is generated by the b^(a^i), so st(1)' is the normal closure
+        in st(1) of the [b^(a^i), b^(a^j)].  It is characteristic in the
+        normal subgroup st(1), so it is normal in G.  Conjugating by a^k
+        shifts i and j by k, so st(1)' is the G-normal closure of the
+        [b, b^(a^k)].  At level 1, b = 1, and this gives {1}.
+        """
+        a, b = self.a, self.b
+        seeds = [commutator(b, b.conjugate_by(a**k)) for k in range(1, self.vector.p)]
+        return self.normal_closure(seeds, [a, b])
 
     @stage
     def maximal_subgroups(self) -> list[SubgroupHandle]:
@@ -833,14 +801,6 @@ class QuotientGroup:
 
     def exponent(self) -> int:
         return max(self.order_histogram())
-
-    def lower_central_series(self) -> list[SubgroupHandle]:
-        """G = gamma_1 >= gamma_2 >= ... down to the trivial subgroup."""
-        series = [self.as_subgroup()]
-        whole = series[0]
-        while len(series[-1]) > 1:
-            series.append(self.subgroup_commutator(series[-1], whole))
-        return series
 
     # -- exports ---------------------------------------------------------------
 

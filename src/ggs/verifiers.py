@@ -371,11 +371,11 @@ def _pigeonhole_checks(cert: Certificate, group: QuotientGroup) -> bool:
         "every independent coordinate pair has a member on an ab^i line"
         + (f"; failed at {bad}" if bad else ""),
     )
-    derived = group.derived_subgroup()
-    maxes = group.maximal_subgroups()
+    derived = group.line_mask(p + 1).count(1)
     lines = group.lines()
     counts_ok = all(
-        lines.count(1 + i) == len(maxes[1 + i]) - len(derived) for i in range(1, p)
+        lines.count(1 + i) == group.line_mask(1 + i, p + 1).count(1) - derived
+        for i in range(1, p)
     )
     ok &= cert.check(
         "line_coset_bijection",
@@ -391,8 +391,7 @@ def _pigeonhole_checks(cert: Certificate, group: QuotientGroup) -> bool:
 def _center_checks(cert: Certificate, group: QuotientGroup) -> tuple[bool, SubgroupHandle]:
     """|Z| = 3, and Z lies in the derived subgroup of the first-level stabilizer."""
     center = group.center()
-    stab = group.level_stabilizer(1)
-    stab_derived = group.subgroup_commutator(stab, stab)
+    stab_derived = group.stabilizer_derived()
     ok = cert.check("center_order", len(center) == 3, f"|Z| = {len(center)}")
     ok &= cert.check(
         "center_in_stabilizer_derived",

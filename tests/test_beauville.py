@@ -41,9 +41,7 @@ def test_search_element_cap():
 
 
 def test_cyclic_subgroup(gs_g2, gs_g3):
-    sub = cyclic_subgroup(gs_g2, gs_g2.a)
-    assert len(sub) == 3
-    assert sub.generators == (gs_g2.a,)
+    assert len(cyclic_subgroup(gs_g2, gs_g2.a)) == 3
     assert len(cyclic_subgroup(gs_g3, gs_g3.a * gs_g3.b)) == 9
     assert len(cyclic_subgroup(gs_g2, gs_g2.identity)) == 1
 
@@ -221,9 +219,7 @@ def test_special_elements(gs_g3):
     special = build_special_elements(gs_g3)
     assert special.u.order() == 3
     assert special.u.labels in gs_g3.center().keys
-    st1 = gs_g3.level_stabilizer(1)
-    st1_derived = gs_g3.subgroup_commutator(st1, st1)
-    assert special.v.labels in st1_derived.keys
+    assert special.v.labels in gs_g3.stabilizer_derived().keys
 
 
 def test_special_elements_wrong_depth(gs_g2):

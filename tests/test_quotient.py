@@ -14,7 +14,6 @@ from ggs import (
     BudgetExceeded,
     DefiningVector,
     Portrait,
-    SubgroupHandle,
     commutator,
     enumerate_quotient,
     predicted_order,
@@ -291,7 +290,7 @@ def test_maximal_subgroups_match_brute_closures(gs_g3, e10_g3):
     for group in (gs_g3, e10_g3, p5):
         a, b, p = group.a, group.b, group.vector.p
         derived = group.derived_subgroup()
-        gens = list(derived.generators)
+        gens = greedy_generators(group, derived)
         assert frozenset(brute_generated(group, gens)) == derived.keys
         tops = [a, b] + [a * b**i for i in range(1, p)]
         maxes = group.maximal_subgroups()
@@ -354,13 +353,6 @@ def test_level_stabilizers(gs_g3):
     assert gs_g3.normal_closure([gs_g3.b], [gs_g3.a, gs_g3.b]).keys == st1.keys
 
 
-def test_subgroup_commutator(gs_g3):
-    whole = gs_g3.as_subgroup()
-    assert gs_g3.subgroup_commutator(whole, whole).keys == gs_g3.derived_subgroup().keys
-    st1 = gs_g3.level_stabilizer(1)
-    assert len(gs_g3.subgroup_commutator(st1, st1)) == 27
-
-
 def test_conjugacy_classes(gs_g2, gs_g3, e10_g2):
     p5 = enumerate_quotient(DefiningVector(5, (1, 2, 3, 4)), 2)
     for group, count in ((gs_g2, 11), (gs_g3, 59), (e10_g2, 17), (p5, 29)):
@@ -383,13 +375,6 @@ def test_order_histogram_and_exponent(gs_g2, gs_g3, e10_g2):
     assert sum(hist.values()) == 2187 and hist[1] == 1
 
 
-def test_lower_central_series(gs_g2, e10_g2):
-    assert [len(h) for h in gs_g2.lower_central_series()] == [27, 3, 1]
-    assert [len(h) for h in e10_g2.lower_central_series()] == [81, 9, 3, 1]
-    series = e10_g2.lower_central_series()
-    assert series[1].keys == e10_g2.derived_subgroup().keys
-
-
 def test_sorted_encodings(gs_g2):
     enc = gs_g2.sorted_encodings()
     assert len(enc) == 27
@@ -402,28 +387,6 @@ def test_cayley_dot(gs_g2):
     dot = gs_g2.cayley_dot()
     assert dot.startswith("digraph")
     assert dot.count("->") == 2 * 27
-
-
-def test_subgroup_generators(gs_g2, e10_g2):
-    assert gs_g2.derived_subgroup().generators
-    for group in (gs_g2, e10_g2):
-        st1 = group.level_stabilizer(1)
-        handles = [
-            group.as_subgroup(),
-            group.derived_subgroup(),
-            group.normal_closure([commutator(group.a, group.b)], [group.a, group.b]),
-            group.center(),
-            st1,
-            group.subgroup_commutator(st1, st1),
-            group.normal_closure([group.b], [group.a]),
-            *group.maximal_subgroups(),
-            *group.lower_central_series(),
-        ]
-        for h in handles:
-            assert frozenset(brute_generated(group, h.generators)) == h.keys
-            # The coset-growing pick equals the pick that re-closes each time.
-            fresh = SubgroupHandle(h.elements)
-            assert list(fresh.generators) == greedy_generators(group, h.elements)
 
 
 def _conjugation(c: Portrait):
@@ -485,27 +448,15 @@ def test_derived_and_stabilizer_commutator_match_reference(gs, gs_g2, gs_g3, e10
         a, b = group.a, group.b
         expected = brute_normal_closure(group, [commutator(a, b)], [a, b])
         assert group.derived_subgroup().keys == expected
-        st1 = group.level_stabilizer(1)
-        gens = st1.generators
+        # st(1)' by its definition: the normal closure in st(1) of the
+        # commutators of a generating set of st(1).
+        gens = greedy_generators(group, group.level_stabilizer(1))
         seeds = [commutator(x, y) for x in gens for y in gens]
-        expected = brute_normal_closure(group, seeds, list(gens))
-        assert group.subgroup_commutator(st1, st1).keys == expected
-    st1 = e10_g3.level_stabilizer(1)
-    assert len(e10_g3.subgroup_commutator(st1, st1)) == 729
-
-
-def test_lower_central_series_matches_reference(gs_g2, gs_g3, e10_g2):
-    for group in (gs_g2, gs_g3, e10_g2):
-        a, b = group.a, group.b
-        # gamma_(i+1) = [gamma_i, G] is the normal closure of the [x, a] and
-        # [x, b] with x running over gamma_i, or over {a, b} for gamma_1 = G.
-        expected = [frozenset(x.labels for x in group)]
-        members = [a, b]
-        while len(expected[-1]) > 1:
-            seeds = [commutator(x, g) for x in members for g in (a, b)]
-            expected.append(brute_normal_closure(group, seeds, [a, b]))
-            members = [group.element(k) for k in expected[-1]]
-        assert [h.keys for h in group.lower_central_series()] == expected
+        expected = brute_normal_closure(group, seeds, gens)
+        assert group.stabilizer_derived().keys == expected
+    assert len(g1.stabilizer_derived()) == 1
+    assert len(gs_g3.stabilizer_derived()) == 27
+    assert len(e10_g3.stabilizer_derived()) == 729
 
 
 def test_stages_are_memoised_per_argument(e10):
@@ -517,6 +468,7 @@ def test_stages_are_memoised_per_argument(e10):
         group.conjugacy_classes,
         group.lines,
         group.label_columns,
+        group.stabilizer_derived,
     ):
         assert stage() is stage()
     assert _signature_table(group) is _signature_table(group)
@@ -532,7 +484,8 @@ def test_finished_group_is_freed_without_the_cyclic_collector(e10):
     gc.disable()
     try:
         group = enumerate_quotient(e10, 2)
-        group.derived_subgroup().generators
+        group.derived_subgroup()
+        group.stabilizer_derived()
         group.center()
         group.maximal_subgroups()
         group.level_stabilizer(1)

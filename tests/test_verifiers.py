@@ -146,8 +146,9 @@ def test_collision_scan_names_the_least_offender(e10, monkeypatch, broken):
 
 
 def test_scans_build_no_per_element_objects(e10, gs, monkeypatch):
-    """The collision scan and the Sigma sets read the label and permutation
-    rows; neither builds the tuple of Portrait elements."""
+    """The collision scan, the coset counts of thm-B, the centre battery
+    and the Sigma sets read the label and permutation rows; none builds the
+    tuple of Portrait elements."""
     groups = []
 
     def enumerate_and_keep(v, n, budget):
@@ -155,8 +156,9 @@ def test_scans_build_no_per_element_objects(e10, gs, monkeypatch):
         return groups[-1]
 
     monkeypatch.setattr(verifiers, "enumerate_quotient", enumerate_and_keep)
-    assert verify_claim("prop-collision", e10, 3).verified
-    assert "elements" not in vars(groups[0])
+    for claim, vector in (("prop-collision", e10), ("thm-B", e10), ("lemma-center", gs)):
+        assert verify_claim(claim, vector, 3).verified
+    assert not any("elements" in vars(group) for group in groups)
     group = enumerate_quotient(gs, 3)
     sigma = sigma_set(GeneratingTriple.make(group, group.a, group.b), group)
     assert len(sigma) > 1

@@ -76,6 +76,6 @@ def test_nesting_cap():
 
 def test_parse_word_binds_to_group(gs_g3):
     x = parse_word("(ab)^3", gs_g3)
-    assert x in gs_g3.as_subgroup()
+    assert x in gs_g3
     assert x == (gs_g3.a * gs_g3.b) ** 3
     assert parse_word("aA", gs_g3) == gs_g3.identity
