@@ -20,6 +20,7 @@ test suite against brute-force oracles that conjugate by every element.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import add, itemgetter
@@ -308,9 +309,10 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     first = itemgetter(0)
     # Per line through the origin of the coordinate plane, that is per
     # maximal subgroup: the mask of the elements off it and off the origin
-    # (those completing a generating pair), their scaled socle ids and their
-    # positions.
-    partners_of: dict[int, tuple[bytes, list[int], list[int]]] = {}
+    # (those completing a generating pair), their scaled socle ids (shared
+    # int objects, one per socle orbit) and their positions.
+    scale = [s * count for s in range(count)]
+    partners_of: dict[int, tuple[bytes, list[int], array]] = {}
     for cls in group.conjugacy_classes():
         rep = min(cls)
         line = coordinate_line(*group.coords_of(rep), p)
@@ -320,8 +322,8 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
             mask = group.line_mask(*(j for j in range(p + 1) if j != line))
             partners_of[line] = (
                 mask,
-                [socle_of(y.labels) * count for y in compress(elements, mask)],
-                list(compress(range(len(elements)), mask)),
+                [scale[socle_of(y.labels)] for y in compress(elements, mask)],
+                array("I", compress(range(len(elements)), mask)),
             )
         mask, scaled, partners = partners_of[line]
         products = compress(split(group.left_products(rep)), mask)

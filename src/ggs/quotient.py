@@ -1,11 +1,13 @@
 """Finite quotients of a GGS group acting on the truncated tree.
 
 The level-n quotient is the image of the group in the automorphisms of the
-depth-n tree, produced by breadth-first closure of {a, b} under right
-multiplication.  Exponent-sum coordinates are tracked during the walk; for
-n >= 2 they map G onto G/G' = C_p x C_p, so the derived subgroup, the p + 1
-maximal subgroups and generation are all read off them (lines()) without
-further closures, and the Frattini subgroup G'G^p equals G'.
+depth-n tree.  It splits as G_n = <a> x| H with H = st(1)/st(n), and st(1) is
+generated by the b^(a^j), so the enumeration walks H breadth first under
+right multiplication by those and reads off the other p - 1 cosets h*a^r
+with no product at all (_walk_queue).  Exponent-sum coordinates are tracked
+during the walk; for n >= 2 they map G onto G/G' = C_p x C_p, so the derived
+subgroup, the p + 1 maximal subgroups and generation are all read off them
+(lines()) without further closures, and the Frattini subgroup G'G^p equals G'.
 
 The walk stores its result as rows, not objects: the label key of every
 element (the bytes that also key the element index), one buffer of vertex
@@ -20,8 +22,8 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property, lru_cache, reduce as fold, wraps
-from itertools import chain, compress, repeat
-from operator import attrgetter, getitem, is_, itemgetter, or_
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, getitem, is_, itemgetter, not_, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, cast
 
@@ -47,8 +49,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 10_000_000
 
-_GEN_COORDS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
 # The batched kernels hold vertex indices in bytes and move them with
 # translate tables, so enumeration is limited to trees with at most this many
 # internal vertices.  No quotient past it is enumerable anyway: the order
@@ -58,7 +58,7 @@ MAX_BATCH_VERTICES = 256
 
 # Elements per chunk of the enumeration and subgroup walks and of the
 # conjugation tables; a chunk holds the rows of every step's image of each
-# element at once (four products in the enumeration walk).
+# element at once (p products in the enumeration walk).
 WALK_CHUNK = 2048
 
 R = TypeVar("R")
@@ -128,15 +128,33 @@ def predicted_order(v: DefiningVector, n: int) -> int | None:
     return None if k is None else v.p**k
 
 
-def exceeds_budget(v: DefiningVector, n: int, budget: int) -> bool:
-    """Whether the predicted order is known and larger than the budget.
+def _exceeds(p: int, k: int, budget: int) -> bool:
+    """Whether p^k > budget, decided on the exponent: p >= 3, so p^k > budget
+    once 2^k > budget."""
+    return k >= budget.bit_length() or p**k > budget
 
-    Decided on the exponent: p >= 3, so p^k > budget once 2^k > budget.
-    """
+
+def exceeds_budget(v: DefiningVector, n: int, budget: int) -> bool:
+    """Whether the predicted order is known and larger than the budget."""
     k = predicted_exponent(v, n)
-    if k is None:
-        return False
-    return k >= budget.bit_length() or v.p**k > budget
+    return k is not None and _exceeds(v.p, k, budget)
+
+
+def _guard_exponent(v: DefiningVector, n: int) -> int:
+    """The k with |G_n| = p^k by the formula of Fernandez-Alcober and
+    Zugadi-Reizabal (Trans. AMS 366, 2014): k = t*p^(n-2) + 1 -
+    delta*(p^(n-2) - 1)/(p - 1) for n >= 2, with delta = 1 for symmetric
+    vectors and 0 otherwise, so it is predicted_exponent wherever that is
+    defined.
+
+    Only the resource guard of the enumeration uses it, to refuse symmetric
+    vectors past level 2 before walking: no claim rests on the delta term,
+    and were it wrong the walk would still stop at the budget.
+    """
+    if n == 1:
+        return 1
+    q = v.p ** (n - 2)
+    return v.rank * q + 1 - v.symmetric * (q - 1) // (v.p - 1)
 
 
 def written_order(v: DefiningVector, n: int) -> int | str | None:
@@ -338,30 +356,6 @@ class _Batch:
         return labels, [pk.translate(by_perm) for pk in self.perms]
 
 
-def _coords_agree(
-    index: dict[bytes, int],
-    coords: tuple[bytearray, bytearray],
-    keys: Sequence[bytes],
-    values: bytes,
-) -> bool:
-    """Whether every product of a walk chunk by a or b carries the
-    coordinates recorded for its element.
-
-    keys holds four products (by a, b, a^-1, b^-1) per chunk element, and
-    values their perm rows, each followed by its two coordinates.  Products
-    by a^-1 and b^-1 need no check: by the end of the walk, each
-    y = x * a^-1 has had its product y * a = x checked.
-    """
-    width = len(values) // len(keys)  # m + 2
-    for g in (0, 1):
-        found = list(map(index.__getitem__, keys[g::4]))
-        for axis, column in enumerate(coords):
-            made = values[g * width + width - 2 + axis :: 4 * width]
-            if bytes(map(column.__getitem__, found)) != made:
-                return False
-    return True
-
-
 # Byte j of a column OR becomes 1 when element j has a nonzero label.
 _NONZERO = bytes([0]) + bytes([1]) * 255
 
@@ -431,18 +425,25 @@ def map_power_classes(
     level: fn takes its rows and shared vertex permutation, as
     p_power_chains does, and returns one result per member.
     """
-    tops = list(map(itemgetter(slice(shape.level_starts[shape.n - 1])), keys))
+    top = itemgetter(slice(shape.level_starts[shape.n - 1]))
     classes: dict[bytes, list[bytes]] = {}
-    for top, key in zip(tops, keys):
-        classes.setdefault(top, []).append(key)
+    for key in keys:
+        classes.setdefault(top(key), []).append(key)
 
     def run(members: list[bytes]) -> list[R]:
         return fn(shape, b"".join(members), Portrait(shape, members[0]).vertex_perm())
 
     # Members of a class keep their order in keys, so each element takes the
-    # next unused result of its class.
+    # next unused result of its class.  Tops are cut again here rather than
+    # kept, one bytes object per key, through the whole map.
     results = dict(zip(classes, map(iter, pmap(run, classes.values()))))
-    return list(map(next, map(results.__getitem__, tops)))
+    return list(map(next, map(results.__getitem__, map(top, keys))))
+
+
+def _stabilizer_steps(a: Portrait, b: Portrait) -> list[tuple[Portrait, int]]:
+    """The generators b_j = b^(a^j) of st(1), j = 0..p-1, each with what it
+    adds to the b-coordinate: 1, as b_j has coordinates (0, 1)."""
+    return [(b.conjugate_by(a**j), 1) for j in range(a.shape.p)]
 
 
 def _interned(shape: TreeShape, key: bytes, perm: tuple[int, ...]) -> Portrait:
@@ -470,6 +471,15 @@ class QuotientGroup:
                 f"enumeration refused: a depth-{n} tree at p={vector.p} has {vertices} "
                 f"internal vertices, more than the {MAX_BATCH_VERTICES} the walk handles",
             )
+        k = _guard_exponent(vector, n)
+        if _exceeds(vector.p, k, budget):  # only symmetric vectors get this far
+            raise BudgetExceeded(
+                budget,
+                0,
+                predicted,
+                f"enumeration budget {budget} exceeded (order {vector.p}^{k} by the "
+                "Fernandez-Alcober & Zugadi-Reizabal formula)",
+            )
         self.vector = vector
         self.shape = tree_shape(vector.p, n)
 
@@ -489,27 +499,42 @@ class QuotientGroup:
 
     def _walk_queue(
         self, n: int, budget: int, predicted: int | str | None
-    ) -> tuple[tuple[bytes, ...], dict[bytes, int], bytes, tuple[bytes, bytes] | None]:
-        """Breadth-first closure of 1 under right multiplication by a, b, a^-1
-        and b^-1, with exponent-sum coordinates: one byte column per
-        generator, holding each element's exponent sum mod p.
+    ) -> tuple[tuple[bytes, ...], dict[bytes, int], bytearray, tuple[bytes, bytes] | None]:
+        """The elements as p cosets of H = st(1)/st(n), with exponent-sum
+        coordinates: one byte column per generator, holding each element's
+        exponent sum mod p.  Returns the rows: the label keys in enumeration
+        order, the index of each key, the vertex permutations (m bytes per
+        element) and the coordinate columns.
 
-        The queue is read in consecutive chunks.  Each chunk forms its
-        products with every generator column-wise (_Batch.times), and the
-        new ones join the queue in the order a one-at-a-time walk finds
-        them: element-major, generator-minor.  Returns the rows: the label
-        keys in enumeration order, the index of each key, the vertex
-        permutations (m bytes per element) and the coordinate columns.
+        Step 1 walks H breadth first from 1 under right multiplication by
+        the b_j = b^(a^j), j = 0..p-1, which generate st(1); H is finite, so
+        the closure is the subgroup.  The queue is read in consecutive
+        chunks.  Each chunk forms its products with every b_j column-wise
+        (_Batch.times), and the new ones join the queue in the order a
+        one-at-a-time walk finds them: element-major, generator-minor.  Every
+        b_j has coordinates (0, 1), and the walk checks on every product
+        h*b_j that its b-coordinate is h's plus 1.
+
+        Step 2 reads off the cosets h*a^r, r = 1..p-1, with no product: a's
+        one nonzero label is at the root, which every vertex permutation
+        fixes, so h*a^r has h's labels with root label r, the permutation
+        pi_(a^r) o pi_h, and coordinates (r, b-coordinate of h).  Index
+        r*|H| + i holds h_i*a^r; the identity stays at index 0.
+
+        The check on H covers every edge of G's Cayley graph:
+        (h*a^r)*a = h*a^(r+1), and (h*a^r)*b = (h*b_(-r))*a^r since
+        a^r*b*a^-r = b_(-r).  So the coordinates add (1, 0) along every
+        product by a and (0, 1) along every product by b.  At level 1, b = 1
+        and H = 1, the check fails, and the coordinates are dropped.
         """
-        shape = self.shape
+        shape, identity = self.shape, self.identity
         p, m = shape.p, shape.internal_count
-        gens = (self.a, self.b, self.a_inv, self.b_inv)
+        gens, steps = zip(*_stabilizer_steps(self.a, self.b))
         shifts = _add_tables(p)
-        steps = [(shifts[da % p], shifts[db % p]) for da, db in _GEN_COORDS]
-        keys = [self.identity.labels]
-        index: dict[bytes, int] = {self.identity.labels: 0}
-        perm_rows = bytearray(self.identity.vertex_perm())
-        coords = (bytearray(1), bytearray(1))
+        keys = [identity.labels]
+        index: dict[bytes, int] = {identity.labels: 0}
+        perm_rows = bytearray(identity.vertex_perm())
+        coords = bytearray(1)  # the b-coordinate; the a-coordinate is 0 on H
         consistent = True
         qi = 0
         while qi < len(keys):
@@ -517,36 +542,55 @@ class QuotientGroup:
             width = stop - qi
             batch = _Batch(shape, b"".join(keys[qi:stop]), perm_rows[qi * m : stop * m])
             label_columns: list[bytes] = []
-            value_columns: list[bytes] = []  # the product's perm, then its coordinates
-            for g, step in zip(gens, steps):
+            perm_columns: list[bytes] = []
+            for g in gens:
                 labels, perms = batch.times(g)
                 label_columns += labels
-                value_columns += perms
-                value_columns += [c[qi:stop].translate(s) for c, s in zip(coords, step)]
+                perm_columns += perms
             products = _split(_rows(label_columns, width), m)
-            values = _rows(value_columns, width)
-            unknown = list(map(is_, map(index.get, products), repeat(None)))
-            # Equal keys are one element, with one permutation and, unless the
-            # check below fails, one pair of coordinates; the dict keeps the
-            # first-seen key order.
-            table = dict(
-                zip(compress(products, unknown), compress(_split(values, m + 2), unknown))
-            )
-            if len(keys) + len(table) > budget:
+            made = _rows([coords[qi:stop].translate(shifts[s % p]) for s in steps], width)
+            found = list(map(index.get, products))
+            unknown = list(map(is_, found, repeat(None)))
+            # Equal keys are one element, with one permutation: the dict keeps
+            # the position of each new key's first product.
+            table = dict(zip(compress(products, unknown), compress(count(), unknown)))
+            if p * (len(keys) + len(table)) > budget:
                 raise BudgetExceeded(budget, budget + 1, predicted)
-            columns = _columns(b"".join(table.values()), m + 2)
-            perm_rows += _rows(columns[:m], len(table))
-            index.update(zip(table, range(len(keys), len(keys) + len(table))))
+            rows = _split(_rows(perm_columns, width), m)
+            perm_rows += b"".join(map(rows.__getitem__, table.values()))
+            coords += bytes(map(made.__getitem__, table.values()))
+            index.update(zip(table, count(len(keys))))
             keys += table
-            coords[0].extend(columns[m])
-            coords[1].extend(columns[m + 1])
-            if consistent and not _coords_agree(index, coords, products, values):
-                if n >= 2:
-                    raise RuntimeError("exponent-sum coordinates conflicted at level >= 2")
-                consistent = False  # level 1: b collapses onto the identity
+            if consistent:
+                # Products known before this chunk reuse the indices of the
+                # lookup; only the new ones are looked up again.
+                known = list(map(not_, unknown))
+                have = chain(
+                    compress(found, known), map(index.__getitem__, compress(products, unknown))
+                )
+                want = chain(compress(made, known), compress(made, unknown))
+                if bytes(map(coords.__getitem__, have)) != bytes(want):
+                    if n >= 2:
+                        raise RuntimeError("exponent-sum coordinates conflicted at level >= 2")
+                    consistent = False  # level 1: b collapses onto the identity
             qi = stop
-        coords_out = tuple(map(bytes, coords)) if consistent else None
-        return tuple(keys), index, bytes(perm_rows), coords_out
+        # The permutations go into one buffer allocated up front: each
+        # coset's translate is freed right above it and leaves no hole in
+        # the heap, where joining the blocks at the end would.
+        size, block = len(keys), len(perm_rows)
+        perms = bytearray(p * block)
+        perms[:block] = perm_rows
+        for r in range(1, p):
+            root = bytes([r])
+            coset = [root + key[1:] for key in islice(keys, size)]
+            index.update(zip(coset, count(r * size)))
+            keys += coset
+            a_r = _vertex_table((self.a**r).vertex_perm())
+            perms[r * block : (r + 1) * block] = perm_rows.translate(a_r)
+        coords_out = None
+        if consistent:
+            coords_out = (b"".join(bytes([r]) * size for r in range(p)), b"".join([coords] * p))
+        return tuple(keys), index, perms, coords_out
 
     # -- basic container behaviour -------------------------------------------
 
@@ -566,7 +610,7 @@ class QuotientGroup:
             f"n={self.shape.n}, order={len(self)})"
         )
 
-    def _perm_row(self, i: int) -> bytes:
+    def _perm_row(self, i: int) -> bytearray:
         """The vertex permutation of element i, one byte per vertex."""
         m = self.shape.internal_count
         return self._perms[i * m : (i + 1) * m]
@@ -705,9 +749,12 @@ class QuotientGroup:
     def derived_subgroup(self) -> SubgroupHandle:
         """G', in enumeration order: the elements on line p + 1, at (0, 0).
 
-        For n >= 2 the coordinates map G onto C_p x C_p (the walk checked
-        that they add along every product by a and b), so their kernel K
-        contains G' and has index p^2.  G/G' is abelian and generated by the
+        For n >= 2 the coordinates map G onto C_p x C_p, so their kernel K
+        contains G' and has index p^2.  They are a homomorphism because they
+        add along every product by a and b: the enumeration checked on every
+        product h*b_j in H = st(1)/st(n) that the b-coordinate grows by 1,
+        and (h*a^r)*a = h*a^(r+1), (h*a^r)*b = (h*b_(-r))*a^r with
+        b_j = b^(a^j).  G/G' is abelian and generated by the
         images of a and b, both of order p, so |G:G'| <= p^2.  Hence K = G'.
         At level 1 the quotient is <a> = C_p, abelian, so G' = 1.
         """
@@ -725,8 +772,13 @@ class QuotientGroup:
 
     @stage
     def level_stabilizer(self, k: int) -> SubgroupHandle:
-        """Elements acting trivially on the first k levels."""
-        return SubgroupHandle(tuple(g for g in self.elements if g.stabilizes_level(k)))
+        """Elements acting trivially on the first k levels, in enumeration
+        order: those whose labels above depth k are all zero, found where
+        the OR of those label columns has a zero byte."""
+        columns = self.label_columns()[: self.shape.level_starts[k]]
+        live = fold(or_, (int.from_bytes(c, "little") for c in columns), 0)
+        members = compress(range(len(self)), map(not_, live.to_bytes(len(self), "little")))
+        return SubgroupHandle(tuple(map(self._at, members)))
 
     @stage
     def stabilizer_derived(self) -> SubgroupHandle:

@@ -129,9 +129,11 @@ def _orders(shape: TreeShape, rows: bytes, perm: Sequence[int]) -> list[int]:
 def _orders_and_tops(
     shape: TreeShape, rows: bytes, perm: Sequence[int]
 ) -> list[tuple[int, bytes]]:
-    """Order of each x of a power class and the labels of x^(p^(n-1))."""
+    """Order of each x of a power class and the labels of x^(p^(n-1)),
+    equal labels sharing one bytes object."""
     exps, levels = p_power_chains(shape, rows, perm)
-    return list(zip(_orders_of(shape, exps), levels[-1]))
+    tops: dict[bytes, bytes] = {}
+    return list(zip(_orders_of(shape, exps), map(tops.setdefault, levels[-1], levels[-1])))
 
 
 def _generator_portraits(v: DefiningVector, n: int) -> tuple[Portrait, Portrait]:

@@ -9,7 +9,8 @@ instead of synthetic division, Sigma sets, conjugacy classes and normal
 closures are built by literally conjugating with every element, socle
 orbits by walking subgroup member sets under conjugation, the signature
 table tests generation and forms products pair by pair, the quotient and
-its closures are walked one element and one product at a time, and greedy
+its closures are walked one element and one product at a time (the
+quotient both in coset order and over the whole group), and greedy
 generators are closed anew after every pick.
 """
 from __future__ import annotations
@@ -254,11 +255,52 @@ def brute_normal_closure(
 def queue_walk(
     v: DefiningVector, n: int
 ) -> tuple[list[Portrait], tuple[tuple[int, int], ...] | None]:
-    """The level-n quotient by a one-element-at-a-time queue walk: each element
-    in turn is multiplied on the right by a, b, a^-1 and b^-1, and products
-    not seen before join the queue.  Returns the elements in queue order,
-    each product keeping the vertex permutation composed from its operands,
-    and the exponent-sum coordinates (None at level 1, where b is trivial)."""
+    """The level-n quotient in coset order, one element and one product at
+    a time: H = st(1)/st(n) is walked as a queue, each element in turn
+    multiplied on the right by b_j = b^(a^j) for j = 0..p-1, and then the
+    cosets H*a^r, r = 1..p-1, are appended, each h*a^r formed as a product.
+    Returns the elements in that order, each product keeping the vertex
+    permutation composed from its operands, and the exponent-sum coordinates
+    (None at level 1, where b is trivial); on H the b-coordinate is checked
+    to grow by 1 along every product."""
+    shape = tree_shape(v.p, n)
+    a, b = make_a(shape), make_b(v, shape)
+    gens = [b.conjugate_by(a**j) for j in range(v.p)]
+    powers = [a**r for r in range(1, v.p)]
+    for g in gens + powers:
+        g.vertex_perm()
+    one = Portrait.identity(shape)
+    one.vertex_perm()
+    stabilizer, coords = [one], {one.labels: (0, 0)}
+    for x in stabilizer:  # grows while it is read
+        cy = (0, (coords[x.labels][1] + 1) % v.p)
+        for g in gens:
+            y = x * g
+            if y.labels not in coords:
+                coords[y.labels] = cy
+                stabilizer.append(y)
+            elif coords[y.labels] != cy:
+                assert n == 1, "exponent-sum coordinates conflicted at level >= 2"
+    elements = list(stabilizer)
+    for r, g in enumerate(powers, 1):
+        for x in stabilizer:
+            y = x * g
+            coords[y.labels] = (r, coords[x.labels][1])
+            elements.append(y)
+    if n == 1:
+        return elements, None
+    return elements, tuple(coords[x.labels] for x in elements)
+
+
+def four_generator_walk(
+    v: DefiningVector, n: int
+) -> tuple[list[Portrait], tuple[tuple[int, int], ...] | None]:
+    """The level-n quotient by a one-element-at-a-time queue walk over the
+    whole group: each element in turn is multiplied on the right by a, b,
+    a^-1 and b^-1, and products not seen before join the queue.  Returns the
+    elements in queue order, each product keeping the vertex permutation
+    composed from its operands, and the exponent-sum coordinates (None at
+    level 1, where b is trivial), checked along every product."""
     shape = tree_shape(v.p, n)
     a, b = make_a(shape), make_b(v, shape)
     steps = [(a, (1, 0)), (b, (0, 1)), (a.inverse(), (-1, 0)), (b.inverse(), (0, -1))]

@@ -139,6 +139,14 @@ def test_tree_past_the_walk_vertex_limit_is_refused_at_once():
     assert "more than the 256" in doc["notes"][0]
 
 
+def test_symmetric_vector_past_the_budget_is_refused_at_once():
+    # No claim formula covers e = (1, 1) at level 4, but the enumeration's
+    # guard puts its order at 3^24 and refuses it before walking.
+    res = _ends_cleanly("enumerate", "--p", "3", "--e", "1,1", "--level", "4")
+    assert res.returncode == 2
+    assert "order 3^24 by the Fernandez-Alcober & Zugadi-Reizabal formula" in res.stderr
+
+
 def test_huge_prime_exits_2_at_once():
     huge = "1000000000000000003"
     for args in (("classify", "--p", huge), ("classify", "--p", huge, "--e", "1,-1")):

@@ -6,7 +6,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ggs import (
@@ -35,6 +35,7 @@ from reference import (
     brute_generated,
     brute_normal_closure,
     element_walk,
+    four_generator_walk,
     greedy_generators,
     queue_walk,
 )
@@ -95,12 +96,34 @@ def test_budget_exceeded_by_prediction(gs):
     assert err.value.partial == 0  # rejected before enumerating
 
 
-def test_budget_exceeded_mid_enumeration():
-    # symmetric vector: no predicted order, so the budget trips during the walk
+def test_budget_exceeded_mid_enumeration(monkeypatch):
+    # With a guard that underestimates every order, the walk itself stops at
+    # the budget.  A symmetric vector has no predicted order to report.
+    monkeypatch.setattr(quotient, "_guard_exponent", lambda v, n: 0)
     with pytest.raises(BudgetExceeded) as err:
         enumerate_quotient(DefiningVector(3, (1, 1)), 3, budget=100)
     assert err.value.predicted is None
     assert err.value.partial >= 100
+
+
+def test_symmetric_vectors_are_refused_by_the_guard_formula():
+    # p^(t*p^(n-2)+1-delta*(p^(n-2)-1)/(p-1)): 3^9 at n = 3 for both symmetric
+    # vectors at p = 3, where the walk still runs, and 3^24 at n = 4.
+    for e in ((1, 1), (2, 2)):
+        v = DefiningVector(3, e)
+        assert v.symmetric and v.rank == 3
+        assert len(enumerate_quotient(v, 3)) == 3 ** quotient._guard_exponent(v, 3) == 19683
+        assert quotient._guard_exponent(v, 2) == predicted_exponent(v, 2)
+        with pytest.raises(BudgetExceeded, match=r"order 3\^24 by the Fernandez") as err:
+            enumerate_quotient(v, 4)
+        assert err.value.partial == 0 and err.value.predicted is None
+        with pytest.raises(BudgetExceeded, match=r"order 3\^9 by"):
+            enumerate_quotient(v, 3, budget=19682)
+    for v in (DefiningVector(3, (1, 0)), DefiningVector(5, (1, 4, 1, 4))):
+        assert not v.symmetric
+        for n in (1, 2, 3, 4):
+            assert quotient._guard_exponent(v, n) == predicted_exponent(v, n)
+    assert predicted_exponent(DefiningVector(3, (1, 1)), 4) is None  # claims unchanged
 
 
 WALK_CASES = [
@@ -157,26 +180,92 @@ def test_elements_are_built_from_the_rows(p, e, n):
         assert group.element(elements[i].labels) is elements[i]
 
 
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_coset_walk_matches_four_generator_walk(p, e, n):
+    _assert_same_walk(DefiningVector(p, e), n)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_coset_walk_matches_four_generator_walk_on_random_vectors(data):
+    p = data.draw(st.sampled_from([3, 5]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+    assume(any(e))
+    v = DefiningVector(p, tuple(e))
+    n = data.draw(st.integers(1, 3))
+    assume(p ** quotient._guard_exponent(v, n) <= 3**9)
+    _assert_same_walk(v, n)
+
+
+def _assert_same_walk(v: DefiningVector, n: int):
+    """The coset walk finds the elements of the walk over the whole group
+    under a, b, a^-1, b^-1, each with the same vertex permutation and
+    coordinates."""
+    group = enumerate_quotient(v, n)
+    expected, coords = four_generator_walk(v, n)
+    assert group.label_keys[0] == expected[0].labels
+    assert set(group.label_keys) == {x.labels for x in expected}
+    assert len(group) == len(expected)
+    for i, x in enumerate(expected):
+        k = group._index[x.labels]
+        assert group._perm_row(k) == bytes(x._perm)
+        if coords is not None:
+            assert (group.coords[0][k], group.coords[1][k]) == coords[i]
+    assert (group.coords is None) == (coords is None)
+
+
+@pytest.mark.parametrize("p,e,n", [c for c in WALK_CASES if c[2] >= 2])
+def test_walk_is_coset_major(p, e, n):
+    # Index r*|H| + i holds h_i * a^r, with H = st(1) first.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    size = len(group) // p
+    assert frozenset(group.label_keys[:size]) == group.level_stabilizer(1).keys
+    assert group.coords[0] == group.label_columns()[0]
+    assert group.coords[0] == b"".join(bytes([r]) * size for r in range(p))
+    assert group.coords[1] == group.coords[1][:size] * p
+    for r in range(1, p):
+        a_r = group.a**r
+        for i in range(0, size, max(1, size // 50)):
+            x = group.element(group.label_keys[i]) * a_r
+            assert group._index[x.labels] == r * size + i
+            assert group._perm_row(r * size + i) == bytes(x.vertex_perm())
+
+
+def _corrupted(shifts):
+    """_stabilizer_steps with the b-coordinate step of b_j replaced by
+    shifts[j]."""
+    real = quotient._stabilizer_steps
+    return lambda a, b: [(g, s) for (g, _), s in zip(real(a, b), shifts)]
+
+
 @pytest.mark.parametrize(
     "steps",
     [
-        ((1, 0), (0, 2), (-1, 0), (0, -1)),  # b moves the b-coordinate twice
-        ((1, 0), (0, 1), (-1, 1), (0, -1)),  # a^-1 also moves the b-coordinate
+        (2, 1, 1),  # b moves the b-coordinate twice
+        (1, 1, 0),  # b^(a^2) does not move it
     ],
 )
-def test_corrupt_coordinate_step_is_caught(e10, steps, monkeypatch):
-    monkeypatch.setattr(quotient, "_GEN_COORDS", steps)
+def test_corrupt_coordinate_step_is_caught(gs, steps, monkeypatch):
+    # At level 2, b * b^a * b^(a^2) = 1 for e = (1, -1): the step sums to 1,
+    # not 0, along that cycle of the walk over st(1).
+    monkeypatch.setattr(quotient, "_stabilizer_steps", _corrupted(steps))
     with pytest.raises(RuntimeError, match="coordinates conflicted"):
-        enumerate_quotient(e10, 2)
+        enumerate_quotient(gs, 2)
     # At level 1, b is trivial and the coordinates are dropped instead.
-    assert enumerate_quotient(e10, 1).coords is None
+    assert enumerate_quotient(gs, 1).coords is None
 
 
-def test_walk_refuses_trees_past_the_vertex_limit():
+def test_walk_refuses_trees_past_the_vertex_limit(monkeypatch):
     sym = DefiningVector(3, (1, 1))
-    # (3^5 - 1) / 2 = 121 internal vertices: walked until the budget stops it.
-    with pytest.raises(BudgetExceeded, match="stopped at 101 elements"):
+    # (3^5 - 1) / 2 = 121 internal vertices, walked when the guard formula
+    # lets it: until the budget stops it.
+    with monkeypatch.context() as patch:
+        patch.setattr(quotient, "_guard_exponent", lambda v, n: 0)
+        with pytest.raises(BudgetExceeded, match="stopped at 101 elements"):
+            enumerate_quotient(sym, 5, budget=100)
+    with pytest.raises(BudgetExceeded, match=r"order 3\^69 by the Fernandez") as err:
         enumerate_quotient(sym, 5, budget=100)
+    assert err.value.partial == 0
     # (3^6 - 1) / 2 = 364: refused before the tree is built.
     with pytest.raises(BudgetExceeded, match=f"more than the {MAX_BATCH_VERTICES}") as err:
         enumerate_quotient(sym, 6)
@@ -351,6 +440,17 @@ def test_level_stabilizers(gs_g3):
     assert len(gs_g3.level_stabilizer(2)) == 81
     assert len(gs_g3.level_stabilizer(3)) == 1
     assert gs_g3.normal_closure([gs_g3.b], [gs_g3.a, gs_g3.b]).keys == st1.keys
+
+
+@pytest.mark.parametrize("p,e,n", [(3, (1, -1), 3), (3, (1, 0), 3), (5, (1, 4, 1, 4), 2)])
+def test_level_stabilizers_are_read_off_the_rows(p, e, n):
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    stabilizers = [group.level_stabilizer(k) for k in range(n + 1)]
+    assert "elements" not in vars(group)
+    for k, handle in enumerate(stabilizers):
+        expected = [g for g in group.elements if g.stabilizes_level(k)]
+        assert list(handle) == expected
+        assert all(x is group.element(x.labels) for x in handle)
 
 
 def test_conjugacy_classes(gs_g2, gs_g3, e10_g2):
