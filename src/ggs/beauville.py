@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import add, itemgetter
-from struct import Struct
 from typing import Iterator, NamedTuple, Sequence
 
 from .certificate import CODE_VERSION, Certificate
@@ -38,6 +37,7 @@ from .quotient import (
     map_power_classes,
     p_power_chains,
     stage,
+    _split,
 )
 
 __all__ = [
@@ -303,10 +303,22 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     # generating pair keys as one integer s_y * count + s_xy; dict.fromkeys keeps
     # the distinct keys in order of first occurrence, which is the order in
     # which the first pairs realizing each signature occur.
-    p = group.vector.p
-    socle_of = ids.__getitem__
-    split = Struct(f"{group.shape.internal_count}s").iter_unpack
-    first = itemgetter(0)
+    #
+    # The products come by coset blocks.  Index t*|H| + i holds h_i * a^t,
+    # with H = st(1)/st(n) first.  For a representative x with root label r
+    # and a partner y = h_j * a^s, x*y = (x*h_j) * a^s, and x*h_j = h_i * a^r,
+    # where h_i has the labels of x*h_j with root label 0.  So x*y =
+    # h_i * a^(r+s): each representative forms and looks up only its |H|
+    # products x*h_j, and reads s_xy for every partner off the cosets' socle
+    # ids, coset r first.
+    p, m = group.vector.p, group.shape.internal_count
+    size = len(elements) // p
+    position = group._index.__getitem__
+    # The socle ids of coset t, h_i * a^t at i; the identity's 0 is never read.
+    cosets = [
+        list(map(ids.get, group.label_keys[t * size : (t + 1) * size], repeat(0)))
+        for t in range(p)
+    ]
     # Per line through the origin of the coordinate plane, that is per
     # maximal subgroup: the mask of the elements off it and off the origin
     # (those completing a generating pair), their scaled socle ids (shared
@@ -322,12 +334,16 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
             mask = group.line_mask(*(j for j in range(p + 1) if j != line))
             partners_of[line] = (
                 mask,
-                [scale[socle_of(y.labels)] for y in compress(elements, mask)],
+                list(map(scale.__getitem__, compress(chain.from_iterable(cosets), mask))),
                 array("I", compress(range(len(elements)), mask)),
             )
         mask, scaled, partners = partners_of[line]
-        products = compress(split(group.left_products(rep)), mask)
-        keys = list(map(add, scaled, map(socle_of, map(first, products))))
+        rows = group.left_products(rep, size)
+        rows[::m] = bytes(size)  # root labels to 0: the keys of the h_i
+        at = itemgetter(*map(position, _split(rows, m)))
+        r = rep.labels[0]
+        products = chain.from_iterable(map(at, cosets[r:] + cosets[:r]))
+        keys = list(map(add, scaled, compress(products, mask)))
         sr = ids[rep.labels]
         for key in dict.fromkeys(keys):
             sig = frozenset((sr, *divmod(key, count)))

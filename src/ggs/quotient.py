@@ -23,7 +23,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property, lru_cache, reduce as fold, wraps
 from itertools import chain, compress, count, islice, repeat
-from operator import attrgetter, getitem, is_, itemgetter, not_, or_
+from operator import add, attrgetter, getitem, is_, itemgetter, not_, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, cast
 
@@ -554,8 +554,9 @@ class QuotientGroup:
             # Equal keys are one element, with one permutation: the dict keeps
             # the position of each new key's first product.
             table = dict(zip(compress(products, unknown), compress(count(), unknown)))
-            if p * (len(keys) + len(table)) > budget:
-                raise BudgetExceeded(budget, budget + 1, predicted)
+            reached = p * (len(keys) + len(table))
+            if reached > budget:
+                raise BudgetExceeded(budget, reached, predicted)
             rows = _split(_rows(perm_columns, width), m)
             perm_rows += b"".join(map(rows.__getitem__, table.values()))
             coords += bytes(map(made.__getitem__, table.values()))
@@ -657,19 +658,20 @@ class QuotientGroup:
         rows = b"".join(self.label_keys)
         return tuple(_columns(rows, self.shape.internal_count))
 
-    def left_products(self, x: Portrait) -> bytearray:
-        """The labels of x*y for every element y, concatenated in enumeration
-        order.
+    def left_products(self, x: Portrait, stop: int | None = None) -> bytearray:
+        """The labels of x*y for every element y, or for the elements before
+        index stop, concatenated in enumeration order.
 
         Column k of x*y is l_x[k] + col[pi_x(k)] mod p.  With x fixed that is
         one translate per vertex, by the table adding l_x[k] mod p.
         """
         columns = self.label_columns()
         m = len(columns)
+        width = len(self) if stop is None else stop
         shifts = _add_tables(self.vector.p)
-        out = bytearray(len(self) * m)
+        out = bytearray(width * m)
         for k, (source, shift) in enumerate(zip(x.vertex_perm(), x.labels)):
-            out[k::m] = columns[source].translate(shifts[shift])
+            out[k::m] = columns[source][:width].translate(shifts[shift])
         return out
 
     def coords_of(self, x: Portrait) -> tuple[int, int]:
@@ -713,18 +715,30 @@ class QuotientGroup:
     def _conjugation_tables(self) -> tuple[array, array]:
         """The index of x^a and the index of x^b, for every element x in
         enumeration order; built chunk by chunk with _Batch.conjugate from
-        the joined label keys and a slice of the permutation rows."""
+        the joined label keys and a slice of the permutation rows.
+
+        Only H = st(1)/st(n), the first |H| elements, is conjugated by a:
+        index r*|H| + i holds h_i * a^r, and (h_i * a^r)^a = h_i^a * a^r, so
+        the a-table of coset r is that of H shifted by r*|H|.
+        """
         keys, perms, index = self.label_keys, self._perms, self._index
         m = self.shape.internal_count
-        tables = (array("I"), array("I"))
-        pairs = ((self.a, self.a_inv), (self.b, self.b_inv))
-        for start in range(0, len(keys), WALK_CHUNK):
-            stop = start + WALK_CHUNK
-            batch = _Batch(self.shape, b"".join(keys[start:stop]), perms[start * m : stop * m])
-            for table, (c, ci) in zip(tables, pairs):
+        size = len(keys) // self.vector.p
+
+        def conjugates(c: Portrait, ci: Portrait, stop: int) -> array:
+            table = array("I")
+            for start in range(0, stop, WALK_CHUNK):
+                end = min(start + WALK_CHUNK, stop)
+                batch = _Batch(self.shape, b"".join(keys[start:end]), perms[start * m : end * m])
                 images = _split(_rows(batch.conjugate(c, ci), batch.width), m)
                 table.extend(map(index.__getitem__, images))
-        return tables
+            return table
+
+        by_a = conjugates(self.a, self.a_inv, size)
+        head = by_a[:]
+        for r in range(1, self.vector.p):
+            by_a.extend(map(add, head, repeat(r * size)))
+        return by_a, conjugates(self.b, self.b_inv, len(keys))
 
     def normal_closure(
         self, seeds: Iterable[Portrait], conjugators: Iterable[Portrait]

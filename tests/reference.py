@@ -8,19 +8,24 @@ cycles of the leaf permutation, root multiplicity comes from a Taylor shift
 instead of synthetic division, Sigma sets, conjugacy classes and normal
 closures are built by literally conjugating with every element, socle
 orbits by walking subgroup member sets under conjugation, the signature
-table tests generation and forms products pair by pair, the quotient and
-its closures are walked one element and one product at a time (the
-quotient both in coset order and over the whole group), and greedy
-generators are closed anew after every pick.
+table tests generation and forms products pair by pair (a second table
+forms x*y for every element y of the group and looks each one up, with no
+coset blocks), the quotient and its closures are walked one element and
+one product at a time (the quotient both in coset order and over the whole
+group), and greedy generators are closed anew after every pick.
 """
 from __future__ import annotations
 
-from itertools import product
+from array import array
+from itertools import compress, product
 from math import comb, lcm
+from operator import add, itemgetter
+from struct import Struct
 
 from ggs import DefiningVector, Portrait, QuotientGroup, TreeShape, commutator, tree_shape
 from ggs.beauville import _socle_data
 from ggs.generators import make_a, make_b
+from ggs.quotient import coordinate_line
 
 
 def internal_vertices(shape: TreeShape) -> list[tuple[int, ...]]:
@@ -364,5 +369,44 @@ def reference_signature_table(group: QuotientGroup) -> dict[frozenset[int], list
                 ids[z.labels] for z in (rep, y, rep * y) if not z.is_identity()
             )
             if sig not in table:
+                table[sig] = [rep.encode(), y.encode()]
+    return table
+
+
+def whole_group_signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
+    """Signature table from level 2 on with one product and one socle
+    lookup per element of the group: each class representative x forms x*y
+    for every y at once (`left_products`) and looks every product up, with
+    no use of the coset structure of the enumeration."""
+    assert group.coords is not None, "generation is read off the coordinates"
+    ids, count = _socle_data(group)
+    elements = group.elements
+    table: dict[frozenset[int], list[str]] = {}
+    p = group.vector.p
+    socle_of = ids.__getitem__
+    split = Struct(f"{group.shape.internal_count}s").iter_unpack
+    first = itemgetter(0)
+    scale = [s * count for s in range(count)]
+    partners_of: dict[int, tuple[bytes, list[int], array]] = {}
+    for cls in group.conjugacy_classes():
+        rep = min(cls)
+        line = coordinate_line(*group.coords_of(rep), p)
+        if line == p + 1:
+            continue
+        if line not in partners_of:
+            mask = group.line_mask(*(j for j in range(p + 1) if j != line))
+            partners_of[line] = (
+                mask,
+                [scale[socle_of(y.labels)] for y in compress(elements, mask)],
+                array("I", compress(range(len(elements)), mask)),
+            )
+        mask, scaled, partners = partners_of[line]
+        products = compress(split(group.left_products(rep)), mask)
+        keys = list(map(add, scaled, map(socle_of, map(first, products))))
+        sr = ids[rep.labels]
+        for key in dict.fromkeys(keys):
+            sig = frozenset((sr, *divmod(key, count)))
+            if sig not in table:
+                y = elements[partners[keys.index(key)]]
                 table[sig] = [rep.encode(), y.encode()]
     return table

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ggs import (
@@ -23,6 +23,7 @@ from ggs import (
     triple_signature,
 )
 
+from ggs import quotient
 from ggs.beauville import _conjugates_of_powers, _signature_table, _socle_data
 
 from reference import (
@@ -31,6 +32,7 @@ from reference import (
     reference_signature_table,
     walk_socle_data,
     walk_subgroup_orbit,
+    whole_group_signature_table,
 )
 
 ORACLE_SETTINGS = settings(max_examples=30, deadline=None)
@@ -274,6 +276,40 @@ def test_signature_table_matches_reference(p, e, n):
         assert is_beauville_pair(t1, t2, group).verified
     if len(group) <= 2000:
         assert pruned.verdict == search_beauville(group, "exhaustive").verdict
+
+
+def _assert_same_table(group):
+    table = _signature_table(group)
+    expected = whole_group_signature_table(group)
+    assert table == expected
+    assert list(table) == list(expected)
+    return table
+
+
+@pytest.mark.parametrize(
+    "p, e, n, order, signatures",
+    [
+        (5, (1, 0, 0, 0), 2, 15625, 252),
+        (3, (1, 0), 3, 59049, 90),
+        (3, (1, 1), 3, 19683, 24),
+    ],
+)
+def test_coset_block_table_matches_whole_group_table(p, e, n, order, signatures):
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    assert len(group) == order
+    assert len(_assert_same_table(group)) == signatures
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_coset_block_table_matches_whole_group_table_on_random_vectors(data):
+    p = data.draw(st.sampled_from([3, 5]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+    assume(any(e))
+    v = DefiningVector(p, tuple(e))
+    n = data.draw(st.integers(2, 3))
+    assume(p ** quotient._guard_exponent(v, n) <= 3**9)
+    _assert_same_table(enumerate_quotient(v, n))
 
 
 def test_search_is_deterministic(e10_g2):

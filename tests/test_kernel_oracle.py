@@ -134,6 +134,8 @@ def test_left_products_match_naive_compose(p, e, n, data):
     assert len(products) == len(group) * m
     for j, y in enumerate(group.elements):
         assert products[j * m : (j + 1) * m] == naive_compose(x, y).labels
+    stop = len(group) // p  # st(1), the first coset
+    assert group.left_products(x, stop) == products[: stop * m]
 
 
 # Trees the column kernels serve: at most 256 internal vertices.

@@ -104,6 +104,7 @@ def test_budget_exceeded_mid_enumeration(monkeypatch):
         enumerate_quotient(DefiningVector(3, (1, 1)), 3, budget=100)
     assert err.value.predicted is None
     assert err.value.partial >= 100
+    assert err.value.partial % 3 == 0  # the walk holds whole cosets of st(1)
 
 
 def test_symmetric_vectors_are_refused_by_the_guard_formula():
@@ -231,6 +232,18 @@ def test_walk_is_coset_major(p, e, n):
             assert group._perm_row(r * size + i) == bytes(x.vertex_perm())
 
 
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_conjugation_by_a_is_read_off_st1(p, e, n, monkeypatch):
+    # The a-table conjugates st(1) only and shifts it onto the other cosets;
+    # chunks of 7 elements put the end of st(1) inside a chunk.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    monkeypatch.setattr(quotient, "WALK_CHUNK", 7)
+    by_a, _ = group._conjugation_tables()
+    assert len(by_a) == len(group)
+    images = [x.conjugate_by(group.a).labels for x in group.elements]
+    assert [group.label_keys[i] for i in by_a] == images
+
+
 def _corrupted(shifts):
     """_stabilizer_steps with the b-coordinate step of b_j replaced by
     shifts[j]."""
@@ -261,7 +274,8 @@ def test_walk_refuses_trees_past_the_vertex_limit(monkeypatch):
     # lets it: until the budget stops it.
     with monkeypatch.context() as patch:
         patch.setattr(quotient, "_guard_exponent", lambda v, n: 0)
-        with pytest.raises(BudgetExceeded, match="stopped at 101 elements"):
+        # 37 elements of st(1) found, so 3 * 37 of G.
+        with pytest.raises(BudgetExceeded, match="stopped at 111 elements"):
             enumerate_quotient(sym, 5, budget=100)
     with pytest.raises(BudgetExceeded, match=r"order 3\^69 by the Fernandez") as err:
         enumerate_quotient(sym, 5, budget=100)
