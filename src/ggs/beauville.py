@@ -364,8 +364,6 @@ def search_beauville(group: QuotientGroup, strategy: str = "pruned") -> Certific
     """
     if strategy not in ("pruned", "exhaustive"):
         raise ValueError(f"unknown search strategy {strategy!r}")
-    if len(group) > SEARCH_ELEMENT_CAP:
-        raise BudgetExceeded(SEARCH_ELEMENT_CAP, len(group))
     cert = Certificate(
         claim="beauville-search",
         statement="the quotient admits a Beauville structure",
@@ -385,9 +383,18 @@ def search_beauville(group: QuotientGroup, strategy: str = "pruned") -> Certific
     return _search_pruned(group, cert)
 
 
+def _refuse_past(cap: int, search: str, group: QuotientGroup) -> None:
+    """Raise BudgetExceeded when the group has more elements than the search's cap."""
+    if len(group) > cap:
+        raise BudgetExceeded(
+            cap,
+            len(group),
+            reason=f"{search} handles at most {cap} elements; this quotient has {len(group)}",
+        )
+
+
 def _search_literal(group: QuotientGroup, cert: Certificate) -> Certificate:
-    if len(group) > LITERAL_SEARCH_CAP:
-        raise BudgetExceeded(LITERAL_SEARCH_CAP, len(group))
+    _refuse_past(LITERAL_SEARCH_CAP, "literal search", group)
     one = frozenset([group.identity.labels])
     conjugates: dict[bytes, frozenset[bytes]] = {}
 
@@ -454,6 +461,7 @@ def _searched_witness(
 
 
 def _search_pruned(group: QuotientGroup, cert: Certificate) -> Certificate:
+    _refuse_past(SEARCH_ELEMENT_CAP, "signature search", group)
     table = _signature_table(group)
     cert.check(
         "search_space",

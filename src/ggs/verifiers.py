@@ -3,10 +3,11 @@
 `CLAIMS` is the claim registry: one record per claim id with its statement,
 its default level and its verifier.
 
-Claims about enumerable quotients are checked exhaustively.  Claims whose
-quotient exceeds the element budget degrade to the element-wise sub-checks
-that portraits support directly (orders, section identities, power
-collisions of the standard coset representatives) and report the verdict
+Claims about enumerable quotients are checked exhaustively.  The two
+non-periodic claims rest on the power lemma at every level and confirm it
+element by element within the budget.  Other claims whose quotient exceeds
+the element budget degrade to the element-wise sub-checks that portraits
+support directly (orders, section identities) and report the verdict
 "skipped: scale" rather than pretending the full statement was checked.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from itertools import compress
+from itertools import compress, product
 from typing import Callable, NamedTuple, Sequence
 
 from .beauville import (
@@ -22,7 +23,6 @@ from .beauville import (
     LITERAL_SEARCH_CAP,
     SEARCH_ELEMENT_CAP,
     build_special_elements,
-    cyclic_powers,
     cyclic_subgroup,
     is_beauville_pair,
     search_beauville,
@@ -53,6 +53,12 @@ __all__ = ["CLAIMS", "claim_params", "default_level", "verify_claim", "replay_ce
 SCALE = "skipped: scale"
 ELEMENT_WISE = "element-wise portrait computation; no group enumeration"
 LEVEL_ONLY = "certificate covers the stated level only, not the statement for all levels"
+POWER_LEMMA = (
+    "power lemma: for alpha = sum(e) != 0 and g with coordinates (k, j), k != 0, "
+    "g^(p^(n-1)) = z^(j*alpha), where z has label 1 at every depth-(n-1) vertex "
+    "and 0 elsewhere; by induction on n, as every section of g^p has coordinates "
+    "j*(alpha, 1) when the sections of b sum to (alpha, 1)"
+)
 
 
 class Claim(NamedTuple):
@@ -231,6 +237,77 @@ def _lifting_checks(
     return ok
 
 
+def _central_z(shape: TreeShape) -> Portrait:
+    """z: label 1 at every depth-(n-1) vertex and 0 elsewhere."""
+    last = shape.level_starts[-2]
+    return Portrait(shape, bytes(last) + bytes([1]) * (shape.internal_count - last))
+
+
+def _power_lemma_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
+    """The power lemma's inputs and its instances on the ab^i, on portraits
+    alone (n >= 2): alpha != 0, psi(b), (ab^i)^(k*p^(n-1)) = z^(k*i*alpha)
+    and z central.  Every g on line 1 + i then has order p^n and <g> holds z.
+    """
+    p, alpha = v.p, v.alpha
+    a, b = _generator_portraits(v, n)
+    sub_a, sub_b = _generator_portraits(v, n - 1)
+    z = _central_z(a.shape)
+    cert.notes.append(POWER_LEMMA)
+    ok = cert.check("alpha_nonzero", alpha != 0, f"alpha = sum(e) = {alpha} mod {p}")
+    d = b.psi()
+    ok &= cert.check(
+        "b_section_sum",
+        d.root_label == 0 and d.sections == tuple(sub_a**x for x in v.e) + (sub_b,),
+        "psi(b) = (a^e_1, ..., a^e_(p-1), b), whose coordinates sum to (alpha, 1)",
+    )
+    z_powers = [z**m for m in range(p)]
+    bad = []
+    for i in range(1, p):
+        step = (a * b**i) ** (p ** (n - 1))
+        x = step
+        for k in range(1, p):
+            if x != z_powers[k * i * alpha % p]:
+                bad.append((i, k))
+            x = x * step
+    ok &= cert.check(
+        "power_closed_form",
+        not bad,
+        f"(ab^i)^(k*{p}^{n - 1}) = z^(k*i*{alpha}) for i, k = 1..{p - 1}"
+        + (f"; failed at (i, k) = {bad[0]}" if bad else ""),
+    )
+    ok &= cert.check(
+        "z_central",
+        z.conjugate_by(a) == z and z.conjugate_by(b) == z,
+        "z^a = z^b = z",
+    )
+    return ok
+
+
+def _triple_line_check(cert: Certificate, p: int) -> bool:
+    """Every generating triple has a member on some line 1 + i, i != 0.
+
+    On coordinates in F_p^2 = G/G', with no group: the three members of a
+    triple have pairwise independent coordinates, so they lie on three
+    distinct lines, of which at most two are line 0 (<a>G') and line 1
+    (<b>G').
+    """
+    nonzero = [(x, y) for x in range(p) for y in range(p) if x or y]
+    bad = None
+    for (x1, y1), (x2, y2) in product(nonzero, repeat=2):
+        if (x1 * y2 - y1 * x2) % p:
+            members = ((x1, y1), (x2, y2), (x1 + x2, y1 + y2))
+            spanned = {coordinate_line(x, y, p) for x, y in members}
+            if len(spanned) != 3 or spanned <= {0, 1}:
+                bad = members[:2]
+                break
+    return cert.check(
+        "triple_meets_power_line",
+        bad is None,
+        "every independent coordinate pair has a member on an ab^i line"
+        + (f"; failed at {bad}" if bad else ""),
+    )
+
+
 # -- enumerated sub-check builders ----------------------------------------------
 
 
@@ -252,69 +329,45 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     """Power-collision battery over every <ab^i, derived> coset element: the
     elements on line 1 + i of the coordinate plane.
 
-    Adds checks for: order p^n outside the derived subgroup, the coordinate
-    decomposition g = (ab^i)^k * derived, the power collision
-    g^(p^(n-1)) = (ab^i)^(k*p^(n-1)), and the single common cyclic subgroup.
-    At level 2 it also checks that the common subgroup is the center.
+    Confirms the power lemma element by element: each such g has order p^n
+    and g^(p^(n-1)) = z^(j*alpha) for its b-coordinate j.  At level 2 it also
+    checks that <z> is the center.
     """
-    p, n = group.vector.p, group.shape.n
-    all_ok = True
-    z_keysets: set[frozenset] = set()
+    v, n = group.vector, group.shape.n
+    p = v.p
+    z = _central_z(group.shape)
+    expected = [(z ** (j * v.alpha)).labels for j in range(p)]  # by b-coordinate
     total = 0
     order_bad: list[bytes] = []  # label keys
     power_bad: list[bytes] = []
-    coords_bad: list[bytes] = []
     for i in range(1, p):
         on_line = group.line_mask(1 + i)
         outside = list(compress(group.label_keys, on_line))
         total += len(outside)
-        step = (group.a * group.b**i) ** (p ** (n - 1))
-        if step.is_identity() or not (step**p).is_identity():
-            cert.check(f"rep_power_order_i{i}", False, "step is not of order p")
-            all_ok = False
-            continue
-        step_powers = cyclic_powers(step)  # step^k at index k - 1
-        z_keysets.add(cyclic_subgroup(group, step).keys)
-        coords = zip(*(compress(column, on_line) for column in group.coords))
-        for key, (k, ki), (o, top) in zip(
-            outside, coords, map_power_classes(_orders_and_tops, group.shape, outside)
+        wanted = map(expected.__getitem__, compress(group.coords[1], on_line))
+        for key, want, (o, top) in zip(
+            outside, wanted, map_power_classes(_orders_and_tops, group.shape, outside)
         ):
             if o != p**n:
                 order_bad.append(key)
-            if not (1 <= k <= p - 1) or ki != (k * i) % p:
-                coords_bad.append(key)
-            elif top != step_powers[k - 1].labels:
+            if top != want:
                 power_bad.append(key)
-    all_ok &= cert.check(
+    ok = cert.check(
         "orders_p_to_n",
         not order_bad,
         f"all {total} coset elements across {p - 1} subgroups have order {p}^{n}",
     )
-    all_ok &= cert.check(
-        "coset_coordinates",
-        not coords_bad,
-        "every coset element decomposes as (ab^i)^k times a derived element",
-    )
-    all_ok &= cert.check(
+    ok &= cert.check(
         "power_collision",
         not power_bad,
-        f"g^({p}^{n - 1}) equals (ab^i)^(k*{p}^{n - 1}) for every such g",
+        f"g^({p}^{n - 1}) equals z^(j*alpha) for every such g with b-coordinate j",
     )
-    all_ok &= cert.check(
-        "single_power_subgroup",
-        len(z_keysets) == 1,
-        f"{len(z_keysets)} distinct cyclic subgroups from the collision powers",
-    )
-    for name, bad in (
-        ("order", order_bad),
-        ("coords", coords_bad),
-        ("power", power_bad),
-    ):
+    for name, bad in (("order", order_bad), ("power", power_bad)):
         if bad:
             cert.witnesses[f"{name}_witness"] = group.element(min(bad)).encode()
-    if not all_ok:
+    if not ok:
         return False
-    z_keys = z_keysets.pop()
+    z_keys = frozenset(expected)
     cert.witnesses["common_subgroup"] = sorted(group.element(k).encode() for k in z_keys)
     return n != 2 or cert.check(
         "equals_center",
@@ -326,65 +379,17 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
 def _collision_stage(
     cert: Certificate, v: DefiningVector, n: int, budget: int
 ) -> tuple[QuotientGroup | None, bool]:
-    """The power-collision checks of the non-periodic claims.
+    """The enumerated confirmation of the power lemma (the collision scan).
 
-    Returns the enumerated group (None when it is over budget and only the
-    representatives ab^i were checked) and whether the checks passed.
+    Returns the enumerated group, or None with no check when enumeration is
+    refused and the verdict rests on the lemma's checks alone.
     """
-    if _over_budget(
-        cert, v, n, budget, "checking the coset representatives ab^i element-wise only"
-    ):
-        return None, _rep_collision_checks(cert, v, n)
-    group = _enumerate(cert, v, n, budget)
+    try:
+        group = _enumerate(cert, v, n, budget)
+    except BudgetExceeded as exc:
+        cert.notes.append(f"{exc}; the verdict rests on the power lemma's checks")
+        return None, True
     return group, _collision_scan(cert, group)
-
-
-def _pigeonhole_checks(cert: Certificate, group: QuotientGroup) -> bool:
-    """Every generating pair's triple meets some <ab^i, derived> coset.
-
-    Works on generator-exponent coordinates: the three members of a triple
-    have pairwise independent coordinates, so they span three distinct lines,
-    of which at most two are the a-line and the b-line.
-    """
-    p = group.vector.p
-    assert group.coords is not None
-    realized = set(zip(*group.coords)) - {(0, 0)}
-    ok = cert.check(
-        "coords_realized",
-        len(realized) == p * p - 1,
-        f"{len(realized)} of {p * p - 1} nonzero coordinate classes are realized",
-    )
-    nonzero = sorted(realized)
-    bad = None
-    for c1 in nonzero:
-        for c2 in nonzero:
-            if (c1[0] * c2[1] - c1[1] * c2[0]) % p == 0:
-                continue
-            c3 = (c1[0] + c2[0], c1[1] + c2[1])
-            spanned = {coordinate_line(*c, p) for c in (c1, c2, c3)}
-            if len(spanned) != 3 or not (spanned - {0, 1}):
-                bad = (c1, c2)
-                break
-        if bad:
-            break
-    ok &= cert.check(
-        "triple_meets_power_coset",
-        bad is None,
-        "every independent coordinate pair has a member on an ab^i line"
-        + (f"; failed at {bad}" if bad else ""),
-    )
-    derived = group.line_mask(p + 1).count(1)
-    lines = group.lines()
-    counts_ok = all(
-        lines.count(1 + i) == group.line_mask(1 + i, p + 1).count(1) - derived
-        for i in range(1, p)
-    )
-    ok &= cert.check(
-        "line_coset_bijection",
-        counts_ok,
-        "elements with coordinates on line i are exactly the i-th coset elements",
-    )
-    return ok
 
 
 # -- p = 3 level-3 structure battery ---------------------------------------------
@@ -624,31 +629,9 @@ def verify_prop_collision(
     _require_non_periodic(cert, v)
     if n < 2:
         raise ValueError("the collision claim concerns levels n >= 2")
-    group, ok = _collision_stage(cert, v, n, budget)
-    return _verdict(ok, SCALE if group is None else "verified")
-
-
-def _rep_collision_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
-    """Collision checks on the representatives ab^i alone (no enumeration)."""
-    p = v.p
-    a, b = _generator_portraits(v, n)
-    ok = True
-    steps = []
-    for i in range(1, p):
-        rep = a * b**i
-        got = rep.order()
-        ok &= cert.check(
-            f"partial_order_rep{i}", got == p**n, f"order of ab^{i} is {got}"
-        )
-        steps.append(rep ** (p ** (n - 1)))
-    first = {s.labels for s in cyclic_powers(steps[0])}
-    for i, s in enumerate(steps[1:], start=2):
-        ok &= cert.check(
-            f"partial_common_subgroup_rep{i}",
-            {x.labels for x in cyclic_powers(s)} == first,
-            f"<(ab^{i})^({p}^{n - 1})> matches the first representative's subgroup",
-        )
-    return ok
+    ok = _power_lemma_checks(cert, v, n)
+    _, scanned = _collision_stage(cert, v, n, budget)
+    return _verdict(ok and scanned)
 
 
 def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
@@ -669,18 +652,17 @@ def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> s
             "the literal no-pruning search finds no structure",
         )
         return _verdict(ok)
-    group, ok = _collision_stage(cert, v, n, budget)
-    if group is None:
-        return _verdict(ok, SCALE)
-    ok = _pigeonhole_checks(cert, group) and ok
+    ok = _power_lemma_checks(cert, v, n)
+    ok &= _triple_line_check(cert, v.p)
     if ok:
         cert.notes.append(
-            "conclusion: every generating triple has a member inside some "
-            "<ab^i, derived> coset, that member's high power generates the one "
-            "common cyclic subgroup, so every Sigma set contains it and no two "
-            "Sigma sets meet trivially"
+            "conclusion: every generating triple has a member on some line "
+            "1 + i, i != 0; that member's p^(n-1)-th power generates <z>, so "
+            "every Sigma set contains z and no two Sigma sets meet trivially"
         )
-    if n == 2 and ok:
+    group, scanned = _collision_stage(cert, v, n, budget)
+    ok &= scanned
+    if n == 2 and group is not None and ok:
         if len(group) <= LITERAL_SEARCH_CAP:
             oracle = search_beauville(group, "exhaustive")
             ok &= cert.check(
@@ -693,12 +675,6 @@ def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> s
                 f"group order {len(group)} exceeds the literal search cap "
                 f"{LITERAL_SEARCH_CAP}; the independent literal search is not run"
             )
-        pruned = search_beauville(group, "pruned")
-        ok &= cert.check(
-            "no_structure_signatures",
-            pruned.refuted,
-            "the signature-exhaustion search agrees",
-        )
     return _verdict(ok)
 
 

@@ -23,7 +23,7 @@ from ggs import (
     triple_signature,
 )
 
-from ggs import quotient
+from ggs import beauville, quotient
 from ggs.beauville import _conjugates_of_powers, _signature_table, _socle_data
 
 from reference import (
@@ -321,6 +321,21 @@ def test_search_is_deterministic(e10_g2):
 def test_search_literal_capped(gs_g3):
     with pytest.raises(BudgetExceeded):
         search_beauville(gs_g3, "exhaustive")
+
+
+@pytest.mark.parametrize(
+    "cap, strategy, search",
+    [
+        ("SEARCH_ELEMENT_CAP", "pruned", "signature search"),
+        ("LITERAL_SEARCH_CAP", "exhaustive", "literal search"),
+    ],
+)
+def test_search_cap_errors_name_the_search(e10_g2, monkeypatch, cap, strategy, search):
+    monkeypatch.setattr(beauville, cap, 80)
+    with pytest.raises(BudgetExceeded) as err:
+        search_beauville(e10_g2, strategy)
+    assert str(err.value) == f"{search} handles at most 80 elements; this quotient has 81"
+    assert (err.value.budget, err.value.partial) == (80, 81)
 
 
 def test_search_unknown_strategy(gs_g2):

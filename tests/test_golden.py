@@ -36,6 +36,7 @@ EXTRA = (
     ("thm-B", 3, (1, 0), 1),
     ("order-formula", 5, (1, 4, 1, 4), 3),
     ("order-formula", 3, (1, 1), 3),
+    ("thm-B", 5, (1, 2, 0, 0), 3),
 )
 
 
@@ -54,7 +55,7 @@ def _parse(path: Path) -> tuple[str, int, tuple[int, ...], int]:
 
 
 def test_golden_set_is_complete():
-    assert len(_golden_files()) == 35
+    assert len(_golden_files()) == 36
 
 
 @pytest.mark.parametrize("path", _golden_files(), ids=lambda path: path.stem)

@@ -5,6 +5,8 @@ import json
 from itertools import compress
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ggs import (
     CLAIMS,
@@ -13,11 +15,12 @@ from ggs import (
     Portrait,
     enumerate_quotient,
     replay_certificate,
+    search_beauville,
     sigma_set,
     verify_claim,
 )
-from ggs import beauville, verifiers
-from ggs.beauville import cyclic_powers
+from ggs import beauville, quotient, verifiers
+from ggs.generators import make_a
 from ggs.verifiers import default_level
 
 
@@ -122,22 +125,18 @@ def test_collision_scan_names_the_least_offender(e10, monkeypatch, broken):
         )
         offenders = (2, 3)
     elif broken == "coords":
-        # The b-coordinates of line 2 move after the lines were read off them.
+        # The b-coordinates of line 2 move after the lines were read off them,
+        # so the scan expects the wrong power of z there.
         lines = group.lines()
         a, b = group.coords
         group.coords = (a, bytes((y + (line == 2)) % 3 for y, line in zip(b, lines)))
         offenders = (2,)
+        broken = "power"
     else:
-        # The powers of the second step (line 3) come out shifted by one.
-        calls = []
-
-        def shifted(x):
-            calls.append(x)
-            powers = cyclic_powers(x)
-            return powers[1:] + powers[:1] if len(calls) == 2 else powers
-
-        monkeypatch.setattr(verifiers, "cyclic_powers", shifted)
-        offenders = (3,)
+        # z comes out squared: every top power on lines 2 and 3 misses it.
+        central_z = verifiers._central_z
+        monkeypatch.setattr(verifiers, "_central_z", lambda shape: central_z(shape) ** 2)
+        offenders = (2, 3)
     monkeypatch.setattr(verifiers, "enumerate_quotient", lambda v, n, budget: group)
     cert = verify_claim("prop-collision", e10, 2)
     assert cert.verdict == "refuted"
@@ -146,9 +145,8 @@ def test_collision_scan_names_the_least_offender(e10, monkeypatch, broken):
 
 
 def test_scans_build_no_per_element_objects(e10, gs, monkeypatch):
-    """The collision scan, the coset counts of thm-B, the centre battery
-    and the Sigma sets read the label and permutation rows; none builds the
-    tuple of Portrait elements."""
+    """The collision scan, the centre battery and the Sigma sets read the
+    label and permutation rows; none builds the tuple of Portrait elements."""
     groups = []
 
     def enumerate_and_keep(v, n, budget):
@@ -176,7 +174,6 @@ def test_thm_b_level_two(e10):
     assert cert.verified and cert.exhaustive
     names = [c.name for c in cert.checks]
     assert "no_structure_oracle" in names
-    assert "no_structure_signatures" in names
     assert "equals_center" in names
     assert cert.witnesses["common_subgroup"] == [
         "3,2:0,0,0,0",
@@ -185,10 +182,90 @@ def test_thm_b_level_two(e10):
     ]
 
 
+PROOF_CHECKS = [
+    "alpha_nonzero",
+    "b_section_sum",
+    "power_closed_form",
+    "z_central",
+    "triple_meets_power_line",
+]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_pruned_search_agrees_at_level_two(p):
+    # The signature engine, no longer run by thm-B, stays an oracle here.
+    group = enumerate_quotient(DefiningVector(p, (1,) + (0,) * (p - 2)), 2)
+    assert search_beauville(group, "pruned").refuted
+
+
 def test_thm_b_over_budget(e10):
+    # No verdict without a proof: past the budget the power lemma decides.
     cert = verify_claim("thm-B", e10, 3, budget=1000)
-    assert cert.verdict == "skipped: scale"
-    assert cert.checks and all(c.passed for c in cert.checks)
+    assert cert.verdict == "verified"
+    assert cert.exhaustive is False
+    assert [c.name for c in cert.checks] == PROOF_CHECKS
+    assert all(c.passed for c in cert.checks)
+    assert any(note.startswith("power lemma:") for note in cert.notes)
+
+
+@pytest.mark.parametrize("broken", ["power", "centre"])
+def test_thm_b_past_the_budget_is_refuted_when_the_lemma_fails(monkeypatch, broken):
+    central_z = verifiers._central_z
+    if broken == "power":
+        # z^2 in place of z: no power (ab^i)^(k*p^(n-1)) matches.
+        fake = lambda shape: central_z(shape) ** 2
+    else:
+        # z*a: a moves the root, so it is not central and no power matches.
+        fake = lambda shape: central_z(shape) * make_a(shape)
+    monkeypatch.setattr(verifiers, "_central_z", fake)
+    cert = verify_claim("thm-B", DefiningVector(5, (1, 0, 0, 0)), 4)
+    assert cert.element_count is None
+    assert cert.verdict == "refuted"
+    failed = {c.name for c in cert.checks if not c.passed}
+    assert "power_closed_form" in failed
+    assert ("z_central" in failed) == (broken == "centre")
+
+
+# p = 7 at level 2 enumerates 5,764,801 elements, about 9 s: too slow for this suite.
+DECIDED = [(p, n) for p in (3, 5, 7) for n in (2, 3, 4, 5) if (p, n) != (7, 2)]
+
+
+@pytest.mark.parametrize("claim", ["thm-B", "prop-collision"])
+@pytest.mark.parametrize("p, n", DECIDED + [(p, n) for p in (11, 13) for n in (3, 4)])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_non_periodic_claims_are_decided_at_every_level(claim, p, n, alpha):
+    cert = verify_claim(claim, DefiningVector(p, (alpha,) + (0,) * (p - 2)), n)
+    assert cert.verdict == "verified"
+    assert cert.exhaustive == (cert.element_count is not None)
+
+
+def test_symmetric_vectors_past_the_budget_rest_on_the_lemma():
+    # e = (1, 1) has no order formula past level 2; the enumeration guard
+    # refuses level 4 at once, and the lemma still decides.
+    cert = verify_claim("thm-B", DefiningVector(3, (1, 1)), 4)
+    assert cert.verdict == "verified" and cert.exhaustive is False
+    assert [c.name for c in cert.checks] == PROOF_CHECKS
+    assert cert.notes[-1] == (
+        "enumeration budget 10000000 exceeded (order 3^24 by the Fernandez-Alcober "
+        "& Zugadi-Reizabal formula); the verdict rests on the power lemma's checks"
+    )
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_power_lemma_matches_every_enumerated_element(data):
+    p = data.draw(st.sampled_from([3, 5]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+    assume(sum(e) % p)
+    v = DefiningVector(p, tuple(e))
+    n = data.draw(st.integers(2, 3))
+    assume(p ** quotient._guard_exponent(v, n) <= 3**10)
+    group = enumerate_quotient(v, n)
+    z = verifiers._central_z(group.shape)
+    a_col, b_col = group.coords
+    for x, k, j in zip(group.elements, a_col, b_col):
+        if k:  # line 0 (j = 0) too, where the power is the identity
+            assert x ** p ** (n - 1) == z ** (j * v.alpha % p), x
 
 
 def test_thm_g2_refutes_structure_at_p3(gs):
@@ -328,7 +405,7 @@ def test_thm_b_skips_literal_oracle_above_its_cap(monkeypatch, e10):
     assert cert.verified and cert.element_count == 81
     names = [c.name for c in cert.checks]
     assert "no_structure_oracle" not in names
-    assert names[-1] == "no_structure_signatures"
+    assert names[-1] == "equals_center"
     assert cert.notes[-1] == (
         "group order 81 exceeds the literal search cap 80; "
         "the independent literal search is not run"
