@@ -21,7 +21,8 @@ from .beauville import GeneratingTriple, NotGeneratingError, sigma_set
 from .certificate import CODE_VERSION, Certificate
 from .generators import DefiningVector, classify, parse_vector
 from .portrait import tree_shape
-from .quotient import BudgetExceeded, DEFAULT_BUDGET, enumerate_quotient, predicted_order
+from .quotient import BudgetExceeded, DEFAULT_BUDGET, enumerate_quotient
+from .quotient import predicted_order, written_order
 from .verifiers import CLAIMS, claim_params, verify_claim
 from .words import WordSyntaxError, parse_word
 
@@ -169,6 +170,11 @@ def _fmt_param(v) -> str:
 def cmd_classify(args) -> int:
     v = _vector_from_args(args)
     info = classify(v)
+    orders = {str(n): predicted_order(v, n) for n in (1, 2, 3)}
+    try:
+        json.dumps(orders)
+    except ValueError:  # more digits than Python prints: level 3 at large p
+        orders["3"] = written_order(v, 3)
     doc = {
         "p": v.p,
         "e": list(v.e),
@@ -177,9 +183,7 @@ def cmd_classify(args) -> int:
         "symmetric": v.symmetric,
         "rank": v.rank,
         "gupta_sidki": info.gupta_sidki,
-        "predicted_orders": {
-            str(n): predicted_order(v, n) for n in (1, 2, 3)
-        },
+        "predicted_orders": orders,
     }
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", _render_report(doc), args)
     return 0

@@ -3,12 +3,14 @@
 `CLAIMS` is the claim registry: one record per claim id with its statement,
 its default level and its verifier.
 
-Claims about enumerable quotients are checked exhaustively.  The two
-non-periodic claims rest on the power lemma at every level and confirm it
-element by element within the budget.  Other claims whose quotient exceeds
-the element budget degrade to the element-wise sub-checks that portraits
-support directly (orders, section identities) and report the verdict
-"skipped: scale" rather than pretending the full statement was checked.
+Claims about enumerable quotients are checked exhaustively.  Where a proof
+decides a claim, its checks on portraits are the verdict: the power lemma
+for `thm-B` and `prop-collision` at every level, the lines argument for
+`thm-G2` at p >= 5.  Enumeration then only confirms, up to min(budget,
+SEARCH_ELEMENT_CAP) elements.  Other claims past the budget degrade to the
+element-wise sub-checks that portraits support directly (orders, section
+identities) and report "skipped: scale" rather than pretending the full
+statement was checked.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ POWER_LEMMA = (
     "g^(p^(n-1)) = z^(j*alpha), where z has label 1 at every depth-(n-1) vertex "
     "and 0 elsewhere; by induction on n, as every section of g^p has coordinates "
     "j*(alpha, 1) when the sections of b sum to (alpha, 1)"
+)
+LINES_ARGUMENT = (
+    "lines argument: the six members have order p and lie on six distinct lines of "
+    "G/G' = F_p^2; an order-p member's powers stay on its line and conjugation keeps "
+    "lines, so the two Sigma sets meet only in 1; a triple generates when x and y "
+    "have independent coordinates (Burnside basis theorem)"
 )
 
 
@@ -308,6 +316,34 @@ def _triple_line_check(cert: Certificate, p: int) -> bool:
     )
 
 
+def _lines_checks(cert: Certificate, v: DefiningVector, pair: tuple) -> bool:
+    """The lines argument at level 2 for triples (x, y, xy), x = a^k b^j and y
+    given by their coordinates (k, j), on depth-2 portraits with no group."""
+    p = v.p
+    a, b = _generator_portraits(v, 2)
+    cert.notes.append(LINES_ARGUMENT)
+    ok, members, coords = True, [], []
+    for t, ((k1, j1), (k2, j2)) in enumerate(pair, 1):
+        det = (k1 * j2 - j1 * k2) % p
+        ok &= cert.check(
+            f"generates_t{t}",
+            det != 0,
+            f"x{t} = a^{k1} b^{j1}, y{t} = a^{k2} b^{j2}: coordinate determinant {det} mod {p}",
+        )
+        x, y = a**k1 * b**j1, a**k2 * b**j2
+        members += [x, y, x * y]
+        coords += [(k1, j1), (k2, j2), (k1 + k2, j1 + j2)]
+    orders = [x.order() for x in members]
+    lines = [coordinate_line(k, j, p) for k, j in coords]
+    names = "x1, y1, x1y1, x2, y2, x2y2"
+    ok &= cert.check("orders_p", orders == [p] * 6, f"{names} have orders {orders} at depth 2")
+    return ok & cert.check(
+        "distinct_lines",
+        len(set(lines)) == 6 and p + 1 not in lines,
+        f"{names} lie on the lines {lines} of G/G', line {p + 1} being G'",
+    )
+
+
 # -- enumerated sub-check builders ----------------------------------------------
 
 
@@ -376,20 +412,22 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     )
 
 
-def _collision_stage(
-    cert: Certificate, v: DefiningVector, n: int, budget: int
-) -> tuple[QuotientGroup | None, bool]:
-    """The enumerated confirmation of the power lemma (the collision scan).
-
-    Returns the enumerated group, or None with no check when enumeration is
-    refused and the verdict rests on the lemma's checks alone.
-    """
+def _confirming_group(
+    cert: Certificate, v: DefiningVector, n: int, budget: int, proof: str
+) -> QuotientGroup | None:
+    """The level-n quotient, enumerated to confirm a claim that `proof` has
+    decided; None, with a note, past min(budget, SEARCH_ELEMENT_CAP) elements."""
+    cap = min(budget, SEARCH_ELEMENT_CAP)
     try:
-        group = _enumerate(cert, v, n, budget)
+        return _enumerate(cert, v, n, cap)
     except BudgetExceeded as exc:
-        cert.notes.append(f"{exc}; the verdict rests on the power lemma's checks")
-        return None, True
-    return group, _collision_scan(cert, group)
+        order = written_order(v, n)
+        cert.notes.append(
+            "the confirming enumeration is not run past min(budget, SEARCH_ELEMENT_CAP)"
+            f" = {cap} elements: {f'the order is {order}' if order else exc}; "
+            f"the verdict rests on {proof}"
+        )
+        return None
 
 
 # -- p = 3 level-3 structure battery ---------------------------------------------
@@ -630,8 +668,8 @@ def verify_prop_collision(
     if n < 2:
         raise ValueError("the collision claim concerns levels n >= 2")
     ok = _power_lemma_checks(cert, v, n)
-    _, scanned = _collision_stage(cert, v, n, budget)
-    return _verdict(ok and scanned)
+    group = _confirming_group(cert, v, n, budget, "the power lemma's checks")
+    return _verdict(ok & (group is None or _collision_scan(cert, group)))
 
 
 def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
@@ -660,9 +698,11 @@ def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> s
             "1 + i, i != 0; that member's p^(n-1)-th power generates <z>, so "
             "every Sigma set contains z and no two Sigma sets meet trivially"
         )
-    group, scanned = _collision_stage(cert, v, n, budget)
-    ok &= scanned
-    if n == 2 and group is not None and ok:
+    group = _confirming_group(cert, v, n, budget, "the power lemma's checks")
+    if group is None:
+        return _verdict(ok)
+    ok &= _collision_scan(cert, group)
+    if n == 2 and ok:
         if len(group) <= LITERAL_SEARCH_CAP:
             oracle = search_beauville(group, "exhaustive")
             ok &= cert.check(
@@ -682,45 +722,29 @@ def verify_thm_G2(cert: Certificate, v: DefiningVector, n: int, budget: int) -> 
     _require_periodic(cert, v)
     if n != 2:
         raise ValueError("this claim concerns the level-2 quotient")
-    p = v.p
-    group = _enumerate(cert, v, 2, budget)
-    if len(group) <= SEARCH_ELEMENT_CAP:
-        _exponent_check(cert, group)
-        search = search_beauville(group, "pruned")
-        if p == 3:
-            ok = cert.check(
-                "no_structure",
-                search.refuted,
-                "the signature-exhaustion search finds no structure at p = 3",
-            )
-        else:
-            ok = cert.check(
-                "structure_found",
-                search.verified,
-                "the search finds and confirms a structure",
-            )
-            cert.witnesses.update(search.witnesses)  # the two triples, if found
-        cert.notes.extend(f"search: {note}" for note in search.notes)
-        return _verdict(ok)
-    # Beyond the signature-search cap (p >= 7): confirm a fixed candidate whose
-    # six members lie on six distinct maximal-subgroup lines, literally.
-    cert.exhaustive = False
-    cert.notes.append(
-        f"group order {len(group)} exceeds the search cap {SEARCH_ELEMENT_CAP}; "
-        "verifying a fixed candidate pair literally instead of searching"
-    )
-    t1 = GeneratingTriple.make(group, group.a, group.b)
-    t2 = GeneratingTriple.make(
-        group, group.a * group.b**2, group.a * group.b**4
-    )
-    pair = is_beauville_pair(t1, t2, group)
-    ok = cert.check(
-        "structure_found",
-        pair.verified,
-        "the candidate pair (a, b) / (ab^2, ab^4) verifies literally",
-    )
-    cert.witnesses["triple_1"] = t1.encode()
-    cert.witnesses["triple_2"] = t2.encode()
+    if v.p == 3:
+        ok, group = True, _enumerate(cert, v, 2, budget)
+    else:
+        ok = _lines_checks(cert, v, (((1, 0), (0, 1)), ((1, 2), (1, 4))))
+        group = _confirming_group(cert, v, 2, budget, "the lines argument")
+        if group is None:
+            return _verdict(ok)
+    ok &= _exponent_check(cert, group)
+    search = search_beauville(group, "pruned")
+    if v.p == 3:
+        ok &= cert.check(
+            "no_structure",
+            search.refuted,
+            "the signature-exhaustion search finds no structure at p = 3",
+        )
+    else:
+        ok &= cert.check(
+            "structure_found",
+            search.verified,
+            "the search finds and confirms a structure",
+        )
+        cert.witnesses.update(search.witnesses)  # the two triples, if found
+    cert.notes.extend(f"search: {note}" for note in search.notes)
     return _verdict(ok)
 
 
@@ -731,24 +755,10 @@ def verify_thm_G3(cert: Certificate, v: DefiningVector, n: int, budget: int) -> 
     if v.p == 3:
         group = _enumerate(cert, v, 3, budget)
         return _verdict(_gupta_sidki_structure(cert, group))
-    over = _over_budget(
+    _over_budget(
         cert, v, 3, budget, "running the element-wise sub-checks for the standard triples"
     )
-    ok = _standard_triples_checks(cert, v, 3)
-    if over or predicted_exponent(v, 3) is None:
-        return _verdict(ok, SCALE)
-    # Small enough after all: confirm the standard triple pair literally.
-    group = _enumerate(cert, v, 3, budget)
-    a, b = group.a, group.b
-    t1 = GeneratingTriple.make(group, a.inverse() * a.inverse(), a * b)
-    t2 = GeneratingTriple.make(group, a * b**2, b)
-    pair = is_beauville_pair(t1, t2, group)
-    ok &= cert.check(
-        "sigma_intersection_trivial", pair.verified, "the standard pair verifies"
-    )
-    cert.witnesses["triple_1"] = t1.encode()
-    cert.witnesses["triple_2"] = t2.encode()
-    return _verdict(ok)
+    return _verdict(_standard_triples_checks(cert, v, 3), SCALE)
 
 
 def _standard_triples_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:

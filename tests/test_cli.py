@@ -45,6 +45,17 @@ def test_classify_structured_and_default_vector():
     assert doc["predicted_orders"]["2"] == 3125
 
 
+def test_classify_writes_level3_orders_past_the_digit_limit_as_powers():
+    # 61^3661 and 127^16003 have more digits than Python prints by default;
+    # up to p = 31 every order stays a JSON number.
+    for p, written in (("61", "61^3661"), ("127", "127^16003")):
+        res = _ends_cleanly("classify", "--p", p, "--format", "structured")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["predicted_orders"]["3"] == written
+    res = _ends_cleanly("classify", "--p", "31", "--format", "structured")
+    assert json.loads(res.stdout)["predicted_orders"]["3"] == 31 ** (30 * 31 + 1)
+
+
 def test_enumerate(tmp_path):
     dump = tmp_path / "elements.txt"
     cayley = tmp_path / "graph.dot"

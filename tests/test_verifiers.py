@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from ggs import (
     CLAIMS,
+    SEARCH_ELEMENT_CAP,
     DefiningVector,
     GeneratingTriple,
     Portrait,
     enumerate_quotient,
+    is_beauville_pair,
+    predicted_order,
     replay_certificate,
     search_beauville,
     sigma_set,
@@ -226,17 +229,31 @@ def test_thm_b_past_the_budget_is_refuted_when_the_lemma_fails(monkeypatch, brok
     assert ("z_central" in failed) == (broken == "centre")
 
 
-# p = 7 at level 2 enumerates 5,764,801 elements, about 9 s: too slow for this suite.
-DECIDED = [(p, n) for p in (3, 5, 7) for n in (2, 3, 4, 5) if (p, n) != (7, 2)]
+DECIDED = [(p, n) for p in (3, 5, 7) for n in (2, 3, 4, 5)]
 
 
 @pytest.mark.parametrize("claim", ["thm-B", "prop-collision"])
 @pytest.mark.parametrize("p, n", DECIDED + [(p, n) for p in (11, 13) for n in (3, 4)])
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_non_periodic_claims_are_decided_at_every_level(claim, p, n, alpha):
-    cert = verify_claim(claim, DefiningVector(p, (alpha,) + (0,) * (p - 2)), n)
+    v = DefiningVector(p, (alpha,) + (0,) * (p - 2))
+    cert = verify_claim(claim, v, n)
     assert cert.verdict == "verified"
     assert cert.exhaustive == (cert.element_count is not None)
+    # The scan confirms the lemma exactly while the quotient fits the cap.
+    assert cert.exhaustive == (predicted_order(v, n) <= SEARCH_ELEMENT_CAP)
+
+
+def test_thm_b_past_the_cap_enumerates_nothing():
+    # 7^8 = 5,764,801 elements fit the default budget but not the cap.
+    cert = verify_claim("thm-B", DefiningVector(7, (1, 0, 0, 0, 0, 0)), 2)
+    assert cert.verdict == "verified"
+    assert cert.element_count is None
+    assert cert.notes[-1] == (
+        "the confirming enumeration is not run past min(budget, SEARCH_ELEMENT_CAP) "
+        "= 100000 elements: the order is 5764801; the verdict rests on the power "
+        "lemma's checks"
+    )
 
 
 def test_symmetric_vectors_past_the_budget_rest_on_the_lemma():
@@ -246,8 +263,10 @@ def test_symmetric_vectors_past_the_budget_rest_on_the_lemma():
     assert cert.verdict == "verified" and cert.exhaustive is False
     assert [c.name for c in cert.checks] == PROOF_CHECKS
     assert cert.notes[-1] == (
-        "enumeration budget 10000000 exceeded (order 3^24 by the Fernandez-Alcober "
-        "& Zugadi-Reizabal formula); the verdict rests on the power lemma's checks"
+        "the confirming enumeration is not run past min(budget, SEARCH_ELEMENT_CAP) "
+        "= 100000 elements: enumeration budget 100000 exceeded (order 3^24 by the "
+        "Fernandez-Alcober & Zugadi-Reizabal formula); the verdict rests on the "
+        "power lemma's checks"
     )
 
 
@@ -279,24 +298,75 @@ def test_thm_g2_refutes_structure_at_p3(gs):
         verify_claim("thm-G2", DefiningVector(3, (1, 0)), 2)
 
 
+LINES_CHECKS = ["generates_t1", "generates_t2", "orders_p", "distinct_lines"]
+
+
 def test_thm_g2_finds_structure_at_p5(p5alt):
+    # The lines argument decides; the exponent scan and the signature search
+    # confirm it under SEARCH_ELEMENT_CAP and keep their witness triples.
     cert = verify_claim("thm-G2", p5alt, 2)
     assert cert.verified
     assert cert.element_count == 3125
+    assert [c.name for c in cert.checks] == LINES_CHECKS + ["exponent_p", "structure_found"]
+    assert cert.checks[3].detail == (
+        "x1, y1, x1y1, x2, y2, x2y2 lie on the lines [0, 1, 2, 3, 5, 4] of G/G', "
+        "line 6 being G'"
+    )
+    assert cert.notes[0].startswith("lines argument:")
     assert "triple_1" in cert.witnesses and "triple_2" in cert.witnesses
     assert replay_certificate(json.loads(cert.canonical_json()))
 
 
+@pytest.mark.parametrize("p", [7, 11, 13, 31, 127])
+def test_thm_g2_past_the_cap_rests_on_the_lines(p):
+    vec = DefiningVector(p, (1, p - 1) * ((p - 1) // 2))
+    cert = verify_claim("thm-G2", vec, 2)
+    assert cert.verdict == "verified"
+    assert cert.exhaustive is False
+    assert cert.element_count is None
+    assert [c.name for c in cert.checks] == LINES_CHECKS
+    assert cert.witnesses == {}  # replay re-runs the claim; it enumerates nothing
+    assert replay_certificate(json.loads(cert.canonical_json()))
+
+
 def test_thm_g2_finds_structure_at_p7():
-    # 7^7 elements exceed the search cap, so the verifier switches to a
-    # fixed candidate pair and confirms it literally.
+    # The lines argument decides p = 7 with no group; the literal Sigma check
+    # of the same pair on all 7^7 enumerated elements must agree with it.
     vec = DefiningVector(7, (1, -1, 1, -1, 1, -1))
     cert = verify_claim("thm-G2", vec, 2)
+    group = enumerate_quotient(vec, 2)
+    assert len(group) == 823543
+    a, b = group.a, group.b
+    t1 = GeneratingTriple.make(group, a, b)
+    t2 = GeneratingTriple.make(group, a * b**2, a * b**4)
+    assert is_beauville_pair(t1, t2, group).verified == cert.verified
     assert cert.verified
-    assert not cert.exhaustive
-    assert cert.element_count == 823543
-    assert [c.name for c in cert.checks] == ["structure_found"]
-    assert "triple_1" in cert.witnesses and "triple_2" in cert.witnesses
+
+
+@pytest.mark.parametrize(
+    "y2, verdict, lines",
+    [
+        # ab^2 * ab^5 has coordinates (2, 7) = (2, 0): line 0, with a.
+        ((1, 5), "refuted", [0, 1, 2, 3, 6, 0]),
+        # ab^2 * a^6 b^4 has coordinates (7, 6) = (0, 6): line 1, with b.
+        ((6, 4), "refuted", [0, 1, 2, 3, 4, 1]),
+        # ab^2 * ab^3 has coordinates (2, 5): line 1 + 5/2 = 7, still distinct.
+        ((1, 3), "verified", [0, 1, 2, 3, 4, 7]),
+    ],
+)
+def test_thm_g2_lines_check_catches_a_shared_line(monkeypatch, y2, verdict, lines):
+    lines_checks = verifiers._lines_checks
+    monkeypatch.setattr(
+        verifiers,
+        "_lines_checks",
+        lambda cert, v, pair: lines_checks(cert, v, (pair[0], ((1, 2), y2))),
+    )
+    cert = verify_claim("thm-G2", DefiningVector(7, (1, -1, 1, -1, 1, -1)), 2)
+    assert cert.verdict == verdict
+    assert [c.name for c in cert.checks if not c.passed] == (
+        ["distinct_lines"] if verdict == "refuted" else []
+    )
+    assert f"lie on the lines {lines} of G/G'" in cert.checks[-1].detail
 
 
 def test_thm_g3_battery(gs):
