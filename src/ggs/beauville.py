@@ -190,7 +190,7 @@ def _socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
     orbit_of: dict[int, int] = {}  # socle class -> id
     ids: dict[bytes, int] = {}
     keys = group.label_keys
-    for key, s in zip(keys, map_power_classes(_socles, group.shape, keys)):
+    for key, s in zip(keys, map_power_classes(_socles, group)):
         if s is None:
             continue
         c = class_of[s]

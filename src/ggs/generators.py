@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .portrait import Portrait, PsiDecomposition, TreeShape, assemble, identity, tree_shape
 
@@ -85,22 +85,29 @@ class CirculantAnalysis:
     rank_formula: int
 
 
+def _echelon_mod_p(rows: Iterable[Sequence[int]], p: int) -> list[list[int]]:
+    """A row echelon form over F_p of the rows: one row per pivot column,
+    in pivot order, each zero before its pivot and 1 there.
+
+    Rows are taken one at a time and reduced against the pivots found so
+    far, so a long list of dependent rows costs one reduction each.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> its row
+    for row in rows:
+        row = [x % p for x in row]
+        for col in sorted(basis):
+            c = row[col]
+            if c:
+                row = [(x - c * y) % p for x, y in zip(row, basis[col])]
+        lead = next((col for col, x in enumerate(row) if x), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            basis[lead] = [x * inv % p for x in row]
+    return [basis[col] for col in sorted(basis)]
+
+
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                c = rows[r][col]
-                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return len(_echelon_mod_p(rows, p))
 
 
 def _one_root_multiplicity(coeffs: Sequence[int], p: int) -> int:

@@ -1,33 +1,36 @@
 """Finite quotients of a GGS group acting on the truncated tree.
 
 The level-n quotient is the image of the group in the automorphisms of the
-depth-n tree.  It splits as G_n = <a> x| H with H = st(1)/st(n), and st(1) is
-generated by the b^(a^j), so the enumeration walks H breadth first under
-right multiplication by those and reads off the other p - 1 cosets h*a^r
-with no product at all (_walk_queue).  Exponent-sum coordinates are tracked
-during the walk; for n >= 2 they map G onto G/G' = C_p x C_p, so the derived
-subgroup, the p + 1 maximal subgroups and generation are all read off them
-(lines()) without further closures, and the Frattini subgroup G'G^p equals G'.
+depth-n tree.  It splits as G_n = <a> x| H with H = st(1)/st(n).  The last
+layer L = (st(n-1) & st(1))/st(n) is an F_p-space: left multiplication by
+its elements only adds labels at depth n-1.  So the enumeration
+(_walk_queue) walks H modulo st(n-1), spans L from the Schreier generators,
+writes H one translate of L at a time, and reads off the other p - 1 cosets
+h*a^r with no product.  Exponent-sum coordinates are carried along; for
+n >= 2 they map G onto G/G' = C_p x C_p, so the derived subgroup, the p + 1
+maximal subgroups and generation are all read off them (lines()), and the
+Frattini subgroup G'G^p equals G'.
 
-The walk stores its result as rows, not objects: the label key of every
-element (the bytes that also key the element index), one buffer of vertex
-permutations with m bytes per element (m internal vertices), and the
-coordinate columns.  The scans over every element (orders, powers, socles,
-conjugation tables, class members) read these rows.  The interned Portrait
-elements are built from them only when a caller asks for them, in one pass
-on the first read of `elements`, or one at a time through `element`.
+The walk stores rows, not objects: the label key of every element (the
+bytes that also key the element index), one buffer of vertex permutations
+with m bytes per element (m internal vertices), and the coordinate columns.
+Each translate of L is a power class: a run of class_size elements with one
+permutation.  The scans over every element (orders, powers, socles,
+conjugation tables, class members) read these rows; the interned Portrait
+elements are built only on the first read of `elements`, or one at a time
+through `element`.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import cached_property, lru_cache, reduce as fold, wraps
-from itertools import chain, compress, count, islice, repeat
-from operator import add, attrgetter, getitem, is_, itemgetter, not_, or_
+from itertools import chain, compress, count, repeat
+from operator import add, attrgetter, getitem, not_, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, cast
 
-from .generators import DefiningVector, make_a, make_b
+from .generators import DefiningVector, _echelon_mod_p, make_a, make_b
 from .parallel import pmap
 from .portrait import Portrait, TreeShape, commutator, tree_shape
 
@@ -56,9 +59,8 @@ DEFAULT_BUDGET = 10_000_000
 # every such tree.
 MAX_BATCH_VERTICES = 256
 
-# Elements per chunk of the enumeration and subgroup walks and of the
-# conjugation tables; a chunk holds the rows of every step's image of each
-# element at once (p products in the enumeration walk).
+# Elements per chunk of the subgroup walks and of the conjugation tables; a
+# chunk holds the rows of every step's image of each element at once.
 WALK_CHUNK = 2048
 
 R = TypeVar("R")
@@ -247,7 +249,7 @@ def _walk(group: "QuotientGroup", steps: list[Callable]) -> list[int]:
 
 def _right(gens: Iterable[Portrait]) -> list[Callable]:
     """Step maps x -> x*g."""
-    return [lambda batch, g=g: batch.times(g)[0] for g in gens]
+    return [lambda batch, g=g: batch.times(g) for g in gens]
 
 
 def _distinct(xs: Iterable[Portrait]) -> list[Portrait]:
@@ -306,10 +308,17 @@ def _add_tables(p: int) -> tuple[bytes, ...]:
     return tuple(bytes((b + s) % p for b in range(256)) for s in range(p))
 
 
+def _plus(rows: bytes, row: bytes, reduce: bytes) -> bytes:
+    """Each of the concatenated rows plus row, mod p: one integer sum, at
+    most 2(p - 1) per byte, and one translate."""
+    total = int.from_bytes(rows, "little") + int.from_bytes(row * (len(rows) // len(row)), "little")
+    return total.to_bytes(len(rows), "little").translate(reduce)
+
+
 class _Batch:
     """Elements as label columns (little-endian integers, ready to add) and
-    vertex-permutation columns, for right products with and conjugates by
-    one element at a time."""
+    vertex-permutation columns, for the labels of right products with and
+    conjugates by one element at a time."""
 
     __slots__ = ("width", "add", "labels", "perms")
 
@@ -337,23 +346,20 @@ class _Batch:
             for s, v in zip(ci.labels, ci.vertex_perm())
         ]
 
-    def times(self, g: Portrait) -> tuple[list[bytes], list[bytes]]:
-        """Label and vertex-permutation columns of x*g for every x.
+    def times(self, g: Portrait) -> list[bytes]:
+        """Label columns of x*g for every x.
 
-        Label column k is L_k + l_g[pi_x(k)] mod p: the perm column
-        translated by l_g, added and reduced.  Perm column k is
-        pi_g(pi_x(k)): one translate.
+        Column k is L_k + l_g[pi_x(k)] mod p: the perm column translated by
+        l_g, added and reduced.
         """
         width, reduce = self.width, self.add[0]
         by_label = _vertex_table(g.labels)
-        by_perm = _vertex_table(g.vertex_perm())
-        labels = [
+        return [
             (lk + int.from_bytes(pk.translate(by_label), "little"))
             .to_bytes(width, "little")
             .translate(reduce)
             for lk, pk in zip(self.labels, self.perms)
         ]
-        return labels, [pk.translate(by_perm) for pk in self.perms]
 
 
 # Byte j of a column OR becomes 1 when element j has a nonzero label.
@@ -415,29 +421,28 @@ def p_power_chains(
 
 def map_power_classes(
     fn: Callable[[TreeShape, bytes, Sequence[int]], list[R]],
-    shape: TreeShape,
-    keys: Sequence[bytes],
+    group: "QuotientGroup",
+    mask: bytes | None = None,
 ) -> list[R]:
-    """fn over the elements with the given label keys, split into power
-    classes, with results in the order of keys.
+    """fn over the power classes of the group, with one result for each
+    element that mask selects (a byte per element, 1 to select; all by
+    default), in enumeration order.
 
-    A power class holds the elements sharing their labels above the last
-    level: fn takes its rows and shared vertex permutation, as
-    p_power_chains does, and returns one result per member.
+    A power class, the elements sharing their labels above the last level
+    and so one vertex permutation, is a run of group.class_size elements.
+    fn takes the rows of a class's selected members and that permutation,
+    as p_power_chains does, and returns one result per row.  Classes with
+    no selected member are skipped.
     """
-    top = itemgetter(slice(shape.level_starts[shape.n - 1]))
-    classes: dict[bytes, list[bytes]] = {}
-    for key in keys:
-        classes.setdefault(top(key), []).append(key)
+    keys, size = group.label_keys, group.class_size
+    mask = bytes([1]) * len(keys) if mask is None else mask
 
-    def run(members: list[bytes]) -> list[R]:
-        return fn(shape, b"".join(members), Portrait(shape, members[0]).vertex_perm())
+    def run(i: int) -> list[R]:
+        members = compress(keys[i : i + size], mask[i : i + size])
+        return fn(group.shape, b"".join(members), group._perm_row(i))
 
-    # Members of a class keep their order in keys, so each element takes the
-    # next unused result of its class.  Tops are cut again here rather than
-    # kept, one bytes object per key, through the whole map.
-    results = dict(zip(classes, map(iter, pmap(run, classes.values()))))
-    return list(map(next, map(results.__getitem__, map(top, keys))))
+    starts = [i for i in range(0, len(keys), size) if mask.find(1, i, i + size) >= 0]
+    return list(chain.from_iterable(pmap(run, starts)))
 
 
 def _stabilizer_steps(a: Portrait, b: Portrait) -> list[tuple[Portrait, int]]:
@@ -489,8 +494,8 @@ class QuotientGroup:
         self.b_inv = self.b.inverse()
         self.identity = Portrait.identity(self.shape)
         self.identity.vertex_perm()
-        self.label_keys, self._index, self._perms, self.coords = self._walk_queue(
-            n, budget, predicted
+        self.label_keys, self._index, self._perms, self.coords, self.class_size = (
+            self._walk_queue(n, budget, predicted)
         )
         # Elements built one at a time by index, before `elements` is; the
         # full tuple takes these objects over, so each element stays one.
@@ -499,99 +504,85 @@ class QuotientGroup:
 
     def _walk_queue(
         self, n: int, budget: int, predicted: int | str | None
-    ) -> tuple[tuple[bytes, ...], dict[bytes, int], bytearray, tuple[bytes, bytes] | None]:
+    ) -> tuple[tuple[bytes, ...], dict[bytes, int], bytearray, tuple[bytes, bytes] | None, int]:
         """The elements as p cosets of H = st(1)/st(n), with exponent-sum
-        coordinates: one byte column per generator, holding each element's
-        exponent sum mod p.  Returns the rows: the label keys in enumeration
-        order, the index of each key, the vertex permutations (m bytes per
-        element) and the coordinate columns.
+        coordinates (a byte column per generator).  Returns the label keys in
+        enumeration order, the index of each key, the vertex permutations (m
+        bytes per element), the coordinate columns, and the order of the last
+        layer L = (st(n-1) & st(1))/st(n), the size of every power class.
 
-        Step 1 walks H breadth first from 1 under right multiplication by
-        the b_j = b^(a^j), j = 0..p-1, which generate st(1); H is finite, so
-        the closure is the subgroup.  The queue is read in consecutive
-        chunks.  Each chunk forms its products with every b_j column-wise
-        (_Batch.times), and the new ones join the queue in the order a
-        one-at-a-time walk finds them: element-major, generator-minor.  Every
-        b_j has coordinates (0, 1), and the walk checks on every product
-        h*b_j that its b-coordinate is h's plus 1.
+        Step 1 walks H modulo st(n-1) from 1 under right multiplication by
+        the b_j = b^(a^j), which generate st(1), keeping the first element
+        and b-coordinate of each top (labels above depth n-1).  A product
+        t*b_j whose top is known is u*s, s that top's representative and u
+        in L, an F_p-space under label addition.  These Schreier generators
+        u span L; each gives a row: its labels, then c(t) + 1 - c(s).
 
-        Step 2 reads off the cosets h*a^r, r = 1..p-1, with no product: a's
-        one nonzero label is at the root, which every vertex permutation
-        fixes, so h*a^r has h's labels with root label r, the permutation
-        pi_(a^r) o pi_h, and coordinates (r, b-coordinate of h).  Index
-        r*|H| + i holds h_i*a^r; the identity stays at index 0.
+        Step 2 echelonizes the rows.  A pivot in the coordinate column means
+        the coordinates conflict (derived_subgroup); at level 1, where b = 1
+        and H = 1, they always do, and are dropped.
 
-        The check on H covers every edge of G's Cayley graph:
-        (h*a^r)*a = h*a^(r+1), and (h*a^r)*b = (h*b_(-r))*a^r since
-        a^r*b*a^-r = b_(-r).  So the coordinates add (1, 0) along every
-        product by a and (0, 1) along every product by b.  At level 1, b = 1
-        and H = 1, the check fails, and the coordinates are dropped.
+        Step 3 writes H one top at a time, its representative plus every
+        vector of L (one integer sum and one translate, one shared
+        permutation), then each coset r = 1..p-1 with no product: a's one
+        nonzero label is at the root, which every vertex permutation fixes,
+        so h*a^r is h with root label r, permutation pi_(a^r) o pi_h and
+        coordinates (r, c(h)).  Index r*|H| + i holds h_i*a^r, and the
+        identity stays at 0.
         """
         shape, identity = self.shape, self.identity
-        p, m = shape.p, shape.internal_count
-        gens, steps = zip(*_stabilizer_steps(self.a, self.b))
-        shifts = _add_tables(p)
-        keys = [identity.labels]
-        index: dict[bytes, int] = {identity.labels: 0}
-        perm_rows = bytearray(identity.vertex_perm())
-        coords = bytearray(1)  # the b-coordinate; the a-coordinate is 0 on H
-        consistent = True
-        qi = 0
-        while qi < len(keys):
-            stop = min(len(keys), qi + WALK_CHUNK)
-            width = stop - qi
-            batch = _Batch(shape, b"".join(keys[qi:stop]), perm_rows[qi * m : stop * m])
-            label_columns: list[bytes] = []
-            perm_columns: list[bytes] = []
-            for g in gens:
-                labels, perms = batch.times(g)
-                label_columns += labels
-                perm_columns += perms
-            products = _split(_rows(label_columns, width), m)
-            made = _rows([coords[qi:stop].translate(shifts[s % p]) for s in steps], width)
-            found = list(map(index.get, products))
-            unknown = list(map(is_, found, repeat(None)))
-            # Equal keys are one element, with one permutation: the dict keeps
-            # the position of each new key's first product.
-            table = dict(zip(compress(products, unknown), compress(count(), unknown)))
-            reached = p * (len(keys) + len(table))
-            if reached > budget:
-                raise BudgetExceeded(budget, reached, predicted)
-            rows = _split(_rows(perm_columns, width), m)
-            perm_rows += b"".join(map(rows.__getitem__, table.values()))
-            coords += bytes(map(made.__getitem__, table.values()))
-            index.update(zip(table, count(len(keys))))
-            keys += table
-            if consistent:
-                # Products known before this chunk reuse the indices of the
-                # lookup; only the new ones are looked up again.
-                known = list(map(not_, unknown))
-                have = chain(
-                    compress(found, known), map(index.__getitem__, compress(products, unknown))
-                )
-                want = chain(compress(made, known), compress(made, unknown))
-                if bytes(map(coords.__getitem__, have)) != bytes(want):
-                    if n >= 2:
-                        raise RuntimeError("exponent-sum coordinates conflicted at level >= 2")
-                    consistent = False  # level 1: b collapses onto the identity
-            qi = stop
-        # The permutations go into one buffer allocated up front: each
-        # coset's translate is freed right above it and leaves no hole in
-        # the heap, where joining the blocks at the end would.
-        size, block = len(keys), len(perm_rows)
-        perms = bytearray(p * block)
-        perms[:block] = perm_rows
-        for r in range(1, p):
-            root = bytes([r])
-            coset = [root + key[1:] for key in islice(keys, size)]
-            index.update(zip(coset, count(r * size)))
-            keys += coset
+        p, m, reduce = shape.p, shape.internal_count, shape.reduce
+        cut = shape.level_starts[n - 1]
+        steps = _stabilizer_steps(self.a, self.b)
+        for g, _ in steps:
+            g.vertex_perm()  # so that every product carries its permutation
+        reps, rep_coords = [identity], [0]  # the b-coordinate; the a-coordinate is 0 on H
+        tops = {identity.labels[:cut]: 0}
+        rows: dict[bytes, None] = {}  # label and coordinate differences, each once
+        for x, cx in zip(reps, rep_coords):  # both grow while read
+            for g, step in steps:
+                y, c = x * g, (cx + step) % p
+                t = tops.setdefault(y.labels[:cut], len(reps))
+                if t == len(reps):
+                    reps.append(y)
+                    rep_coords.append(c)
+                    if p * len(reps) > budget:
+                        raise BudgetExceeded(budget, p * len(reps), predicted)
+                else:
+                    s = reps[t].labels
+                    diff = bytes((u - v) % p for u, v in zip(y.labels[cut:], s[cut:]))
+                    rows[diff + bytes([(c - rep_coords[t]) % p])] = None
+        basis = _echelon_mod_p(rows, p)
+        consistent = not basis or any(basis[-1][: m - cut])
+        if not consistent:
+            if n >= 2:
+                raise RuntimeError("exponent-sum coordinates conflicted at level >= 2")
+            basis.pop()  # level 1: b collapses onto the identity
+        order = p * len(reps) * p ** len(basis)
+        if order > budget:
+            raise BudgetExceeded(budget, order, predicted)
+        # Every vector of L as a full row, zero above depth n-1, and its coordinate.
+        span, span_coords, shifts = bytes(m), bytes(1), _add_tables(p)
+        for row in basis:
+            span = b"".join(
+                _plus(span, bytes(cut) + bytes(k * x % p for x in row[:-1]), reduce)
+                for k in range(p)
+            )
+            span_coords = b"".join(span_coords.translate(shifts[k * row[-1] % p]) for k in range(p))
+        layer = len(span_coords)
+        index: dict[bytes, int] = {}  # in enumeration order, so it also lists the keys
+        perms = bytearray(order * m)
+        for r in range(p):
             a_r = _vertex_table((self.a**r).vertex_perm())
-            perms[r * block : (r + 1) * block] = perm_rows.translate(a_r)
-        coords_out = None
-        if consistent:
-            coords_out = (b"".join(bytes([r]) * size for r in range(p)), b"".join([coords] * p))
-        return tuple(keys), index, perms, coords_out
+            for rep in reps:
+                start = len(index)
+                perm = bytes(rep.vertex_perm()).translate(a_r)
+                perms[start * m : (start + layer) * m] = perm * layer
+                block = _plus(span, bytes([r]) + rep.labels[1:], reduce)
+                index.update(zip(_split(block, m), count(start)))
+        a_coords = b"".join(bytes([r]) * (order // p) for r in range(p))
+        b_coords = b"".join(span_coords.translate(shifts[c]) for c in rep_coords) * p
+        return tuple(index), index, perms, (a_coords, b_coords) if consistent else None, layer
 
     # -- basic container behaviour -------------------------------------------
 
@@ -765,10 +756,15 @@ class QuotientGroup:
 
         For n >= 2 the coordinates map G onto C_p x C_p, so their kernel K
         contains G' and has index p^2.  They are a homomorphism because they
-        add along every product by a and b: the enumeration checked on every
-        product h*b_j in H = st(1)/st(n) that the b-coordinate grows by 1,
-        and (h*a^r)*a = h*a^(r+1), (h*a^r)*b = (h*b_(-r))*a^r with
-        b_j = b^(a^j).  G/G' is abelian and generated by the
+        add (1, 0) along every edge of the Cayley graph by a and (0, 1)
+        along every edge by b, and they do so exactly when the Schreier
+        generators' coordinates are consistent.  The enumeration writes each
+        h in H = st(1)/st(n) as u*s, s the representative of h's top and u
+        in the last layer L, with c(h) = c(u) + c(s).  The Schreier
+        generators t*b_j*s^-1 span L, and no combination of them is trivial
+        with a nonzero coordinate, so c is linear on L, and c(h*b_j) = c(h)
+        + 1 for every h and b_j = b^(a^j).  Then (h*a^r)*a = h*a^(r+1) and
+        (h*a^r)*b = (h*b_(-r))*a^r.  G/G' is abelian and generated by the
         images of a and b, both of order p, so |G:G'| <= p^2.  Hence K = G'.
         At level 1 the quotient is <a> = C_p, abelian, so G' = 1.
         """
@@ -889,5 +885,6 @@ class QuotientGroup:
 def enumerate_quotient(
     v: DefiningVector, n: int, budget: int = DEFAULT_BUDGET
 ) -> QuotientGroup:
-    """Enumerate the level-n quotient by breadth-first closure."""
+    """Enumerate the level-n quotient: a walk of st(1) modulo st(n-1), the
+    span of its last layer over F_p, and the cosets of st(1)."""
     return QuotientGroup(v, n, budget)

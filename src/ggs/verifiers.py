@@ -350,7 +350,7 @@ def _lines_checks(cert: Certificate, v: DefiningVector, pair: tuple) -> bool:
 def _exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
     """Exhaustive scan: every element's order divides p (periodic level 2)."""
     p, keys = group.vector.p, group.label_keys
-    orders = map_power_classes(_orders, group.shape, keys)
+    orders = map_power_classes(_orders, group)
     bad = [key for key, o in zip(keys, orders) if o > p]
     if bad:
         cert.witnesses["exponent_witness"] = group.element(min(bad)).encode()
@@ -373,21 +373,19 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     p = v.p
     z = _central_z(group.shape)
     expected = [(z ** (j * v.alpha)).labels for j in range(p)]  # by b-coordinate
-    total = 0
     order_bad: list[bytes] = []  # label keys
     power_bad: list[bytes] = []
-    for i in range(1, p):
-        on_line = group.line_mask(1 + i)
-        outside = list(compress(group.label_keys, on_line))
-        total += len(outside)
-        wanted = map(expected.__getitem__, compress(group.coords[1], on_line))
-        for key, want, (o, top) in zip(
-            outside, wanted, map_power_classes(_orders_and_tops, group.shape, outside)
-        ):
-            if o != p**n:
-                order_bad.append(key)
-            if top != want:
-                power_bad.append(key)
+    on_lines = group.line_mask(*range(2, p + 1))  # the lines 1 + i, i = 1..p-1
+    total = on_lines.count(1)
+    outside = compress(group.label_keys, on_lines)
+    wanted = map(expected.__getitem__, compress(group.coords[1], on_lines))
+    for key, want, (o, top) in zip(
+        outside, wanted, map_power_classes(_orders_and_tops, group, on_lines)
+    ):
+        if o != p**n:
+            order_bad.append(key)
+        if top != want:
+            power_bad.append(key)
     ok = cert.check(
         "orders_p_to_n",
         not order_bad,

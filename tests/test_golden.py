@@ -37,6 +37,7 @@ EXTRA = (
     ("order-formula", 5, (1, 4, 1, 4), 3),
     ("order-formula", 3, (1, 1), 3),
     ("thm-B", 5, (1, 2, 0, 0), 3),
+    ("thm-G2", 5, (2, 3, 2, 3), 2),
 )
 
 
@@ -55,7 +56,7 @@ def _parse(path: Path) -> tuple[str, int, tuple[int, ...], int]:
 
 
 def test_golden_set_is_complete():
-    assert len(_golden_files()) == 36
+    assert len(_golden_files()) == 37
 
 
 @pytest.mark.parametrize("path", _golden_files(), ids=lambda path: path.stem)

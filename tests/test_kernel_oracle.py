@@ -150,12 +150,9 @@ def test_right_product_columns_match_naive_compose(p, n, data):
     g = data.draw(portraits(p, n))
     m = xs[0].shape.internal_count
     batch = _Batch(xs[0].shape, b"".join(x.labels for x in xs), _perm_rows(xs))
-    labels, perms = batch.times(g)
-    label_rows, perm_rows = _rows(labels, len(xs)), _rows(perms, len(xs))
+    label_rows = _rows(batch.times(g), len(xs))
     for j, x in enumerate(xs):
-        expected = naive_compose(x, g)
-        assert label_rows[j * m : (j + 1) * m] == expected.labels
-        assert tuple(perm_rows[j * m : (j + 1) * m]) == _fresh(expected).vertex_perm()
+        assert label_rows[j * m : (j + 1) * m] == naive_compose(x, g).labels
 
 
 # Primes from the smallest to the largest supported; at p = 127 a three-term

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import weakref
+from itertools import compress
 
 import pytest
 from hypothesis import assume, given, settings
@@ -107,6 +109,17 @@ def test_budget_exceeded_mid_enumeration(monkeypatch):
     assert err.value.partial % 3 == 0  # the walk holds whole cosets of st(1)
 
 
+def test_walk_refuses_past_the_budget_with_the_exact_order(e10, monkeypatch):
+    # With both guards off, the walk counts the tops (27) and the dimension of
+    # the last layer (6) before it builds any row: 3 * 27 * 3^6 = 59049.
+    monkeypatch.setattr(quotient, "exceeds_budget", lambda v, n, budget: False)
+    monkeypatch.setattr(quotient, "_guard_exponent", lambda v, n: 0)
+    with pytest.raises(BudgetExceeded) as err:
+        enumerate_quotient(e10, 3, budget=59048)
+    assert err.value.partial == 59049
+    assert len(enumerate_quotient(e10, 3, budget=59049)) == 59049
+
+
 def test_symmetric_vectors_are_refused_by_the_guard_formula():
     # p^(t*p^(n-2)+1-delta*(p^(n-2)-1)/(p-1)): 3^9 at n = 3 for both symmetric
     # vectors at p = 3, where the walk still runs, and 3^24 at n = 4.
@@ -139,21 +152,40 @@ WALK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("p,e,n", WALK_CASES)
-def test_walk_matches_queue_walk(p, e, n):
-    v = DefiningVector(p, e)
+def _assert_matches_queue_walk(v: DefiningVector, n: int):
+    """The layered walk finds the elements of the one-at-a-time queue walk,
+    each with the same coordinates and vertex permutation, and indexes them
+    in its own enumeration order."""
     group = enumerate_quotient(v, n)
     expected, coords = queue_walk(v, n)
-    assert [x.labels for x in group.elements] == [x.labels for x in expected]
+    assert len(group) == len(expected)
+    assert group._index == {key: i for i, key in enumerate(group.label_keys)}
+    for i, x in enumerate(expected):
+        k = group._index[x.labels]
+        assert group._perm_row(k) == bytes(x._perm)
+        if coords is not None:
+            assert (group.coords[0][k], group.coords[1][k]) == coords[i]
     if coords is None:
         assert group.coords is None
     else:
         assert [type(column) for column in group.coords] == [bytes, bytes]
-        assert tuple(zip(*group.coords)) == coords
-    assert group._index == {x.labels: i for i, x in enumerate(expected)}
-    assert [x._perm for x in group.elements] == [x._perm for x in expected]
-    for x in group.elements[:: max(1, len(group) // 500)]:
-        assert x.vertex_perm() == Portrait(x.shape, x.labels).vertex_perm()
+
+
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_walk_matches_queue_walk(p, e, n):
+    _assert_matches_queue_walk(DefiningVector(p, e), n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_walk_matches_queue_walk_on_random_vectors(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+    assume(any(e))
+    v = DefiningVector(p, tuple(e))
+    n = data.draw(st.integers(1, 3))
+    assume(p ** quotient._guard_exponent(v, n) <= 3**9)
+    _assert_matches_queue_walk(v, n)
 
 
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
@@ -169,16 +201,43 @@ def test_elements_are_built_from_the_rows(p, e, n):
         assert len(group.lines()) == len(group)
         assert group.line_mask(p + 1).count(1) == len(group) // p**2
     middle = len(group) // 2
-    early = group.element(expected[middle].labels)  # built alone
+    early = group.element(group.label_keys[middle])  # built alone
     assert "elements" not in vars(group)
     elements = group.elements
-    assert [x.labels for x in elements] == [x.labels for x in expected]
+    assert [x.labels for x in elements] == list(group.label_keys)
+    assert {x.labels for x in elements} == {x.labels for x in expected}
     assert elements[0] is group.identity
     assert elements[middle] is early
     for x in elements:
         assert x._perm == Portrait(x.shape, x.labels).vertex_perm()
     for i in range(0, len(group), max(1, len(group) // 500)):
         assert group.element(elements[i].labels) is elements[i]
+
+
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_power_classes_are_contiguous_blocks(p, e, n):
+    # The identity first, coset-major, and each power class (the elements
+    # sharing their labels above depth n-1) one run of p^dim L elements,
+    # L = st(n-1)/st(n) inside st(1): so |G| = p * |tops| * p^dim L.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    keys, size = group.label_keys, group.class_size
+    cut = group.shape.level_starts[n - 1]
+    assert keys[0] == group.identity.labels
+    assert [key[0] for key in keys] == [r for r in range(p) for _ in range(len(group) // p)]
+    m = group.shape.internal_count
+    assert size == p ** round(math.log(size, p))
+    for i in range(0, len(keys), size):
+        assert group._perms[i * m : (i + size) * m] == group._perm_row(i) * size
+    if n == 1:
+        assert size == 1  # st(0) holds a, outside st(1)
+        return
+    blocks = [keys[i : i + size] for i in range(0, len(keys), size)]
+    tops = [{key[:cut] for key in block} for block in blocks]
+    assert all(len(top) == 1 for top in tops)
+    assert len(set().union(*tops)) == len(blocks)  # no top in two blocks
+    assert len(group) == p * (len(blocks) // p) * size
+    layer = group.level_stabilizer(n - 1)
+    assert len(layer) == size and set(keys[:size]) == layer.keys
 
 
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
@@ -244,6 +303,29 @@ def test_conjugation_by_a_is_read_off_st1(p, e, n, monkeypatch):
     assert [group.label_keys[i] for i in by_a] == images
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_map_power_classes_follows_the_mask(e10, n):
+    # fn sees the selected rows of each class that has one, with the class's
+    # permutation; the results come back in enumeration order.
+    group = enumerate_quotient(e10, n)
+    m = group.shape.internal_count
+    calls = []
+
+    def rows_of(shape, rows, perm):
+        members = [rows[i : i + m] for i in range(0, len(rows), m)]
+        calls.append(members)
+        assert all(Portrait(shape, x).vertex_perm() == tuple(perm) for x in members)
+        return members
+
+    assert quotient.map_power_classes(rows_of, group) == list(group.label_keys)
+    assert len(calls) == len(group) // group.class_size
+    mask = bytes(i % 7 == 3 for i in range(len(group)))
+    calls.clear()
+    selected = quotient.map_power_classes(rows_of, group, mask)
+    assert selected == list(compress(group.label_keys, mask))
+    assert all(calls)  # classes with nothing selected are skipped
+
+
 def _corrupted(shifts):
     """_stabilizer_steps with the b-coordinate step of b_j replaced by
     shifts[j]."""
@@ -268,14 +350,35 @@ def test_corrupt_coordinate_step_is_caught(gs, steps, monkeypatch):
     assert enumerate_quotient(gs, 1).coords is None
 
 
+@pytest.mark.parametrize("which", [0, -1])
+@pytest.mark.parametrize("n", [2, 3])
+def test_corrupt_schreier_generator_is_caught(gs, n, which, monkeypatch):
+    # Each Schreier generator u = t*b_j*s^-1 of the last layer carries the
+    # coordinate c(t) + 1 - c(s).  Moving one by 1 breaks a relation among
+    # them: at level 2 the three rows are b, b^a and b^(a^2), whose product
+    # is 1 while their coordinates sum to 3 = 0.
+    real = quotient._echelon_mod_p
+
+    def corrupted(rows, p):
+        rows = list(rows)
+        assert len(rows) > len(real(rows, p))  # the rows are dependent
+        row = rows[which]
+        rows[which] = row[:-1] + bytes([(row[-1] + 1) % p])
+        return real(rows, p)
+
+    monkeypatch.setattr(quotient, "_echelon_mod_p", corrupted)
+    with pytest.raises(RuntimeError, match="coordinates conflicted"):
+        enumerate_quotient(gs, n)
+
+
 def test_walk_refuses_trees_past_the_vertex_limit(monkeypatch):
     sym = DefiningVector(3, (1, 1))
     # (3^5 - 1) / 2 = 121 internal vertices, walked when the guard formula
     # lets it: until the budget stops it.
     with monkeypatch.context() as patch:
         patch.setattr(quotient, "_guard_exponent", lambda v, n: 0)
-        # 37 elements of st(1) found, so 3 * 37 of G.
-        with pytest.raises(BudgetExceeded, match="stopped at 111 elements"):
+        # 34 tops of st(1) modulo st(4) found, so at least 3 * 34 elements of G.
+        with pytest.raises(BudgetExceeded, match="stopped at 102 elements"):
             enumerate_quotient(sym, 5, budget=100)
     with pytest.raises(BudgetExceeded, match=r"order 3\^69 by the Fernandez") as err:
         enumerate_quotient(sym, 5, budget=100)
