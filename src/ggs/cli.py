@@ -231,7 +231,9 @@ def source_digest() -> str:
 
 
 def _cache_file(cache_dir: str, claim: str, params: dict, budget: int) -> Path:
-    # The budget decides between an exhaustive verdict and "skipped: scale".
+    # The budget decides between an exhaustive verdict and "skipped: scale",
+    # and replay re-runs under one budget: a certificate is served only for
+    # the budget, code version and sources it was computed under.
     key = json.dumps(
         {
             "budget": budget,

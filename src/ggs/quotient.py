@@ -692,13 +692,15 @@ class QuotientGroup:
         return self.lines().translate(table)
 
     def is_generating_pair(self, x: Portrait, y: Portrait) -> bool:
-        """Whether {x, y} generates the quotient."""
+        """Whether {x, y} generates the quotient: by coordinates (Burnside
+        basis theorem), and at level 1, where G_1 = C_p with p prime, exactly
+        when x or y is nontrivial."""
         if x.labels not in self._index or y.labels not in self._index:
             raise ValueError("elements do not belong to this quotient")
-        if self.coords is not None:
-            (ax, bx), (ay, by) = self.coords_of(x), self.coords_of(y)
-            return (ax * by - ay * bx) % self.vector.p != 0
-        return len(_walk(self, _right([x, y]))) == len(self)
+        if self.coords is None:
+            return not (x.is_identity() and y.is_identity())
+        (ax, bx), (ay, by) = self.coords_of(x), self.coords_of(y)
+        return (ax * by - ay * bx) % self.vector.p != 0
 
     # -- subgroup machinery ----------------------------------------------------
 

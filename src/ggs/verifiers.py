@@ -3,14 +3,25 @@
 `CLAIMS` is the claim registry: one record per claim id with its statement,
 its default level and its verifier.
 
-Claims about enumerable quotients are checked exhaustively.  Where a proof
-decides a claim, its checks on portraits are the verdict: the power lemma
-for `thm-B` and `prop-collision` at every level, the lines argument for
-`thm-G2` at p >= 5.  Enumeration then only confirms, up to min(budget,
-SEARCH_ELEMENT_CAP) elements.  Other claims past the budget degrade to the
-element-wise sub-checks that portraits support directly (orders, section
-identities) and report "skipped: scale" rather than pretending the full
-statement was checked.
+Which proof each claim rests on:
+
+- `thm-B` and `prop-collision` (n >= 2): the power lemma, checked on
+  portraits at every level; `thm-B` at level 1 enumerates the cyclic C_p.
+- `thm-G2` at p >= 5: the lines argument, on depth-2 portraits; at p = 3 an
+  exhaustive exponent scan and signature search.
+- `thm-A` and `thm-G3` at p = 3: the exhaustive level-3 battery, lifted to
+  level n by element orders; at p >= 5 and n >= 3 only element-wise
+  sub-checks run, reported as "skipped: scale".
+- `lemma-orders`, `eq-3.1`, `lemma-conjugates` and `lifting`: portraits
+  alone, no group.
+- `lemma-center`, `lemma-comms-a`, `lemma-comms-b`, `prop-key` and
+  `order-formula`: exhaustive enumeration.
+
+Where a proof decides, enumeration only confirms, up to min(budget,
+SEARCH_ELEMENT_CAP) elements.  Where the enumeration is the proof and
+refuses the budget, `prop-key` falls back to element-wise sub-checks and
+`order-formula` to nothing, both reported as "skipped: scale" rather than
+pretending the full statement was checked.
 """
 
 from __future__ import annotations
@@ -44,7 +55,6 @@ from .quotient import (
     exceeds_budget,
     map_power_classes,
     p_power_chains,
-    predicted_exponent,
     predicted_order,
     written_order,
 )
@@ -106,27 +116,44 @@ def _verdict(ok: bool, passed: str = "verified") -> str:
     return passed if ok else "refuted"
 
 
-def _enumerate(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, exhaustive: bool = True
-) -> QuotientGroup:
+def _enumerate(cert: Certificate, v: DefiningVector, n: int, budget: int) -> QuotientGroup:
     """Enumerate the level-n quotient and record its size on the certificate."""
     group = enumerate_quotient(v, n, budget)
     cert.element_count = len(group)
-    cert.exhaustive = exhaustive
+    cert.exhaustive = True
     return group
 
 
-def _over_budget(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, fallback: str = ""
-) -> bool:
-    """Whether the formula order exceeds the budget; if so, say so in a note."""
-    if not exceeds_budget(v, n, budget):
-        return False
-    cert.notes.append(
-        f"predicted order {written_order(v, n)} exceeds the budget {budget}"
-        + (f"; {fallback}" if fallback else "")
-    )
-    return True
+def _group_within(
+    cert: Certificate,
+    v: DefiningVector,
+    n: int,
+    budget: int,
+    fallback: str = "",
+    proof: str = "",
+) -> QuotientGroup | None:
+    """The level-n quotient, or None with a note when the enumeration refuses
+    the budget.  The note names the predicted order when that is known to
+    exceed the budget, and the refusal's own text otherwise, then `fallback`.
+
+    With `proof`, the enumeration only confirms a verdict that proof has
+    decided, and is not run past min(budget, SEARCH_ELEMENT_CAP) elements.
+    """
+    limit = min(budget, SEARCH_ELEMENT_CAP) if proof else budget
+    try:
+        return _enumerate(cert, v, n, limit)
+    except BudgetExceeded as exc:
+        order = written_order(v, n) if exceeds_budget(v, n, limit) else None
+        if proof:
+            cert.notes.append(
+                "the confirming enumeration is not run past min(budget, SEARCH_ELEMENT_CAP)"
+                f" = {limit} elements: {f'the order is {order}' if order else exc}; "
+                f"the verdict rests on {proof}"
+            )
+        else:
+            stop = f"predicted order {order} exceeds the budget {limit}" if order else str(exc)
+            cert.notes.append(f"{stop}; {fallback}" if fallback else stop)
+        return None
 
 
 def _orders_of(shape: TreeShape, exps: bytes) -> list[int]:
@@ -410,24 +437,6 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     )
 
 
-def _confirming_group(
-    cert: Certificate, v: DefiningVector, n: int, budget: int, proof: str
-) -> QuotientGroup | None:
-    """The level-n quotient, enumerated to confirm a claim that `proof` has
-    decided; None, with a note, past min(budget, SEARCH_ELEMENT_CAP) elements."""
-    cap = min(budget, SEARCH_ELEMENT_CAP)
-    try:
-        return _enumerate(cert, v, n, cap)
-    except BudgetExceeded as exc:
-        order = written_order(v, n)
-        cert.notes.append(
-            "the confirming enumeration is not run past min(budget, SEARCH_ELEMENT_CAP)"
-            f" = {cap} elements: {f'the order is {order}' if order else exc}; "
-            f"the verdict rests on {proof}"
-        )
-        return None
-
-
 # -- p = 3 level-3 structure battery ---------------------------------------------
 
 
@@ -625,11 +634,11 @@ def verify_prop_key(cert: Certificate, v: DefiningVector, n: int, budget: int) -
             "the power-subgroup claim needs n >= 3, where ab^i has order p^2"
         )
     p = v.p
-    if _over_budget(cert, v, n, budget, "running element-wise sub-checks only"):
+    group = _group_within(cert, v, n, budget, "running element-wise sub-checks only")
+    if group is None:
         ok = _order_checks(cert, n, _standard_order_items(v, n), prefix="partial_")
         ok &= _eq31_checks(cert, v, n, prefix="partial_")
         return _verdict(ok, SCALE)
-    group = _enumerate(cert, v, n, budget)
     cert.notes.append(
         "conjugates of <(ab^j)^p> are exhausted via conjugation-orbit closure, "
         "which reaches the orbit under the full group"
@@ -666,7 +675,7 @@ def verify_prop_collision(
     if n < 2:
         raise ValueError("the collision claim concerns levels n >= 2")
     ok = _power_lemma_checks(cert, v, n)
-    group = _confirming_group(cert, v, n, budget, "the power lemma's checks")
+    group = _group_within(cert, v, n, budget, proof="the power lemma's checks")
     return _verdict(ok & (group is None or _collision_scan(cert, group)))
 
 
@@ -696,7 +705,7 @@ def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> s
             "1 + i, i != 0; that member's p^(n-1)-th power generates <z>, so "
             "every Sigma set contains z and no two Sigma sets meet trivially"
         )
-    group = _confirming_group(cert, v, n, budget, "the power lemma's checks")
+    group = _group_within(cert, v, n, budget, proof="the power lemma's checks")
     if group is None:
         return _verdict(ok)
     ok &= _collision_scan(cert, group)
@@ -724,7 +733,7 @@ def verify_thm_G2(cert: Certificate, v: DefiningVector, n: int, budget: int) -> 
         ok, group = True, _enumerate(cert, v, 2, budget)
     else:
         ok = _lines_checks(cert, v, (((1, 0), (0, 1)), ((1, 2), (1, 4))))
-        group = _confirming_group(cert, v, 2, budget, "the lines argument")
+        group = _group_within(cert, v, 2, budget, proof="the lines argument")
         if group is None:
             return _verdict(ok)
     ok &= _exponent_check(cert, group)
@@ -753,9 +762,11 @@ def verify_thm_G3(cert: Certificate, v: DefiningVector, n: int, budget: int) -> 
     if v.p == 3:
         group = _enumerate(cert, v, 3, budget)
         return _verdict(_gupta_sidki_structure(cert, group))
-    _over_budget(
-        cert, v, 3, budget, "running the element-wise sub-checks for the standard triples"
-    )
+    if exceeds_budget(v, 3, budget):
+        cert.notes.append(
+            f"predicted order {written_order(v, 3)} exceeds the budget {budget}; "
+            "running the element-wise sub-checks for the standard triples"
+        )
     return _verdict(_standard_triples_checks(cert, v, 3), SCALE)
 
 
@@ -837,28 +848,23 @@ def verify_lifting(cert: Certificate, v: DefiningVector, n: int, budget: int) ->
 def verify_order_formula(
     cert: Certificate, v: DefiningVector, n: int, budget: int
 ) -> str:
-    if predicted_exponent(v, n) is None:
-        try:
-            group = _enumerate(cert, v, n, budget, exhaustive=False)
-        except BudgetExceeded as exc:
-            cert.notes.append(str(exc))
-            return SCALE
-        cert.witnesses["enumerated_order"] = len(group)
+    group = _group_within(cert, v, n, budget)
+    if group is None:
+        return SCALE
+    cert.witnesses["enumerated_order"] = len(group)
+    predicted = predicted_order(v, n)
+    if predicted is None:
+        cert.exhaustive = False
         cert.notes.append(
             "no order formula applies to symmetric defining vectors at n >= 3; "
             "the enumerated size is reported without a cross-check"
         )
         return "skipped: no formula for symmetric defining vectors"
-    if _over_budget(cert, v, n, budget):
-        return SCALE
-    group = _enumerate(cert, v, n, budget)
-    predicted = predicted_order(v, n)
     ok = cert.check(
         "order_matches",
         len(group) == predicted,
         f"enumerated {len(group)}, formula gives {predicted} (t = {v.rank})",
     )
-    cert.witnesses["enumerated_order"] = len(group)
     cert.witnesses["predicted_order"] = predicted
     return _verdict(ok)
 
@@ -991,30 +997,20 @@ def verify_claim(
 
 
 def replay_certificate(doc: dict, budget: int = DEFAULT_BUDGET) -> bool:
-    """Re-verify a stored certificate.
+    """Whether re-running a stored certificate's claim, under `budget` and this
+    CODE_VERSION, reproduces the document byte for byte.
 
-    Verified certificates carrying witness triples are replayed by checking
-    the witnesses directly (no search); everything else re-runs the claim and
-    must reproduce the stored canonical document byte for byte.
+    Every certificate replays the same way: its witnesses are not trusted on
+    their own, and any edit (to a check, a parameter, the claim, the verdict,
+    a witness or the code version) makes replay False.  A certificate computed
+    under another budget replays only where the budget did not change it.
+    Parameters the claim does not accept raise ValueError, as in verify_claim.
     """
     cert = Certificate.from_dict(doc)
     params = cert.params
-    v = DefiningVector(params["p"], tuple(params["e"]))
-    if (
-        cert.verified
-        and "triple_1" in cert.witnesses
-        and "triple_2" in cert.witnesses
-    ):
-        # The witnesses may live below params["n"] (thm-A at p = 3 checks
-        # them at level 3 for every n): replay at the level they encode.
-        level = Portrait.decode(cert.witnesses["triple_1"][0]).shape.n
-        group = enumerate_quotient(v, level, budget)
-        t1 = _decode_triple(group, cert.witnesses["triple_1"])
-        t2 = _decode_triple(group, cert.witnesses["triple_2"])
-        return is_beauville_pair(t1, t2, group).verified
     fresh = verify_claim(
         cert.claim,
-        v,
+        DefiningVector(params["p"], tuple(params["e"])),
         params["n"],
         m=params.get("m"),
         x_word=params.get("x", "a"),
@@ -1022,12 +1018,3 @@ def replay_certificate(doc: dict, budget: int = DEFAULT_BUDGET) -> bool:
         budget=budget,
     )
     return fresh.canonical_json() == cert.canonical_json()
-
-
-def _decode_triple(group: QuotientGroup, encoded: list[str]) -> GeneratingTriple:
-    x = group.element(encoded[0])
-    y = group.element(encoded[1])
-    t = GeneratingTriple.make(group, x, y)
-    if t.xy.encode() != encoded[2]:
-        raise ValueError("stored triple product does not match x*y")
-    return t

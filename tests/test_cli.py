@@ -137,6 +137,21 @@ def test_levels_past_the_tree_bound_exit_2():
         assert _ends_cleanly(*args).returncode == 2
 
 
+def test_prop_key_on_a_symmetric_vector_past_the_budget():
+    # The same rule as for any vector past the budget: the enumeration's
+    # refusal becomes a note and the element-wise sub-checks run.
+    res = _ends_cleanly("verify", "prop-key", "--p", "5", "--e", "1,4,4,1",
+                        "--level", "3", "--format", "structured")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["verdict"] == "skipped: scale"
+    assert doc["checks"] and all(c["name"].startswith("partial_") for c in doc["checks"])
+    assert doc["notes"] == [
+        "enumeration budget 10000000 exceeded (order 5^15 by the Fernandez-Alcober "
+        "& Zugadi-Reizabal formula); running element-wise sub-checks only"
+    ]
+
+
 def test_tree_past_the_walk_vertex_limit_is_refused_at_once():
     # A symmetric vector has no predicted order; its depth-6 tree has 364
     # internal vertices, past the 256 the enumeration walk handles.

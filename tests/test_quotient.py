@@ -440,6 +440,18 @@ def test_is_generating_pair(gs_g2):
     assert not gs_g2.is_generating_pair(a * b, b * a)  # same image in G/G'
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_level_one_generation_is_decided_in_closed_form(p):
+    # G_1 = C_p with p prime: a pair generates exactly when one member is
+    # nontrivial, as the brute closure confirms pair by pair.
+    group = enumerate_quotient(DefiningVector(p, (1,) + (0,) * (p - 2)), 1)
+    assert group.coords is None and len(group) == p
+    for x in group:
+        for y in group:
+            closure = brute_generated(group, [x, y])
+            assert group.is_generating_pair(x, y) == (len(closure) == p)
+
+
 def test_derived_subgroup(gs_g2, gs_g3, e10_g2):
     for group, size in ((gs_g2, 3), (gs_g3, 243), (e10_g2, 9)):
         der = group.derived_subgroup()

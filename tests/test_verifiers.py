@@ -495,8 +495,9 @@ def test_replay_witness_path(gs):
 
 
 def test_replay_witnesses_at_their_own_level(gs):
-    # thm-A at p = 3 keeps its level-3 witnesses for every n; replaying them
-    # in the level-4 quotient (3^19 elements) would exceed the budget.
+    # thm-A at p = 3 keeps its level-3 witnesses for every n.  Replay re-runs
+    # the claim, which enumerates level 3 only: never the level-4 quotient
+    # (3^19 elements, past the budget).
     cert = verify_claim("thm-A", gs, 4)
     assert cert.verified
     assert replay_certificate(json.loads(cert.canonical_json()))
@@ -516,18 +517,64 @@ def test_replay_detects_tampering(gs):
 
 
 def test_replay_rejects_corrupt_witness(gs):
+    # Replay re-runs the claim, so a tampered witness is a byte mismatch.
     cert = verify_claim("thm-G3", gs, 3)
     doc = json.loads(cert.canonical_json())
     doc["witnesses"]["triple_1"][2] = doc["witnesses"]["triple_1"][0]
-    with pytest.raises(ValueError):
-        replay_certificate(doc)
+    assert replay_certificate(doc) is not True
     # Two labels flipped: still a well-formed portrait, but not an element
     # of the quotient.
     doc = json.loads(cert.canonical_json())
     head, body = doc["witnesses"]["triple_1"][0].split(":")
     labels = [int(x) for x in body.split(",")]
     labels[-2:] = [(x + 1) % 3 for x in labels[-2:]]
-    tampered = f"{head}:{','.join(map(str, labels))}"
-    doc["witnesses"]["triple_1"][0] = tampered
-    with pytest.raises(ValueError, match=f"not an element of this quotient: {tampered}"):
-        replay_certificate(doc)
+    doc["witnesses"]["triple_1"][0] = f"{head}:{','.join(map(str, labels))}"
+    assert replay_certificate(doc) is not True
+
+
+EDITS = {
+    "failed_check": lambda doc: doc["checks"][0].update(passed=False),
+    "deeper": lambda doc: doc["params"].update(n=5),
+    "opposite_claim": lambda doc: doc.update(claim="thm-B"),
+    "other_code_version": lambda doc: doc.update(code_version="0.0.0"),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
+def test_replay_never_accepts_an_edited_witness_certificate(gs, edit):
+    # thm-A at p = 3, n = 4 stores witness triples; replay must still notice
+    # an edit anywhere else in the document.
+    cert = verify_claim("thm-A", gs, 4)
+    doc = json.loads(cert.canonical_json())
+    assert "triple_1" in doc["witnesses"] and replay_certificate(doc)
+    edit(doc)
+    try:
+        assert replay_certificate(doc) is not True
+    except ValueError:
+        pass  # the edited parameters are refused, as verify_claim refuses them
+
+
+SWEEP_VECTORS = (
+    (3, (1, 2)),
+    (3, (1, 1)),
+    (3, (1, 0)),
+    (5, (1, 4, 1, 4)),
+    (5, (1, 4, 4, 1)),
+    (5, (1, 0, 0, 0)),
+    (7, (1, 2, 4, 4, 2, 1)),
+)
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+@pytest.mark.parametrize("p, e", SWEEP_VECTORS)
+def test_budget_refusals_never_escape_a_verifier(claim, p, e):
+    # At the default budget a claim ends in a certificate or a ValueError;
+    # an enumeration's BudgetExceeded (symmetric vectors included) becomes
+    # a note, never the outcome.
+    v = DefiningVector(p, e)
+    for n in range(1, 6):
+        try:
+            cert = verify_claim(claim, v, n)
+        except ValueError:
+            continue
+        assert cert.verdict
