@@ -9,19 +9,18 @@ Which proof each claim rests on:
   portraits at every level; `thm-B` at level 1 enumerates the cyclic C_p.
 - `thm-G2` at p >= 5: the lines argument, on depth-2 portraits; at p = 3 an
   exhaustive exponent scan and signature search.
-- `thm-A` and `thm-G3` at p = 3: the exhaustive level-3 battery, lifted to
-  level n by element orders; at p >= 5 and n >= 3 only element-wise
-  sub-checks run, reported as "skipped: scale".
+- `thm-A` and `thm-G3` at p >= 5 (n >= 3): the pair argument, with
+  element orders at level n and the last-layer test at level 3.
+- `prop-key` (n >= 3): the last-layer test at level 3, every p.
+- `thm-A` and `thm-G3` at p = 3, the three p = 3 lemmas and `order-formula`:
+  exhaustive enumeration; `thm-A` lifts level 3 to level n by element orders.
 - `lemma-orders`, `eq-3.1`, `lemma-conjugates` and `lifting`: portraits
   alone, no group.
-- `lemma-center`, `lemma-comms-a`, `lemma-comms-b`, `prop-key` and
-  `order-formula`: exhaustive enumeration.
 
 Where a proof decides, enumeration only confirms, up to min(budget,
 SEARCH_ELEMENT_CAP) elements.  Where the enumeration is the proof and
-refuses the budget, `prop-key` falls back to element-wise sub-checks and
-`order-formula` to nothing, both reported as "skipped: scale" rather than
-pretending the full statement was checked.
+refuses the budget, the claim is reported as "skipped: scale", with the
+refusal as a note, rather than pretending the statement was checked.
 """
 
 from __future__ import annotations
@@ -39,15 +38,15 @@ from .beauville import (
     cyclic_subgroup,
     is_beauville_pair,
     search_beauville,
-    subgroup_conjugation_orbit,
 )
 from .certificate import CODE_VERSION, Certificate
-from .generators import DefiningVector, make_a, make_b
+from .generators import DefiningVector, _one_root_multiplicity, make_a, make_b
 from .parallel import pmap
 from .portrait import Portrait, TreeShape, commutator, tree_shape
 from .quotient import (
     BudgetExceeded,
     DEFAULT_BUDGET,
+    MAX_LEVEL,
     QuotientGroup,
     SubgroupHandle,
     coordinate_line,
@@ -112,36 +111,24 @@ def claim_params(
 # -- certificate skeleton --------------------------------------------------------
 
 
-def _verdict(ok: bool, passed: str = "verified") -> str:
-    return passed if ok else "refuted"
-
-
-def _enumerate(cert: Certificate, v: DefiningVector, n: int, budget: int) -> QuotientGroup:
-    """Enumerate the level-n quotient and record its size on the certificate."""
-    group = enumerate_quotient(v, n, budget)
-    cert.element_count = len(group)
-    cert.exhaustive = True
-    return group
+def _verdict(ok: bool) -> str:
+    return "verified" if ok else "refuted"
 
 
 def _group_within(
-    cert: Certificate,
-    v: DefiningVector,
-    n: int,
-    budget: int,
-    fallback: str = "",
-    proof: str = "",
+    cert: Certificate, v: DefiningVector, n: int, budget: int, proof: str = ""
 ) -> QuotientGroup | None:
     """The level-n quotient, or None with a note when the enumeration refuses
     the budget.  The note names the predicted order when that is known to
-    exceed the budget, and the refusal's own text otherwise, then `fallback`.
+    exceed the budget, and the refusal's own text otherwise.  An enumeration
+    at the certificate's own level records its size and makes it exhaustive.
 
     With `proof`, the enumeration only confirms a verdict that proof has
     decided, and is not run past min(budget, SEARCH_ELEMENT_CAP) elements.
     """
     limit = min(budget, SEARCH_ELEMENT_CAP) if proof else budget
     try:
-        return _enumerate(cert, v, n, limit)
+        group = enumerate_quotient(v, n, limit)
     except BudgetExceeded as exc:
         order = written_order(v, n) if exceeds_budget(v, n, limit) else None
         if proof:
@@ -151,9 +138,13 @@ def _group_within(
                 f"the verdict rests on {proof}"
             )
         else:
-            stop = f"predicted order {order} exceeds the budget {limit}" if order else str(exc)
-            cert.notes.append(f"{stop}; {fallback}" if fallback else stop)
+            stop = f"predicted order {order} exceeds the budget {limit}"
+            cert.notes.append(stop if order else str(exc))
         return None
+    if n == cert.params["n"]:
+        cert.element_count = len(group)
+        cert.exhaustive = True
+    return group
 
 
 def _orders_of(shape: TreeShape, exps: bytes) -> list[int]:
@@ -195,18 +186,13 @@ def _require_non_periodic(cert: Certificate, v: DefiningVector) -> None:
 # -- element-wise sub-check builders (no enumeration) ---------------------------
 
 
-def _order_checks(
-    cert: Certificate,
-    n: int,
-    items: list[tuple[str, Portrait, int]],
-    prefix: str = "",
-) -> bool:
+def _order_checks(cert: Certificate, n: int, items: list[tuple[str, Portrait, int]]) -> bool:
     """Check order(x) == expected for (name, portrait, expected) triples."""
     ok = True
     for name, x, expected in items:
         got = x.order()
         ok &= cert.check(
-            f"{prefix}order_{name}",
+            f"order_{name}",
             got == expected,
             f"order {got} at depth {n}, expected {expected}",
         )
@@ -225,7 +211,7 @@ def _standard_order_items(
     return items
 
 
-def _eq31_checks(cert: Certificate, v: DefiningVector, n: int, prefix: str = "") -> bool:
+def _eq31_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
     """Section identity for psi((ab^i)^p), all i, at depth n (n >= 2)."""
     p = v.p
     a, b = _generator_portraits(v, n)
@@ -242,7 +228,7 @@ def _eq31_checks(cert: Certificate, v: DefiningVector, n: int, prefix: str = "")
         ) + (bi,)
         passed = d.root_label == 0 and d.sections == expected
         ok &= cert.check(
-            f"{prefix}pth_power_sections_i{i}",
+            f"pth_power_sections_i{i}",
             passed,
             f"sections of (ab^{i})^{p} at depth {n} match the prefix-sum formula",
         )
@@ -343,13 +329,10 @@ def _triple_line_check(cert: Certificate, p: int) -> bool:
     )
 
 
-def _lines_checks(cert: Certificate, v: DefiningVector, pair: tuple) -> bool:
-    """The lines argument at level 2 for triples (x, y, xy), x = a^k b^j and y
-    given by their coordinates (k, j), on depth-2 portraits with no group."""
-    p = v.p
-    a, b = _generator_portraits(v, 2)
-    cert.notes.append(LINES_ARGUMENT)
-    ok, members, coords = True, [], []
+def _generates_checks(cert: Certificate, p: int, pair: tuple) -> bool:
+    """Each triple (x, y, xy), x = a^k b^j and y given by their coordinates
+    (k, j), generates when x and y have independent coordinates."""
+    ok = True
     for t, ((k1, j1), (k2, j2)) in enumerate(pair, 1):
         det = (k1 * j2 - j1 * k2) % p
         ok &= cert.check(
@@ -357,6 +340,17 @@ def _lines_checks(cert: Certificate, v: DefiningVector, pair: tuple) -> bool:
             det != 0,
             f"x{t} = a^{k1} b^{j1}, y{t} = a^{k2} b^{j2}: coordinate determinant {det} mod {p}",
         )
+    return ok
+
+
+def _lines_checks(cert: Certificate, v: DefiningVector, pair: tuple) -> bool:
+    """The lines argument at level 2 for the triples of `pair`, on depth-2
+    portraits with no group."""
+    p = v.p
+    a, b = _generator_portraits(v, 2)
+    cert.notes.append(LINES_ARGUMENT)
+    ok, members, coords = _generates_checks(cert, p, pair), [], []
+    for (k1, j1), (k2, j2) in pair:
         x, y = a**k1 * b**j1, a**k2 * b**j2
         members += [x, y, x * y]
         coords += [(k1, j1), (k2, j2), (k1 + k2, j1 + j2)]
@@ -369,6 +363,85 @@ def _lines_checks(cert: Certificate, v: DefiningVector, pair: tuple) -> bool:
         len(set(lines)) == 6 and p + 1 not in lines,
         f"{names} lie on the lines {lines} of G/G', line {p + 1} being G'",
     )
+
+
+def _key_last_layer_checks(cert: Certificate, v: DefiningVector, pairs: list) -> bool:
+    """<w_i> is conjugate to no <w_j>, w_i = (ab^i)^p, for each (i, j) in
+    `pairs`: the last-layer test at level 3, onto which every level n >= 3
+    maps, on depth-3 portraits with no group."""
+    p = v.p
+    a, b = _generator_portraits(v, 3)
+    start = a.shape.level_starts[2]
+    cert.notes.append(
+        "last-layer test: w_i = (ab^i)^p lies in st(2); G acts on its p depth-2 "
+        "blocks through G/st(2) = {(r, u) : u in U}, moving block x to block x + r "
+        "rotated by u_x, where U = ((X-1)^m) in F_p[X]/(X^p - 1) and m is the "
+        "multiplicity of 1 as a root of e; a non-constant block of prime length has "
+        "at most one such rotation, so <w_i> ~ <w_j> exactly when some k, r give "
+        "rotations u in U; a conjugacy at level n >= 3 maps onto one at level 3"
+    )
+    ok, blocks = True, {}
+    for i in dict.fromkeys(x for pair in pairs for x in pair):
+        labels = ((a * b**i) ** p).labels
+        blocks[i] = [labels[start + x * p : start + x * p + p] for x in range(p)]
+        ok &= cert.check(
+            f"w{i}_last_layer",
+            not any(labels[:start]) and all(len(set(block)) > 1 for block in blocks[i]),
+            f"(ab^{i})^{p} lies in st(2) at depth 3, and its {p} depth-2 blocks are non-constant",
+        )
+    m = _one_root_multiplicity(v.e, p)
+    times = [bytes(k * y % p for y in range(256)) for k in range(p)]
+
+    def meet(i: int, doubled: list[list[bytes]]) -> tuple[int, int] | None:
+        for k, r in product(range(1, p), range(p)):
+            u = []
+            for x in range(p):
+                u.append(doubled[k][x].find(blocks[i][(x + r) % p]))
+                if u[-1] < 0:
+                    break
+            else:
+                if not any(u) or _one_root_multiplicity(u, p) >= m:
+                    return k, r
+        return None
+
+    met = {}
+    for j in dict.fromkeys(j for _, j in pairs):  # one j's p^2 doubled blocks at a time
+        doubled = [[(x * 2).translate(table) for x in blocks[j]] for table in times]
+        met.update(((i, j), meet(i, doubled)) for i, jj in pairs if jj == j)
+    for i, j in pairs:
+        ok &= cert.check(
+            f"key_last_layer_i{i}_j{j}",
+            met[i, j] is None,
+            f"no conjugate of a generator of <(ab^{j})^{p}> equals (ab^{i})^{p} at depth 3"
+            + (f"; met at (k, r) = {met[i, j]}" if met[i, j] else ""),
+        )
+    return ok
+
+
+def _standard_pair_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
+    """The pair argument at level n >= 3 for T1 = (a^-2, ab, a^-1 b) and
+    T2 = (ab^2, b, ab^3), on portraits with no group."""
+    p = v.p
+    a, b = _generator_portraits(v, 3)
+    ok = _generates_checks(cert, p, (((-2, 0), (1, 1)), ((1, 2), (0, 1))))
+    cert.notes.append(
+        "pair argument: in a p-group two Sigma sets meet exactly when some members "
+        "have conjugate socles; a^-2 and b are their own socles, on the lines 0 and 1 "
+        "of G/G', and the other four have order p^2, so their socles are generated by "
+        "their p-th powers, in G'; as <(a^-1 b)^p> ~ <w_(p-1)>, w_i = (ab^i)^p, only "
+        "<w_i> ~ <w_j> for i in {1, p-1} and j in {2, 3} can remain"
+    )
+    members = [("x1_a-2", "A^2", p), ("y1_ab", "ab", p * p), ("x1y1_A_b", "Ab", p * p),
+               ("x2_ab2", "ab^2", p * p), ("y2_b", "b", p), ("x2y2_ab3", "ab^3", p * p)]
+    ok &= _order_checks(cert, 3, [(name, evaluate_word(w, a, b), o) for name, w, o in members])
+    if n > 3:
+        ok &= _lifting_checks(cert, v, [(name, w) for name, w, _ in members], 3, n, prefix="lift_")
+    ok &= cert.check(
+        "inverse_identity",
+        (a.inverse() * b).inverse() == (a * b ** (p - 1)).conjugate_by(b),
+        "(a^-1 b)^-1 equals (a b^(p-1)) conjugated by b, so <(a^-1 b)^p> ~ <(ab^(p-1))^p>",
+    )
+    return ok & _key_last_layer_checks(cert, v, [(1, 2), (1, 3), (p - 1, 2), (p - 1, 3)])
 
 
 # -- enumerated sub-check builders ----------------------------------------------
@@ -578,7 +651,9 @@ def _require_gupta_sidki_level3(cert: Certificate, v: DefiningVector, n: int) ->
 
 def verify_lemma_center(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     _require_gupta_sidki_level3(cert, v, n)
-    group = _enumerate(cert, v, 3, budget)
+    group = _group_within(cert, v, 3, budget)
+    if group is None:
+        return SCALE
     special = build_special_elements(group)
     ok, center = _center_checks(cert, group)
     ok &= cert.check(
@@ -594,7 +669,9 @@ def verify_lemma_comms_b(
     cert: Certificate, v: DefiningVector, n: int, budget: int
 ) -> str:
     _require_gupta_sidki_level3(cert, v, n)
-    group = _enumerate(cert, v, 3, budget)
+    group = _group_within(cert, v, 3, budget)
+    if group is None:
+        return SCALE
     center_keys = group.center().keys
     comms = pmap(partial(commutator, group.b), group.elements)
     hits = sorted(
@@ -615,7 +692,9 @@ def verify_lemma_comms_a(
     cert: Certificate, v: DefiningVector, n: int, budget: int
 ) -> str:
     _require_gupta_sidki_level3(cert, v, n)
-    group = _enumerate(cert, v, 3, budget)
+    group = _group_within(cert, v, 3, budget)
+    if group is None:
+        return SCALE
     special = build_special_elements(group)
     comms = pmap(partial(commutator, group.a), group.elements)
     ok = cert.check(
@@ -633,39 +712,8 @@ def verify_prop_key(cert: Certificate, v: DefiningVector, n: int, budget: int) -
         raise ValueError(
             "the power-subgroup claim needs n >= 3, where ab^i has order p^2"
         )
-    p = v.p
-    group = _group_within(cert, v, n, budget, "running element-wise sub-checks only")
-    if group is None:
-        ok = _order_checks(cert, n, _standard_order_items(v, n), prefix="partial_")
-        ok &= _eq31_checks(cert, v, n, prefix="partial_")
-        return _verdict(ok, SCALE)
-    cert.notes.append(
-        "conjugates of <(ab^j)^p> are exhausted via conjugation-orbit closure, "
-        "which reaches the orbit under the full group"
-    )
-    bases, orbits = {}, {}
-    for i in range(1, p):
-        w = group.element(((group.a * group.b**i) ** p).labels)
-        cert.witnesses[f"w{i}"] = w.encode()
-        bases[i] = cyclic_subgroup(group, w).keys
-        orbits[i] = set(subgroup_conjugation_orbit(group, bases[i]))
-    ok = True
-    for i in range(1, p):
-        ok &= cert.check(
-            f"self_conjugate_i{i}",
-            bases[i] in orbits[i],
-            "the subgroup is in its own conjugation orbit (identity conjugator)",
-        )
-        for j in range(1, p):
-            if i == j:
-                continue
-            ok &= cert.check(
-                f"distinct_i{i}_j{j}",
-                bases[i] not in orbits[j],
-                f"no conjugate of <(ab^{j})^{p}> equals <(ab^{i})^{p}> "
-                f"(orbit of {len(orbits[j])} subgroups)",
-            )
-    return _verdict(ok)
+    pairs = [(i, j) for i in range(1, v.p) for j in range(1, v.p) if i != j]
+    return _verdict(_key_last_layer_checks(cert, v, pairs))
 
 
 def verify_prop_collision(
@@ -681,11 +729,11 @@ def verify_prop_collision(
 
 def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     _require_non_periodic(cert, v)
-    if n < 1:
-        raise ValueError("levels start at 1")
     cert.notes.append(LEVEL_ONLY)
     if n == 1:
-        group = _enumerate(cert, v, 1, budget)
+        group = _group_within(cert, v, 1, budget)
+        if group is None:
+            return SCALE
         cyclic = any(
             len(cyclic_subgroup(group, x)) == len(group) for x in group.elements
         )
@@ -730,7 +778,9 @@ def verify_thm_G2(cert: Certificate, v: DefiningVector, n: int, budget: int) -> 
     if n != 2:
         raise ValueError("this claim concerns the level-2 quotient")
     if v.p == 3:
-        ok, group = True, _enumerate(cert, v, 2, budget)
+        ok, group = True, _group_within(cert, v, 2, budget)
+        if group is None:
+            return SCALE
     else:
         ok = _lines_checks(cert, v, (((1, 0), (0, 1)), ((1, 2), (1, 4))))
         group = _group_within(cert, v, 2, budget, proof="the lines argument")
@@ -759,42 +809,10 @@ def verify_thm_G3(cert: Certificate, v: DefiningVector, n: int, budget: int) -> 
     _require_periodic(cert, v)
     if n != 3:
         raise ValueError("this claim concerns the level-3 quotient")
-    if v.p == 3:
-        group = _enumerate(cert, v, 3, budget)
-        return _verdict(_gupta_sidki_structure(cert, group))
-    if exceeds_budget(v, 3, budget):
-        cert.notes.append(
-            f"predicted order {written_order(v, 3)} exceeds the budget {budget}; "
-            "running the element-wise sub-checks for the standard triples"
-        )
-    return _verdict(_standard_triples_checks(cert, v, 3), SCALE)
-
-
-def _standard_triples_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
-    """Element-wise checks for the triples (a^-2, ab, a^-1 b) / (ab^2, b, ab^3)."""
-    p = v.p
-    a, b = _generator_portraits(v, n)
-    items = [
-        ("x1_a-2", a.inverse() * a.inverse(), p),
-        ("y1_ab", a * b, p * p),
-        ("x1y1_A_b", a.inverse() * b, p * p),
-        ("x2_ab2", a * b**2, p * p),
-        ("y2_b", b, p),
-        ("x2y2_ab3", a * b**3, p * p),
-    ]
-    ok = _order_checks(cert, n, items)
-    ok &= _eq31_checks(cert, v, n)
-    lhs = (a.inverse() * b).inverse()
-    rhs = (a * b ** (p - 1)).conjugate_by(b)
-    ok &= cert.check(
-        "inverse_identity",
-        lhs == rhs,
-        "(a^-1 b)^-1 equals (a b^(p-1)) conjugated by b",
-    )
-    cert.notes.append(
-        "the second triple's third member is the literal product (ab^2)(b) = ab^3"
-    )
-    return ok
+    if v.p > 3:
+        return _verdict(_standard_pair_checks(cert, v, 3))
+    group = _group_within(cert, v, 3, budget)
+    return SCALE if group is None else _verdict(_gupta_sidki_structure(cert, group))
 
 
 def verify_thm_A(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
@@ -811,27 +829,21 @@ def verify_thm_A(cert: Certificate, v: DefiningVector, n: int, budget: int) -> s
         verdict = verify_thm_G2(cert, v, 2, budget)
         cert.notes[k:] = [f"level-2: {x}" for x in cert.notes[k:]]
         return verdict
-    if p == 3:
-        if n == 3:
-            return verify_thm_G3(cert, v, 3, budget)
-        ok = _gupta_sidki_structure(cert, enumerate_quotient(v, 3, budget))
-        triple = [("x1_a", "a"), ("y1_b", "b"), ("x1y1_ab", "ab")]
-        ok &= _lifting_checks(cert, v, triple, 3, n, prefix="lift_")
-        cert.notes.append(
-            "conclusion: the structure verified exhaustively at depth 3 lifts to "
-            f"depth {n} because the first triple's element orders are preserved"
-        )
-        return _verdict(ok)
-    # p >= 5, n >= 3: the level-3 quotient has order p^(4p+1), far out of scale.
-    ok = _standard_triples_checks(cert, v, 3)
-    triple = [("x1_a-2", "A^2"), ("y1_ab", "ab"), ("x1y1_A_b", "Ab")]
-    if n > 3:
-        ok &= _lifting_checks(cert, v, triple, 3, n, prefix="lift_")
+    if p >= 5:
+        return _verdict(_standard_pair_checks(cert, v, n))
+    if n == 3:
+        return verify_thm_G3(cert, v, 3, budget)
+    group = _group_within(cert, v, 3, budget)
+    if group is None:
+        return SCALE
+    ok = _gupta_sidki_structure(cert, group)
+    triple = [("x1_a", "a"), ("y1_b", "b"), ("x1y1_ab", "ab")]
+    ok &= _lifting_checks(cert, v, triple, 3, n, prefix="lift_")
     cert.notes.append(
-        "the full Sigma-intersection check at this scale is not run; "
-        "the element-wise sub-checks above are exhaustive over the stated elements"
+        "conclusion: the structure verified exhaustively at depth 3 lifts to "
+        f"depth {n} because the first triple's element orders are preserved"
     )
-    return _verdict(ok, SCALE)
+    return _verdict(ok)
 
 
 def verify_lifting(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
@@ -983,6 +995,8 @@ def verify_claim(
         raise ValueError(f"unknown claim {claim!r}; known claims: {known}")
     start = time.perf_counter()
     params = claim_params(claim, v, n, m, x_word, y_word)
+    if not 1 <= params["n"] <= MAX_LEVEL:
+        raise ValueError(f"level must lie in 1..{MAX_LEVEL}, got {params['n']}")
     cert = Certificate(
         claim=claim,
         statement=CLAIMS[claim].statement,

@@ -12,7 +12,9 @@ table tests generation and forms products pair by pair (a second table
 forms x*y for every element y of the group and looks each one up, with no
 coset blocks), the quotient and its closures are walked one element and
 one product at a time (the quotient both in coset order and over the whole
-group), and greedy generators are closed anew after every pick.
+group), greedy generators are closed anew after every pick, and the
+conjugates of the power subgroups <(ab^j)^p> are walked on depth-3
+portraits under conjugation by a and b.
 """
 from __future__ import annotations
 
@@ -208,6 +210,17 @@ def element_walk(start: list[Portrait], steps: list) -> list[bytes]:
                 seen.add(y.labels)
                 found.append(y)
     return [x.labels for x in found]
+
+
+def power_conjugates(v: DefiningVector, j: int) -> frozenset[bytes]:
+    """Labels of every conjugate of every power of w_j = (ab^j)^p at depth 3,
+    walked under conjugation by a and b: <(ab^i)^p> is conjugate to <w_j>
+    at level 3 exactly when (ab^i)^p is among them."""
+    shape = tree_shape(v.p, 3)
+    a, b = make_a(shape), make_b(v, shape)
+    w = (a * b**j) ** v.p
+    steps = [lambda x, g=g, gi=g.inverse(): gi * x * g for g in (a, b)]
+    return frozenset(element_walk([w**k for k in range(1, v.p)], steps))
 
 
 def brute_coords(group: QuotientGroup, x: Portrait) -> tuple[int, int]:

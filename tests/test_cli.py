@@ -107,14 +107,14 @@ def test_deep_order_formula_is_written_symbolically():
 
 
 def test_deep_prop_key_runs_element_wise():
-    res = _ends_cleanly("verify", "prop-key", "--p", "3", "--e", "1,2",
-                        "--level", "10", "--format", "structured")
-    doc = json.loads(res.stdout)
-    assert doc["verdict"] == "skipped: scale"
-    assert doc["notes"] == [
-        "predicted order 3^13123 exceeds the budget 10000000; "
-        "running element-wise sub-checks only"
-    ]
+    # Every level maps onto level 3, where the last-layer test decides.
+    for level in ("10", "40"):
+        res = _ends_cleanly("verify", "prop-key", "--p", "3", "--e", "1,2",
+                            "--level", level, "--format", "structured")
+        doc = json.loads(res.stdout)
+        assert doc["verdict"] == "verified"
+        assert doc["element_count"] is None
+        assert [note.split(":")[0] for note in doc["notes"]] == ["last-layer test"]
 
 
 def test_deep_enumerate_is_refused_before_building_the_tree():
@@ -127,10 +127,13 @@ def test_deep_enumerate_is_refused_before_building_the_tree():
 
 
 def test_levels_past_the_tree_bound_exit_2():
-    # A symmetric vector has no order formula, so the tree bound refuses it.
+    # A symmetric vector has no order formula, so the tree bound refuses it;
+    # thm-A builds the depth-40 tree for its lifted orders and meets the same
+    # bound.  Levels past MAX_LEVEL (64) are refused before any verifier runs.
     for args in (
         ("enumerate", "--p", "3", "--e", "1,1", "--level", "40"),
-        ("verify", "prop-key", "--p", "3", "--e", "1,2", "--level", "40"),
+        ("verify", "thm-A", "--p", "5", "--level", "40"),
+        ("verify", "prop-key", "--p", "3", "--e", "1,2", "--level", "65"),
         ("verify", "order-formula", "--p", "3", "--e", "1,2", "--level", "1000000"),
         ("verify", "order-formula", "--p", "3", "--e", "1,2", "--level", "0"),
     ):
@@ -138,18 +141,37 @@ def test_levels_past_the_tree_bound_exit_2():
 
 
 def test_prop_key_on_a_symmetric_vector_past_the_budget():
-    # The same rule as for any vector past the budget: the enumeration's
-    # refusal becomes a note and the element-wise sub-checks run.
+    # The last-layer test needs no order formula: a symmetric vector is
+    # decided like any other, with nothing enumerated.
     res = _ends_cleanly("verify", "prop-key", "--p", "5", "--e", "1,4,4,1",
                         "--level", "3", "--format", "structured")
     assert res.returncode == 0
     doc = json.loads(res.stdout)
+    assert doc["verdict"] == "verified"
+    names = [c["name"] for c in doc["checks"]]
+    assert sum(x.startswith("key_last_layer_") for x in names) == 12
+    assert all(c["passed"] for c in doc["checks"])
+    assert doc["element_count"] is None and len(doc["notes"]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("lemma-center", "--level", "3"),
+    ("lemma-comms-a", "--level", "3"),
+    ("lemma-comms-b", "--level", "3"),
+    ("thm-G3", "--level", "3"),
+    ("thm-A", "--level", "3"),
+    ("thm-A", "--level", "4"),
+])
+def test_enumerating_claims_past_a_user_budget_skip(args):
+    # Each enumerates the 2,187-element level-3 quotient at p = 3; under a
+    # smaller budget the refusal is a note, never an error.
+    res = _ends_cleanly("verify", *args, "--p", "3", "--e", "1,2", "--budget", "100",
+                        "--format", "structured")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
     assert doc["verdict"] == "skipped: scale"
-    assert doc["checks"] and all(c["name"].startswith("partial_") for c in doc["checks"])
-    assert doc["notes"] == [
-        "enumeration budget 10000000 exceeded (order 5^15 by the Fernandez-Alcober "
-        "& Zugadi-Reizabal formula); running element-wise sub-checks only"
-    ]
+    assert doc["exhaustive"] is False and doc["element_count"] is None
+    assert doc["notes"][-1] == "predicted order 2187 exceeds the budget 100"
 
 
 def test_tree_past_the_walk_vertex_limit_is_refused_at_once():
@@ -265,12 +287,14 @@ def test_verify_lifting_default_target_shares_cache(tmp_path):
 
 
 def test_verify_skip_is_exit_zero():
-    res = run_cli("verify", "thm-A", "--p", "5", "--level", "3",
-                  "--format", "structured")
+    res = run_cli("verify", "order-formula", "--p", "3", "--e", "1,-1", "--level", "4",
+                  "--budget", "10000", "--format", "structured")
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["verdict"] == "skipped: scale"
-    assert all(c["passed"] for c in doc["checks"])
+    assert doc["checks"] == [] and doc["notes"] == [
+        "predicted order 1162261467 exceeds the budget 10000"
+    ]
 
 
 def test_sigma():
@@ -319,7 +343,8 @@ def test_help():
 
 def test_verify_cache_key_includes_budget(tmp_path):
     cache = tmp_path / "cache"
-    base = ("verify", "prop-key", "--p", "3", "--e", "1,-1", "--cache-dir", str(cache))
+    base = ("verify", "order-formula", "--p", "3", "--e", "1,-1", "--level", "3",
+            "--cache-dir", str(cache))
     small = run_cli(*base, "--budget", "10")
     assert small.returncode == 0
     assert "verdict: skipped: scale" in small.stdout

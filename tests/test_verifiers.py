@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from itertools import compress
+from itertools import compress, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,8 +23,12 @@ from ggs import (
     verify_claim,
 )
 from ggs import beauville, quotient, verifiers
-from ggs.generators import make_a
+from ggs.certificate import Certificate
+from ggs.generators import make_a, make_b
+from ggs.portrait import tree_shape
 from ggs.verifiers import default_level
+
+from reference import power_conjugates
 
 
 def test_claims_table():
@@ -92,17 +96,91 @@ def test_prop_key(gs):
     with pytest.raises(ValueError):
         verify_claim("prop-key", gs, 2)  # power subgroups degenerate below n=3
     cert = verify_claim("prop-key", gs, 3)
-    assert cert.verified and cert.exhaustive
-    names = [c.name for c in cert.checks]
-    assert any(name.startswith("self_conjugate") for name in names)
-    assert any(name.startswith("distinct") for name in names)
+    # The last-layer test decides on depth-3 portraits; nothing is enumerated.
+    assert cert.verified and not cert.exhaustive and cert.element_count is None
+    assert [c.name for c in cert.checks] == [
+        "w1_last_layer",
+        "w2_last_layer",
+        "key_last_layer_i1_j2",
+        "key_last_layer_i2_j1",
+    ]
+    assert cert.notes[0].startswith("last-layer test:")
 
 
 def test_prop_key_over_budget(gs):
+    # No enumeration, so the budget cannot change the certificate.
     cert = verify_claim("prop-key", gs, 3, budget=100)
-    assert cert.verdict == "skipped: scale"
-    assert cert.checks and all(c.passed for c in cert.checks)
-    assert not cert.exhaustive
+    assert cert.verified
+    assert cert.canonical_json() == verify_claim("prop-key", gs, 3).canonical_json()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [3, 4])
+def test_prop_key_is_decided_at_every_prime(p, n):
+    cert = verify_claim("prop-key", DefiningVector(p, (1, p - 1) * ((p - 1) // 2)), n)
+    assert cert.verdict == "verified"
+    assert sum(c.name.startswith("key_last_layer_") for c in cert.checks) == (p - 1) * (p - 2)
+
+
+def _blank_certificate() -> Certificate:
+    return Certificate(
+        claim="prop-key", statement="", params={"n": 3}, verdict="", exhaustive=False,
+        code_version="",
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_last_layer_test_matches_the_orbit_walk(data):
+    # Every (i, j), i = j included, against the depth-3 conjugation walk.
+    p = data.draw(st.sampled_from([3, 5]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 2, max_size=p - 2))
+    e.append(-sum(e) % p)
+    assume(any(e))
+    v = DefiningVector(p, tuple(e))
+    cert = _blank_certificate()
+    pairs = [(i, j) for i in range(1, p) for j in range(1, p)]
+    verifiers._key_last_layer_checks(cert, v, pairs)
+    passed = {c.name: c.passed for c in cert.checks}
+    shape = tree_shape(p, 3)
+    a, b = make_a(shape), make_b(v, shape)
+    for j in range(1, p):
+        conjugates = power_conjugates(v, j)
+        for i in range(1, p):
+            meets = ((a * b**i) ** p).labels in conjugates
+            assert passed[f"key_last_layer_i{i}_j{j}"] == (not meets), (i, j)
+            assert meets == (i == j)
+
+
+def test_last_layer_test_finds_a_subgroup_conjugate_to_itself(p5alt):
+    cert = _blank_certificate()
+    assert not verifiers._key_last_layer_checks(cert, p5alt, [(2, 2)])
+    assert [(c.name, c.passed) for c in cert.checks] == [
+        ("w2_last_layer", True),
+        ("key_last_layer_i2_j2", False),
+    ]
+
+
+def test_standard_pair_does_not_verify_at_p3(gs):
+    # At p = 3, p - 1 = 2: the socles <(a^-1 b)^3> and <(ab^2)^3> meet, and
+    # ab^3 = a has order 3.
+    cert = _blank_certificate()
+    assert not verifiers._standard_pair_checks(cert, gs, 3)
+    assert {c.name for c in cert.checks if not c.passed} == {
+        "order_x2y2_ab3",
+        "w3_last_layer",
+        "key_last_layer_i2_j2",
+    }
+
+
+def test_thm_a_is_refuted_when_every_rotation_lies_in_u(monkeypatch, p5alt):
+    # With U taken to be all of F_p^p, the pair's socles meet.
+    monkeypatch.setattr(verifiers, "_one_root_multiplicity", lambda coeffs, p: 0)
+    cert = verify_claim("thm-A", p5alt, 4)
+    assert cert.verdict == "refuted"
+    assert {c.name for c in cert.checks if not c.passed} == {
+        f"key_last_layer_i{i}_j{j}" for i in (1, 4) for j in (2, 3)
+    }
 
 
 def test_prop_collision(e10, gs):
@@ -387,12 +465,34 @@ def test_thm_g3_battery(gs):
         verify_claim("thm-G3", gs, 2)
 
 
-def test_thm_g3_large_p_skips(p5alt):
+PAIR_CHECKS = [
+    "generates_t1",
+    "generates_t2",
+    "order_x1_a-2",
+    "order_y1_ab",
+    "order_x1y1_A_b",
+    "order_x2_ab2",
+    "order_y2_b",
+    "order_x2y2_ab3",
+    "inverse_identity",
+    "w1_last_layer",
+    "w2_last_layer",
+    "w3_last_layer",
+    "w4_last_layer",
+    "key_last_layer_i1_j2",
+    "key_last_layer_i1_j3",
+    "key_last_layer_i4_j2",
+    "key_last_layer_i4_j3",
+]
+
+
+def test_thm_g3_large_p_rests_on_the_pair(p5alt):
     cert = verify_claim("thm-G3", p5alt, 3)
-    assert cert.verdict == "skipped: scale"
-    assert cert.checks and all(c.passed for c in cert.checks)
-    names = [c.name for c in cert.checks]
-    assert "inverse_identity" in names
+    assert cert.verdict == "verified"
+    assert not cert.exhaustive and cert.element_count is None
+    assert [c.name for c in cert.checks] == PAIR_CHECKS
+    # A symmetric vector has no order formula past level 2; it is decided too.
+    assert verify_claim("thm-G3", DefiningVector(5, (1, 4, 4, 1)), 3).verified
 
 
 def test_thm_a_coverage(gs, e10, p5alt):
@@ -418,10 +518,25 @@ def test_thm_a_p5_level2_delegates(p5alt):
     assert "triple_1" in cert.witnesses
 
 
-def test_thm_a_p5_level3_skips(p5alt):
+def test_thm_a_p5_rests_on_the_pair(p5alt):
     cert = verify_claim("thm-A", p5alt, 3)
-    assert cert.verdict == "skipped: scale"
-    assert cert.checks and all(c.passed for c in cert.checks)
+    assert cert.verdict == "verified" and not cert.exhaustive
+    assert [c.name for c in cert.checks] == PAIR_CHECKS
+    # Past level 3 every member's order is lifted to level n.
+    cert = verify_claim("thm-A", p5alt, 4)
+    assert cert.verdict == "verified"
+    lifted = [c.name for c in cert.checks if c.name.startswith("lift_")]
+    assert lifted == [f"lift_order_preserved_{x[6:]}" for x in PAIR_CHECKS[2:8]]
+
+
+THM_A_DECIDED = [(p, n) for p in (5, 7, 11, 13) for n in (3, 4, 5)] + [(31, 3), (127, 3)]
+
+
+@pytest.mark.parametrize("p, n", THM_A_DECIDED)
+def test_thm_a_is_decided_past_the_budget(p, n):
+    cert = verify_claim("thm-A", DefiningVector(p, (1, p - 1) * ((p - 1) // 2)), n)
+    assert cert.verdict == "verified"
+    assert cert.exhaustive is False and cert.element_count is None
 
 
 def test_lifting_verified(gs, p5alt):
@@ -568,13 +683,13 @@ SWEEP_VECTORS = (
 @pytest.mark.parametrize("claim", sorted(CLAIMS))
 @pytest.mark.parametrize("p, e", SWEEP_VECTORS)
 def test_budget_refusals_never_escape_a_verifier(claim, p, e):
-    # At the default budget a claim ends in a certificate or a ValueError;
-    # an enumeration's BudgetExceeded (symmetric vectors included) becomes
-    # a note, never the outcome.
+    # At the default budget and a user's small one, a claim ends in a
+    # certificate or a ValueError; an enumeration's BudgetExceeded (symmetric
+    # vectors included) becomes a note, never the outcome.
     v = DefiningVector(p, e)
-    for n in range(1, 6):
+    for n, budget in product(range(1, 6), (quotient.DEFAULT_BUDGET, 100)):
         try:
-            cert = verify_claim(claim, v, n)
+            cert = verify_claim(claim, v, n, budget=budget)
         except ValueError:
             continue
         assert cert.verdict
