@@ -27,10 +27,9 @@ from operator import add, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .certificate import CODE_VERSION, Certificate
-from .generators import make_a, make_b
+from .generators import BudgetExceeded, make_a, make_b
 from .portrait import Portrait, PsiDecomposition, TreeShape, assemble, commutator, tree_shape
 from .quotient import (
-    BudgetExceeded,
     QuotientGroup,
     SubgroupHandle,
     coordinate_line,

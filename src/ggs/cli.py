@@ -4,27 +4,25 @@ Structured output (--format structured) is the canonical JSON document and
 is the source of truth; the text format is rendered from the same document.
 Verify results can be cached: a cache hit replays the stored document byte
 for byte.  Exit codes: 0 for verified or cleanly skipped claims, 1 for a
-refuted claim, 2 for errors (bad arguments, budget overflow, syntax).
+refuted claim, 2 for errors (bad arguments, budget overflow, syntax, files
+that cannot be read or written).
+
+Each subcommand imports the modules it needs when it runs, so `ggs classify`
+loads only the generators and portraits.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .beauville import GeneratingTriple, NotGeneratingError, sigma_set
-from .certificate import CODE_VERSION, Certificate
-from .generators import DefiningVector, classify, parse_vector
+from .generators import DEFAULT_BUDGET, BudgetExceeded, DefiningVector, classify
+from .generators import parse_vector, predicted_order, written_order
 from .portrait import tree_shape
-from .quotient import BudgetExceeded, DEFAULT_BUDGET, enumerate_quotient
-from .quotient import predicted_order, written_order
-from .verifiers import CLAIMS, claim_params, verify_claim
-from .words import WordSyntaxError, parse_word
 
 __all__ = ["main", "console_main"]
 
@@ -43,6 +41,13 @@ def _vector_from_args(args) -> DefiningVector:
     return parse_vector(args.p, args.e)
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, with_level: bool = True) -> None:
     sub.add_argument("--p", type=int, required=True, help="odd prime branching")
     sub.add_argument(
@@ -55,7 +60,7 @@ def _add_common(sub: argparse.ArgumentParser, with_level: bool = True) -> None:
         sub.add_argument("--level", type=int, default=None, help="tree depth n")
     sub.add_argument(
         "--budget",
-        type=int,
+        type=nonnegative_int,
         default=DEFAULT_BUDGET,
         help=f"max elements to enumerate (default {DEFAULT_BUDGET})",
     )
@@ -68,7 +73,7 @@ def _add_common(sub: argparse.ArgumentParser, with_level: bool = True) -> None:
     sub.add_argument("--out", type=str, default=None, help="also write output to file")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(claims: list[str] | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ggs",
         description="GGS groups over the p-adic tree: quotients, Sigma sets, "
@@ -86,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--cayley", type=str, default=None, help="write Cayley graph (DOT)")
 
     v = subs.add_parser("verify", help="verify a documented claim")
-    v.add_argument("claim", choices=sorted(CLAIMS), help="claim id")
+    v.add_argument("claim", choices=claims, help="claim id")
     _add_common(v)
     v.add_argument("--to", type=int, default=None, help="target depth m (lifting)")
     v.add_argument("--x", type=str, default="a", help="word for x (lifting)")
@@ -190,6 +195,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .quotient import enumerate_quotient
+
     v = _vector_from_args(args)
     n = args.level if args.level is not None else 2
     group = enumerate_quotient(v, n, args.budget)
@@ -224,6 +231,8 @@ def source_digest() -> str:
     certificate never serves bytes cached by the old code, whether or not
     CODE_VERSION was bumped.
     """
+    import hashlib
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -234,6 +243,10 @@ def _cache_file(cache_dir: str, claim: str, params: dict, budget: int) -> Path:
     # The budget decides between an exhaustive verdict and "skipped: scale",
     # and replay re-runs under one budget: a certificate is served only for
     # the budget, code version and sources it was computed under.
+    import hashlib
+
+    from .certificate import CODE_VERSION
+
     key = json.dumps(
         {
             "budget": budget,
@@ -249,6 +262,9 @@ def _cache_file(cache_dir: str, claim: str, params: dict, budget: int) -> Path:
 
 
 def cmd_verify(args) -> int:
+    from .certificate import Certificate
+    from .verifiers import claim_params, verify_claim
+
     v = _vector_from_args(args)
     params = claim_params(args.claim, v, args.level, args.to, args.x, args.y)
 
@@ -257,6 +273,8 @@ def cmd_verify(args) -> int:
         _cache_file(cache_dir, args.claim, params, args.budget) if cache_dir else None
     )
     doc_text = None
+    if cache_path is not None:  # an unusable cache directory fails before the work
+        cache_path.parent.mkdir(parents=True, exist_ok=True)
     if cache_path is not None and cache_path.exists():
         try:
             cached = Certificate.from_dict(json.loads(cache_path.read_text()))
@@ -283,7 +301,6 @@ def cmd_verify(args) -> int:
         doc = cert.canonical_dict()
         print(f"wall time: {cert.wall_time:.2f}s", file=sys.stderr)
         if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
             tmp = cache_path.with_name(f"{cache_path.name}.tmp{os.getpid()}")
             tmp.write_text(doc_text)
             os.replace(tmp, cache_path)
@@ -295,6 +312,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sigma(args) -> int:
+    from .beauville import GeneratingTriple, sigma_set
+    from .quotient import enumerate_quotient
+    from .words import parse_word
+
     v = _vector_from_args(args)
     n = args.level if args.level is not None else 2
     group = enumerate_quotient(v, n, args.budget)
@@ -322,7 +343,13 @@ def cmd_sigma(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    claims = None
+    if argv[:1] == ["verify"]:  # the claim registry loads the whole verifier
+        from .verifiers import CLAIMS
+
+        claims = sorted(CLAIMS)
+    args = _build_parser(claims).parse_args(argv)
     handlers = {
         "classify": cmd_classify,
         "enumerate": cmd_enumerate,
@@ -331,10 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, NotGeneratingError, WordSyntaxError) as exc:
+    except (BudgetExceeded, ValueError, OSError) as exc:
+        # NotGeneratingError and WordSyntaxError are ValueErrors; OSError
+        # covers the files named by --out, --dump, --cayley and --cache-dir.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,13 @@
-"""Defining vectors, the two standard generators, and circulant classification.
+"""Defining vectors, the two standard generators, circulant classification,
+and the predicted quotient orders with the element budget they guard.
 
 A GGS group over the p-adic tree is determined by a nonzero vector
 e = (e_1, ..., e_{p-1}) of residues mod p: the rooted generator a cycles
 the level-1 subtrees, and the recursive generator b acts on the subtree
 below vertex i as a^{e_i} for i < p and as b again below vertex p.
+
+The order formula and BudgetExceeded are pure functions of a vector, so
+`ggs classify` and the budget checks need no enumeration code.
 """
 
 from __future__ import annotations
@@ -24,6 +28,13 @@ __all__ = [
     "make_a",
     "make_b",
     "conjugate_generator",
+    "DEFAULT_BUDGET",
+    "MAX_LEVEL",
+    "BudgetExceeded",
+    "predicted_exponent",
+    "predicted_order",
+    "exceeds_budget",
+    "written_order",
 ]
 
 
@@ -206,3 +217,108 @@ def conjugate_generator(v: DefiningVector, shape: TreeShape, i: int) -> Portrait
     if not 0 <= i <= v.p - 1:
         raise ValueError(f"conjugation exponent must lie in 0..{v.p - 1}, got {i}")
     return make_b(v, shape).conjugate_by(make_a(shape) ** i)
+
+
+# -- order and budget --------------------------------------------------------------
+
+
+DEFAULT_BUDGET = 10_000_000
+
+# Deepest level accepted anywhere.  Portraits stop well before it (see
+# MAX_INTERNAL_VERTICES); past it even the exponent k of the predicted order
+# p^k grows too long to compute.
+MAX_LEVEL = 64
+
+# Orders p^k with k up to this bound are written in digits, larger ones as
+# "p^k": past it a decimal expansion is long to read, and past a few thousand
+# digits Python refuses to convert it to text at all.
+WRITTEN_EXPONENT_MAX = 64
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when an enumeration would pass the element budget, or is
+    refused outright because its tree is too large to walk."""
+
+    def __init__(
+        self,
+        budget: int,
+        partial: int,
+        predicted: int | str | None = None,
+        reason: str | None = None,
+    ):
+        self.budget = budget
+        self.partial = partial
+        self.predicted = predicted
+        if reason is None:
+            detail = (
+                f"predicted order {predicted}" if predicted else f"stopped at {partial} elements"
+            )
+            reason = f"enumeration budget {budget} exceeded ({detail})"
+        super().__init__(reason)
+
+
+def predicted_exponent(v: DefiningVector, n: int) -> int | None:
+    """The k with |G_n| = p^k when a closed form is known, else None.
+
+    Level 1 is cyclic of order p.  Level 2 has order p^(t+1) with t the
+    circulant rank.  For non-symmetric vectors and n >= 2 the order is
+    p^(t*p^(n-2)+1); no closed form is used for symmetric vectors past
+    level 2.
+    """
+    if not 1 <= n <= MAX_LEVEL:
+        raise ValueError(f"level must lie in 1..{MAX_LEVEL}, got {n}")
+    if n == 1:
+        return 1
+    if n == 2:
+        return v.rank + 1
+    if v.symmetric:
+        return None
+    return v.rank * v.p ** (n - 2) + 1
+
+
+def predicted_order(v: DefiningVector, n: int) -> int | None:
+    """Order of the level-n quotient when a closed form is known, else None.
+
+    The exponent grows like p^(n-2), so at deep levels the order itself is
+    too large to compute or print; code that may see such levels uses
+    exceeds_budget and written_order.
+    """
+    k = predicted_exponent(v, n)
+    return None if k is None else v.p**k
+
+
+def _exceeds(p: int, k: int, budget: int) -> bool:
+    """Whether p^k > budget, decided on the exponent: p >= 3, so p^k > budget
+    once 2^k > budget."""
+    return k >= budget.bit_length() or p**k > budget
+
+
+def exceeds_budget(v: DefiningVector, n: int, budget: int) -> bool:
+    """Whether the predicted order is known and larger than the budget."""
+    k = predicted_exponent(v, n)
+    return k is not None and _exceeds(v.p, k, budget)
+
+
+def _guard_exponent(v: DefiningVector, n: int) -> int:
+    """The k with |G_n| = p^k by the formula of Fernandez-Alcober and
+    Zugadi-Reizabal (Trans. AMS 366, 2014): k = t*p^(n-2) + 1 -
+    delta*(p^(n-2) - 1)/(p - 1) for n >= 2, with delta = 1 for symmetric
+    vectors and 0 otherwise, so it is predicted_exponent wherever that is
+    defined.
+
+    Only the resource guard of the enumeration uses it, to refuse symmetric
+    vectors past level 2 before walking: no claim rests on the delta term,
+    and were it wrong the walk would still stop at the budget.
+    """
+    if n == 1:
+        return 1
+    q = v.p ** (n - 2)
+    return v.rank * q + 1 - v.symmetric * (q - 1) // (v.p - 1)
+
+
+def written_order(v: DefiningVector, n: int) -> int | str | None:
+    """The predicted order in digits, or as "p^k" when k is large."""
+    k = predicted_exponent(v, n)
+    if k is None:
+        return None
+    return v.p**k if k <= WRITTEN_EXPONENT_MAX else f"{v.p}^{k}"

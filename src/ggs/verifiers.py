@@ -40,22 +40,27 @@ from .beauville import (
     search_beauville,
 )
 from .certificate import CODE_VERSION, Certificate
-from .generators import DefiningVector, _one_root_multiplicity, make_a, make_b
+from .generators import (
+    DEFAULT_BUDGET,
+    MAX_LEVEL,
+    BudgetExceeded,
+    DefiningVector,
+    _one_root_multiplicity,
+    exceeds_budget,
+    make_a,
+    make_b,
+    predicted_order,
+    written_order,
+)
 from .parallel import pmap
 from .portrait import Portrait, TreeShape, commutator, tree_shape
 from .quotient import (
-    BudgetExceeded,
-    DEFAULT_BUDGET,
-    MAX_LEVEL,
     QuotientGroup,
     SubgroupHandle,
     coordinate_line,
     enumerate_quotient,
-    exceeds_budget,
     map_power_classes,
     p_power_chains,
-    predicted_order,
-    written_order,
 )
 from .words import evaluate_word
 

@@ -334,6 +334,28 @@ def test_error_exit_codes():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dump", "--cayley", "--cache-dir"])
+def test_unwritable_file_exits_2(tmp_path, flag):
+    # A missing directory for the files, or a regular file where the cache
+    # directory should be: a plain error line and exit 2, never exit 1.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str((blocker if flag == "--cache-dir" else tmp_path / "missing") / "x")
+    command = "verify lemma-orders" if flag == "--cache-dir" else "enumerate"
+    res = _ends_cleanly(*command.split(), "--p", "3", flag, target)
+    assert res.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify thm-G2"])
+def test_negative_budget_is_rejected_by_the_parser(command):
+    res = run_cli(*command.split(), "--p", "3", "--budget", "-5")
+    assert res.returncode == 2
+    assert "argument --budget: must be at least 0, got -5" in res.stderr
+    # 0 is a budget: the enumeration, not the parser, refuses it.
+    zero = run_cli("enumerate", "--p", "3", "--level", "1", "--budget", "0")
+    assert zero.stderr == "error: enumeration budget 0 exceeded (predicted order 3)\n"
+
+
 def test_help():
     res = run_cli("--help")
     assert res.returncode == 0
@@ -426,3 +448,21 @@ def test_import_does_not_hash_sources():
                          timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "0"
+
+
+def test_verify_help_lists_the_claims():
+    res = run_cli("verify", "--help")
+    assert res.returncode == 0
+    assert "thm-G2" in res.stdout and "prop-collision" in res.stdout
+
+
+def test_classify_loads_only_generators_and_portraits():
+    code = (
+        "import sys; from ggs.cli import main; main(['classify', '--p', '5']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ggs'))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    loaded = res.stdout.splitlines()[-1]
+    assert loaded == str(["ggs", "ggs.cli", "ggs.generators", "ggs.portrait"])

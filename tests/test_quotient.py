@@ -22,14 +22,8 @@ from ggs import (
 )
 from ggs import quotient
 from ggs.beauville import _signature_table
-from ggs.quotient import (
-    MAX_BATCH_VERTICES,
-    MAX_LEVEL,
-    coordinate_line,
-    exceeds_budget,
-    predicted_exponent,
-    written_order,
-)
+from ggs.generators import MAX_LEVEL, exceeds_budget, predicted_exponent, written_order
+from ggs.quotient import MAX_BATCH_VERTICES, coordinate_line
 
 from reference import (
     brute_classes,
