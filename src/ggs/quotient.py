@@ -16,10 +16,11 @@ bytes that also key the element index), one buffer of vertex permutations
 with m bytes per element (m internal vertices), and the coordinate columns.
 Each translate of L is a power class: a run of class_size elements with one
 permutation.  The scans over every element (orders, powers, socles,
-conjugation tables, class members) read these rows; the interned Portrait
-elements are built only on the first read of `elements`, or one at a time
-through `element`.  The order formula and the element budget it guards
-live in generators.
+conjugation tables, class members) read these rows, and an identity that
+is affine on each class is decided on an affine basis of it
+(affine_suspects).  The interned Portrait elements are built only on the
+first read of `elements`, or one at a time through `element`.  The order
+formula and the element budget it guards live in generators.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property, lru_cache, reduce as fold, wraps
 from itertools import chain, compress, count, repeat
-from operator import add, attrgetter, getitem, not_, or_
+from operator import add, attrgetter, not_, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, cast
 
@@ -53,6 +54,7 @@ __all__ = [
     "enumerate_quotient",
     "p_power_chains",
     "map_power_classes",
+    "affine_suspects",
 ]
 
 # The batched kernels hold vertex indices in bytes and move them with
@@ -348,6 +350,77 @@ def map_power_classes(
     return list(chain.from_iterable(pmap(run, starts)))
 
 
+def _layer_span(
+    shape: TreeShape, basis: Sequence[tuple[bytes, int]]
+) -> tuple[bytes, bytes]:
+    """Every vector of the last layer as a full row, concatenated, and its
+    b-coordinate, from an F_p basis of (row, coordinate) pairs: the vector
+    at offset sum k_t * p^t is sum k_t * basis[t]."""
+    p, shifts = shape.p, _add_tables(shape.p)
+    span, coords = shape.zero_labels, bytes(1)
+    for row, c in basis:
+        span = b"".join(_plus(span, bytes(k * x % p for x in row), shape.reduce) for k in range(p))
+        coords = b"".join(coords.translate(shifts[k * c % p]) for k in range(p))
+    return span, coords
+
+
+def affine_suspects(
+    fn: Callable[[TreeShape, bytes, Sequence[int]], list[R]],
+    passes: Callable[[int, R], bool],
+    group: "QuotientGroup",
+    mask: bytes | None = None,
+) -> bytes:
+    """The elements left to scan in full: mask (every element by default)
+    kept on the power classes where passes(i, r) may fail for a selected
+    member i with result r of fn (as for map_power_classes), and zeroed on
+    the others.  Sound for an n >= 2 quotient and a check that is an affine
+    identity in a member's depth-(n-1) labels and b-coordinate, or that
+    follows from one on the selected members.
+
+    A power class is a coset L*s of the last layer L, an F_p-space of
+    labels at depth n-1 that is normal in the automorphisms of the tree.
+    For u in L, (u*s)^p = u * u^(s^-1) * ... * u^(s^-(p-1)) * s^p, and
+    conjugation acts linearly on L, so every level of p_power_chains is
+    affine in u, and so is the b-coordinate.  An affine identity that holds
+    on d + 1 affinely independent members (d = dim L) holds on the coset.
+
+    Per class with a selected member: the premise, that its rows are the
+    rows of L plus its first row and its b-coordinates are L's plus its
+    first member's; then fn and passes on q0, its first selected member,
+    and on q0 + k_t*b_t for each basis vector b_t of L (at span offset
+    p^t), with k_t the least of 1..p-1 that gives a selected member.  The
+    class stays in the mask when the premise fails, no such basis is
+    selected, or passes fails on a basis member.
+    """
+    shape, keys, size = group.shape, group.label_keys, group.class_size
+    p = shape.p
+    span, span_coords = _layer_span(shape, group.layer_basis)
+    b_coords, shifts = group.coords[1], _add_tables(p)
+    mask = bytes([1]) * len(keys) if mask is None else mask
+    suspects = bytearray(len(keys))
+    for i in range(0, len(keys), size):
+        q0 = mask.find(1, i, i + size)
+        if q0 < 0:
+            continue
+        chosen = [q0]
+        for t in range(len(group.layer_basis)):
+            step = p**t
+            digit = (q0 - i) // step % p
+            found = (q0 + ((digit + k) % p - digit) * step for k in range(1, p))
+            chosen.append(next((q for q in found if mask[q]), -1))
+        sound = (
+            -1 not in chosen
+            and b"".join(keys[i : i + size]) == _plus(span, keys[i], shape.reduce)
+            and b_coords[i : i + size] == span_coords.translate(shifts[b_coords[i]])
+        )
+        if sound:
+            rows = b"".join(map(keys.__getitem__, chosen))
+            sound = all(map(passes, chosen, fn(shape, rows, group._perm_row(i))))
+        if not sound:
+            suspects[i : i + size] = mask[i : i + size]
+    return bytes(suspects)
+
+
 def _stabilizer_steps(a: Portrait, b: Portrait) -> list[tuple[Portrait, int]]:
     """The generators b_j = b^(a^j) of st(1), j = 0..p-1, each with what it
     adds to the b-coordinate: 1, as b_j has coordinates (0, 1)."""
@@ -397,9 +470,14 @@ class QuotientGroup:
         self.b_inv = self.b.inverse()
         self.identity = Portrait.identity(self.shape)
         self.identity.vertex_perm()
-        self.label_keys, self._index, self._perms, self.coords, self.class_size = (
-            self._walk_queue(n, budget, predicted)
-        )
+        (
+            self.label_keys,
+            self._index,
+            self._perms,
+            self.coords,
+            self.layer_basis,
+        ) = self._walk_queue(n, budget, predicted)
+        self.class_size = vector.p ** len(self.layer_basis)  # |L|, the size of every power class
         # Elements built one at a time by index, before `elements` is; the
         # full tuple takes these objects over, so each element stays one.
         self._made: dict[int, Portrait] = {0: self.identity}
@@ -407,12 +485,19 @@ class QuotientGroup:
 
     def _walk_queue(
         self, n: int, budget: int, predicted: int | str | None
-    ) -> tuple[tuple[bytes, ...], dict[bytes, int], bytearray, tuple[bytes, bytes] | None, int]:
+    ) -> tuple[
+        tuple[bytes, ...],
+        dict[bytes, int],
+        bytearray,
+        tuple[bytes, bytes] | None,
+        tuple[tuple[bytes, int], ...],
+    ]:
         """The elements as p cosets of H = st(1)/st(n), with exponent-sum
         coordinates (a byte column per generator).  Returns the label keys in
         enumeration order, the index of each key, the vertex permutations (m
-        bytes per element), the coordinate columns, and the order of the last
-        layer L = (st(n-1) & st(1))/st(n), the size of every power class.
+        bytes per element), the coordinate columns, and an F_p basis of the
+        last layer L = (st(n-1) & st(1))/st(n): full label rows with their
+        b-coordinates, from which _layer_span lists L.
 
         Step 1 walks H modulo st(n-1) from 1 under right multiplication by
         the b_j = b^(a^j), which generate st(1), keeping the first element
@@ -464,15 +549,10 @@ class QuotientGroup:
         order = p * len(reps) * p ** len(basis)
         if order > budget:
             raise BudgetExceeded(budget, order, predicted)
-        # Every vector of L as a full row, zero above depth n-1, and its coordinate.
-        span, span_coords, shifts = bytes(m), bytes(1), _add_tables(p)
-        for row in basis:
-            span = b"".join(
-                _plus(span, bytes(cut) + bytes(k * x % p for x in row[:-1]), reduce)
-                for k in range(p)
-            )
-            span_coords = b"".join(span_coords.translate(shifts[k * row[-1] % p]) for k in range(p))
-        layer = len(span_coords)
+        # Each basis vector of L as a full row, zero above depth n-1, and its coordinate.
+        layer_basis = tuple((bytes(cut) + bytes(row[:-1]), row[-1]) for row in basis)
+        span, span_coords = _layer_span(shape, layer_basis)
+        shifts, layer = _add_tables(p), len(span_coords)
         index: dict[bytes, int] = {}  # in enumeration order, so it also lists the keys
         perms = bytearray(order * m)
         for r in range(p):
@@ -485,7 +565,8 @@ class QuotientGroup:
                 index.update(zip(_split(block, m), count(start)))
         a_coords = b"".join(bytes([r]) * (order // p) for r in range(p))
         b_coords = b"".join(span_coords.translate(shifts[c]) for c in rep_coords) * p
-        return tuple(index), index, perms, (a_coords, b_coords) if consistent else None, layer
+        coords = (a_coords, b_coords) if consistent else None
+        return tuple(index), index, perms, coords, layer_basis
 
     # -- basic container behaviour -------------------------------------------
 
@@ -578,13 +659,19 @@ class QuotientGroup:
 
     @stage
     def lines(self) -> bytes:
-        """The coordinate_line of every element, in enumeration order."""
+        """The coordinate_line of every element, in enumeration order.  Coset
+        r of st(1), the r-th run of |G|/p elements, has a-coordinate r, so
+        its lines are its b-column translated by j -> coordinate_line(r, j)."""
         if self.coords is None:
             raise ValueError("coordinates are undefined for the level-1 quotient")
-        a, b = self.coords
-        p = self.vector.p
-        rows = [bytes(coordinate_line(i, j, p) for j in range(p)) for i in range(p)]
-        return bytes(map(getitem, map(rows.__getitem__, a), b))
+        p, b = self.vector.p, self.coords[1]
+        size = len(b) // p
+        return b"".join(
+            b[r * size : (r + 1) * size].translate(
+                _vertex_table([coordinate_line(r, j, p) for j in range(p)])
+            )
+            for r in range(p)
+        )
 
     def line_mask(self, *lines: int) -> bytes:
         """One byte per element in enumeration order: 1 when its

@@ -57,6 +57,7 @@ from .portrait import Portrait, TreeShape, commutator, tree_shape
 from .quotient import (
     QuotientGroup,
     SubgroupHandle,
+    affine_suspects,
     coordinate_line,
     enumerate_quotient,
     map_power_classes,
@@ -453,10 +454,13 @@ def _standard_pair_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
 
 
 def _exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
-    """Exhaustive scan: every element's order divides p (periodic level 2)."""
+    """Every element's order divides p (periodic level 2).  x^p is affine on
+    each power class, so x^p = 1 on an affine basis of a class decides it
+    (affine_suspects); the classes it leaves open are scanned in full."""
     p, keys = group.vector.p, group.label_keys
-    orders = map_power_classes(_orders, group)
-    bad = [key for key, o in zip(keys, orders) if o > p]
+    suspects = affine_suspects(_orders, lambda i, o: o <= p, group)
+    orders = map_power_classes(_orders, group, suspects)
+    bad = [key for key, o in zip(compress(keys, suspects), orders) if o > p]
     if bad:
         cert.witnesses["exponent_witness"] = group.element(min(bad)).encode()
     return cert.check(
@@ -470,22 +474,35 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     """Power-collision battery over every <ab^i, derived> coset element: the
     elements on line 1 + i of the coordinate plane.
 
-    Confirms the power lemma element by element: each such g has order p^n
-    and g^(p^(n-1)) = z^(j*alpha) for its b-coordinate j.  At level 2 it also
-    checks that <z> is the center.
+    Confirms the power lemma on every such g: it has order p^n and
+    g^(p^(n-1)) = z^(j*alpha) for its b-coordinate j.  Within a power class
+    (a coset of the last layer L) both sides are affine in the depth-(n-1)
+    labels, so the power identity holds on the class once it holds on an
+    affine basis of its selected members; there j != 0, so a top equal to
+    z^(j*alpha) != 1 also gives the order (affine_suspects, which also
+    checks that the class is a coset of L).  Only the classes it leaves
+    open are scanned element by element, for the verdict and the least
+    offenders, so the certificate is the one a full scan writes.  At level
+    2 it also checks that <z> is the center.
     """
     v, n = group.vector, group.shape.n
     p = v.p
     z = _central_z(group.shape)
     expected = [(z ** (j * v.alpha)).labels for j in range(p)]  # by b-coordinate
+    b_coords = group.coords[1]
+
+    def passes(i: int, result: tuple[int, bytes]) -> bool:
+        return result == (p**n, expected[b_coords[i]])
+
     order_bad: list[bytes] = []  # label keys
     power_bad: list[bytes] = []
     on_lines = group.line_mask(*range(2, p + 1))  # the lines 1 + i, i = 1..p-1
     total = on_lines.count(1)
-    outside = compress(group.label_keys, on_lines)
-    wanted = map(expected.__getitem__, compress(group.coords[1], on_lines))
+    suspects = affine_suspects(_orders_and_tops, passes, group, on_lines)
+    outside = compress(group.label_keys, suspects)
+    wanted = map(expected.__getitem__, compress(b_coords, suspects))
     for key, want, (o, top) in zip(
-        outside, wanted, map_power_classes(_orders_and_tops, group, on_lines)
+        outside, wanted, map_power_classes(_orders_and_tops, group, suspects)
     ):
         if o != p**n:
             order_bad.append(key)

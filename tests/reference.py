@@ -12,9 +12,10 @@ table tests generation and forms products pair by pair (a second table
 forms x*y for every element y of the group and looks each one up, with no
 coset blocks), the quotient and its closures are walked one element and
 one product at a time (the quotient both in coset order and over the whole
-group), greedy generators are closed anew after every pick, and the
+group), greedy generators are closed anew after every pick, the
 conjugates of the power subgroups <(ab^j)^p> are walked on depth-3
-portraits under conjugation by a and b.
+portraits under conjugation by a and b, and the collision and exponent
+scans test every element rather than an affine basis of each power class.
 """
 from __future__ import annotations
 
@@ -25,9 +26,11 @@ from operator import add, itemgetter
 from struct import Struct
 
 from ggs import DefiningVector, Portrait, QuotientGroup, TreeShape, commutator, tree_shape
+from ggs import verifiers
 from ggs.beauville import _socle_data
+from ggs.certificate import Certificate
 from ggs.generators import make_a, make_b
-from ggs.quotient import coordinate_line
+from ggs.quotient import coordinate_line, map_power_classes
 
 
 def internal_vertices(shape: TreeShape) -> list[tuple[int, ...]]:
@@ -423,3 +426,68 @@ def whole_group_signature_table(group: QuotientGroup) -> dict[frozenset[int], li
                 y = elements[partners[keys.index(key)]]
                 table[sig] = [rep.encode(), y.encode()]
     return table
+
+
+# The two scans below are the element-by-element versions of
+# verifiers._exponent_check and verifiers._collision_scan.  They read the
+# verifier's helpers through the module, so a test that patches one of them
+# patches the oracle alike.
+
+
+def element_exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
+    """Every element's order divides p, tested on every element."""
+    p, keys = group.vector.p, group.label_keys
+    orders = map_power_classes(verifiers._orders, group)
+    bad = [key for key, o in zip(keys, orders) if o > p]
+    if bad:
+        cert.witnesses["exponent_witness"] = group.element(min(bad)).encode()
+    return cert.check(
+        "exponent_p",
+        not bad,
+        f"all {len(group)} elements have order dividing {p}",
+    )
+
+
+def element_collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
+    """The power lemma tested on every element of the lines 1 + i: order p^n
+    and g^(p^(n-1)) = z^(j*alpha) for its b-coordinate j; at level 2, <z> is
+    the center."""
+    v, n = group.vector, group.shape.n
+    p = v.p
+    z = verifiers._central_z(group.shape)
+    expected = [(z ** (j * v.alpha)).labels for j in range(p)]
+    order_bad: list[bytes] = []
+    power_bad: list[bytes] = []
+    on_lines = group.line_mask(*range(2, p + 1))
+    total = on_lines.count(1)
+    outside = compress(group.label_keys, on_lines)
+    wanted = map(expected.__getitem__, compress(group.coords[1], on_lines))
+    for key, want, (o, top) in zip(
+        outside, wanted, map_power_classes(verifiers._orders_and_tops, group, on_lines)
+    ):
+        if o != p**n:
+            order_bad.append(key)
+        if top != want:
+            power_bad.append(key)
+    ok = cert.check(
+        "orders_p_to_n",
+        not order_bad,
+        f"all {total} coset elements across {p - 1} subgroups have order {p}^{n}",
+    )
+    ok &= cert.check(
+        "power_collision",
+        not power_bad,
+        f"g^({p}^{n - 1}) equals z^(j*alpha) for every such g with b-coordinate j",
+    )
+    for name, bad in (("order", order_bad), ("power", power_bad)):
+        if bad:
+            cert.witnesses[f"{name}_witness"] = group.element(min(bad)).encode()
+    if not ok:
+        return False
+    z_keys = frozenset(expected)
+    cert.witnesses["common_subgroup"] = sorted(group.element(k).encode() for k in z_keys)
+    return n != 2 or cert.check(
+        "equals_center",
+        z_keys == group.center().keys,
+        "the common subgroup is the center of the level-2 quotient",
+    )

@@ -249,6 +249,31 @@ def test_power_chains_match_p_powers(p, n, data):
         assert p ** exps[j] == order
 
 
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in (2, 3)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_power_chains_are_affine_on_the_last_layer(p, n, data):
+    # The premise of quotient.affine_suspects, on any tree automorphism x
+    # and any u, v labelled only at depth n-1: every level f of the chains
+    # has f(x+u+v) - f(x+v) = f(x+u) - f(x), labelwise mod p.
+    shape = tree_shape(p, n)
+    cut, m = shape.level_starts[n - 1], shape.internal_count
+    x = data.draw(portraits(p, n))
+    last = st.lists(st.integers(0, p - 1), min_size=m - cut, max_size=m - cut)
+    u, v = (bytes(cut) + bytes(data.draw(last)) for _ in range(2))
+
+    def plus(*rows: bytes) -> bytes:
+        return bytes(sum(labels) % p for labels in zip(*rows))
+
+    def minus(r: bytes, s: bytes) -> bytes:
+        return bytes((x - y) % p for x, y in zip(r, s))
+
+    members = [x.labels, plus(x.labels, u), plus(x.labels, v), plus(x.labels, u, v)]
+    _, levels = p_power_chains(shape, b"".join(members), x.vertex_perm())
+    for fx, fu, fv, fuv in levels:
+        assert minus(fuv, fv) == minus(fu, fx)
+
+
 def test_power_chains_of_a_whole_quotient():
     group = _quotient(3, (1, 0), 2)
     cut = group.shape.level_starts[1]

@@ -22,7 +22,13 @@ from ggs import (
 )
 from ggs import quotient
 from ggs.beauville import _signature_table
-from ggs.generators import MAX_LEVEL, exceeds_budget, predicted_exponent, written_order
+from ggs.generators import (
+    MAX_LEVEL,
+    _echelon_mod_p,
+    exceeds_budget,
+    predicted_exponent,
+    written_order,
+)
 from ggs.quotient import MAX_BATCH_VERTICES, coordinate_line
 
 from reference import (
@@ -543,7 +549,7 @@ def test_coordinate_line_numbering(gs_g2, e10_g3):
         assert coordinate_line(0, 1, p) == 1
         assert [coordinate_line(1, i, p) for i in range(1, p)] == list(range(2, p + 1))
         assert coordinate_line(0, 0, p) == coordinate_line(p, -p, p) == p + 1
-    for group in (gs_g2, e10_g3):
+    for group in (gs_g2, e10_g3, enumerate_quotient(DefiningVector(5, (1, 4, 1, 4)), 2)):
         p, lines = group.vector.p, group.lines()
         assert lines == bytes(coordinate_line(*c, p) for c in zip(*group.coords))
         for j, m in enumerate(group.maximal_subgroups()):
@@ -553,6 +559,52 @@ def test_coordinate_line_numbering(gs_g2, e10_g3):
         assert group.line_mask(*range(p + 2)) == bytes([1]) * len(group)
     with pytest.raises(ValueError, match="level-1"):
         enumerate_quotient(DefiningVector(3, (1, 0)), 1).lines()
+
+
+def _row_count(shape, rows, perm):
+    return [None] * (len(rows) // shape.internal_count)
+
+
+@pytest.mark.parametrize("p, e, n", [(3, (1, 0), 2), (3, (1, 0), 3), (5, (1, 4, 1, 4), 2)])
+def test_affine_suspects_picks_an_affine_basis_of_each_class(p, e, n):
+    # On an unedited group every class passes the premise, so only the
+    # check decides; the members it is run on are selected, d + 1 per
+    # class, and their differences from the first span the last layer.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    size, d = group.class_size, len(group.layer_basis)
+    span, coords = quotient._layer_span(group.shape, group.layer_basis)
+    assert (len(span), len(coords)) == (size * group.shape.internal_count, size)
+    assert b"".join(group.label_keys[:size]) == span  # the class of 1 is L itself
+    assert group.coords[1][:size] == coords
+    mask = group.line_mask(*range(2, p + 1))
+    seen: list[int] = []
+
+    def record(i: int, result: None) -> bool:
+        seen.append(i)
+        return True
+
+    assert quotient.affine_suspects(_row_count, record, group, mask) == bytes(len(group))
+    assert quotient.affine_suspects(_row_count, lambda i, r: False, group, mask) == mask
+    assert all(mask[i] for i in seen)
+    classes = [seen[k : k + d + 1] for k in range(0, len(seen), d + 1)]
+    assert len(classes) == len({i // size for i in compress(range(len(group)), mask)})
+    for q0, *rest in classes:
+        assert len({i // size for i in (q0, *rest)}) == 1
+        base = group.label_keys[q0]
+        diffs = [[(x - y) % p for x, y in zip(group.label_keys[i], base)] for i in rest]
+        assert len(_echelon_mod_p(diffs, p)) == d
+
+
+def test_affine_suspects_flags_a_class_whose_b_coordinates_move(e10):
+    group = enumerate_quotient(e10, 3)
+    mask = group.line_mask(2, 3)
+    i = mask.find(1)
+    a, b = group.coords
+    group.coords = (a, b[:i] + bytes([(b[i] + 1) % 3]) + b[i + 1 :])
+    flagged = quotient.affine_suspects(_row_count, lambda i, r: True, group, mask)
+    start = i - i % group.class_size
+    assert flagged[start : start + group.class_size] == mask[start : start + group.class_size]
+    assert flagged.count(1) == mask[start : start + group.class_size].count(1)
 
 
 def test_level_stabilizers(gs_g3):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 from itertools import compress, product
 
 import pytest
@@ -28,7 +29,7 @@ from ggs.generators import make_a, make_b
 from ggs.portrait import tree_shape
 from ggs.verifiers import default_level
 
-from reference import power_conjugates
+from reference import element_collision_scan, element_exponent_check, power_conjugates
 
 
 def test_claims_table():
@@ -196,7 +197,55 @@ def _least_on_lines(group, *lines: int) -> str:
     return Portrait(group.shape, key).encode()
 
 
-@pytest.mark.parametrize("broken", ["order", "coords", "power"])
+def _certificates(monkeypatch, claim, v, n, scan, oracle):
+    """Canonical certificates of one run with the package scan and one with
+    the element-by-element oracle patched in under the same name."""
+    fast = verify_claim(claim, v, n).canonical_json()
+    with monkeypatch.context() as patch:
+        patch.setattr(verifiers, scan, oracle)
+        slow = verify_claim(claim, v, n).canonical_json()
+    return fast, slow
+
+
+NON_PERIODIC_P3 = [e for e in product(range(3), repeat=2) if sum(e) % 3]
+NON_PERIODIC_P5 = random.Random(0).sample(
+    [e for e in product(range(5), repeat=4) if sum(e) % 5], 4
+)
+
+
+@pytest.mark.parametrize(
+    "p, e, n",
+    [(3, e, n) for e in NON_PERIODIC_P3 for n in (2, 3)] + [(5, e, 2) for e in NON_PERIODIC_P5],
+)
+def test_collision_scan_matches_the_element_oracle(monkeypatch, p, e, n):
+    fast, slow = _certificates(
+        monkeypatch,
+        "prop-collision",
+        DefiningVector(p, e),
+        n,
+        "_collision_scan",
+        element_collision_scan,
+    )
+    assert fast == slow
+    assert json.loads(fast)["verdict"] == "verified"
+
+
+def _edit_last_layer(group) -> str:
+    """Add 1 to the first depth-(n-1) label of the label-greatest element on
+    line 2 and return the edited element's encoding.  Its class is no longer
+    a coset of the last layer, and its top power moves off z^(j*alpha)."""
+    i = max(compress(range(len(group)), group.line_mask(2)), key=group.label_keys.__getitem__)
+    key = bytearray(group.label_keys[i])
+    cut = group.shape.level_starts[group.shape.n - 1]
+    key[cut] = (key[cut] + 1) % group.vector.p
+    keys = list(group.label_keys)
+    keys[i] = bytes(key)
+    group.label_keys = tuple(keys)
+    group._index[keys[i]] = i
+    return Portrait(group.shape, keys[i]).encode()
+
+
+@pytest.mark.parametrize("broken", ["order", "coords", "power", "labels"])
 def test_collision_scan_names_the_least_offender(e10, monkeypatch, broken):
     group = enumerate_quotient(e10, 2)
     if broken == "order":
@@ -204,25 +253,82 @@ def test_collision_scan_names_the_least_offender(e10, monkeypatch, broken):
         monkeypatch.setattr(
             verifiers, "_orders_of", lambda shape, exps: [shape.p ** (e - 1) for e in exps]
         )
-        offenders = (2, 3)
+        expected = {"order_witness": _least_on_lines(group, 2, 3)}
     elif broken == "coords":
         # The b-coordinates of line 2 move after the lines were read off them,
         # so the scan expects the wrong power of z there.
         lines = group.lines()
         a, b = group.coords
         group.coords = (a, bytes((y + (line == 2)) % 3 for y, line in zip(b, lines)))
-        offenders = (2,)
-        broken = "power"
+        expected = {"power_witness": _least_on_lines(group, 2)}
+    elif broken == "labels":
+        # One element's depth-(n-1) labels are edited in the group's rows:
+        # the premise check must flag its class, and that element alone
+        # offends; its top power comes out 1, so its order is short too.
+        edited = _edit_last_layer(group)
+        cut = group.shape.level_starts[1]
+        flagged = quotient.affine_suspects(
+            lambda shape, rows, perm: [None] * (len(rows) // shape.internal_count),
+            lambda i, result: True,
+            group,
+            group.line_mask(2, 3),
+        )
+        tops = {group.label_keys[i][:cut] for i in compress(range(len(group)), flagged)}
+        assert tops == {Portrait.decode(edited).labels[:cut]}
+        expected = {"order_witness": edited, "power_witness": edited}
     else:
         # z comes out squared: every top power on lines 2 and 3 misses it.
         central_z = verifiers._central_z
         monkeypatch.setattr(verifiers, "_central_z", lambda shape: central_z(shape) ** 2)
-        offenders = (2, 3)
+        expected = {"power_witness": _least_on_lines(group, 2, 3)}
     monkeypatch.setattr(verifiers, "enumerate_quotient", lambda v, n, budget: group)
-    cert = verify_claim("prop-collision", e10, 2)
-    assert cert.verdict == "refuted"
-    witnesses = {k: w for k, w in cert.witnesses.items() if k.endswith("_witness")}
-    assert witnesses == {f"{broken}_witness": _least_on_lines(group, *offenders)}
+    fast, slow = _certificates(
+        monkeypatch, "prop-collision", e10, 2, "_collision_scan", element_collision_scan
+    )
+    assert fast == slow
+    cert = json.loads(fast)
+    assert cert["verdict"] == "refuted"
+    assert {k: w for k, w in cert["witnesses"].items() if k.endswith("_witness")} == expected
+
+
+def test_exponent_check_names_the_least_offender(gs, monkeypatch):
+    # Every order reads one power of p too long: every element but 1 offends.
+    group = enumerate_quotient(gs, 2)
+    monkeypatch.setattr(
+        verifiers, "_orders_of", lambda shape, exps: [shape.p ** (e + 1) for e in exps]
+    )
+    monkeypatch.setattr(verifiers, "enumerate_quotient", lambda v, n, budget: group)
+    fast, slow = _certificates(
+        monkeypatch, "thm-G2", gs, 2, "_exponent_check", element_exponent_check
+    )
+    assert fast == slow
+    cert = json.loads(fast)
+    assert cert["verdict"] == "refuted"
+    least = min(key for key in group.label_keys if any(key))
+    assert cert["witnesses"]["exponent_witness"] == Portrait(group.shape, least).encode()
+
+
+@pytest.mark.parametrize("p, e", [(3, (1, 2)), (5, (1, 4, 1, 4))])
+def test_exponent_check_matches_the_element_oracle(monkeypatch, p, e):
+    fast, slow = _certificates(
+        monkeypatch, "thm-G2", DefiningVector(p, e), 2, "_exponent_check", element_exponent_check
+    )
+    assert fast == slow
+
+
+def test_collision_scan_runs_chains_on_an_affine_basis_of_each_class(e10, monkeypatch):
+    # e=(1,0), n=3: 36 power classes meet the lines 1 + i, each spanned from
+    # 7 members, where scanning every element took 26,244 chain rows.
+    rows = []
+    chains = verifiers.p_power_chains
+
+    def counted(shape, batch, perm):
+        rows.append(len(batch) // shape.internal_count)
+        return chains(shape, batch, perm)
+
+    monkeypatch.setattr(verifiers, "p_power_chains", counted)
+    assert verify_claim("prop-collision", e10, 3).verified
+    assert sum(rows) <= 36 * 7
 
 
 def test_scans_build_no_per_element_objects(e10, gs, monkeypatch):
