@@ -11,7 +11,7 @@ Which proof each claim rests on:
   exhaustive exponent scan and signature search.
 - `thm-A` and `thm-G3` at p >= 5 (n >= 3): the pair argument, with
   element orders at level n and the last-layer test at level 3.
-- `prop-key` (n >= 3): the last-layer test at level 3, every p.
+- `prop-key` (n >= 3): the last-layer test at level 3 by one valuation, every p.
 - `thm-A` and `thm-G3` at p = 3, the three p = 3 lemmas and `order-formula`:
   exhaustive enumeration; `thm-A` lifts level 3 to level n by element orders.
 - `lemma-orders`, `eq-3.1`, `lemma-conjugates` and `lifting`: portraits
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from itertools import compress, product
+from itertools import accumulate, compress, product
 from typing import Callable, NamedTuple, Sequence
 
 from .beauville import (
@@ -75,6 +75,16 @@ POWER_LEMMA = (
     "g^(p^(n-1)) = z^(j*alpha), where z has label 1 at every depth-(n-1) vertex "
     "and 0 elsewhere; by induction on n, as every section of g^p has coordinates "
     "j*(alpha, 1) when the sections of b sum to (alpha, 1)"
+)
+LAST_LAYER_TEST = (
+    "last-layer test: w_i = (ab^i)^p lies in st(2), and G/st(2) = {(r, u) : u in U} "
+    "moves its depth-2 block x to block x + r rotated by u_x, U = ((X-1)^m) in "
+    "F_p[X]/(X^p - 1), m the multiplicity of 1 as a root of e.  Block x of w_i is iE "
+    "rotated by i*c_x, E = (e_1, ..., e_(p-1), 0), c_x = -(e_1 + ... + e_(x+1)), and "
+    "no non-trivial rotation of E is a multiple of E, so w_j^k meets w_i only for "
+    "k = i/j, with u = (i*X^-r - j)*C, C = sum c_x X^x.  For i != j mod p that factor "
+    "is a unit, so u has the valuation of C at X - 1, which is below m: u is not in "
+    "U; a conjugacy at level n >= 3 maps onto one at level 3"
 )
 LINES_ARGUMENT = (
     "lines argument: the six members have order p and lie on six distinct lines of "
@@ -222,9 +232,7 @@ def _eq31_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
     p = v.p
     a, b = _generator_portraits(v, n)
     sub_a, sub_b = _generator_portraits(v, n - 1)
-    prefix_sums = [0]
-    for e in v.e:
-        prefix_sums.append((prefix_sums[-1] + e) % p)
+    prefix_sums = [0, *accumulate(v.e)]
     ok = True
     for i in range(1, p):
         d = ((a * b**i) ** p).psi()
@@ -374,52 +382,43 @@ def _lines_checks(cert: Certificate, v: DefiningVector, pair: tuple) -> bool:
 def _key_last_layer_checks(cert: Certificate, v: DefiningVector, pairs: list) -> bool:
     """<w_i> is conjugate to no <w_j>, w_i = (ab^i)^p, for each (i, j) in
     `pairs`: the last-layer test at level 3, onto which every level n >= 3
-    maps, on depth-3 portraits with no group."""
+    maps, on depth-3 portraits with no group.  w_1 is always checked, as
+    offset_valuation reads the offsets c_x from its blocks."""
     p = v.p
     a, b = _generator_portraits(v, 3)
     start = a.shape.level_starts[2]
-    cert.notes.append(
-        "last-layer test: w_i = (ab^i)^p lies in st(2); G acts on its p depth-2 "
-        "blocks through G/st(2) = {(r, u) : u in U}, moving block x to block x + r "
-        "rotated by u_x, where U = ((X-1)^m) in F_p[X]/(X^p - 1) and m is the "
-        "multiplicity of 1 as a root of e; a non-constant block of prime length has "
-        "at most one such rotation, so <w_i> ~ <w_j> exactly when some k, r give "
-        "rotations u in U; a conjugacy at level n >= 3 maps onto one at level 3"
-    )
-    ok, blocks = True, {}
-    for i in dict.fromkeys(x for pair in pairs for x in pair):
-        labels = ((a * b**i) ** p).labels
-        blocks[i] = [labels[start + x * p : start + x * p + p] for x in range(p)]
+    cert.notes.append(LAST_LAYER_TEST)
+    row = bytes(v.e) + b"\0"  # E
+    offsets = [-s % p for s in accumulate(row)]  # c_x = -(e_1 + ... + e_(x+1))
+    ok, ab_i, done = True, a, 0
+    for i in sorted({1, *(x for pair in pairs for x in pair)}):
+        ab_i, done = ab_i * b ** (i - done), i  # ab^i from the previous ab^done
+        labels = (ab_i**p).labels
+        blocks = [labels[start + x * p : start + x * p + p] for x in range(p)]
+        doubled = bytes(i * y % p for y in row) * 2
         ok &= cert.check(
             f"w{i}_last_layer",
-            not any(labels[:start]) and all(len(set(block)) > 1 for block in blocks[i]),
-            f"(ab^{i})^{p} lies in st(2) at depth 3, and its {p} depth-2 blocks are non-constant",
+            not any(labels[:start]) and all(len(set(block)) > 1 for block in blocks)
+            and blocks == [doubled[i * c % p :][:p] for c in offsets],
+            f"(ab^{i})^{p} lies in st(2) at depth 3; its {p} depth-2 blocks are "
+            f"non-constant, block x being {i}E rotated by {i}*c_x",
         )
+        if i == 1:
+            read = [(row * 2).find(block) for block in blocks]
     m = _one_root_multiplicity(v.e, p)
-    times = [bytes(k * y % p for y in range(256)) for k in range(p)]
-
-    def meet(i: int, doubled: list[list[bytes]]) -> tuple[int, int] | None:
-        for k, r in product(range(1, p), range(p)):
-            u = []
-            for x in range(p):
-                u.append(doubled[k][x].find(blocks[i][(x + r) % p]))
-                if u[-1] < 0:
-                    break
-            else:
-                if not any(u) or _one_root_multiplicity(u, p) >= m:
-                    return k, r
-        return None
-
-    met = {}
-    for j in dict.fromkeys(j for _, j in pairs):  # one j's p^2 doubled blocks at a time
-        doubled = [[(x * 2).translate(table) for x in blocks[j]] for table in times]
-        met.update(((i, j), meet(i, doubled)) for i, jj in pairs if jj == j)
+    valued = -1 not in read and any(read) and _one_root_multiplicity(read, p) < m
+    ok &= cert.check(
+        "offset_valuation",
+        valued,
+        f"the blocks of (ab)^{p} are E rotated by c = {read}, and "
+        f"C = sum c_x X^x has valuation below m = {m} at X - 1",
+    )
     for i, j in pairs:
         ok &= cert.check(
             f"key_last_layer_i{i}_j{j}",
-            met[i, j] is None,
-            f"no conjugate of a generator of <(ab^{j})^{p}> equals (ab^{i})^{p} at depth 3"
-            + (f"; met at (k, r) = {met[i, j]}" if met[i, j] else ""),
+            (i - j) % p != 0 and valued,
+            f"no conjugate of a generator of <(ab^{j})^{p}> equals (ab^{i})^{p} at "
+            f"depth 3 when {i} != {j} mod {p} and offset_valuation holds",
         )
     return ok
 

@@ -14,8 +14,10 @@ coset blocks), the quotient and its closures are walked one element and
 one product at a time (the quotient both in coset order and over the whole
 group), greedy generators are closed anew after every pick, the
 conjugates of the power subgroups <(ab^j)^p> are walked on depth-3
-portraits under conjugation by a and b, and the collision and exponent
-scans test every element rather than an affine basis of each power class.
+portraits under conjugation by a and b and met by a search over every
+(k, r) rotation of their depth-2 blocks rather than one valuation, and the
+collision and exponent scans test every element rather than an affine basis
+of each power class.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from ggs import DefiningVector, Portrait, QuotientGroup, TreeShape, commutator, 
 from ggs import verifiers
 from ggs.beauville import _socle_data
 from ggs.certificate import Certificate
-from ggs.generators import make_a, make_b
+from ggs.generators import _one_root_multiplicity, make_a, make_b
 from ggs.quotient import coordinate_line, map_power_classes
 
 
@@ -224,6 +226,37 @@ def power_conjugates(v: DefiningVector, j: int) -> frozenset[bytes]:
     w = (a * b**j) ** v.p
     steps = [lambda x, g=g, gi=g.inverse(): gi * x * g for g in (a, b)]
     return frozenset(element_walk([w**k for k in range(1, v.p)], steps))
+
+
+def rotation_search_meets(v: DefiningVector, i: int, j: int) -> tuple[int, int] | None:
+    """The (k, r) search the last-layer test once ran: the first k in F_p^*,
+    r in Z_p for which each depth-2 block x + r of w_i = (ab^i)^p is block x
+    of w_j^k rotated by some u_x (found with bytes.find in the doubled
+    block), with u zero or in U = ((X-1)^m), m the multiplicity of 1 as a
+    root of e; None when there is none, so that <w_i> and <w_j> are not
+    conjugate at level 3.  About p^2 block matches, against the closed form's
+    one valuation."""
+    p = v.p
+    shape = tree_shape(p, 3)
+    a, b = make_a(shape), make_b(v, shape)
+    start = shape.level_starts[2]
+    blocks = {}
+    for x in (i, j):
+        labels = ((a * b**x) ** p).labels
+        blocks[x] = [labels[start + y * p : start + y * p + p] for y in range(p)]
+    m = _one_root_multiplicity(v.e, p)
+    times = [bytes(k * y % p for y in range(256)) for k in range(p)]
+    doubled = [[(x * 2).translate(table) for x in blocks[j]] for table in times]
+    for k, r in product(range(1, p), range(p)):
+        u = []
+        for x in range(p):
+            u.append(doubled[k][x].find(blocks[i][(x + r) % p]))
+            if u[-1] < 0:
+                break
+        else:
+            if not any(u) or _one_root_multiplicity(u, p) >= m:
+                return k, r
+    return None
 
 
 def brute_coords(group: QuotientGroup, x: Portrait) -> tuple[int, int]:

@@ -29,7 +29,12 @@ from ggs.generators import make_a, make_b
 from ggs.portrait import tree_shape
 from ggs.verifiers import default_level
 
-from reference import element_collision_scan, element_exponent_check, power_conjugates
+from reference import (
+    element_collision_scan,
+    element_exponent_check,
+    power_conjugates,
+    rotation_search_meets,
+)
 
 
 def test_claims_table():
@@ -102,6 +107,7 @@ def test_prop_key(gs):
     assert [c.name for c in cert.checks] == [
         "w1_last_layer",
         "w2_last_layer",
+        "offset_valuation",
         "key_last_layer_i1_j2",
         "key_last_layer_i2_j1",
     ]
@@ -130,15 +136,20 @@ def _blank_certificate() -> Certificate:
     )
 
 
+def _draw_periodic(data, primes: list[int]) -> DefiningVector:
+    p = data.draw(st.sampled_from(primes))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 2, max_size=p - 2))
+    e.append(-sum(e) % p)
+    assume(any(e))
+    return DefiningVector(p, tuple(e))
+
+
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_last_layer_test_matches_the_orbit_walk(data):
     # Every (i, j), i = j included, against the depth-3 conjugation walk.
-    p = data.draw(st.sampled_from([3, 5]))
-    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 2, max_size=p - 2))
-    e.append(-sum(e) % p)
-    assume(any(e))
-    v = DefiningVector(p, tuple(e))
+    v = _draw_periodic(data, [3, 5])
+    p = v.p
     cert = _blank_certificate()
     pairs = [(i, j) for i in range(1, p) for j in range(1, p)]
     verifiers._key_last_layer_checks(cert, v, pairs)
@@ -153,13 +164,80 @@ def test_last_layer_test_matches_the_orbit_walk(data):
             assert meets == (i == j)
 
 
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_last_layer_test_agrees_with_the_rotation_search_and_the_walk(data):
+    # Three sources on every (i, j), i = j included: the closed-form checks,
+    # the (k, r) rotation search they replace, and at p <= 5 the orbit walk.
+    v = _draw_periodic(data, [3, 5, 7])
+    p = v.p
+    cert = _blank_certificate()
+    pairs = [(i, j) for i in range(1, p) for j in range(1, p)]
+    verifiers._key_last_layer_checks(cert, v, pairs)
+    passed = {c.name: c.passed for c in cert.checks}
+    assert passed["offset_valuation"]
+    assert all(passed[f"w{i}_last_layer"] for i in range(1, p))
+    shape = tree_shape(p, 3)
+    a, b = make_a(shape), make_b(v, shape)
+    for j in range(1, p):
+        conjugates = power_conjugates(v, j) if p <= 5 else None
+        for i in range(1, p):
+            met = rotation_search_meets(v, i, j)
+            assert passed[f"key_last_layer_i{i}_j{j}"] == (met is None), (i, j, met)
+            if conjugates is not None:
+                assert (((a * b**i) ** p).labels in conjugates) == (met is not None), (i, j)
+
+
 def test_last_layer_test_finds_a_subgroup_conjugate_to_itself(p5alt):
     cert = _blank_certificate()
     assert not verifiers._key_last_layer_checks(cert, p5alt, [(2, 2)])
+    # w_1 is always checked: offset_valuation reads its blocks.
     assert [(c.name, c.passed) for c in cert.checks] == [
+        ("w1_last_layer", True),
         ("w2_last_layer", True),
+        ("offset_valuation", True),
         ("key_last_layer_i2_j2", False),
     ]
+
+
+def _edit_power(monkeypatch, v: DefiningVector, i: int, edit) -> None:
+    """Make (ab^i)^p at depth 3, as the last-layer test computes it, come out
+    with its depth-2 labels replaced by edit(labels)."""
+    shape = tree_shape(v.p, 3)
+    a, b = make_a(shape), make_b(v, shape)
+    ab_i, power, start = a * b**i, Portrait.__pow__, shape.level_starts[2]
+
+    def edited(self, k):
+        out = power(self, k)
+        if k == v.p and self == ab_i:
+            out = Portrait(shape, out.labels[:start] + edit(out.labels[start:]))
+        return out
+
+    monkeypatch.setattr(Portrait, "__pow__", edited)
+
+
+@pytest.mark.parametrize("claim", ["prop-key", "thm-A"])
+def test_an_edited_block_of_a_power_is_refuted(monkeypatch, p5alt, claim):
+    # One label of block 3 of w_2 = (ab^2)^5 is moved: the block is no
+    # longer its predicted rotation of 2E.
+    def move(last: bytes) -> bytes:  # block 3 starts at 15
+        return last[:16] + bytes([(last[16] + 1) % 5]) + last[17:]
+
+    _edit_power(monkeypatch, p5alt, 2, move)
+    cert = verify_claim(claim, p5alt, 3)
+    assert cert.verdict == "refuted"
+    assert {c.name for c in cert.checks if not c.passed} == {"w2_last_layer"}
+
+
+def test_zero_offsets_fail_the_valuation_without_raising(monkeypatch, p5alt):
+    # Every block of w_1 = (ab)^5 made E itself: the offsets read are all 0,
+    # and C = 0 has no valuation below m.
+    _edit_power(monkeypatch, p5alt, 1, lambda last: (bytes(p5alt.e) + b"\0") * 5)
+    cert = verify_claim("prop-key", p5alt, 3)
+    assert cert.verdict == "refuted"
+    failed = {c.name for c in cert.checks if not c.passed}
+    assert {"w1_last_layer", "offset_valuation", "key_last_layer_i2_j3"} <= failed
+    assert "w2_last_layer" not in failed
 
 
 def test_standard_pair_does_not_verify_at_p3(gs):
@@ -179,7 +257,7 @@ def test_thm_a_is_refuted_when_every_rotation_lies_in_u(monkeypatch, p5alt):
     monkeypatch.setattr(verifiers, "_one_root_multiplicity", lambda coeffs, p: 0)
     cert = verify_claim("thm-A", p5alt, 4)
     assert cert.verdict == "refuted"
-    assert {c.name for c in cert.checks if not c.passed} == {
+    assert {c.name for c in cert.checks if not c.passed} == {"offset_valuation"} | {
         f"key_last_layer_i{i}_j{j}" for i in (1, 4) for j in (2, 3)
     }
 
@@ -585,6 +663,7 @@ PAIR_CHECKS = [
     "w2_last_layer",
     "w3_last_layer",
     "w4_last_layer",
+    "offset_valuation",
     "key_last_layer_i1_j2",
     "key_last_layer_i1_j3",
     "key_last_layer_i4_j2",
