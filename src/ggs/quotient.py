@@ -11,16 +11,17 @@ n >= 2 they map G onto G/G' = C_p x C_p, so the derived subgroup, the p + 1
 maximal subgroups and generation are all read off them (lines()), and the
 Frattini subgroup G'G^p equals G'.
 
-The walk stores rows, not objects: the label key of every element (the
-bytes that also key the element index), one buffer of vertex permutations
-with m bytes per element (m internal vertices), and the coordinate columns.
-Each translate of L is a power class: a run of class_size elements with one
-permutation.  The scans over every element (orders, powers, socles,
-conjugation tables, class members) read these rows, and an identity that
-is affine on each class is decided on an affine basis of it
-(affine_suspects).  The interned Portrait elements are built only on the
-first read of `elements`, or one at a time through `element`.  The order
-formula and the element budget it guards live in generators.
+The walk stores rows, not objects: one buffer of label rows and one of
+vertex permutations, each with m bytes per element (m internal vertices),
+and the coordinate columns.  Each translate of L is a power class: a run of
+class_size elements with one permutation.  The scans over every element
+(orders, powers, socles, conjugation tables, class members) read these
+rows, and an identity that is affine on each class is decided on an affine
+basis of it (affine_suspects).  The label keys (one bytes object per
+element) and the element index are derived from the rows on the first
+lookup, and the interned Portrait elements on the first read of
+`elements`, or one at a time through `element`.  The order formula and the
+element budget it guards live in generators.
 """
 
 from __future__ import annotations
@@ -339,14 +340,16 @@ def map_power_classes(
     as p_power_chains does, and returns one result per row.  Classes with
     no selected member are skipped.
     """
-    keys, size = group.label_keys, group.class_size
-    mask = bytes([1]) * len(keys) if mask is None else mask
+    rows, size, m = group.rows, group.class_size, group.shape.internal_count
+    mask = bytes([1]) * len(group) if mask is None else mask
 
     def run(i: int) -> list[R]:
-        members = compress(keys[i : i + size], mask[i : i + size])
-        return fn(group.shape, b"".join(members), group._perm_row(i))
+        block, chosen = rows[i * m : (i + size) * m], mask[i : i + size]
+        if 0 in chosen:
+            block = b"".join(compress(_split(block, m), chosen))
+        return fn(group.shape, block, group._perm_row(i))
 
-    starts = [i for i in range(0, len(keys), size) if mask.find(1, i, i + size) >= 0]
+    starts = [i for i in range(0, len(group), size) if mask.find(1, i, i + size) >= 0]
     return list(chain.from_iterable(pmap(run, starts)))
 
 
@@ -392,13 +395,13 @@ def affine_suspects(
     class stays in the mask when the premise fails, no such basis is
     selected, or passes fails on a basis member.
     """
-    shape, keys, size = group.shape, group.label_keys, group.class_size
-    p = shape.p
+    shape, rows, size = group.shape, group.rows, group.class_size
+    p, m = shape.p, shape.internal_count
     span, span_coords = _layer_span(shape, group.layer_basis)
     b_coords, shifts = group.coords[1], _add_tables(p)
-    mask = bytes([1]) * len(keys) if mask is None else mask
-    suspects = bytearray(len(keys))
-    for i in range(0, len(keys), size):
+    mask = bytes([1]) * len(group) if mask is None else mask
+    suspects = bytearray(len(group))
+    for i in range(0, len(group), size):
         q0 = mask.find(1, i, i + size)
         if q0 < 0:
             continue
@@ -408,14 +411,15 @@ def affine_suspects(
             digit = (q0 - i) // step % p
             found = (q0 + ((digit + k) % p - digit) * step for k in range(1, p))
             chosen.append(next((q for q in found if mask[q]), -1))
+        block = rows[i * m : (i + size) * m]
         sound = (
             -1 not in chosen
-            and b"".join(keys[i : i + size]) == _plus(span, keys[i], shape.reduce)
+            and block == _plus(span, block[:m], shape.reduce)
             and b_coords[i : i + size] == span_coords.translate(shifts[b_coords[i]])
         )
         if sound:
-            rows = b"".join(map(keys.__getitem__, chosen))
-            sound = all(map(passes, chosen, fn(shape, rows, group._perm_row(i))))
+            basis = b"".join(rows[q * m : (q + 1) * m] for q in chosen)
+            sound = all(map(passes, chosen, fn(shape, basis, group._perm_row(i))))
         if not sound:
             suspects[i : i + size] = mask[i : i + size]
     return bytes(suspects)
@@ -470,13 +474,9 @@ class QuotientGroup:
         self.b_inv = self.b.inverse()
         self.identity = Portrait.identity(self.shape)
         self.identity.vertex_perm()
-        (
-            self.label_keys,
-            self._index,
-            self._perms,
-            self.coords,
-            self.layer_basis,
-        ) = self._walk_queue(n, budget, predicted)
+        self.rows, self._perms, self.coords, self.layer_basis = self._walk_queue(
+            n, budget, predicted
+        )
         self.class_size = vector.p ** len(self.layer_basis)  # |L|, the size of every power class
         # Elements built one at a time by index, before `elements` is; the
         # full tuple takes these objects over, so each element stays one.
@@ -486,17 +486,17 @@ class QuotientGroup:
     def _walk_queue(
         self, n: int, budget: int, predicted: int | str | None
     ) -> tuple[
-        tuple[bytes, ...],
-        dict[bytes, int],
+        bytes,
         bytearray,
         tuple[bytes, bytes] | None,
         tuple[tuple[bytes, int], ...],
     ]:
         """The elements as p cosets of H = st(1)/st(n), with exponent-sum
-        coordinates (a byte column per generator).  Returns the label keys in
-        enumeration order, the index of each key, the vertex permutations (m
-        bytes per element), the coordinate columns, and an F_p basis of the
-        last layer L = (st(n-1) & st(1))/st(n): full label rows with their
+        coordinates (a byte column per generator).  Returns the label rows in
+        enumeration order (m bytes per element, the blocks of step 3
+        joined), the vertex permutations (m bytes per element), the
+        coordinate columns, and an F_p basis of the last layer
+        L = (st(n-1) & st(1))/st(n): full label rows with their
         b-coordinates, from which _layer_span lists L.
 
         Step 1 walks H modulo st(n-1) from 1 under right multiplication by
@@ -553,25 +553,36 @@ class QuotientGroup:
         layer_basis = tuple((bytes(cut) + bytes(row[:-1]), row[-1]) for row in basis)
         span, span_coords = _layer_span(shape, layer_basis)
         shifts, layer = _add_tables(p), len(span_coords)
-        index: dict[bytes, int] = {}  # in enumeration order, so it also lists the keys
+        blocks: list[bytes] = []
         perms = bytearray(order * m)
         for r in range(p):
             a_r = _vertex_table((self.a**r).vertex_perm())
             for rep in reps:
-                start = len(index)
+                start = len(blocks) * layer
                 perm = bytes(rep.vertex_perm()).translate(a_r)
                 perms[start * m : (start + layer) * m] = perm * layer
-                block = _plus(span, bytes([r]) + rep.labels[1:], reduce)
-                index.update(zip(_split(block, m), count(start)))
+                blocks.append(_plus(span, bytes([r]) + rep.labels[1:], reduce))
         a_coords = b"".join(bytes([r]) * (order // p) for r in range(p))
         b_coords = b"".join(span_coords.translate(shifts[c]) for c in rep_coords) * p
         coords = (a_coords, b_coords) if consistent else None
-        return tuple(index), index, perms, coords, layer_basis
+        return b"".join(blocks), perms, coords, layer_basis
+
+    @cached_property
+    def label_keys(self) -> tuple[bytes, ...]:
+        """The label key of every element, in enumeration order: the rows
+        split, on first read."""
+        return tuple(_split(self.rows, self.shape.internal_count))
+
+    @cached_property
+    def _index(self) -> dict[bytes, int]:
+        """The enumeration index of every label key, built on the first
+        lookup."""
+        return dict(zip(self.label_keys, count()))
 
     # -- basic container behaviour -------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.label_keys)
+        return len(self.rows) // self.shape.internal_count
 
     def __iter__(self) -> Iterator[Portrait]:
         return iter(self.elements)
@@ -585,6 +596,19 @@ class QuotientGroup:
             f"QuotientGroup(p={self.vector.p}, e=({self.vector}), "
             f"n={self.shape.n}, order={len(self)})"
         )
+
+    def _key(self, i: int) -> bytes:
+        """The label key of element i, sliced from the rows."""
+        m = self.shape.internal_count
+        return self.rows[i * m : (i + 1) * m]
+
+    def selected_keys(self, mask: bytes) -> list[bytes]:
+        """The label keys of the elements mask selects (a byte per element,
+        1 to select), in enumeration order, sliced from the rows: neither
+        label_keys nor the index is built.  Only the span from the first to
+        the last selected element is walked."""
+        start, stop = max(mask.find(1), 0), mask.rfind(1) + 1
+        return list(map(self._key, compress(range(start, stop), mask[start:stop])))
 
     def _perm_row(self, i: int) -> bytearray:
         """The vertex permutation of element i, one byte per vertex."""
@@ -610,7 +634,7 @@ class QuotientGroup:
             return self.elements[i]
         x = self._made.get(i)
         if x is None:
-            x = self._made[i] = _interned(self.shape, self.label_keys[i], tuple(self._perm_row(i)))
+            x = self._made[i] = _interned(self.shape, self._key(i), tuple(self._perm_row(i)))
         return x
 
     def _position(self, key: bytes | str) -> int:
@@ -630,8 +654,7 @@ class QuotientGroup:
     def label_columns(self) -> tuple[bytes, ...]:
         """One bytes column per internal vertex: that vertex's label in every
         element, in enumeration order."""
-        rows = b"".join(self.label_keys)
-        return tuple(_columns(rows, self.shape.internal_count))
+        return tuple(_columns(self.rows, self.shape.internal_count))
 
     def left_products(self, x: Portrait, stop: int | None = None) -> bytearray:
         """The labels of x*y for every element y, or for the elements before
@@ -698,21 +721,21 @@ class QuotientGroup:
     def _conjugation_tables(self) -> tuple[array, array]:
         """The index of x^a and the index of x^b, for every element x in
         enumeration order; built chunk by chunk with _Batch.conjugate from
-        the joined label keys and a slice of the permutation rows.
+        a slice of the label rows and of the permutation rows.
 
         Only H = st(1)/st(n), the first |H| elements, is conjugated by a:
         index r*|H| + i holds h_i * a^r, and (h_i * a^r)^a = h_i^a * a^r, so
         the a-table of coset r is that of H shifted by r*|H|.
         """
-        keys, perms, index = self.label_keys, self._perms, self._index
+        rows, perms, index = self.rows, self._perms, self._index
         m = self.shape.internal_count
-        size = len(keys) // self.vector.p
+        size = len(self) // self.vector.p
 
         def conjugates(c: Portrait, ci: Portrait, stop: int) -> array:
             table = array("I")
             for start in range(0, stop, WALK_CHUNK):
                 end = min(start + WALK_CHUNK, stop)
-                batch = _Batch(self.shape, b"".join(keys[start:end]), perms[start * m : end * m])
+                batch = _Batch(self.shape, rows[start * m : end * m], perms[start * m : end * m])
                 images = _split(_rows(batch.conjugate(c, ci), batch.width), m)
                 table.extend(map(index.__getitem__, images))
             return table
@@ -721,7 +744,7 @@ class QuotientGroup:
         head = by_a[:]
         for r in range(1, self.vector.p):
             by_a.extend(map(add, head, repeat(r * size)))
-        return by_a, conjugates(self.b, self.b_inv, len(keys))
+        return by_a, conjugates(self.b, self.b_inv, len(self))
 
     def normal_closure(
         self, seeds: Iterable[Portrait], conjugators: Iterable[Portrait]

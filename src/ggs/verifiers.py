@@ -455,13 +455,14 @@ def _standard_pair_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
 def _exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
     """Every element's order divides p (periodic level 2).  x^p is affine on
     each power class, so x^p = 1 on an affine basis of a class decides it
-    (affine_suspects); the classes it leaves open are scanned in full."""
-    p, keys = group.vector.p, group.label_keys
+    (affine_suspects); the classes it leaves open are scanned in full.  Like
+    _collision_scan it reads the rows and builds no label keys or index."""
+    p = group.vector.p
     suspects = affine_suspects(_orders, lambda i, o: o <= p, group)
     orders = map_power_classes(_orders, group, suspects)
-    bad = [key for key, o in zip(compress(keys, suspects), orders) if o > p]
+    bad = [key for key, o in zip(group.selected_keys(suspects), orders) if o > p]
     if bad:
-        cert.witnesses["exponent_witness"] = group.element(min(bad)).encode()
+        cert.witnesses["exponent_witness"] = Portrait(group.shape, min(bad)).encode()
     return cert.check(
         "exponent_p",
         not bad,
@@ -483,6 +484,14 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     open are scanned element by element, for the verdict and the least
     offenders, so the certificate is the one a full scan writes.  At level
     2 it also checks that <z> is the center.
+
+    The scan reads the label rows and slices keys only for the elements it
+    scans in full, so it builds neither the group's label keys nor its
+    index.  The common_subgroup witness encodes the powers of z from their
+    labels with no membership lookup: it is written only once the scan has
+    passed, when every z^(j*alpha) with j != 0 is the top power of the
+    members with b-coordinate j (every j != 0 occurs on the lines 1 + i),
+    and z^0 = 1.
     """
     v, n = group.vector, group.shape.n
     p = v.p
@@ -498,7 +507,7 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     on_lines = group.line_mask(*range(2, p + 1))  # the lines 1 + i, i = 1..p-1
     total = on_lines.count(1)
     suspects = affine_suspects(_orders_and_tops, passes, group, on_lines)
-    outside = compress(group.label_keys, suspects)
+    outside = group.selected_keys(suspects)
     wanted = map(expected.__getitem__, compress(b_coords, suspects))
     for key, want, (o, top) in zip(
         outside, wanted, map_power_classes(_orders_and_tops, group, suspects)
@@ -519,11 +528,11 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     )
     for name, bad in (("order", order_bad), ("power", power_bad)):
         if bad:
-            cert.witnesses[f"{name}_witness"] = group.element(min(bad)).encode()
+            cert.witnesses[f"{name}_witness"] = Portrait(group.shape, min(bad)).encode()
     if not ok:
         return False
     z_keys = frozenset(expected)
-    cert.witnesses["common_subgroup"] = sorted(group.element(k).encode() for k in z_keys)
+    cert.witnesses["common_subgroup"] = sorted(Portrait(group.shape, k).encode() for k in z_keys)
     return n != 2 or cert.check(
         "equals_center",
         z_keys == group.center().keys,

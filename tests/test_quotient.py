@@ -214,6 +214,39 @@ def test_elements_are_built_from_the_rows(p, e, n):
         assert group.element(elements[i].labels) is elements[i]
 
 
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_keys_and_index_are_derived_from_the_rows(data):
+    # The rows are the one store: the label keys, the index, the columns and
+    # the elements are read off them on demand, and agree with each other.
+    p = data.draw(st.sampled_from([3, 5]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+    assume(any(e))
+    v = DefiningVector(p, tuple(e))
+    n = data.draw(st.integers(1, 3))
+    assume(p ** quotient._guard_exponent(v, n) <= 3**9)
+    group = enumerate_quotient(v, n)
+    m = group.shape.internal_count
+    i, j = (data.draw(st.integers(0, len(group) - 1)) for _ in range(2))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    mask = bytes(rng.getrandbits(1) for _ in range(len(group)))
+    early = group._at(j)  # built alone, before any lookup
+    selected = group.selected_keys(mask)
+    assert len(group) == len(group.rows) // m
+    assert group.label_columns() == tuple(group.rows[k::m] for k in range(m))
+    assert not {"label_keys", "_index", "elements"} & set(vars(group))
+    key = group.rows[i * m : (i + 1) * m]
+    x = group.element(key)  # the first lookup builds the index
+    assert "_index" in vars(group)
+    assert group.element(key) is x
+    assert group.element(early.labels) is early
+    assert b"".join(group.label_keys) == group.rows
+    assert group._index == {k: t for t, k in enumerate(group.label_keys)}
+    assert len(group) == len(group.label_keys)
+    assert selected == list(compress(group.label_keys, mask))
+    assert group.elements[i] is x and group.elements[j] is early
+
+
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
 def test_power_classes_are_contiguous_blocks(p, e, n):
     # The identity first, coset-major, and each power class (the elements

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import random
 from itertools import compress, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -311,16 +312,20 @@ def test_collision_scan_matches_the_element_oracle(monkeypatch, p, e, n):
 def _edit_last_layer(group) -> str:
     """Add 1 to the first depth-(n-1) label of the label-greatest element on
     line 2 and return the edited element's encoding.  Its class is no longer
-    a coset of the last layer, and its top power moves off z^(j*alpha)."""
+    a coset of the last layer, and its top power moves off z^(j*alpha).
+
+    The edit goes into the group's label rows, which every scan reads; the
+    label keys and the index derived from them are dropped, so that a later
+    lookup derives them from the edited rows."""
     i = max(compress(range(len(group)), group.line_mask(2)), key=group.label_keys.__getitem__)
-    key = bytearray(group.label_keys[i])
-    cut = group.shape.level_starts[group.shape.n - 1]
-    key[cut] = (key[cut] + 1) % group.vector.p
-    keys = list(group.label_keys)
-    keys[i] = bytes(key)
-    group.label_keys = tuple(keys)
-    group._index[keys[i]] = i
-    return Portrait(group.shape, keys[i]).encode()
+    m = group.shape.internal_count
+    at = i * m + group.shape.level_starts[group.shape.n - 1]
+    rows = bytearray(group.rows)
+    rows[at] = (rows[at] + 1) % group.vector.p
+    group.rows = bytes(rows)
+    for derived in ("label_keys", "_index"):
+        vars(group).pop(derived, None)
+    return Portrait(group.shape, group.rows[i * m : (i + 1) * m]).encode()
 
 
 @pytest.mark.parametrize("broken", ["order", "coords", "power", "labels"])
@@ -426,6 +431,27 @@ def test_scans_build_no_per_element_objects(e10, gs, monkeypatch):
     sigma = sigma_set(GeneratingTriple.make(group, group.a, group.b), group)
     assert len(sigma) > 1
     assert "elements" not in vars(group)
+
+
+def test_collision_verdict_builds_no_keys_or_index(e10, monkeypatch):
+    """prop-collision at e=(1,0), n=3 (59,049 elements) reads the label rows
+    alone: it builds neither the label keys nor the index, nor the elements.
+    thm-G2 at p=5, whose signature table looks positions up, builds the
+    index on demand and still writes the golden certificate."""
+    groups = []
+
+    def enumerate_and_keep(v, n, budget):
+        groups.append(enumerate_quotient(v, n, budget))
+        return groups[-1]
+
+    monkeypatch.setattr(verifiers, "enumerate_quotient", enumerate_and_keep)
+    assert verify_claim("prop-collision", e10, 3).verified
+    (group,) = groups
+    assert len(group) == 3**10
+    assert not {"label_keys", "_index", "elements"} & set(vars(group))
+    golden = Path(__file__).resolve().parent / "golden" / "thm-G2__p5_e1_4_1_4__n2.json"
+    cert = verify_claim("thm-G2", DefiningVector(5, (1, 4, 1, 4)), 2)
+    assert cert.canonical_json() == golden.read_text()
 
 
 def test_thm_b_level_one(e10):
