@@ -226,10 +226,9 @@ class Portrait:
                 base = base * base
         return Portrait.identity(self.shape) if result is None else result
 
-    def conjugate_by(self, g: "Portrait", g_inv: "Portrait" | None = None) -> "Portrait":
+    def conjugate_by(self, g: "Portrait") -> "Portrait":
         """self^g = g^-1 * self * g, fused into a single label pass."""
-        if g_inv is None:
-            g_inv = g.inverse()
+        g_inv = g.inverse()
         p = self.shape.p
         lgi, lf, lg = g_inv.labels, self.labels, g.labels
         pgi, pf = g_inv.vertex_perm(), self.vertex_perm()

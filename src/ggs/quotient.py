@@ -11,13 +11,17 @@ n >= 2 they map G onto G/G' = C_p x C_p, so the derived subgroup, the p + 1
 maximal subgroups and generation are all read off them (lines()), and the
 Frattini subgroup G'G^p equals G'.
 
-The walk stores rows, not objects: one buffer of label rows and one of
-vertex permutations, each with m bytes per element (m internal vertices),
-and the coordinate columns.  Each translate of L is a power class: a run of
-class_size elements with one permutation.  The scans over every element
-(orders, powers, socles, conjugation tables, class members) read these
-rows, and an identity that is affine on each class is decided on an affine
-basis of it (affine_suspects).  The label keys (one bytes object per
+The walk stores rows, not objects: one buffer of label rows, m bytes per
+element (m internal vertices), one of vertex permutations, m bytes per
+power class, and the coordinate columns.  Each translate of L is a power
+class: a run of class_size elements with one permutation, since labels at
+depth n-1 move no internal vertex.  So under l_fg(u) = l_f(u) + l_g(pi_f(u))
+every product and conjugate of a class's members is their labels read at
+moved vertices plus one constant row: one kernel, _moved, serves the left
+products, the conjugation tables and the subgroup walks.  The scans over
+every element (orders, powers, socles, conjugation tables, class members)
+read these rows, and an identity that is affine on each class is decided
+on an affine basis of it (affine_suspects).  The label keys (one bytes object per
 element) and the element index are derived from the rows on the first
 lookup, and the interned Portrait elements on the first read of
 `elements`, or one at a time through `element`.  The order formula and the
@@ -58,16 +62,12 @@ __all__ = [
     "affine_suspects",
 ]
 
-# The batched kernels hold vertex indices in bytes and move them with
-# translate tables, so enumeration is limited to trees with at most this many
-# internal vertices.  No quotient past it is enumerable anyway: the order
+# The row kernels hold vertex indices in bytes and move them with translate
+# tables, so enumeration is limited to trees with at most this many internal
+# vertices.  No quotient past it is enumerable anyway: the order
 # p^(t*p^(n-2)+1-delta*(p^(n-2)-1)/(p-1)) with t >= 2 is at least 17^34 on
 # every such tree.
 MAX_BATCH_VERTICES = 256
-
-# Elements per chunk of the subgroup walks and of the conjugation tables; a
-# chunk holds the rows of every step's image of each element at once.
-WALK_CHUNK = 2048
 
 R = TypeVar("R")
 F = TypeVar("F", bound=Callable)
@@ -125,37 +125,67 @@ class SubgroupHandle:
         return key in self.keys
 
 
-def _walk(group: "QuotientGroup", steps: list[Callable]) -> list[int]:
+# A group map on a power class: from the class's vertex permutation, the
+# sources and the row for which label u of each image is label sources[u]
+# of the member plus row[u] mod p (see _moved).
+ClassMap = Callable[[bytes], tuple[Sequence[int], bytes]]
+
+
+def _walk(group: "QuotientGroup", steps: list[ClassMap]) -> list[int]:
     """Enumeration indices of the elements reachable from 1 under the step
     maps, in discovery order, 1 first.
 
-    A step map takes a _Batch to the label columns of its images.  The found
-    list is read in chunks of WALK_CHUNK elements, each step applied to a
-    whole chunk at once, and new elements join in the order a one-at-a-time
-    walk finds them: element-major, step-minor.
+    The first time the breadth-first walk reaches a power class, every step
+    maps the whole class with one _moved each, and the images' indices are
+    kept, element-major and step-minor; new elements join in that order, as
+    a walk taking one element and one step at a time finds them.
     """
-    shape, keys, index = group.shape, group.label_keys, group._index
-    m = shape.internal_count
-    found = [0]
-    seen = {0}
-    done = 0
-    while done < len(found):  # found grows while it is read: breadth-first order
-        chunk = found[done : done + WALK_CHUNK]
-        batch = _Batch(
-            shape, b"".join(map(keys.__getitem__, chunk)), b"".join(map(group._perm_row, chunk))
-        )
-        columns = [column for step in steps for column in step(batch)]
-        images = map(index.__getitem__, dict.fromkeys(_split(_rows(columns, len(chunk)), m)))
-        new = [i for i in images if i not in seen]
-        seen.update(new)
-        found += new
-        done += len(chunk)
+    size, width = group.class_size, len(steps)
+    tables: dict[int, array] = {}  # class start -> images of its members
+    found, seen = [0], bytearray(len(group))
+    seen[0] = 1
+    for i in found:  # grows while it is read: breadth-first order
+        start = i - i % size
+        table = tables.get(start)
+        if table is None:
+            images = [_class_images(group, start, step) for step in steps]
+            table = tables[start] = array("I", chain.from_iterable(zip(*images)))
+        at = (i - start) * width
+        for j in table[at : at + width]:
+            if not seen[j]:
+                seen[j] = 1
+                found.append(j)
     return found
 
 
-def _right(gens: Iterable[Portrait]) -> list[Callable]:
-    """Step maps x -> x*g."""
-    return [lambda batch, g=g: batch.times(g) for g in gens]
+def _class_images(group: "QuotientGroup", start: int, step: ClassMap) -> Iterator[int]:
+    """Enumeration indices of the images under step of the power class
+    that starts at index start, in enumeration order: one _moved."""
+    m = group.shape.internal_count
+    columns = _columns(group.rows[start * m : (start + group.class_size) * m], m)
+    images = _moved(columns, *step(group._perm_row(start)), group.vector.p)
+    return map(group._index.__getitem__, _split(images, m))
+
+
+def _times(g: Portrait) -> ClassMap:
+    """x -> x*g: label u is l_x(u) + l_g(pi(u)), pi the class's permutation,
+    so the sources are the vertices themselves and the row is l_g o pi."""
+    by_label = _vertex_table(g.labels)
+    return lambda perm: (range(len(perm)), perm.translate(by_label))
+
+
+def _conjugation(c: Portrait) -> ClassMap:
+    """x -> x^c = c^-1 * x * c: with ci = c^-1 and v = pi_ci(u), label u is
+    l_ci(u) + l_x(v) + l_c(pi(v)), pi the class's permutation, so the
+    sources are pi_ci and the row is l_ci + l_c o pi o pi_ci mod p."""
+    ci = c.inverse()
+    sources, by_label, reduce = bytes(ci.vertex_perm()), _vertex_table(c.labels), c.shape.reduce
+
+    def moved(perm: bytes) -> tuple[bytes, bytes]:
+        lifted = sources.translate(_vertex_table(perm)).translate(by_label)
+        return sources, bytes(map(add, ci.labels, lifted)).translate(reduce)
+
+    return moved
 
 
 def _distinct(xs: Iterable[Portrait]) -> list[Portrait]:
@@ -163,10 +193,10 @@ def _distinct(xs: Iterable[Portrait]) -> list[Portrait]:
     return list({x.labels: x for x in xs if not x.is_identity()}.values())
 
 
-# -- column kernels ----------------------------------------------------------------
+# -- row and column kernels --------------------------------------------------------
 #
-# A batch of elements is held as byte columns, one per internal vertex: column
-# k holds the label (or the vertex-permutation image) at vertex k of every
+# A run of elements is held as concatenated label rows or as byte columns,
+# one per internal vertex: column k holds the label at vertex k of every
 # element.  Labels are below p <= 127, so two label columns read as
 # little-endian integers add without any byte carrying into the next.
 
@@ -193,14 +223,16 @@ def _row_block(m: int) -> Struct:
     return Struct(f"{m}s" * 64)
 
 
-def _split(rows: bytes, m: int) -> list[bytes]:
-    """Concatenated rows of length m, one bytes object each."""
+def _split(rows: bytes, m: int) -> Iterator[bytes]:
+    """Concatenated rows of length m, one bytes object each, made as they
+    are read: a lookup of each in turn touches only rows still in cache."""
     block = _row_block(m)
     full = len(rows) - len(rows) % block.size
-    out = list(chain.from_iterable(block.iter_unpack(memoryview(rows)[:full])))
     tail = bytes(rows[full:])
-    out += [tail[i : i + m] for i in range(0, len(tail), m)]
-    return out
+    return chain(
+        chain.from_iterable(block.iter_unpack(memoryview(rows)[:full])),
+        (tail[i : i + m] for i in range(0, len(tail), m)),
+    )
 
 
 def _vertex_table(values: Sequence[int]) -> bytes:
@@ -214,58 +246,21 @@ def _add_tables(p: int) -> tuple[bytes, ...]:
     return tuple(bytes((b + s) % p for b in range(256)) for s in range(p))
 
 
+def _moved(columns: Sequence[bytes], sources: Sequence[int], row: bytes, p: int) -> bytearray:
+    """The concatenated rows whose label u is columns[sources[u]] + row[u]
+    mod p: one translate per column."""
+    m, shifts = len(columns), _add_tables(p)
+    out = bytearray(len(columns[0]) * m)
+    for u, (v, s) in enumerate(zip(sources, row)):
+        out[u::m] = columns[v].translate(shifts[s])
+    return out
+
+
 def _plus(rows: bytes, row: bytes, reduce: bytes) -> bytes:
     """Each of the concatenated rows plus row, mod p: one integer sum, at
     most 2(p - 1) per byte, and one translate."""
     total = int.from_bytes(rows, "little") + int.from_bytes(row * (len(rows) // len(row)), "little")
     return total.to_bytes(len(rows), "little").translate(reduce)
-
-
-class _Batch:
-    """Elements as label columns (little-endian integers, ready to add) and
-    vertex-permutation columns, for the labels of right products with and
-    conjugates by one element at a time."""
-
-    __slots__ = ("width", "add", "labels", "perms")
-
-    def __init__(self, shape: TreeShape, labels: bytes, perms: bytes):
-        m = shape.internal_count
-        self.width = len(labels) // m
-        self.add = _add_tables(shape.p)
-        self.labels = [int.from_bytes(c, "little") for c in _columns(labels, m)]
-        self.perms = _columns(perms, m)
-
-    def conjugate(self, c: Portrait, ci: Portrait) -> list[bytes]:
-        """Label columns of x^c = c^-1 * x * c for every x, where ci = c^-1.
-
-        Column u is l_ci[u] + L_v + l_c[P_v] mod p with v = pi_ci(u).  The
-        last two terms add as integers, at most 2(p - 1) <= 252 per byte;
-        then one translate adds the constant l_ci[u] and reduces.  A
-        three-term byte sum would overflow once p > 85.
-        """
-        width, labels, perms, add = self.width, self.labels, self.perms, self.add
-        by_label = _vertex_table(c.labels)
-        return [
-            (labels[v] + int.from_bytes(perms[v].translate(by_label), "little"))
-            .to_bytes(width, "little")
-            .translate(add[s])
-            for s, v in zip(ci.labels, ci.vertex_perm())
-        ]
-
-    def times(self, g: Portrait) -> list[bytes]:
-        """Label columns of x*g for every x.
-
-        Column k is L_k + l_g[pi_x(k)] mod p: the perm column translated by
-        l_g, added and reduced.
-        """
-        width, reduce = self.width, self.add[0]
-        by_label = _vertex_table(g.labels)
-        return [
-            (lk + int.from_bytes(pk.translate(by_label), "little"))
-            .to_bytes(width, "little")
-            .translate(reduce)
-            for lk, pk in zip(self.labels, self.perms)
-        ]
 
 
 # Byte j of a column OR becomes 1 when element j has a nonzero label.
@@ -307,7 +302,7 @@ def p_power_chains(
         live = fold(or_, ints).to_bytes(width, "little")
         if not any(live):
             break
-        levels.append(_split(rows, m))
+        levels.append(list(_split(rows, m)))
         exps += int.from_bytes(live.translate(_NONZERO), "little")
         orbits = [range(m)]  # orbits[j][k] = pi^j(k)
         for _ in range(p):
@@ -470,8 +465,6 @@ class QuotientGroup:
 
         self.a = make_a(self.shape)
         self.b = make_b(vector, self.shape)
-        self.a_inv = self.a.inverse()
-        self.b_inv = self.b.inverse()
         self.identity = Portrait.identity(self.shape)
         self.identity.vertex_perm()
         self.rows, self._perms, self.coords, self.layer_basis = self._walk_queue(
@@ -487,14 +480,14 @@ class QuotientGroup:
         self, n: int, budget: int, predicted: int | str | None
     ) -> tuple[
         bytes,
-        bytearray,
+        bytes,
         tuple[bytes, bytes] | None,
         tuple[tuple[bytes, int], ...],
     ]:
         """The elements as p cosets of H = st(1)/st(n), with exponent-sum
         coordinates (a byte column per generator).  Returns the label rows in
         enumeration order (m bytes per element, the blocks of step 3
-        joined), the vertex permutations (m bytes per element), the
+        joined), the vertex permutations (m bytes per power class), the
         coordinate columns, and an F_p basis of the last layer
         L = (st(n-1) & st(1))/st(n): full label rows with their
         b-coordinates, from which _layer_span lists L.
@@ -552,20 +545,18 @@ class QuotientGroup:
         # Each basis vector of L as a full row, zero above depth n-1, and its coordinate.
         layer_basis = tuple((bytes(cut) + bytes(row[:-1]), row[-1]) for row in basis)
         span, span_coords = _layer_span(shape, layer_basis)
-        shifts, layer = _add_tables(p), len(span_coords)
+        shifts = _add_tables(p)
         blocks: list[bytes] = []
-        perms = bytearray(order * m)
+        perms: list[bytes] = []
         for r in range(p):
             a_r = _vertex_table((self.a**r).vertex_perm())
             for rep in reps:
-                start = len(blocks) * layer
-                perm = bytes(rep.vertex_perm()).translate(a_r)
-                perms[start * m : (start + layer) * m] = perm * layer
+                perms.append(bytes(rep.vertex_perm()).translate(a_r))
                 blocks.append(_plus(span, bytes([r]) + rep.labels[1:], reduce))
         a_coords = b"".join(bytes([r]) * (order // p) for r in range(p))
         b_coords = b"".join(span_coords.translate(shifts[c]) for c in rep_coords) * p
         coords = (a_coords, b_coords) if consistent else None
-        return b"".join(blocks), perms, coords, layer_basis
+        return b"".join(blocks), b"".join(perms), coords, layer_basis
 
     @cached_property
     def label_keys(self) -> tuple[bytes, ...]:
@@ -610,19 +601,22 @@ class QuotientGroup:
         start, stop = max(mask.find(1), 0), mask.rfind(1) + 1
         return list(map(self._key, compress(range(start, stop), mask[start:stop])))
 
-    def _perm_row(self, i: int) -> bytearray:
-        """The vertex permutation of element i, one byte per vertex."""
-        m = self.shape.internal_count
-        return self._perms[i * m : (i + 1) * m]
+    def _perm_row(self, i: int) -> bytes:
+        """The vertex permutation of element i, one byte per vertex: the row
+        of its power class."""
+        m, c = self.shape.internal_count, i // self.class_size
+        return self._perms[c * m : (c + 1) * m]
 
     @cached_property
     def elements(self) -> tuple[Portrait, ...]:
         """Every element as an interned Portrait carrying its vertex
         permutation, in enumeration order, the identity first; built from
-        the rows on first read."""
+        the rows on first read.  The members of a power class share one
+        permutation tuple."""
         shape = self.shape
         perms = Struct(f"{shape.internal_count}B").iter_unpack(self._perms)
-        elements = list(map(_interned, repeat(shape), self.label_keys, perms))
+        shared = chain.from_iterable(map(repeat, perms, repeat(self.class_size)))
+        elements = list(map(_interned, repeat(shape), self.label_keys, shared))
         for i, x in self._made.items():
             elements[i] = x
         return tuple(elements)
@@ -660,17 +654,13 @@ class QuotientGroup:
         """The labels of x*y for every element y, or for the elements before
         index stop, concatenated in enumeration order.
 
-        Column k of x*y is l_x[k] + col[pi_x(k)] mod p.  With x fixed that is
-        one translate per vertex, by the table adding l_x[k] mod p.
+        Label u of x*y is l_x(u) + l_y(pi_x(u)) mod p: _moved with sources
+        pi_x and row l_x.
         """
         columns = self.label_columns()
-        m = len(columns)
-        width = len(self) if stop is None else stop
-        shifts = _add_tables(self.vector.p)
-        out = bytearray(width * m)
-        for k, (source, shift) in enumerate(zip(x.vertex_perm(), x.labels)):
-            out[k::m] = columns[source][:width].translate(shifts[shift])
-        return out
+        if stop is not None:
+            columns = tuple(column[:stop] for column in columns)
+        return _moved(columns, x.vertex_perm(), x.labels, self.vector.p)
 
     def coords_of(self, x: Portrait) -> tuple[int, int]:
         """Exponent sums of (a, b) modulo the derived subgroup."""
@@ -720,31 +710,26 @@ class QuotientGroup:
     @stage
     def _conjugation_tables(self) -> tuple[array, array]:
         """The index of x^a and the index of x^b, for every element x in
-        enumeration order; built chunk by chunk with _Batch.conjugate from
-        a slice of the label rows and of the permutation rows.
+        enumeration order; built one power class at a time, each mapped
+        whole by _class_images.
 
         Only H = st(1)/st(n), the first |H| elements, is conjugated by a:
         index r*|H| + i holds h_i * a^r, and (h_i * a^r)^a = h_i^a * a^r, so
         the a-table of coset r is that of H shifted by r*|H|.
         """
-        rows, perms, index = self.rows, self._perms, self._index
-        m = self.shape.internal_count
-        size = len(self) // self.vector.p
+        p = self.vector.p
 
-        def conjugates(c: Portrait, ci: Portrait, stop: int) -> array:
-            table = array("I")
-            for start in range(0, stop, WALK_CHUNK):
-                end = min(start + WALK_CHUNK, stop)
-                batch = _Batch(self.shape, rows[start * m : end * m], perms[start * m : end * m])
-                images = _split(_rows(batch.conjugate(c, ci), batch.width), m)
-                table.extend(map(index.__getitem__, images))
+        def conjugates(c: Portrait, stop: int) -> array:
+            step, table = _conjugation(c), array("I")
+            for start in range(0, stop, self.class_size):
+                table.extend(_class_images(self, start, step))
             return table
 
-        by_a = conjugates(self.a, self.a_inv, size)
+        by_a = conjugates(self.a, len(self) // p)
         head = by_a[:]
-        for r in range(1, self.vector.p):
-            by_a.extend(map(add, head, repeat(r * size)))
-        return by_a, conjugates(self.b, self.b_inv, len(self))
+        for r in range(1, p):
+            by_a.extend(map(add, head, repeat(r * len(head))))
+        return by_a, conjugates(self.b, len(self))
 
     def normal_closure(
         self, seeds: Iterable[Portrait], conjugators: Iterable[Portrait]
@@ -758,11 +743,7 @@ class QuotientGroup:
         by induction it is closed under right multiplication by every
         conjugate of every seed, which generate the normal closure.
         """
-        conjugations = [
-            lambda batch, c=c, ci=c.inverse(): batch.conjugate(c, ci)
-            for c in _distinct(conjugators)
-        ]
-        steps = _right(_distinct(seeds)) + conjugations
+        steps = [*map(_times, _distinct(seeds)), *map(_conjugation, _distinct(conjugators))]
         return SubgroupHandle(tuple(map(self._at, _walk(self, steps))))
 
     @stage

@@ -7,11 +7,11 @@ built on it.  Each is checked here on random portraits of shapes from depth 1
 up to depth 5 and up to the largest supported prime, 127.  The batched left
 product of the signature table, which forms x*y for every element y of a
 quotient from its label columns, is checked the same way, and so are the
-column kernels of the enumeration walk: right products of a batch of
-elements by one element, and batched p-power chains of elements sharing
-their labels above the last level.  So is the column conjugation of the
-subgroup walks and class tables, together with the whole-group tables of
-x -> x^a and x -> x^b that it builds.
+maps of a power class (elements sharing their labels above the last level,
+and so one vertex permutation) that the subgroup walks and class tables run
+through the same kernel: right products by one element and conjugates by
+one element, with the whole-group tables of x -> x^a and x -> x^b built
+from them, and the batched p-power chains of a class.
 """
 from __future__ import annotations
 
@@ -29,9 +29,8 @@ from ggs import (
     enumerate_quotient,
     tree_shape,
 )
-from ggs import quotient
 from ggs.portrait import MAX_INTERNAL_VERTICES, MAX_PRIME
-from ggs.quotient import _Batch, _columns, _rows, p_power_chains
+from ggs.quotient import _columns, _conjugation, _moved, _rows, _times, p_power_chains
 
 from reference import leaf_cycle_order, naive_compose, naive_order
 from test_cli import run_cli
@@ -54,11 +53,6 @@ def portraits(p: int, n: int) -> st.SearchStrategy[Portrait]:
 def _fresh(x: Portrait) -> Portrait:
     """Same labels, no cached vertex permutation."""
     return Portrait(x.shape, x.labels)
-
-
-def _perm_rows(xs: list[Portrait]) -> bytes:
-    """The vertex permutations of xs as concatenated byte rows."""
-    return b"".join(bytes(x.vertex_perm()) for x in xs)
 
 
 @pytest.mark.parametrize("p,n", SHAPES)
@@ -138,80 +132,8 @@ def test_left_products_match_naive_compose(p, e, n, data):
     assert group.left_products(x, stop) == products[: stop * m]
 
 
-# Trees the column kernels serve: at most 256 internal vertices.
+# Trees the row kernels serve: at most 256 internal vertices.
 BATCH_SHAPES = [(3, 1), (3, 3), (3, 4), (5, 2), (7, 2), (127, 2)]
-
-
-@pytest.mark.parametrize("p,n", BATCH_SHAPES)
-@KERNEL_SETTINGS
-@given(data=st.data())
-def test_right_product_columns_match_naive_compose(p, n, data):
-    xs = data.draw(st.lists(portraits(p, n), min_size=1, max_size=6))
-    g = data.draw(portraits(p, n))
-    m = xs[0].shape.internal_count
-    batch = _Batch(xs[0].shape, b"".join(x.labels for x in xs), _perm_rows(xs))
-    label_rows = _rows(batch.times(g), len(xs))
-    for j, x in enumerate(xs):
-        assert label_rows[j * m : (j + 1) * m] == naive_compose(x, g).labels
-
-
-# Primes from the smallest to the largest supported; at p = 127 a three-term
-# byte sum l_ci[u] + L_v + l_c[P_v] would overflow.
-CONJUGATE_SHAPES = [(3, 1), (3, 3), (5, 2), (7, 2), (127, 1), (127, 2)]
-
-
-def _conjugate_rows(xs: list[Portrait], c: Portrait) -> bytearray:
-    batch = _Batch(xs[0].shape, b"".join(x.labels for x in xs), _perm_rows(xs))
-    return _rows(batch.conjugate(c, c.inverse()), len(xs))
-
-
-@pytest.mark.parametrize("p,n", CONJUGATE_SHAPES)
-@KERNEL_SETTINGS
-@given(data=st.data())
-def test_conjugate_columns_match_conjugate_by_and_naive_compose(p, n, data):
-    xs = data.draw(st.lists(portraits(p, n), min_size=1, max_size=3))
-    c = data.draw(portraits(p, n))
-    m = xs[0].shape.internal_count
-    rows = _conjugate_rows(xs, c)
-    for j, x in enumerate(xs):
-        expected = naive_compose(naive_compose(c.inverse(), x), c)
-        assert rows[j * m : (j + 1) * m] == x.conjugate_by(c).labels == expected.labels
-
-
-@pytest.mark.parametrize("p,n", [(127, 1), (127, 2)])
-def test_conjugate_columns_at_the_largest_labels(p, n):
-    # Every label p - 1: each byte of L_v + l_c[P_v] holds 2(p - 1) = 252.
-    shape = tree_shape(p, n)
-    top = Portrait(shape, [p - 1] * shape.internal_count)
-    xs = [top, Portrait.identity(shape), top**2]
-    m = shape.internal_count
-    rows = _conjugate_rows(xs, top)
-    for j, x in enumerate(xs):
-        assert rows[j * m : (j + 1) * m] == x.conjugate_by(top).labels
-
-
-@pytest.mark.parametrize(
-    "p,e,n",
-    [
-        (3, (1, 0), 1),
-        (3, (1, -1), 3),
-        (5, (1, 4, 1, 4), 2),
-        (7, (1, 2, 3, 4, 5, 6), 2),
-    ],
-)
-def test_conjugation_tables_are_permutations(p, e, n, monkeypatch):
-    # Chunks of 7 elements, so each table is built from many batches.
-    monkeypatch.setattr(quotient, "WALK_CHUNK", 7)
-    group = enumerate_quotient(DefiningVector(p, e), n)
-    tables = group._conjugation_tables()
-    for table in tables:
-        assert table.typecode == "I"
-        assert sorted(table) == list(range(len(group)))
-    step = max(1, len(group) // 300)
-    for table, (c, ci) in zip(tables, ((group.a, group.a_inv), (group.b, group.b_inv))):
-        for i in range(0, len(group), step):
-            x = group.elements[i]
-            assert group.elements[table[i]].labels == (ci * x * c).labels
 
 
 def power_classes(p: int, n: int) -> st.SearchStrategy[list[Portrait]]:
@@ -227,6 +149,82 @@ def power_classes(p: int, n: int) -> st.SearchStrategy[list[Portrait]]:
             last.map(lambda tail: Portrait(shape, head + tail)), min_size=1, max_size=5
         )
     )
+
+
+def _mapped_rows(xs: list[Portrait], step) -> bytearray:
+    """The labels of the images of the power class xs under a class map,
+    concatenated: one _moved on the class's columns."""
+    shape = xs[0].shape
+    columns = _columns(b"".join(x.labels for x in xs), shape.internal_count)
+    return _moved(columns, *step(bytes(xs[0].vertex_perm())), shape.p)
+
+
+@pytest.mark.parametrize("p,n", BATCH_SHAPES)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_right_product_columns_match_naive_compose(p, n, data):
+    xs = data.draw(power_classes(p, n))
+    g = data.draw(portraits(p, n))
+    m = xs[0].shape.internal_count
+    label_rows = _mapped_rows(xs, _times(g))
+    assert len(label_rows) == len(xs) * m
+    for j, x in enumerate(xs):
+        assert label_rows[j * m : (j + 1) * m] == naive_compose(x, g).labels
+
+
+# Primes from the smallest to the largest supported; at p = 127 the row
+# l_ci[u] + l_c[P_v] of a conjugate sums to 2(p - 1) = 252 before reduction.
+CONJUGATE_SHAPES = [(3, 1), (3, 3), (5, 2), (7, 2), (127, 1), (127, 2)]
+
+
+def _assert_conjugates(xs: list[Portrait], c: Portrait) -> None:
+    m = c.shape.internal_count
+    rows = _mapped_rows(xs, _conjugation(c))
+    assert len(rows) == len(xs) * m
+    for j, x in enumerate(xs):
+        expected = naive_compose(naive_compose(c.inverse(), x), c)
+        assert rows[j * m : (j + 1) * m] == x.conjugate_by(c).labels == expected.labels
+
+
+@pytest.mark.parametrize("p,n", CONJUGATE_SHAPES)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_conjugate_columns_match_conjugate_by_and_naive_compose(p, n, data):
+    _assert_conjugates(data.draw(power_classes(p, n)), data.draw(portraits(p, n)))
+
+
+@pytest.mark.parametrize("p,n", [(127, 1), (127, 2)])
+def test_conjugate_columns_at_the_largest_labels(p, n):
+    # Every label p - 1, conjugated by itself, beside members of its power
+    # class with the last layer all 0 and all 1.
+    shape = tree_shape(p, n)
+    m, cut = shape.internal_count, shape.level_starts[n - 1]
+    top = Portrait(shape, [p - 1] * m)
+    xs = [top] + [Portrait(shape, top.labels[:cut] + bytes([k]) * (m - cut)) for k in (0, 1)]
+    _assert_conjugates(xs, top)
+
+
+@pytest.mark.parametrize(
+    "p,e,n",
+    [
+        (3, (1, 0), 1),
+        (3, (1, -1), 3),
+        (5, (1, 4, 1, 4), 2),
+        (7, (1, 2, 3, 4, 5, 6), 2),
+    ],
+)
+def test_conjugation_tables_are_permutations(p, e, n):
+    # Each table is built one power class at a time.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    tables = group._conjugation_tables()
+    for table in tables:
+        assert table.typecode == "I"
+        assert sorted(table) == list(range(len(group)))
+    step = max(1, len(group) // 300)
+    for table, c in zip(tables, (group.a, group.b)):
+        for i in range(0, len(group), step):
+            x = group.elements[i]
+            assert group.elements[table[i]].labels == (c.inverse() * x * c).labels
 
 
 @pytest.mark.parametrize("p,n", BATCH_SHAPES)

@@ -259,8 +259,9 @@ def test_power_classes_are_contiguous_blocks(p, e, n):
     assert [key[0] for key in keys] == [r for r in range(p) for _ in range(len(group) // p)]
     m = group.shape.internal_count
     assert size == p ** round(math.log(size, p))
-    for i in range(0, len(keys), size):
-        assert group._perms[i * m : (i + size) * m] == group._perm_row(i) * size
+    # One permutation row per power class, in the order of the classes.
+    assert group._perms == b"".join(map(group._perm_row, range(0, len(keys), size)))
+    assert all(group._perm_row(i) == group._perm_row(i - i % size) for i in range(len(keys)))
     if n == 1:
         assert size == 1  # st(0) holds a, outside st(1)
         return
@@ -271,6 +272,20 @@ def test_power_classes_are_contiguous_blocks(p, e, n):
     assert len(group) == p * (len(blocks) // p) * size
     layer = group.level_stabilizer(n - 1)
     assert len(layer) == size and set(keys[:size]) == layer.keys
+
+
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_one_permutation_row_per_power_class(p, e, n):
+    # Every member of a power class reads its class's row, and the elements
+    # share one permutation tuple per class.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    m, size = group.shape.internal_count, group.class_size
+    assert len(group._perms) == len(group) // size * m
+    for k in random.Random(p * n).sample(range(len(group)), min(len(group), 200)):
+        x = Portrait(group.shape, group.label_keys[k])
+        assert group._perm_row(k) == bytes(x.vertex_perm())
+    # The identity, built before the elements, keeps its own tuple.
+    assert len({id(x._perm) for x in group.elements}) <= len(group) // size + 1
 
 
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
@@ -325,11 +340,10 @@ def test_walk_is_coset_major(p, e, n):
 
 
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
-def test_conjugation_by_a_is_read_off_st1(p, e, n, monkeypatch):
-    # The a-table conjugates st(1) only and shifts it onto the other cosets;
-    # chunks of 7 elements put the end of st(1) inside a chunk.
+def test_conjugation_by_a_is_read_off_st1(p, e, n):
+    # The a-table conjugates st(1) only, one power class at a time, and
+    # shifts it onto the other cosets.
     group = enumerate_quotient(DefiningVector(p, e), n)
-    monkeypatch.setattr(quotient, "WALK_CHUNK", 7)
     by_a, _ = group._conjugation_tables()
     assert len(by_a) == len(group)
     images = [x.conjugate_by(group.a).labels for x in group.elements]
@@ -702,16 +716,17 @@ def _conjugation(c: Portrait):
     return lambda x: ci * x * c
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
-def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, chunk, monkeypatch):
-    """Chunked column walks find elements in the order of a walk that takes
-    one element and one step at a time: element-major, step-minor.  With the
-    default chunk the normal closure of [a, b] in e10_g3 (6561 elements)
-    spans several chunks; with chunks of 7 every walk does.  The derived
-    subgroup is read off the coordinates, in enumeration order."""
+@pytest.mark.parametrize("stride", [None, 7])
+def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, stride):
+    """Walks that map a power class whole when they first reach it find
+    elements in the order of a walk that takes one element and one step at
+    a time: element-major, step-minor.  The normal closure of [a, b] in
+    e10_g3 (6561 elements) spans many classes.  The derived subgroup is
+    read off the coordinates, in enumeration order.  Conjugacy classes are
+    checked at about 40 sampled elements of e10_g3, or at every
+    `stride`-th element of two smaller groups."""
     groups = [e10_g3]
-    if chunk is not None:
-        monkeypatch.setattr(quotient, "WALK_CHUNK", chunk)
+    if stride is not None:
         groups = [enumerate_quotient(gs, 3), enumerate_quotient(e10, 2)]
     for group in groups:
         a, b, one = group.a, group.b, group.identity
@@ -724,7 +739,7 @@ def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, chunk, monkeypatch)
         closure = group.normal_closure([b, b], [a * b, a * b])
         expected = element_walk([one], [lambda x: x * b, _conjugation(a * b)])
         assert [x.labels for x in closure] == expected
-        for x in group.elements[:: max(1, len(group) // 40)]:
+        for x in group.elements[:: stride or max(1, len(group) // 40)]:
             expected = element_walk([x], [by_a, by_b])
             assert [y.labels for y in group.conjugacy_class(x)] == expected
         expected, placed = [], set()
@@ -733,6 +748,36 @@ def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, chunk, monkeypatch)
                 expected.append(element_walk([x], [by_a, by_b]))
                 placed.update(expected[-1])
         assert [[y.labels for y in c] for c in group.conjugacy_classes()] == expected
+
+
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_walks_map_each_power_class_once(p, e, n):
+    # Each step maps a power class the first time the walk reaches it, and
+    # never again: a walk that reaches only 1 maps one class per step.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    calls: list[tuple[int, bytes]] = []
+
+    def counting(t: int, step):
+        def counted(perm: bytes):
+            calls.append((t, perm))
+            return step(perm)
+
+        return counted
+
+    steps = [quotient._conjugation(group.a), quotient._conjugation(group.b)]
+    assert quotient._walk(group, [counting(t, s) for t, s in enumerate(steps)]) == [0]
+    assert calls == [(0, group._perm_row(0)), (1, group._perm_row(0))]
+    calls.clear()
+    steps.insert(0, quotient._times(group.b))
+    found = quotient._walk(group, [counting(t, s) for t, s in enumerate(steps)])
+    assert [x.labels for x in group.normal_closure([group.b], [group.a, group.b])] == [
+        group.label_keys[i] for i in found
+    ]
+    reached = {i // group.class_size for i in found}
+    assert len(calls) == len(steps) * len(reached)
+    assert sorted(set(calls)) == sorted(
+        (t, group._perm_row(c * group.class_size)) for c in reached for t in range(len(steps))
+    )
 
 
 def test_normal_closure_matches_reference(gs_g2, gs_g3, e10_g2):
