@@ -7,26 +7,27 @@ of generating triples whose Sigma sets meet only in the identity.
 Every orbit is read off the element conjugacy classes: <z>^g = <z^g>, and
 <s> is conjugate to <t> exactly when s is conjugate to a power of t.
 
-Two engines are provided.  The literal one materializes Sigma member sets
-and intersects them.  The signature engine reduces the same question to
-conjugation orbits of order-p subgroups: a nontrivial element common to
-two Sigma sets exists exactly when some cyclic group on one side and some
-on the other have conjugate order-p subgroups (in a finite p-group every
-nontrivial intersection of cyclic subgroups contains both their unique
-minimal subgroups, which therefore coincide).  The signature engine is
-exact and fast enough to exhaust; both engines are cross-checked in the
-test suite against brute-force oracles that conjugate by every element.
+Two engines are provided.  The literal one materializes each distinct Sigma
+member set and intersects them.  The signature engine reduces the same
+question to conjugation orbits of order-p subgroups: a nontrivial element
+common to two Sigma sets exists exactly when some cyclic group on one side
+and some on the other have conjugate order-p subgroups (in a finite p-group
+every nontrivial intersection of cyclic subgroups contains both their
+unique minimal subgroups, which therefore coincide).  The signature engine
+is exact and fast enough to exhaust.  Both pick the witness by one rule
+(_first_disjoint), and both are cross-checked in the test suite against
+brute-force oracles that conjugate by every element.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import add, itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .certificate import CODE_VERSION, Certificate
+from .certificate import Certificate
 from .generators import BudgetExceeded, make_a, make_b
 from .portrait import Portrait, PsiDecomposition, TreeShape, assemble, commutator, tree_shape
 from .quotient import (
@@ -179,24 +180,25 @@ def _socles(shape: TreeShape, rows: bytes, perm: Sequence[int]) -> list[bytes | 
 
 
 @stage
-def _socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
-    """Per-element id of the conjugation orbit of its socle subgroup.  An
-    orbit is named by the least class index among the powers of a socle, and
-    the names are numbered densely in order of first appearance."""
+def _socle_data(group: QuotientGroup) -> tuple[list[int], int]:
+    """The id of the conjugation orbit of each element's socle subgroup, in
+    enumeration order (0 at the identity, whose id is never read).  An orbit
+    is named by the least class index among the powers of a socle, and the
+    names are numbered densely in order of first appearance."""
     classes = group.conjugacy_classes()
     class_of = {y.labels: c for c, cls in enumerate(classes) for y in cls}
     dense: dict[int, int] = {}  # orbit name -> id
     orbit_of: dict[int, int] = {}  # socle class -> id
-    ids: dict[bytes, int] = {}
-    keys = group.label_keys
-    for key, s in zip(keys, map_power_classes(_socles, group)):
+    ids: list[int] = []
+    for s in map_power_classes(_socles, group):
         if s is None:
+            ids.append(0)
             continue
         c = class_of[s]
         if c not in orbit_of:
             name = min(class_of[w.labels] for w in cyclic_powers(classes[c][0]))
             orbit_of[c] = dense.setdefault(name, len(dense))
-        ids[key] = orbit_of[c]
+        ids.append(orbit_of[c])
     return ids, len(dense)
 
 
@@ -205,11 +207,23 @@ def triple_signature(group: QuotientGroup, triple: GeneratingTriple) -> frozense
     when the signatures of their triples intersect."""
     ids, _ = _socle_data(group)
     return frozenset(
-        ids[z.labels] for z in triple.members() if not z.is_identity()
+        ids[group._position(z.labels)] for z in triple.members() if not z.is_identity()
     )
 
 
 # -- pair verification and search -----------------------------------------------
+
+
+def _group_certificate(group: QuotientGroup, claim: str, statement: str) -> Certificate:
+    """An undecided exhaustive certificate over the whole enumerated quotient."""
+    return Certificate(
+        claim=claim,
+        statement=statement,
+        params={"p": group.vector.p, "e": list(group.vector.e), "n": group.shape.n},
+        verdict="",
+        exhaustive=True,
+        element_count=len(group),
+    )
 
 
 def is_beauville_pair(
@@ -225,20 +239,10 @@ def is_beauville_pair(
             raise NotGeneratingError(
                 f"triple does not generate the quotient: {t.encode()}"
             )
-    cert = Certificate(
-        claim="beauville-pair",
-        statement=(
-            "the two generating triples have Sigma sets meeting only in the identity"
-        ),
-        params={
-            "p": group.vector.p,
-            "e": list(group.vector.e),
-            "n": group.shape.n,
-        },
-        verdict="",
-        exhaustive=True,
-        element_count=len(group),
-        code_version=CODE_VERSION,
+    cert = _group_certificate(
+        group,
+        "beauville-pair",
+        "the two generating triples have Sigma sets meeting only in the identity",
     )
     s1 = sigma_set(t1, group)
     s2 = sigma_set(t2, group)
@@ -256,20 +260,6 @@ def is_beauville_pair(
             "intersection_trivial", False, f"{len(common) - 1} nontrivial common elements"
         )
     return cert
-
-
-@stage
-def _sorted_elements(group: QuotientGroup) -> list[Portrait]:
-    return sorted(group.elements)
-
-
-def _generating_pairs(group: QuotientGroup) -> Iterator[tuple[Portrait, Portrait]]:
-    """All generating pairs in label-vector order."""
-    ordered = _sorted_elements(group)
-    for x in ordered:
-        for y in ordered:
-            if group.is_generating_pair(x, y):
-                yield x, y
 
 
 @stage
@@ -291,9 +281,7 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
             rep = min(cls)
             for y in elements:
                 if group.is_generating_pair(rep, y):
-                    sig = frozenset(
-                        ids[z.labels] for z in (rep, y, rep * y) if not z.is_identity()
-                    )
+                    sig = triple_signature(group, GeneratingTriple(rep, y, rep * y))
                     if sig not in table:
                         table[sig] = [rep.encode(), y.encode()]
         return table
@@ -313,11 +301,7 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     p, m = group.vector.p, group.shape.internal_count
     size = len(elements) // p
     position = group._index.__getitem__
-    # The socle ids of coset t, h_i * a^t at i; the identity's 0 is never read.
-    cosets = [
-        list(map(ids.get, group.label_keys[t * size : (t + 1) * size], repeat(0)))
-        for t in range(p)
-    ]
+    cosets = [ids[t * size : (t + 1) * size] for t in range(p)]  # h_i * a^t at i
     # Per line through the origin of the coordinate plane, that is per
     # maximal subgroup: the mask of the elements off it and off the origin
     # (those completing a generating pair), their scaled socle ids (shared
@@ -343,7 +327,7 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
         r = rep.labels[0]
         products = chain.from_iterable(map(at, cosets[r:] + cosets[:r]))
         keys = list(map(add, scaled, compress(products, mask)))
-        sr = ids[rep.labels]
+        sr = ids[group._position(rep.labels)]
         for key in dict.fromkeys(keys):
             sig = frozenset((sr, *divmod(key, count)))
             if sig not in table:
@@ -355,28 +339,18 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
 def search_beauville(group: QuotientGroup, strategy: str = "pruned") -> Certificate:
     """Search for a Beauville structure, or exhaust and report that none exists.
 
-    strategy "pruned" decides existence on the complete signature table and
-    takes the witness from it: the stored pairs of the first two disjoint
-    signatures, confirmed by the literal pair check.  strategy "exhaustive"
-    is the literal oracle: it walks every generating pair and intersects
-    materialized Sigma member sets.
+    strategy "pruned" decides existence on the complete signature table.
+    strategy "exhaustive" is the literal oracle: it walks every generating
+    pair and intersects the materialized Sigma member sets, one per distinct
+    set.  Both take the witness by one rule (_first_disjoint) and confirm it
+    by the literal pair check.
     """
     if strategy not in ("pruned", "exhaustive"):
         raise ValueError(f"unknown search strategy {strategy!r}")
-    cert = Certificate(
-        claim="beauville-search",
-        statement="the quotient admits a Beauville structure",
-        params={
-            "p": group.vector.p,
-            "e": list(group.vector.e),
-            "n": group.shape.n,
-            "strategy": strategy,
-        },
-        verdict="",
-        exhaustive=True,
-        element_count=len(group),
-        code_version=CODE_VERSION,
+    cert = _group_certificate(
+        group, "beauville-search", "the quotient admits a Beauville structure"
     )
+    cert.params["strategy"] = strategy
     if strategy == "exhaustive":
         return _search_literal(group, cert)
     return _search_pruned(group, cert)
@@ -392,6 +366,19 @@ def _refuse_past(cap: int, search: str, group: QuotientGroup) -> None:
         )
 
 
+def _first_disjoint(
+    sets: Sequence[frozenset], disjoint: Callable[[frozenset, frozenset], bool]
+) -> tuple[frozenset, frozenset] | None:
+    """The witness rule of both searches: the first set with a later disjoint partner,
+    and its first such partner.  Among distinct sets in order of first occurrence, the
+    first set with any partner has only later ones: an earlier one would come first."""
+    for i, s1 in enumerate(sets):
+        for s2 in sets[i + 1 :]:
+            if disjoint(s1, s2):
+                return s1, s2
+    return None
+
+
 def _search_literal(group: QuotientGroup, cert: Certificate) -> Certificate:
     _refuse_past(LITERAL_SEARCH_CAP, "literal search", group)
     one = frozenset([group.identity.labels])
@@ -402,43 +389,27 @@ def _search_literal(group: QuotientGroup, cert: Certificate) -> Certificate:
             conjugates[z.labels] = frozenset(_conjugates_of_powers(group, z))
         return conjugates[z.labels]
 
-    pairs: list[tuple[Portrait, Portrait]] = []
-    sigma_index: list[int] = []
-    distinct: dict[frozenset[bytes], int] = {}
-    sigmas: list[frozenset[bytes]] = []
-    for x, y in _generating_pairs(group):
-        sigma = one | union_for(x) | union_for(y) | union_for(x * y)
-        idx = distinct.get(sigma)
-        if idx is None:
-            idx = len(sigmas)
-            distinct[sigma] = idx
-            sigmas.append(sigma)
-        pairs.append((x, y))
-        sigma_index.append(idx)
-
-    disjoint: set[tuple[int, int]] = set()
-    for i in range(len(sigmas)):
-        for j in range(i + 1, len(sigmas)):
-            if len(sigmas[i] & sigmas[j]) == 1:
-                disjoint.add((i, j))
-                disjoint.add((j, i))
+    first_pair: dict[frozenset[bytes], tuple[Portrait, Portrait]] = {}
+    pairs = 0
+    ordered = sorted(group.elements)
+    for x in ordered:
+        for y in ordered:
+            if group.is_generating_pair(x, y):
+                pairs += 1
+                sigma = one | union_for(x) | union_for(y) | union_for(x * y)
+                first_pair.setdefault(sigma, (x, y))
     cert.notes.append("literal engine: no pruning, member-set intersections")
     cert.notes.append(SEARCH_ORDER)
     cert.check(
         "search_space",
         True,
-        f"{len(pairs)} generating pairs, {len(sigmas)} distinct Sigma sets",
+        f"{pairs} generating pairs, {len(first_pair)} distinct Sigma sets",
     )
-    if not disjoint:
+    found = _first_disjoint(list(first_pair), lambda s1, s2: len(s1 & s2) == 1)
+    if found is None:
         cert.verdict = "refuted"
         return cert
-    partnered = {i for i, _ in disjoint}
-    first = next(k for k, idx in enumerate(sigma_index) if idx in partnered)
-    i1 = sigma_index[first]
-    second = next(
-        k for k, idx in enumerate(sigma_index) if (i1, idx) in disjoint
-    )
-    return _searched_witness(group, cert, pairs[first], pairs[second])
+    return _searched_witness(group, cert, first_pair[found[0]], first_pair[found[1]])
 
 
 def _searched_witness(
@@ -482,14 +453,10 @@ def _witness_hunt(
     group: QuotientGroup, table: dict[frozenset[int], list[str]]
 ) -> tuple[tuple[Portrait, Portrait], tuple[Portrait, Portrait]] | None:
     """The stored pairs of the first two disjoint signatures, in table order."""
-    sigs = list(table)
-    for i, s1 in enumerate(sigs):
-        for s2 in sigs[i + 1 :]:
-            if not s1 & s2:
-                (x1, y1), (x2, y2) = table[s1], table[s2]
-                element = group.element
-                return (element(x1), element(y1)), (element(x2), element(y2))
-    return None
+    found = _first_disjoint(list(table), lambda s1, s2: not s1 & s2)
+    if found is None:
+        return None
+    return tuple(tuple(map(group.element, table[s])) for s in found)
 
 
 # -- distinguished central and stabilizer elements ------------------------------

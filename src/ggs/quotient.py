@@ -392,7 +392,7 @@ def affine_suspects(
     """
     shape, rows, size = group.shape, group.rows, group.class_size
     p, m = shape.p, shape.internal_count
-    span, span_coords = _layer_span(shape, group.layer_basis)
+    span, span_coords = group.layer_span
     b_coords, shifts = group.coords[1], _add_tables(p)
     mask = bytes([1]) * len(group) if mask is None else mask
     suspects = bytearray(len(group))
@@ -467,9 +467,8 @@ class QuotientGroup:
         self.b = make_b(vector, self.shape)
         self.identity = Portrait.identity(self.shape)
         self.identity.vertex_perm()
-        self.rows, self._perms, self.coords, self.layer_basis = self._walk_queue(
-            n, budget, predicted
-        )
+        walked = self._walk_queue(n, budget, predicted)
+        self.rows, self._perms, self.coords, self.layer_basis, self.layer_span = walked
         self.class_size = vector.p ** len(self.layer_basis)  # |L|, the size of every power class
         # Elements built one at a time by index, before `elements` is; the
         # full tuple takes these objects over, so each element stays one.
@@ -483,14 +482,15 @@ class QuotientGroup:
         bytes,
         tuple[bytes, bytes] | None,
         tuple[tuple[bytes, int], ...],
+        tuple[bytes, bytes],
     ]:
         """The elements as p cosets of H = st(1)/st(n), with exponent-sum
         coordinates (a byte column per generator).  Returns the label rows in
         enumeration order (m bytes per element, the blocks of step 3
         joined), the vertex permutations (m bytes per power class), the
-        coordinate columns, and an F_p basis of the last layer
+        coordinate columns, an F_p basis of the last layer
         L = (st(n-1) & st(1))/st(n): full label rows with their
-        b-coordinates, from which _layer_span lists L.
+        b-coordinates, and L listed from it by _layer_span.
 
         Step 1 walks H modulo st(n-1) from 1 under right multiplication by
         the b_j = b^(a^j), which generate st(1), keeping the first element
@@ -556,7 +556,7 @@ class QuotientGroup:
         a_coords = b"".join(bytes([r]) * (order // p) for r in range(p))
         b_coords = b"".join(span_coords.translate(shifts[c]) for c in rep_coords) * p
         coords = (a_coords, b_coords) if consistent else None
-        return b"".join(blocks), b"".join(perms), coords, layer_basis
+        return b"".join(blocks), b"".join(perms), coords, layer_basis, (span, span_coords)
 
     @cached_property
     def label_keys(self) -> tuple[bytes, ...]:

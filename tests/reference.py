@@ -10,10 +10,11 @@ closures are built by literally conjugating with every element, socle
 orbits by walking subgroup member sets under conjugation, the signature
 table tests generation and forms products pair by pair (a second table
 forms x*y for every element y of the group and looks each one up, with no
-coset blocks), the quotient and its closures are walked one element and
-one product at a time (the quotient both in coset order and over the whole
-group), greedy generators are closed anew after every pick, the
-conjugates of the power subgroups <(ab^j)^p> are walked on depth-3
+coset blocks), the literal search's witness is read off a full table of
+disjoint pairs of Sigma sets, the quotient and its closures are walked one
+element and one product at a time (the quotient both in coset order and
+over the whole group), greedy generators are closed anew after every pick,
+the conjugates of the power subgroups <(ab^j)^p> are walked on depth-3
 portraits under conjugation by a and b and met by a search over every
 (k, r) rotation of their depth-2 blocks rather than one valuation, and the
 collision and exponent scans test every element rather than an affine basis
@@ -184,22 +185,24 @@ def walk_subgroup_orbit(
     return queue
 
 
-def walk_socle_data(group: QuotientGroup) -> tuple[dict[bytes, int], int]:
-    """Per-element socle-orbit ids by the subgroup walk: each element's socle
-    is the second-to-last entry of its p-power chain, and each new socle
-    subgroup's whole orbit is walked and takes the next id."""
-    ids: dict[bytes, int] = {}
+def walk_socle_data(group: QuotientGroup) -> tuple[list[int], int]:
+    """Per-element socle-orbit ids by the subgroup walk, in enumeration order
+    with 0 at the identity: each element's socle is the second-to-last entry
+    of its p-power chain, and each new socle subgroup's whole orbit is walked
+    and takes the next id."""
+    ids: list[int] = []
     subgroup_ids: dict[frozenset[bytes], int] = {}
     count = 0
     for x in group:
         if x.is_identity():
+            ids.append(0)
             continue
         key = frozenset(brute_generated(group, [x.p_powers()[-2]]))
         if key not in subgroup_ids:
             for image in walk_subgroup_orbit(group, key):
                 subgroup_ids[image] = count
             count += 1
-        ids[x.labels] = subgroup_ids[key]
+        ids.append(subgroup_ids[key])
     return ids, count
 
 
@@ -408,6 +411,7 @@ def reference_signature_table(group: QuotientGroup) -> dict[frozenset[int], list
     """Signature table by the pair-by-pair route: generation from
     `is_generating_pair` and the product from `Portrait.__mul__`."""
     ids, _ = _socle_data(group)
+    socle_of = dict(zip(group.label_keys, ids))
     table: dict[frozenset[int], list[str]] = {}
     for cls in group.conjugacy_classes():
         rep = min(cls)
@@ -415,7 +419,7 @@ def reference_signature_table(group: QuotientGroup) -> dict[frozenset[int], list
             if not group.is_generating_pair(rep, y):
                 continue
             sig = frozenset(
-                ids[z.labels] for z in (rep, y, rep * y) if not z.is_identity()
+                socle_of[z.labels] for z in (rep, y, rep * y) if not z.is_identity()
             )
             if sig not in table:
                 table[sig] = [rep.encode(), y.encode()]
@@ -432,7 +436,7 @@ def whole_group_signature_table(group: QuotientGroup) -> dict[frozenset[int], li
     elements = group.elements
     table: dict[frozenset[int], list[str]] = {}
     p = group.vector.p
-    socle_of = ids.__getitem__
+    socle_of = dict(zip(group.label_keys, ids)).__getitem__
     split = Struct(f"{group.shape.internal_count}s").iter_unpack
     first = itemgetter(0)
     scale = [s * count for s in range(count)]
@@ -452,13 +456,34 @@ def whole_group_signature_table(group: QuotientGroup) -> dict[frozenset[int], li
         mask, scaled, partners = partners_of[line]
         products = compress(split(group.left_products(rep)), mask)
         keys = list(map(add, scaled, map(socle_of, map(first, products))))
-        sr = ids[rep.labels]
+        sr = socle_of(rep.labels)
         for key in dict.fromkeys(keys):
             sig = frozenset((sr, *divmod(key, count)))
             if sig not in table:
                 y = elements[partners[keys.index(key)]]
                 table[sig] = [rep.encode(), y.encode()]
     return table
+
+
+def pair_table_witness(sigmas: list[frozenset]) -> tuple[int, int] | None:
+    """The literal search's witness by a full table of disjoint pairs: given
+    the Sigma set of every generating pair in scan order, the positions of
+    the first pair whose set meets some other set only in the identity, and
+    of the first pair whose set meets that one so.  None when no two sets
+    meet so."""
+    distinct = list(dict.fromkeys(sigmas))
+    index = [distinct.index(s) for s in sigmas]
+    disjoint: set[tuple[int, int]] = set()
+    for i in range(len(distinct)):
+        for j in range(i + 1, len(distinct)):
+            if len(distinct[i] & distinct[j]) == 1:
+                disjoint |= {(i, j), (j, i)}
+    if not disjoint:
+        return None
+    partnered = {i for i, _ in disjoint}
+    first = next(k for k, i in enumerate(index) if i in partnered)
+    second = next(k for k, i in enumerate(index) if (index[first], i) in disjoint)
+    return first, second
 
 
 # The two scans below are the element-by-element versions of

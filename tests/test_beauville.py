@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import random
+from hashlib import sha256
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ggs import (
@@ -29,6 +30,7 @@ from ggs.beauville import _conjugates_of_powers, _signature_table, _socle_data
 from reference import (
     brute_conjugates_of_powers,
     brute_sigma,
+    pair_table_witness,
     reference_signature_table,
     walk_socle_data,
     walk_subgroup_orbit,
@@ -310,6 +312,87 @@ def test_coset_block_table_matches_whole_group_table_on_random_vectors(data):
     n = data.draw(st.integers(2, 3))
     assume(p ** quotient._guard_exponent(v, n) <= 3**9)
     _assert_same_table(enumerate_quotient(v, n))
+
+
+# SHA-256 of the canonical certificates of search_beauville (both strategies;
+# the literal one only up to LITERAL_SEARCH_CAP) and of is_beauville_pair on
+# the triples of (a, b) and (ab, b), which no golden file covers.
+PINNED_SEARCHES = {
+    (5, (1, 2, 3, 4), 1): {
+        "exhaustive": "31f94811241eb46e10e71f4f2b0a907d9f8f692bb5ee8c77509df4d56c0f6048",
+        "pruned": "6d4ded04b3a138f9e9fa92bfefe464f7d13deb9faaf99652a8e6380c3337e1cd",
+        "pair": "9b6a11ceaa0837a551188fa509704d2a1216abbe3d5e8884cb92b06ad516468c",
+    },
+    (5, (1, 2, 3, 4), 2): {
+        "exhaustive": "2f3c8d1cd526e39aa0a23cd69684102a7061d3109aaf42fdf36c440a06784b9d",
+        "pruned": "491a170b16e8c6a2144ec1fc3531dabf9bb5b2b89c263daf15e242f498732ead",
+        "pair": "4fc95e8bebddc07759863a4cef3bbd9ea7ea37227e5bf80cfb55cb71d383a043",
+    },
+    (7, (1, 2, 3, 4, 5, 6), 2): {
+        "exhaustive": "19accaa93667d7ad1572ac23a320ef5a216f51ed59c6a7df67ae91ffcea48f8f",
+        "pruned": "a764bbed31a1449a5de5c3bcb11cced998c6545b8da090bd842542768a7b6de9",
+        "pair": "26fcb08c3da20fbafccf1f4481169a570b16664774f11feb1b34a5c0a53b94cb",
+    },
+    (3, (1, 2), 2): {
+        "exhaustive": "8e078fe6af87bda49d0234afd6544b227f04a517c97c0245e5cfda9f25251a77",
+        "pruned": "98821facde83b69e0d3df31b51c53d48d40b4dfa9e239737ef57428c4c4941e2",
+        "pair": "899667d34809b0ece0e029fc6c0ce4c4ada06b0ed03e3e8f9fa93f59fd8a82e8",
+    },
+    (3, (1, 0), 1): {
+        "exhaustive": "77ced932a46b72b4ba591a754961de3d51032e2c9aa9804f21c67d9353b94603",
+        "pruned": "78c494c130ffe9be572732c8623b4ccd6abd56255037073799c9030b78d9a702",
+        "pair": "0abf20f2baf4898df5dccbd63ab4857ac29950a860f68ab01de5d8ca9061f7b1",
+    },
+    (3, (1, 0), 2): {
+        "exhaustive": "a551a8a5da1a2088d807db59636bad589896995f51db5c971989a3c3149e5aa5",
+        "pruned": "8439cac2868ceed47131af1dc5857f036d0c68fc011307e6a0afc9198eae3336",
+        "pair": "9db67d7e25dc88b841f926a324cf4c8cb0ca7a86f8994242dfd66186f1d7be1f",
+    },
+    (5, (1, 4, 1, 4), 2): {
+        "pruned": "9438ca054968cd7338f6c3ad660b2c479bdfd512ce220a4b9e5f1a7564831d1b",
+        "pair": "9a4e25d987c9825c33af57fe942a268e92412e1caf5bd427297e25f52e7a382d",
+    },
+    (3, (1, 2), 3): {
+        "pruned": "6b93213eeffddd8f2580e885da300f62058206c8ca72712008512e4ec5a2e9e1",
+        "pair": "ae2f23efd8c83e7e4d0337d37b0bfba5f1c74b7f75a2e4817d74db281c69ad64",
+    },
+}
+
+
+@pytest.mark.parametrize("p, e, n", list(PINNED_SEARCHES))
+def test_search_and_pair_certificates_are_pinned(p, e, n):
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    a, b = group.a, group.b
+    certs = {
+        "pruned": search_beauville(group, "pruned"),
+        "pair": is_beauville_pair(
+            GeneratingTriple.make(group, a, b), GeneratingTriple.make(group, a * b, b), group
+        ),
+    }
+    if "exhaustive" in PINNED_SEARCHES[p, e, n]:
+        certs["exhaustive"] = search_beauville(group, "exhaustive")
+    digests = {k: sha256(c.canonical_json().encode()).hexdigest() for k, c in certs.items()}
+    assert digests == PINNED_SEARCHES[p, e, n]
+
+
+# Sigma-like sets over {0, ..., 4}, each holding the common element 0.
+_SIGMAS = st.lists(
+    st.frozensets(st.integers(1, 4), max_size=3).map(frozenset({0}).union), max_size=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigmas=_SIGMAS)
+@example(sigmas=[frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({0, 1})])  # none disjoint
+@example(sigmas=[frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1}), frozenset({0, 3})])
+@example(sigmas=[frozenset({0, 1, 2}), frozenset({0, 1}), frozenset({0, 3}), frozenset({0, 2})])
+def test_first_disjoint_matches_pair_table(sigmas):
+    first: dict[frozenset, int] = {}
+    for k, s in enumerate(sigmas):
+        first.setdefault(s, k)
+    found = beauville._first_disjoint(list(first), lambda s1, s2: len(s1 & s2) == 1)
+    expected = pair_table_witness(sigmas)
+    assert (None if found is None else (first[found[0]], first[found[1]])) == expected
 
 
 def test_search_is_deterministic(e10_g2):
