@@ -21,11 +21,10 @@ brute-force oracles that conjugate by every element.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import add, itemgetter
-from typing import Callable, NamedTuple, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .certificate import Certificate
 from .generators import BudgetExceeded, make_a, make_b
@@ -271,7 +270,7 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     conjugation, which realizes every signature.  Each signature maps to the
     first pair realizing it, in the order stated by TABLE_ORDER.
     """
-    ids, count = _socle_data(group)
+    ids, _ = _socle_data(group)
     elements = group.elements
     table: dict[frozenset[int], list[str]] = {}
     if group.coords is None:
@@ -286,54 +285,87 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
                         table[sig] = [rep.encode(), y.encode()]
         return table
     # From level 2 on, {x, y} generates exactly when the coordinate
-    # determinant is nonzero, and then x, y and xy are all nontrivial.  Each
-    # generating pair keys as one integer s_y * count + s_xy; dict.fromkeys keeps
-    # the distinct keys in order of first occurrence, which is the order in
-    # which the first pairs realizing each signature occur.
+    # determinant is nonzero, and then x, y and xy are all nontrivial.
     #
     # The products come by coset blocks.  Index t*|H| + i holds h_i * a^t,
     # with H = st(1)/st(n) first.  For a representative x with root label r
     # and a partner y = h_j * a^s, x*y = (x*h_j) * a^s, and x*h_j = h_i * a^r,
     # where h_i has the labels of x*h_j with root label 0.  So x*y =
     # h_i * a^(r+s): each representative forms and looks up only its |H|
-    # products x*h_j, and reads s_xy for every partner off the cosets' socle
-    # ids, coset r first.
+    # products x*h_j, and one gather per coset s reads s_xy for all its
+    # partners off the socle ids of coset r + s.
+    #
+    # The signature of a pair is {s_x, s_y, s_xy}, so two pairs with the
+    # same key (s_y, s_xy) share it, and the first pair realizing a
+    # signature is the first partner of the earliest of its keys.  Per line,
+    # the partners of each coset are grouped by s_y; per representative a
+    # group's distinct s_xy come as one set, and each key whose signature
+    # is not yet in the table records its first partner.  Inserting the
+    # records in partner order, the first of each signature kept, gives
+    # the table a scan of every partner in order would.
     p, m = group.vector.p, group.shape.internal_count
     size = len(elements) // p
     position = group._index.__getitem__
     cosets = [ids[t * size : (t + 1) * size] for t in range(p)]  # h_i * a^t at i
-    # Per line through the origin of the coordinate plane, that is per
-    # maximal subgroup: the mask of the elements off it and off the origin
-    # (those completing a generating pair), their scaled socle ids (shared
-    # int objects, one per socle orbit) and their positions.
-    scale = [s * count for s in range(count)]
-    partners_of: dict[int, tuple[bytes, list[int], array]] = {}
+    js = list(range(size))  # one int object per j, shared by every group
+    groups_of: dict[int, list[list[_PartnerGroup]]] = {}
+    tabled: set[tuple[int, int, int]] = set()  # keys (s_x, s_y, s_xy) of table signatures
     for cls in group.conjugacy_classes():
         rep = min(cls)
         line = coordinate_line(*group.coords_of(rep), p)
         if line == p + 1:
             continue  # a Frattini element lies in no generating pair
-        if line not in partners_of:
+        if line not in groups_of:
             mask = group.line_mask(*(j for j in range(p + 1) if j != line))
-            partners_of[line] = (
-                mask,
-                list(map(scale.__getitem__, compress(chain.from_iterable(cosets), mask))),
-                array("I", compress(range(len(elements)), mask)),
-            )
-        mask, scaled, partners = partners_of[line]
+            groups_of[line] = [
+                _partner_groups(cosets[s], compress(js, mask[s * size : (s + 1) * size]))
+                for s in range(p)
+            ]
         rows = group.left_products(rep, size)
         rows[::m] = bytes(size)  # root labels to 0: the keys of the h_i
         at = itemgetter(*map(position, _split(rows, m)))
         r = rep.labels[0]
-        products = chain.from_iterable(map(at, cosets[r:] + cosets[:r]))
-        keys = list(map(add, scaled, compress(products, mask)))
         sr = ids[group._position(rep.labels)]
-        for key in dict.fromkeys(keys):
-            sig = frozenset((sr, *divmod(key, count)))
+        records = []
+        for s, groups in enumerate(groups_of[line]):
+            products = at(cosets[(r + s) % p])  # s_xy of y = h_j * a^s at j
+            for a, pick, members in groups:
+                for b in set(pick(products)):
+                    key = sr, a, b
+                    if key in tabled:
+                        continue
+                    sig = frozenset(key)
+                    if sig in table:
+                        tabled.add(key)
+                    else:
+                        j = next(j for j in members if products[j] == b)
+                        records.append((s * size + j, sig))
+        records.sort(key=itemgetter(0))
+        for k, sig in records:
             if sig not in table:
-                y = elements[partners[keys.index(key)]]
-                table[sig] = [rep.encode(), y.encode()]
+                table[sig] = [rep.encode(), elements[k].encode()]
     return table
+
+
+class _PartnerGroup(NamedTuple):
+    """The partners h_j * a^s of one coset s with socle id a: a gather of
+    their positions j, and the positions, ascending."""
+
+    a: int
+    pick: Callable[[Sequence[int]], tuple[int, ...]]
+    members: list[int]
+
+
+def _partner_groups(socles: Sequence[int], members: Iterable[int]) -> list[_PartnerGroup]:
+    """The positions j of members grouped by socles[j]."""
+    by_id: dict[int, list[int]] = {}
+    for j in members:
+        by_id.setdefault(socles[j], []).append(j)
+    # itemgetter of one index returns the item itself; a slice keeps a tuple
+    return [
+        _PartnerGroup(a, itemgetter(*js) if js[1:] else itemgetter(slice(js[0], js[0] + 1)), js)
+        for a, js in by_id.items()
+    ]
 
 
 def search_beauville(group: QuotientGroup, strategy: str = "pruned") -> Certificate:
@@ -383,21 +415,29 @@ def _search_literal(group: QuotientGroup, cert: Certificate) -> Certificate:
     _refuse_past(LITERAL_SEARCH_CAP, "literal search", group)
     one = frozenset([group.identity.labels])
     conjugates: dict[bytes, frozenset[bytes]] = {}
+    interned: dict[frozenset[bytes], frozenset[bytes]] = {}
 
     def union_for(z: Portrait) -> frozenset[bytes]:
+        """The classes of the powers of z, one shared object per distinct set."""
         if z.labels not in conjugates:
-            conjugates[z.labels] = frozenset(_conjugates_of_powers(group, z))
+            union = frozenset(_conjugates_of_powers(group, z))
+            conjugates[z.labels] = interned.setdefault(union, union)
         return conjugates[z.labels]
 
-    first_pair: dict[frozenset[bytes], tuple[Portrait, Portrait]] = {}
+    # Sigma depends only on the three unions, so pairs are first deduplicated
+    # on them (shared objects: hashes cached, equality by identity), and each
+    # Sigma is formed once per distinct triple of unions, in order.
+    first_of_unions: dict[tuple[frozenset[bytes], ...], tuple[Portrait, Portrait]] = {}
     pairs = 0
     ordered = sorted(group.elements)
     for x in ordered:
         for y in ordered:
             if group.is_generating_pair(x, y):
                 pairs += 1
-                sigma = one | union_for(x) | union_for(y) | union_for(x * y)
-                first_pair.setdefault(sigma, (x, y))
+                first_of_unions.setdefault((union_for(x), union_for(y), union_for(x * y)), (x, y))
+    first_pair: dict[frozenset[bytes], tuple[Portrait, Portrait]] = {}
+    for (ux, uy, uxy), pair in first_of_unions.items():
+        first_pair.setdefault(one | ux | uy | uxy, pair)
     cert.notes.append("literal engine: no pruning, member-set intersections")
     cert.notes.append(SEARCH_ORDER)
     cert.check(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from itertools import accumulate, compress, product
+from itertools import accumulate, compress
 from typing import Callable, NamedTuple, Sequence
 
 from .beauville import (
@@ -321,25 +321,30 @@ def _power_lemma_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
 def _triple_line_check(cert: Certificate, p: int) -> bool:
     """Every generating triple has a member on some line 1 + i, i != 0.
 
-    On coordinates in F_p^2 = G/G', with no group: the three members of a
-    triple have pairwise independent coordinates, so they lie on three
-    distinct lines, of which at most two are line 0 (<a>G') and line 1
-    (<b>G').
+    On coordinates in F_p^2 = G/G', with no group.  If x and y are
+    independent, so are any two of x, y and x + y (x + y = c*x would give
+    y = (c - 1)*x), so the three lie on three distinct lines through the
+    origin.  So it suffices that coordinate_line gives every point of a
+    line the same number, distinct lines distinct numbers, and <(1, 0)> =
+    <a>G' and <(0, 1)> = <b>G' the numbers 0 and 1: then at most two of the
+    three members are on lines 0 and 1.  Every nonzero point is k*d for
+    exactly one k in 1..p-1 and direction d in (1, 0), (0, 1), (1, i) with
+    i = 1..p-1, so the check reads each of the p^2 - 1 points once.
     """
-    nonzero = [(x, y) for x in range(p) for y in range(p) if x or y]
+    directions = [(1, 0), (0, 1)] + [(1, i) for i in range(1, p)]
+    numbers = [{coordinate_line(k * x, k * y, p) for k in range(1, p)} for x, y in directions]
     bad = None
-    for (x1, y1), (x2, y2) in product(nonzero, repeat=2):
-        if (x1 * y2 - y1 * x2) % p:
-            members = ((x1, y1), (x2, y2), (x1 + x2, y1 + y2))
-            spanned = {coordinate_line(x, y, p) for x, y in members}
-            if len(spanned) != 3 or spanned <= {0, 1}:
-                bad = members[:2]
-                break
+    if any(len(line) != 1 for line in numbers):
+        bad = "two points of one line get different numbers"
+    elif len(set().union(*numbers)) != p + 1:
+        bad = "two lines get one number"
+    elif numbers[:2] != [{0}, {1}]:
+        bad = "<a>G' and <b>G' are not lines 0 and 1"
     return cert.check(
         "triple_meets_power_line",
         bad is None,
         "every independent coordinate pair has a member on an ab^i line"
-        + (f"; failed at {bad}" if bad else ""),
+        + (f"; failed: {bad}" if bad else ""),
     )
 
 

@@ -18,7 +18,8 @@ the conjugates of the power subgroups <(ab^j)^p> are walked on depth-3
 portraits under conjugation by a and b and met by a search over every
 (k, r) rotation of their depth-2 blocks rather than one valuation, and the
 collision and exponent scans test every element rather than an affine basis
-of each power class.
+of each power class, and the triple-line check walks every pair of nonzero
+coordinates rather than one point at a time.
 """
 from __future__ import annotations
 
@@ -548,4 +549,26 @@ def element_collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
         "equals_center",
         z_keys == group.center().keys,
         "the common subgroup is the center of the level-2 quotient",
+    )
+
+
+def pair_triple_line_check(cert: Certificate, p: int) -> bool:
+    """verifiers._triple_line_check by walking every pair of nonzero
+    coordinates: each independent pair spans three distinct lines, not all
+    of them lines 0 and 1.  Reads coordinate_line through the verifiers
+    module, so a test that patches it there patches the oracle alike."""
+    nonzero = [(x, y) for x in range(p) for y in range(p) if x or y]
+    bad = None
+    for (x1, y1), (x2, y2) in product(nonzero, repeat=2):
+        if (x1 * y2 - y1 * x2) % p:
+            members = ((x1, y1), (x2, y2), (x1 + x2, y1 + y2))
+            spanned = {verifiers.coordinate_line(x, y, p) for x, y in members}
+            if len(spanned) != 3 or spanned <= {0, 1}:
+                bad = members[:2]
+                break
+    return cert.check(
+        "triple_meets_power_line",
+        bad is None,
+        "every independent coordinate pair has a member on an ab^i line"
+        + (f"; failed at {bad}" if bad else ""),
     )

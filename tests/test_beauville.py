@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from hashlib import sha256
+from itertools import compress
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,6 +28,7 @@ from ggs import (
 from ggs import beauville, quotient
 from ggs.beauville import _conjugates_of_powers, _signature_table, _socle_data
 
+import reference
 from reference import (
     brute_conjugates_of_powers,
     brute_sigma,
@@ -312,6 +314,40 @@ def test_coset_block_table_matches_whole_group_table_on_random_vectors(data):
     n = data.draw(st.integers(2, 3))
     assume(p ** quotient._guard_exponent(v, n) <= 3**9)
     _assert_same_table(enumerate_quotient(v, n))
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_partner_group_table_items_match_whole_group_table(data):
+    p = data.draw(st.sampled_from([3, 5]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+    assume(any(e))
+    v = DefiningVector(p, tuple(e))
+    n = data.draw(st.sampled_from([2, 3] if p == 3 else [2]))
+    assume(p ** quotient._guard_exponent(v, n) <= 3**9)
+    group = enumerate_quotient(v, n)
+    expected = whole_group_signature_table(group)
+    assert list(_signature_table(group).items()) == list(expected.items())
+
+
+def test_signature_table_with_a_one_member_partner_group(monkeypatch):
+    # Conjugation fixes coordinates, so every partner group of a real table
+    # (the partners of one coset with one socle id) is a union of classes of
+    # noncentral elements, with at least p members.  A socle id of its own
+    # for a = h_0 * a^1 makes a group of one, whose gather is one index.
+    group = enumerate_quotient(DefiningVector(3, (1, -1)), 2)
+    size = len(group) // 3
+    ids, count = _socle_data(group)
+    fake = (ids[:size] + [count] + ids[size + 1 :], count + 1)
+    for module in (beauville, reference):
+        monkeypatch.setattr(module, "_socle_data", lambda g: fake)
+    mask = group.line_mask(*(j for j in range(4) if j != 1))[size : 2 * size]
+    groups = beauville._partner_groups(fake[0][size : 2 * size], compress(range(size), mask))
+    assert [g.members for g in groups if len(g.members) == 1] == [[0]]
+    table = _signature_table(group)
+    assert any(count in sig for sig in table)
+    assert list(table.items()) == list(whole_group_signature_table(group).items())
+    assert list(table.items()) == list(reference_signature_table(group).items())
 
 
 # SHA-256 of the canonical certificates of search_beauville (both strategies;

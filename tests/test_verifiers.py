@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from itertools import compress, product
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from ggs.verifiers import default_level
 from reference import (
     element_collision_scan,
     element_exponent_check,
+    pair_triple_line_check,
     power_conjugates,
     rotation_search_meets,
 )
@@ -542,6 +544,29 @@ def test_thm_b_past_the_cap_enumerates_nothing():
         "= 100000 elements: the order is 5764801; the verdict rests on the power "
         "lemma's checks"
     )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_triple_line_check_matches_pair_walk(monkeypatch, p):
+    for check in (verifiers._triple_line_check, pair_triple_line_check):
+        assert check(_blank_certificate(), p)
+    line = quotient.coordinate_line
+    # Lines 2 and 3 (<ab> and <ab^2>) merged under one number.
+    merged = lambda a, b, q: 2 if line(a, b, q) == 3 else line(a, b, q)
+    monkeypatch.setattr(verifiers, "coordinate_line", merged)
+    for check in (verifiers._triple_line_check, pair_triple_line_check):
+        cert = _blank_certificate()
+        assert not check(cert, p)
+        assert cert.checks[0].detail.startswith(
+            "every independent coordinate pair has a member on an ab^i line; failed"
+        )
+
+
+def test_thm_b_at_large_p_reads_each_point_once():
+    started = time.perf_counter()
+    cert = verify_claim("thm-B", DefiningVector(61, (1,) + (0,) * 59), 2)
+    assert cert.verdict == "verified"
+    assert time.perf_counter() - started < 2.0  # the pair walk takes about 10 s
 
 
 def test_symmetric_vectors_past_the_budget_rest_on_the_lemma():
