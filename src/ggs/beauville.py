@@ -31,6 +31,7 @@ from .generators import BudgetExceeded, make_a, make_b
 from .portrait import Portrait, PsiDecomposition, TreeShape, assemble, commutator, tree_shape
 from .quotient import (
     QuotientGroup,
+    Run,
     SubgroupHandle,
     coordinate_line,
     map_power_classes,
@@ -171,10 +172,11 @@ def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
 # -- socle-orbit signatures ----------------------------------------------------
 
 
-def _socles(shape: TreeShape, rows: bytes, perm: Sequence[int]) -> list[bytes | None]:
-    """Labels of the last nontrivial p-power of each member of a power class
-    (a generator of the order-p subgroup of <x>), None for the identity."""
-    exps, levels = p_power_chains(shape, rows, perm)
+def _socles(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[bytes | None]:
+    """Labels of the last nontrivial p-power of each member of runs of
+    power classes (a generator of the order-p subgroup of <x>), None for
+    the identity."""
+    exps, levels = p_power_chains(shape, rows, runs)
     return [levels[e - 1][j] if e else None for j, e in enumerate(exps)]
 
 

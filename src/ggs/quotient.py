@@ -5,11 +5,12 @@ depth-n tree.  It splits as G_n = <a> x| H with H = st(1)/st(n).  The last
 layer L = (st(n-1) & st(1))/st(n) is an F_p-space: left multiplication by
 its elements only adds labels at depth n-1.  So the enumeration
 (_walk_queue) walks H modulo st(n-1), spans L from the Schreier generators,
-writes H one translate of L at a time, and reads off the other p - 1 cosets
-h*a^r with no product.  Exponent-sum coordinates are carried along; for
-n >= 2 they map G onto G/G' = C_p x C_p, so the derived subgroup, the p + 1
-maximal subgroups and generation are all read off them (lines()), and the
-Frattini subgroup G'G^p equals G'.
+writes H one translate of L at a time, and copies the other p - 1 cosets
+h*a^r from it with the root label rewritten, with no product and no sum.
+Exponent-sum coordinates are carried along; for n >= 2 they map G onto
+G/G' = C_p x C_p, so the derived subgroup, the p + 1 maximal subgroups and
+generation are all read off them (lines()), and the Frattini subgroup G'G^p
+equals G'.
 
 The walk stores rows, not objects: one buffer of label rows, m bytes per
 element (m internal vertices), one of vertex permutations, m bytes per
@@ -21,7 +22,9 @@ moved vertices plus one constant row: one kernel, _moved, serves the left
 products, the conjugation tables and the subgroup walks.  The scans over
 every element (orders, powers, socles, conjugation tables, class members)
 read these rows, and an identity that is affine on each class is decided
-on an affine basis of it (affine_suspects).  The label keys (one bytes object per
+on an affine basis of it (affine_suspects), with one call of the p-power
+kernel (p_power_chains) on the bases of every class, each class one run of
+rows sharing a permutation.  The label keys (one bytes object per
 element) and the element index are derived from the rows on the first
 lookup, and the interned Portrait elements on the first read of
 `elements`, or one at a time through `element`.  The order formula and the
@@ -31,8 +34,8 @@ element budget it guards live in generators.
 from __future__ import annotations
 
 from array import array
-from functools import cached_property, lru_cache, reduce as fold, wraps
-from itertools import chain, compress, count, repeat
+from functools import cached_property, lru_cache, partial, reduce as fold, wraps
+from itertools import accumulate, chain, compress, count, cycle, repeat
 from operator import add, attrgetter, not_, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, cast
@@ -266,54 +269,75 @@ def _plus(rows: bytes, row: bytes, reduce: bytes) -> bytes:
 # Byte j of a column OR becomes 1 when element j has a nonzero label.
 _NONZERO = bytes([0]) + bytes([1]) * 255
 
+# A run of a batch: its vertex permutation and how many consecutive rows
+# share it.
+Run = tuple[Sequence[int], int]
 
-def _sum_mod(terms: Iterable[int], width: int, reduce: bytes, room: int) -> bytes:
-    """Sum mod p of label columns given as integers; up to room of them
-    (room * (p - 1) <= 255) are added before each reduction."""
-    total, count = 0, 0
-    for term in terms:
-        if count == room:
-            total = int.from_bytes(total.to_bytes(width, "little").translate(reduce), "little")
-            count = 1
-        total += term
-        count += 1
-    return total.to_bytes(width, "little").translate(reduce)
+
+def _slot_ints(columns: bytes, cuts: Sequence[slice]) -> list[int]:
+    """The slots of concatenated columns, each read as one integer."""
+    return list(map(int.from_bytes, map(columns.__getitem__, cuts), repeat("little")))
+
+
+def _slot_bytes(ints: Iterable[int], widths: Iterable[int], reduce: bytes) -> bytes:
+    """The slots written back as concatenated columns, each byte mod p."""
+    return b"".join(map(int.to_bytes, ints, widths, repeat("little"))).translate(reduce)
 
 
 def p_power_chains(
-    shape: TreeShape, rows: bytes, perm: Sequence[int]
+    shape: TreeShape, rows: bytes, runs: Sequence[Run]
 ) -> tuple[bytes, list[list[bytes]]]:
     """The p-power chains x, x^p, ..., x^(p^(n-1)) of a batch of elements
-    that share their labels above the last level, and so one vertex
-    permutation perm; rows holds their labels, concatenated.
+    given as runs: consecutive rows that share their labels above the last
+    level, and so one vertex permutation.  rows holds their labels,
+    concatenated, and runs lists each run's (permutation, row count).
 
     Returns the order exponents (the order of member j is p^exps[j]) and,
     for i = 0..n-1, the labels of every x^(p^i).  With x^(j+1) = x^j * x
     and pi_(x^j) = pi^j, label column k of x^p is the sum of the columns
     pi^j(k) for j < p, and every member's x^p shares the permutation pi^p.
+
+    Each level is read as slots, one integer per column of each run: slot
+    k*R + r is column k of run r (R runs).  The slot permutation
+    sigma(k*R + r) = pi_r(k)*R + r serves every run at once, so a level's
+    sums are p - 1 passes of one map(add) over the slots, the j-th read
+    through sigma^j, and its labels are written back with one join and
+    one translate.
     """
     p, m, reduce = shape.p, shape.internal_count, shape.reduce
-    width = len(rows) // m
-    room = 255 // (p - 1)
+    width, counts, perms = len(rows) // m, [c for _, c in runs], [perm for perm, _ in runs]
+    room = 255 // (p - 1)  # terms summed before each reduction
+    # Where each slot lies in the columns, and its width.
+    starts = list(accumulate(counts, initial=0))[:-1]
+    offsets = [k * width + s for k in range(m) for s in starts]
+    cuts = list(map(slice, offsets, map(add, offsets, cycle(counts))))
+    widths = counts * m
+    sigma = [v * len(runs) + r for column in zip(*perms) for r, v in enumerate(column)]
+    by_column = [slice(k * len(runs), (k + 1) * len(runs)) for k in range(m)]
+    columns = b"".join(_columns(rows, m))
     exps = 0
     levels: list[list[bytes]] = []
     for _ in range(shape.n):
-        ints = [int.from_bytes(c, "little") for c in _columns(rows, m)]
-        live = fold(or_, ints).to_bytes(width, "little")
+        ints = _slot_ints(columns, cuts)
+        live_ints = fold(partial(map, or_), map(ints.__getitem__, by_column))
+        live = b"".join(map(int.to_bytes, live_ints, counts, repeat("little")))
         if not any(live):
             break
+        if levels:
+            rows = _rows([columns[k * width : (k + 1) * width] for k in range(m)], width)
         levels.append(list(_split(rows, m)))
         exps += int.from_bytes(live.translate(_NONZERO), "little")
-        orbits = [range(m)]  # orbits[j][k] = pi^j(k)
-        for _ in range(p):
-            orbits.append([perm[k] for k in orbits[-1]])
-        perm = orbits.pop()
-        rows = _rows(
-            [_sum_mod((ints[o[k]] for o in orbits), width, reduce, room) for k in range(m)],
-            width,
-        )
+        total, power = ints, sigma
+        held = 1  # terms in total since its last reduction
+        for _ in range(p - 1):
+            if held == room:
+                total, held = _slot_ints(_slot_bytes(total, widths, reduce), cuts), 1
+            total = list(map(add, total, map(ints.__getitem__, power)))
+            power = list(map(sigma.__getitem__, power))
+            held += 1
+        columns, sigma = _slot_bytes(total, widths, reduce), power
     else:
-        if any(rows):
+        if any(columns):
             raise RuntimeError("order exceeded the exponent bound of the tree")
     zero = [shape.zero_labels] * width
     levels += [zero] * (shape.n - len(levels))
@@ -321,7 +345,7 @@ def p_power_chains(
 
 
 def map_power_classes(
-    fn: Callable[[TreeShape, bytes, Sequence[int]], list[R]],
+    fn: Callable[[TreeShape, bytes, Sequence[Run]], list[R]],
     group: "QuotientGroup",
     mask: bytes | None = None,
 ) -> list[R]:
@@ -331,9 +355,11 @@ def map_power_classes(
 
     A power class, the elements sharing their labels above the last level
     and so one vertex permutation, is a run of group.class_size elements.
-    fn takes the rows of a class's selected members and that permutation,
-    as p_power_chains does, and returns one result per row.  Classes with
-    no selected member are skipped.
+    fn takes the rows of a class's selected members and the class as one
+    run, as p_power_chains does, and returns one result per row.  Classes
+    with no selected member are skipped.  fn runs once per class, not once
+    over the group: a class is wide, and one call over all classes would
+    hold every level of the chains of every element at once.
     """
     rows, size, m = group.rows, group.class_size, group.shape.internal_count
     mask = bytes([1]) * len(group) if mask is None else mask
@@ -342,7 +368,7 @@ def map_power_classes(
         block, chosen = rows[i * m : (i + size) * m], mask[i : i + size]
         if 0 in chosen:
             block = b"".join(compress(_split(block, m), chosen))
-        return fn(group.shape, block, group._perm_row(i))
+        return fn(group.shape, block, [(group._perm_row(i), len(block) // m)])
 
     starts = [i for i in range(0, len(group), size) if mask.find(1, i, i + size) >= 0]
     return list(chain.from_iterable(pmap(run, starts)))
@@ -363,7 +389,7 @@ def _layer_span(
 
 
 def affine_suspects(
-    fn: Callable[[TreeShape, bytes, Sequence[int]], list[R]],
+    fn: Callable[[TreeShape, bytes, Sequence[Run]], list[R]],
     passes: Callable[[int, R], bool],
     group: "QuotientGroup",
     mask: bytes | None = None,
@@ -388,7 +414,8 @@ def affine_suspects(
     and on q0 + k_t*b_t for each basis vector b_t of L (at span offset
     p^t), with k_t the least of 1..p-1 that gives a selected member.  The
     class stays in the mask when the premise fails, no such basis is
-    selected, or passes fails on a basis member.
+    selected, or passes fails on a basis member.  fn runs once, on the
+    bases of every class that passes the premise, each class one run.
     """
     shape, rows, size = group.shape, group.rows, group.class_size
     p, m = shape.p, shape.internal_count
@@ -396,6 +423,7 @@ def affine_suspects(
     b_coords, shifts = group.coords[1], _add_tables(p)
     mask = bytes([1]) * len(group) if mask is None else mask
     suspects = bytearray(len(group))
+    bases: list[tuple[int, list[int]]] = []  # (class start, basis) where the premise holds
     for i in range(0, len(group), size):
         q0 = mask.find(1, i, i + size)
         if q0 < 0:
@@ -413,10 +441,17 @@ def affine_suspects(
             and b_coords[i : i + size] == span_coords.translate(shifts[b_coords[i]])
         )
         if sound:
-            basis = b"".join(rows[q * m : (q + 1) * m] for q in chosen)
-            sound = all(map(passes, chosen, fn(shape, basis, group._perm_row(i))))
-        if not sound:
+            bases.append((i, chosen))
+        else:
             suspects[i : i + size] = mask[i : i + size]
+    if bases:
+        d1 = len(group.layer_basis) + 1  # members of every basis
+        members = [q for _, chosen in bases for q in chosen]
+        runs = [(group._perm_row(i), d1) for i, _ in bases]
+        passed = list(map(passes, members, fn(shape, b"".join(map(group._key, members)), runs)))
+        for k, (i, _) in enumerate(bases):
+            if not all(passed[k * d1 : (k + 1) * d1]):
+                suspects[i : i + size] = mask[i : i + size]
     return bytes(suspects)
 
 
@@ -505,10 +540,12 @@ class QuotientGroup:
 
         Step 3 writes H one top at a time, its representative plus every
         vector of L (one integer sum and one translate, one shared
-        permutation), then each coset r = 1..p-1 with no product: a's one
-        nonzero label is at the root, which every vertex permutation fixes,
-        so h*a^r is h with root label r, permutation pi_(a^r) o pi_h and
-        coordinates (r, c(h)).  Index r*|H| + i holds h_i*a^r, and the
+        permutation), then each coset r = 1..p-1 with no product and no
+        sum: a's one nonzero label is at the root, which every vertex
+        permutation fixes, so h*a^r is h with root label r, permutation
+        pi_(a^r) o pi_h and coordinates (r, c(h)).  Each block of coset r is
+        a copy of the matching block of H with its root labels set to r,
+        made one block at a time.  Index r*|H| + i holds h_i*a^r, and the
         identity stays at 0.
         """
         shape, identity = self.shape, self.identity
@@ -546,13 +583,17 @@ class QuotientGroup:
         layer_basis = tuple((bytes(cut) + bytes(row[:-1]), row[-1]) for row in basis)
         span, span_coords = _layer_span(shape, layer_basis)
         shifts = _add_tables(p)
-        blocks: list[bytes] = []
+        blocks = [_plus(span, rep.labels, reduce) for rep in reps]  # H: root label 0
+        for r in range(1, p):
+            root = bytes([r]) * (len(span) // m)
+            for block in blocks[: len(reps)]:
+                copy = bytearray(block)
+                copy[::m] = root
+                blocks.append(bytes(copy))
         perms: list[bytes] = []
         for r in range(p):
             a_r = _vertex_table((self.a**r).vertex_perm())
-            for rep in reps:
-                perms.append(bytes(rep.vertex_perm()).translate(a_r))
-                blocks.append(_plus(span, bytes([r]) + rep.labels[1:], reduce))
+            perms += (bytes(rep.vertex_perm()).translate(a_r) for rep in reps)
         a_coords = b"".join(bytes([r]) * (order // p) for r in range(p))
         b_coords = b"".join(span_coords.translate(shifts[c]) for c in rep_coords) * p
         coords = (a_coords, b_coords) if consistent else None

@@ -56,6 +56,7 @@ from .parallel import pmap
 from .portrait import Portrait, TreeShape, commutator, tree_shape
 from .quotient import (
     QuotientGroup,
+    Run,
     SubgroupHandle,
     affine_suspects,
     coordinate_line,
@@ -168,18 +169,19 @@ def _orders_of(shape: TreeShape, exps: bytes) -> list[int]:
     return list(map([shape.p**k for k in range(shape.n + 1)].__getitem__, exps))
 
 
-def _orders(shape: TreeShape, rows: bytes, perm: Sequence[int]) -> list[int]:
-    """Orders of a power class, from its batched p-power chains."""
-    exps, _ = p_power_chains(shape, rows, perm)
+def _orders(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[int]:
+    """Orders of the members of runs of power classes, from their batched
+    p-power chains."""
+    exps, _ = p_power_chains(shape, rows, runs)
     return _orders_of(shape, exps)
 
 
 def _orders_and_tops(
-    shape: TreeShape, rows: bytes, perm: Sequence[int]
+    shape: TreeShape, rows: bytes, runs: Sequence[Run]
 ) -> list[tuple[int, bytes]]:
-    """Order of each x of a power class and the labels of x^(p^(n-1)),
-    equal labels sharing one bytes object."""
-    exps, levels = p_power_chains(shape, rows, perm)
+    """Order of each x of runs of power classes and the labels of
+    x^(p^(n-1)), equal labels sharing one bytes object."""
+    exps, levels = p_power_chains(shape, rows, runs)
     tops: dict[bytes, bytes] = {}
     return list(zip(_orders_of(shape, exps), map(tops.setdefault, levels[-1], levels[-1])))
 

@@ -233,7 +233,7 @@ def test_conjugation_tables_are_permutations(p, e, n):
 def test_power_chains_match_p_powers(p, n, data):
     batch = data.draw(power_classes(p, n))
     exps, levels = p_power_chains(
-        batch[0].shape, b"".join(x.labels for x in batch), batch[0].vertex_perm()
+        batch[0].shape, b"".join(x.labels for x in batch), [(batch[0].vertex_perm(), len(batch))]
     )
     assert len(exps) == len(batch) and len(levels) == n
     for j, x in enumerate(batch):
@@ -245,6 +245,48 @@ def test_power_chains_match_p_powers(p, n, data):
         # as in test_order_and_p_powers_match_naive_order
         order = naive_order(x) if p**n <= 3**5 else leaf_cycle_order(x)
         assert p ** exps[j] == order
+
+
+def many_power_classes(p: int, n: int) -> st.SearchStrategy[list[list[Portrait]]]:
+    """1 to 8 power classes with distinct permutations (labels above the
+    last level), each of 1 to 6 members.  A depth-1 tree has one class.
+    Labels above the last level are 0 about half the time: at depth 2 the
+    sum over an orbit only tells a zero root label from a nonzero one."""
+    shape = tree_shape(p, n)
+    cut, m = shape.level_starts[n - 1], shape.internal_count
+    labels = st.integers(0, p - 1)
+    top = st.lists(st.just(0) | labels, min_size=cut, max_size=cut)
+    tops = st.lists(top, min_size=1, max_size=8, unique_by=tuple)
+    last = st.lists(labels, min_size=m - cut, max_size=m - cut)
+
+    def members(head: list[int]) -> st.SearchStrategy[list[Portrait]]:
+        return st.lists(last.map(lambda tail: Portrait(shape, head + tail)), min_size=1, max_size=6)
+
+    return tops.flatmap(lambda heads: st.tuples(*map(members, heads)).map(list))
+
+
+@pytest.mark.parametrize("p,n", BATCH_SHAPES)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_power_chains_of_many_runs_match_one_run_at_a_time(p, n, data):
+    # At (127, 2) each sum over an orbit is reduced midway (room = 2).
+    classes = data.draw(many_power_classes(p, n))
+    shape = classes[0][0].shape
+    members = [x for xs in classes for x in xs]
+    runs = [(xs[0].vertex_perm(), len(xs)) for xs in classes]
+    exps, levels = p_power_chains(shape, b"".join(x.labels for x in members), runs)
+    singles = [
+        p_power_chains(shape, b"".join(x.labels for x in xs), [run])
+        for xs, run in zip(classes, runs)
+    ]
+    assert exps == b"".join(e for e, _ in singles)
+    assert levels == [sum((ls[i] for _, ls in singles), []) for i in range(n)]
+    for j, x in enumerate(members):
+        chain = x.p_powers()
+        assert exps[j] == len(chain) - 1
+        expected = [g.labels for g in chain[:-1]]
+        expected += [shape.zero_labels] * (n - len(expected))
+        assert [level[j] for level in levels] == expected
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in (2, 3)])
@@ -267,7 +309,7 @@ def test_power_chains_are_affine_on_the_last_layer(p, n, data):
         return bytes((x - y) % p for x, y in zip(r, s))
 
     members = [x.labels, plus(x.labels, u), plus(x.labels, v), plus(x.labels, u, v)]
-    _, levels = p_power_chains(shape, b"".join(members), x.vertex_perm())
+    _, levels = p_power_chains(shape, b"".join(members), [(x.vertex_perm(), len(members))])
     for fx, fu, fv, fuv in levels:
         assert minus(fuv, fv) == minus(fu, fx)
 
@@ -280,7 +322,7 @@ def test_power_chains_of_a_whole_quotient():
         classes.setdefault(x.labels[:cut], []).append(x)
     for batch in classes.values():
         exps, _ = p_power_chains(
-            group.shape, b"".join(x.labels for x in batch), batch[0].vertex_perm()
+            group.shape, b"".join(x.labels for x in batch), [(batch[0].vertex_perm(), len(batch))]
         )
         assert [group.shape.p**e for e in exps] == [naive_order(x) for x in batch]
 

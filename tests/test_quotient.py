@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import random
 import weakref
@@ -174,6 +175,40 @@ def _assert_matches_queue_walk(v: DefiningVector, n: int):
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
 def test_walk_matches_queue_walk(p, e, n):
     _assert_matches_queue_walk(DefiningVector(p, e), n)
+
+
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_cosets_of_st1_are_h_with_the_root_label_set(p, e, n):
+    # Index r*|H| + i holds h_i * a^r: the labels of h_i with root label r.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    m, size = group.shape.internal_count, len(group) // p
+    head = group.rows[: size * m]
+    assert not any(head[::m])
+    for r in range(1, p):
+        coset = bytearray(head)
+        coset[::m] = bytes([r]) * size
+        assert group.rows[r * size * m : (r + 1) * size * m] == coset
+
+
+# SHA-256 digests of the label rows and the permutation rows: fixed bytes,
+# whichever way the walk writes the cosets of st(1).
+ROW_DIGESTS = {
+    (3, (1, 0), 3): (
+        "93d5c636718d09d7bceacef2ca5e32de68dc7410e536efa7886af20e562090a2",
+        "2e25b6753d5e656bdfc1ac935e6f3d972f711b0cc0f49b33a8931aabc455c618",
+    ),
+    (7, (1, 6, 1, 6, 1, 6), 2): (
+        "8496c7ce1c38c8f4037fb7fb5efb097b1681f0f5630e4f915875008684690556",
+        "904b801ed9d4c9fb34215719efe67aa6bc04048d4fe92a421502f91cca39d327",
+    ),
+}
+
+
+@pytest.mark.parametrize("p,e,n", list(ROW_DIGESTS))
+def test_rows_match_their_pinned_digests(p, e, n):
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    digests = (hashlib.sha256(group.rows).hexdigest(), hashlib.sha256(group._perms).hexdigest())
+    assert digests == ROW_DIGESTS[p, e, n]
 
 
 @settings(max_examples=15, deadline=None)
@@ -352,15 +387,17 @@ def test_conjugation_by_a_is_read_off_st1(p, e, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_map_power_classes_follows_the_mask(e10, n):
-    # fn sees the selected rows of each class that has one, with the class's
-    # permutation; the results come back in enumeration order.
+    # fn sees the selected rows of each class that has one, as one run with
+    # the class's permutation; the results come back in enumeration order.
     group = enumerate_quotient(e10, n)
     m = group.shape.internal_count
     calls = []
 
-    def rows_of(shape, rows, perm):
+    def rows_of(shape, rows, runs):
         members = [rows[i : i + m] for i in range(0, len(rows), m)]
         calls.append(members)
+        ((perm, width),) = runs  # one call per class, the class as one run
+        assert width == len(members)
         assert all(Portrait(shape, x).vertex_perm() == tuple(perm) for x in members)
         return members
 

@@ -416,6 +416,21 @@ def test_collision_scan_runs_chains_on_an_affine_basis_of_each_class(e10, monkey
     assert sum(rows) <= 36 * 7
 
 
+def test_collision_scan_makes_one_chain_call_over_every_basis(e10, monkeypatch):
+    # e=(1,0), n=3: the 36 bases of 7 members each go to the kernel as 36
+    # runs of one call, and no class is left for the full scan.
+    calls = []
+    chains = verifiers.p_power_chains
+
+    def recorded(shape, batch, runs):
+        calls.append((len(batch) // shape.internal_count, [width for _, width in runs]))
+        return chains(shape, batch, runs)
+
+    monkeypatch.setattr(verifiers, "p_power_chains", recorded)
+    assert verify_claim("prop-collision", e10, 3).verified
+    assert calls == [(36 * 7, [7] * 36)]
+
+
 def test_scans_build_no_per_element_objects(e10, gs, monkeypatch):
     """The collision scan, the centre battery and the Sigma sets read the
     label and permutation rows; none builds the tuple of Portrait elements."""
