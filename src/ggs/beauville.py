@@ -181,13 +181,20 @@ def _socles(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[bytes | 
 
 
 @stage
+def _class_index(group: QuotientGroup) -> dict[bytes, int]:
+    """The index of each element's conjugacy class, classes in order of
+    first appearance, by label key."""
+    return {y.labels: c for c, cls in enumerate(group.conjugacy_classes()) for y in cls}
+
+
+@stage
 def _socle_data(group: QuotientGroup) -> tuple[list[int], int]:
     """The id of the conjugation orbit of each element's socle subgroup, in
     enumeration order (0 at the identity, whose id is never read).  An orbit
     is named by the least class index among the powers of a socle, and the
     names are numbered densely in order of first appearance."""
     classes = group.conjugacy_classes()
-    class_of = {y.labels: c for c, cls in enumerate(classes) for y in cls}
+    class_of = _class_index(group)
     dense: dict[int, int] = {}  # orbit name -> id
     orbit_of: dict[int, int] = {}  # socle class -> id
     ids: list[int] = []
@@ -271,15 +278,29 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     against every element covers every generating pair up to simultaneous
     conjugation, which realizes every signature.  Each signature maps to the
     first pair realizing it, in the order stated by TABLE_ORDER.
+
+    Of each pair of mutually inverse classes only the earlier is scanned.
+    For a pair (x', y) with x' in the inverse C^-1 of an earlier class C,
+    the pair (x'^-1, y^-1) also generates and has the same signature:
+    <x'^-1> = <x'>, <y^-1> = <y>, and x'^-1 y^-1 = (y x')^-1 with y x'
+    conjugate to x' y.  Its first member lies in C, so up to simultaneous
+    conjugation C's scan, complete and earlier, already met that signature,
+    and the scan of C^-1 would add nothing to the table.  In a group of odd
+    order no nontrivial class is its own inverse, so this halves the scan.
     """
     ids, _ = _socle_data(group)
+    class_of = _class_index(group)
+    reps = [
+        rep
+        for c, rep in enumerate(map(min, group.conjugacy_classes()))
+        if class_of[rep.inverse().labels] >= c
+    ]
     elements = group.elements
     table: dict[frozenset[int], list[str]] = {}
     if group.coords is None:
         # Level 1: the coordinates do not decide generation, and members of a
         # generating triple may be the identity.
-        for cls in group.conjugacy_classes():
-            rep = min(cls)
+        for rep in reps:
             for y in elements:
                 if group.is_generating_pair(rep, y):
                     sig = triple_signature(group, GeneratingTriple(rep, y, rep * y))
@@ -312,8 +333,7 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     js = list(range(size))  # one int object per j, shared by every group
     groups_of: dict[int, list[list[_PartnerGroup]]] = {}
     tabled: set[tuple[int, int, int]] = set()  # keys (s_x, s_y, s_xy) of table signatures
-    for cls in group.conjugacy_classes():
-        rep = min(cls)
+    for rep in reps:
         line = coordinate_line(*group.coords_of(rep), p)
         if line == p + 1:
             continue  # a Frattini element lies in no generating pair

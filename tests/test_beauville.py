@@ -330,6 +330,39 @@ def test_partner_group_table_items_match_whole_group_table(data):
     assert list(_signature_table(group).items()) == list(expected.items())
 
 
+@pytest.mark.parametrize(
+    "p, e, n, scanned, generating",
+    [
+        (5, (1, 4, 1, 4), 2, 60, 120),
+        (3, (1, 0), 3, 50, 100),
+    ],
+)
+def test_signature_table_scans_one_class_of_each_inverse_pair(
+    monkeypatch, p, e, n, scanned, generating
+):
+    # Each scanned representative forms its products once (left_products),
+    # and only the earlier class of each inverse pair is scanned: half of
+    # the classes off the Frattini subgroup.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    classes = group.conjugacy_classes()
+    lines = [quotient.coordinate_line(*group.coords_of(cls[0]), p) for cls in classes]
+    assert sum(line != p + 1 for line in lines) == generating
+    left_products = quotient.QuotientGroup.left_products
+    reps = []
+
+    def counted(self, x, stop=None):
+        reps.append(x)
+        return left_products(self, x, stop)
+
+    monkeypatch.setattr(quotient.QuotientGroup, "left_products", counted)
+    table = _signature_table(group)
+    monkeypatch.undo()
+    assert len(reps) == scanned
+    class_of = {y.labels: c for c, cls in enumerate(classes) for y in cls}
+    assert all(class_of[x.labels] < class_of[x.inverse().labels] for x in reps)
+    assert list(table.items()) == list(whole_group_signature_table(group).items())
+
+
 def test_signature_table_with_a_one_member_partner_group(monkeypatch):
     # Conjugation fixes coordinates, so every partner group of a real table
     # (the partners of one coset with one socle id) is a union of classes of

@@ -39,6 +39,7 @@ EXTRA = (
     ("thm-B", 5, (1, 2, 0, 0), 3),
     ("thm-G2", 5, (2, 3, 2, 3), 2),
     ("thm-A", 7, (1, 6, 1, 6, 1, 6), 4),
+    ("thm-G2", 7, (4, 6, 3, 6, 5, 4), 2),
 )
 
 
@@ -57,7 +58,7 @@ def _parse(path: Path) -> tuple[str, int, tuple[int, ...], int]:
 
 
 def test_golden_set_is_complete():
-    assert len(_golden_files()) == 38
+    assert len(_golden_files()) == 39
 
 
 @pytest.mark.parametrize("path", _golden_files(), ids=lambda path: path.stem)

@@ -788,6 +788,20 @@ def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, stride):
 
 
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_no_nontrivial_class_is_its_own_inverse(p, e, n):
+    # In a group of odd order x is conjugate to x^-1 only when x = 1
+    # (Burnside): the inverses of a class form another class.  The
+    # signature table scans one class of each inverse pair on this fact.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    classes = group.conjugacy_classes()
+    keys = [frozenset(x.labels for x in cls) for cls in classes]
+    assert keys[0] == {group.identity.labels}
+    for cls, members in zip(classes[1:], keys[1:]):
+        inverses = frozenset(x.inverse().labels for x in cls)
+        assert inverses in keys[1:] and inverses != members
+
+
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
 def test_walks_map_each_power_class_once(p, e, n):
     # Each step maps a power class the first time the walk reaches it, and
     # never again: a walk that reaches only 1 maps one class per step.
