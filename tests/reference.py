@@ -18,8 +18,9 @@ the conjugates of the power subgroups <(ab^j)^p> are walked on depth-3
 portraits under conjugation by a and b and met by a search over every
 (k, r) rotation of their depth-2 blocks rather than one valuation, and the
 collision and exponent scans test every element rather than an affine basis
-of each power class, and the triple-line check walks every pair of nonzero
-coordinates rather than one point at a time.
+of each power class, the triple-line check walks every pair of nonzero
+coordinates rather than one point at a time, and the commutators [x, g] are
+formed for every element g rather than read off the conjugacy class of x.
 """
 from __future__ import annotations
 
@@ -153,6 +154,11 @@ def brute_sigma(group: QuotientGroup, x: Portrait, y: Portrait) -> frozenset[byt
     for z in (x, y, x * y):
         out |= brute_conjugates_of_powers(group, z)
     return frozenset(out)
+
+
+def commutator_scan(group: QuotientGroup, x: Portrait) -> frozenset[bytes]:
+    """The label keys of the commutators [x, g], one formed for every element g."""
+    return frozenset(commutator(x, g).labels for g in group.elements)
 
 
 def brute_classes(group: QuotientGroup) -> list[frozenset[bytes]]:

@@ -388,42 +388,42 @@ def test_signature_table_with_a_one_member_partner_group(monkeypatch):
 # the triples of (a, b) and (ab, b), which no golden file covers.
 PINNED_SEARCHES = {
     (5, (1, 2, 3, 4), 1): {
-        "exhaustive": "31f94811241eb46e10e71f4f2b0a907d9f8f692bb5ee8c77509df4d56c0f6048",
-        "pruned": "6d4ded04b3a138f9e9fa92bfefe464f7d13deb9faaf99652a8e6380c3337e1cd",
-        "pair": "9b6a11ceaa0837a551188fa509704d2a1216abbe3d5e8884cb92b06ad516468c",
+        "exhaustive": "34019b6072d20038735b7b7aec59cd9c0d2dfca38493884adc27244fcd5dc97a",
+        "pruned": "51d986eb5ecda2be766d8d645aef81ff3f203bb254b18684fa550b3e9e5111a6",
+        "pair": "2c4e0cda21906c3f8dd8cea24c2d9a9308214c9bd3b344f6cb68c15013928c9d",
     },
     (5, (1, 2, 3, 4), 2): {
-        "exhaustive": "2f3c8d1cd526e39aa0a23cd69684102a7061d3109aaf42fdf36c440a06784b9d",
-        "pruned": "491a170b16e8c6a2144ec1fc3531dabf9bb5b2b89c263daf15e242f498732ead",
-        "pair": "4fc95e8bebddc07759863a4cef3bbd9ea7ea37227e5bf80cfb55cb71d383a043",
+        "exhaustive": "8a92495e79a21678a66775e374d479544f681a89e8dce33de9d6d1f06495a880",
+        "pruned": "805831a1a283983569484b050decc880f34c99253ecf88557ed4c8edc755402b",
+        "pair": "04ba23c98bcd9cbc69f769ef434a89861b5f401df4d4e75281d616cca9c1812d",
     },
     (7, (1, 2, 3, 4, 5, 6), 2): {
-        "exhaustive": "19accaa93667d7ad1572ac23a320ef5a216f51ed59c6a7df67ae91ffcea48f8f",
-        "pruned": "a764bbed31a1449a5de5c3bcb11cced998c6545b8da090bd842542768a7b6de9",
-        "pair": "26fcb08c3da20fbafccf1f4481169a570b16664774f11feb1b34a5c0a53b94cb",
+        "exhaustive": "acabfa266af38a42f7500329d0a73308f6fccc87beb0184a9f7c96744eb63132",
+        "pruned": "3e13baf838180bdcc86eff45d2c9fbb294563ff46b4b8bb607a6bdad30873178",
+        "pair": "a29c40a7e9683fc96dde3963266afc349ad1c688c67d5fb432d49d33e13004fd",
     },
     (3, (1, 2), 2): {
-        "exhaustive": "8e078fe6af87bda49d0234afd6544b227f04a517c97c0245e5cfda9f25251a77",
-        "pruned": "98821facde83b69e0d3df31b51c53d48d40b4dfa9e239737ef57428c4c4941e2",
-        "pair": "899667d34809b0ece0e029fc6c0ce4c4ada06b0ed03e3e8f9fa93f59fd8a82e8",
+        "exhaustive": "6f215a887678a8a8c54561bae491247fefed4e28db72b7a01626d4cfd2d55b66",
+        "pruned": "0c8d048958b4d7bfb481c73b61f80fcbd178e053af28ce0ed42c861ca10d9078",
+        "pair": "9f0dd7bf58a10b67a92287ae1584f94633ecd967c363fd18dcb884a095e45c12",
     },
     (3, (1, 0), 1): {
-        "exhaustive": "77ced932a46b72b4ba591a754961de3d51032e2c9aa9804f21c67d9353b94603",
-        "pruned": "78c494c130ffe9be572732c8623b4ccd6abd56255037073799c9030b78d9a702",
-        "pair": "0abf20f2baf4898df5dccbd63ab4857ac29950a860f68ab01de5d8ca9061f7b1",
+        "exhaustive": "8d3b9033850e7da208efa882cae9f7a74e4eed574541ebe3bebb6bb25d17468b",
+        "pruned": "09627b7354a7dc48bf8a44f91937162536165b47d42423026923cce4a50a5541",
+        "pair": "17622ce62a78204d55e9217774d09c5ec291068889f8c79f08cfc79bfefd2854",
     },
     (3, (1, 0), 2): {
-        "exhaustive": "a551a8a5da1a2088d807db59636bad589896995f51db5c971989a3c3149e5aa5",
-        "pruned": "8439cac2868ceed47131af1dc5857f036d0c68fc011307e6a0afc9198eae3336",
-        "pair": "9db67d7e25dc88b841f926a324cf4c8cb0ca7a86f8994242dfd66186f1d7be1f",
+        "exhaustive": "1b504c7fbc3cbb955e7a71e7bcb0b693c7f1012dacd653d530413fc3bbf88d31",
+        "pruned": "51460c73baa8a423e0cbc17ce1eb65d85fe962760a6987858a46e08a174228fa",
+        "pair": "a30ace7e82b150993c62cdd23ddc368eb4a6fd7b4da61f450894a87d7d7d2f5f",
     },
     (5, (1, 4, 1, 4), 2): {
-        "pruned": "9438ca054968cd7338f6c3ad660b2c479bdfd512ce220a4b9e5f1a7564831d1b",
-        "pair": "9a4e25d987c9825c33af57fe942a268e92412e1caf5bd427297e25f52e7a382d",
+        "pruned": "11f9c0ebd6aa885f86599c9a62c84d5f4f24958024cb748a4cef4b4e0b013566",
+        "pair": "54098b96a0ef428d823fb98a0d85a1a2f6b8c66b4a6d10e82acdb954c2f82487",
     },
     (3, (1, 2), 3): {
-        "pruned": "6b93213eeffddd8f2580e885da300f62058206c8ca72712008512e4ec5a2e9e1",
-        "pair": "ae2f23efd8c83e7e4d0337d37b0bfba5f1c74b7f75a2e4817d74db281c69ad64",
+        "pruned": "21bce712d49e2a6d4494791ddcaf1df7e61e0102b895c27864e2f69c276b5a6a",
+        "pair": "66d452c2bb1fc2fe2b5d490c2b30edd1a0aff36c55a2257b349ec936bb4dbd3a",
     },
 }
 

@@ -17,6 +17,7 @@ from ggs import (
     DefiningVector,
     GeneratingTriple,
     Portrait,
+    build_special_elements,
     enumerate_quotient,
     is_beauville_pair,
     predicted_order,
@@ -32,6 +33,7 @@ from ggs.portrait import tree_shape
 from ggs.verifiers import default_level
 
 from reference import (
+    commutator_scan,
     element_collision_scan,
     element_exponent_check,
     pair_triple_line_check,
@@ -101,6 +103,37 @@ def test_gupta_sidki_lemmas(gs, e10):
             verify_claim(claim, gs, 2)
 
 
+@pytest.mark.parametrize("e", [(1, 2), (2, 1)])
+def test_commutator_lemmas_match_the_scan(e):
+    # Both p = 3 periodic vectors; x = a has central commutators, x = b none.
+    v = DefiningVector(3, e)
+    group = enumerate_quotient(v, 3)
+    center = [z for z in group.center() if not z.is_identity()]
+    for x, central in ((group.a, 2), (group.b, 0)):
+        scanned = commutator_scan(group, x)
+        assert verifiers._commutator_hits(group, x, group.elements) == sorted(scanned)
+        hits = verifiers._commutator_hits(group, x, center)
+        assert hits == sorted(scanned & {z.labels for z in center})
+        assert len(hits) == central
+    assert build_special_elements(group).v.labels not in commutator_scan(group, group.a)
+    for claim in ("lemma-comms-a", "lemma-comms-b"):
+        assert verify_claim(claim, v, 3).verified, claim
+
+
+def test_central_commutator_is_the_least_hit(monkeypatch, gs, gs_g3):
+    # lemma-comms-b run on a in place of b: both nontrivial central elements
+    # are commutators [a, g], and the witness is the label-least of them.
+    hits = verifiers._commutator_hits
+    monkeypatch.setattr(
+        verifiers, "_commutator_hits", lambda group, x, zs: hits(group, group.a, zs)
+    )
+    cert = verify_claim("lemma-comms-b", gs, 3)
+    assert cert.verdict == "refuted"
+    assert cert.checks[0].detail.endswith("; 2 of the 2 nontrivial central z do")
+    central = commutator_scan(gs_g3, gs_g3.a) & gs_g3.center().keys - {gs_g3.identity.labels}
+    assert cert.witnesses["central_commutator"] == gs_g3.element(min(central)).encode()
+
+
 def test_prop_key(gs):
     with pytest.raises(ValueError):
         verify_claim("prop-key", gs, 2)  # power subgroups degenerate below n=3
@@ -111,9 +144,9 @@ def test_prop_key(gs):
         "w1_last_layer",
         "w2_last_layer",
         "offset_valuation",
-        "key_last_layer_i1_j2",
-        "key_last_layer_i2_j1",
+        "key_last_layer",
     ]
+    assert "for each of the 2 pairs (i, j)" in cert.checks[-1].detail
     assert cert.notes[0].startswith("last-layer test:")
 
 
@@ -129,7 +162,9 @@ def test_prop_key_over_budget(gs):
 def test_prop_key_is_decided_at_every_prime(p, n):
     cert = verify_claim("prop-key", DefiningVector(p, (1, p - 1) * ((p - 1) // 2)), n)
     assert cert.verdict == "verified"
-    assert sum(c.name.startswith("key_last_layer_") for c in cert.checks) == (p - 1) * (p - 2)
+    # p - 1 block checks, offset_valuation and one key_last_layer for every pair.
+    assert len(cert.checks) == p + 1
+    assert [c.name for c in cert.checks[-2:]] == ["offset_valuation", "key_last_layer"]
 
 
 def _blank_certificate() -> Certificate:
@@ -147,23 +182,26 @@ def _draw_periodic(data, primes: list[int]) -> DefiningVector:
     return DefiningVector(p, tuple(e))
 
 
+def _key_passes(v: DefiningVector, i: int, j: int) -> bool:
+    """key_last_layer on the single pair (i, j)."""
+    cert = _blank_certificate()
+    verifiers._key_last_layer_checks(cert, v, [(i, j)])
+    return {c.name: c.passed for c in cert.checks}["key_last_layer"]
+
+
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_last_layer_test_matches_the_orbit_walk(data):
     # Every (i, j), i = j included, against the depth-3 conjugation walk.
     v = _draw_periodic(data, [3, 5])
     p = v.p
-    cert = _blank_certificate()
-    pairs = [(i, j) for i in range(1, p) for j in range(1, p)]
-    verifiers._key_last_layer_checks(cert, v, pairs)
-    passed = {c.name: c.passed for c in cert.checks}
     shape = tree_shape(p, 3)
     a, b = make_a(shape), make_b(v, shape)
     for j in range(1, p):
         conjugates = power_conjugates(v, j)
         for i in range(1, p):
             meets = ((a * b**i) ** p).labels in conjugates
-            assert passed[f"key_last_layer_i{i}_j{j}"] == (not meets), (i, j)
+            assert _key_passes(v, i, j) == (not meets), (i, j)
             assert meets == (i == j)
 
 
@@ -186,7 +224,7 @@ def test_last_layer_test_agrees_with_the_rotation_search_and_the_walk(data):
         conjugates = power_conjugates(v, j) if p <= 5 else None
         for i in range(1, p):
             met = rotation_search_meets(v, i, j)
-            assert passed[f"key_last_layer_i{i}_j{j}"] == (met is None), (i, j, met)
+            assert _key_passes(v, i, j) == (met is None), (i, j, met)
             if conjugates is not None:
                 assert (((a * b**i) ** p).labels in conjugates) == (met is not None), (i, j)
 
@@ -199,8 +237,9 @@ def test_last_layer_test_finds_a_subgroup_conjugate_to_itself(p5alt):
         ("w1_last_layer", True),
         ("w2_last_layer", True),
         ("offset_valuation", True),
-        ("key_last_layer_i2_j2", False),
+        ("key_last_layer", False),
     ]
+    assert "(2, 2) has i = j mod 5" in cert.checks[-1].detail
 
 
 def _edit_power(monkeypatch, v: DefiningVector, i: int, edit) -> None:
@@ -239,7 +278,7 @@ def test_zero_offsets_fail_the_valuation_without_raising(monkeypatch, p5alt):
     cert = verify_claim("prop-key", p5alt, 3)
     assert cert.verdict == "refuted"
     failed = {c.name for c in cert.checks if not c.passed}
-    assert {"w1_last_layer", "offset_valuation", "key_last_layer_i2_j3"} <= failed
+    assert {"w1_last_layer", "offset_valuation", "key_last_layer"} <= failed
     assert "w2_last_layer" not in failed
 
 
@@ -251,8 +290,9 @@ def test_standard_pair_does_not_verify_at_p3(gs):
     assert {c.name for c in cert.checks if not c.passed} == {
         "order_x2y2_ab3",
         "w3_last_layer",
-        "key_last_layer_i2_j2",
+        "key_last_layer",
     }
+    assert cert.checks[-1].detail.endswith("; (2, 2) has i = j mod 3")
 
 
 def test_thm_a_is_refuted_when_every_rotation_lies_in_u(monkeypatch, p5alt):
@@ -260,9 +300,9 @@ def test_thm_a_is_refuted_when_every_rotation_lies_in_u(monkeypatch, p5alt):
     monkeypatch.setattr(verifiers, "_one_root_multiplicity", lambda coeffs, p: 0)
     cert = verify_claim("thm-A", p5alt, 4)
     assert cert.verdict == "refuted"
-    assert {c.name for c in cert.checks if not c.passed} == {"offset_valuation"} | {
-        f"key_last_layer_i{i}_j{j}" for i in (1, 4) for j in (2, 3)
-    }
+    assert {c.name for c in cert.checks if not c.passed} == {"offset_valuation", "key_last_layer"}
+    # Every pair has i != j mod 5: the valuation alone fails the check.
+    assert "has i = j" not in cert.checks[-1].detail
 
 
 def test_prop_collision(e10, gs):
@@ -730,10 +770,7 @@ PAIR_CHECKS = [
     "w3_last_layer",
     "w4_last_layer",
     "offset_valuation",
-    "key_last_layer_i1_j2",
-    "key_last_layer_i1_j3",
-    "key_last_layer_i4_j2",
-    "key_last_layer_i4_j3",
+    "key_last_layer",
 ]
 
 
