@@ -176,8 +176,9 @@ def _socles(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[bytes | 
     """Labels of the last nontrivial p-power of each member of runs of
     power classes (a generator of the order-p subgroup of <x>), None for
     the identity."""
+    m = shape.internal_count
     exps, levels = p_power_chains(shape, rows, runs)
-    return [levels[e - 1][j] if e else None for j, e in enumerate(exps)]
+    return [levels[e - 1][j * m : (j + 1) * m] if e else None for j, e in enumerate(exps)]
 
 
 @stage
@@ -190,24 +191,30 @@ def _class_index(group: QuotientGroup) -> dict[bytes, int]:
 @stage
 def _socle_data(group: QuotientGroup) -> tuple[list[int], int]:
     """The id of the conjugation orbit of each element's socle subgroup, in
-    enumeration order (0 at the identity, whose id is never read).  An orbit
-    is named by the least class index among the powers of a socle, and the
-    names are numbered densely in order of first appearance."""
+    enumeration order (0 at the identity, whose id is never read), and the
+    number of orbits.  Orbits are numbered densely in order of first
+    appearance.
+
+    The orbit of <s> is the classes of the powers s^k: <s>^g = <s^g>, and
+    <t> = <s> exactly when t is such a power.  Each orbit is walked once:
+    the walk of the first socle met in it gives its id to the class of
+    every power, so a later socle of any of those classes reads it."""
     classes = group.conjugacy_classes()
     class_of = _class_index(group)
-    dense: dict[int, int] = {}  # orbit name -> id
     orbit_of: dict[int, int] = {}  # socle class -> id
     ids: list[int] = []
+    count = 0
     for s in map_power_classes(_socles, group):
         if s is None:
             ids.append(0)
             continue
         c = class_of[s]
         if c not in orbit_of:
-            name = min(class_of[w.labels] for w in cyclic_powers(classes[c][0]))
-            orbit_of[c] = dense.setdefault(name, len(dense))
+            for w in cyclic_powers(classes[c][0]):
+                orbit_of[class_of[w.labels]] = count
+            count += 1
         ids.append(orbit_of[c])
-    return ids, len(dense)
+    return ids, count
 
 
 def triple_signature(group: QuotientGroup, triple: GeneratingTriple) -> frozenset[int]:
@@ -287,6 +294,16 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     conjugation C's scan, complete and earlier, already met that signature,
     and the scan of C^-1 would add nothing to the table.  In a group of odd
     order no nontrivial class is its own inverse, so this halves the scan.
+
+    From level 2 on, of each pair of cosets of st(1) that y -> (xy)^-1
+    exchanges only the earlier is read (_read_cosets).  For x = h*a^r and a
+    partner y in coset s, y' = (xy)^-1 generates with x, as <x, y'> =
+    <x, y>, and lies in coset -r-s mod p.  It has y's signature: <y'> =
+    <xy>, and xy' = (y^-1)^(x^-1) is conjugate to y^-1.  The map is an
+    involution, so cosets s and -r-s realize the same signatures, and every
+    partner of the earlier coset precedes every partner of the later one in
+    table order.  The loop reads (p+1)/2 of the p cosets: 3 of 5 at p = 5,
+    4 of 7 at p = 7.
     """
     ids, _ = _socle_data(group)
     class_of = _class_index(group)
@@ -321,37 +338,36 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     # The signature of a pair is {s_x, s_y, s_xy}, so two pairs with the
     # same key (s_y, s_xy) share it, and the first pair realizing a
     # signature is the first partner of the earliest of its keys.  Per line,
-    # the partners of each coset are grouped by s_y; per representative a
-    # group's distinct s_xy come as one set, and each key whose signature
-    # is not yet in the table records its first partner.  Inserting the
-    # records in partner order, the first of each signature kept, gives
-    # the table a scan of every partner in order would.
+    # the partners of each coset are grouped by s_y, on the first read of
+    # that coset; per representative a group's distinct s_xy come as one
+    # set, and each key whose signature is not yet in the table records its
+    # first partner.  Inserting the records in partner order, the first of
+    # each signature kept, gives the table a scan of every partner in order
+    # would.
     p, m = group.vector.p, group.shape.internal_count
     size = len(elements) // p
     position = group._index.__getitem__
     cosets = [ids[t * size : (t + 1) * size] for t in range(p)]  # h_i * a^t at i
     js = list(range(size))  # one int object per j, shared by every group
-    groups_of: dict[int, list[list[_PartnerGroup]]] = {}
+    groups_of: dict[tuple[int, int], list[_PartnerGroup]] = {}  # by (line, coset)
     tabled: set[tuple[int, int, int]] = set()  # keys (s_x, s_y, s_xy) of table signatures
     for rep in reps:
         line = coordinate_line(*group.coords_of(rep), p)
         if line == p + 1:
             continue  # a Frattini element lies in no generating pair
-        if line not in groups_of:
-            mask = group.line_mask(*(j for j in range(p + 1) if j != line))
-            groups_of[line] = [
-                _partner_groups(cosets[s], compress(js, mask[s * size : (s + 1) * size]))
-                for s in range(p)
-            ]
         rows = group.left_products(rep, size)
         rows[::m] = bytes(size)  # root labels to 0: the keys of the h_i
         at = itemgetter(*map(position, _split(rows, m)))
         r = rep.labels[0]
         sr = ids[group._position(rep.labels)]
         records = []
-        for s, groups in enumerate(groups_of[line]):
+        for s in _read_cosets(r, p):
+            if (line, s) not in groups_of:
+                mask = group.line_mask(*(j for j in range(p + 1) if j != line))
+                partners = compress(js, mask[s * size : (s + 1) * size])
+                groups_of[line, s] = _partner_groups(cosets[s], partners)
             products = at(cosets[(r + s) % p])  # s_xy of y = h_j * a^s at j
-            for a, pick, members in groups:
+            for a, pick, members in groups_of[line, s]:
                 for b in set(pick(products)):
                     key = sr, a, b
                     if key in tabled:
@@ -367,6 +383,13 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
             if sig not in table:
                 table[sig] = [rep.encode(), elements[k].encode()]
     return table
+
+
+def _read_cosets(r: int, p: int) -> list[int]:
+    """The cosets s of st(1) read for a representative of root label r: the
+    earlier of each pair {s, -r-s mod p} that y -> (xy)^-1 exchanges, and
+    the one coset it fixes."""
+    return [s for s in range(p) if s <= (-r - s) % p]
 
 
 class _PartnerGroup(NamedTuple):

@@ -259,11 +259,17 @@ def _moved(columns: Sequence[bytes], sources: Sequence[int], row: bytes, p: int)
     return out
 
 
-def _plus(rows: bytes, row: bytes, reduce: bytes) -> bytes:
-    """Each of the concatenated rows plus row, mod p: one integer sum, at
-    most 2(p - 1) per byte, and one translate."""
-    total = int.from_bytes(rows, "little") + int.from_bytes(row * (len(rows) // len(row)), "little")
-    return total.to_bytes(len(rows), "little").translate(reduce)
+def _adder(rows: bytes, reduce: bytes) -> Callable[[bytes], bytes]:
+    """The map taking a row to each of the concatenated rows plus that row,
+    mod p.  rows is read as one integer here, once; each call is one
+    integer sum, at most 2(p - 1) per byte, and one translate."""
+    total, size = int.from_bytes(rows, "little"), len(rows)
+
+    def plus(row: bytes) -> bytes:
+        added = total + int.from_bytes(row * (size // len(row)), "little")
+        return added.to_bytes(size, "little").translate(reduce)
+
+    return plus
 
 
 # Byte j of a column OR becomes 1 when element j has a nonzero label.
@@ -286,16 +292,18 @@ def _slot_bytes(ints: Iterable[int], widths: Iterable[int], reduce: bytes) -> by
 
 def p_power_chains(
     shape: TreeShape, rows: bytes, runs: Sequence[Run]
-) -> tuple[bytes, list[list[bytes]]]:
+) -> tuple[bytes, list[bytes]]:
     """The p-power chains x, x^p, ..., x^(p^(n-1)) of a batch of elements
     given as runs: consecutive rows that share their labels above the last
     level, and so one vertex permutation.  rows holds their labels,
     concatenated, and runs lists each run's (permutation, row count).
 
     Returns the order exponents (the order of member j is p^exps[j]) and,
-    for i = 0..n-1, the labels of every x^(p^i).  With x^(j+1) = x^j * x
-    and pi_(x^j) = pi^j, label column k of x^p is the sum of the columns
-    pi^j(k) for j < p, and every member's x^p shares the permutation pi^p.
+    for i = 0..n-1, the labels of every x^(p^i) as concatenated rows, in
+    the order of the members: a caller splits only the rows it reads.
+    With x^(j+1) = x^j * x and pi_(x^j) = pi^j, label column k of x^p is
+    the sum of the columns pi^j(k) for j < p, and every member's x^p
+    shares the permutation pi^p.
 
     Each level is read as slots, one integer per column of each run: slot
     k*R + r is column k of run r (R runs).  The slot permutation
@@ -316,7 +324,7 @@ def p_power_chains(
     by_column = [slice(k * len(runs), (k + 1) * len(runs)) for k in range(m)]
     columns = b"".join(_columns(rows, m))
     exps = 0
-    levels: list[list[bytes]] = []
+    levels: list[bytes] = []
     for _ in range(shape.n):
         ints = _slot_ints(columns, cuts)
         live_ints = fold(partial(map, or_), map(ints.__getitem__, by_column))
@@ -325,7 +333,7 @@ def p_power_chains(
             break
         if levels:
             rows = _rows([columns[k * width : (k + 1) * width] for k in range(m)], width)
-        levels.append(list(_split(rows, m)))
+        levels.append(bytes(rows))
         exps += int.from_bytes(live.translate(_NONZERO), "little")
         total, power = ints, sigma
         held = 1  # terms in total since its last reduction
@@ -339,8 +347,7 @@ def p_power_chains(
     else:
         if any(columns):
             raise RuntimeError("order exceeded the exponent bound of the tree")
-    zero = [shape.zero_labels] * width
-    levels += [zero] * (shape.n - len(levels))
+    levels += [shape.zero_labels * width] * (shape.n - len(levels))
     return exps.to_bytes(width, "little"), levels
 
 
@@ -383,7 +390,8 @@ def _layer_span(
     p, shifts = shape.p, _add_tables(shape.p)
     span, coords = shape.zero_labels, bytes(1)
     for row, c in basis:
-        span = b"".join(_plus(span, bytes(k * x % p for x in row), shape.reduce) for k in range(p))
+        plus = _adder(span, shape.reduce)
+        span = b"".join(plus(bytes(k * x % p for x in row)) for k in range(p))
         coords = b"".join(coords.translate(shifts[k * c % p]) for k in range(p))
     return span, coords
 
@@ -422,6 +430,7 @@ def affine_suspects(
     span, span_coords = group.layer_span
     b_coords, shifts = group.coords[1], _add_tables(p)
     mask = bytes([1]) * len(group) if mask is None else mask
+    plus_span = _adder(span, shape.reduce)
     suspects = bytearray(len(group))
     bases: list[tuple[int, list[int]]] = []  # (class start, basis) where the premise holds
     for i in range(0, len(group), size):
@@ -437,7 +446,7 @@ def affine_suspects(
         block = rows[i * m : (i + size) * m]
         sound = (
             -1 not in chosen
-            and block == _plus(span, block[:m], shape.reduce)
+            and block == plus_span(block[:m])
             and b_coords[i : i + size] == span_coords.translate(shifts[b_coords[i]])
         )
         if sound:
@@ -583,7 +592,8 @@ class QuotientGroup:
         layer_basis = tuple((bytes(cut) + bytes(row[:-1]), row[-1]) for row in basis)
         span, span_coords = _layer_span(shape, layer_basis)
         shifts = _add_tables(p)
-        blocks = [_plus(span, rep.labels, reduce) for rep in reps]  # H: root label 0
+        plus = _adder(span, reduce)
+        blocks = [plus(rep.labels) for rep in reps]  # H: root label 0
         for r in range(1, p):
             root = bytes([r]) * (len(span) // m)
             for block in blocks[: len(reps)]:

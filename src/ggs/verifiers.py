@@ -60,6 +60,7 @@ from .quotient import (
     enumerate_quotient,
     map_power_classes,
     p_power_chains,
+    _split,
 )
 from .words import evaluate_word
 
@@ -180,7 +181,8 @@ def _orders_and_tops(
     x^(p^(n-1)), equal labels sharing one bytes object."""
     exps, levels = p_power_chains(shape, rows, runs)
     tops: dict[bytes, bytes] = {}
-    return list(zip(_orders_of(shape, exps), map(tops.setdefault, levels[-1], levels[-1])))
+    last = (tops.setdefault(t, t) for t in _split(levels[-1], shape.internal_count))
+    return list(zip(_orders_of(shape, exps), last))
 
 
 def _generator_portraits(v: DefiningVector, n: int) -> tuple[Portrait, Portrait]:

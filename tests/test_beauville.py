@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from hashlib import sha256
 from itertools import compress
 
@@ -109,6 +110,24 @@ def test_conjugates_of_powers_match_brute(gs_g2, gs_g3, e10_g2, data):
 def test_socle_orbits_match_walk_oracle(p, e, n):
     group = enumerate_quotient(DefiningVector(p, e), n)
     assert _socle_data(group) == walk_socle_data(group)
+
+
+def test_socle_data_walks_each_orbit_once(monkeypatch):
+    # p=5 e=(1,4,1,4): 148 socle classes in 37 orbits; one walk of the
+    # powers of a socle names the class of every power.
+    group = enumerate_quotient(DefiningVector(5, (1, 4, 1, 4)), 2)
+    walks = []
+    powers = beauville.cyclic_powers
+
+    def counted(x):
+        walks.append(x)
+        return powers(x)
+
+    monkeypatch.setattr(beauville, "cyclic_powers", counted)
+    ids, count = _socle_data(group)
+    monkeypatch.undo()
+    assert len(walks) == count == 37
+    assert (ids, count) == walk_socle_data(group)
 
 
 def test_generating_triple(gs_g2):
@@ -361,6 +380,84 @@ def test_signature_table_scans_one_class_of_each_inverse_pair(
     class_of = {y.labels: c for c, cls in enumerate(classes) for y in cls}
     assert all(class_of[x.labels] < class_of[x.inverse().labels] for x in reps)
     assert list(table.items()) == list(whole_group_signature_table(group).items())
+
+
+@pytest.mark.parametrize(
+    "p, e, n, scanned, read, groupings",
+    [
+        (5, (1, 4, 1, 4), 2, 60, 180, 23),
+        (3, (1, 0), 3, 50, 100, 8),
+    ],
+)
+def test_signature_table_reads_one_coset_of_each_inverse_product_pair(
+    monkeypatch, p, e, n, scanned, read, groupings
+):
+    # y -> (xy)^-1 pairs coset s with coset -r-s for a representative of
+    # root label r; of each pair only the earlier is read, so (p+1)/2 of
+    # the p cosets: 180 of 300 slots at p = 5, 100 of 150 at p = 3.  The
+    # partners of a (line, coset) are grouped only when a read needs them.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    read_cosets, partner_groups = beauville._read_cosets, beauville._partner_groups
+    reads, groups = [], []
+
+    def counted_reads(r, q):
+        reads.append(read_cosets(r, q))
+        return reads[-1]
+
+    def counted_groups(socles, members):
+        groups.append(socles)
+        return partner_groups(socles, members)
+
+    monkeypatch.setattr(beauville, "_read_cosets", counted_reads)
+    monkeypatch.setattr(beauville, "_partner_groups", counted_groups)
+    table = _signature_table(group)
+    monkeypatch.undo()
+    assert len(reads) == scanned
+    assert sum(map(len, reads)) == read == scanned * (p + 1) // 2
+    assert len(groups) == groupings
+    assert list(table.items()) == list(whole_group_signature_table(group).items())
+
+
+def test_read_cosets_keep_the_earlier_of_each_pair():
+    for p in (3, 5, 7, 11):
+        for r in range(p):
+            kept = beauville._read_cosets(r, p)
+            assert len(kept) == (p + 1) // 2
+            assert {min(s, (-r - s) % p) for s in range(p)} == set(kept)
+
+
+PAIRING_GROUPS = [
+    (3, (1, -1), 2),
+    (3, (1, 0), 2),
+    (5, (1, 4, 1, 4), 2),
+    (5, (1, 2, 0, 2), 2),
+    (7, (4, 6, 3, 6, 5, 4), 2),
+    (3, (1, 0), 3),
+]
+
+
+@lru_cache(maxsize=None)
+def _pairing_group(p, e, n):
+    return enumerate_quotient(DefiningVector(p, e), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inverse_product_is_a_partner_with_the_same_signature(data):
+    # The pairing behind the coset skip of the signature table: for a
+    # generating pair (x, y) with a-coordinates r and s, (xy)^-1 generates
+    # with x, lies in coset -(r+s) mod p, and has y's triple signature.
+    p, e, n = data.draw(st.sampled_from(PAIRING_GROUPS))
+    group = _pairing_group(p, e, n)
+    index = st.integers(0, len(group) - 1)
+    x, y = group._at(data.draw(index)), group._at(data.draw(index))
+    assume(group.is_generating_pair(x, y))
+    y2 = (x * y).inverse()
+    assert group.is_generating_pair(x, y2)
+    (r, _), (s, _), (t, _) = map(group.coords_of, (x, y, y2))
+    assert t == -(r + s) % p
+    signature = triple_signature(group, GeneratingTriple.make(group, x, y))
+    assert triple_signature(group, GeneratingTriple.make(group, x, y2)) == signature
 
 
 def test_signature_table_with_a_one_member_partner_group(monkeypatch):

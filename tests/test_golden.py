@@ -38,6 +38,7 @@ EXTRA = (
     ("order-formula", 3, (1, 1), 3),
     ("thm-B", 5, (1, 2, 0, 0), 3),
     ("thm-G2", 5, (2, 3, 2, 3), 2),
+    ("thm-G2", 5, (1, 2, 0, 2), 2),
     ("thm-A", 7, (1, 6, 1, 6, 1, 6), 4),
     ("thm-G2", 7, (4, 6, 3, 6, 5, 4), 2),
 )
@@ -58,7 +59,7 @@ def _parse(path: Path) -> tuple[str, int, tuple[int, ...], int]:
 
 
 def test_golden_set_is_complete():
-    assert len(_golden_files()) == 39
+    assert len(_golden_files()) == 40
 
 
 @pytest.mark.parametrize("path", _golden_files(), ids=lambda path: path.stem)

@@ -232,16 +232,18 @@ def test_conjugation_tables_are_permutations(p, e, n):
 @given(data=st.data())
 def test_power_chains_match_p_powers(p, n, data):
     batch = data.draw(power_classes(p, n))
+    m = batch[0].shape.internal_count
     exps, levels = p_power_chains(
         batch[0].shape, b"".join(x.labels for x in batch), [(batch[0].vertex_perm(), len(batch))]
     )
     assert len(exps) == len(batch) and len(levels) == n
+    assert all(len(level) == len(batch) * m for level in levels)
     for j, x in enumerate(batch):
         chain = x.p_powers()
         assert exps[j] == len(chain) - 1
         expected = [g.labels for g in chain[:-1]]
         expected += [x.shape.zero_labels] * (n - len(expected))
-        assert [level[j] for level in levels] == expected
+        assert [level[j * m : (j + 1) * m] for level in levels] == expected
         # as in test_order_and_p_powers_match_naive_order
         order = naive_order(x) if p**n <= 3**5 else leaf_cycle_order(x)
         assert p ** exps[j] == order
@@ -272,6 +274,7 @@ def test_power_chains_of_many_runs_match_one_run_at_a_time(p, n, data):
     # At (127, 2) each sum over an orbit is reduced midway (room = 2).
     classes = data.draw(many_power_classes(p, n))
     shape = classes[0][0].shape
+    m = shape.internal_count
     members = [x for xs in classes for x in xs]
     runs = [(xs[0].vertex_perm(), len(xs)) for xs in classes]
     exps, levels = p_power_chains(shape, b"".join(x.labels for x in members), runs)
@@ -280,13 +283,13 @@ def test_power_chains_of_many_runs_match_one_run_at_a_time(p, n, data):
         for xs, run in zip(classes, runs)
     ]
     assert exps == b"".join(e for e, _ in singles)
-    assert levels == [sum((ls[i] for _, ls in singles), []) for i in range(n)]
+    assert levels == [b"".join(ls[i] for _, ls in singles) for i in range(n)]
     for j, x in enumerate(members):
         chain = x.p_powers()
         assert exps[j] == len(chain) - 1
         expected = [g.labels for g in chain[:-1]]
         expected += [shape.zero_labels] * (n - len(expected))
-        assert [level[j] for level in levels] == expected
+        assert [level[j * m : (j + 1) * m] for level in levels] == expected
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in (2, 3)])
@@ -310,7 +313,8 @@ def test_power_chains_are_affine_on_the_last_layer(p, n, data):
 
     members = [x.labels, plus(x.labels, u), plus(x.labels, v), plus(x.labels, u, v)]
     _, levels = p_power_chains(shape, b"".join(members), [(x.vertex_perm(), len(members))])
-    for fx, fu, fv, fuv in levels:
+    for level in levels:
+        fx, fu, fv, fuv = (level[j * m : (j + 1) * m] for j in range(len(members)))
         assert minus(fuv, fv) == minus(fu, fx)
 
 
