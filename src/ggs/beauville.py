@@ -7,16 +7,17 @@ of generating triples whose Sigma sets meet only in the identity.
 Every orbit is read off the element conjugacy classes: <z>^g = <z^g>, and
 <s> is conjugate to <t> exactly when s is conjugate to a power of t.
 
-Two engines are provided.  The literal one materializes each distinct Sigma
-member set and intersects them.  The signature engine reduces the same
-question to conjugation orbits of order-p subgroups: a nontrivial element
-common to two Sigma sets exists exactly when some cyclic group on one side
-and some on the other have conjugate order-p subgroups (in a finite p-group
-every nontrivial intersection of cyclic subgroups contains both their
-unique minimal subgroups, which therefore coincide).  The signature engine
-is exact and fast enough to exhaust.  Both pick the witness by one rule
-(_first_disjoint), and both are cross-checked in the test suite against
-brute-force oracles that conjugate by every element.
+The search reduces the question to conjugation orbits of order-p
+subgroups: a nontrivial element common to two Sigma sets exists exactly
+when some cyclic group on one side and some on the other have conjugate
+order-p subgroups (in a finite p-group every nontrivial intersection of
+cyclic subgroups contains both their unique minimal subgroups, which
+therefore coincide).  It is exact and fast enough to exhaust, and every
+witness it reports is confirmed by the literal pair check, which
+intersects the materialized Sigma member sets.  The test suite
+cross-checks both against brute-force oracles that conjugate by every
+element, and the search against a literal search over every generating
+pair.
 """
 
 from __future__ import annotations
@@ -53,19 +54,10 @@ __all__ = [
     "search_beauville",
     "build_special_elements",
     "SEARCH_ELEMENT_CAP",
-    "LITERAL_SEARCH_CAP",
     "cyclic_powers",
 ]
 
 SEARCH_ELEMENT_CAP = 100_000
-
-# The literal engine keeps one materialized Sigma set per generating pair.
-LITERAL_SEARCH_CAP = 2000
-
-SEARCH_ORDER = (
-    "pairs are scanned in label-vector order of (x1, y1) and then (x2, y2); "
-    "the witness is the first successful pair under that order"
-)
 
 TABLE_ORDER = (
     "the signature table pairs the label-least member of each conjugacy class "
@@ -413,110 +405,24 @@ def _partner_groups(socles: Sequence[int], members: Iterable[int]) -> list[_Part
     ]
 
 
-def search_beauville(group: QuotientGroup, strategy: str = "pruned") -> Certificate:
+def search_beauville(group: QuotientGroup) -> Certificate:
     """Search for a Beauville structure, or exhaust and report that none exists.
 
-    strategy "pruned" decides existence on the complete signature table.
-    strategy "exhaustive" is the literal oracle: it walks every generating
-    pair and intersects the materialized Sigma member sets, one per distinct
-    set.  Both take the witness by one rule (_first_disjoint) and confirm it
-    by the literal pair check.
+    Existence is decided on the complete signature table; the witness is the
+    stored pairs of the first two disjoint signatures (_first_disjoint, in
+    the order TABLE_ORDER states), confirmed by the literal pair check.
+    Raises BudgetExceeded past SEARCH_ELEMENT_CAP elements.
     """
-    if strategy not in ("pruned", "exhaustive"):
-        raise ValueError(f"unknown search strategy {strategy!r}")
+    if len(group) > SEARCH_ELEMENT_CAP:
+        raise BudgetExceeded(
+            SEARCH_ELEMENT_CAP,
+            len(group),
+            reason=f"signature search handles at most {SEARCH_ELEMENT_CAP} elements; "
+            f"this quotient has {len(group)}",
+        )
     cert = _group_certificate(
         group, "beauville-search", "the quotient admits a Beauville structure"
     )
-    cert.params["strategy"] = strategy
-    if strategy == "exhaustive":
-        return _search_literal(group, cert)
-    return _search_pruned(group, cert)
-
-
-def _refuse_past(cap: int, search: str, group: QuotientGroup) -> None:
-    """Raise BudgetExceeded when the group has more elements than the search's cap."""
-    if len(group) > cap:
-        raise BudgetExceeded(
-            cap,
-            len(group),
-            reason=f"{search} handles at most {cap} elements; this quotient has {len(group)}",
-        )
-
-
-def _first_disjoint(
-    sets: Sequence[frozenset], disjoint: Callable[[frozenset, frozenset], bool]
-) -> tuple[frozenset, frozenset] | None:
-    """The witness rule of both searches: the first set with a later disjoint partner,
-    and its first such partner.  Among distinct sets in order of first occurrence, the
-    first set with any partner has only later ones: an earlier one would come first."""
-    for i, s1 in enumerate(sets):
-        for s2 in sets[i + 1 :]:
-            if disjoint(s1, s2):
-                return s1, s2
-    return None
-
-
-def _search_literal(group: QuotientGroup, cert: Certificate) -> Certificate:
-    _refuse_past(LITERAL_SEARCH_CAP, "literal search", group)
-    one = frozenset([group.identity.labels])
-    conjugates: dict[bytes, frozenset[bytes]] = {}
-    interned: dict[frozenset[bytes], frozenset[bytes]] = {}
-
-    def union_for(z: Portrait) -> frozenset[bytes]:
-        """The classes of the powers of z, one shared object per distinct set."""
-        if z.labels not in conjugates:
-            union = frozenset(_conjugates_of_powers(group, z))
-            conjugates[z.labels] = interned.setdefault(union, union)
-        return conjugates[z.labels]
-
-    # Sigma depends only on the three unions, so pairs are first deduplicated
-    # on them (shared objects: hashes cached, equality by identity), and each
-    # Sigma is formed once per distinct triple of unions, in order.
-    first_of_unions: dict[tuple[frozenset[bytes], ...], tuple[Portrait, Portrait]] = {}
-    pairs = 0
-    ordered = sorted(group.elements)
-    for x in ordered:
-        for y in ordered:
-            if group.is_generating_pair(x, y):
-                pairs += 1
-                first_of_unions.setdefault((union_for(x), union_for(y), union_for(x * y)), (x, y))
-    first_pair: dict[frozenset[bytes], tuple[Portrait, Portrait]] = {}
-    for (ux, uy, uxy), pair in first_of_unions.items():
-        first_pair.setdefault(one | ux | uy | uxy, pair)
-    cert.notes.append("literal engine: no pruning, member-set intersections")
-    cert.notes.append(SEARCH_ORDER)
-    cert.check(
-        "search_space",
-        True,
-        f"{pairs} generating pairs, {len(first_pair)} distinct Sigma sets",
-    )
-    found = _first_disjoint(list(first_pair), lambda s1, s2: len(s1 & s2) == 1)
-    if found is None:
-        cert.verdict = "refuted"
-        return cert
-    return _searched_witness(group, cert, first_pair[found[0]], first_pair[found[1]])
-
-
-def _searched_witness(
-    group: QuotientGroup,
-    cert: Certificate,
-    pair1: tuple[Portrait, Portrait],
-    pair2: tuple[Portrait, Portrait],
-) -> Certificate:
-    t1 = GeneratingTriple.make(group, *pair1)
-    t2 = GeneratingTriple.make(group, *pair2)
-    confirm = is_beauville_pair(t1, t2, group)
-    if not confirm.verified:
-        raise RuntimeError("search produced a pair the literal check rejects")
-    cert.verdict = "verified"
-    cert.witnesses["triple_1"] = t1.encode()
-    cert.witnesses["triple_2"] = t2.encode()
-    cert.check("witness_confirmed", True, "literal Sigma intersection is trivial")
-    return cert
-
-
-def _search_pruned(group: QuotientGroup, cert: Certificate) -> Certificate:
-    _refuse_past(SEARCH_ELEMENT_CAP, "signature search", group)
     table = _signature_table(group)
     cert.check(
         "search_space",
@@ -531,7 +437,28 @@ def _search_pruned(group: QuotientGroup, cert: Certificate) -> Certificate:
             "no two realizable triples have disjoint socle-orbit signatures"
         )
         return cert
-    return _searched_witness(group, cert, found[0], found[1])
+    t1, t2 = (GeneratingTriple.make(group, *pair) for pair in found)
+    if not is_beauville_pair(t1, t2, group).verified:
+        raise RuntimeError("search produced a pair the literal check rejects")
+    cert.verdict = "verified"
+    cert.witnesses["triple_1"] = t1.encode()
+    cert.witnesses["triple_2"] = t2.encode()
+    cert.check("witness_confirmed", True, "literal Sigma intersection is trivial")
+    return cert
+
+
+def _first_disjoint(
+    sets: Sequence[frozenset], disjoint: Callable[[frozenset, frozenset], bool]
+) -> tuple[frozenset, frozenset] | None:
+    """The witness rule: the first set with a later disjoint partner, and its
+    first such partner.  Among distinct sets in order of first occurrence, the
+    first set with any partner has only later ones: an earlier one would come
+    first."""
+    for i, s1 in enumerate(sets):
+        for s2 in sets[i + 1 :]:
+            if disjoint(s1, s2):
+                return s1, s2
+    return None
 
 
 def _witness_hunt(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 __all__ = ["SCHEMA", "Check", "Certificate"]
 
 SCHEMA = "ggs-certificate/v1"
-CODE_VERSION = "0.9.0"
+CODE_VERSION = "0.10.0"
 
 VERDICT_VERIFIED = "verified"
 VERDICT_REFUTED = "refuted"

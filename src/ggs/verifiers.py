@@ -7,8 +7,9 @@ Which proof each claim rests on:
 
 - `thm-B` and `prop-collision` (n >= 2): the power lemma, checked on
   portraits at every level; `thm-B` at level 1 enumerates the cyclic C_p.
-- `thm-G2` at p >= 5: the lines argument, on depth-2 portraits; at p = 3 an
-  exhaustive exponent scan and signature search.
+- `thm-G2` at p >= 5: the lines argument, on depth-2 portraits, and the
+  argument's own pair checked as a Beauville structure on the group; at
+  p = 3 an exhaustive exponent scan and signature search.
 - `thm-A` and `thm-G3` at p >= 5 (n >= 3): the pair argument, with
   element orders at level n and the last-layer test at level 3.
 - `prop-key` (n >= 3): the last-layer test at level 3 by one valuation, every p.
@@ -31,7 +32,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .beauville import (
     GeneratingTriple,
-    LITERAL_SEARCH_CAP,
     SEARCH_ELEMENT_CAP,
     build_special_elements,
     is_beauville_pair,
@@ -622,17 +622,32 @@ def _gupta_sidki_structure(cert: Certificate, group: QuotientGroup) -> bool:
         "sections of (av b^2 u)^3 are (b^-1, (b^-1)^a, (b^-1)^a)",
     )
 
-    t1 = GeneratingTriple.make(group, a, b)
-    t2 = GeneratingTriple.make(group, av, b * b * u)
-    pair = is_beauville_pair(t1, t2, group)
-    ok &= cert.check(
+    return ok & _structure_check(cert, group, ((a, b), (av, b * b * u)), "(a, b) and (av, b^2 u)")
+
+
+def _structure_check(
+    cert: Certificate, group: QuotientGroup, pairs: Sequence[tuple[Portrait, Portrait]], names: str
+) -> bool:
+    """An argument's own two generating pairs form a Beauville structure on
+    the enumerated group: the literal Sigma check, with both triples recorded."""
+    t1, t2 = (GeneratingTriple.make(group, x, y) for x, y in pairs)
+    ok = cert.check(
         "sigma_intersection_trivial",
-        pair.verified,
-        "the Sigma sets of (a, b) and (av, b^2 u) meet only in the identity",
+        is_beauville_pair(t1, t2, group).verified,
+        f"the Sigma sets of {names} meet only in the identity",
     )
     cert.witnesses["triple_1"] = t1.encode()
     cert.witnesses["triple_2"] = t2.encode()
     return ok
+
+
+def _no_structure_oracle(cert: Certificate, group: QuotientGroup) -> bool:
+    """Check that the signature-table search finds no structure."""
+    return cert.check(
+        "no_structure_oracle",
+        search_beauville(group).refuted,
+        "the signature-table search, independent of the proof, finds no structure",
+    )
 
 
 # -- per-claim verifiers ----------------------------------------------------------
@@ -775,13 +790,7 @@ def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> s
         # b is trivial at depth 1, so G_1 = <a>.
         cyclic = group.a.order() == len(group)
         ok = cert.check("level1_cyclic", cyclic, f"the {len(group)}-element quotient is cyclic")
-        oracle = search_beauville(group, "exhaustive")
-        ok &= cert.check(
-            "no_structure_oracle",
-            oracle.refuted,
-            "the literal no-pruning search finds no structure",
-        )
-        return _verdict(ok)
+        return _verdict(ok & _no_structure_oracle(cert, group))
     ok = _power_lemma_checks(cert, v, n)
     ok &= _triple_line_check(cert, v.p)
     if ok:
@@ -795,18 +804,7 @@ def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> s
         return _verdict(ok)
     ok &= _collision_scan(cert, group)
     if n == 2 and ok:
-        if len(group) <= LITERAL_SEARCH_CAP:
-            oracle = search_beauville(group, "exhaustive")
-            ok &= cert.check(
-                "no_structure_oracle",
-                oracle.refuted,
-                "independent literal search (no pruning) also finds no structure",
-            )
-        else:
-            cert.notes.append(
-                f"group order {len(group)} exceeds the literal search cap "
-                f"{LITERAL_SEARCH_CAP}; the independent literal search is not run"
-            )
+        ok &= _no_structure_oracle(cert, group)
     return _verdict(ok)
 
 
@@ -815,31 +813,27 @@ def verify_thm_G2(cert: Certificate, v: DefiningVector, n: int, budget: int) -> 
     if n != 2:
         raise ValueError("this claim concerns the level-2 quotient")
     if v.p == 3:
-        ok, group = True, _group_within(cert, v, 2, budget)
+        group = _group_within(cert, v, 2, budget)
         if group is None:
             return SCALE
-    else:
-        ok = _lines_checks(cert, v, (((1, 0), (0, 1)), ((1, 2), (1, 4))))
-        group = _group_within(cert, v, 2, budget, proof="the lines argument")
-        if group is None:
-            return _verdict(ok)
-    ok &= _exponent_check(cert, group)
-    search = search_beauville(group, "pruned")
-    if v.p == 3:
+        ok = _exponent_check(cert, group)
+        search = search_beauville(group)
         ok &= cert.check(
             "no_structure",
             search.refuted,
             "the signature-exhaustion search finds no structure at p = 3",
         )
-    else:
-        ok &= cert.check(
-            "structure_found",
-            search.verified,
-            "the search finds and confirms a structure",
-        )
-        cert.witnesses.update(search.witnesses)  # the two triples, if found
-    cert.notes.extend(f"search: {note}" for note in search.notes)
-    return _verdict(ok)
+        cert.notes.extend(f"search: {note}" for note in search.notes)
+        return _verdict(ok)
+    pair = (((1, 0), (0, 1)), ((1, 2), (1, 4)))  # (a, b) and (ab^2, ab^4) as a^k b^j
+    ok = _lines_checks(cert, v, pair)
+    group = _group_within(cert, v, 2, budget, proof="the lines argument")
+    if group is None:
+        return _verdict(ok)
+    ok &= _exponent_check(cert, group)
+    a, b = group.a, group.b
+    pairs = [(a**k1 * b**j1, a**k2 * b**j2) for (k1, j1), (k2, j2) in pair]
+    return _verdict(ok & _structure_check(cert, group, pairs, "(a, b) and (ab^2, ab^4)"))
 
 
 def verify_thm_G3(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:

@@ -10,7 +10,8 @@ closures are built by literally conjugating with every element, socle
 orbits by walking subgroup member sets under conjugation, the signature
 table tests generation and forms products pair by pair (a second table
 forms x*y for every element y of the group and looks each one up, with no
-coset blocks), the literal search's witness is read off a full table of
+coset blocks), the Beauville search intersects materialized Sigma sets of
+every generating pair, its witness rule is read off a full table of
 disjoint pairs of Sigma sets, the quotient and its closures are walked one
 element and one product at a time (the quotient both in coset order and
 over the whole group), greedy generators are closed anew after every pick,
@@ -30,9 +31,19 @@ from math import comb, lcm
 from operator import add, itemgetter
 from struct import Struct
 
-from ggs import DefiningVector, Portrait, QuotientGroup, TreeShape, commutator, tree_shape
+from ggs import (
+    BudgetExceeded,
+    DefiningVector,
+    GeneratingTriple,
+    Portrait,
+    QuotientGroup,
+    TreeShape,
+    commutator,
+    is_beauville_pair,
+    tree_shape,
+)
 from ggs import verifiers
-from ggs.beauville import _socle_data
+from ggs.beauville import _conjugates_of_powers, _first_disjoint, _group_certificate, _socle_data
 from ggs.certificate import Certificate
 from ggs.generators import _one_root_multiplicity, make_a, make_b
 from ggs.quotient import coordinate_line, map_power_classes
@@ -470,6 +481,76 @@ def whole_group_signature_table(group: QuotientGroup) -> dict[frozenset[int], li
                 y = elements[partners[keys.index(key)]]
                 table[sig] = [rep.encode(), y.encode()]
     return table
+
+
+# The literal search keeps one materialized Sigma set per distinct set.
+LITERAL_SEARCH_CAP = 2000
+
+SEARCH_ORDER = (
+    "pairs are scanned in label-vector order of (x1, y1) and then (x2, y2); "
+    "the witness is the first successful pair under that order"
+)
+
+
+def search_literal(group: QuotientGroup) -> Certificate:
+    """The Beauville search with no pruning: every generating pair in
+    label-vector order, the Sigma sets materialized and intersected, the
+    witness by the search's rule (_first_disjoint) and confirmed by the
+    literal pair check.  Raises BudgetExceeded past LITERAL_SEARCH_CAP."""
+    if len(group) > LITERAL_SEARCH_CAP:
+        raise BudgetExceeded(
+            LITERAL_SEARCH_CAP,
+            len(group),
+            reason=f"literal search handles at most {LITERAL_SEARCH_CAP} elements; "
+            f"this quotient has {len(group)}",
+        )
+    cert = _group_certificate(
+        group, "beauville-search", "the quotient admits a Beauville structure"
+    )
+    one = frozenset([group.identity.labels])
+    conjugates: dict[bytes, frozenset[bytes]] = {}
+    interned: dict[frozenset[bytes], frozenset[bytes]] = {}
+
+    def union_for(z: Portrait) -> frozenset[bytes]:
+        """The classes of the powers of z, one shared object per distinct set."""
+        if z.labels not in conjugates:
+            union = frozenset(_conjugates_of_powers(group, z))
+            conjugates[z.labels] = interned.setdefault(union, union)
+        return conjugates[z.labels]
+
+    # Sigma depends only on the three unions, so pairs are first deduplicated
+    # on them (shared objects: hashes cached, equality by identity), and each
+    # Sigma is formed once per distinct triple of unions, in order.
+    first_of_unions: dict[tuple[frozenset[bytes], ...], tuple[Portrait, Portrait]] = {}
+    pairs = 0
+    ordered = sorted(group.elements)
+    for x in ordered:
+        for y in ordered:
+            if group.is_generating_pair(x, y):
+                pairs += 1
+                first_of_unions.setdefault((union_for(x), union_for(y), union_for(x * y)), (x, y))
+    first_pair: dict[frozenset[bytes], tuple[Portrait, Portrait]] = {}
+    for (ux, uy, uxy), pair in first_of_unions.items():
+        first_pair.setdefault(one | ux | uy | uxy, pair)
+    cert.notes.append("literal engine: no pruning, member-set intersections")
+    cert.notes.append(SEARCH_ORDER)
+    cert.check(
+        "search_space",
+        True,
+        f"{pairs} generating pairs, {len(first_pair)} distinct Sigma sets",
+    )
+    found = _first_disjoint(list(first_pair), lambda s1, s2: len(s1 & s2) == 1)
+    if found is None:
+        cert.verdict = "refuted"
+        return cert
+    t1, t2 = (GeneratingTriple.make(group, *first_pair[s]) for s in found)
+    if not is_beauville_pair(t1, t2, group).verified:
+        raise RuntimeError("search produced a pair the literal check rejects")
+    cert.verdict = "verified"
+    cert.witnesses["triple_1"] = t1.encode()
+    cert.witnesses["triple_2"] = t2.encode()
+    cert.check("witness_confirmed", True, "literal Sigma intersection is trivial")
+    return cert
 
 
 def pair_table_witness(sigmas: list[frozenset]) -> tuple[int, int] | None:

@@ -33,7 +33,7 @@ from ggs import (
     verify_claim,
 )
 
-from reference import random_portrait, shift_multiplicity
+from reference import random_portrait, search_literal, shift_multiplicity
 
 GS = DefiningVector(3, (1, -1))
 E10 = DefiningVector(3, (1, 0))
@@ -76,8 +76,8 @@ def test_criterion_01_quotient_sizes():
 def test_criterion_02_level2_structures():
     gate = _Gate(2, "no structure at p=3 level 2; explicit structure at p=5", 600.0)
     g2 = enumerate_quotient(GS, 2)
-    exhaustive = search_beauville(g2, "exhaustive")
-    pruned = search_beauville(g2, "pruned")
+    exhaustive = search_literal(g2)
+    pruned = search_beauville(g2)
     ok = exhaustive.refuted and pruned.refuted
     cert3 = verify_claim("thm-G2", GS, 2)
     ok &= cert3.verified  # verifies the absence claim
@@ -169,16 +169,16 @@ def test_criterion_07_collision_proposition():
 
 
 def test_criterion_08_level2_dual_route():
-    gate = _Gate(8, "proof path and literal oracle agree at e=(1,0) level 2", 600.0)
+    gate = _Gate(8, "proof path, table oracle and literal search agree at e=(1,0) level 2", 600.0)
     cert = verify_claim("thm-B", E10, 2)
     ok = cert.verified and cert.exhaustive
     names = [c.name for c in cert.checks]
-    ok &= "no_structure_oracle" in names  # literal search, no pruning
+    ok &= "no_structure_oracle" in names  # the signature table, not the proof
     ok &= "equals_center" in names
-    # the two independent search engines agree on the group itself
+    # the table and the reference literal search agree on the group itself
     group = enumerate_quotient(E10, 2)
-    ok &= search_beauville(group, "exhaustive").refuted
-    ok &= search_beauville(group, "pruned").refuted
+    ok &= search_literal(group).refuted
+    ok &= search_beauville(group).refuted
     gate.finish(ok)
 
 

@@ -35,6 +35,7 @@ from reference import (
     brute_sigma,
     pair_table_witness,
     reference_signature_table,
+    search_literal,
     walk_socle_data,
     walk_subgroup_orbit,
     whole_group_signature_table,
@@ -259,15 +260,15 @@ def test_special_elements_non_periodic(e10_g2):
 
 def test_search_refuted_both_strategies(gs_g2, e10_g2):
     for group in (gs_g2, e10_g2):
-        pruned = search_beauville(group, "pruned")
-        literal = search_beauville(group, "exhaustive")
+        pruned = search_beauville(group)
+        literal = search_literal(group)
         assert pruned.refuted and literal.refuted
         assert pruned.element_count == len(group)
         assert literal.exhaustive
 
 
 def test_search_verified_matches_known_structure(gs_g3):
-    cert = search_beauville(gs_g3, "pruned")
+    cert = search_beauville(gs_g3)
     assert cert.verified
     t1 = _decode(gs_g3, cert.witnesses["triple_1"])
     t2 = _decode(gs_g3, cert.witnesses["triple_2"])
@@ -292,13 +293,13 @@ def test_signature_table_matches_reference(p, e, n):
     expected = reference_signature_table(group)
     assert table == expected
     assert list(table) == list(expected)
-    pruned = search_beauville(group, "pruned")
+    pruned = search_beauville(group)
     if pruned.verified:
         t1 = _decode(group, pruned.witnesses["triple_1"])
         t2 = _decode(group, pruned.witnesses["triple_2"])
         assert is_beauville_pair(t1, t2, group).verified
-    if len(group) <= 2000:
-        assert pruned.verdict == search_beauville(group, "exhaustive").verdict
+    if len(group) <= reference.LITERAL_SEARCH_CAP:
+        assert pruned.verdict == search_literal(group).verdict
 
 
 def _assert_same_table(group):
@@ -480,47 +481,47 @@ def test_signature_table_with_a_one_member_partner_group(monkeypatch):
     assert list(table.items()) == list(reference_signature_table(group).items())
 
 
-# SHA-256 of the canonical certificates of search_beauville (both strategies;
-# the literal one only up to LITERAL_SEARCH_CAP) and of is_beauville_pair on
+# SHA-256 of the canonical certificates of search_beauville, of the reference
+# literal search (up to its LITERAL_SEARCH_CAP) and of is_beauville_pair on
 # the triples of (a, b) and (ab, b), which no golden file covers.
 PINNED_SEARCHES = {
     (5, (1, 2, 3, 4), 1): {
-        "exhaustive": "34019b6072d20038735b7b7aec59cd9c0d2dfca38493884adc27244fcd5dc97a",
-        "pruned": "51d986eb5ecda2be766d8d645aef81ff3f203bb254b18684fa550b3e9e5111a6",
-        "pair": "2c4e0cda21906c3f8dd8cea24c2d9a9308214c9bd3b344f6cb68c15013928c9d",
+        "literal": "3bfbab27bc5259b63798f0fec3fc4fb17e7643c3eac71f693564fa1ceb226e45",
+        "table": "59abcfd37cf571169ab00cbc30616a7895c99827979644b1db6151cf45c0c6c4",
+        "pair": "f8513a12d318eaca99e26eece27618a60eba79dd96240fd15e1f03a07e864447",
     },
     (5, (1, 2, 3, 4), 2): {
-        "exhaustive": "8a92495e79a21678a66775e374d479544f681a89e8dce33de9d6d1f06495a880",
-        "pruned": "805831a1a283983569484b050decc880f34c99253ecf88557ed4c8edc755402b",
-        "pair": "04ba23c98bcd9cbc69f769ef434a89861b5f401df4d4e75281d616cca9c1812d",
+        "literal": "2dde413e4b4b3a1ef2ee4da92aabe50968b298de8d41924a1801e76214d30884",
+        "table": "9ebef8e6c228f9b75b399ed3ddb63ea52fef588c00407600a4559ccd01afed9d",
+        "pair": "065b00155d678452495eac6a6749958691bbe1f06bd38505ef3327214e25db6f",
     },
     (7, (1, 2, 3, 4, 5, 6), 2): {
-        "exhaustive": "acabfa266af38a42f7500329d0a73308f6fccc87beb0184a9f7c96744eb63132",
-        "pruned": "3e13baf838180bdcc86eff45d2c9fbb294563ff46b4b8bb607a6bdad30873178",
-        "pair": "a29c40a7e9683fc96dde3963266afc349ad1c688c67d5fb432d49d33e13004fd",
+        "literal": "87fdd6427c3641533de50ba7ee4e1754109c53007565470a9d53fd0962d0856d",
+        "table": "baf30f0d6b1b5b9865e0f8ea7a60dbc6852f3fa9a1e3e1e3480d71e4b3f4899b",
+        "pair": "189807797a10b3ba08b1be412d22e4c51745da4624172b8df9e32ae105903203",
     },
     (3, (1, 2), 2): {
-        "exhaustive": "6f215a887678a8a8c54561bae491247fefed4e28db72b7a01626d4cfd2d55b66",
-        "pruned": "0c8d048958b4d7bfb481c73b61f80fcbd178e053af28ce0ed42c861ca10d9078",
-        "pair": "9f0dd7bf58a10b67a92287ae1584f94633ecd967c363fd18dcb884a095e45c12",
+        "literal": "5b7435d5b4dad9c4752c570a54df98cc054bcc327f76575ae4b0343eb9430260",
+        "table": "b7457c09d706520ea9e4d59e8590b75b837a298f007160a3d78692940e451290",
+        "pair": "c311917179b7cfb8f5dc01f12377740def24786c6e5b6e6d23d7adc0640fd383",
     },
     (3, (1, 0), 1): {
-        "exhaustive": "8d3b9033850e7da208efa882cae9f7a74e4eed574541ebe3bebb6bb25d17468b",
-        "pruned": "09627b7354a7dc48bf8a44f91937162536165b47d42423026923cce4a50a5541",
-        "pair": "17622ce62a78204d55e9217774d09c5ec291068889f8c79f08cfc79bfefd2854",
+        "literal": "93f110d7bbc0ff398bb797bfb23de8813f066d4cb1752cbb5667e3aa31b1b94e",
+        "table": "696760a594d727291480d7c63db9b6b4dd1b4276fbc8731a08fffa9b2d03dd31",
+        "pair": "08d26ba3c10d3e11be8265127eff92ae452da12f1b1108474866a8552bcb8a0c",
     },
     (3, (1, 0), 2): {
-        "exhaustive": "1b504c7fbc3cbb955e7a71e7bcb0b693c7f1012dacd653d530413fc3bbf88d31",
-        "pruned": "51460c73baa8a423e0cbc17ce1eb65d85fe962760a6987858a46e08a174228fa",
-        "pair": "a30ace7e82b150993c62cdd23ddc368eb4a6fd7b4da61f450894a87d7d7d2f5f",
+        "literal": "cb8acb014b83eb95b209c14b8dbcb97d86d1088c73c4e2adae6458f88867050b",
+        "table": "f22627d21e98644c9da29f2163d8e4e23ab265c3eae1057280382a24bca28387",
+        "pair": "7ee47e63d2050fc7b237fd5f40d9f7a36057652c4f7314d0fe0a5b292cafb1bf",
     },
     (5, (1, 4, 1, 4), 2): {
-        "pruned": "11f9c0ebd6aa885f86599c9a62c84d5f4f24958024cb748a4cef4b4e0b013566",
-        "pair": "54098b96a0ef428d823fb98a0d85a1a2f6b8c66b4a6d10e82acdb954c2f82487",
+        "table": "6b6d20af83940e1ef8c23f3374dc9c2785d7824ea96677b9e9845eee1c71e951",
+        "pair": "4d49406faccc7d95fbe3defe26db08b480699cc86ded55da9cb28d5f0bbdff3d",
     },
     (3, (1, 2), 3): {
-        "pruned": "21bce712d49e2a6d4494791ddcaf1df7e61e0102b895c27864e2f69c276b5a6a",
-        "pair": "66d452c2bb1fc2fe2b5d490c2b30edd1a0aff36c55a2257b349ec936bb4dbd3a",
+        "table": "0f7f438901db1388e670a7c2deb8d16492e257def6bfe947d2caddeb1eb4b0fd",
+        "pair": "5551787f4c5acd78e10041348123784d57accca3ff5f9fb27315a2a24a7d337e",
     },
 }
 
@@ -530,13 +531,13 @@ def test_search_and_pair_certificates_are_pinned(p, e, n):
     group = enumerate_quotient(DefiningVector(p, e), n)
     a, b = group.a, group.b
     certs = {
-        "pruned": search_beauville(group, "pruned"),
+        "table": search_beauville(group),
         "pair": is_beauville_pair(
             GeneratingTriple.make(group, a, b), GeneratingTriple.make(group, a * b, b), group
         ),
     }
-    if "exhaustive" in PINNED_SEARCHES[p, e, n]:
-        certs["exhaustive"] = search_beauville(group, "exhaustive")
+    if "literal" in PINNED_SEARCHES[p, e, n]:
+        certs["literal"] = search_literal(group)
     digests = {k: sha256(c.canonical_json().encode()).hexdigest() for k, c in certs.items()}
     assert digests == PINNED_SEARCHES[p, e, n]
 
@@ -562,34 +563,32 @@ def test_first_disjoint_matches_pair_table(sigmas):
 
 
 def test_search_is_deterministic(e10_g2):
-    first = search_beauville(e10_g2, "pruned").canonical_json()
-    second = search_beauville(e10_g2, "pruned").canonical_json()
+    first = search_beauville(e10_g2).canonical_json()
+    second = search_beauville(e10_g2).canonical_json()
     assert first == second
 
 
 def test_search_literal_capped(gs_g3):
     with pytest.raises(BudgetExceeded):
-        search_beauville(gs_g3, "exhaustive")
+        search_literal(gs_g3)
 
 
+# "pruned" is the table search, "exhaustive" the reference literal search.
 @pytest.mark.parametrize(
-    "cap, strategy, search",
+    "cap, engine, search",
     [
         ("SEARCH_ELEMENT_CAP", "pruned", "signature search"),
         ("LITERAL_SEARCH_CAP", "exhaustive", "literal search"),
     ],
 )
-def test_search_cap_errors_name_the_search(e10_g2, monkeypatch, cap, strategy, search):
-    monkeypatch.setattr(beauville, cap, 80)
+def test_search_cap_errors_name_the_search(e10_g2, monkeypatch, cap, engine, search):
+    pruned = engine == "pruned"
+    module, run = (beauville, search_beauville) if pruned else (reference, search_literal)
+    monkeypatch.setattr(module, cap, 80)
     with pytest.raises(BudgetExceeded) as err:
-        search_beauville(e10_g2, strategy)
+        run(e10_g2)
     assert str(err.value) == f"{search} handles at most 80 elements; this quotient has 81"
     assert (err.value.budget, err.value.partial) == (80, 81)
-
-
-def test_search_unknown_strategy(gs_g2):
-    with pytest.raises(ValueError):
-        search_beauville(gs_g2, "quantum")
 
 
 def _decode(group, encoded):

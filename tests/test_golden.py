@@ -41,6 +41,7 @@ EXTRA = (
     ("thm-G2", 5, (1, 2, 0, 2), 2),
     ("thm-A", 7, (1, 6, 1, 6, 1, 6), 4),
     ("thm-G2", 7, (4, 6, 3, 6, 5, 4), 2),
+    ("thm-B", 5, (1, 0, 0, 0), 2),
 )
 
 
@@ -59,7 +60,7 @@ def _parse(path: Path) -> tuple[str, int, tuple[int, ...], int]:
 
 
 def test_golden_set_is_complete():
-    assert len(_golden_files()) == 40
+    assert len(_golden_files()) == 41
 
 
 @pytest.mark.parametrize("path", _golden_files(), ids=lambda path: path.stem)

@@ -26,7 +26,7 @@ from ggs import (
     sigma_set,
     verify_claim,
 )
-from ggs import beauville, quotient, verifiers
+from ggs import quotient, verifiers
 from ggs.certificate import Certificate
 from ggs.generators import make_a, make_b
 from ggs.portrait import tree_shape
@@ -541,9 +541,9 @@ PROOF_CHECKS = [
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_pruned_search_agrees_at_level_two(p):
-    # The signature engine, no longer run by thm-B, stays an oracle here.
+    # The signature table on its own, outside thm-B, finds no structure.
     group = enumerate_quotient(DefiningVector(p, (1,) + (0,) * (p - 2)), 2)
-    assert search_beauville(group, "pruned").refuted
+    assert search_beauville(group).refuted
 
 
 def test_thm_b_over_budget(e10):
@@ -670,19 +670,56 @@ LINES_CHECKS = ["generates_t1", "generates_t2", "orders_p", "distinct_lines"]
 
 
 def test_thm_g2_finds_structure_at_p5(p5alt):
-    # The lines argument decides; the exponent scan and the signature search
-    # confirm it under SEARCH_ELEMENT_CAP and keep their witness triples.
+    # The lines argument decides; under SEARCH_ELEMENT_CAP the exponent scan
+    # and the literal Sigma check of the argument's own pair confirm it.
     cert = verify_claim("thm-G2", p5alt, 2)
     assert cert.verified
     assert cert.element_count == 3125
-    assert [c.name for c in cert.checks] == LINES_CHECKS + ["exponent_p", "structure_found"]
+    assert [c.name for c in cert.checks] == LINES_CHECKS + [
+        "exponent_p",
+        "sigma_intersection_trivial",
+    ]
     assert cert.checks[3].detail == (
         "x1, y1, x1y1, x2, y2, x2y2 lie on the lines [0, 1, 2, 3, 5, 4] of G/G', "
         "line 6 being G'"
     )
     assert cert.notes[0].startswith("lines argument:")
-    assert "triple_1" in cert.witnesses and "triple_2" in cert.witnesses
+    group = enumerate_quotient(p5alt, 2)
+    a, b = group.a, group.b
+    assert cert.witnesses["triple_1"] == GeneratingTriple.make(group, a, b).encode()
+    assert cert.witnesses["triple_2"] == GeneratingTriple.make(group, a * b**2, a * b**4).encode()
     assert replay_certificate(json.loads(cert.canonical_json()))
+
+
+# One periodic vector of each F_5^* class: the first nonzero entry is 1.
+P5_PERIODIC = [
+    e
+    for e in product(range(5), repeat=4)
+    if sum(e) % 5 == 0 and any(e) and next(filter(None, e)) == 1
+]
+
+
+def test_thm_g2_checks_the_lines_pair_on_every_p5_class():
+    assert len(P5_PERIODIC) == 31
+    for e in P5_PERIODIC:
+        cert = verify_claim("thm-G2", DefiningVector(5, e), 2)
+        assert cert.verified and cert.element_count is not None, e
+        assert cert.checks[-1].name == "sigma_intersection_trivial" and cert.checks[-1].passed
+
+
+def test_thm_g2_pair_check_catches_a_shared_member(monkeypatch, p5alt):
+    # T2 = (ab, ab^2, ...) shares ab with T1 = (a, b, ab).  The lines checks
+    # still see the argument's pair and pass; the check on the group fails.
+    structure_check = verifiers._structure_check
+
+    def shared(cert, group, pairs, names):
+        a, b = group.a, group.b
+        return structure_check(cert, group, (pairs[0], (a * b, a * b * b)), names)
+
+    monkeypatch.setattr(verifiers, "_structure_check", shared)
+    cert = verify_claim("thm-G2", p5alt, 2)
+    assert cert.verdict == "refuted"
+    assert [c.name for c in cert.checks if not c.passed] == ["sigma_intersection_trivial"]
 
 
 @pytest.mark.parametrize("p", [7, 11, 13, 31, 127])
@@ -869,20 +906,13 @@ def test_order_formula_over_budget(gs):
     assert cert.verdict == "skipped: scale"
 
 
-def test_thm_b_skips_literal_oracle_above_its_cap(monkeypatch, e10):
-    # The level-2 quotient of e = (1, 0) has 81 elements, so a cap of 80
-    # takes the path that p >= 5 takes with the real cap.
-    monkeypatch.setattr(beauville, "LITERAL_SEARCH_CAP", 80)
-    monkeypatch.setattr(verifiers, "LITERAL_SEARCH_CAP", 80)
-    cert = verify_claim("thm-B", e10, 2)
-    assert cert.verified and cert.element_count == 81
-    names = [c.name for c in cert.checks]
-    assert "no_structure_oracle" not in names
-    assert names[-1] == "equals_center"
-    assert cert.notes[-1] == (
-        "group order 81 exceeds the literal search cap 80; "
-        "the independent literal search is not run"
-    )
+def test_thm_b_runs_the_table_oracle_at_p5():
+    # Every group thm-B enumerates at level 2 gets the table as its oracle,
+    # the 15,625 elements at p = 5 included.
+    cert = verify_claim("thm-B", DefiningVector(5, (1, 0, 0, 0)), 2)
+    assert cert.verified and cert.element_count == 15625
+    oracle = cert.checks[-1]
+    assert oracle.name == "no_structure_oracle" and oracle.passed
 
 
 def test_default_levels():
