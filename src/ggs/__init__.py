@@ -16,10 +16,10 @@ _EXPORTS = {
     for module, names in {
         "certificate": "CODE_VERSION SCHEMA Certificate Check __version__",
         "portrait": "Portrait PsiDecomposition TreeShape apply assemble commutator compose "
-        "conjugate identity inverse order parse_vertex psi stabilizes_level tree_shape",
+        "conjugate conjugate_generator identity inverse make_a make_b order parse_vertex psi "
+        "stabilizes_level tree_shape",
         "generators": "CirculantAnalysis Classification DefiningVector analyze_circulant "
-        "classify conjugate_generator make_a make_b parse_vector BudgetExceeded "
-        "DEFAULT_BUDGET predicted_order",
+        "classify parse_vector BudgetExceeded DEFAULT_BUDGET predicted_order",
         "quotient": "QuotientGroup SubgroupHandle enumerate_quotient",
         "beauville": "GeneratingTriple NotGeneratingError SEARCH_ELEMENT_CAP SigmaSet "
         "SpecialElements build_special_elements cyclic_subgroup is_beauville_pair "

@@ -22,14 +22,14 @@ pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .certificate import Certificate
-from .generators import BudgetExceeded, make_a, make_b
-from .portrait import Portrait, PsiDecomposition, TreeShape, assemble, commutator, tree_shape
+from .generators import BudgetExceeded
+from .portrait import Portrait, PsiDecomposition, TreeShape, assemble, commutator
+from .portrait import make_a, make_b, tree_shape
 from .quotient import (
     QuotientGroup,
     Run,
@@ -71,8 +71,7 @@ class NotGeneratingError(ValueError):
     """A pair expected to generate the quotient does not."""
 
 
-@dataclass(frozen=True)
-class GeneratingTriple:
+class GeneratingTriple(NamedTuple):
     """A generating pair together with its product: (x, y, xy)."""
 
     x: Portrait
@@ -94,12 +93,14 @@ class GeneratingTriple:
         return [self.x.encode(), self.y.encode(), self.xy.encode()]
 
 
-@dataclass(frozen=True)
 class SigmaSet:
     """Union of all conjugates of <x>, <y>, <xy> for one generating triple."""
 
-    members: frozenset[bytes]
-    triple: GeneratingTriple
+    __slots__ = ("members", "triple")
+
+    def __init__(self, members: frozenset[bytes], triple: GeneratingTriple) -> None:
+        self.members = members
+        self.triple = triple
 
     def __len__(self) -> int:
         return len(self.members)

@@ -11,7 +11,7 @@ and cache hits produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["SCHEMA", "Check", "Certificate"]
 
@@ -22,8 +22,7 @@ VERDICT_VERIFIED = "verified"
 VERDICT_REFUTED = "refuted"
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One named sub-check inside a certificate."""
 
     name: str
@@ -34,19 +33,32 @@ class Check:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
 class Certificate:
-    claim: str
-    statement: str
-    params: dict
-    verdict: str
-    exhaustive: bool
-    element_count: int | None = None
-    witnesses: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    code_version: str = CODE_VERSION
-    wall_time: float = 0.0
+    def __init__(
+        self,
+        claim: str,
+        statement: str,
+        params: dict,
+        verdict: str,
+        exhaustive: bool,
+        element_count: int | None = None,
+        witnesses: dict | None = None,
+        checks: list[Check] | None = None,
+        notes: list[str] | None = None,
+        code_version: str = CODE_VERSION,
+        wall_time: float = 0.0,
+    ) -> None:
+        self.claim = claim
+        self.statement = statement
+        self.params = params
+        self.verdict = verdict
+        self.exhaustive = exhaustive
+        self.element_count = element_count
+        self.witnesses = {} if witnesses is None else witnesses
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
+        self.code_version = code_version
+        self.wall_time = wall_time
 
     @property
     def verified(self) -> bool:

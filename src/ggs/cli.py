@@ -8,7 +8,7 @@ refuted claim, 2 for errors (bad arguments, budget overflow, syntax, files
 that cannot be read or written).
 
 Each subcommand imports the modules it needs when it runs, so `ggs classify`
-loads only the generators and portraits.
+loads only the vector arithmetic of generators.py and no portrait code.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .generators import DEFAULT_BUDGET, BudgetExceeded, DefiningVector, classify
+from .generators import DEFAULT_BUDGET, BudgetExceeded, DefiningVector, check_arity, classify
 from .generators import parse_vector, predicted_order, written_order
-from .portrait import tree_shape
 
 __all__ = ["main", "console_main"]
 
@@ -31,7 +30,7 @@ CACHE_ENV = "GGS_CACHE_DIR"
 
 def _default_vector(p: int) -> DefiningVector:
     """Alternating vector (1, -1, 1, -1, ...): periodic since p - 1 is even."""
-    tree_shape(p, 1)  # rejects a bad p before its p - 1 entries are built
+    check_arity(p)  # rejects a bad p before its p - 1 entries are built
     return DefiningVector(p, tuple(1 if i % 2 == 0 else p - 1 for i in range(p - 1)))
 
 

@@ -1,33 +1,30 @@
-"""Defining vectors, the two standard generators, circulant classification,
-and the predicted quotient orders with the element budget they guard.
+"""Defining vectors, the arity rule, circulant classification, and the
+predicted quotient orders with the element budget they guard.
 
 A GGS group over the p-adic tree is determined by a nonzero vector
 e = (e_1, ..., e_{p-1}) of residues mod p: the rooted generator a cycles
 the level-1 subtrees, and the recursive generator b acts on the subtree
 below vertex i as a^{e_i} for i < p and as b again below vertex p.
 
-The order formula and BudgetExceeded are pure functions of a vector, so
-`ggs classify` and the budget checks need no enumeration code.
+Everything here is arithmetic on vectors of residues and needs no portrait
+code: the generators a and b themselves are built in portrait.py.  So
+`ggs classify` and the budget checks load this module alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-from .portrait import Portrait, PsiDecomposition, TreeShape, assemble, identity, tree_shape
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
+    "MAX_PRIME",
+    "check_arity",
     "DefiningVector",
     "CirculantAnalysis",
     "Classification",
     "parse_vector",
     "analyze_circulant",
     "classify",
-    "make_a",
-    "make_b",
-    "conjugate_generator",
     "DEFAULT_BUDGET",
     "MAX_LEVEL",
     "BudgetExceeded",
@@ -38,25 +35,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# Products add two labels in one byte before reducing them mod p, so
+# 2 * (p - 1) must stay below 256.
+MAX_PRIME = 127
+
+
+def check_arity(p: int) -> None:
+    """Raise ValueError unless p is an odd prime of at most MAX_PRIME."""
+    # The bound comes first: trial division of a huge p would not end.
+    if p > MAX_PRIME:
+        raise ValueError(
+            f"arity must be at most {MAX_PRIME}, got {p}: products sum two "
+            "labels in one byte before reducing them mod p"
+        )
+    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
+        raise ValueError(f"arity must be an odd prime, got {p}")
+
+
 class DefiningVector:
-    """Nonzero vector of p-1 residues mod p defining a GGS group."""
+    """Nonzero vector of p-1 residues mod p defining a GGS group; immutable."""
 
-    p: int
-    e: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        shape_check = tree_shape(self.p, 1)  # validates that p is an odd prime
-        del shape_check
-        if len(self.e) != self.p - 1:
-            raise ValueError(
-                f"defining vector needs {self.p - 1} entries for p={self.p}, "
-                f"got {len(self.e)}"
-            )
-        reduced = tuple(x % self.p for x in self.e)
+    def __init__(self, p: int, e: tuple[int, ...]) -> None:
+        check_arity(p)
+        if len(e) != p - 1:
+            raise ValueError(f"defining vector needs {p - 1} entries for p={p}, got {len(e)}")
+        reduced = tuple(x % p for x in e)
         if not any(reduced):
             raise ValueError("defining vector must be nonzero mod p")
-        object.__setattr__(self, "e", reduced)
+        self.__dict__.update(p=p, e=reduced)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DefiningVector) and (self.p, self.e) == (other.p, other.e)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.e))
+
+    def __repr__(self) -> str:
+        return f"DefiningVector(p={self.p}, e={self.e})"
 
     @property
     def alpha(self) -> int:
@@ -89,8 +110,7 @@ def parse_vector(p: int, text: str) -> DefiningVector:
     return DefiningVector(p, entries)
 
 
-@dataclass(frozen=True)
-class CirculantAnalysis:
+class CirculantAnalysis(NamedTuple):
     rank_gauss: int
     multiplicity: int
     rank_formula: int
@@ -166,8 +186,7 @@ def analyze_circulant(v: DefiningVector) -> CirculantAnalysis:
     return CirculantAnalysis(rank_gauss, m, rank_formula)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     p: int
     e: tuple[int, ...]
     alpha: int
@@ -188,35 +207,6 @@ def classify(v: DefiningVector) -> Classification:
         rank=v.rank,
         gupta_sidki=(v.p == 3 and v.periodic),
     )
-
-
-def make_a(shape: TreeShape) -> Portrait:
-    """Rooted generator: label 1 at the root, 0 elsewhere."""
-    return Portrait(shape, bytes([1]) + bytes(shape.internal_count - 1))
-
-
-def make_b(v: DefiningVector, shape: TreeShape) -> Portrait:
-    """Recursive generator at the given truncation depth.
-
-    At depth 1 the portrait is the identity; at depth d the sections are
-    (a^{e_1}, ..., a^{e_{p-1}}, b) one level shallower.
-    """
-    if v.p != shape.p:
-        raise ValueError(f"vector is mod {v.p} but the tree has arity {shape.p}")
-    b = identity(tree_shape(v.p, 1))
-    for depth in range(2, shape.n + 1):
-        sub = tree_shape(v.p, depth - 1)
-        a_sub = make_a(sub)
-        sections = tuple(a_sub**exp for exp in v.e) + (b,)
-        b = assemble(PsiDecomposition(0, sections))
-    return b
-
-
-def conjugate_generator(v: DefiningVector, shape: TreeShape, i: int) -> Portrait:
-    """b^(a^i), computed by honest conjugation in the tree."""
-    if not 0 <= i <= v.p - 1:
-        raise ValueError(f"conjugation exponent must lie in 0..{v.p - 1}, got {i}")
-    return make_b(v, shape).conjugate_by(make_a(shape) ** i)
 
 
 # -- order and budget --------------------------------------------------------------

@@ -11,14 +11,19 @@ automorphism exactly when their label vectors coincide.
 
 Composition follows the right-action convention v^(fg) = (v^f)^g, which
 gives the label rule label_fg(u) = label_f(u) + label_g(u^f) mod p.
+
+The two standard generators of a GGS group, the rooted a and the recursive
+b of a defining vector, are built here as portraits (make_a, make_b).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+# MAX_PRIME stays importable here, beside the byte sums it bounds.
+from .generators import MAX_PRIME, DefiningVector, check_arity
 
 __all__ = [
     "TreeShape",
@@ -36,23 +41,10 @@ __all__ = [
     "assemble",
     "order",
     "stabilizes_level",
+    "make_a",
+    "make_b",
+    "conjugate_generator",
 ]
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
-# Products add two labels in one byte before reducing them mod p, so
-# 2 * (p - 1) must stay below 256.
-MAX_PRIME = 127
 
 # A portrait holds one label byte per internal vertex; deeper trees than
 # this allows are refused before any label vector is allocated.
@@ -69,14 +61,7 @@ class TreeShape:
     __slots__ = ("p", "n", "level_starts", "internal_count", "zero_labels", "reduce")
 
     def __init__(self, p: int, n: int):
-        # The bound comes first: trial division of a huge p would not end.
-        if p > MAX_PRIME:
-            raise ValueError(
-                f"arity must be at most {MAX_PRIME}, got {p}: products sum two "
-                "labels in one byte before reducing them mod p"
-            )
-        if not _is_odd_prime(p):
-            raise ValueError(f"arity must be an odd prime, got {p}")
+        check_arity(p)
         if n < 1:
             raise ValueError(f"tree depth must be >= 1, got {n}")
         self.p = p
@@ -330,8 +315,7 @@ class Portrait:
         return f"Portrait({self.encode()})"
 
 
-@dataclass(frozen=True)
-class PsiDecomposition:
+class PsiDecomposition(NamedTuple):
     """Root label plus the p sections of a portrait, one level shallower."""
 
     root_label: int
@@ -416,3 +400,32 @@ def order(f: Portrait) -> int:
 
 def stabilizes_level(f: Portrait, k: int) -> bool:
     return f.stabilizes_level(k)
+
+
+def make_a(shape: TreeShape) -> Portrait:
+    """Rooted generator: label 1 at the root, 0 elsewhere."""
+    return Portrait(shape, bytes([1]) + bytes(shape.internal_count - 1))
+
+
+def make_b(v: DefiningVector, shape: TreeShape) -> Portrait:
+    """Recursive generator at the given truncation depth.
+
+    At depth 1 the portrait is the identity; at depth d the sections are
+    (a^{e_1}, ..., a^{e_{p-1}}, b) one level shallower.
+    """
+    if v.p != shape.p:
+        raise ValueError(f"vector is mod {v.p} but the tree has arity {shape.p}")
+    b = identity(tree_shape(v.p, 1))
+    for depth in range(2, shape.n + 1):
+        sub = tree_shape(v.p, depth - 1)
+        a_sub = make_a(sub)
+        sections = tuple(a_sub**exp for exp in v.e) + (b,)
+        b = assemble(PsiDecomposition(0, sections))
+    return b
+
+
+def conjugate_generator(v: DefiningVector, shape: TreeShape, i: int) -> Portrait:
+    """b^(a^i), computed by honest conjugation in the tree."""
+    if not 0 <= i <= v.p - 1:
+        raise ValueError(f"conjugation exponent must lie in 0..{v.p - 1}, got {i}")
+    return make_b(v, shape).conjugate_by(make_a(shape) ** i)

@@ -48,12 +48,10 @@ from .generators import (
     _exceeds,
     _guard_exponent,
     exceeds_budget,
-    make_a,
-    make_b,
     written_order,
 )
 from .parallel import pmap
-from .portrait import Portrait, TreeShape, commutator, tree_shape
+from .portrait import Portrait, TreeShape, commutator, make_a, make_b, tree_shape
 
 __all__ = [
     "SubgroupHandle",

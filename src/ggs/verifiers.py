@@ -45,12 +45,10 @@ from .generators import (
     DefiningVector,
     _one_root_multiplicity,
     exceeds_budget,
-    make_a,
-    make_b,
     predicted_order,
     written_order,
 )
-from .portrait import Portrait, TreeShape, commutator, tree_shape
+from .portrait import Portrait, TreeShape, commutator, make_a, make_b, tree_shape
 from .quotient import (
     QuotientGroup,
     Run,

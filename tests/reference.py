@@ -45,7 +45,8 @@ from ggs import (
 from ggs import verifiers
 from ggs.beauville import _conjugates_of_powers, _first_disjoint, _group_certificate, _socle_data
 from ggs.certificate import Certificate
-from ggs.generators import _one_root_multiplicity, make_a, make_b
+from ggs.generators import _one_root_multiplicity
+from ggs.portrait import make_a, make_b
 from ggs.quotient import coordinate_line, map_power_classes
 
 

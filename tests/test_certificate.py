@@ -34,6 +34,16 @@ def test_schema_and_version():
     assert doc["code_version"] == CODE_VERSION
 
 
+def test_default_containers_are_fresh_per_certificate():
+    one = Certificate(claim="a", statement="", params={}, verdict="", exhaustive=False)
+    two = Certificate(claim="b", statement="", params={}, verdict="", exhaustive=False)
+    one.check("x", True)
+    one.witnesses["w"] = []
+    one.notes.append("n")
+    assert (two.checks, two.witnesses, two.notes) == ([], {}, [])
+    assert (two.element_count, two.code_version, two.wall_time) == (None, CODE_VERSION, 0.0)
+
+
 def test_check_recorder_returns_outcome():
     cert = _sample()
     assert cert.check("good", True, "") is True

@@ -456,13 +456,30 @@ def test_verify_help_lists_the_claims():
     assert "thm-G2" in res.stdout and "prop-collision" in res.stdout
 
 
-def test_classify_loads_only_generators_and_portraits():
+def test_classify_loads_only_generators_and_no_dataclasses():
     code = (
-        "import sys; from ggs.cli import main; main(['classify', '--p', '5']); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ggs'))"
+        "import sys; before = set(sys.modules); from ggs.cli import main; "
+        "main(['classify', '--p', '5']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ggs')); "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60)
     assert res.returncode == 0, res.stderr
-    loaded = res.stdout.splitlines()[-1]
-    assert loaded == str(["ggs", "ggs.cli", "ggs.generators", "ggs.portrait"])
+    loaded, extra = res.stdout.splitlines()[-2:]
+    assert loaded == str(["ggs", "ggs.cli", "ggs.generators"])
+    assert extra == "[]"
+
+
+def test_no_module_of_the_package_loads_dataclasses():
+    # ggs.verifiers and ggs.cli import every other module between them.
+    code = (
+        "import pkgutil, sys; before = set(sys.modules); import ggs.verifiers, ggs.cli; "
+        "every = {'ggs.' + m.name for m in pkgutil.iter_modules(ggs.__path__)} - {'ggs.__main__'}; "
+        "print(sorted(every - set(sys.modules))); "
+        "print('dataclasses' in set(sys.modules) - before)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-2:] == ["[]", "False"]

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ggs import (
+    Classification,
     DefiningVector,
     analyze_circulant,
     classify,
@@ -29,6 +30,36 @@ def test_vector_validation():
         DefiningVector(4, (1, 2, 3))  # not an odd prime
     v = DefiningVector(3, (4, -1))
     assert v.e == (1, 2)  # reduced mod p
+
+
+def test_vector_equality_hash_and_repr_follow_the_residues():
+    v = DefiningVector(5, (6, 4, 1, 4))
+    w = DefiningVector(5, (1, 4, 1, 4))
+    assert v == w and hash(v) == hash(w)
+    assert v != DefiningVector(5, (2, 3, 2, 3))
+    assert repr(v) == "DefiningVector(p=5, e=(1, 4, 1, 4))"
+
+
+def test_vector_is_immutable():
+    v = DefiningVector(5, (1, 4, 1, 4))
+    assert v.rank == 4
+    for name, value in (("p", 7), ("e", (1, 0, 0, 0)), ("rank", 1)):
+        with pytest.raises(AttributeError):
+            setattr(v, name, value)
+    assert (v.p, v.e, v.rank) == (5, (1, 4, 1, 4), 4)
+
+
+@pytest.mark.parametrize("p,message", [
+    (2, "arity must be an odd prime, got 2"),
+    (9, "arity must be an odd prime, got 9"),
+    (131, "arity must be at most 127, got 131: products sum two labels in one byte "
+          "before reducing them mod p"),
+])
+def test_vector_and_tree_reject_a_bad_arity_alike(p, message):
+    for build in (lambda: DefiningVector(p, (1,) * (p - 1)), lambda: tree_shape(p, 1)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_parse_vector():
@@ -85,6 +116,13 @@ def test_classify():
     assert c.gupta_sidki
     assert not classify(DefiningVector(3, (1, 0))).gupta_sidki
     assert not classify(DefiningVector(5, (1, -1, 1, -1))).gupta_sidki
+
+
+def test_classification_fields_in_order():
+    c = Classification(5, (1, 4, 1, 4), 0, True, False, 4, False)
+    assert (c.p, c.e, c.alpha, c.periodic, c.symmetric, c.rank, c.gupta_sidki) == (
+        5, (1, 4, 1, 4), 0, True, False, 4, False)
+    assert c == classify(DefiningVector(5, (1, 4, 1, 4)))
 
 
 def test_make_a():

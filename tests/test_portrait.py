@@ -22,7 +22,7 @@ from ggs import (
     stabilizes_level,
     tree_shape,
 )
-from ggs.generators import make_a, make_b
+from ggs.portrait import make_a, make_b
 from ggs import DefiningVector
 
 from reference import (

@@ -28,8 +28,7 @@ from ggs import (
 )
 from ggs import quotient, verifiers
 from ggs.certificate import Certificate
-from ggs.generators import make_a, make_b
-from ggs.portrait import tree_shape
+from ggs.portrait import make_a, make_b, tree_shape
 from ggs.verifiers import default_level
 
 from reference import (

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from ggs import DefiningVector, WordSyntaxError, evaluate_word, parse_word, tree_shape
-from ggs.generators import make_a, make_b
+from ggs.portrait import make_a, make_b
 from ggs.words import MAX_NESTING
 
 
