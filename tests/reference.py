@@ -19,7 +19,8 @@ the conjugates of the power subgroups <(ab^j)^p> are walked on depth-3
 portraits under conjugation by a and b and met by a search over every
 (k, r) rotation of their depth-2 blocks rather than one valuation, and the
 collision and exponent scans test every element rather than an affine basis
-of each power class, the triple-line check walks every pair of nonzero
+of each power class, the power lemma forms every instance (i, k) rather than
+k = 1 alone, the triple-line check walks every pair of nonzero
 coordinates rather than one point at a time, and the commutators [x, g] are
 formed for every element g rather than read off the conjugacy class of x.
 """
@@ -659,4 +660,31 @@ def pair_triple_line_check(cert: Certificate, p: int) -> bool:
         bad is None,
         "every independent coordinate pair has a member on an ab^i line"
         + (f"; failed at {bad}" if bad else ""),
+    )
+
+
+def power_instance_scan(cert: Certificate, v: DefiningVector, n: int) -> bool:
+    """The power_closed_form check of verifiers._power_lemma_checks by every
+    instance (ab^i)^(k*p^(n-1)) = z^(k*i*alpha), i, k = 1..p-1, each k-th
+    power formed as a product rather than read off the k = 1 instance.
+    Reads _central_z through the verifiers module, so a test that patches
+    it there patches the oracle alike."""
+    p, alpha = v.p, v.alpha
+    shape = tree_shape(p, n)
+    a, b = make_a(shape), make_b(v, shape)
+    z = verifiers._central_z(shape)
+    z_powers = [z**m for m in range(p)]
+    bad = []
+    for i in range(1, p):
+        step = (a * b**i) ** (p ** (n - 1))
+        x = step
+        for k in range(1, p):
+            if x != z_powers[k * i * alpha % p]:
+                bad.append((i, k))
+            x = x * step
+    return cert.check(
+        "power_closed_form",
+        not bad,
+        f"(ab^i)^(k*{p}^{n - 1}) = z^(k*i*{alpha}) for i, k = 1..{p - 1}"
+        + (f"; failed at (i, k) = {bad[0]}" if bad else ""),
     )

@@ -42,6 +42,9 @@ EXTRA = (
     ("thm-A", 7, (1, 6, 1, 6, 1, 6), 4),
     ("thm-G2", 7, (4, 6, 3, 6, 5, 4), 2),
     ("thm-B", 5, (1, 0, 0, 0), 2),
+    ("thm-B", 13, (1,) + (0,) * 11, 3),
+    ("eq-3.1", 7, (1, 6, 1, 6, 1, 6), 3),
+    ("lemma-orders", 7, (1, 6, 1, 6, 1, 6), 3),
 )
 
 
@@ -60,7 +63,7 @@ def _parse(path: Path) -> tuple[str, int, tuple[int, ...], int]:
 
 
 def test_golden_set_is_complete():
-    assert len(_golden_files()) == 41
+    assert len(_golden_files()) == 44
 
 
 @pytest.mark.parametrize("path", _golden_files(), ids=lambda path: path.stem)

@@ -37,6 +37,7 @@ from reference import (
     element_exponent_check,
     pair_triple_line_check,
     power_conjugates,
+    power_instance_scan,
     rotation_search_meets,
 )
 
@@ -52,6 +53,14 @@ def test_unknown_claim(gs):
     with pytest.raises(ValueError) as err:
         verify_claim("thm-Z", gs, 2)
     assert "thm-A" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [None, 3])
+def test_claim_params_refuses_an_unknown_claim(gs, n):
+    # With or without a level, the unknown id is named with the known ones.
+    with pytest.raises(ValueError, match="unknown claim 'thm-Z'; known claims: eq-3.1, "):
+        verifiers.claim_params("thm-Z", gs, n)
+    assert verifiers.claim_params("thm-A", gs, n) == {"p": 3, "e": [1, 2], "n": 3}
 
 
 def test_statement_copied_into_certificate(gs):
@@ -573,6 +582,62 @@ def test_thm_b_past_the_budget_is_refuted_when_the_lemma_fails(monkeypatch, brok
     assert ("z_central" in failed) == (broken == "centre")
 
 
+POWER_VECTORS = [
+    (3, (1, 0)),
+    (3, (1, 1)),  # symmetric
+    (5, (1, 0, 0, 0)),
+    (5, (1, 2, 2, 1)),  # symmetric
+    (5, (2, 3, 0, 4)),
+    (7, (1, 0, 0, 0, 0, 0)),
+    (7, (1, 2, 3, 3, 2, 1)),  # symmetric
+    (11, (1,) + (0,) * 9),
+    (11, (1, 2, 0, 0, 0, 0, 0, 0, 2, 1)),  # symmetric
+]
+
+
+def _power_closed_form(check, v: DefiningVector, n: int):
+    cert = _blank_certificate()
+    check(cert, v, n)
+    (found,) = [c for c in cert.checks if c.name == "power_closed_form"]
+    return found.passed, found.detail
+
+
+@pytest.mark.parametrize("broken", [None, "power", "centre"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p, e", POWER_VECTORS)
+def test_power_lemma_matches_the_instance_scan(monkeypatch, broken, p, e, n):
+    # p - 1 instances decide what the (p - 1)^2 instances of every (i, k) do,
+    # down to the first failure the detail names.
+    central_z = verifiers._central_z
+    if broken == "power":
+        monkeypatch.setattr(verifiers, "_central_z", lambda shape: central_z(shape) ** 2)
+    elif broken == "centre":
+        monkeypatch.setattr(
+            verifiers, "_central_z", lambda shape: central_z(shape) * make_a(shape)
+        )
+    v = DefiningVector(p, e)
+    got = _power_closed_form(verifiers._power_lemma_checks, v, n)
+    assert got == _power_closed_form(power_instance_scan, v, n)
+    assert got[0] == (broken is None)
+
+
+def test_power_lemma_forms_one_power_per_line(monkeypatch):
+    p, n = 31, 2
+    calls = 0
+    mul = Portrait.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Portrait, "__mul__", counted)
+    assert verifiers._power_lemma_checks(
+        _blank_certificate(), DefiningVector(p, (1,) + (0,) * (p - 2)), n
+    )
+    assert calls < (p - 1) ** 2
+
+
 DECIDED = [(p, n) for p in (3, 5, 7) for n in (2, 3, 4, 5)]
 
 
@@ -946,6 +1011,13 @@ def test_replay_detects_tampering(gs):
     doc = json.loads(cert.canonical_json())
     doc["verdict"] = "refuted"
     assert not replay_certificate(doc)
+
+
+def test_replay_refuses_an_unknown_claim(gs):
+    doc = json.loads(verify_claim("lemma-orders", gs, 3).canonical_json())
+    doc["claim"] = "thm-Z"
+    with pytest.raises(ValueError, match="unknown claim 'thm-Z'"):
+        replay_certificate(doc)
 
 
 def test_replay_rejects_corrupt_witness(gs):
