@@ -28,15 +28,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .certificate import Certificate
 from .generators import BudgetExceeded
-from .portrait import Portrait, PsiDecomposition, TreeShape, assemble, commutator
+from .portrait import Portrait, PsiDecomposition, assemble, commutator
 from .portrait import make_a, make_b, tree_shape
 from .quotient import (
     QuotientGroup,
-    Run,
     SubgroupHandle,
     coordinate_line,
     map_power_classes,
-    p_power_chains,
+    socles,
     stage,
     _split,
 )
@@ -165,15 +164,6 @@ def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
 # -- socle-orbit signatures ----------------------------------------------------
 
 
-def _socles(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[bytes | None]:
-    """Labels of the last nontrivial p-power of each member of runs of
-    power classes (a generator of the order-p subgroup of <x>), None for
-    the identity."""
-    m = shape.internal_count
-    exps, levels = p_power_chains(shape, rows, runs)
-    return [levels[e - 1][j * m : (j + 1) * m] if e else None for j, e in enumerate(exps)]
-
-
 @stage
 def _class_index(group: QuotientGroup) -> dict[bytes, int]:
     """The index of each element's conjugacy class, classes in order of
@@ -197,7 +187,7 @@ def _socle_data(group: QuotientGroup) -> tuple[list[int], int]:
     orbit_of: dict[int, int] = {}  # socle class -> id
     ids: list[int] = []
     count = 0
-    for s in map_power_classes(_socles, group):
+    for s in map_power_classes(socles, group):
         if s is None:
             ids.append(0)
             continue

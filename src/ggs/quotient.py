@@ -34,6 +34,7 @@ element budget it guards live in generators.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from functools import cached_property, lru_cache, partial, reduce as fold, wraps
 from itertools import accumulate, chain, compress, count, cycle, repeat
 from operator import add, attrgetter, not_, or_
@@ -59,6 +60,9 @@ __all__ = [
     "coordinate_line",
     "enumerate_quotient",
     "p_power_chains",
+    "orders",
+    "orders_and_tops",
+    "socles",
     "map_power_classes",
     "affine_suspects",
 ]
@@ -347,6 +351,38 @@ def p_power_chains(
             raise RuntimeError("order exceeded the exponent bound of the tree")
     levels += [shape.zero_labels * width] * (shape.n - len(levels))
     return exps.to_bytes(width, "little"), levels
+
+
+# -- readers of the p-power chains: fns of map_power_classes and affine_suspects --
+
+
+def _orders_of(shape: TreeShape, exps: bytes) -> list[int]:
+    """The orders p^e for order exponents e."""
+    return list(map([shape.p**k for k in range(shape.n + 1)].__getitem__, exps))
+
+
+def orders(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[int]:
+    """Orders of the members of runs of power classes, from their batched
+    p-power chains."""
+    return _orders_of(shape, p_power_chains(shape, rows, runs)[0])
+
+
+def orders_and_tops(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[tuple[int, bytes]]:
+    """Order of each x of runs of power classes and the labels of
+    x^(p^(n-1)), equal labels sharing one bytes object."""
+    exps, levels = p_power_chains(shape, rows, runs)
+    tops: dict[bytes, bytes] = {}
+    last = (tops.setdefault(t, t) for t in _split(levels[-1], shape.internal_count))
+    return list(zip(_orders_of(shape, exps), last))
+
+
+def socles(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[bytes | None]:
+    """Labels of the last nontrivial p-power of each member of runs of
+    power classes (a generator of the order-p subgroup of <x>), None for
+    the identity."""
+    m = shape.internal_count
+    exps, levels = p_power_chains(shape, rows, runs)
+    return [levels[e - 1][j * m : (j + 1) * m] if e else None for j, e in enumerate(exps)]
 
 
 def map_power_classes(
@@ -795,6 +831,10 @@ class QuotientGroup:
         steps = [*map(_times, _distinct(seeds)), *map(_conjugation, _distinct(conjugators))]
         return SubgroupHandle(tuple(map(self._at, _walk(self, steps))))
 
+    def _subgroup(self, mask: bytes) -> SubgroupHandle:
+        """The elements mask selects (a byte each, 1 to select), each by _at."""
+        return SubgroupHandle(tuple(map(self._at, compress(count(), mask))))
+
     @stage
     def derived_subgroup(self) -> SubgroupHandle:
         """G', in enumeration order: the elements on line p + 1, at (0, 0).
@@ -813,17 +853,14 @@ class QuotientGroup:
         images of a and b, both of order p, so |G:G'| <= p^2.  Hence K = G'.
         At level 1 the quotient is <a> = C_p, abelian, so G' = 1.
         """
-        if self.coords is None:
-            return SubgroupHandle((self.identity,))
-        p = self.vector.p
-        return SubgroupHandle(tuple(compress(self.elements, self.line_mask(p + 1))))
+        mask = bytes([1]) if self.coords is None else self.line_mask(self.vector.p + 1)
+        return self._subgroup(mask)
 
     @stage
     def center(self) -> SubgroupHandle:
         """The elements fixed by conjugation with a and with b."""
         by_a, by_b = self._conjugation_tables()
-        fixed = (i for i in range(len(self)) if by_a[i] == i and by_b[i] == i)
-        return SubgroupHandle(tuple(map(self._at, fixed)))
+        return self._subgroup(bytes(x == i == y for i, x, y in zip(count(), by_a, by_b)))
 
     @stage
     def level_stabilizer(self, k: int) -> SubgroupHandle:
@@ -832,8 +869,7 @@ class QuotientGroup:
         the OR of those label columns has a zero byte."""
         columns = self.label_columns()[: self.shape.level_starts[k]]
         live = fold(or_, (int.from_bytes(c, "little") for c in columns), 0)
-        members = compress(range(len(self)), map(not_, live.to_bytes(len(self), "little")))
-        return SubgroupHandle(tuple(map(self._at, members)))
+        return self._subgroup(bytes(map(not_, live.to_bytes(len(self), "little"))))
 
     @stage
     def stabilizer_derived(self) -> SubgroupHandle:
@@ -862,10 +898,7 @@ class QuotientGroup:
         if self.shape.n < 2:
             raise ValueError("maximal subgroups are tabulated for levels >= 2")
         p = self.vector.p
-        return [
-            SubgroupHandle(tuple(compress(self.elements, self.line_mask(j, p + 1))))
-            for j in range(p + 1)
-        ]
+        return [self._subgroup(self.line_mask(j, p + 1)) for j in range(p + 1)]
 
     def _class_of(self, i: int) -> list[int]:
         """Indices of the conjugacy class of element i, in discovery order:
@@ -900,11 +933,8 @@ class QuotientGroup:
         return classes
 
     def order_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for cls in self.conjugacy_classes():
-            o = cls[0].order()
-            hist[o] = hist.get(o, 0) + len(cls)
-        return dict(sorted(hist.items()))
+        """Element count by order, increasing, read off the p-power chains."""
+        return dict(sorted(Counter(map_power_classes(orders, self)).items()))
 
     def exponent(self) -> int:
         return max(self.order_histogram())
@@ -912,14 +942,15 @@ class QuotientGroup:
     # -- exports ---------------------------------------------------------------
 
     def sorted_encodings(self) -> list[str]:
-        return [x.encode() for x in sorted(self.elements)]
+        """Every element's encoding, in the label order of Portrait.__lt__."""
+        return [Portrait(self.shape, key).encode() for key in sorted(self.label_keys)]
 
     def cayley_dot(self) -> str:
         """Cayley graph on generators a, b in DOT format."""
         lines = ["digraph cayley {"]
-        number = {x.labels: i for i, x in enumerate(sorted(self.elements))}
-        for x in sorted(self.elements):
-            i = number[x.labels]
+        ordered = sorted(self.elements)
+        number = {x.labels: i for i, x in enumerate(ordered)}
+        for i, x in enumerate(ordered):
             lines.append(f'  v{i} [label="{x.encode()}"];')
             lines.append(f"  v{i} -> v{number[(x * self.a).labels]} [label=\"a\"];")
             lines.append(f"  v{i} -> v{number[(x * self.b).labels]} [label=\"b\"];")

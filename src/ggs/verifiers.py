@@ -51,14 +51,13 @@ from .generators import (
 from .portrait import Portrait, TreeShape, commutator, make_a, make_b, tree_shape
 from .quotient import (
     QuotientGroup,
-    Run,
     SubgroupHandle,
     affine_suspects,
     coordinate_line,
     enumerate_quotient,
     map_power_classes,
-    p_power_chains,
-    _split,
+    orders,
+    orders_and_tops,
 )
 from .words import evaluate_word
 
@@ -160,29 +159,6 @@ def _group_within(
         cert.element_count = len(group)
         cert.exhaustive = True
     return group
-
-
-def _orders_of(shape: TreeShape, exps: bytes) -> list[int]:
-    """The orders p^e for order exponents e."""
-    return list(map([shape.p**k for k in range(shape.n + 1)].__getitem__, exps))
-
-
-def _orders(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[int]:
-    """Orders of the members of runs of power classes, from their batched
-    p-power chains."""
-    exps, _ = p_power_chains(shape, rows, runs)
-    return _orders_of(shape, exps)
-
-
-def _orders_and_tops(
-    shape: TreeShape, rows: bytes, runs: Sequence[Run]
-) -> list[tuple[int, bytes]]:
-    """Order of each x of runs of power classes and the labels of
-    x^(p^(n-1)), equal labels sharing one bytes object."""
-    exps, levels = p_power_chains(shape, rows, runs)
-    tops: dict[bytes, bytes] = {}
-    last = (tops.setdefault(t, t) for t in _split(levels[-1], shape.internal_count))
-    return list(zip(_orders_of(shape, exps), last))
 
 
 def _generator_portraits(v: DefiningVector, n: int) -> tuple[Portrait, Portrait]:
@@ -467,9 +443,9 @@ def _exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
     (affine_suspects); the classes it leaves open are scanned in full.  Like
     _collision_scan it reads the rows and builds no label keys or index."""
     p = group.vector.p
-    suspects = affine_suspects(_orders, lambda i, o: o <= p, group)
-    orders = map_power_classes(_orders, group, suspects)
-    bad = [key for key, o in zip(group.selected_keys(suspects), orders) if o > p]
+    suspects = affine_suspects(orders, lambda i, o: o <= p, group)
+    scanned = map_power_classes(orders, group, suspects)
+    bad = [key for key, o in zip(group.selected_keys(suspects), scanned) if o > p]
     if bad:
         cert.witnesses["exponent_witness"] = Portrait(group.shape, min(bad)).encode()
     return cert.check(
@@ -515,11 +491,11 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     power_bad: list[bytes] = []
     on_lines = group.line_mask(*range(2, p + 1))  # the lines 1 + i, i = 1..p-1
     total = on_lines.count(1)
-    suspects = affine_suspects(_orders_and_tops, passes, group, on_lines)
+    suspects = affine_suspects(orders_and_tops, passes, group, on_lines)
     outside = group.selected_keys(suspects)
     wanted = map(expected.__getitem__, compress(b_coords, suspects))
     for key, want, (o, top) in zip(
-        outside, wanted, map_power_classes(_orders_and_tops, group, suspects)
+        outside, wanted, map_power_classes(orders_and_tops, group, suspects)
     ):
         if o != p**n:
             order_bad.append(key)

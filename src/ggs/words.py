@@ -29,7 +29,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.depth = 0
-        self.atoms = {"a": a, "b": b, "A": a.inverse(), "B": b.inverse()}
+        self.atoms = {"a": a, "b": b}  # A and B join on first use
         self.identity = Portrait.identity(a.shape)
 
     def peek(self) -> str:
@@ -65,7 +65,9 @@ class _Parser:
             atom = self.word(in_group=True)
             self.pos += 1  # consume ')'
             self.depth -= 1
-        elif c in self.atoms:
+        elif c.lower() in self.atoms:
+            if c not in self.atoms:
+                self.atoms[c] = self.atoms[c.lower()].inverse()
             atom = self.atoms[c]
             self.pos += 1
         else:

@@ -43,7 +43,7 @@ from ggs import (
     is_beauville_pair,
     tree_shape,
 )
-from ggs import verifiers
+from ggs import quotient, verifiers
 from ggs.beauville import _conjugates_of_powers, _first_disjoint, _group_certificate, _socle_data
 from ggs.certificate import Certificate
 from ggs.generators import _one_root_multiplicity
@@ -578,14 +578,14 @@ def pair_table_witness(sigmas: list[frozenset]) -> tuple[int, int] | None:
 
 # The two scans below are the element-by-element versions of
 # verifiers._exponent_check and verifiers._collision_scan.  They read the
-# verifier's helpers through the module, so a test that patches one of them
-# patches the oracle alike.
+# p-power readers through ggs.quotient and the verifier's helpers through
+# ggs.verifiers, so a test that patches one of them patches the oracle alike.
 
 
 def element_exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
     """Every element's order divides p, tested on every element."""
     p, keys = group.vector.p, group.label_keys
-    orders = map_power_classes(verifiers._orders, group)
+    orders = map_power_classes(quotient.orders, group)
     bad = [key for key, o in zip(keys, orders) if o > p]
     if bad:
         cert.witnesses["exponent_witness"] = group.element(min(bad)).encode()
@@ -611,7 +611,7 @@ def element_collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     outside = compress(group.label_keys, on_lines)
     wanted = map(expected.__getitem__, compress(group.coords[1], on_lines))
     for key, want, (o, top) in zip(
-        outside, wanted, map_power_classes(verifiers._orders_and_tops, group, on_lines)
+        outside, wanted, map_power_classes(quotient.orders_and_tops, group, on_lines)
     ):
         if o != p**n:
             order_bad.append(key)

@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import weakref
+from collections import Counter
 from itertools import compress
 
 import pytest
@@ -740,6 +741,26 @@ def test_sorted_encodings(gs_g2):
     assert enc == sorted(enc)
     assert enc[0] == "3,2:0,0,0,0"
     assert len(set(enc)) == 27
+
+
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_order_histogram_and_sorted_encodings_match_the_elements(p, e, n):
+    # The histogram is read off the p-power kernel, the encodings off the
+    # label keys; both agree with the interned elements one by one.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    expected = Counter(x.order() for x in group)
+    assert group.order_histogram() == dict(sorted(expected.items()))
+    assert group.exponent() == max(expected)
+    assert group.sorted_encodings() == [x.encode() for x in sorted(group)]
+
+
+def test_histogram_subgroups_and_encodings_build_no_elements_or_classes(e10):
+    group = enumerate_quotient(e10, 3)
+    group.order_histogram()
+    group.derived_subgroup()
+    group.sorted_encodings()
+    assert "elements" not in vars(group)
+    assert not [key for key in group._stages if key[0].endswith("conjugacy_classes")]
 
 
 def test_cayley_dot(gs_g2):

@@ -384,7 +384,7 @@ def test_collision_scan_names_the_least_offender(e10, monkeypatch, broken):
     if broken == "order":
         # Every order reads one power of p short: all of lines 2 and 3 offend.
         monkeypatch.setattr(
-            verifiers, "_orders_of", lambda shape, exps: [shape.p ** (e - 1) for e in exps]
+            quotient, "_orders_of", lambda shape, exps: [shape.p ** (e - 1) for e in exps]
         )
         expected = {"order_witness": _least_on_lines(group, 2, 3)}
     elif broken == "coords":
@@ -428,7 +428,7 @@ def test_exponent_check_names_the_least_offender(gs, monkeypatch):
     # Every order reads one power of p too long: every element but 1 offends.
     group = enumerate_quotient(gs, 2)
     monkeypatch.setattr(
-        verifiers, "_orders_of", lambda shape, exps: [shape.p ** (e + 1) for e in exps]
+        quotient, "_orders_of", lambda shape, exps: [shape.p ** (e + 1) for e in exps]
     )
     monkeypatch.setattr(verifiers, "enumerate_quotient", lambda v, n, budget: group)
     fast, slow = _certificates(
@@ -453,13 +453,13 @@ def test_collision_scan_runs_chains_on_an_affine_basis_of_each_class(e10, monkey
     # e=(1,0), n=3: 36 power classes meet the lines 1 + i, each spanned from
     # 7 members, where scanning every element took 26,244 chain rows.
     rows = []
-    chains = verifiers.p_power_chains
+    chains = quotient.p_power_chains
 
     def counted(shape, batch, perm):
         rows.append(len(batch) // shape.internal_count)
         return chains(shape, batch, perm)
 
-    monkeypatch.setattr(verifiers, "p_power_chains", counted)
+    monkeypatch.setattr(quotient, "p_power_chains", counted)
     assert verify_claim("prop-collision", e10, 3).verified
     assert sum(rows) <= 36 * 7
 
@@ -468,13 +468,13 @@ def test_collision_scan_makes_one_chain_call_over_every_basis(e10, monkeypatch):
     # e=(1,0), n=3: the 36 bases of 7 members each go to the kernel as 36
     # runs of one call, and no class is left for the full scan.
     calls = []
-    chains = verifiers.p_power_chains
+    chains = quotient.p_power_chains
 
     def recorded(shape, batch, runs):
         calls.append((len(batch) // shape.internal_count, [width for _, width in runs]))
         return chains(shape, batch, runs)
 
-    monkeypatch.setattr(verifiers, "p_power_chains", recorded)
+    monkeypatch.setattr(quotient, "p_power_chains", recorded)
     assert verify_claim("prop-collision", e10, 3).verified
     assert calls == [(36 * 7, [7] * 36)]
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from ggs import DefiningVector, WordSyntaxError, evaluate_word, parse_word, tree_shape
-from ggs.portrait import make_a, make_b
+from ggs.portrait import Portrait, make_a, make_b
 from ggs.words import MAX_NESTING
 
 
@@ -28,6 +28,21 @@ def test_inverse_letters():
     assert evaluate_word("B", a, b) == b.inverse()
     assert evaluate_word("Ab", a, b) == a.inverse() * b
     assert evaluate_word("aA", a, b).is_identity()
+
+
+@pytest.mark.parametrize("word, inverses", [("ab^2", 0), ("AbA", 1), ("AB(ab)^-1", 3)])
+def test_parser_inverts_only_the_letters_a_word_uses(monkeypatch, word, inverses):
+    a, b = _gens()
+    calls = []
+    inverse = Portrait.inverse
+
+    def counted(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(Portrait, "inverse", counted)
+    evaluate_word(word, a, b)
+    assert len(calls) == inverses
 
 
 def test_exponents():
