@@ -1,7 +1,8 @@
 """One verifier per documented claim, each returning a replayable certificate.
 
 `CLAIMS` is the claim registry: one record per claim id with its statement,
-its default level and its verifier.
+its default level, its verifier and its domain (the vectors and levels it
+concerns), which `claim_params` enforces before any work.
 
 Which proof each claim rests on:
 
@@ -96,6 +97,8 @@ class Claim(NamedTuple):
     statement: str
     level: int
     verify: Callable[[Certificate, DefiningVector, int, int], str]
+    periodic: bool | None = None  # the kind of vector concerned; None: every vector
+    levels: tuple[int, int] = (1, MAX_LEVEL)  # the least and greatest level concerned
 
 
 def default_level(claim: str) -> int:
@@ -111,14 +114,26 @@ def claim_params(
     y_word: str = "b",
 ) -> dict:
     """Certificate params of one run: p, e and the level n (default: the
-    claim's); lifting adds the target depth m (default n + 1) and its words."""
+    claim's); lifting adds the target depth m (default n + 1) and its words.
+    The one domain gate: a level or a vector the claim does not concern, and
+    a lifting target m outside n + 1..MAX_LEVEL, raise ValueError."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known claims: {', '.join(sorted(CLAIMS))}")
-    if n is None:
-        n = default_level(claim)
+    record = CLAIMS[claim]
+    n = record.level if n is None else n
+    lo, hi = record.levels
+    if type(n) is not int or not lo <= n <= hi:
+        span = f"level {lo}" if lo == hi else f"levels {lo}..{hi}"
+        raise ValueError(f"{claim} concerns {span}, got {n!r}")
+    if record.periodic is not None and v.periodic != record.periodic:
+        kind, has = ("", "has nonzero sum") if record.periodic else ("non-", "sums to zero")
+        raise ValueError(f"{claim} concerns {kind}periodic vectors; {v} {has}")
     params: dict = {"p": v.p, "e": list(v.e), "n": n}
     if claim == "lifting":
-        params.update(m=n + 1 if m is None else m, x=x_word, y=y_word)
+        m = n + 1 if m is None else m
+        if type(m) is not int or not n < m <= hi:
+            raise ValueError(f"lifting needs a target depth m in {n + 1}..{hi}, got {m!r}")
+        params.update(m=m, x=x_word, y=y_word)
     return params
 
 
@@ -164,16 +179,6 @@ def _group_within(
 def _generator_portraits(v: DefiningVector, n: int) -> tuple[Portrait, Portrait]:
     shape = tree_shape(v.p, n)
     return make_a(shape), make_b(v, shape)
-
-
-def _require_periodic(cert: Certificate, v: DefiningVector) -> None:
-    if not v.periodic:
-        raise ValueError(f"{cert.claim} concerns periodic vectors; {v} has nonzero sum")
-
-
-def _require_non_periodic(cert: Certificate, v: DefiningVector) -> None:
-    if v.periodic:
-        raise ValueError(f"{cert.claim} concerns non-periodic vectors; {v} sums to zero")
 
 
 # -- element-wise sub-check builders (no enumeration) ---------------------------
@@ -630,28 +635,18 @@ def _no_structure_oracle(cert: Certificate, group: QuotientGroup) -> bool:
 
 
 def verify_lemma_orders(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_periodic(cert, v)
-    if n < 3:
-        raise ValueError("the order claim concerns levels n >= 3")
     cert.exhaustive = True
     cert.notes.append(ELEMENT_WISE)
     return _verdict(_order_checks(cert, n, _standard_order_items(v, n)))
 
 
 def verify_eq31(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_periodic(cert, v)
-    if n < 2:
-        raise ValueError("the section identity needs depth n >= 2")
     cert.exhaustive = True
     cert.notes.append(ELEMENT_WISE)
     return _verdict(_eq31_checks(cert, v, n))
 
 
-def verify_lemma_conjugates(
-    cert: Certificate, v: DefiningVector, n: int, budget: int
-) -> str:
-    if n != 2:
-        raise ValueError("the conjugate-distinctness claim concerns depth 2")
+def verify_lemma_conjugates(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     cert.exhaustive = True
     a, b = _generator_portraits(v, 2)
     conjugates = [b.conjugate_by(a**i) for i in range(v.p)]
@@ -671,16 +666,13 @@ def verify_lemma_conjugates(
     return _verdict(ok)
 
 
-def _require_gupta_sidki_level3(cert: Certificate, v: DefiningVector, n: int) -> None:
-    _require_periodic(cert, v)
+def _require_p3(cert: Certificate, v: DefiningVector) -> None:
     if v.p != 3:
         raise ValueError(f"{cert.claim} is specific to p = 3")
-    if n != 3:
-        raise ValueError(f"{cert.claim} concerns the level-3 quotient")
 
 
 def verify_lemma_center(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_gupta_sidki_level3(cert, v, n)
+    _require_p3(cert, v)
     group = _group_within(cert, v, 3, budget)
     if group is None:
         return SCALE
@@ -703,7 +695,7 @@ def _commutator_hits(group: QuotientGroup, x: Portrait, candidates) -> list[byte
 
 
 def verify_lemma_comms_b(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_gupta_sidki_level3(cert, v, n)
+    _require_p3(cert, v)
     group = _group_within(cert, v, 3, budget)
     if group is None:
         return SCALE
@@ -721,7 +713,7 @@ def verify_lemma_comms_b(cert: Certificate, v: DefiningVector, n: int, budget: i
 
 
 def verify_lemma_comms_a(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_gupta_sidki_level3(cert, v, n)
+    _require_p3(cert, v)
     group = _group_within(cert, v, 3, budget)
     if group is None:
         return SCALE
@@ -736,28 +728,17 @@ def verify_lemma_comms_a(cert: Certificate, v: DefiningVector, n: int, budget: i
 
 
 def verify_prop_key(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_periodic(cert, v)
-    if n < 3:
-        raise ValueError(
-            "the power-subgroup claim needs n >= 3, where ab^i has order p^2"
-        )
     pairs = [(i, j) for i in range(1, v.p) for j in range(1, v.p) if i != j]
     return _verdict(_key_last_layer_checks(cert, v, pairs))
 
 
-def verify_prop_collision(
-    cert: Certificate, v: DefiningVector, n: int, budget: int
-) -> str:
-    _require_non_periodic(cert, v)
-    if n < 2:
-        raise ValueError("the collision claim concerns levels n >= 2")
+def verify_prop_collision(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     ok = _power_lemma_checks(cert, v, n)
     group = _group_within(cert, v, n, budget, proof="the power lemma's checks")
     return _verdict(ok & (group is None or _collision_scan(cert, group)))
 
 
 def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_non_periodic(cert, v)
     cert.notes.append(LEVEL_ONLY)
     if n == 1:
         group = _group_within(cert, v, 1, budget)
@@ -785,9 +766,6 @@ def verify_thm_B(cert: Certificate, v: DefiningVector, n: int, budget: int) -> s
 
 
 def verify_thm_G2(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_periodic(cert, v)
-    if n != 2:
-        raise ValueError("this claim concerns the level-2 quotient")
     if v.p == 3:
         group = _group_within(cert, v, 2, budget)
         if group is None:
@@ -813,9 +791,6 @@ def verify_thm_G2(cert: Certificate, v: DefiningVector, n: int, budget: int) -> 
 
 
 def verify_thm_G3(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_periodic(cert, v)
-    if n != 3:
-        raise ValueError("this claim concerns the level-3 quotient")
     if v.p > 3:
         return _verdict(_standard_pair_checks(cert, v, 3))
     group = _group_within(cert, v, 3, budget)
@@ -823,9 +798,8 @@ def verify_thm_G3(cert: Certificate, v: DefiningVector, n: int, budget: int) -> 
 
 
 def verify_thm_A(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_periodic(cert, v)
     p = v.p
-    if not ((p >= 5 and n >= 2) or (p == 3 and n >= 3)):
+    if p == 3 and n == 2:
         raise ValueError(
             "the claim covers p >= 5 with n >= 2, or p = 3 with n >= 3; "
             f"got p={p}, n={n}"
@@ -855,8 +829,6 @@ def verify_thm_A(cert: Certificate, v: DefiningVector, n: int, budget: int) -> s
 
 def verify_lifting(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     m, x_word, y_word = (cert.params[k] for k in ("m", "x", "y"))
-    if m <= n:
-        raise ValueError("the target depth m must exceed the source depth n")
     cert.exhaustive = True
     cert.notes.append(ELEMENT_WISE)
     xy = f"({x_word})({y_word})"
@@ -896,33 +868,39 @@ CLAIMS: dict[str, Claim] = {
         "(covered range: p >= 5 with n >= 2, or p = 3 with n >= 3)",
         3,
         verify_thm_A,
+        periodic=True, levels=(2, MAX_LEVEL),
     ),
     "thm-B": Claim(
         "no level-n quotient of a non-periodic GGS group is a Beauville group",
         2,
         verify_thm_B,
+        periodic=False,
     ),
     "thm-G2": Claim(
         "the level-2 quotient of a periodic GGS group is a Beauville group "
         "exactly when p >= 5",
         2,
         verify_thm_G2,
+        periodic=True, levels=(2, 2),
     ),
     "thm-G3": Claim(
         "the level-3 quotient of a periodic GGS group is a Beauville group",
         3,
         verify_thm_G3,
+        periodic=True, levels=(3, 3),
     ),
     "lemma-orders": Claim(
         "a^-1 b and every a b^i have order p^2 in the level-n quotient (n >= 3, "
         "periodic vector)",
         3,
         verify_lemma_orders,
+        periodic=True, levels=(3, MAX_LEVEL),
     ),
     "lemma-conjugates": Claim(
         "the conjugates of b by powers of a are pairwise distinct at tree depth 2",
         2,
         verify_lemma_conjugates,
+        levels=(2, 2),
     ),
     "lemma-center": Claim(
         "at p = 3 (periodic) the level-3 center has order 3, lies in the derived "
@@ -930,24 +908,28 @@ CLAIMS: dict[str, Claim] = {
         "([a,b], [a,b], [a,b])",
         3,
         verify_lemma_center,
+        periodic=True, levels=(3, 3),
     ),
     "lemma-comms-b": Claim(
         "at p = 3 (periodic) no nontrivial central element of the level-3 "
         "quotient is a commutator [b, g]",
         3,
         verify_lemma_comms_b,
+        periodic=True, levels=(3, 3),
     ),
     "lemma-comms-a": Claim(
         "at p = 3 (periodic) the element with sections ([a,b], 1, 1) is not a "
         "commutator [a, g] in the level-3 quotient",
         3,
         verify_lemma_comms_a,
+        periodic=True, levels=(3, 3),
     ),
     "prop-key": Claim(
         "<(ab^i)^p> equals a conjugate of <(ab^j)^p> in the level-n quotient "
         "only when i = j (periodic vector)",
         3,
         verify_prop_key,
+        periodic=True, levels=(3, MAX_LEVEL),
     ),
     "prop-collision": Claim(
         "in the level-n quotient of a non-periodic GGS group, every element of "
@@ -956,12 +938,14 @@ CLAIMS: dict[str, Claim] = {
         "generate one cyclic subgroup",
         2,
         verify_prop_collision,
+        periodic=False, levels=(2, MAX_LEVEL),
     ),
     "eq-3.1": Claim(
         "psi((ab^i)^p) = ((b^i)^(a^(i*s_1)), ..., (b^i)^(a^(i*s_(p-1))), b^i) "
         "where s_j are the prefix sums of the defining vector (periodic case)",
         3,
         verify_eq31,
+        periodic=True, levels=(2, MAX_LEVEL),
     ),
     "order-formula": Claim(
         "the level-n quotient has order p^(t*p^(n-2) + 1) for n >= 2 and "
@@ -999,8 +983,6 @@ def verify_claim(
         raise ValueError(f"verifiers run in one process; workers must be 1, got {workers}")
     start = time.perf_counter()
     params = claim_params(claim, v, n, m, x_word, y_word)
-    if not 1 <= params["n"] <= MAX_LEVEL:
-        raise ValueError(f"level must lie in 1..{MAX_LEVEL}, got {params['n']}")
     cert = Certificate(
         claim=claim,
         statement=CLAIMS[claim].statement,
@@ -1025,10 +1007,14 @@ def replay_certificate(doc: dict, budget: int = DEFAULT_BUDGET) -> bool:
     Parameters the claim does not accept raise ValueError, as in verify_claim.
     """
     cert = Certificate.from_dict(doc)
-    params = cert.params
+    params = cert.params if isinstance(cert.params, dict) else {}
+    p, e = params.get("p"), params.get("e")
+    ints = type(p) is int and type(e) is list and all(type(x) is int for x in e)
+    if not ints or "n" not in params:
+        raise ValueError(f"certificate params need an int p, a list of int e and n: {cert.params}")
     fresh = verify_claim(
         cert.claim,
-        DefiningVector(params["p"], tuple(params["e"])),
+        DefiningVector(p, tuple(e)),
         params["n"],
         m=params.get("m"),
         x_word=params.get("x", "a"),

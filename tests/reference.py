@@ -23,6 +23,8 @@ of each power class, the power lemma forms every instance (i, k) rather than
 k = 1 alone, the triple-line check walks every pair of nonzero
 coordinates rather than one point at a time, and the commutators [x, g] are
 formed for every element g rather than read off the conjugacy class of x.
+The claims' domains are restated guard by guard (`parent_refuses`), as the
+verifiers once wrote them, rather than read off the registry.
 """
 from __future__ import annotations
 
@@ -688,3 +690,33 @@ def power_instance_scan(cert: Certificate, v: DefiningVector, n: int) -> bool:
         f"(ab^i)^(k*{p}^{n - 1}) = z^(k*i*{alpha}) for i, k = 1..{p - 1}"
         + (f"; failed at (i, k) = {bad[0]}" if bad else ""),
     )
+
+
+GUPTA_SIDKI_LEMMAS = ("lemma-center", "lemma-comms-a", "lemma-comms-b")
+
+
+def parent_refuses(
+    claim: str, v: DefiningVector, n: int, m: int | None = None, p_guards: bool = True
+) -> bool:
+    """Whether a run of `claim` on (v, n, m) is refused, by the guards each
+    verifier once wrote for itself: the kind of vector, the level range, the
+    level bounds 1..64, lifting's m > n (m defaulting to n + 1) and the
+    guards that depend on p, which `p_guards=False` leaves out (thm-A at
+    p = 3 then starts at level 2, and the p = 3 lemmas take every p)."""
+    p = v.p
+    if not 1 <= n <= 64:
+        return True
+    periodic_only = {"thm-A", "thm-G2", "thm-G3", "lemma-orders", "prop-key", "eq-3.1"}
+    if claim in periodic_only | set(GUPTA_SIDKI_LEMMAS) and not v.periodic:
+        return True
+    if claim in ("thm-B", "prop-collision") and v.periodic:
+        return True
+    if claim == "thm-A":
+        return not (n >= 2 if p >= 5 or not p_guards else n >= 3)
+    if claim in GUPTA_SIDKI_LEMMAS:
+        return n != 3 or (p_guards and p != 3)
+    if claim == "lifting":
+        return (n + 1 if m is None else m) <= n
+    least = {"lemma-orders": 3, "prop-key": 3, "eq-3.1": 2, "prop-collision": 2}
+    only = {"thm-G2": 2, "thm-G3": 3, "lemma-conjugates": 2}
+    return n < least.get(claim, 1) or (claim in only and n != only[claim])

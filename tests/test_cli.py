@@ -334,6 +334,16 @@ def test_error_exit_codes():
     assert res.returncode == 2
 
 
+def test_a_refused_claim_does_no_cache_work(tmp_path):
+    # The registry's domain gate refuses prop-key below level 3 before the
+    # cache key is formed or the cache directory is made.
+    cache = tmp_path / "c"
+    res = run_cli("verify", "prop-key", "--p", "5", "--level", "2", "--cache-dir", str(cache))
+    assert res.returncode == 2
+    assert res.stderr == "error: prop-key concerns levels 3..64, got 2\n"
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("flag", ["--out", "--dump", "--cayley", "--cache-dir"])
 def test_unwritable_file_exits_2(tmp_path, flag):
     # A missing directory for the files, or a regular file where the cache

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from itertools import compress, product
 from pathlib import Path
@@ -36,6 +37,7 @@ from reference import (
     element_collision_scan,
     element_exponent_check,
     pair_triple_line_check,
+    parent_refuses,
     power_conjugates,
     power_instance_scan,
     rotation_search_meets,
@@ -984,6 +986,111 @@ def test_default_levels():
     assert default_level("thm-B") == 2
     assert default_level("thm-G2") == 2
     assert default_level("lifting") == 3
+
+
+def test_default_levels_lie_in_the_domains():
+    for claim, record in CLAIMS.items():
+        lo, hi = record.levels
+        assert 1 <= lo <= record.level <= hi <= verifiers.MAX_LEVEL, claim
+
+
+def _raises_value_error(f, *args, **kwargs) -> bool:
+    try:
+        f(*args, **kwargs)
+    except ValueError:
+        return True
+    return False
+
+
+DOMAIN_VECTORS = [
+    (3, (1, 2)), (3, (1, 0)), (3, (1, 1)),
+    (5, (1, 4, 1, 4)), (5, (1, 0, 0, 0)), (5, (1, 2, 0, 2)),
+    (7, (1, 6, 1, 6, 1, 6)),
+]
+
+
+def test_the_registry_gate_refuses_what_the_verifiers_refused():
+    # Every claim on periodic and non-periodic vectors at p = 3, 5 and 7,
+    # levels on both sides of every domain's bounds, and lifting targets
+    # below, at and above n.  verify_claim refuses exactly the inputs the
+    # verifiers' own guards refused; claim_params alone refuses all of them
+    # but those refused only by a guard that depends on p.
+    grid = [
+        (claim, DefiningVector(p, e), n, m)
+        for claim in sorted(CLAIMS)
+        for p, e in DOMAIN_VECTORS
+        for n in (0, 1, 2, 3, 4, 65)
+        for m in ((None, 2, 3) if claim == "lifting" else (None,))
+    ]
+    refused = 0
+    for claim, v, n, m in grid:
+        expected = parent_refuses(claim, v, n, m)
+        assert _raises_value_error(verify_claim, claim, v, n, m=m, budget=50) == expected, (
+            claim, v, n, m
+        )
+        gated = _raises_value_error(verifiers.claim_params, claim, v, n, m)
+        assert gated == parent_refuses(claim, v, n, m, p_guards=False), (claim, v, n, m)
+        refused += expected
+    assert (len(grid), refused) == (672, 517)
+
+
+def test_the_gate_names_the_claim_and_its_domain(gs, e10):
+    with pytest.raises(ValueError, match=r"^prop-key concerns levels 3\.\.64, got 2$"):
+        verifiers.claim_params("prop-key", gs, 2)
+    with pytest.raises(ValueError, match=r"^thm-G2 concerns level 2, got 3$"):
+        verifiers.claim_params("thm-G2", gs, 3)
+    with pytest.raises(ValueError, match=r"^thm-B concerns non-periodic vectors; "):
+        verifiers.claim_params("thm-B", gs, 2)
+    with pytest.raises(ValueError, match=r"^eq-3.1 concerns periodic vectors; "):
+        verifiers.claim_params("eq-3.1", e10, 2)
+    with pytest.raises(ValueError, match=r"^lifting needs a target depth m in 4\.\.64, got 3$"):
+        verifiers.claim_params("lifting", gs, 3, 3)
+    with pytest.raises(ValueError, match=r"^lifting needs a target depth m in 2\.\.64, got 65$"):
+        verifiers.claim_params("lifting", gs, 1, 65)
+
+
+@pytest.mark.parametrize("n, m", [("3", None), (3.0, None), (True, None), (3, "4")])
+def test_the_gate_refuses_a_level_that_is_not_an_int(gs, n, m):
+    with pytest.raises(ValueError, match="got"):
+        verifiers.claim_params("lifting", gs, n, m)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda params: params.pop("p"),
+        lambda params: params.pop("e"),
+        lambda params: params.pop("n"),
+        lambda params: params.update(p="3"),
+        lambda params: params.update(n="3"),
+        lambda params: params.update(e=[1, "x"]),
+        lambda params: params.update(p=3.0),
+        lambda params: params.update(e=[1.0, 2]),
+    ],
+    ids=["no-p", "no-e", "no-n", "text-p", "text-n", "text-in-e", "float-p", "float-in-e"],
+)
+def test_replay_refuses_malformed_params(gs, edit):
+    # A document whose params lack p, e or n, or carry them as the wrong
+    # type, is refused as replay's docstring says: ValueError.
+    doc = json.loads(verify_claim("lemma-orders", gs, 3).canonical_json())
+    edit(doc["params"])
+    with pytest.raises(ValueError):
+        replay_certificate(doc)
+
+
+def test_readme_claims_table_matches_the_registry():
+    # Each row of the README "Claims" table states its claim's vectors,
+    # levels and default level as the registry does.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(
+        r"^\| `([\w.-]+)` \| .* \| (periodic|non-periodic|every); n = (\d+)(?:\.\.(\d+))? "
+        r"\| (\d+) \|$",
+        text,
+        re.M,
+    )
+    kinds = {"periodic": True, "non-periodic": False, "every": None}
+    table = {c: (kinds[k], (int(lo), int(hi or lo)), int(d)) for c, k, lo, hi, d in rows}
+    assert table == {c: (r.periodic, r.levels, r.level) for c, r in CLAIMS.items()}
 
 
 def test_replay_witness_path(gs):
