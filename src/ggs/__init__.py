@@ -15,9 +15,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "certificate": "CODE_VERSION SCHEMA Certificate Check __version__",
-        "portrait": "Portrait PsiDecomposition TreeShape apply assemble commutator compose "
-        "conjugate conjugate_generator identity inverse make_a make_b order parse_vertex psi "
-        "stabilizes_level tree_shape",
+        "portrait": "Portrait PsiDecomposition TreeShape assemble commutator make_a make_b "
+        "tree_shape",
         "generators": "CirculantAnalysis Classification DefiningVector analyze_circulant "
         "classify parse_vector BudgetExceeded DEFAULT_BUDGET predicted_order",
         "quotient": "QuotientGroup SubgroupHandle enumerate_quotient",

@@ -12,15 +12,17 @@ automorphism exactly when their label vectors coincide.
 Composition follows the right-action convention v^(fg) = (v^f)^g, which
 gives the label rule label_fg(u) = label_f(u) + label_g(u^f) mod p.
 
-The two standard generators of a GGS group, the rooted a and the recursive
-b of a defining vector, are built here as portraits (make_a, make_b).
+Portraits multiply, invert, power and conjugate; psi splits one into its
+root label and its p sections, and assemble rebuilds it.  The two standard
+generators of a GGS group, the rooted a and the recursive b of a defining
+vector, are built here as portraits (make_a, make_b).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 # MAX_PRIME stays importable here, beside the byte sums it bounds.
 from .generators import MAX_PRIME, DefiningVector, check_arity
@@ -30,20 +32,10 @@ __all__ = [
     "tree_shape",
     "Portrait",
     "PsiDecomposition",
-    "identity",
-    "compose",
-    "inverse",
-    "conjugate",
     "commutator",
-    "apply",
-    "parse_vertex",
-    "psi",
     "assemble",
-    "order",
-    "stabilizes_level",
     "make_a",
     "make_b",
-    "conjugate_generator",
 ]
 
 # A portrait holds one label byte per internal vertex; deeper trees than
@@ -84,15 +76,6 @@ class TreeShape:
         # Translation table reducing a byte sum of two labels mod p.
         self.reduce = bytes(v % p for v in range(256))
 
-    @property
-    def leaf_count(self) -> int:
-        return self.p**self.n
-
-    def child(self, index: int, depth: int, letter: int) -> int:
-        """Index of the child of an internal vertex reached by letter 1..p."""
-        ls = self.level_starts
-        return ls[depth + 1] + (index - ls[depth]) * self.p + (letter - 1)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TreeShape) and (self.p, self.n) == (other.p, other.n)
 
@@ -107,10 +90,6 @@ class TreeShape:
 def tree_shape(p: int, n: int) -> TreeShape:
     """Shared TreeShape instance for (p, n)."""
     return TreeShape(p, n)
-
-
-def _rebuild(p: int, n: int, labels: bytes) -> "Portrait":
-    return Portrait._raw(tree_shape(p, n), labels)
 
 
 class Portrait:
@@ -148,9 +127,6 @@ class Portrait:
 
     def is_identity(self) -> bool:
         return not any(self.labels)
-
-    def __reduce__(self):
-        return (_rebuild, (self.shape.p, self.shape.n, self.labels))
 
     def vertex_perm(self) -> tuple[int, ...]:
         """Images of the internal vertices under this automorphism, by index."""
@@ -222,24 +198,6 @@ class Portrait:
             v = pgi[u]
             out[u] = (lgi[u] + lf[v] + lg[pf[v]]) % p
         return Portrait._raw(self.shape, bytes(out))
-
-    def apply(self, vertex: Sequence[int] | str) -> tuple[int, ...]:
-        """Image of a vertex, given as letters in 1..p."""
-        word = parse_vertex(self.shape, vertex)
-        shape, lab = self.shape, self.labels
-        out = []
-        index = 0
-        for depth, x in enumerate(word):
-            out.append(1 + (x - 1 + lab[index]) % shape.p)
-            if depth + 1 < len(word):
-                index = shape.child(index, depth, x)
-        return tuple(out)
-
-    def stabilizes_level(self, k: int) -> bool:
-        """True when every vertex of length <= k is fixed."""
-        if not 0 <= k <= self.shape.n:
-            raise ValueError(f"level must lie in 0..{self.shape.n}, got {k}")
-        return not any(self.labels[: self.shape.level_starts[k]])
 
     def psi(self) -> "PsiDecomposition":
         """Split into the root label and the p sections one level down."""
@@ -322,51 +280,9 @@ class PsiDecomposition(NamedTuple):
     sections: tuple[Portrait, ...]
 
 
-def parse_vertex(shape: TreeShape, vertex: Sequence[int] | str) -> tuple[int, ...]:
-    """Normalize a vertex given as '31', '3 1', '3,1' or an int sequence."""
-    if isinstance(vertex, str):
-        text = vertex.replace(",", " ")
-        tokens = text.split() if " " in text.strip() else list(text.strip())
-        try:
-            word = tuple(int(t) for t in tokens)
-        except ValueError as err:
-            raise ValueError(f"malformed vertex {vertex!r}") from err
-    else:
-        word = tuple(vertex)
-    if len(word) > shape.n:
-        raise ValueError(f"vertex {word} is deeper than the tree (n={shape.n})")
-    if any(not 1 <= x <= shape.p for x in word):
-        raise ValueError(f"vertex letters must lie in 1..{shape.p}, got {word}")
-    return word
-
-
-def identity(shape: TreeShape) -> Portrait:
-    return Portrait.identity(shape)
-
-
-def compose(f: Portrait, g: Portrait) -> Portrait:
-    return f * g
-
-
-def inverse(f: Portrait) -> Portrait:
-    return f.inverse()
-
-
-def conjugate(f: Portrait, g: Portrait) -> Portrait:
-    return f.conjugate_by(g)
-
-
 def commutator(f: Portrait, g: Portrait) -> Portrait:
     """[f, g] = f^-1 g^-1 f g."""
     return f.inverse() * g.inverse() * f * g
-
-
-def apply(f: Portrait, vertex: Sequence[int] | str) -> tuple[int, ...]:
-    return f.apply(vertex)
-
-
-def psi(f: Portrait) -> PsiDecomposition:
-    return f.psi()
 
 
 def assemble(decomposition: PsiDecomposition) -> Portrait:
@@ -394,14 +310,6 @@ def assemble(decomposition: PsiDecomposition) -> Portrait:
     return Portrait._raw(shape, b"".join(parts))
 
 
-def order(f: Portrait) -> int:
-    return f.order()
-
-
-def stabilizes_level(f: Portrait, k: int) -> bool:
-    return f.stabilizes_level(k)
-
-
 def make_a(shape: TreeShape) -> Portrait:
     """Rooted generator: label 1 at the root, 0 elsewhere."""
     return Portrait(shape, bytes([1]) + bytes(shape.internal_count - 1))
@@ -415,7 +323,7 @@ def make_b(v: DefiningVector, shape: TreeShape) -> Portrait:
     """
     if v.p != shape.p:
         raise ValueError(f"vector is mod {v.p} but the tree has arity {shape.p}")
-    b = identity(tree_shape(v.p, 1))
+    b = Portrait.identity(tree_shape(v.p, 1))
     for depth in range(2, shape.n + 1):
         sub = tree_shape(v.p, depth - 1)
         a_sub = make_a(sub)
@@ -423,9 +331,3 @@ def make_b(v: DefiningVector, shape: TreeShape) -> Portrait:
         b = assemble(PsiDecomposition(0, sections))
     return b
 
-
-def conjugate_generator(v: DefiningVector, shape: TreeShape, i: int) -> Portrait:
-    """b^(a^i), computed by honest conjugation in the tree."""
-    if not 0 <= i <= v.p - 1:
-        raise ValueError(f"conjugation exponent must lie in 0..{v.p - 1}, got {i}")
-    return make_b(v, shape).conjugate_by(make_a(shape) ** i)

@@ -37,7 +37,7 @@ from array import array
 from collections import Counter
 from functools import cached_property, lru_cache, partial, reduce as fold, wraps
 from itertools import accumulate, chain, compress, count, cycle, repeat
-from operator import add, attrgetter, not_, or_
+from operator import add, attrgetter, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, cast
 
@@ -863,15 +863,6 @@ class QuotientGroup:
         return self._subgroup(bytes(x == i == y for i, x, y in zip(count(), by_a, by_b)))
 
     @stage
-    def level_stabilizer(self, k: int) -> SubgroupHandle:
-        """Elements acting trivially on the first k levels, in enumeration
-        order: those whose labels above depth k are all zero, found where
-        the OR of those label columns has a zero byte."""
-        columns = self.label_columns()[: self.shape.level_starts[k]]
-        live = fold(or_, (int.from_bytes(c, "little") for c in columns), 0)
-        return self._subgroup(bytes(map(not_, live.to_bytes(len(self), "little"))))
-
-    @stage
     def stabilizer_derived(self) -> SubgroupHandle:
         """st(1)', the derived subgroup of the first-level stabilizer: the
         normal closure of the [b, b^(a^k)] for k = 1..p-1.
@@ -935,9 +926,6 @@ class QuotientGroup:
     def order_histogram(self) -> dict[int, int]:
         """Element count by order, increasing, read off the p-power chains."""
         return dict(sorted(Counter(map_power_classes(orders, self)).items()))
-
-    def exponent(self) -> int:
-        return max(self.order_histogram())
 
     # -- exports ---------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """One verifier per documented claim, each returning a replayable certificate.
 
 `CLAIMS` is the claim registry: one record per claim id with its statement,
-its default level, its verifier and its domain (the vectors and levels it
-concerns), which `claim_params` enforces before any work.
+its default level, its verifier and its domain (the vectors, primes and
+levels it concerns), which `claim_params` enforces before any work.
 
 Which proof each claim rests on:
 
@@ -62,7 +62,7 @@ from .quotient import (
 )
 from .words import evaluate_word
 
-__all__ = ["CLAIMS", "claim_params", "default_level", "verify_claim", "replay_certificate"]
+__all__ = ["CLAIMS", "claim_params", "verify_claim", "replay_certificate"]
 
 SCALE = "skipped: scale"
 ELEMENT_WISE = "element-wise portrait computation; no group enumeration"
@@ -99,10 +99,8 @@ class Claim(NamedTuple):
     verify: Callable[[Certificate, DefiningVector, int, int], str]
     periodic: bool | None = None  # the kind of vector concerned; None: every vector
     levels: tuple[int, int] = (1, MAX_LEVEL)  # the least and greatest level concerned
-
-
-def default_level(claim: str) -> int:
-    return CLAIMS[claim].level
+    p3_levels: tuple[int, int] | None = None  # the levels at p = 3, where they differ
+    only_p: int | None = None  # the one prime concerned; None: every prime
 
 
 def claim_params(
@@ -115,16 +113,19 @@ def claim_params(
 ) -> dict:
     """Certificate params of one run: p, e and the level n (default: the
     claim's); lifting adds the target depth m (default n + 1) and its words.
-    The one domain gate: a level or a vector the claim does not concern, and
-    a lifting target m outside n + 1..MAX_LEVEL, raise ValueError."""
+    The one domain gate: a level, a vector or a prime the claim does not
+    concern, and a lifting target m outside n + 1..MAX_LEVEL, raise ValueError."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known claims: {', '.join(sorted(CLAIMS))}")
     record = CLAIMS[claim]
     n = record.level if n is None else n
-    lo, hi = record.levels
+    if record.only_p not in (None, v.p):
+        raise ValueError(f"{claim} concerns p = {record.only_p}, got p = {v.p}")
+    at_p3 = v.p == 3 and record.p3_levels is not None
+    lo, hi = record.p3_levels if at_p3 else record.levels
     if type(n) is not int or not lo <= n <= hi:
         span = f"level {lo}" if lo == hi else f"levels {lo}..{hi}"
-        raise ValueError(f"{claim} concerns {span}, got {n!r}")
+        raise ValueError(f"{claim} concerns {span}{' at p = 3' if at_p3 else ''}, got {n!r}")
     if record.periodic is not None and v.periodic != record.periodic:
         kind, has = ("", "has nonzero sum") if record.periodic else ("non-", "sums to zero")
         raise ValueError(f"{claim} concerns {kind}periodic vectors; {v} {has}")
@@ -666,13 +667,7 @@ def verify_lemma_conjugates(cert: Certificate, v: DefiningVector, n: int, budget
     return _verdict(ok)
 
 
-def _require_p3(cert: Certificate, v: DefiningVector) -> None:
-    if v.p != 3:
-        raise ValueError(f"{cert.claim} is specific to p = 3")
-
-
 def verify_lemma_center(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_p3(cert, v)
     group = _group_within(cert, v, 3, budget)
     if group is None:
         return SCALE
@@ -695,7 +690,6 @@ def _commutator_hits(group: QuotientGroup, x: Portrait, candidates) -> list[byte
 
 
 def verify_lemma_comms_b(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_p3(cert, v)
     group = _group_within(cert, v, 3, budget)
     if group is None:
         return SCALE
@@ -713,7 +707,6 @@ def verify_lemma_comms_b(cert: Certificate, v: DefiningVector, n: int, budget: i
 
 
 def verify_lemma_comms_a(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
-    _require_p3(cert, v)
     group = _group_within(cert, v, 3, budget)
     if group is None:
         return SCALE
@@ -799,11 +792,6 @@ def verify_thm_G3(cert: Certificate, v: DefiningVector, n: int, budget: int) -> 
 
 def verify_thm_A(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:
     p = v.p
-    if p == 3 and n == 2:
-        raise ValueError(
-            "the claim covers p >= 5 with n >= 2, or p = 3 with n >= 3; "
-            f"got p={p}, n={n}"
-        )
     cert.notes.append(LEVEL_ONLY)
     if p >= 5 and n == 2:
         k = len(cert.notes)
@@ -868,7 +856,7 @@ CLAIMS: dict[str, Claim] = {
         "(covered range: p >= 5 with n >= 2, or p = 3 with n >= 3)",
         3,
         verify_thm_A,
-        periodic=True, levels=(2, MAX_LEVEL),
+        periodic=True, levels=(2, MAX_LEVEL), p3_levels=(3, MAX_LEVEL),
     ),
     "thm-B": Claim(
         "no level-n quotient of a non-periodic GGS group is a Beauville group",
@@ -908,21 +896,21 @@ CLAIMS: dict[str, Claim] = {
         "([a,b], [a,b], [a,b])",
         3,
         verify_lemma_center,
-        periodic=True, levels=(3, 3),
+        periodic=True, levels=(3, 3), only_p=3,
     ),
     "lemma-comms-b": Claim(
         "at p = 3 (periodic) no nontrivial central element of the level-3 "
         "quotient is a commutator [b, g]",
         3,
         verify_lemma_comms_b,
-        periodic=True, levels=(3, 3),
+        periodic=True, levels=(3, 3), only_p=3,
     ),
     "lemma-comms-a": Claim(
         "at p = 3 (periodic) the element with sections ([a,b], 1, 1) is not a "
         "commutator [a, g] in the level-3 quotient",
         3,
         verify_lemma_comms_a,
-        periodic=True, levels=(3, 3),
+        periodic=True, levels=(3, 3), only_p=3,
     ),
     "prop-key": Claim(
         "<(ab^i)^p> equals a conjugate of <(ab^j)^p> in the level-n quotient "

@@ -695,14 +695,12 @@ def power_instance_scan(cert: Certificate, v: DefiningVector, n: int) -> bool:
 GUPTA_SIDKI_LEMMAS = ("lemma-center", "lemma-comms-a", "lemma-comms-b")
 
 
-def parent_refuses(
-    claim: str, v: DefiningVector, n: int, m: int | None = None, p_guards: bool = True
-) -> bool:
+def parent_refuses(claim: str, v: DefiningVector, n: int, m: int | None = None) -> bool:
     """Whether a run of `claim` on (v, n, m) is refused, by the guards each
     verifier once wrote for itself: the kind of vector, the level range, the
     level bounds 1..64, lifting's m > n (m defaulting to n + 1) and the
-    guards that depend on p, which `p_guards=False` leaves out (thm-A at
-    p = 3 then starts at level 2, and the p = 3 lemmas take every p)."""
+    guards that depend on p (thm-A at p = 3 starts at level 3, and the p = 3
+    lemmas take p = 3 alone)."""
     p = v.p
     if not 1 <= n <= 64:
         return True
@@ -712,9 +710,9 @@ def parent_refuses(
     if claim in ("thm-B", "prop-collision") and v.periodic:
         return True
     if claim == "thm-A":
-        return not (n >= 2 if p >= 5 or not p_guards else n >= 3)
+        return not (n >= 2 if p >= 5 else n >= 3)
     if claim in GUPTA_SIDKI_LEMMAS:
-        return n != 3 or (p_guards and p != 3)
+        return n != 3 or p != 3
     if claim == "lifting":
         return (n + 1 if m is None else m) <= n
     least = {"lemma-orders": 3, "prop-key": 3, "eq-3.1": 2, "prop-collision": 2}

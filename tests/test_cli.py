@@ -344,6 +344,23 @@ def test_a_refused_claim_does_no_cache_work(tmp_path):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("lemma-center --p 5", "lemma-center concerns p = 3, got p = 5"),
+        ("thm-A --p 3 --level 2", "thm-A concerns levels 3..64 at p = 3, got 2"),
+    ],
+)
+def test_a_claim_refused_at_its_prime_does_no_cache_work(tmp_path, args, message):
+    # The gate reads the p-dependent rules from the registry too, so these
+    # are refused before the cache directory is made.
+    cache = tmp_path / "c"
+    res = run_cli("verify", *args.split(), "--cache-dir", str(cache))
+    assert res.returncode == 2
+    assert res.stderr == f"error: {message}\n"
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("flag", ["--out", "--dump", "--cayley", "--cache-dir"])
 def test_unwritable_file_exits_2(tmp_path, flag):
     # A missing directory for the files, or a regular file where the cache

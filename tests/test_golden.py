@@ -5,6 +5,13 @@ The set covers every claim at its default level for three defining vectors
 (wherever the claim accepts the vector), plus a few deeper levels.  A kernel
 rewrite or a refactor must leave all of them byte-identical.
 
+Replay alone shows only that the code is deterministic: a stable kernel bug
+reproduces its own bytes.  So every golden is also replayed with the
+portrait kernels swapped for the slow oracles of tests/reference.py
+(differential testing, McKeeman 1998): products by naive_compose, which
+composes vertex maps, and orders by leaf_cycle_order, which reads the
+cycles of the leaf permutation.
+
 A golden may change only together with a CODE_VERSION bump
 (src/ggs/certificate.py) recorded in CHANGES.md.  To regenerate after such
 a bump, run
@@ -15,12 +22,15 @@ which rewrites every file from the current code.
 """
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ggs import DefiningVector
-from ggs.verifiers import CLAIMS, default_level, verify_claim
+from ggs import DefiningVector, Portrait
+from ggs.verifiers import CLAIMS, verify_claim
+
+from reference import leaf_cycle_order, naive_compose
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -73,9 +83,52 @@ def test_certificate_matches_golden(path: Path):
     assert cert.canonical_json() == path.read_text()
 
 
+# Goldens decided before any portrait product: a "skipped: scale" from the
+# predicted order alone.
+KERNEL_FREE = {"order-formula__p5_e1_4_1_4__n3"}
+
+
+def _swap_kernels(monkeypatch, mul) -> Counter:
+    """Patch Portrait.__mul__ to mul and Portrait.order to leaf_cycle_order,
+    counting the calls of each."""
+    calls: Counter = Counter()
+
+    def counted(name, oracle):
+        def swapped(*args):
+            calls[name] += 1
+            return oracle(*args)
+
+        return swapped
+
+    monkeypatch.setattr(Portrait, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(Portrait, "order", counted("order", leaf_cycle_order))
+    return calls
+
+
+def _replays(path: Path) -> bool:
+    claim, p, e, n = _parse(path)
+    return verify_claim(claim, DefiningVector(p, e), n).canonical_json() == path.read_text()
+
+
+@pytest.mark.parametrize("path", _golden_files(), ids=lambda path: path.stem)
+def test_golden_replays_under_the_reference_kernels(monkeypatch, path):
+    calls = _swap_kernels(monkeypatch, naive_compose)
+    assert _replays(path)
+    # A swap that is never called tests nothing; only the kernel-free
+    # goldens may call neither oracle.
+    assert (sum(calls.values()) == 0) == (path.stem in KERNEL_FREE), calls
+
+
+def test_a_wrong_kernel_changes_some_golden(monkeypatch):
+    # Composition in the opposite order is the wrong group law for the
+    # right action: the replay must notice it.
+    _swap_kernels(monkeypatch, lambda f, g: naive_compose(g, f))
+    assert not all(map(_replays, _golden_files()))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    defaults = [(c, p, e, default_level(c)) for c in sorted(CLAIMS) for p, e in VECTORS]
+    defaults = [(c, p, e, CLAIMS[c].level) for c in sorted(CLAIMS) for p, e in VECTORS]
     for claim, p, e, n in defaults + list(EXTRA):
         try:
             cert = verify_claim(claim, DefiningVector(p, e), n)

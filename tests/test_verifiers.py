@@ -30,7 +30,6 @@ from ggs import (
 from ggs import quotient, verifiers
 from ggs.certificate import Certificate
 from ggs.portrait import make_a, make_b, tree_shape
-from ggs.verifiers import default_level
 
 from reference import (
     commutator_scan,
@@ -48,7 +47,7 @@ def test_claims_table():
     assert len(CLAIMS) == 14
     for claim, record in CLAIMS.items():
         assert record.statement and "p" in record.statement
-        assert default_level(claim) >= 1
+        assert record.level >= 1
 
 
 def test_unknown_claim(gs):
@@ -982,16 +981,16 @@ def test_thm_b_runs_the_table_oracle_at_p5():
 
 
 def test_default_levels():
-    assert default_level("thm-A") == 3
-    assert default_level("thm-B") == 2
-    assert default_level("thm-G2") == 2
-    assert default_level("lifting") == 3
+    assert CLAIMS["thm-A"].level == 3
+    assert CLAIMS["thm-B"].level == 2
+    assert CLAIMS["thm-G2"].level == 2
+    assert CLAIMS["lifting"].level == 3
 
 
 def test_default_levels_lie_in_the_domains():
     for claim, record in CLAIMS.items():
-        lo, hi = record.levels
-        assert 1 <= lo <= record.level <= hi <= verifiers.MAX_LEVEL, claim
+        for lo, hi in filter(None, (record.levels, record.p3_levels)):
+            assert 1 <= lo <= record.level <= hi <= verifiers.MAX_LEVEL, claim
 
 
 def _raises_value_error(f, *args, **kwargs) -> bool:
@@ -1012,9 +1011,9 @@ DOMAIN_VECTORS = [
 def test_the_registry_gate_refuses_what_the_verifiers_refused():
     # Every claim on periodic and non-periodic vectors at p = 3, 5 and 7,
     # levels on both sides of every domain's bounds, and lifting targets
-    # below, at and above n.  verify_claim refuses exactly the inputs the
-    # verifiers' own guards refused; claim_params alone refuses all of them
-    # but those refused only by a guard that depends on p.
+    # below, at and above n.  verify_claim and claim_params alone each
+    # refuse exactly the inputs the verifiers' own guards refused, the
+    # guards that depend on p included.
     grid = [
         (claim, DefiningVector(p, e), n, m)
         for claim in sorted(CLAIMS)
@@ -1029,12 +1028,12 @@ def test_the_registry_gate_refuses_what_the_verifiers_refused():
             claim, v, n, m
         )
         gated = _raises_value_error(verifiers.claim_params, claim, v, n, m)
-        assert gated == parent_refuses(claim, v, n, m, p_guards=False), (claim, v, n, m)
+        assert gated == expected, (claim, v, n, m)
         refused += expected
     assert (len(grid), refused) == (672, 517)
 
 
-def test_the_gate_names_the_claim_and_its_domain(gs, e10):
+def test_the_gate_names_the_claim_and_its_domain(gs, e10, p5alt):
     with pytest.raises(ValueError, match=r"^prop-key concerns levels 3\.\.64, got 2$"):
         verifiers.claim_params("prop-key", gs, 2)
     with pytest.raises(ValueError, match=r"^thm-G2 concerns level 2, got 3$"):
@@ -1047,6 +1046,11 @@ def test_the_gate_names_the_claim_and_its_domain(gs, e10):
         verifiers.claim_params("lifting", gs, 3, 3)
     with pytest.raises(ValueError, match=r"^lifting needs a target depth m in 2\.\.64, got 65$"):
         verifiers.claim_params("lifting", gs, 1, 65)
+    with pytest.raises(ValueError, match=r"^thm-A concerns levels 3\.\.64 at p = 3, got 2$"):
+        verifiers.claim_params("thm-A", gs, 2)
+    for claim in ("lemma-center", "lemma-comms-a", "lemma-comms-b"):
+        with pytest.raises(ValueError, match=rf"^{claim} concerns p = 3, got p = 5$"):
+            verifiers.claim_params(claim, p5alt, 3)
 
 
 @pytest.mark.parametrize("n, m", [("3", None), (3.0, None), (True, None), (3, "4")])
@@ -1080,17 +1084,24 @@ def test_replay_refuses_malformed_params(gs, edit):
 
 def test_readme_claims_table_matches_the_registry():
     # Each row of the README "Claims" table states its claim's vectors,
-    # levels and default level as the registry does.
+    # prime, levels (at p = 3 too, where they differ) and default level as
+    # the registry does.
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     rows = re.findall(
-        r"^\| `([\w.-]+)` \| .* \| (periodic|non-periodic|every); n = (\d+)(?:\.\.(\d+))? "
-        r"\| (\d+) \|$",
+        r"^\| `([\w.-]+)` \| .* \| (periodic|non-periodic|every)(?:, p = (\d+))?; "
+        r"n = (\d+)(?:\.\.(\d+))?(?:, (\d+)\.\.(\d+) at p = 3)? \| (\d+) \|$",
         text,
         re.M,
     )
     kinds = {"periodic": True, "non-periodic": False, "every": None}
-    table = {c: (kinds[k], (int(lo), int(hi or lo)), int(d)) for c, k, lo, hi, d in rows}
-    assert table == {c: (r.periodic, r.levels, r.level) for c, r in CLAIMS.items()}
+    table = {
+        c: (kinds[k], int(p) if p else None, (int(lo), int(hi or lo)),
+            (int(lo3), int(hi3)) if lo3 else None, int(d))
+        for c, k, p, lo, hi, lo3, hi3, d in rows
+    }
+    assert table == {
+        c: (r.periodic, r.only_p, r.levels, r.p3_levels, r.level) for c, r in CLAIMS.items()
+    }
 
 
 def test_replay_witness_path(gs):
