@@ -19,7 +19,9 @@ class: a run of class_size elements with one permutation, since labels at
 depth n-1 move no internal vertex.  So under l_fg(u) = l_f(u) + l_g(pi_f(u))
 every product and conjugate of a class's members is their labels read at
 moved vertices plus one constant row: one kernel, _moved, serves the left
-products, the conjugation tables and the subgroup walks.  The scans over
+products, the conjugation tables and the subgroup walks, and, with every
+vertex its own source, each translate of L the walk writes, L itself from
+its basis, and the premise of affine_suspects.  The scans over
 every element (orders, powers, socles, conjugation tables, class members)
 read these rows, and an identity that is affine on each class is decided
 on an affine basis of it (affine_suspects), with one call of the p-power
@@ -91,19 +93,19 @@ def coordinate_line(a: int, b: int, p: int) -> int:
 
 
 def stage(fn: F) -> F:
-    """Memoise a derived table of a group: fn(group, *args) runs once per
-    group and tuple of positional arguments, stored in the group's own dict
-    under the stage name plus the arguments.  Stored results must not refer
-    to the group, so that it is freed as soon as it is dropped.
+    """Memoise a derived table of a group: fn(group) runs once per group,
+    stored in the group's own dict under the stage name.  Stored results
+    must not refer to the group, so that it is freed as soon as it is
+    dropped.
     """
     name = fn.__qualname__
 
     @wraps(fn)
-    def memo(group, *args):
-        key, store = (name, *args), group._stages
-        if key not in store:
-            store[key] = fn(group, *args)
-        return store[key]
+    def memo(group):
+        store = group._stages
+        if name not in store:
+            store[name] = fn(group)
+        return store[name]
 
     return cast(F, memo)
 
@@ -261,19 +263,6 @@ def _moved(columns: Sequence[bytes], sources: Sequence[int], row: bytes, p: int)
     return out
 
 
-def _adder(rows: bytes, reduce: bytes) -> Callable[[bytes], bytes]:
-    """The map taking a row to each of the concatenated rows plus that row,
-    mod p.  rows is read as one integer here, once; each call is one
-    integer sum, at most 2(p - 1) per byte, and one translate."""
-    total, size = int.from_bytes(rows, "little"), len(rows)
-
-    def plus(row: bytes) -> bytes:
-        added = total + int.from_bytes(row * (size // len(row)), "little")
-        return added.to_bytes(size, "little").translate(reduce)
-
-    return plus
-
-
 # Byte j of a column OR becomes 1 when element j has a nonzero label.
 _NONZERO = bytes([0]) + bytes([1]) * 255
 
@@ -421,11 +410,12 @@ def _layer_span(
     """Every vector of the last layer as a full row, concatenated, and its
     b-coordinate, from an F_p basis of (row, coordinate) pairs: the vector
     at offset sum k_t * p^t is sum k_t * basis[t]."""
-    p, shifts = shape.p, _add_tables(shape.p)
+    p, m, shifts = shape.p, shape.internal_count, _add_tables(shape.p)
     span, coords = shape.zero_labels, bytes(1)
     for row, c in basis:
-        plus = _adder(span, shape.reduce)
-        span = b"".join(plus(bytes(k * x % p for x in row)) for k in range(p))
+        columns = _columns(span, m)
+        multiples = (bytes(k * x % p for x in row) for k in range(p))
+        span = b"".join(_moved(columns, range(m), kx, p) for kx in multiples)
         coords = b"".join(coords.translate(shifts[k * c % p]) for k in range(p))
     return span, coords
 
@@ -464,7 +454,7 @@ def affine_suspects(
     span, span_coords = group.layer_span
     b_coords, shifts = group.coords[1], _add_tables(p)
     mask = bytes([1]) * len(group) if mask is None else mask
-    plus_span = _adder(span, shape.reduce)
+    span_columns = _columns(span, m)
     suspects = bytearray(len(group))
     bases: list[tuple[int, list[int]]] = []  # (class start, basis) where the premise holds
     for i in range(0, len(group), size):
@@ -480,7 +470,7 @@ def affine_suspects(
         block = rows[i * m : (i + size) * m]
         sound = (
             -1 not in chosen
-            and block == plus_span(block[:m])
+            and block == _moved(span_columns, range(m), block[:m], p)
             and b_coords[i : i + size] == span_coords.translate(shifts[b_coords[i]])
         )
         if sound:
@@ -551,7 +541,7 @@ class QuotientGroup:
         # Elements built one at a time by index, before `elements` is; the
         # full tuple takes these objects over, so each element stays one.
         self._made: dict[int, Portrait] = {0: self.identity}
-        self._stages: dict[tuple, object] = {}  # the store of every @stage method
+        self._stages: dict[str, object] = {}  # the store of every @stage method
 
     def _walk_queue(
         self, n: int, budget: int, predicted: int | str | None
@@ -582,9 +572,9 @@ class QuotientGroup:
         and H = 1, they always do, and are dropped.
 
         Step 3 writes H one top at a time, its representative plus every
-        vector of L (one integer sum and one translate, one shared
-        permutation), then each coset r = 1..p-1 with no product and no
-        sum: a's one nonzero label is at the root, which every vertex
+        vector of L (_moved over the columns of L: one translate per vertex,
+        one shared permutation), then each coset r = 1..p-1 with no product
+        and no sum: a's one nonzero label is at the root, which every vertex
         permutation fixes, so h*a^r is h with root label r, permutation
         pi_(a^r) o pi_h and coordinates (r, c(h)).  Each block of coset r is
         a copy of the matching block of H with its root labels set to r,
@@ -592,7 +582,7 @@ class QuotientGroup:
         identity stays at 0.
         """
         shape, identity = self.shape, self.identity
-        p, m, reduce = shape.p, shape.internal_count, shape.reduce
+        p, m = shape.p, shape.internal_count
         cut = shape.level_starts[n - 1]
         steps = _stabilizer_steps(self.a, self.b)
         for g, _ in steps:
@@ -625,15 +615,14 @@ class QuotientGroup:
         # Each basis vector of L as a full row, zero above depth n-1, and its coordinate.
         layer_basis = tuple((bytes(cut) + bytes(row[:-1]), row[-1]) for row in basis)
         span, span_coords = _layer_span(shape, layer_basis)
-        shifts = _add_tables(p)
-        plus = _adder(span, reduce)
-        blocks = [plus(rep.labels) for rep in reps]  # H: root label 0
+        shifts, columns = _add_tables(p), _columns(span, m)
+        blocks = [_moved(columns, range(m), rep.labels, p) for rep in reps]  # H: root label 0
         for r in range(1, p):
             root = bytes([r]) * (len(span) // m)
             for block in blocks[: len(reps)]:
                 copy = bytearray(block)
                 copy[::m] = root
-                blocks.append(bytes(copy))
+                blocks.append(copy)
         perms: list[bytes] = []
         for r in range(p):
             a_r = _vertex_table((self.a**r).vertex_perm())

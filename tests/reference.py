@@ -666,15 +666,29 @@ def pair_triple_line_check(cert: Certificate, p: int) -> bool:
 
 
 def power_instance_scan(cert: Certificate, v: DefiningVector, n: int) -> bool:
-    """The power_closed_form check of verifiers._power_lemma_checks by every
-    instance (ab^i)^(k*p^(n-1)) = z^(k*i*alpha), i, k = 1..p-1, each k-th
-    power formed as a product rather than read off the k = 1 instance.
-    Reads _central_z through the verifiers module, so a test that patches
-    it there patches the oracle alike."""
-    p, alpha = v.p, v.alpha
-    shape = tree_shape(p, n)
+    """verifiers._power_lemma_checks by every instance
+    (ab^i)^(k*p^(n-1)) = z^(k*i*alpha), i, k = 1..p-1, each k-th power
+    formed as a product rather than read off the k = 1 instance; alpha
+    summed from e, the sections of b read off its label dict, and z tested
+    central by naive composition.  Reads _central_z through the verifiers
+    module, so a test that patches it there patches the oracle alike."""
+    p, alpha = v.p, sum(v.e) % v.p
+    shape, sub = tree_shape(p, n), tree_shape(p, n - 1)
     a, b = make_a(shape), make_b(v, shape)
     z = verifiers._central_z(shape)
+    cert.notes.append(verifiers.POWER_LEMMA)
+    ok = cert.check("alpha_nonzero", alpha != 0, f"alpha = sum(e) = {alpha} mod {p}")
+    lab = label_dict(b)
+    sections = [
+        portrait_from_dict(sub, {u: lab[(x,) + u] for u in internal_vertices(sub)})
+        for x in range(1, p + 1)
+    ]
+    expected = [make_a(sub) ** (x % p) for x in v.e] + [make_b(v, sub)]
+    ok &= cert.check(
+        "b_section_sum",
+        lab[()] == 0 and sections == expected,
+        "psi(b) = (a^e_1, ..., a^e_(p-1), b), whose coordinates sum to (alpha, 1)",
+    )
     z_powers = [z**m for m in range(p)]
     bad = []
     for i in range(1, p):
@@ -684,11 +698,16 @@ def power_instance_scan(cert: Certificate, v: DefiningVector, n: int) -> bool:
             if x != z_powers[k * i * alpha % p]:
                 bad.append((i, k))
             x = x * step
-    return cert.check(
+    ok &= cert.check(
         "power_closed_form",
         not bad,
         f"(ab^i)^(k*{p}^{n - 1}) = z^(k*i*{alpha}) for i, k = 1..{p - 1}"
         + (f"; failed at (i, k) = {bad[0]}" if bad else ""),
+    )
+    return ok & cert.check(
+        "z_central",
+        all(naive_compose(z, g) == naive_compose(g, z) for g in (a, b)),
+        "z^a = z^b = z",
     )
 
 

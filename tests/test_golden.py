@@ -10,7 +10,11 @@ reproduces its own bytes.  So every golden is also replayed with the
 portrait kernels swapped for the slow oracles of tests/reference.py
 (differential testing, McKeeman 1998): products by naive_compose, which
 composes vertex maps, and orders by leaf_cycle_order, which reads the
-cycles of the leaf permutation.
+cycles of the leaf permutation.  Every golden that reaches a verifier
+stage is replayed once more with the stages swapped for their oracles:
+the collision and exponent scans by the element-by-element scans, the
+triple-line check by the walk over every pair of coordinates, and the
+power lemma by every instance (i, k).
 
 A golden may change only together with a CODE_VERSION bump
 (src/ggs/certificate.py) recorded in CHANGES.md.  To regenerate after such
@@ -27,10 +31,17 @@ from pathlib import Path
 
 import pytest
 
-from ggs import DefiningVector, Portrait
+from ggs import DefiningVector, Portrait, verifiers
 from ggs.verifiers import CLAIMS, verify_claim
 
-from reference import leaf_cycle_order, naive_compose
+from reference import (
+    element_collision_scan,
+    element_exponent_check,
+    leaf_cycle_order,
+    naive_compose,
+    pair_triple_line_check,
+    power_instance_scan,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -88,20 +99,22 @@ def test_certificate_matches_golden(path: Path):
 KERNEL_FREE = {"order-formula__p5_e1_4_1_4__n3"}
 
 
+def _counted(calls: Counter, name: str, oracle):
+    """oracle, counting its calls in calls[name]."""
+
+    def swapped(*args):
+        calls[name] += 1
+        return oracle(*args)
+
+    return swapped
+
+
 def _swap_kernels(monkeypatch, mul) -> Counter:
     """Patch Portrait.__mul__ to mul and Portrait.order to leaf_cycle_order,
     counting the calls of each."""
     calls: Counter = Counter()
-
-    def counted(name, oracle):
-        def swapped(*args):
-            calls[name] += 1
-            return oracle(*args)
-
-        return swapped
-
-    monkeypatch.setattr(Portrait, "__mul__", counted("mul", mul))
-    monkeypatch.setattr(Portrait, "order", counted("order", leaf_cycle_order))
+    monkeypatch.setattr(Portrait, "__mul__", _counted(calls, "mul", mul))
+    monkeypatch.setattr(Portrait, "order", _counted(calls, "order", leaf_cycle_order))
     return calls
 
 
@@ -117,6 +130,50 @@ def test_golden_replays_under_the_reference_kernels(monkeypatch, path):
     # A swap that is never called tests nothing; only the kernel-free
     # goldens may call neither oracle.
     assert (sum(calls.values()) == 0) == (path.stem in KERNEL_FREE), calls
+
+
+# The verifier stages and their oracles in tests/reference.py.
+STAGE_ORACLES = {
+    "_collision_scan": element_collision_scan,
+    "_exponent_check": element_exponent_check,
+    "_triple_line_check": pair_triple_line_check,
+    "_power_lemma_checks": power_instance_scan,
+}
+
+COLLISION, EXPONENT, TRIPLE, POWER = STAGE_ORACLES
+
+# The goldens that reach a verifier stage, each with the stages it runs.
+STAGE_GOLDENS = {
+    "prop-collision__p3_e1_0__n2": {POWER, COLLISION},
+    "prop-collision__p3_e1_0__n3": {POWER, COLLISION},
+    "prop-collision__p3_e1_0__n4": {POWER},  # past the budget: no group
+    "thm-B__p13_e1_0_0_0_0_0_0_0_0_0_0_0__n3": {POWER, TRIPLE},
+    "thm-B__p3_e1_0__n2": {POWER, TRIPLE, COLLISION},
+    "thm-B__p3_e1_0__n3": {POWER, TRIPLE, COLLISION},
+    "thm-B__p3_e1_0__n4": {POWER, TRIPLE},
+    "thm-B__p5_e1_0_0_0__n2": {POWER, TRIPLE, COLLISION},
+    "thm-B__p5_e1_2_0_0__n3": {POWER, TRIPLE},
+    "thm-G2__p3_e1_2__n2": {EXPONENT},
+    "thm-G2__p5_e1_2_0_2__n2": {EXPONENT},
+    "thm-G2__p5_e1_4_1_4__n2": {EXPONENT},
+    "thm-G2__p5_e2_3_2_3__n2": {EXPONENT},
+    "thm-G2__p7_e4_6_3_6_5_4__n2": {EXPONENT},
+}
+
+
+@pytest.mark.parametrize("stem", sorted(STAGE_GOLDENS))
+def test_golden_replays_under_the_reference_stages(monkeypatch, stem):
+    calls: Counter = Counter()
+    for name, oracle in STAGE_ORACLES.items():
+        monkeypatch.setattr(verifiers, name, _counted(calls, name, oracle))
+    assert _replays(GOLDEN / f"{stem}.json")
+    # Each stage the golden reaches ran as its oracle, once.
+    assert calls == Counter(STAGE_GOLDENS[stem]), calls
+
+
+def test_every_stage_oracle_runs_in_some_golden():
+    assert set().union(*STAGE_GOLDENS.values()) == set(STAGE_ORACLES)
+    assert {path.stem for path in _golden_files()} >= set(STAGE_GOLDENS)
 
 
 def test_a_wrong_kernel_changes_some_golden(monkeypatch):

@@ -11,7 +11,9 @@ maps of a power class (elements sharing their labels above the last level,
 and so one vertex permutation) that the subgroup walks and class tables run
 through the same kernel: right products by one element and conjugates by
 one element, with the whole-group tables of x -> x^a and x -> x^b built
-from them, and the batched p-power chains of a class.
+from them, and the batched p-power chains of a class.  The last-layer span
+that the enumeration and the collision scan's premise add rows to is
+checked against sums of multiples of its basis formed by plain loops.
 """
 from __future__ import annotations
 
@@ -30,7 +32,15 @@ from ggs import (
     tree_shape,
 )
 from ggs.portrait import MAX_INTERNAL_VERTICES, MAX_PRIME
-from ggs.quotient import _columns, _conjugation, _moved, _rows, _times, p_power_chains
+from ggs.quotient import (
+    _columns,
+    _conjugation,
+    _layer_span,
+    _moved,
+    _rows,
+    _times,
+    p_power_chains,
+)
 
 from reference import leaf_cycle_order, naive_compose, naive_order
 from test_cli import run_cli
@@ -316,6 +326,33 @@ def test_power_chains_are_affine_on_the_last_layer(p, n, data):
     for level in levels:
         fx, fu, fv, fuv = (level[j * m : (j + 1) * m] for j in range(len(members)))
         assert minus(fuv, fv) == minus(fu, fx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_layer_span_matches_sums_of_basis_multiples(data):
+    # Any rows zero above depth n-1, with any coordinates: the vector at
+    # offset sum k_t * p^t is sum k_t * basis[t], labelwise mod p.
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(1, 3))
+    shape = tree_shape(p, n)
+    cut, m = shape.level_starts[n - 1], shape.internal_count
+    last = st.lists(st.integers(0, p - 1), min_size=m - cut, max_size=m - cut)
+    basis = [
+        (bytes(cut) + bytes(data.draw(last)), data.draw(st.integers(0, p - 1)))
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    span, coords = _layer_span(shape, basis)
+    assert (len(span), len(coords)) == (p ** len(basis) * m, p ** len(basis))
+    for offset in range(p ** len(basis)):
+        row, coord = [0] * m, 0
+        for t, (vector, c) in enumerate(basis):
+            k = offset // p**t % p
+            for u in range(m):
+                row[u] = (row[u] + k * vector[u]) % p
+            coord = (coord + k * c) % p
+        assert span[offset * m : (offset + 1) * m] == bytes(row)
+        assert coords[offset] == coord
 
 
 def test_power_chains_of_a_whole_quotient():

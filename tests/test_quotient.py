@@ -202,6 +202,14 @@ ROW_DIGESTS = {
         "8496c7ce1c38c8f4037fb7fb5efb097b1681f0f5630e4f915875008684690556",
         "904b801ed9d4c9fb34215719efe67aa6bc04048d4fe92a421502f91cca39d327",
     ),
+    (3, (1, 1), 3): (  # symmetric: the order is bounded by _guard_exponent
+        "7ca36a131bb3b4c387910f1688b93f9eb9ee3f1e4bf33885afef6ba3ee51b5e2",
+        "00dda333bbb36be4d8868748ebc91ee83c405bdba2019e99a8e2e2b13e555161",
+    ),
+    (5, (1, 0, 0, 0), 2): (  # non-periodic: thm-B's table group
+        "472ca1a8df4883cbab9cd4140c667b4440089929b27a85de82c0fc0a460b1321",
+        "f4178ffb0754f25648fb1688ed4ecb560718c66adb3a8f1dfcd249f1534f63ed",
+    ),
 }
 
 
@@ -748,7 +756,7 @@ def test_histogram_subgroups_and_encodings_build_no_elements_or_classes(e10):
     group.derived_subgroup()
     group.sorted_encodings()
     assert "elements" not in vars(group)
-    assert not [key for key in group._stages if key[0].endswith("conjugacy_classes")]
+    assert not [key for key in group._stages if key.endswith("conjugacy_classes")]
 
 
 def test_cayley_dot(gs_g2):
@@ -872,19 +880,26 @@ def test_derived_and_stabilizer_commutator_match_reference(gs, gs_g2, gs_g3, e10
     assert len(e10_g3.stabilizer_derived()) == 729
 
 
-def test_stages_are_memoised_per_argument(e10):
-    group = enumerate_quotient(e10, 2)
-    for stage in (
-        group.derived_subgroup,
-        group.center,
-        group.maximal_subgroups,
-        group.conjugacy_classes,
-        group.lines,
-        group.label_columns,
-        group.stabilizer_derived,
-    ):
+def test_stages_are_memoised_once_per_group(e10):
+    group, other = enumerate_quotient(e10, 2), enumerate_quotient(e10, 2)
+    names = [
+        "derived_subgroup",
+        "center",
+        "maximal_subgroups",
+        "conjugacy_classes",
+        "lines",
+        "label_columns",
+        "stabilizer_derived",
+    ]
+    for name in names:
+        stage = getattr(group, name)
         assert stage() is stage()
+        assert getattr(other, name)() is not stage()
     assert _signature_table(group) is _signature_table(group)
+    # One result per stage, stored under the stage's name alone.
+    assert all(isinstance(key, str) for key in group._stages)
+    assert set(group._stages) >= {f"QuotientGroup.{name}" for name in names}
+    assert "_signature_table" in group._stages
 
 
 def test_finished_group_is_freed_without_the_cyclic_collector(e10):
