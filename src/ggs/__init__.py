@@ -21,8 +21,8 @@ _EXPORTS = {
         "classify parse_vector BudgetExceeded DEFAULT_BUDGET predicted_order",
         "quotient": "QuotientGroup SubgroupHandle enumerate_quotient",
         "beauville": "GeneratingTriple NotGeneratingError SEARCH_ELEMENT_CAP SigmaSet "
-        "SpecialElements build_special_elements cyclic_subgroup is_beauville_pair "
-        "search_beauville sigma_set subgroup_conjugation_orbit triple_signature",
+        "cyclic_subgroup is_beauville_pair search_beauville sigma_set "
+        "subgroup_conjugation_orbit triple_signature",
         "verifiers": "CLAIMS replay_certificate verify_claim",
         "words": "WordSyntaxError evaluate_word parse_word",
     }.items()

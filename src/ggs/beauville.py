@@ -28,8 +28,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .certificate import Certificate
 from .generators import BudgetExceeded
-from .portrait import Portrait, PsiDecomposition, assemble, commutator
-from .portrait import make_a, make_b, tree_shape
+from .portrait import Portrait
 from .quotient import (
     QuotientGroup,
     SubgroupHandle,
@@ -44,14 +43,12 @@ __all__ = [
     "NotGeneratingError",
     "GeneratingTriple",
     "SigmaSet",
-    "SpecialElements",
     "cyclic_subgroup",
     "subgroup_conjugation_orbit",
     "sigma_set",
     "triple_signature",
     "is_beauville_pair",
     "search_beauville",
-    "build_special_elements",
     "SEARCH_ELEMENT_CAP",
     "cyclic_powers",
 ]
@@ -95,11 +92,10 @@ class GeneratingTriple(NamedTuple):
 class SigmaSet:
     """Union of all conjugates of <x>, <y>, <xy> for one generating triple."""
 
-    __slots__ = ("members", "triple")
+    __slots__ = ("members",)
 
-    def __init__(self, members: frozenset[bytes], triple: GeneratingTriple) -> None:
+    def __init__(self, members: frozenset[bytes]) -> None:
         self.members = members
-        self.triple = triple
 
     def __len__(self) -> int:
         return len(self.members)
@@ -107,11 +103,6 @@ class SigmaSet:
     def __contains__(self, x: Portrait | bytes) -> bool:
         key = x.labels if isinstance(x, Portrait) else x
         return key in self.members
-
-
-class SpecialElements(NamedTuple):
-    u: Portrait
-    v: Portrait
 
 
 def cyclic_powers(x: Portrait) -> list[Portrait]:
@@ -158,7 +149,7 @@ def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
     members = {group.identity.labels}
     for z in triple.members():
         members |= _conjugates_of_powers(group, z)
-    return SigmaSet(frozenset(members), triple)
+    return SigmaSet(frozenset(members))
 
 
 # -- socle-orbit signatures ----------------------------------------------------
@@ -461,41 +452,3 @@ def _witness_hunt(
         return None
     return tuple(tuple(map(group.element, table[s])) for s in found)
 
-
-# -- distinguished central and stabilizer elements ------------------------------
-
-
-def build_special_elements(group: QuotientGroup) -> SpecialElements:
-    """The pair (u, v) used by the level-3 structure at p = 3.
-
-    u is the central element whose sections one level down are three copies
-    of [a, b]; v has sections ([a, b], 1, 1) and lies in the derived
-    subgroup of the first-level stabilizer.
-    """
-    v_def = group.vector
-    if v_def.p != 3 or not v_def.periodic or group.shape.n != 3:
-        raise ValueError(
-            "special elements are defined for the level-3 quotient at p=3 "
-            "with a periodic defining vector"
-        )
-    sub = tree_shape(3, 2)
-    comm = commutator(make_a(sub), make_b(v_def, sub))
-    ident = Portrait.identity(sub)
-
-    u = None
-    for z in group.center():
-        if z.is_identity():
-            continue
-        d = z.psi()
-        if d.root_label == 0 and d.sections == (comm, comm, comm):
-            u = z
-    if u is None:
-        raise RuntimeError("no central element has sections ([a,b],[a,b],[a,b])")
-
-    v = assemble(PsiDecomposition(0, (comm, ident, ident)))
-    if v not in group:
-        raise RuntimeError("([a,b],1,1) did not land in the enumerated quotient")
-    v = group.element(v.labels)
-    if v not in group.stabilizer_derived():
-        raise RuntimeError("([a,b],1,1) is not in the stabilizer derived subgroup")
-    return SpecialElements(u=u, v=v)

@@ -67,6 +67,7 @@ __all__ = [
     "socles",
     "map_power_classes",
     "affine_suspects",
+    "failures",
 ]
 
 # The row kernels hold vertex indices in bytes and move them with translate
@@ -488,6 +489,24 @@ def affine_suspects(
     return bytes(suspects)
 
 
+def failures(
+    fn: Callable[[TreeShape, bytes, Sequence[Run]], list[R]],
+    passes: Callable[[int, R], bool],
+    group: "QuotientGroup",
+    mask: bytes | None = None,
+) -> list[tuple[int, R]]:
+    """The members i that mask selects (every element by default) whose
+    result r of fn fails passes(i, r), as (i, r) pairs in enumeration
+    order: affine_suspects clears the classes an affine basis decides, and
+    map_power_classes scans the rest.  Only the span from the first to the
+    last suspect is walked, and neither label_keys nor the index is built."""
+    suspects = affine_suspects(fn, passes, group, mask)
+    start, stop = max(suspects.find(1), 0), suspects.rfind(1) + 1
+    found = compress(range(start, stop), suspects[start:stop])
+    scanned = zip(found, map_power_classes(fn, group, suspects))
+    return [(i, r) for i, r in scanned if not passes(i, r)]
+
+
 def _stabilizer_steps(a: Portrait, b: Portrait) -> list[tuple[Portrait, int]]:
     """The generators b_j = b^(a^j) of st(1), j = 0..p-1, each with what it
     adds to the b-coordinate: 1, as b_j has coordinates (0, 1)."""
@@ -666,14 +685,6 @@ class QuotientGroup:
         """The label key of element i, sliced from the rows."""
         m = self.shape.internal_count
         return self.rows[i * m : (i + 1) * m]
-
-    def selected_keys(self, mask: bytes) -> list[bytes]:
-        """The label keys of the elements mask selects (a byte per element,
-        1 to select), in enumeration order, sliced from the rows: neither
-        label_keys nor the index is built.  Only the span from the first to
-        the last selected element is walked."""
-        start, stop = max(mask.find(1), 0), mask.rfind(1) + 1
-        return list(map(self._key, compress(range(start, stop), mask[start:stop])))
 
     def _perm_row(self, i: int) -> bytes:
         """The vertex permutation of element i, one byte per vertex: the row

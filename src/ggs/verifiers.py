@@ -28,13 +28,12 @@ refusal as a note, rather than pretending the statement was checked.
 from __future__ import annotations
 
 import time
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 from .beauville import (
     GeneratingTriple,
     SEARCH_ELEMENT_CAP,
-    build_special_elements,
     is_beauville_pair,
     search_beauville,
 )
@@ -49,14 +48,14 @@ from .generators import (
     predicted_order,
     written_order,
 )
-from .portrait import Portrait, TreeShape, commutator, make_a, make_b, tree_shape
+from .portrait import Portrait, PsiDecomposition, TreeShape, assemble, commutator
+from .portrait import make_a, make_b, tree_shape
 from .quotient import (
     QuotientGroup,
     SubgroupHandle,
-    affine_suspects,
     coordinate_line,
     enumerate_quotient,
-    map_power_classes,
+    failures,
     orders,
     orders_and_tops,
 )
@@ -445,13 +444,11 @@ def _standard_pair_checks(cert: Certificate, v: DefiningVector, n: int) -> bool:
 
 def _exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
     """Every element's order divides p (periodic level 2).  x^p is affine on
-    each power class, so x^p = 1 on an affine basis of a class decides it
-    (affine_suspects); the classes it leaves open are scanned in full.  Like
+    each power class, so x^p = 1 on an affine basis of a class decides it,
+    and the classes it leaves open are scanned in full (failures).  Like
     _collision_scan it reads the rows and builds no label keys or index."""
     p = group.vector.p
-    suspects = affine_suspects(orders, lambda i, o: o <= p, group)
-    scanned = map_power_classes(orders, group, suspects)
-    bad = [key for key, o in zip(group.selected_keys(suspects), scanned) if o > p]
+    bad = [group._key(i) for i, _ in failures(orders, lambda i, o: o <= p, group)]
     if bad:
         cert.witnesses["exponent_witness"] = Portrait(group.shape, min(bad)).encode()
     return cert.check(
@@ -472,9 +469,9 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     affine basis of its selected members; there j != 0, so a top equal to
     z^(j*alpha) != 1 also gives the order (affine_suspects, which also
     checks that the class is a coset of L).  Only the classes it leaves
-    open are scanned element by element, for the verdict and the least
-    offenders, so the certificate is the one a full scan writes.  At level
-    2 it also checks that <z> is the center.
+    open are scanned element by element (failures), for the verdict and
+    the least offenders, so the certificate is the one a full scan writes.
+    At level 2 it also checks that <z> is the center.
 
     The scan reads the label rows and slices keys only for the elements it
     scans in full, so it builds neither the group's label keys nor its
@@ -493,20 +490,11 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     def passes(i: int, result: tuple[int, bytes]) -> bool:
         return result == (p**n, expected[b_coords[i]])
 
-    order_bad: list[bytes] = []  # label keys
-    power_bad: list[bytes] = []
     on_lines = group.line_mask(*range(2, p + 1))  # the lines 1 + i, i = 1..p-1
     total = on_lines.count(1)
-    suspects = affine_suspects(orders_and_tops, passes, group, on_lines)
-    outside = group.selected_keys(suspects)
-    wanted = map(expected.__getitem__, compress(b_coords, suspects))
-    for key, want, (o, top) in zip(
-        outside, wanted, map_power_classes(orders_and_tops, group, suspects)
-    ):
-        if o != p**n:
-            order_bad.append(key)
-        if top != want:
-            power_bad.append(key)
+    failed = failures(orders_and_tops, passes, group, on_lines)
+    order_bad = [group._key(i) for i, (o, _) in failed if o != p**n]  # label keys
+    power_bad = [group._key(i) for i, (_, top) in failed if top != expected[b_coords[i]]]
     ok = cert.check(
         "orders_p_to_n",
         not order_bad,
@@ -534,6 +522,26 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
 # -- p = 3 level-3 structure battery ---------------------------------------------
 
 
+def _special_elements(group: QuotientGroup) -> tuple[Portrait, Portrait, Portrait]:
+    """The pair (u, v) used by the level-3 structure at p = 3, and [a, b]
+    at depth 2.
+
+    u is the central element whose sections one level down are three copies
+    of [a, b]; v has sections ([a, b], 1, 1) and lies in the derived
+    subgroup of the first-level stabilizer.
+    """
+    comm = commutator(*_generator_portraits(group.vector, 2))
+    sections = PsiDecomposition(0, (comm, comm, comm))
+    u = next((z for z in group.center() if not z.is_identity() and z.psi() == sections), None)
+    if u is None:
+        raise RuntimeError("no central element has sections ([a,b],[a,b],[a,b])")
+    ident = Portrait.identity(comm.shape)
+    v = group.element(assemble(PsiDecomposition(0, (comm, ident, ident))).labels)
+    if v not in group.stabilizer_derived():
+        raise RuntimeError("([a,b],1,1) is not in the stabilizer derived subgroup")
+    return u, v, comm
+
+
 def _center_checks(cert: Certificate, group: QuotientGroup) -> tuple[bool, SubgroupHandle]:
     """|Z| = 3, and Z lies in the derived subgroup of the first-level stabilizer."""
     center = group.center()
@@ -549,32 +557,29 @@ def _center_checks(cert: Certificate, group: QuotientGroup) -> tuple[bool, Subgr
 
 def _gupta_sidki_structure(cert: Certificate, group: QuotientGroup) -> bool:
     """Full exhaustive battery for the level-3 structure at p = 3."""
-    special = build_special_elements(group)
-    u, v_el = special.u, special.v
+    u, v_el, comm = _special_elements(group)
     a, b = group.a, group.b
     ok, center = _center_checks(cert, group)
+    u_order = u.order()
     ok &= cert.check("u_central", u.labels in center.keys, "u generates Z")
-    ok &= cert.check("u_order", u.order() == 3, f"order of u is {u.order()}")
+    ok &= cert.check("u_order", u_order == 3, f"order of u is {u_order}")
     cert.witnesses["u"] = u.encode()
     cert.witnesses["v"] = v_el.encode()
 
     sub_a, sub_b = _generator_portraits(group.vector, 2)
-    comm = commutator(sub_a, sub_b)
-    triple_comm = (comm, comm, comm)
 
     av = a * v_el
-    d = (av**3).psi()
+    av_cube = av**3
+    d = av_cube.psi()
     ok &= cert.check(
         "av_cube_sections",
-        d.root_label == 0 and d.sections == triple_comm,
+        d.root_label == 0 and d.sections == (comm, comm, comm),
         "sections of (av)^3 are ([a,b], [a,b], [a,b])",
     )
-    ok &= cert.check(
-        "av_cube_central", (av**3).labels in center.keys, "(av)^3 lies in Z"
-    )
+    ok &= cert.check("av_cube_central", av_cube.labels in center.keys, "(av)^3 lies in Z")
 
-    ab = a * b
-    d2 = (ab**3).psi()
+    ab_cube = (a * b) ** 3
+    d2 = ab_cube.psi()
     expected_ab = (sub_b.conjugate_by(sub_a), sub_b, sub_b)
     ok &= cert.check(
         "ab_cube_sections",
@@ -582,9 +587,7 @@ def _gupta_sidki_structure(cert: Certificate, group: QuotientGroup) -> bool:
         "sections of (ab)^3 are (b^a, b, b)",
     )
     ok &= cert.check(
-        "ab_cube_not_central",
-        (ab**3).labels not in center.keys,
-        "(ab)^3 is outside Z",
+        "ab_cube_not_central", ab_cube.labels not in center.keys, "(ab)^3 is outside Z"
     )
 
     b0b1b2 = sub_b * sub_b.conjugate_by(sub_a) * sub_b.conjugate_by(sub_a * sub_a)
@@ -671,14 +674,14 @@ def verify_lemma_center(cert: Certificate, v: DefiningVector, n: int, budget: in
     group = _group_within(cert, v, 3, budget)
     if group is None:
         return SCALE
-    special = build_special_elements(group)
+    u, _, _ = _special_elements(group)
     ok, center = _center_checks(cert, group)
     ok &= cert.check(
         "generator_sections",
-        special.u.labels in center.keys and special.u.order() == 3,
+        u.labels in center.keys and u.order() == 3,
         "a generator of Z has sections ([a,b], [a,b], [a,b])",
     )
-    cert.witnesses["u"] = special.u.encode()
+    cert.witnesses["u"] = u.encode()
     return _verdict(ok)
 
 
@@ -710,13 +713,13 @@ def verify_lemma_comms_a(cert: Certificate, v: DefiningVector, n: int, budget: i
     group = _group_within(cert, v, 3, budget)
     if group is None:
         return SCALE
-    special = build_special_elements(group)
+    _, v_el, _ = _special_elements(group)
     ok = cert.check(
         "not_a_commutator",
-        not _commutator_hits(group, group.a, [special.v]),
+        not _commutator_hits(group, group.a, [v_el]),
         "[a, g] = a^-1 a^g, so v is some [a, g] exactly when a v lies in the class of a",
     )
-    cert.witnesses["v"] = special.v.encode()
+    cert.witnesses["v"] = v_el.encode()
     return _verdict(ok)
 
 
@@ -800,19 +803,16 @@ def verify_thm_A(cert: Certificate, v: DefiningVector, n: int, budget: int) -> s
         return verdict
     if p >= 5:
         return _verdict(_standard_pair_checks(cert, v, n))
-    if n == 3:
-        return verify_thm_G3(cert, v, 3, budget)
-    group = _group_within(cert, v, 3, budget)
-    if group is None:
-        return SCALE
-    ok = _gupta_sidki_structure(cert, group)
+    verdict = verify_thm_G3(cert, v, 3, budget)
+    if n == 3 or verdict == SCALE:
+        return verdict
     triple = [("x1_a", "a"), ("y1_b", "b"), ("x1y1_ab", "ab")]
-    ok &= _lifting_checks(cert, v, triple, 3, n, prefix="lift_")
+    ok = _lifting_checks(cert, v, triple, 3, n, prefix="lift_")
     cert.notes.append(
         "conclusion: the structure verified exhaustively at depth 3 lifts to "
         f"depth {n} because the first triple's element orders are preserved"
     )
-    return _verdict(ok)
+    return _verdict(ok and verdict == "verified")
 
 
 def verify_lifting(cert: Certificate, v: DefiningVector, n: int, budget: int) -> str:

@@ -16,7 +16,6 @@ from ggs import (
     GeneratingTriple,
     NotGeneratingError,
     SEARCH_ELEMENT_CAP,
-    build_special_elements,
     cyclic_subgroup,
     enumerate_quotient,
     is_beauville_pair,
@@ -27,6 +26,7 @@ from ggs import (
 )
 
 from ggs import beauville, quotient
+from ggs.verifiers import _special_elements
 from ggs.beauville import _conjugates_of_powers, _signature_table, _socle_data
 
 import reference
@@ -227,9 +227,9 @@ def test_is_beauville_pair_refuted(gs_g2):
 
 
 def test_is_beauville_pair_verified(gs_g3):
-    special = build_special_elements(gs_g3)
-    x2 = gs_g3.a * special.v
-    y2 = gs_g3.b ** 2 * special.u
+    u, v, _ = _special_elements(gs_g3)
+    x2 = gs_g3.a * v
+    y2 = gs_g3.b ** 2 * u
     t1 = GeneratingTriple.make(gs_g3, gs_g3.a, gs_g3.b)
     t2 = GeneratingTriple.make(gs_g3, x2, y2)
     cert = is_beauville_pair(t1, t2, gs_g3)
@@ -242,20 +242,10 @@ def test_is_beauville_pair_verified(gs_g3):
 
 
 def test_special_elements(gs_g3):
-    special = build_special_elements(gs_g3)
-    assert special.u.order() == 3
-    assert special.u.labels in gs_g3.center().keys
-    assert special.v.labels in gs_g3.stabilizer_derived().keys
-
-
-def test_special_elements_wrong_depth(gs_g2):
-    with pytest.raises(ValueError):
-        build_special_elements(gs_g2)
-
-
-def test_special_elements_non_periodic(e10_g2):
-    with pytest.raises(ValueError):
-        build_special_elements(e10_g2)
+    u, v, _ = _special_elements(gs_g3)
+    assert u.order() == 3
+    assert u.labels in gs_g3.center().keys
+    assert v.labels in gs_g3.stabilizer_derived().keys
 
 
 def test_search_refuted_both_strategies(gs_g2, e10_g2):

@@ -14,7 +14,10 @@ cycles of the leaf permutation.  Every golden that reaches a verifier
 stage is replayed once more with the stages swapped for their oracles:
 the collision and exponent scans by the element-by-element scans, the
 triple-line check by the walk over every pair of coordinates, and the
-power lemma by every instance (i, k).
+power lemma by every instance (i, k).  Every golden that runs the Beauville
+search is replayed with its signature table swapped for an oracle table:
+the one that looks up x*y for every element y from level 2 on, and the
+pair-by-pair one at level 1, which has no coordinates.
 
 A golden may change only together with a CODE_VERSION bump
 (src/ggs/certificate.py) recorded in CHANGES.md.  To regenerate after such
@@ -31,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from ggs import DefiningVector, Portrait, verifiers
+from ggs import DefiningVector, Portrait, beauville, verifiers
 from ggs.verifiers import CLAIMS, verify_claim
 
 from reference import (
@@ -41,6 +44,8 @@ from reference import (
     naive_compose,
     pair_triple_line_check,
     power_instance_scan,
+    reference_signature_table,
+    whole_group_signature_table,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -174,6 +179,26 @@ def test_golden_replays_under_the_reference_stages(monkeypatch, stem):
 def test_every_stage_oracle_runs_in_some_golden():
     assert set().union(*STAGE_GOLDENS.values()) == set(STAGE_ORACLES)
     assert {path.stem for path in _golden_files()} >= set(STAGE_GOLDENS)
+
+
+# The goldens that run the Beauville search, each with the oracle for its
+# signature table: the whole-group table needs the coordinates of level 2 on.
+SEARCH_GOLDENS = {
+    "thm-B__p3_e1_0__n1": reference_signature_table,
+    "thm-B__p3_e1_0__n2": whole_group_signature_table,
+    "thm-B__p5_e1_0_0_0__n2": whole_group_signature_table,
+    "thm-G2__p3_e1_2__n2": whole_group_signature_table,
+}
+
+
+@pytest.mark.parametrize("stem", sorted(SEARCH_GOLDENS))
+def test_golden_replays_under_the_reference_signature_tables(monkeypatch, stem):
+    # Both oracles keep the table's order, so the witness and the bytes agree.
+    calls: Counter = Counter()
+    oracle = SEARCH_GOLDENS[stem]
+    monkeypatch.setattr(beauville, "_signature_table", _counted(calls, "table", oracle))
+    assert _replays(GOLDEN / f"{stem}.json")
+    assert calls == Counter(table=1), calls  # the search ran on the oracle's table, once
 
 
 def test_a_wrong_kernel_changes_some_golden(monkeypatch):

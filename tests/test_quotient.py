@@ -275,7 +275,9 @@ def test_keys_and_index_are_derived_from_the_rows(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     mask = bytes(rng.getrandbits(1) for _ in range(len(group)))
     early = group._at(j)  # built alone, before any lookup
-    selected = group.selected_keys(mask)
+    # Every selected member fails, so failures reads each one off the rows
+    # (from level 2 on, where the coordinates exist).
+    failed = quotient.failures(quotient.orders, lambda i, o: False, group, mask) if n > 1 else []
     assert len(group) == len(group.rows) // m
     assert group.label_columns() == tuple(group.rows[k::m] for k in range(m))
     assert not {"label_keys", "_index", "elements"} & set(vars(group))
@@ -287,7 +289,8 @@ def test_keys_and_index_are_derived_from_the_rows(data):
     assert b"".join(group.label_keys) == group.rows
     assert group._index == {k: t for t, k in enumerate(group.label_keys)}
     assert len(group) == len(group.label_keys)
-    assert selected == list(compress(group.label_keys, mask))
+    if n > 1:
+        assert [i for i, _ in failed] == list(compress(range(len(group)), mask))
     assert group.elements[i] is x and group.elements[j] is early
 
 
@@ -698,6 +701,20 @@ def test_affine_suspects_flags_a_class_whose_b_coordinates_move(e10):
     start = i - i % group.class_size
     assert flagged[start : start + group.class_size] == mask[start : start + group.class_size]
     assert flagged.count(1) == mask[start : start + group.class_size].count(1)
+
+
+@pytest.mark.parametrize("p, e, n", [(3, (1, 0), 2), (3, (1, 0), 3), (5, (1, 0, 0, 0), 2)])
+def test_failures_match_the_element_by_element_list(p, e, n):
+    # Non-periodic groups, where most elements have order above p: the
+    # failures are those of a scan of every selected member, in order.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    rng = random.Random(f"{p}{e}{n}")
+    for density in (0.001, 0.1, 0.5, 1.0):
+        mask = bytes(rng.random() < density for _ in range(len(group)))
+        scanned = quotient.map_power_classes(quotient.orders, group, mask)
+        expected = [(i, o) for i, o in zip(compress(range(len(group)), mask), scanned) if o > p]
+        assert expected or not any(mask)
+        assert quotient.failures(quotient.orders, lambda i, o: o <= p, group, mask) == expected
 
 
 def test_level_stabilizers(gs_g3):

@@ -18,7 +18,6 @@ from ggs import (
     DefiningVector,
     GeneratingTriple,
     Portrait,
-    build_special_elements,
     enumerate_quotient,
     is_beauville_pair,
     predicted_order,
@@ -29,12 +28,14 @@ from ggs import (
 )
 from ggs import quotient, verifiers
 from ggs.certificate import Certificate
-from ggs.portrait import make_a, make_b, tree_shape
+from ggs.portrait import PsiDecomposition, assemble, commutator, make_a, make_b, tree_shape
 
 from reference import (
+    brute_normal_closure,
     commutator_scan,
     element_collision_scan,
     element_exponent_check,
+    naive_compose,
     pair_triple_line_check,
     parent_refuses,
     power_conjugates,
@@ -124,9 +125,42 @@ def test_commutator_lemmas_match_the_scan(e):
         hits = verifiers._commutator_hits(group, x, center)
         assert hits == sorted(scanned & {z.labels for z in center})
         assert len(hits) == central
-    assert build_special_elements(group).v.labels not in commutator_scan(group, group.a)
+    assert verifiers._special_elements(group)[1].labels not in commutator_scan(group, group.a)
     for claim in ("lemma-comms-a", "lemma-comms-b"):
         assert verify_claim(claim, v, 3).verified, claim
+
+
+@pytest.mark.parametrize("e", [(1, 2), (2, 1)])
+def test_special_elements_match_the_oracles(e):
+    # Both p = 3 periodic vectors.  [a, b] = a^-1 b^-1 a b at depth 2 by
+    # naive composition (a and b have order 3, so x^-1 = x x); u is the one
+    # nontrivial element commuting with a and b, by naive composition, with
+    # sections ([a, b], [a, b], [a, b]); v = ([a, b], 1, 1) lies in st(1)',
+    # the normal closure of the [b, b^(a^k)], walked by brute force.
+    v_def = DefiningVector(3, e)
+    group = enumerate_quotient(v_def, 3)
+    sub = tree_shape(3, 2)
+    sa, sb = make_a(sub), make_b(v_def, sub)
+    word = [sa, sa, sb, sb, sa, sb]
+    comm = word[0]
+    for x in word[1:]:
+        comm = naive_compose(comm, x)
+    a, b = group.a, group.b
+    central = [
+        z
+        for z in group.elements
+        if not z.is_identity()
+        and naive_compose(z, a) == naive_compose(a, z)
+        and naive_compose(z, b) == naive_compose(b, z)
+    ]
+    assert len(central) == 2  # |Z| = 3
+    sections = PsiDecomposition(0, (comm, comm, comm))
+    (u,) = [z for z in central if z.psi() == sections]
+    ident = Portrait.identity(sub)
+    v = assemble(PsiDecomposition(0, (comm, ident, ident)))
+    seeds = [commutator(b, b.conjugate_by(a**k)) for k in range(1, 3)]
+    assert v.labels in brute_normal_closure(group, seeds, [a, b])
+    assert verifiers._special_elements(group) == (u, v, comm)
 
 
 def test_central_commutator_is_the_least_hit(monkeypatch, gs, gs_g3):
