@@ -26,6 +26,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import metrics
 from .certificate import Certificate
 from .generators import BudgetExceeded
 from .portrait import Portrait
@@ -146,9 +147,11 @@ def _conjugates_of_powers(group: QuotientGroup, z: Portrait) -> set[bytes]:
 
 def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
     """Sigma of a triple: the identity and the classes of the powers of x, y, xy."""
-    members = {group.identity.labels}
-    for z in triple.members():
-        members |= _conjugates_of_powers(group, z)
+    with metrics.stage("sigma set") as counts:
+        members = {group.identity.labels}
+        for z in triple.members():
+            members |= _conjugates_of_powers(group, z)
+        counts["members"] = len(members)
     return SigmaSet(frozenset(members))
 
 

@@ -5,7 +5,8 @@ witnesses in canonical portrait encoding, whether the check was
 exhaustive, and the individual sub-checks.  Serialization is canonical
 JSON (sorted keys, fixed separators); the wall-clock time is kept on the
 object for reporting but excluded from the canonical form so that reruns
-and cache hits produce byte-identical documents.
+and cache hits produce byte-identical documents, and so are the stage
+metrics (ggs.metrics) of the run that computed it.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ class Certificate:
         self.notes = [] if notes is None else notes
         self.code_version = code_version
         self.wall_time = wall_time
+        self.metrics: list[dict] = []  # the stages of the run, from ggs.metrics
 
     @property
     def verified(self) -> bool:

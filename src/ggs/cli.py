@@ -70,6 +70,9 @@ def _add_common(sub: argparse.ArgumentParser, with_level: bool = True) -> None:
         help="output format (structured = canonical JSON)",
     )
     sub.add_argument("--out", type=str, default=None, help="also write output to file")
+    sub.add_argument(
+        "-v", "--verbose", action="store_true", help="log each stage's time and counts to stderr"
+    )
 
 
 def _build_parser(claims: list[str] | None = None) -> argparse.ArgumentParser:
@@ -100,6 +103,12 @@ def _build_parser(claims: list[str] | None = None) -> argparse.ArgumentParser:
         type=str,
         default=None,
         help=f"certificate cache directory (or ${CACHE_ENV})",
+    )
+    v.add_argument(
+        "--metrics",
+        type=str,
+        default=None,
+        help="write the run's stage metrics as JSON (an empty list on a cache hit)",
     )
 
     s = subs.add_parser("sigma", help="Sigma set of a generating pair")
@@ -271,7 +280,7 @@ def cmd_verify(args) -> int:
     cache_path = (
         _cache_file(cache_dir, args.claim, params, args.budget) if cache_dir else None
     )
-    doc_text = None
+    doc_text, stages = None, []
     if cache_path is not None:  # an unusable cache directory fails before the work
         cache_path.parent.mkdir(parents=True, exist_ok=True)
     if cache_path is not None and cache_path.exists():
@@ -296,13 +305,15 @@ def cmd_verify(args) -> int:
             y_word=args.y,
             budget=args.budget,
         )
-        doc_text = cert.canonical_json()
+        doc_text, stages = cert.canonical_json(), cert.metrics
         doc = cert.canonical_dict()
         print(f"wall time: {cert.wall_time:.2f}s", file=sys.stderr)
         if cache_path is not None:
             tmp = cache_path.with_name(f"{cache_path.name}.tmp{os.getpid()}")
             tmp.write_text(doc_text)
             os.replace(tmp, cache_path)
+    if args.metrics:
+        Path(args.metrics).write_text(json.dumps(stages, indent=2) + "\n")
     _emit(doc_text, _render_certificate(doc), args)
     verdict = doc["verdict"]
     if verdict == "verified" or verdict.startswith("skipped"):
@@ -349,6 +360,10 @@ def main(argv: list[str] | None = None) -> int:
 
         claims = sorted(CLAIMS)
     args = _build_parser(claims).parse_args(argv)
+    if args.verbose:  # logging loads only here: ggs.metrics logs once it is loaded
+        import logging
+
+        logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     handlers = {
         "classify": cmd_classify,
         "enumerate": cmd_enumerate,

@@ -5,32 +5,30 @@ depth-n tree.  It splits as G_n = <a> x| H with H = st(1)/st(n).  The last
 layer L = (st(n-1) & st(1))/st(n) is an F_p-space: left multiplication by
 its elements only adds labels at depth n-1.  So the enumeration
 (_walk_queue) walks H modulo st(n-1), spans L from the Schreier generators,
-writes H one translate of L at a time, and copies the other p - 1 cosets
-h*a^r from it with the root label rewritten, with no product and no sum.
+and writes each label column of G as joins of L's column shifted by the
+representatives' labels, with no product and no sum.
 Exponent-sum coordinates are carried along; for n >= 2 they map G onto
 G/G' = C_p x C_p, so the derived subgroup, the p + 1 maximal subgroups and
 generation are all read off them (lines()), and the Frattini subgroup G'G^p
 equals G'.
 
-The walk stores rows, not objects: one buffer of label rows, m bytes per
-element (m internal vertices), one of vertex permutations, m bytes per
-power class, and the coordinate columns.  Each translate of L is a power
-class: a run of class_size elements with one permutation, since labels at
-depth n-1 move no internal vertex.  So under l_fg(u) = l_f(u) + l_g(pi_f(u))
-every product and conjugate of a class's members is their labels read at
-moved vertices plus one constant row: one kernel, _moved, serves the left
-products, the conjugation tables and the subgroup walks, and, with every
-vertex its own source, each translate of L the walk writes, L itself from
-its basis, and the premise of affine_suspects.  The scans over
-every element (orders, powers, socles, conjugation tables, class members)
-read these rows, and an identity that is affine on each class is decided
-on an affine basis of it (affine_suspects), with one call of the p-power
-kernel (p_power_chains) on the bases of every class, each class one run of
-rows sharing a permutation.  The label keys (one bytes object per
-element) and the element index are derived from the rows on the first
-lookup, and the interned Portrait elements on the first read of
-`elements`, or one at a time through `element`.  The order formula and the
-element budget it guards live in generators.
+The walk stores columns, not objects: one label column per internal vertex
+(`cols`, a byte per element), one buffer of vertex permutations, m bytes
+per power class, and the coordinate columns.  Each translate of L is a
+power class: a run of class_size elements with one permutation, since
+labels at depth n-1 move no internal vertex, and so one slice of every
+column.  Under l_fg(u) = l_f(u) + l_g(pi_f(u)) every product and conjugate
+of a class's members is their columns read at moved vertices plus one
+constant row: one kernel, _moved, serves the left products, the
+conjugation tables and the subgroup walks.  The scans over every element
+(orders, powers, socles, conjugation tables, class members) read these
+columns, and an identity that is affine on each class is decided on an
+affine basis of it (affine_suspects), with one call of the p-power kernel
+(p_power_chains) on the bases of every class.  The label keys (one bytes object per element) and the
+element index are derived from a transient row buffer on the first lookup,
+and the interned Portrait elements on the first read of `elements`, or one
+at a time through `element`.  The order formula and the element budget it
+guards live in generators.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from array import array
 from collections import Counter
 from functools import cached_property, lru_cache, partial, reduce as fold, wraps
 from itertools import accumulate, chain, compress, count, cycle, repeat
-from operator import add, attrgetter, or_
+from operator import add, attrgetter, getitem, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, cast
 
@@ -53,6 +51,7 @@ from .generators import (
     exceeds_budget,
     written_order,
 )
+from . import metrics
 from .parallel import pmap
 from .portrait import Portrait, TreeShape, commutator, make_a, make_b, tree_shape
 
@@ -168,11 +167,11 @@ def _walk(group: "QuotientGroup", steps: list[ClassMap]) -> list[int]:
 
 def _class_images(group: "QuotientGroup", start: int, step: ClassMap) -> Iterator[int]:
     """Enumeration indices of the images under step of the power class
-    that starts at index start, in enumeration order: one _moved."""
-    m = group.shape.internal_count
-    columns = _columns(group.rows[start * m : (start + group.class_size) * m], m)
+    that starts at index start, in enumeration order: one _moved on the
+    class's slice of every column."""
+    columns = [column[start : start + group.class_size] for column in group.cols]
     images = _moved(columns, *step(group._perm_row(start)), group.vector.p)
-    return map(group._index.__getitem__, _split(images, m))
+    return map(group._index.__getitem__, _split(images, group.shape.internal_count))
 
 
 def _times(g: Portrait) -> ClassMap:
@@ -386,20 +385,21 @@ def map_power_classes(
 
     A power class, the elements sharing their labels above the last level
     and so one vertex permutation, is a run of group.class_size elements.
-    fn takes the rows of a class's selected members and the class as one
-    run, as p_power_chains does, and returns one result per row.  Classes
-    with no selected member are skipped.  fn runs once per class, not once
-    over the group: a class is wide, and one call over all classes would
-    hold every level of the chains of every element at once.
+    fn takes the rows of a class's selected members, written from their
+    column slices, and the class as one run, as p_power_chains does, and
+    returns one result per row.  Classes with no selected member are
+    skipped.  fn runs once per class: one call over all classes would hold
+    every level of the chains of every element at once.
     """
-    rows, size, m = group.rows, group.class_size, group.shape.internal_count
+    size = group.class_size
     mask = bytes([1]) * len(group) if mask is None else mask
 
     def run(i: int) -> list[R]:
-        block, chosen = rows[i * m : (i + size) * m], mask[i : i + size]
+        block, chosen = [column[i : i + size] for column in group.cols], mask[i : i + size]
         if 0 in chosen:
-            block = b"".join(compress(_split(block, m), chosen))
-        return fn(group.shape, block, [(group._perm_row(i), len(block) // m)])
+            block = [bytes(compress(column, chosen)) for column in block]
+        width = len(block[0])
+        return fn(group.shape, _rows(block, width), [(group._perm_row(i), width)])
 
     starts = [i for i in range(0, len(group), size) if mask.find(1, i, i + size) >= 0]
     return list(chain.from_iterable(pmap(run, starts)))
@@ -407,18 +407,17 @@ def map_power_classes(
 
 def _layer_span(
     shape: TreeShape, basis: Sequence[tuple[bytes, int]]
-) -> tuple[bytes, bytes]:
-    """Every vector of the last layer as a full row, concatenated, and its
-    b-coordinate, from an F_p basis of (row, coordinate) pairs: the vector
-    at offset sum k_t * p^t is sum k_t * basis[t]."""
-    p, m, shifts = shape.p, shape.internal_count, _add_tables(shape.p)
-    span, coords = shape.zero_labels, bytes(1)
+) -> tuple[tuple[bytes, ...], bytes]:
+    """Every vector of the last layer as label columns and its b-coordinate
+    column, from an F_p basis of (row, coordinate) pairs: the vector at
+    offset sum k_t * p^t is sum k_t * basis[t], so each basis vector joins
+    p shifts of every column, the k-th by k times the vector's entry."""
+    p, shifts = shape.p, _add_tables(shape.p)
+    columns = [bytes(1)] * (shape.internal_count + 1)  # the labels, then the coordinate
     for row, c in basis:
-        columns = _columns(span, m)
-        multiples = (bytes(k * x % p for x in row) for k in range(p))
-        span = b"".join(_moved(columns, range(m), kx, p) for kx in multiples)
-        coords = b"".join(coords.translate(shifts[k * c % p]) for k in range(p))
-    return span, coords
+        pairs = zip(columns, (*row, c))
+        columns = [b"".join(col.translate(shifts[k * x % p]) for k in range(p)) for col, x in pairs]
+    return tuple(columns[:-1]), columns[-1]
 
 
 def affine_suspects(
@@ -441,21 +440,26 @@ def affine_suspects(
     affine in u, and so is the b-coordinate.  An affine identity that holds
     on d + 1 affinely independent members (d = dim L) holds on the coset.
 
-    Per class with a selected member: the premise, that its rows are the
-    rows of L plus its first row and its b-coordinates are L's plus its
-    first member's; then fn and passes on q0, its first selected member,
-    and on q0 + k_t*b_t for each basis vector b_t of L (at span offset
-    p^t), with k_t the least of 1..p-1 that gives a selected member.  The
+    Per class with a selected member: the premise, that its slice of each
+    label column and of the b-coordinates is L's shifted by its first
+    entry; then fn and passes on q0, its first selected member, and on
+    q0 + k_t*b_t for each basis vector b_t of L (at span offset p^t), with
+    k_t the least of 1..p-1 that gives a selected member.  The
     class stays in the mask when the premise fails, no such basis is
     selected, or passes fails on a basis member.  fn runs once, on the
     bases of every class that passes the premise, each class one run.
     """
-    shape, rows, size = group.shape, group.rows, group.class_size
-    p, m = shape.p, shape.internal_count
-    span, span_coords = group.layer_span
-    b_coords, shifts = group.coords[1], _add_tables(p)
+    shape, size, p = group.shape, group.class_size, group.vector.p
+    columns = (*group.cols, group.coords[1])  # the labels, then the b-coordinates
+    layer, shifts = (*group.layer_span[0], group.layer_span[1]), _add_tables(p)
     mask = bytes([1]) * len(group) if mask is None else mask
-    span_columns = _columns(span, m)
+
+    @lru_cache(maxsize=None)  # the shifts the classes of this call need
+    def shifted(k: int, c: int) -> bytes:
+        return layer[k].translate(shifts[c])
+
+    steps = [p**t for t in range(len(group.layer_basis))]  # the span offsets of L's basis
+    d1 = len(steps) + 1  # members of every basis
     suspects = bytearray(len(group))
     bases: list[tuple[int, list[int]]] = []  # (class start, basis) where the premise holds
     for i in range(0, len(group), size):
@@ -463,26 +467,24 @@ def affine_suspects(
         if q0 < 0:
             continue
         chosen = [q0]
-        for t in range(len(group.layer_basis)):
-            step = p**t
+        for step in steps:
             digit = (q0 - i) // step % p
-            found = (q0 + ((digit + k) % p - digit) * step for k in range(1, p))
-            chosen.append(next((q for q in found if mask[q]), -1))
-        block = rows[i * m : (i + size) * m]
-        sound = (
-            -1 not in chosen
-            and block == _moved(span_columns, range(m), block[:m], p)
-            and b_coords[i : i + size] == span_coords.translate(shifts[b_coords[i]])
-        )
-        if sound:
+            for k in range(1, p):
+                q = q0 + ((digit + k) % p - digit) * step
+                if mask[q]:
+                    chosen.append(q)
+                    break
+        first = map(getitem, columns, repeat(i))
+        slices = map(getitem, columns, repeat(slice(i, i + size)))
+        if len(chosen) == d1 and list(slices) == list(map(shifted, count(), first)):
             bases.append((i, chosen))
         else:
             suspects[i : i + size] = mask[i : i + size]
     if bases:
-        d1 = len(group.layer_basis) + 1  # members of every basis
         members = [q for _, chosen in bases for q in chosen]
         runs = [(group._perm_row(i), d1) for i, _ in bases]
-        passed = list(map(passes, members, fn(shape, b"".join(map(group._key, members)), runs)))
+        rows = _rows([bytes(map(column.__getitem__, members)) for column in group.cols], len(members))
+        passed = list(map(passes, members, fn(shape, rows, runs)))
         for k, (i, _) in enumerate(bases):
             if not all(passed[k * d1 : (k + 1) * d1]):
                 suspects[i : i + size] = mask[i : i + size]
@@ -554,8 +556,10 @@ class QuotientGroup:
         self.b = make_b(vector, self.shape)
         self.identity = Portrait.identity(self.shape)
         self.identity.vertex_perm()
-        walked = self._walk_queue(n, budget, predicted)
-        self.rows, self._perms, self.coords, self.layer_basis, self.layer_span = walked
+        with metrics.stage("enumeration") as counts:
+            walked = self._walk_queue(n, budget, predicted)
+            self.cols, self._perms, self.coords, self.layer_basis, self.layer_span = walked
+            counts["elements"] = len(self)
         self.class_size = vector.p ** len(self.layer_basis)  # |L|, the size of every power class
         # Elements built one at a time by index, before `elements` is; the
         # full tuple takes these objects over, so each element stays one.
@@ -565,19 +569,19 @@ class QuotientGroup:
     def _walk_queue(
         self, n: int, budget: int, predicted: int | str | None
     ) -> tuple[
-        bytes,
+        tuple[bytes, ...],
         bytes,
         tuple[bytes, bytes] | None,
         tuple[tuple[bytes, int], ...],
-        tuple[bytes, bytes],
+        tuple[tuple[bytes, ...], bytes],
     ]:
         """The elements as p cosets of H = st(1)/st(n), with exponent-sum
-        coordinates (a byte column per generator).  Returns the label rows in
-        enumeration order (m bytes per element, the blocks of step 3
-        joined), the vertex permutations (m bytes per power class), the
-        coordinate columns, an F_p basis of the last layer
+        coordinates (a byte column per generator).  Returns the label
+        columns in enumeration order (one per internal vertex, a byte per
+        element, step 3), the vertex permutations (m bytes per power
+        class), the coordinate columns, an F_p basis of the last layer
         L = (st(n-1) & st(1))/st(n): full label rows with their
-        b-coordinates, and L listed from it by _layer_span.
+        b-coordinates, and L's columns listed from it by _layer_span.
 
         Step 1 walks H modulo st(n-1) from 1 under right multiplication by
         the b_j = b^(a^j), which generate st(1), keeping the first element
@@ -590,15 +594,16 @@ class QuotientGroup:
         the coordinates conflict (derived_subgroup); at level 1, where b = 1
         and H = 1, they always do, and are dropped.
 
-        Step 3 writes H one top at a time, its representative plus every
-        vector of L (_moved over the columns of L: one translate per vertex,
-        one shared permutation), then each coset r = 1..p-1 with no product
-        and no sum: a's one nonzero label is at the root, which every vertex
-        permutation fixes, so h*a^r is h with root label r, permutation
-        pi_(a^r) o pi_h and coordinates (r, c(h)).  Each block of coset r is
-        a copy of the matching block of H with its root labels set to r,
-        made one block at a time.  Index r*|H| + i holds h_i*a^r, and the
-        identity stays at 0.
+        Step 3 writes G one label column at a time, with no product and no
+        sum.  H is, top by top, its representative plus every vector of L,
+        all sharing the representative's permutation, so column k of H is
+        the join of L's column k shifted by each representative's label k
+        (only the shifts some representative needs are made).  a's one
+        nonzero label is at the root, which every vertex permutation fixes,
+        so h*a^r is h with root label r, permutation pi_(a^r) o pi_h and
+        coordinates (r, c(h)): column k >= 1 of G is that of H repeated p
+        times, and the root column is the a-coordinate column.  Index
+        r*|H| + i holds h_i*a^r, and the identity stays at 0.
         """
         shape, identity = self.shape, self.identity
         p, m = shape.p, shape.internal_count
@@ -634,28 +639,32 @@ class QuotientGroup:
         # Each basis vector of L as a full row, zero above depth n-1, and its coordinate.
         layer_basis = tuple((bytes(cut) + bytes(row[:-1]), row[-1]) for row in basis)
         span, span_coords = _layer_span(shape, layer_basis)
-        shifts, columns = _add_tables(p), _columns(span, m)
-        blocks = [_moved(columns, range(m), rep.labels, p) for rep in reps]  # H: root label 0
-        for r in range(1, p):
-            root = bytes([r]) * (len(span) // m)
-            for block in blocks[: len(reps)]:
-                copy = bytearray(block)
-                copy[::m] = root
-                blocks.append(copy)
+        shifts = _add_tables(p)
+        a_coords = b"".join(bytes([r]) * (order // p) for r in range(p))
+        cols = [a_coords]  # the root labels; H has root label 0, as L does
+        rep_labels = _columns(b"".join(rep.labels for rep in reps), m)  # label k of every rep
+        for column, labels in zip(span[1:], rep_labels[1:]):
+            shifted = {c: column.translate(shifts[c]) for c in set(labels)}
+            cols.append(b"".join(map(shifted.__getitem__, labels)) * p)
         perms: list[bytes] = []
         for r in range(p):
             a_r = _vertex_table((self.a**r).vertex_perm())
             perms += (bytes(rep.vertex_perm()).translate(a_r) for rep in reps)
-        a_coords = b"".join(bytes([r]) * (order // p) for r in range(p))
         b_coords = b"".join(span_coords.translate(shifts[c]) for c in rep_coords) * p
         coords = (a_coords, b_coords) if consistent else None
-        return b"".join(blocks), b"".join(perms), coords, layer_basis, (span, span_coords)
+        return tuple(cols), b"".join(perms), coords, layer_basis, (span, span_coords)
+
+    @property
+    def rows(self) -> bytes:
+        """The label rows in enumeration order, m bytes per element: a view
+        written from the columns on each read, not kept."""
+        return bytes(_rows(self.cols, len(self)))
 
     @cached_property
     def label_keys(self) -> tuple[bytes, ...]:
-        """The label key of every element, in enumeration order: the rows
-        split, on first read."""
-        return tuple(_split(self.rows, self.shape.internal_count))
+        """The label key of every element, in enumeration order: a transient
+        row buffer written from the columns and split, on first read."""
+        return tuple(_split(_rows(self.cols, len(self)), self.shape.internal_count))
 
     @cached_property
     def _index(self) -> dict[bytes, int]:
@@ -666,7 +675,7 @@ class QuotientGroup:
     # -- basic container behaviour -------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.rows) // self.shape.internal_count
+        return len(self.cols[0])
 
     def __iter__(self) -> Iterator[Portrait]:
         return iter(self.elements)
@@ -682,9 +691,8 @@ class QuotientGroup:
         )
 
     def _key(self, i: int) -> bytes:
-        """The label key of element i, sliced from the rows."""
-        m = self.shape.internal_count
-        return self.rows[i * m : (i + 1) * m]
+        """The label key of element i, gathered from the columns."""
+        return bytes([column[i] for column in self.cols])
 
     def _perm_row(self, i: int) -> bytes:
         """The vertex permutation of element i, one byte per vertex: the row
@@ -696,7 +704,7 @@ class QuotientGroup:
     def elements(self) -> tuple[Portrait, ...]:
         """Every element as an interned Portrait carrying its vertex
         permutation, in enumeration order, the identity first; built from
-        the rows on first read.  The members of a power class share one
+        the label keys on first read.  The members of a power class share one
         permutation tuple."""
         shape = self.shape
         perms = Struct(f"{shape.internal_count}B").iter_unpack(self._perms)
@@ -729,12 +737,6 @@ class QuotientGroup:
         """The interned element with the given label key or text encoding."""
         return self._at(self._position(key))
 
-    @stage
-    def label_columns(self) -> tuple[bytes, ...]:
-        """One bytes column per internal vertex: that vertex's label in every
-        element, in enumeration order."""
-        return tuple(_columns(self.rows, self.shape.internal_count))
-
     def left_products(self, x: Portrait, stop: int | None = None) -> bytearray:
         """The labels of x*y for every element y, or for the elements before
         index stop, concatenated in enumeration order.
@@ -742,9 +744,7 @@ class QuotientGroup:
         Label u of x*y is l_x(u) + l_y(pi_x(u)) mod p: _moved with sources
         pi_x and row l_x.
         """
-        columns = self.label_columns()
-        if stop is not None:
-            columns = tuple(column[:stop] for column in columns)
+        columns = self.cols if stop is None else [column[:stop] for column in self.cols]
         return _moved(columns, x.vertex_perm(), x.labels, self.vector.p)
 
     def coords_of(self, x: Portrait) -> tuple[int, int]:

@@ -31,6 +31,7 @@ import time
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
+from . import metrics
 from .beauville import (
     GeneratingTriple,
     SEARCH_ELEMENT_CAP,
@@ -446,9 +447,12 @@ def _exponent_check(cert: Certificate, group: QuotientGroup) -> bool:
     """Every element's order divides p (periodic level 2).  x^p is affine on
     each power class, so x^p = 1 on an affine basis of a class decides it,
     and the classes it leaves open are scanned in full (failures).  Like
-    _collision_scan it reads the rows and builds no label keys or index."""
+    _collision_scan it reads the label columns and builds no label keys or
+    index."""
     p = group.vector.p
-    bad = [group._key(i) for i, _ in failures(orders, lambda i, o: o <= p, group)]
+    with metrics.stage("exponent check", elements=len(group)) as counts:
+        bad = [group._key(i) for i, _ in failures(orders, lambda i, o: o <= p, group)]
+        counts["offenders"] = len(bad)
     if bad:
         cert.witnesses["exponent_witness"] = Portrait(group.shape, min(bad)).encode()
     return cert.check(
@@ -473,7 +477,7 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
     the least offenders, so the certificate is the one a full scan writes.
     At level 2 it also checks that <z> is the center.
 
-    The scan reads the label rows and slices keys only for the elements it
+    The scan reads the label columns and gathers keys only for the elements it
     scans in full, so it builds neither the group's label keys nor its
     index.  The common_subgroup witness encodes the powers of z from their
     labels with no membership lookup: it is written only once the scan has
@@ -492,7 +496,9 @@ def _collision_scan(cert: Certificate, group: QuotientGroup) -> bool:
 
     on_lines = group.line_mask(*range(2, p + 1))  # the lines 1 + i, i = 1..p-1
     total = on_lines.count(1)
-    failed = failures(orders_and_tops, passes, group, on_lines)
+    with metrics.stage("collision scan", elements=total) as counts:
+        failed = failures(orders_and_tops, passes, group, on_lines)
+        counts["offenders"] = len(failed)
     order_bad = [group._key(i) for i, (o, _) in failed if o != p**n]  # label keys
     power_bad = [group._key(i) for i, (_, top) in failed if top != expected[b_coords[i]]]
     ok = cert.check(
@@ -961,7 +967,8 @@ def verify_claim(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> Certificate:
-    """Run the verifier for one claim id and stamp the wall time.
+    """Run the verifier for one claim id and stamp the wall time and the
+    stage metrics (ggs.metrics).
 
     Every verifier runs in this process.  `workers` accepts only 1: the
     benchmark harness under perfbench/ still passes workers=1, and the
@@ -979,7 +986,8 @@ def verify_claim(
         exhaustive=False,
         code_version=CODE_VERSION,
     )
-    cert.verdict = CLAIMS[claim].verify(cert, v, params["n"], budget)
+    with metrics.collect() as cert.metrics:
+        cert.verdict = CLAIMS[claim].verify(cert, v, params["n"], budget)
     cert.wall_time = time.perf_counter() - start
     return cert
 

@@ -22,7 +22,10 @@ collision and exponent scans test every element rather than an affine basis
 of each power class, the power lemma forms every instance (i, k) rather than
 k = 1 alone, the triple-line check walks every pair of nonzero
 coordinates rather than one point at a time, and the commutators [x, g] are
-formed for every element g rather than read off the conjugacy class of x.
+formed for every element g rather than read off the conjugacy class of x,
+and the quotient's label rows are laid out row-major, one block of rows per
+top representative with the cosets of st(1) copied from it, rather than
+written one label column at a time.
 The claims' domains are restated guard by guard (`parent_refuses`), as the
 verifiers once wrote them, rather than read off the registry.
 """
@@ -401,6 +404,42 @@ def four_generator_walk(
     if n == 1:
         return elements, None
     return elements, tuple(coords[x.labels] for x in elements)
+
+
+def row_major_layout(group: QuotientGroup) -> bytes:
+    """The label rows of the quotient laid out row-major, block by block.
+
+    The tops (labels above depth n-1) of st(1) are walked breadth-first
+    under the b^(a^j), keeping the first element met with each; the last
+    layer is listed from the group's basis by labelwise sums, the vector at
+    offset sum k_t * p^t being sum k_t * basis[t].  Each representative
+    gives one block, itself plus every vector of the layer (one _moved
+    over the layer's columns), and each coset r = 1..p-1 of st(1) is a copy
+    of H's blocks with the root labels set to r."""
+    shape, p = group.shape, group.vector.p
+    m, cut = shape.internal_count, shape.level_starts[shape.n - 1]
+    steps = [group.b.conjugate_by(group.a**j) for j in range(p)]
+    reps, tops = [group.identity], {group.identity.labels[:cut]}
+    for x in reps:  # grows while it is read
+        for y in (x * g for g in steps):
+            if y.labels[:cut] not in tops:
+                tops.add(y.labels[:cut])
+                reps.append(y)
+    span = []
+    for offset in range(p ** len(group.layer_basis)):
+        row = [0] * m
+        for t, (vector, _) in enumerate(group.layer_basis):
+            k = offset // p**t % p
+            row = [(x + k * y) % p for x, y in zip(row, vector)]
+        span.append(bytes(row))
+    columns = quotient._columns(b"".join(span), m)
+    blocks = [quotient._moved(columns, range(m), rep.labels, p) for rep in reps]
+    for r in range(1, p):
+        for block in blocks[: len(reps)]:
+            copy = bytearray(block)
+            copy[::m] = bytes([r]) * len(span)
+            blocks.append(copy)
+    return b"".join(blocks)
 
 
 def greedy_generators(group: QuotientGroup, members) -> list[Portrait]:

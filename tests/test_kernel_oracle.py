@@ -332,7 +332,8 @@ def test_power_chains_are_affine_on_the_last_layer(p, n, data):
 @given(data=st.data())
 def test_layer_span_matches_sums_of_basis_multiples(data):
     # Any rows zero above depth n-1, with any coordinates: the vector at
-    # offset sum k_t * p^t is sum k_t * basis[t], labelwise mod p.
+    # offset sum k_t * p^t, read across the label columns, is
+    # sum k_t * basis[t], labelwise mod p.
     p = data.draw(st.sampled_from([3, 5, 7]))
     n = data.draw(st.integers(1, 3))
     shape = tree_shape(p, n)
@@ -342,7 +343,9 @@ def test_layer_span_matches_sums_of_basis_multiples(data):
         (bytes(cut) + bytes(data.draw(last)), data.draw(st.integers(0, p - 1)))
         for _ in range(data.draw(st.integers(0, 3)))
     ]
-    span, coords = _layer_span(shape, basis)
+    columns, coords = _layer_span(shape, basis)
+    assert [len(column) for column in columns] == [p ** len(basis)] * m
+    span = _rows(columns, p ** len(basis))
     assert (len(span), len(coords)) == (p ** len(basis) * m, p ** len(basis))
     for offset in range(p ** len(basis)):
         row, coord = [0] * m, 0

@@ -22,8 +22,9 @@ from ggs import (
     enumerate_quotient,
     predicted_order,
 )
-from ggs import quotient
+from ggs import quotient, verifiers
 from ggs.beauville import _signature_table
+from ggs.certificate import Certificate
 from ggs.generators import (
     MAX_LEVEL,
     _echelon_mod_p,
@@ -42,6 +43,7 @@ from reference import (
     four_generator_walk,
     greedy_generators,
     queue_walk,
+    row_major_layout,
 )
 
 
@@ -220,6 +222,21 @@ def test_rows_match_their_pinned_digests(p, e, n):
     assert digests == ROW_DIGESTS[p, e, n]
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_column_store_read_row_wise_matches_the_row_major_layout(data):
+    # The columns, read row by row, are byte for byte the rows the row-major
+    # walk wrote: each top's block, then the cosets of st(1) as copies.
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+    assume(any(e))
+    v = DefiningVector(p, tuple(e))
+    n = data.draw(st.integers(1, 3))
+    assume(p ** quotient._guard_exponent(v, n) <= 3**10)
+    group = enumerate_quotient(v, n)
+    assert group.rows == row_major_layout(group)
+
+
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_walk_matches_queue_walk_on_random_vectors(data):
@@ -261,8 +278,9 @@ def test_elements_are_built_from_the_rows(p, e, n):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_keys_and_index_are_derived_from_the_rows(data):
-    # The rows are the one store: the label keys, the index, the columns and
-    # the elements are read off them on demand, and agree with each other.
+    # The label columns are the one store: the rows, the label keys, the
+    # index and the elements are read off them on demand, and agree with
+    # each other.  A passing level-3 collision scan reads the columns alone.
     p = data.draw(st.sampled_from([3, 5]))
     e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
     assume(any(e))
@@ -275,12 +293,17 @@ def test_keys_and_index_are_derived_from_the_rows(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     mask = bytes(rng.getrandbits(1) for _ in range(len(group)))
     early = group._at(j)  # built alone, before any lookup
-    # Every selected member fails, so failures reads each one off the rows
-    # (from level 2 on, where the coordinates exist).
+    # Every selected member fails, so failures reads each one off the
+    # columns (from level 2 on, where the coordinates exist).
     failed = quotient.failures(quotient.orders, lambda i, o: False, group, mask) if n > 1 else []
+    if n == 3 and not v.periodic:  # at level 2 the scan's centre check looks positions up
+        assert verifiers._collision_scan(Certificate("prop-collision", "", {}, "", False), group)
+    assert not {"rows", "label_keys", "_index", "elements"} & set(vars(group))
+    if n > 1:  # a power class has more than one member, so only rows are len(group) * m long
+        held = [*vars(group).values(), *group._stages.values()]
+        assert not [x for x in held if isinstance(x, (bytes, bytearray)) and len(x) == len(group) * m]
     assert len(group) == len(group.rows) // m
-    assert group.label_columns() == tuple(group.rows[k::m] for k in range(m))
-    assert not {"label_keys", "_index", "elements"} & set(vars(group))
+    assert group.cols == tuple(group.rows[k::m] for k in range(m))
     key = group.rows[i * m : (i + 1) * m]
     x = group.element(key)  # the first lookup builds the index
     assert "_index" in vars(group)
@@ -375,7 +398,7 @@ def test_walk_is_coset_major(p, e, n):
     group = enumerate_quotient(DefiningVector(p, e), n)
     size = len(group) // p
     assert list(group.label_keys[:size]) == [key for key in group.label_keys if key[0] == 0]
-    assert group.coords[0] == group.label_columns()[0]
+    assert group.coords[0] == group.cols[0]
     assert group.coords[0] == b"".join(bytes([r]) * size for r in range(p))
     assert group.coords[1] == group.coords[1][:size] * p
     for r in range(1, p):
@@ -669,8 +692,8 @@ def test_affine_suspects_picks_an_affine_basis_of_each_class(p, e, n):
     group = enumerate_quotient(DefiningVector(p, e), n)
     size, d = group.class_size, len(group.layer_basis)
     span, coords = quotient._layer_span(group.shape, group.layer_basis)
-    assert (len(span), len(coords)) == (size * group.shape.internal_count, size)
-    assert b"".join(group.label_keys[:size]) == span  # the class of 1 is L itself
+    assert ([len(column) for column in span], len(coords)) == ([size] * len(span), size)
+    assert tuple(column[:size] for column in group.cols) == span  # the class of 1 is L itself
     assert group.coords[1][:size] == coords
     mask = group.line_mask(*range(2, p + 1))
     seen: list[int] = []
@@ -701,6 +724,25 @@ def test_affine_suspects_flags_a_class_whose_b_coordinates_move(e10):
     start = i - i % group.class_size
     assert flagged[start : start + group.class_size] == mask[start : start + group.class_size]
     assert flagged.count(1) == mask[start : start + group.class_size].count(1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("first", [True, False])
+def test_affine_suspects_flags_a_class_with_a_label_edited_above_the_last_layer(e10, n, first):
+    # One selected member's label at depth n-2 moves in the column store,
+    # so its class is no longer a coset of L; the premise must flag that
+    # class, whether the edit is at the member its shifts are read from
+    # (the first of the class) or at another, and no other class.
+    group = enumerate_quotient(e10, n)
+    mask, size = group.line_mask(2, 3), group.class_size
+    i = mask.find(1) - mask.find(1) % size if first else mask.rfind(1)
+    k = group.shape.level_starts[n - 2]
+    column = bytearray(group.cols[k])
+    column[i] = (column[i] + 1) % 3
+    group.cols = (*group.cols[:k], bytes(column), *group.cols[k + 1 :])
+    flagged = quotient.affine_suspects(_row_count, lambda i, r: True, group, mask)
+    start = i - i % size
+    assert flagged == bytes(start) + mask[start : start + size] + bytes(len(group) - start - size)
 
 
 @pytest.mark.parametrize("p, e, n", [(3, (1, 0), 2), (3, (1, 0), 3), (5, (1, 0, 0, 0), 2)])
@@ -905,7 +947,6 @@ def test_stages_are_memoised_once_per_group(e10):
         "maximal_subgroups",
         "conjugacy_classes",
         "lines",
-        "label_columns",
         "stabilizer_derived",
     ]
     for name in names:

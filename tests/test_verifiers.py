@@ -399,18 +399,17 @@ def _edit_last_layer(group) -> str:
     line 2 and return the edited element's encoding.  Its class is no longer
     a coset of the last layer, and its top power moves off z^(j*alpha).
 
-    The edit goes into the group's label rows, which every scan reads; the
-    label keys and the index derived from them are dropped, so that a later
-    lookup derives them from the edited rows."""
+    The edit goes into the group's label columns, which every scan reads;
+    the label keys and the index derived from them are dropped, so that a
+    later lookup derives them from the edited columns."""
     i = max(compress(range(len(group)), group.line_mask(2)), key=group.label_keys.__getitem__)
-    m = group.shape.internal_count
-    at = i * m + group.shape.level_starts[group.shape.n - 1]
-    rows = bytearray(group.rows)
-    rows[at] = (rows[at] + 1) % group.vector.p
-    group.rows = bytes(rows)
+    k = group.shape.level_starts[group.shape.n - 1]
+    column = bytearray(group.cols[k])
+    column[i] = (column[i] + 1) % group.vector.p
+    group.cols = (*group.cols[:k], bytes(column), *group.cols[k + 1 :])
     for derived in ("label_keys", "_index"):
         vars(group).pop(derived, None)
-    return Portrait(group.shape, group.rows[i * m : (i + 1) * m]).encode()
+    return Portrait(group.shape, group._key(i)).encode()
 
 
 @pytest.mark.parametrize("broken", ["order", "coords", "power", "labels"])
@@ -430,7 +429,7 @@ def test_collision_scan_names_the_least_offender(e10, monkeypatch, broken):
         group.coords = (a, bytes((y + (line == 2)) % 3 for y, line in zip(b, lines)))
         expected = {"power_witness": _least_on_lines(group, 2)}
     elif broken == "labels":
-        # One element's depth-(n-1) labels are edited in the group's rows:
+        # One element's depth-(n-1) labels are edited in the group's columns:
         # the premise check must flag its class, and that element alone
         # offends; its top power comes out 1, so its order is short too.
         edited = _edit_last_layer(group)
@@ -534,8 +533,9 @@ def test_scans_build_no_per_element_objects(e10, gs, monkeypatch):
 
 
 def test_collision_verdict_builds_no_keys_or_index(e10, monkeypatch):
-    """prop-collision at e=(1,0), n=3 (59,049 elements) reads the label rows
-    alone: it builds neither the label keys nor the index, nor the elements.
+    """prop-collision at e=(1,0), n=3 (59,049 elements) reads the label
+    columns alone: it builds no row buffer, neither the label keys nor the
+    index, nor the elements.
     thm-G2 at p=5, whose signature table looks positions up, builds the
     index on demand and still writes the golden certificate."""
     groups = []
@@ -548,7 +548,9 @@ def test_collision_verdict_builds_no_keys_or_index(e10, monkeypatch):
     assert verify_claim("prop-collision", e10, 3).verified
     (group,) = groups
     assert len(group) == 3**10
-    assert not {"label_keys", "_index", "elements"} & set(vars(group))
+    assert not {"rows", "label_keys", "_index", "elements"} & set(vars(group))
+    held = [*vars(group).values(), *group._stages.values()]  # no row buffer of the columns
+    assert not [x for x in held if isinstance(x, (bytes, bytearray)) and len(x) == len(group) * 13]
     golden = Path(__file__).resolve().parent / "golden" / "thm-G2__p5_e1_4_1_4__n2.json"
     cert = verify_claim("thm-G2", DefiningVector(5, (1, 4, 1, 4)), 2)
     assert cert.canonical_json() == golden.read_text()
