@@ -5,7 +5,9 @@ of the cyclic subgroups <x>, <y>, <xy>.  A Beauville structure is a pair
 of generating triples whose Sigma sets meet only in the identity.
 
 Every orbit is read off the element conjugacy classes: <z>^g = <z^g>, and
-<s> is conjugate to <t> exactly when s is conjugate to a power of t.
+<s> is conjugate to <t> exactly when s is conjugate to a power of t.  So a
+Sigma set is one conjugation walk from every nontrivial power of x, y and
+xy, kept as a byte mask over enumeration order.
 
 The search reduces the question to conjugation orbits of order-p
 subgroups: a nontrivial element common to two Sigma sets exists exactly
@@ -14,7 +16,7 @@ order-p subgroups (in a finite p-group every nontrivial intersection of
 cyclic subgroups contains both their unique minimal subgroups, which
 therefore coincide).  It is exact and fast enough to exhaust, and every
 witness it reports is confirmed by the literal pair check, which
-intersects the materialized Sigma member sets.  The test suite
+intersects the two Sigma masks.  The test suite
 cross-checks both against brute-force oracles that conjugate by every
 element, and the search against a literal search over every generating
 pair.
@@ -22,7 +24,7 @@ pair.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -91,19 +93,29 @@ class GeneratingTriple(NamedTuple):
 
 
 class SigmaSet:
-    """Union of all conjugates of <x>, <y>, <xy> for one generating triple."""
+    """Union of all conjugates of <x>, <y>, <xy> for one generating triple:
+    a byte per element of the group, in enumeration order, 1 on a member."""
 
-    __slots__ = ("members",)
+    __slots__ = ("mask", "_group", "_members")
 
-    def __init__(self, members: frozenset[bytes]) -> None:
-        self.members = members
+    def __init__(self, mask: bytearray, group: QuotientGroup) -> None:
+        self.mask = mask
+        self._group = group
+        self._members: frozenset[bytes] | None = None
+
+    @property
+    def members(self) -> frozenset[bytes]:
+        """The label keys of the members, built on first read."""
+        if self._members is None:
+            self._members = frozenset(compress(self._group.label_keys, self.mask))
+        return self._members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.count(1)
 
     def __contains__(self, x: Portrait | bytes) -> bool:
-        key = x.labels if isinstance(x, Portrait) else x
-        return key in self.members
+        i = self._group._index.get(x.labels if isinstance(x, Portrait) else x)
+        return i is not None and bool(self.mask[i])
 
 
 def cyclic_powers(x: Portrait) -> list[Portrait]:
@@ -134,25 +146,17 @@ def subgroup_conjugation_orbit(
     return list(dict.fromkeys(orbit))
 
 
-def _conjugates_of_powers(group: QuotientGroup, z: Portrait) -> set[bytes]:
-    """The nontrivial members of every conjugate of <z>: the classes of the
-    powers of z."""
-    keys = group.label_keys
-    members: set[bytes] = set()
-    for w in cyclic_powers(z):
-        if w.labels not in members:
-            members.update(map(keys.__getitem__, group._class_of(group._position(w.labels))))
-    return members
-
-
 def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
-    """Sigma of a triple: the identity and the classes of the powers of x, y, xy."""
+    """Sigma of a triple: the identity and the classes of the powers of x,
+    y, xy, by one conjugation walk from every nontrivial power."""
     with metrics.stage("sigma set") as counts:
-        members = {group.identity.labels}
-        for z in triple.members():
-            members |= _conjugates_of_powers(group, z)
-        counts["members"] = len(members)
-    return SigmaSet(frozenset(members))
+        mask = bytearray(len(group))
+        mask[0] = 1  # the identity
+        powers = chain.from_iterable(map(cyclic_powers, triple.members()))
+        group._conjugates((group._position(w.labels) for w in powers), mask)
+        sigma = SigmaSet(mask, group)
+        counts["members"] = len(sigma)
+    return sigma
 
 
 # -- socle-orbit signatures ----------------------------------------------------
@@ -223,8 +227,10 @@ def is_beauville_pair(
 ) -> Certificate:
     """Decide whether two generating triples form a Beauville structure.
 
-    The verdict comes from the literal Sigma member sets; witnesses on
-    refutation name a smallest nontrivial common element.
+    The verdict comes from the literal Sigma sets: their masks, each read
+    as one integer, are ANDed, and the pair is verified exactly when only
+    the identity, at index 0, is common.  A refutation names the common
+    element with the least nontrivial label key.
     """
     for t in (t1, t2):
         if not group.is_generating_pair(t.x, t.y):
@@ -238,18 +244,20 @@ def is_beauville_pair(
     )
     s1 = sigma_set(t1, group)
     s2 = sigma_set(t2, group)
-    common = s1.members & s2.members
+    # the nontrivial common members: both masks hold the identity, at index 0
+    common = (int.from_bytes(s1.mask, "little") & int.from_bytes(s2.mask, "little")) ^ 1
     cert.witnesses["triple_1"] = t1.encode()
     cert.witnesses["triple_2"] = t2.encode()
     cert.check("sigma_sizes", True, f"|Sigma_1|={len(s1)}, |Sigma_2|={len(s2)}")
-    if len(common) == 1:
+    if not common:
         cert.verdict = "verified"
     else:
         cert.verdict = "refuted"
-        witness = min(k for k in common if any(k))
+        both = common.to_bytes(len(group), "little")
+        witness = min(compress(group.label_keys, both))
         cert.witnesses["common_element"] = group.element(witness).encode()
         cert.check(
-            "intersection_trivial", False, f"{len(common) - 1} nontrivial common elements"
+            "intersection_trivial", False, f"{both.count(1)} nontrivial common elements"
         )
     return cert
 

@@ -345,7 +345,7 @@ def cmd_sigma(args) -> int:
     }
     if args.contains is not None:
         probe = parse_word(args.contains, group)
-        doc["contains"] = {args.contains: probe.labels in s.members}
+        doc["contains"] = {args.contains: probe in s}
     if args.dump:
         doc["members"] = sorted(group.element(k).encode() for k in s.members)
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", _render_report(doc), args)

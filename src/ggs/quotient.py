@@ -282,12 +282,13 @@ def _slot_bytes(ints: Iterable[int], widths: Iterable[int], reduce: bytes) -> by
 
 
 def p_power_chains(
-    shape: TreeShape, rows: bytes, runs: Sequence[Run]
+    shape: TreeShape, columns: Sequence[bytes], runs: Sequence[Run]
 ) -> tuple[bytes, list[bytes]]:
     """The p-power chains x, x^p, ..., x^(p^(n-1)) of a batch of elements
-    given as runs: consecutive rows that share their labels above the last
-    level, and so one vertex permutation.  rows holds their labels,
-    concatenated, and runs lists each run's (permutation, row count).
+    given as runs: consecutive members that share their labels above the
+    last level, and so one vertex permutation.  columns holds their labels,
+    one column per internal vertex (a byte per member), and runs lists each
+    run's (permutation, member count).
 
     Returns the order exponents (the order of member j is p^exps[j]) and,
     for i = 0..n-1, the labels of every x^(p^i) as concatenated rows, in
@@ -304,7 +305,7 @@ def p_power_chains(
     one translate.
     """
     p, m, reduce = shape.p, shape.internal_count, shape.reduce
-    width, counts, perms = len(rows) // m, [c for _, c in runs], [perm for perm, _ in runs]
+    width, counts, perms = len(columns[0]), [c for _, c in runs], [perm for perm, _ in runs]
     room = 255 // (p - 1)  # terms summed before each reduction
     # Where each slot lies in the columns, and its width.
     starts = list(accumulate(counts, initial=0))[:-1]
@@ -313,7 +314,7 @@ def p_power_chains(
     widths = counts * m
     sigma = [v * len(runs) + r for column in zip(*perms) for r, v in enumerate(column)]
     by_column = [slice(k * len(runs), (k + 1) * len(runs)) for k in range(m)]
-    columns = b"".join(_columns(rows, m))
+    columns = b"".join(columns)
     exps = 0
     levels: list[bytes] = []
     for _ in range(shape.n):
@@ -322,9 +323,7 @@ def p_power_chains(
         live = b"".join(map(int.to_bytes, live_ints, counts, repeat("little")))
         if not any(live):
             break
-        if levels:
-            rows = _rows([columns[k * width : (k + 1) * width] for k in range(m)], width)
-        levels.append(bytes(rows))
+        levels.append(bytes(_rows([columns[k * width : (k + 1) * width] for k in range(m)], width)))
         exps += int.from_bytes(live.translate(_NONZERO), "little")
         total, power = ints, sigma
         held = 1  # terms in total since its last reduction
@@ -350,32 +349,34 @@ def _orders_of(shape: TreeShape, exps: bytes) -> list[int]:
     return list(map([shape.p**k for k in range(shape.n + 1)].__getitem__, exps))
 
 
-def orders(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[int]:
+def orders(shape: TreeShape, columns: Sequence[bytes], runs: Sequence[Run]) -> list[int]:
     """Orders of the members of runs of power classes, from their batched
     p-power chains."""
-    return _orders_of(shape, p_power_chains(shape, rows, runs)[0])
+    return _orders_of(shape, p_power_chains(shape, columns, runs)[0])
 
 
-def orders_and_tops(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[tuple[int, bytes]]:
+def orders_and_tops(
+    shape: TreeShape, columns: Sequence[bytes], runs: Sequence[Run]
+) -> list[tuple[int, bytes]]:
     """Order of each x of runs of power classes and the labels of
     x^(p^(n-1)), equal labels sharing one bytes object."""
-    exps, levels = p_power_chains(shape, rows, runs)
+    exps, levels = p_power_chains(shape, columns, runs)
     tops: dict[bytes, bytes] = {}
     last = (tops.setdefault(t, t) for t in _split(levels[-1], shape.internal_count))
     return list(zip(_orders_of(shape, exps), last))
 
 
-def socles(shape: TreeShape, rows: bytes, runs: Sequence[Run]) -> list[bytes | None]:
+def socles(shape: TreeShape, columns: Sequence[bytes], runs: Sequence[Run]) -> list[bytes | None]:
     """Labels of the last nontrivial p-power of each member of runs of
     power classes (a generator of the order-p subgroup of <x>), None for
     the identity."""
     m = shape.internal_count
-    exps, levels = p_power_chains(shape, rows, runs)
+    exps, levels = p_power_chains(shape, columns, runs)
     return [levels[e - 1][j * m : (j + 1) * m] if e else None for j, e in enumerate(exps)]
 
 
 def map_power_classes(
-    fn: Callable[[TreeShape, bytes, Sequence[Run]], list[R]],
+    fn: Callable[[TreeShape, Sequence[bytes], Sequence[Run]], list[R]],
     group: "QuotientGroup",
     mask: bytes | None = None,
 ) -> list[R]:
@@ -385,11 +386,11 @@ def map_power_classes(
 
     A power class, the elements sharing their labels above the last level
     and so one vertex permutation, is a run of group.class_size elements.
-    fn takes the rows of a class's selected members, written from their
-    column slices, and the class as one run, as p_power_chains does, and
-    returns one result per row.  Classes with no selected member are
-    skipped.  fn runs once per class: one call over all classes would hold
-    every level of the chains of every element at once.
+    fn takes the column slices of a class's selected members and the class
+    as one run, as p_power_chains does, and returns one result per member.
+    Classes with no selected member are skipped.  fn runs once per class:
+    one call over all classes would hold every level of the chains of every
+    element at once.
     """
     size = group.class_size
     mask = bytes([1]) * len(group) if mask is None else mask
@@ -398,8 +399,7 @@ def map_power_classes(
         block, chosen = [column[i : i + size] for column in group.cols], mask[i : i + size]
         if 0 in chosen:
             block = [bytes(compress(column, chosen)) for column in block]
-        width = len(block[0])
-        return fn(group.shape, _rows(block, width), [(group._perm_row(i), width)])
+        return fn(group.shape, block, [(group._perm_row(i), len(block[0]))])
 
     starts = [i for i in range(0, len(group), size) if mask.find(1, i, i + size) >= 0]
     return list(chain.from_iterable(pmap(run, starts)))
@@ -421,7 +421,7 @@ def _layer_span(
 
 
 def affine_suspects(
-    fn: Callable[[TreeShape, bytes, Sequence[Run]], list[R]],
+    fn: Callable[[TreeShape, Sequence[bytes], Sequence[Run]], list[R]],
     passes: Callable[[int, R], bool],
     group: "QuotientGroup",
     mask: bytes | None = None,
@@ -483,8 +483,8 @@ def affine_suspects(
     if bases:
         members = [q for _, chosen in bases for q in chosen]
         runs = [(group._perm_row(i), d1) for i, _ in bases]
-        rows = _rows([bytes(map(column.__getitem__, members)) for column in group.cols], len(members))
-        passed = list(map(passes, members, fn(shape, rows, runs)))
+        block = [bytes(map(column.__getitem__, members)) for column in group.cols]
+        passed = list(map(passes, members, fn(shape, block, runs)))
         for k, (i, _) in enumerate(bases):
             if not all(passed[k * d1 : (k + 1) * d1]):
                 suspects[i : i + size] = mask[i : i + size]
@@ -492,7 +492,7 @@ def affine_suspects(
 
 
 def failures(
-    fn: Callable[[TreeShape, bytes, Sequence[Run]], list[R]],
+    fn: Callable[[TreeShape, Sequence[bytes], Sequence[Run]], list[R]],
     passes: Callable[[int, R], bool],
     group: "QuotientGroup",
     mask: bytes | None = None,
@@ -891,36 +891,48 @@ class QuotientGroup:
         p = self.vector.p
         return [self._subgroup(self.line_mask(j, p + 1)) for j in range(p + 1)]
 
-    def _class_of(self, i: int) -> list[int]:
-        """Indices of the conjugacy class of element i, in discovery order:
-        breadth-first under x -> x^a, then x -> x^b."""
+    def _conjugates(self, seeds: Iterable[int], seen: bytearray) -> list[int]:
+        """Indices of the conjugates of the seeds that seen (a byte per
+        element) does not mark, in discovery order, each marked as it is
+        found: one breadth-first walk from all the unmarked seeds under
+        x -> x^a, then x -> x^b.  From one index of a class with no marked
+        member it lists that class."""
         by_a, by_b = self._conjugation_tables()
-        found, seen = [i], {i}
+        found = []
+        for i in seeds:
+            if not seen[i]:
+                seen[i] = 1
+                found.append(i)
+        # The two steps are written out: a loop over the pair (by_a[j],
+        # by_b[j]) made the walk half as slow again.
         for j in found:  # grows while it is read
-            for k in (by_a[j], by_b[j]):
-                if k not in seen:
-                    seen.add(k)
-                    found.append(k)
+            k = by_a[j]
+            if not seen[k]:
+                seen[k] = 1
+                found.append(k)
+            k = by_b[j]
+            if not seen[k]:
+                seen[k] = 1
+                found.append(k)
         return found
 
     def conjugacy_class(self, x: Portrait) -> tuple[Portrait, ...]:
         """Orbit of x under conjugation, in discovery order, as interned
         elements (which already carry their vertex permutations)."""
-        return tuple(map(self._at, self._class_of(self._position(x.labels))))
+        orbit = self._conjugates([self._position(x.labels)], bytearray(len(self)))
+        return tuple(map(self._at, orbit))
 
     @stage
     def conjugacy_classes(self) -> list[tuple[Portrait, ...]]:
-        """All conjugacy classes, in order of first appearance."""
+        """All conjugacy classes, in order of first appearance, each in
+        discovery order: every class is walked on one shared mask."""
         elements = self.elements
         assigned = bytearray(len(elements))
         classes = []
-        for i in range(len(elements)):
-            if assigned[i]:
-                continue
-            orbit = self._class_of(i)
-            for j in orbit:
-                assigned[j] = 1
-            classes.append(tuple(map(elements.__getitem__, orbit)))
+        i = 0  # the first element of no class yet
+        while i >= 0:
+            classes.append(tuple(map(elements.__getitem__, self._conjugates([i], assigned))))
+            i = assigned.find(0, i)
         return classes
 
     def order_histogram(self) -> dict[int, int]:

@@ -49,7 +49,7 @@ from ggs import (
     tree_shape,
 )
 from ggs import quotient, verifiers
-from ggs.beauville import _conjugates_of_powers, _first_disjoint, _group_certificate, _socle_data
+from ggs.beauville import _first_disjoint, _group_certificate, _socle_data, cyclic_powers
 from ggs.certificate import Certificate
 from ggs.generators import _one_root_multiplicity
 from ggs.portrait import make_a, make_b
@@ -551,13 +551,18 @@ def search_literal(group: QuotientGroup) -> Certificate:
         group, "beauville-search", "the quotient admits a Beauville structure"
     )
     one = frozenset([group.identity.labels])
+    class_of: dict[bytes, frozenset[bytes]] = {}  # the class of each element, as keys
+    for cls in group.conjugacy_classes():
+        keys = frozenset(x.labels for x in cls)
+        class_of.update(dict.fromkeys(keys, keys))
     conjugates: dict[bytes, frozenset[bytes]] = {}
     interned: dict[frozenset[bytes], frozenset[bytes]] = {}
 
     def union_for(z: Portrait) -> frozenset[bytes]:
-        """The classes of the powers of z, one shared object per distinct set."""
+        """The classes of the nontrivial powers of z, one shared object per
+        distinct set."""
         if z.labels not in conjugates:
-            union = frozenset(_conjugates_of_powers(group, z))
+            union = frozenset().union(*(class_of[w.labels] for w in cyclic_powers(z)))
             conjugates[z.labels] = interned.setdefault(union, union)
         return conjugates[z.labels]
 

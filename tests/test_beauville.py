@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from hashlib import sha256
-from itertools import compress
+from itertools import compress, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,7 +27,7 @@ from ggs import (
 
 from ggs import beauville, quotient
 from ggs.verifiers import _special_elements
-from ggs.beauville import _conjugates_of_powers, _signature_table, _socle_data
+from ggs.beauville import _signature_table, _socle_data, cyclic_powers
 
 import reference
 from reference import (
@@ -90,7 +90,10 @@ def test_subgroup_conjugation_orbit_matches_walk(gs_g2, gs_g3, e10_g2, data):
 def test_conjugates_of_powers_match_brute(gs_g2, gs_g3, e10_g2, data):
     group = data.draw(st.sampled_from((gs_g2, gs_g3, e10_g2)))
     z = data.draw(st.sampled_from(group.elements))
-    members = _conjugates_of_powers(group, z)
+    seen = bytearray(len(group))
+    found = group._conjugates((group._position(w.labels) for w in cyclic_powers(z)), seen)
+    members = set(map(group.label_keys.__getitem__, found))
+    assert len(found) == len(members) == seen.count(1)
     assert group.identity.labels not in members
     assert members | {group.identity.labels} == brute_conjugates_of_powers(group, z)
 
@@ -166,6 +169,56 @@ def test_sigma_matches_brute_oracle(gs_g2, e10_g2):
 def test_sigma_matches_brute_oracle_depth_three(gs_g3):
     t = GeneratingTriple.make(gs_g3, gs_g3.a, gs_g3.b)
     assert sigma_set(t, gs_g3).members == brute_sigma(gs_g3, gs_g3.a, gs_g3.b)
+
+
+@lru_cache(maxsize=None)
+def _small_vectors(p, n):
+    """The nonzero defining vectors whose level-n quotient has at most 3^7
+    elements."""
+    vectors = (e for e in product(range(p), repeat=p - 1) if any(e))
+    return [e for e in vectors if p ** quotient._guard_exponent(DefiningVector(p, e), n) <= 3**7]
+
+
+@lru_cache(maxsize=None)
+def _small_group(p, e, n):
+    return enumerate_quotient(DefiningVector(p, e), n)
+
+
+def _generating_pair(data, group):
+    pick = st.integers(0, len(group) - 1).map(group._at)
+    x, y = data.draw(pick), data.draw(pick)
+    assume(group.is_generating_pair(x, y))
+    return x, y
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 2)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_sigma_masks_and_pair_verdicts_match_brute_intersection(p, n, data):
+    # Random vectors, p in {3, 5}, n <= 3, at most 3^7 elements.  The
+    # second triple is half the time the first conjugated by a random
+    # element: Sigma is a union of classes, so the two Sigma sets are equal
+    # and the pair is refuted.
+    group = _small_group(p, data.draw(st.sampled_from(_small_vectors(p, n))), n)
+    x1, y1 = _generating_pair(data, group)
+    brute1 = brute_sigma(group, x1, y1)
+    if data.draw(st.booleans()):
+        g = data.draw(st.integers(0, len(group) - 1).map(group._at))
+        (x2, y2), brute2 = (x1.conjugate_by(g), y1.conjugate_by(g)), brute1
+    else:
+        x2, y2 = _generating_pair(data, group)
+        brute2 = brute_sigma(group, x2, y2)
+    t1, t2 = GeneratingTriple.make(group, x1, y1), GeneratingTriple.make(group, x2, y2)
+    for t, brute in ((t1, brute1), (t2, brute2)):
+        s = sigma_set(t, group)
+        assert s.members == brute
+        assert len(s) == len(brute)
+    cert = is_beauville_pair(t1, t2, group)
+    common = (brute1 & brute2) - {group.identity.labels}
+    assert cert.verified == (not common)
+    if common:
+        assert cert.refuted
+        assert cert.witnesses["common_element"] == group.element(min(common)).encode()
 
 
 def test_sigma_invariants(gs_g2, e10_g2):

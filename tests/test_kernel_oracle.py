@@ -161,12 +161,15 @@ def power_classes(p: int, n: int) -> st.SearchStrategy[list[Portrait]]:
     )
 
 
+def _label_columns(xs: list[Portrait]) -> list[bytes]:
+    """The label columns of xs, one per internal vertex."""
+    return _columns(b"".join(x.labels for x in xs), xs[0].shape.internal_count)
+
+
 def _mapped_rows(xs: list[Portrait], step) -> bytearray:
     """The labels of the images of the power class xs under a class map,
     concatenated: one _moved on the class's columns."""
-    shape = xs[0].shape
-    columns = _columns(b"".join(x.labels for x in xs), shape.internal_count)
-    return _moved(columns, *step(bytes(xs[0].vertex_perm())), shape.p)
+    return _moved(_label_columns(xs), *step(bytes(xs[0].vertex_perm())), xs[0].shape.p)
 
 
 @pytest.mark.parametrize("p,n", BATCH_SHAPES)
@@ -244,7 +247,7 @@ def test_power_chains_match_p_powers(p, n, data):
     batch = data.draw(power_classes(p, n))
     m = batch[0].shape.internal_count
     exps, levels = p_power_chains(
-        batch[0].shape, b"".join(x.labels for x in batch), [(batch[0].vertex_perm(), len(batch))]
+        batch[0].shape, _label_columns(batch), [(batch[0].vertex_perm(), len(batch))]
     )
     assert len(exps) == len(batch) and len(levels) == n
     assert all(len(level) == len(batch) * m for level in levels)
@@ -287,9 +290,9 @@ def test_power_chains_of_many_runs_match_one_run_at_a_time(p, n, data):
     m = shape.internal_count
     members = [x for xs in classes for x in xs]
     runs = [(xs[0].vertex_perm(), len(xs)) for xs in classes]
-    exps, levels = p_power_chains(shape, b"".join(x.labels for x in members), runs)
+    exps, levels = p_power_chains(shape, _label_columns(members), runs)
     singles = [
-        p_power_chains(shape, b"".join(x.labels for x in xs), [run])
+        p_power_chains(shape, _label_columns(xs), [run])
         for xs, run in zip(classes, runs)
     ]
     assert exps == b"".join(e for e, _ in singles)
@@ -322,7 +325,8 @@ def test_power_chains_are_affine_on_the_last_layer(p, n, data):
         return bytes((x - y) % p for x, y in zip(r, s))
 
     members = [x.labels, plus(x.labels, u), plus(x.labels, v), plus(x.labels, u, v)]
-    _, levels = p_power_chains(shape, b"".join(members), [(x.vertex_perm(), len(members))])
+    columns = _columns(b"".join(members), m)
+    _, levels = p_power_chains(shape, columns, [(x.vertex_perm(), len(members))])
     for level in levels:
         fx, fu, fv, fuv = (level[j * m : (j + 1) * m] for j in range(len(members)))
         assert minus(fuv, fv) == minus(fu, fx)
@@ -366,7 +370,7 @@ def test_power_chains_of_a_whole_quotient():
         classes.setdefault(x.labels[:cut], []).append(x)
     for batch in classes.values():
         exps, _ = p_power_chains(
-            group.shape, b"".join(x.labels for x in batch), [(batch[0].vertex_perm(), len(batch))]
+            group.shape, _label_columns(batch), [(batch[0].vertex_perm(), len(batch))]
         )
         assert [group.shape.p**e for e in exps] == [naive_order(x) for x in batch]
 

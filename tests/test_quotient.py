@@ -422,14 +422,15 @@ def test_conjugation_by_a_is_read_off_st1(p, e, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_map_power_classes_follows_the_mask(e10, n):
-    # fn sees the selected rows of each class that has one, as one run with
-    # the class's permutation; the results come back in enumeration order.
+    # fn sees the column slices of the selected members of each class that
+    # has one, as one run with the class's permutation; the results come
+    # back in enumeration order.
     group = enumerate_quotient(e10, n)
-    m = group.shape.internal_count
     calls = []
 
-    def rows_of(shape, rows, runs):
-        members = [rows[i : i + m] for i in range(0, len(rows), m)]
+    def rows_of(shape, columns, runs):
+        assert len(columns) == shape.internal_count
+        members = [bytes(row) for row in zip(*columns)]
         calls.append(members)
         ((perm, width),) = runs  # one call per class, the class as one run
         assert width == len(members)
@@ -680,8 +681,8 @@ def test_coordinate_line_numbering(gs_g2, e10_g3):
         enumerate_quotient(DefiningVector(3, (1, 0)), 1).lines()
 
 
-def _row_count(shape, rows, perm):
-    return [None] * (len(rows) // shape.internal_count)
+def _row_count(shape, columns, perm):
+    return [None] * len(columns[0])
 
 
 @pytest.mark.parametrize("p, e, n", [(3, (1, 0), 2), (3, (1, 0), 3), (5, (1, 4, 1, 4), 2)])
@@ -861,6 +862,17 @@ def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, stride):
                 expected.append(element_walk([x], [by_a, by_b]))
                 placed.update(expected[-1])
         assert [[y.labels for y in c] for c in group.conjugacy_classes()] == expected
+
+
+@pytest.mark.parametrize("p,e,n", [(3, (1, 2), 3), (5, (1, 4, 1, 4), 2)])
+def test_class_walks_on_one_shared_mask_match_one_walk_per_class(p, e, n):
+    # conjugacy_classes walks every class on the one mask of assigned
+    # elements; each class keeps the discovery order of a walk of its own.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    classes = [[x.labels for x in c] for c in group.conjugacy_classes()]
+    alone = [[x.labels for x in group.conjugacy_class(group.element(c[0]))] for c in classes]
+    assert classes == alone
+    assert sum(map(len, classes)) == len(group)
 
 
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
