@@ -39,7 +39,6 @@ from .quotient import (
     map_power_classes,
     socles,
     stage,
-    _split,
 )
 
 __all__ = [
@@ -114,7 +113,7 @@ class SigmaSet:
         return self.mask.count(1)
 
     def __contains__(self, x: Portrait | bytes) -> bool:
-        i = self._group._index.get(x.labels if isinstance(x, Portrait) else x)
+        i = self._group._locate(bytes(x.labels if isinstance(x, Portrait) else x))
         return i is not None and bool(self.mask[i])
 
 
@@ -163,8 +162,8 @@ def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
 
 
 @stage
-def _class_index(group: QuotientGroup) -> dict[bytes, int]:
-    """The index of each element's conjugacy class, classes in order of
+def _class_numbers(group: QuotientGroup) -> dict[bytes, int]:
+    """The number of each element's conjugacy class, classes in order of
     first appearance, by label key."""
     return {y.labels: c for c, cls in enumerate(group.conjugacy_classes()) for y in cls}
 
@@ -181,7 +180,7 @@ def _socle_data(group: QuotientGroup) -> tuple[list[int], int]:
     the walk of the first socle met in it gives its id to the class of
     every power, so a later socle of any of those classes reads it."""
     classes = group.conjugacy_classes()
-    class_of = _class_index(group)
+    class_of = _class_numbers(group)
     orbit_of: dict[int, int] = {}  # socle class -> id
     ids: list[int] = []
     count = 0
@@ -291,7 +290,7 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     4 of 7 at p = 7.
     """
     ids, _ = _socle_data(group)
-    class_of = _class_index(group)
+    class_of = _class_numbers(group)
     reps = [
         rep
         for c, rep in enumerate(map(min, group.conjugacy_classes()))
@@ -316,9 +315,10 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     # with H = st(1)/st(n) first.  For a representative x with root label r
     # and a partner y = h_j * a^s, x*y = (x*h_j) * a^s, and x*h_j = h_i * a^r,
     # where h_i has the labels of x*h_j with root label 0.  So x*y =
-    # h_i * a^(r+s): each representative forms and looks up only its |H|
-    # products x*h_j, and one gather per coset s reads s_xy for all its
-    # partners off the socle ids of coset r + s.
+    # h_i * a^(r+s): each representative needs only the positions
+    # r*|H| + i of its |H| products x*h_j, which left_positions computes
+    # one power class at a time, and one gather per coset s reads s_xy for
+    # all its partners off the socle ids of coset r + s.
     #
     # The signature of a pair is {s_x, s_y, s_xy}, so two pairs with the
     # same key (s_y, s_xy) share it, and the first pair realizing a
@@ -329,9 +329,8 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     # first partner.  Inserting the records in partner order, the first of
     # each signature kept, gives the table a scan of every partner in order
     # would.
-    p, m = group.vector.p, group.shape.internal_count
+    p = group.vector.p
     size = len(elements) // p
-    position = group._index.__getitem__
     cosets = [ids[t * size : (t + 1) * size] for t in range(p)]  # h_i * a^t at i
     js = list(range(size))  # one int object per j, shared by every group
     groups_of: dict[tuple[int, int], list[_PartnerGroup]] = {}  # by (line, coset)
@@ -340,10 +339,8 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
         line = coordinate_line(*group.coords_of(rep), p)
         if line == p + 1:
             continue  # a Frattini element lies in no generating pair
-        rows = group.left_products(rep, size)
-        rows[::m] = bytes(size)  # root labels to 0: the keys of the h_i
-        at = itemgetter(*map(position, _split(rows, m)))
         r = rep.labels[0]
+        at = itemgetter(*(k - r * size for k in group.left_positions(rep, size)))  # x*h_j at i
         sr = ids[group._position(rep.labels)]
         records = []
         for s in _read_cosets(r, p):

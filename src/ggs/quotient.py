@@ -19,25 +19,29 @@ power class: a run of class_size elements with one permutation, since
 labels at depth n-1 move no internal vertex, and so one slice of every
 column.  Under l_fg(u) = l_f(u) + l_g(pi_f(u)) every product and conjugate
 of a class's members is their columns read at moved vertices plus one
-constant row: one kernel, _moved, serves the left products, the
-conjugation tables and the subgroup walks.  The scans over every element
-(orders, powers, socles, conjugation tables, class members) read these
-columns, and an identity that is affine on each class is decided on an
-affine basis of it (affine_suspects), with one call of the p-power kernel
-(p_power_chains) on the bases of every class.  The label keys (one bytes object per element) and the
-element index are derived from a transient row buffer on the first lookup,
-and the interned Portrait elements on the first read of `elements`, or one
-at a time through `element`.  The order formula and the element budget it
+constant row.  The scans over every element (orders, powers, socles,
+conjugation tables, class members) read these columns, and an identity
+that is affine on each class is decided on an affine basis of it
+(affine_suspects), with one call of the p-power kernel (p_power_chains)
+on the bases of every class.  Enumeration indices are computed, not
+looked up: _locator reads a key's index off its top and its coordinates
+in L, and _class_images the indices of every image of a class under a
+product or conjugation, for the subgroup walks, the conjugation tables
+and the signature table.  The label keys (one bytes object per element)
+are split from a transient row buffer on first read, and the interned
+Portrait elements built on the first read of `elements`, or one at a
+time through `element`.  The order formula and the element budget it
 guards live in generators.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from functools import cached_property, lru_cache, partial, reduce as fold, wraps
 from itertools import accumulate, chain, compress, count, cycle, repeat
-from operator import add, attrgetter, getitem, or_
+from operator import add, attrgetter, getitem, mul, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, cast
 
@@ -134,7 +138,7 @@ class SubgroupHandle:
 
 # A group map on a power class: from the class's vertex permutation, the
 # sources and the row for which label u of each image is label sources[u]
-# of the member plus row[u] mod p (see _moved).
+# of the member plus row[u] mod p (see _class_images).
 ClassMap = Callable[[bytes], tuple[Sequence[int], bytes]]
 
 
@@ -143,35 +147,114 @@ def _walk(group: "QuotientGroup", steps: list[ClassMap]) -> list[int]:
     maps, in discovery order, 1 first.
 
     The first time the breadth-first walk reaches a power class, every step
-    maps the whole class with one _moved each, and the images' indices are
-    kept, element-major and step-minor; new elements join in that order, as
-    a walk taking one element and one step at a time finds them.
+    maps the whole class with one _class_images each, and the images'
+    indices are kept; new elements join element-major, step-minor, as a
+    walk taking one element and one step at a time finds them.
     """
-    size, width = group.class_size, len(steps)
-    tables: dict[int, array] = {}  # class start -> images of its members
+    size = group.class_size
+    kernels = [_class_images(group, step) for step in steps]
+    tables: dict[int, list[memoryview]] = {}  # class start -> images of its members, by step
     found, seen = [0], bytearray(len(group))
     seen[0] = 1
     for i in found:  # grows while it is read: breadth-first order
         start = i - i % size
-        table = tables.get(start)
-        if table is None:
-            images = [_class_images(group, start, step) for step in steps]
-            table = tables[start] = array("I", chain.from_iterable(zip(*images)))
-        at = (i - start) * width
-        for j in table[at : at + width]:
+        images = tables.get(start)
+        if images is None:
+            images = tables[start] = [memoryview(kernel(start)).cast("I") for kernel in kernels]
+        for image in images:
+            j = image[i - start]
             if not seen[j]:
                 seen[j] = 1
                 found.append(j)
     return found
 
 
-def _class_images(group: "QuotientGroup", start: int, step: ClassMap) -> Iterator[int]:
-    """Enumeration indices of the images under step of the power class
-    that starts at index start, in enumeration order: one _moved on the
-    class's slice of every column."""
-    columns = [column[start : start + group.class_size] for column in group.cols]
-    images = _moved(columns, *step(group._perm_row(start)), group.vector.p)
-    return map(group._index.__getitem__, _split(images, group.shape.internal_count))
+# Indices are summed as one integer of array('I') slots in the machine's
+# byte order, which add slot by slot while none overflows.
+_SLOT = array("I").itemsize
+_LOW = 0 if sys.byteorder == "little" else _SLOT - 1  # the byte of a slot below 256
+
+
+def _slots(column: bytes) -> int:
+    """The bytes of column as one integer, one array('I') slot each."""
+    spread = bytearray(len(column) * _SLOT)
+    spread[_LOW::_SLOT] = column
+    return int.from_bytes(spread, sys.byteorder)
+
+
+def _class_images(group: "QuotientGroup", step: ClassMap) -> Callable[[int], bytes]:
+    """The map from the start of a power class to the enumeration indices
+    of its members' images under step, in order, as array('I') bytes.
+
+    A class is a coset L*s of the last layer, and step (x -> x*g, g*x or
+    x^c) takes u*s to M(u)*s' with M linear on L and the same for every
+    class, so the digits of the images' offsets in L (_locator) are affine
+    in u.  The first class a step maps is mapped whole and checked (each
+    column above depth n-1 constant, each image less the first in L), and
+    every class adds those digits to its first image's, from _position.
+    """
+    p, shape, size = group.vector.p, group.shape, group.class_size
+    cut, shifts = shape.level_starts[shape.n - 1], _add_tables(p)
+    chunk = max(k for k in range(1, 9) if p**k <= 256)  # digits summed within a byte
+    ones = _slots(b"\1" * size)
+    first: list[bytes] = []  # the digit columns of the first class's images, less the first
+
+    def images(start: int) -> bytes:
+        sources, row = step(group._perm_row(start))
+        key = group._key(start)
+        head = bytes(map(add, map(key.__getitem__, sources), row)).translate(shape.reduce)
+        i = group._position(head)  # the image of the class's first member
+        base, offset = divmod(i, size)
+        if size > 1 and not first:  # each image less the first: its columns less their first entry
+            columns = [group.cols[v][start : start + size] for v in sources]
+            if any(column.count(column[0]) < size for column in columns[:cut]):
+                raise ValueError("a step split a power class")
+            layer = [column.translate(shifts[-column[0] % p]) for column in columns[cut:]]
+            solved = _eliminate(layer, group._pivots, shape)
+            if any(map(any, solved[len(group._pivots) :])):
+                raise ValueError("a step left the quotient")
+            first.extend(solved[: len(group._pivots)])
+        shifted = [
+            int.from_bytes(column.translate(shifts[offset // p**k % p]), "little")
+            for k, column in enumerate(first)
+        ]
+        total = base * size * ones
+        for k in range(0, len(shifted), chunk):
+            part = sum(d * p**j for j, d in enumerate(shifted[k : k + chunk]))
+            total += _slots(part.to_bytes(size, "little")) * p**k
+        return total.to_bytes(size * _SLOT, sys.byteorder)
+
+    return images
+
+
+def _reduced(v: int, width: int, reduce: bytes) -> bytes:
+    """The width bytes of v, little-endian, each reduced by the table."""
+    return v.to_bytes(width, "little").translate(reduce)
+
+
+def _eliminate(
+    layer: list[bytes], pivots: Sequence[tuple[int, bytes]], shape: TreeShape
+) -> list[bytes]:
+    """The coordinates in L's basis (pivots and negated rows, as
+    QuotientGroup._pivots) of the vectors whose depth-(n-1) label columns
+    are given, one digit column per basis vector, then what is left of the
+    non-pivot columns: all zero exactly for the vectors in L.  The basis is
+    not reduced, so the columns are eliminated pivot by pivot, as
+    big-integer sums of byte columns reduced before a byte can pass 255."""
+    p, reduce, width = shape.p, shape.reduce, len(layer[0])
+    room, times = 255 // (p - 1) - 1, _mul_tables(p)  # pivots between two reductions
+    ints, digits = [int.from_bytes(column, "little") for column in layer], []
+    for k, (c, row) in enumerate(pivots):
+        if k and not k % room:  # each byte a sum of at most room + 1 reduced terms
+            ints = [int.from_bytes(_reduced(v, width, reduce), "little") for v in ints]
+        d = _reduced(ints[c], width, reduce)
+        digits.append(d)
+        for j in range(c + 1, len(row)):
+            if row[j]:
+                ints[j] += int.from_bytes(d.translate(times[row[j]]), "little")
+    pivot_columns = {c for c, _ in pivots}
+    rest = (ints[j] for j in range(len(layer)) if j not in pivot_columns)
+    return digits + [_reduced(v, width, reduce) for v in rest]
 
 
 def _times(g: Portrait) -> ClassMap:
@@ -232,7 +315,7 @@ def _row_block(m: int) -> Struct:
 
 def _split(rows: bytes, m: int) -> Iterator[bytes]:
     """Concatenated rows of length m, one bytes object each, made as they
-    are read: a lookup of each in turn touches only rows still in cache."""
+    are read."""
     block = _row_block(m)
     full = len(rows) - len(rows) % block.size
     tail = bytes(rows[full:])
@@ -253,14 +336,10 @@ def _add_tables(p: int) -> tuple[bytes, ...]:
     return tuple(bytes((b + s) % p for b in range(256)) for s in range(p))
 
 
-def _moved(columns: Sequence[bytes], sources: Sequence[int], row: bytes, p: int) -> bytearray:
-    """The concatenated rows whose label u is columns[sources[u]] + row[u]
-    mod p: one translate per column."""
-    m, shifts = len(columns), _add_tables(p)
-    out = bytearray(len(columns[0]) * m)
-    for u, (v, s) in enumerate(zip(sources, row)):
-        out[u::m] = columns[v].translate(shifts[s])
-    return out
+@lru_cache(maxsize=None)
+def _mul_tables(p: int) -> tuple[bytes, ...]:
+    """Translate tables taking every byte b < p to b * s mod p, for s < p."""
+    return tuple(bytes(b * s % p for b in range(256)) for s in range(p))
 
 
 # Byte j of a column OR becomes 1 when element j has a nonzero label.
@@ -291,8 +370,9 @@ def p_power_chains(
     run's (permutation, member count).
 
     Returns the order exponents (the order of member j is p^exps[j]) and,
-    for i = 0..n-1, the labels of every x^(p^i) as concatenated rows, in
-    the order of the members: a caller splits only the rows it reads.
+    for i = 0..n-1, the labels of every x^(p^i) as concatenated columns,
+    a byte per member each, so that the labels of member j are
+    level[j::len(exps)]: a caller gathers only the rows it reads.
     With x^(j+1) = x^j * x and pi_(x^j) = pi^j, label column k of x^p is
     the sum of the columns pi^j(k) for j < p, and every member's x^p
     shares the permutation pi^p.
@@ -323,7 +403,7 @@ def p_power_chains(
         live = b"".join(map(int.to_bytes, live_ints, counts, repeat("little")))
         if not any(live):
             break
-        levels.append(bytes(_rows([columns[k * width : (k + 1) * width] for k in range(m)], width)))
+        levels.append(columns)
         exps += int.from_bytes(live.translate(_NONZERO), "little")
         total, power = ints, sigma
         held = 1  # terms in total since its last reduction
@@ -360,19 +440,20 @@ def orders_and_tops(
 ) -> list[tuple[int, bytes]]:
     """Order of each x of runs of power classes and the labels of
     x^(p^(n-1)), equal labels sharing one bytes object."""
+    m = shape.internal_count
     exps, levels = p_power_chains(shape, columns, runs)
+    width, top = len(exps), levels[-1]
+    rows = _rows([top[k * width : (k + 1) * width] for k in range(m)], width)
     tops: dict[bytes, bytes] = {}
-    last = (tops.setdefault(t, t) for t in _split(levels[-1], shape.internal_count))
-    return list(zip(_orders_of(shape, exps), last))
+    return list(zip(_orders_of(shape, exps), (tops.setdefault(t, t) for t in _split(rows, m))))
 
 
 def socles(shape: TreeShape, columns: Sequence[bytes], runs: Sequence[Run]) -> list[bytes | None]:
     """Labels of the last nontrivial p-power of each member of runs of
     power classes (a generator of the order-p subgroup of <x>), None for
     the identity."""
-    m = shape.internal_count
     exps, levels = p_power_chains(shape, columns, runs)
-    return [levels[e - 1][j * m : (j + 1) * m] if e else None for j, e in enumerate(exps)]
+    return [levels[e - 1][j :: len(exps)] if e else None for j, e in enumerate(exps)]
 
 
 def map_power_classes(
@@ -501,7 +582,7 @@ def failures(
     result r of fn fails passes(i, r), as (i, r) pairs in enumeration
     order: affine_suspects clears the classes an affine basis decides, and
     map_power_classes scans the rest.  Only the span from the first to the
-    last suspect is walked, and neither label_keys nor the index is built."""
+    last suspect is walked, and label_keys is not built."""
     suspects = affine_suspects(fn, passes, group, mask)
     start, stop = max(suspects.find(1), 0), suspects.rfind(1) + 1
     found = compress(range(start, stop), suspects[start:stop])
@@ -520,6 +601,54 @@ def _interned(shape: TreeShape, key: bytes, perm: tuple[int, ...]) -> Portrait:
     x = object.__new__(Portrait)
     x.shape, x.labels, x._perm = shape, key, perm
     return x
+
+
+def _locator(group: "QuotientGroup", tops: dict[bytes, int]) -> Callable[[bytes], int | None]:
+    """The enumeration index of a label key, None when it is no element.
+
+    Index r*|H| + t*|L| + sum d_k p^k holds the representative of top t
+    (labels above depth n-1, root label 0; tops numbers them) plus
+    sum d_k b_k at root label r, b_k the basis of L in group._pivots.
+    _eliminate is linear, so it is solved once, for the unit vectors and
+    the representatives: a key's depth-(n-1) labels less its
+    representative's then solve as a sum of table entries, reduced every
+    255 // (p - 1) terms, the digits d and a remainder zero only on
+    elements.  At level 1, G = <a> and the index is the root label.
+    """
+    shape, size, pivots = group.shape, group.class_size, group._pivots
+    p, m, reduce = shape.p, shape.internal_count, shape.reduce
+    if shape.n == 1:
+        return lambda labels: labels[0] if len(labels) == 1 and labels[0] < p else None
+    cut, stride, times = shape.level_starts[shape.n - 1], len(tops) * size, _mul_tables(p)
+    width, step = m - cut, 255 // (p - 1) - 1  # terms added to a reduced sum per reduction
+    # The unit vectors and the representatives (top t's is element t*|L|)
+    # solved at once: a row of digits and remainder each.
+    layer = [
+        bytes(c) + b"\1" + bytes(width - c - 1) + column[:stride:size]
+        for c, column in enumerate(group.cols[cut:])
+    ]
+    solutions = _rows(_eliminate(layer, pivots, shape), width + len(tops))
+    rows = [solutions[k : k + width] for k in range(0, len(solutions), width)]
+    table = [[int.from_bytes(row.translate(s), "little") for s in times] for row in rows[:width]]
+    lifts = [int.from_bytes(row.translate(times[-1]), "little") for row in rows[width:]]
+    chunks = [(k, table[k : k + step]) for k in range(0, width, step)]
+    zero, weights = bytes(width - len(pivots)), [p**k for k in range(len(pivots))]
+
+    def locate(labels: bytes) -> int | None:
+        if len(labels) != m or max(labels) >= p:
+            return None
+        t = tops.get(bytes(1) + labels[1:cut])
+        if t is None:
+            return None
+        total = lifts[t]
+        for k, part in chunks:
+            solved = _reduced(total + sum(map(getitem, part, labels[cut + k :])), width, reduce)
+            total = int.from_bytes(solved, "little")
+        if not solved.endswith(zero):
+            return None
+        return labels[0] * stride + t * size + sum(map(mul, solved, weights))
+
+    return locate
 
 
 class QuotientGroup:
@@ -558,9 +687,17 @@ class QuotientGroup:
         self.identity.vertex_perm()
         with metrics.stage("enumeration") as counts:
             walked = self._walk_queue(n, budget, predicted)
-            self.cols, self._perms, self.coords, self.layer_basis, self.layer_span = walked
+            self.cols, self._perms, self.coords, self.layer_basis, self.layer_span = walked[:5]
+            self._tops = walked[5]  # the number of each top, for _locate
             counts["elements"] = len(self)
         self.class_size = vector.p ** len(self.layer_basis)  # |L|, the size of every power class
+        # L's basis at depth n-1 as (pivot, row negated mod p), each row zero
+        # before its pivot and 1 there: what _eliminate eliminates with.
+        cut = self.shape.level_starts[n - 1]
+        self._pivots = [
+            (row.index(1, cut) - cut, row[cut:].translate(_mul_tables(vector.p)[-1]))
+            for row, _ in self.layer_basis
+        ]
         # Elements built one at a time by index, before `elements` is; the
         # full tuple takes these objects over, so each element stays one.
         self._made: dict[int, Portrait] = {0: self.identity}
@@ -574,6 +711,7 @@ class QuotientGroup:
         tuple[bytes, bytes] | None,
         tuple[tuple[bytes, int], ...],
         tuple[tuple[bytes, ...], bytes],
+        dict[bytes, int],
     ]:
         """The elements as p cosets of H = st(1)/st(n), with exponent-sum
         coordinates (a byte column per generator).  Returns the label
@@ -581,7 +719,8 @@ class QuotientGroup:
         element, step 3), the vertex permutations (m bytes per power
         class), the coordinate columns, an F_p basis of the last layer
         L = (st(n-1) & st(1))/st(n): full label rows with their
-        b-coordinates, and L's columns listed from it by _layer_span.
+        b-coordinates, L's columns listed from it by _layer_span, and the
+        number of each top.
 
         Step 1 walks H modulo st(n-1) from 1 under right multiplication by
         the b_j = b^(a^j), which generate st(1), keeping the first element
@@ -652,7 +791,13 @@ class QuotientGroup:
             perms += (bytes(rep.vertex_perm()).translate(a_r) for rep in reps)
         b_coords = b"".join(span_coords.translate(shifts[c]) for c in rep_coords) * p
         coords = (a_coords, b_coords) if consistent else None
-        return tuple(cols), b"".join(perms), coords, layer_basis, (span, span_coords)
+        return tuple(cols), b"".join(perms), coords, layer_basis, (span, span_coords), tops
+
+    @cached_property
+    def _locate(self) -> Callable[[bytes], int | None]:
+        """The map from a label key to its enumeration index (_locator),
+        built on the first lookup: a collision scan makes none."""
+        return _locator(self, self._tops)
 
     @property
     def rows(self) -> bytes:
@@ -666,12 +811,6 @@ class QuotientGroup:
         row buffer written from the columns and split, on first read."""
         return tuple(_split(_rows(self.cols, len(self)), self.shape.internal_count))
 
-    @cached_property
-    def _index(self) -> dict[bytes, int]:
-        """The enumeration index of every label key, built on the first
-        lookup."""
-        return dict(zip(self.label_keys, count()))
-
     # -- basic container behaviour -------------------------------------------
 
     def __len__(self) -> int:
@@ -681,8 +820,7 @@ class QuotientGroup:
         return iter(self.elements)
 
     def __contains__(self, x: Portrait | bytes) -> bool:
-        key = x.labels if isinstance(x, Portrait) else x
-        return key in self._index
+        return self._locate(bytes(x.labels if isinstance(x, Portrait) else x)) is not None
 
     def __repr__(self) -> str:
         return (
@@ -726,10 +864,11 @@ class QuotientGroup:
 
     def _position(self, key: bytes | str) -> int:
         """Enumeration index of the element with the given label key or text
-        encoding."""
-        i = self._index.get(Portrait.decode(key).labels if isinstance(key, str) else key)
+        encoding, computed by _locator."""
+        labels = Portrait.decode(key).labels if isinstance(key, str) else bytes(key)
+        i = self._locate(labels)
         if i is None:
-            text = key if isinstance(key, str) else Portrait(self.shape, key).encode()
+            text = key if isinstance(key, str) else Portrait(self.shape, labels).encode()
             raise ValueError(f"not an element of this quotient: {text}")
         return i
 
@@ -737,22 +876,19 @@ class QuotientGroup:
         """The interned element with the given label key or text encoding."""
         return self._at(self._position(key))
 
-    def left_products(self, x: Portrait, stop: int | None = None) -> bytearray:
-        """The labels of x*y for every element y, or for the elements before
-        index stop, concatenated in enumeration order.
-
-        Label u of x*y is l_x(u) + l_y(pi_x(u)) mod p: _moved with sources
-        pi_x and row l_x.
-        """
-        columns = self.cols if stop is None else [column[:stop] for column in self.cols]
-        return _moved(columns, x.vertex_perm(), x.labels, self.vector.p)
+    def left_positions(self, x: Portrait, stop: int) -> array:
+        """The enumeration indices of x*y for the elements y before index
+        stop, a multiple of class_size, in enumeration order: label u of x*y
+        is l_x(u) + l_y(pi_x(u)), sources pi_x and row l_x for every class."""
+        images = _class_images(self, lambda perm: (x.vertex_perm(), x.labels))
+        return array("I", b"".join(map(images, range(0, stop, self.class_size))))
 
     def coords_of(self, x: Portrait) -> tuple[int, int]:
         """Exponent sums of (a, b) modulo the derived subgroup."""
         if self.coords is None:
             raise ValueError("coordinates are undefined for the level-1 quotient")
         a, b = self.coords
-        i = self._index[x.labels]
+        i = self._position(x.labels)
         return a[i], b[i]
 
     @stage
@@ -782,39 +918,38 @@ class QuotientGroup:
     def is_generating_pair(self, x: Portrait, y: Portrait) -> bool:
         """Whether {x, y} generates the quotient: by coordinates (Burnside
         basis theorem), and at level 1, where G_1 = C_p with p prime, exactly
-        when x or y is nontrivial."""
-        if x.labels not in self._index or y.labels not in self._index:
+        when x or y is nontrivial, the identity being element 0."""
+        i, j = self._locate(x.labels), self._locate(y.labels)
+        if i is None or j is None:
             raise ValueError("elements do not belong to this quotient")
         if self.coords is None:
-            return not (x.is_identity() and y.is_identity())
-        (ax, bx), (ay, by) = self.coords_of(x), self.coords_of(y)
-        return (ax * by - ay * bx) % self.vector.p != 0
+            return i != 0 or j != 0
+        a, b = self.coords
+        return (a[i] * b[j] - a[j] * b[i]) % self.vector.p != 0
 
     # -- subgroup machinery ----------------------------------------------------
 
     @stage
     def _conjugation_tables(self) -> tuple[array, array]:
         """The index of x^a and the index of x^b, for every element x in
-        enumeration order; built one power class at a time, each mapped
-        whole by _class_images.
+        enumeration order; built one power class at a time by
+        _class_images.
 
         Only H = st(1)/st(n), the first |H| elements, is conjugated by a:
         index r*|H| + i holds h_i * a^r, and (h_i * a^r)^a = h_i^a * a^r, so
-        the a-table of coset r is that of H shifted by r*|H|.
+        the a-table of coset r is that of H shifted by r*|H|, one
+        big-integer add of r*|H| to every slot.
         """
-        p = self.vector.p
+        size = len(self) // self.vector.p
 
-        def conjugates(c: Portrait, stop: int) -> array:
-            step, table = _conjugation(c), array("I")
-            for start in range(0, stop, self.class_size):
-                table.extend(_class_images(self, start, step))
-            return table
+        def conjugates(c: Portrait, stop: int) -> bytes:
+            images = _class_images(self, _conjugation(c))
+            return b"".join(map(images, range(0, stop, self.class_size)))
 
-        by_a = conjugates(self.a, len(self) // p)
-        head = by_a[:]
-        for r in range(1, p):
-            by_a.extend(map(add, head, repeat(r * len(head))))
-        return by_a, conjugates(self.b, len(self))
+        head, ones = int.from_bytes(conjugates(self.a, size), sys.byteorder), _slots(b"\1" * size)
+        shifted = (head + r * size * ones for r in range(self.vector.p))  # the a-table of coset r
+        by_a = b"".join(table.to_bytes(size * _SLOT, sys.byteorder) for table in shifted)
+        return array("I", by_a), array("I", conjugates(self.b, len(self)))
 
     def normal_closure(
         self, seeds: Iterable[Portrait], conjugators: Iterable[Portrait]

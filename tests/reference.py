@@ -36,6 +36,7 @@ from itertools import compress, product
 from math import comb, lcm
 from operator import add, itemgetter
 from struct import Struct
+from typing import Sequence
 
 from ggs import (
     BudgetExceeded,
@@ -406,6 +407,24 @@ def four_generator_walk(
     return elements, tuple(coords[x.labels] for x in elements)
 
 
+def moved(columns: Sequence[bytes], sources: Sequence[int], row: bytes, p: int) -> bytearray:
+    """The concatenated rows whose label u is columns[sources[u]] + row[u]
+    mod p: one translate per column, the class maps' rows written out."""
+    m, shifts = len(columns), quotient._add_tables(p)
+    out = bytearray(len(columns[0]) * m)
+    for u, (v, s) in enumerate(zip(sources, row)):
+        out[u::m] = columns[v].translate(shifts[s])
+    return out
+
+
+def left_products(group: QuotientGroup, x: Portrait, stop: int | None = None) -> bytearray:
+    """The labels of x*y for every element y, or for the elements before
+    index stop, concatenated in enumeration order: label u of x*y is
+    l_x(u) + l_y(pi_x(u)) mod p, a moved with sources pi_x and row l_x."""
+    columns = group.cols if stop is None else [column[:stop] for column in group.cols]
+    return moved(columns, x.vertex_perm(), x.labels, group.vector.p)
+
+
 def row_major_layout(group: QuotientGroup) -> bytes:
     """The label rows of the quotient laid out row-major, block by block.
 
@@ -433,7 +452,7 @@ def row_major_layout(group: QuotientGroup) -> bytes:
             row = [(x + k * y) % p for x, y in zip(row, vector)]
         span.append(bytes(row))
     columns = quotient._columns(b"".join(span), m)
-    blocks = [quotient._moved(columns, range(m), rep.labels, p) for rep in reps]
+    blocks = [moved(columns, range(m), rep.labels, p) for rep in reps]
     for r in range(1, p):
         for block in blocks[: len(reps)]:
             copy = bytearray(block)
@@ -515,7 +534,7 @@ def whole_group_signature_table(group: QuotientGroup) -> dict[frozenset[int], li
                 array("I", compress(range(len(elements)), mask)),
             )
         mask, scaled, partners = partners_of[line]
-        products = compress(split(group.left_products(rep)), mask)
+        products = compress(split(left_products(group, rep)), mask)
         keys = list(map(add, scaled, map(socle_of, map(first, products))))
         sr = socle_of(rep.labels)
         for key in dict.fromkeys(keys):

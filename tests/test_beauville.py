@@ -403,21 +403,21 @@ def test_partner_group_table_items_match_whole_group_table(data):
 def test_signature_table_scans_one_class_of_each_inverse_pair(
     monkeypatch, p, e, n, scanned, generating
 ):
-    # Each scanned representative forms its products once (left_products),
-    # and only the earlier class of each inverse pair is scanned: half of
-    # the classes off the Frattini subgroup.
+    # Each scanned representative has the positions of its products
+    # computed once (left_positions), and only the earlier class of each
+    # inverse pair is scanned: half of the classes off the Frattini subgroup.
     group = enumerate_quotient(DefiningVector(p, e), n)
     classes = group.conjugacy_classes()
     lines = [quotient.coordinate_line(*group.coords_of(cls[0]), p) for cls in classes]
     assert sum(line != p + 1 for line in lines) == generating
-    left_products = quotient.QuotientGroup.left_products
+    left_positions = quotient.QuotientGroup.left_positions
     reps = []
 
-    def counted(self, x, stop=None):
+    def counted(self, x, stop):
         reps.append(x)
-        return left_products(self, x, stop)
+        return left_positions(self, x, stop)
 
-    monkeypatch.setattr(quotient.QuotientGroup, "left_products", counted)
+    monkeypatch.setattr(quotient.QuotientGroup, "left_positions", counted)
     table = _signature_table(group)
     monkeypatch.undo()
     assert len(reps) == scanned

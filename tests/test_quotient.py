@@ -158,14 +158,14 @@ WALK_CASES = [
 
 def _assert_matches_queue_walk(v: DefiningVector, n: int):
     """The layered walk finds the elements of the one-at-a-time queue walk,
-    each with the same coordinates and vertex permutation, and indexes them
-    in its own enumeration order."""
+    each with the same coordinates and vertex permutation, and positions
+    them in its own enumeration order."""
     group = enumerate_quotient(v, n)
     expected, coords = queue_walk(v, n)
     assert len(group) == len(expected)
-    assert group._index == {key: i for i, key in enumerate(group.label_keys)}
+    assert [group._position(key) for key in group.label_keys] == list(range(len(group)))
     for i, x in enumerate(expected):
-        k = group._index[x.labels]
+        k = group._position(x.labels)
         assert group._perm_row(k) == bytes(x._perm)
         if coords is not None:
             assert (group.coords[0][k], group.coords[1][k]) == coords[i]
@@ -279,8 +279,9 @@ def test_elements_are_built_from_the_rows(p, e, n):
 @given(data=st.data())
 def test_keys_and_index_are_derived_from_the_rows(data):
     # The label columns are the one store: the rows, the label keys, the
-    # index and the elements are read off them on demand, and agree with
-    # each other.  A passing level-3 collision scan reads the columns alone.
+    # positions and the elements are read off them on demand, and agree
+    # with each other.  A passing level-3 collision scan reads the columns
+    # alone, and a lookup computes its position without building a table.
     p = data.draw(st.sampled_from([3, 5]))
     e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
     assume(any(e))
@@ -298,19 +299,21 @@ def test_keys_and_index_are_derived_from_the_rows(data):
     failed = quotient.failures(quotient.orders, lambda i, o: False, group, mask) if n > 1 else []
     if n == 3 and not v.periodic:  # at level 2 the scan's centre check looks positions up
         assert verifiers._collision_scan(Certificate("prop-collision", "", {}, "", False), group)
-    assert not {"rows", "label_keys", "_index", "elements"} & set(vars(group))
+    assert not {"rows", "label_keys", "elements"} & set(vars(group))
     if n > 1:  # a power class has more than one member, so only rows are len(group) * m long
         held = [*vars(group).values(), *group._stages.values()]
         assert not [x for x in held if isinstance(x, (bytes, bytearray)) and len(x) == len(group) * m]
     assert len(group) == len(group.rows) // m
     assert group.cols == tuple(group.rows[k::m] for k in range(m))
     key = group.rows[i * m : (i + 1) * m]
-    x = group.element(key)  # the first lookup builds the index
-    assert "_index" in vars(group)
-    assert group.element(key) is x
+    x = group.element(key)  # computed, not looked up
+    assert not {"rows", "label_keys", "elements"} & set(vars(group))
+    tables = [t for t in vars(group).values() if isinstance(t, dict) and len(t) == len(group)]
+    assert n == 1 or not tables  # no dict of every element
+    assert group._position(key) == i and group.element(key) is x
     assert group.element(early.labels) is early
     assert b"".join(group.label_keys) == group.rows
-    assert group._index == {k: t for t, k in enumerate(group.label_keys)}
+    assert [group._position(k) for k in group.label_keys] == list(range(len(group)))
     assert len(group) == len(group.label_keys)
     if n > 1:
         assert [i for i, _ in failed] == list(compress(range(len(group)), mask))
@@ -385,7 +388,7 @@ def _assert_same_walk(v: DefiningVector, n: int):
     assert set(group.label_keys) == {x.labels for x in expected}
     assert len(group) == len(expected)
     for i, x in enumerate(expected):
-        k = group._index[x.labels]
+        k = group._position(x.labels)
         assert group._perm_row(k) == bytes(x._perm)
         if coords is not None:
             assert (group.coords[0][k], group.coords[1][k]) == coords[i]
@@ -405,7 +408,8 @@ def test_walk_is_coset_major(p, e, n):
         a_r = group.a**r
         for i in range(0, size, max(1, size // 50)):
             x = group.element(group.label_keys[i]) * a_r
-            assert group._index[x.labels] == r * size + i
+            assert group._position(x.labels) == r * size + i
+            assert group.element(x.labels).labels == x.labels
             assert group._perm_row(r * size + i) == bytes(x.vertex_perm())
 
 

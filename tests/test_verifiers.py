@@ -400,15 +400,14 @@ def _edit_last_layer(group) -> str:
     a coset of the last layer, and its top power moves off z^(j*alpha).
 
     The edit goes into the group's label columns, which every scan reads;
-    the label keys and the index derived from them are dropped, so that a
-    later lookup derives them from the edited columns."""
+    the label keys derived from them are dropped, so that a later read
+    derives them from the edited columns."""
     i = max(compress(range(len(group)), group.line_mask(2)), key=group.label_keys.__getitem__)
     k = group.shape.level_starts[group.shape.n - 1]
     column = bytearray(group.cols[k])
     column[i] = (column[i] + 1) % group.vector.p
     group.cols = (*group.cols[:k], bytes(column), *group.cols[k + 1 :])
-    for derived in ("label_keys", "_index"):
-        vars(group).pop(derived, None)
+    vars(group).pop("label_keys", None)
     return Portrait(group.shape, group._key(i)).encode()
 
 
@@ -536,8 +535,9 @@ def test_collision_verdict_builds_no_keys_or_index(e10, monkeypatch):
     """prop-collision at e=(1,0), n=3 (59,049 elements) reads the label
     columns alone: it builds no row buffer, neither the label keys nor the
     index, nor the elements.
-    thm-G2 at p=5, whose signature table looks positions up, builds the
-    index on demand and still writes the golden certificate."""
+    thm-G2 at p=5, whose pair check computes positions (_position and the
+    class kernel of the conjugation tables), builds neither the label keys
+    nor the elements either, and still writes the golden certificate."""
     groups = []
 
     def enumerate_and_keep(v, n, budget):
@@ -548,12 +548,13 @@ def test_collision_verdict_builds_no_keys_or_index(e10, monkeypatch):
     assert verify_claim("prop-collision", e10, 3).verified
     (group,) = groups
     assert len(group) == 3**10
-    assert not {"rows", "label_keys", "_index", "elements"} & set(vars(group))
+    assert not {"rows", "label_keys", "elements"} & set(vars(group))
     held = [*vars(group).values(), *group._stages.values()]  # no row buffer of the columns
     assert not [x for x in held if isinstance(x, (bytes, bytearray)) and len(x) == len(group) * 13]
     golden = Path(__file__).resolve().parent / "golden" / "thm-G2__p5_e1_4_1_4__n2.json"
     cert = verify_claim("thm-G2", DefiningVector(5, (1, 4, 1, 4)), 2)
     assert cert.canonical_json() == golden.read_text()
+    assert not {"rows", "label_keys", "elements"} & set(vars(groups[-1]))
 
 
 def test_thm_b_level_one(e10):
