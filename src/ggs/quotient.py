@@ -21,16 +21,18 @@ column.  Under l_fg(u) = l_f(u) + l_g(pi_f(u)) every product and conjugate
 of a class's members is their columns read at moved vertices plus one
 constant row.  The scans over every element (orders, powers, socles,
 conjugation tables, class members) read these columns, and an identity
-that is affine on each class is decided on an affine basis of it
+that is affine on each class and invariant under conjugation is decided
+on an affine basis of one class per conjugation orbit of classes
 (affine_suspects), with one call of the p-power kernel (p_power_chains)
-on the bases of every class.  Enumeration indices are computed, not
-looked up: _locator reads a key's index off its top and its coordinates
-in L, and _class_images the indices of every image of a class under a
-product or conjugation, for the subgroup walks, the conjugation tables
-and the signature table.  The label keys (one bytes object per element)
-are split from a transient row buffer on first read, and the interned
-Portrait elements built on the first read of `elements`, or one at a
-time through `element`.  The order formula and the element budget it
+on those bases: a class is an element of G/L = G_(n-1), named by its
+permutation row, so its orbit is walked on the rows.  Enumeration
+indices are computed, not looked up: _locator reads a key's index off its
+top and its coordinates in L, and _class_images the indices of every
+image of a class under a product or conjugation, for the subgroup walks,
+the conjugation tables and the signature table.  The label keys (one
+bytes object per element) are split from a transient row buffer on first
+read, and the interned Portrait elements built on the first read of
+`elements`, or one at a time through `element`.  The order formula and the element budget it
 guards live in generators.
 """
 
@@ -501,6 +503,49 @@ def _layer_span(
     return tuple(columns[:-1]), columns[-1]
 
 
+def _class_conjugates(group: "QuotientGroup") -> list[tuple[int, int]] | None:
+    """The power class of x^a and of x^b, by number, for the members x of
+    each class c (the elements from c*class_size); None when two classes
+    share a vertex permutation.
+
+    A class is an element of G/L = G_(n-1), which acts faithfully on level
+    n-1, so distinct classes have distinct rows of group._perms, and x^g
+    has the row pi_g o pi_x o pi_(g^-1), as __mul__ composes
+    pi_(xy) = pi_y o pi_x: two translates of pi_(g^-1).
+    """
+    m = group.shape.internal_count
+    rows = [group._perms[k : k + m] for k in range(0, len(group._perms), m)]
+    number = dict(zip(rows, count()))
+    if len(number) < len(rows):
+        return None
+    steps = [
+        (bytes(g.inverse().vertex_perm()), _vertex_table(g.vertex_perm())) for g in (group.a, group.b)
+    ]
+    return [
+        tuple(number[inv.translate(_vertex_table(row)).translate(by_g)] for inv, by_g in steps)
+        for row in rows
+    ]
+
+
+def _class_orbits(group: "QuotientGroup") -> list[int]:
+    """For each power class, by number, the least class of its orbit under
+    conjugation; each class is its own orbit at level 2, where G_1 = C_p
+    is abelian, and when _class_conjugates gives no map."""
+    images = _class_conjugates(group) if group.shape.n > 2 else None
+    orbit = list(range(len(group) // group.class_size))
+    if images is None:
+        return orbit
+    for c in range(len(orbit)):
+        if orbit[c] == c:  # the least class of an orbit not walked yet
+            found = [c]
+            for k in found:  # grows while it is read
+                for j in images[k]:
+                    if orbit[j] > c:  # j is no earlier orbit's and not yet found
+                        orbit[j] = c
+                        found.append(j)
+    return orbit
+
+
 def affine_suspects(
     fn: Callable[[TreeShape, Sequence[bytes], Sequence[Run]], list[R]],
     passes: Callable[[int, R], bool],
@@ -512,23 +557,31 @@ def affine_suspects(
     member i with result r of fn (as for map_power_classes), and zeroed on
     the others.  Sound for an n >= 2 quotient and a check that is an affine
     identity in a member's depth-(n-1) labels and b-coordinate, or that
-    follows from one on the selected members.
+    follows from one on the selected members, and whose identity is
+    invariant under conjugation: it holds at x^g whenever it holds at x.
 
     A power class is a coset L*s of the last layer L, an F_p-space of
     labels at depth n-1 that is normal in the automorphisms of the tree.
     For u in L, (u*s)^p = u * u^(s^-1) * ... * u^(s^-(p-1)) * s^p, and
     conjugation acts linearly on L, so every level of p_power_chains is
     affine in u, and so is the b-coordinate.  An affine identity that holds
-    on d + 1 affinely independent members (d = dim L) holds on the coset.
+    on d + 1 affinely independent members (d = dim L) holds on the coset,
+    selected members or not; conjugation by g maps the coset onto another,
+    so the identity then holds on every class of its conjugation orbit.
+    x^(p^k) = 1 is such an identity, and so is g^(p^(n-1)) = z^(j*alpha):
+    z is central in the automorphisms of the tree, and the coordinates are
+    a class function.  No conjugation-invariance of the mask is needed.
 
     Per class with a selected member: the premise, that its slice of each
     label column and of the b-coordinates is L's shifted by its first
-    entry; then fn and passes on q0, its first selected member, and on
-    q0 + k_t*b_t for each basis vector b_t of L (at span offset p^t), with
-    k_t the least of 1..p-1 that gives a selected member.  The
-    class stays in the mask when the premise fails, no such basis is
-    selected, or passes fails on a basis member.  fn runs once, on the
-    bases of every class that passes the premise, each class one run.
+    entry, and a basis: q0, its first selected member, and q0 + k_t*b_t for
+    each basis vector b_t of L (at span offset p^t), with k_t the least of
+    1..p-1 that gives a selected member.  A class stays in the mask when
+    the premise fails or no such basis is selected.  Of the classes that
+    pass, fn and passes run on the basis of one per conjugation orbit
+    (_class_orbits), the first in enumeration order, in one call of fn, a
+    run each; when passes fails on a member of that basis, every class of
+    the orbit that passed stays in the mask.
     """
     shape, size, p = group.shape, group.class_size, group.vector.p
     columns = (*group.cols, group.coords[1])  # the labels, then the b-coordinates
@@ -562,12 +615,17 @@ def affine_suspects(
         else:
             suspects[i : i + size] = mask[i : i + size]
     if bases:
-        members = [q for _, chosen in bases for q in chosen]
-        runs = [(group._perm_row(i), d1) for i, _ in bases]
+        orbit = _class_orbits(group)
+        reps: dict[int, list[int]] = {}  # orbit -> the basis of its first class that passed
+        for i, chosen in bases:
+            reps.setdefault(orbit[i // size], chosen)
+        members = list(chain.from_iterable(reps.values()))
+        runs = [(group._perm_row(chosen[0]), d1) for chosen in reps.values()]
         block = [bytes(map(column.__getitem__, members)) for column in group.cols]
         passed = list(map(passes, members, fn(shape, block, runs)))
-        for k, (i, _) in enumerate(bases):
-            if not all(passed[k * d1 : (k + 1) * d1]):
+        failed = {c for k, c in enumerate(reps) if not all(passed[k * d1 : (k + 1) * d1])}
+        for i, _ in bases:
+            if orbit[i // size] in failed:
                 suspects[i : i + size] = mask[i : i + size]
     return bytes(suspects)
 
@@ -580,9 +638,11 @@ def failures(
 ) -> list[tuple[int, R]]:
     """The members i that mask selects (every element by default) whose
     result r of fn fails passes(i, r), as (i, r) pairs in enumeration
-    order: affine_suspects clears the classes an affine basis decides, and
-    map_power_classes scans the rest.  Only the span from the first to the
-    last suspect is walked, and label_keys is not built."""
+    order: affine_suspects clears the classes that the affine basis of the
+    first class of their conjugation orbit decides, and map_power_classes
+    scans the rest, so offenders and their results are those of a scan of
+    every selected member.  Only the span from the first to the last
+    suspect is walked, and label_keys is not built."""
     suspects = affine_suspects(fn, passes, group, mask)
     start, stop = max(suspects.find(1), 0), suspects.rfind(1) + 1
     found = compress(range(start, stop), suspects[start:stop])

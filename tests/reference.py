@@ -488,16 +488,20 @@ def shapes_for_tests() -> list[TreeShape]:
 
 
 def reference_signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
-    """Signature table by the pair-by-pair route: generation from
-    `is_generating_pair` and the product from `Portrait.__mul__`."""
+    """Signature table by the pair-by-pair route: generation by the
+    determinant of the two elements' coordinates (by `is_generating_pair`
+    at level 1, which has none) and the product from `Portrait.__mul__`."""
     ids, _ = _socle_data(group)
     socle_of = dict(zip(group.label_keys, ids))
     table: dict[frozenset[int], list[str]] = {}
     for cls in group.conjugacy_classes():
         rep = min(cls)
-        for y in group.elements:
-            if not group.is_generating_pair(rep, y):
-                continue
+        if group.coords is None:
+            partners = [y for y in group.elements if group.is_generating_pair(rep, y)]
+        else:
+            (a, b), i, p = group.coords, group._position(rep.labels), group.vector.p
+            partners = [y for j, y in enumerate(group.elements) if (a[i] * b[j] - a[j] * b[i]) % p]
+        for y in partners:
             sig = frozenset(
                 socle_of[z.labels] for z in (rep, y, rep * y) if not z.is_identity()
             )

@@ -185,9 +185,19 @@ def _small_group(p, e, n):
 
 
 def _generating_pair(data, group):
-    pick = st.integers(0, len(group) - 1).map(group._at)
-    x, y = data.draw(pick), data.draw(pick)
-    assume(group.is_generating_pair(x, y))
+    """A generating pair drawn without filtering: x off G', y off the line
+    of G/G' through x and off G'; at level 1, where G = C_p, y != 1 when
+    x = 1."""
+    every = range(len(group))
+    if group.coords is None:
+        i = data.draw(st.sampled_from(every))
+        j = data.draw(st.sampled_from(every if i else every[1:]))
+    else:
+        p, lines = group.vector.p, group.lines()
+        i = data.draw(st.sampled_from([k for k in every if lines[k] <= p]))
+        j = data.draw(st.sampled_from([k for k in every if lines[k] not in (lines[i], p + 1)]))
+    x, y = group._at(i), group._at(j)
+    assert group.is_generating_pair(x, y)
     return x, y
 
 

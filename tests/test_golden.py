@@ -71,6 +71,7 @@ EXTRA = (
     ("thm-B", 13, (1,) + (0,) * 11, 3),
     ("eq-3.1", 7, (1, 6, 1, 6, 1, 6), 3),
     ("lemma-orders", 7, (1, 6, 1, 6, 1, 6), 3),
+    ("prop-collision", 3, (1, 1), 3),
 )
 
 
@@ -89,7 +90,7 @@ def _parse(path: Path) -> tuple[str, int, tuple[int, ...], int]:
 
 
 def test_golden_set_is_complete():
-    assert len(_golden_files()) == 44
+    assert len(_golden_files()) == 45
 
 
 @pytest.mark.parametrize("path", _golden_files(), ids=lambda path: path.stem)
@@ -152,6 +153,7 @@ STAGE_GOLDENS = {
     "prop-collision__p3_e1_0__n2": {POWER, COLLISION},
     "prop-collision__p3_e1_0__n3": {POWER, COLLISION},
     "prop-collision__p3_e1_0__n4": {POWER},  # past the budget: no group
+    "prop-collision__p3_e1_1__n3": {POWER, COLLISION},
     "thm-B__p13_e1_0_0_0_0_0_0_0_0_0_0_0__n3": {POWER, TRIPLE},
     "thm-B__p3_e1_0__n2": {POWER, TRIPLE, COLLISION},
     "thm-B__p3_e1_0__n3": {POWER, TRIPLE, COLLISION},

@@ -692,8 +692,11 @@ def _row_count(shape, columns, perm):
 @pytest.mark.parametrize("p, e, n", [(3, (1, 0), 2), (3, (1, 0), 3), (5, (1, 4, 1, 4), 2)])
 def test_affine_suspects_picks_an_affine_basis_of_each_class(p, e, n):
     # On an unedited group every class passes the premise, so only the
-    # check decides; the members it is run on are selected, d + 1 per
-    # class, and their differences from the first span the last layer.
+    # check decides.  It runs on one basis per conjugation orbit of the
+    # selected classes, that of the orbit's first class: d + 1 selected
+    # members whose differences from the first span the last layer.  The
+    # orbits partition the selected classes (every class is its own orbit
+    # at level 2), and a failing basis puts back its whole orbit.
     group = enumerate_quotient(DefiningVector(p, e), n)
     size, d = group.class_size, len(group.layer_basis)
     span, coords = quotient._layer_span(group.shape, group.layer_basis)
@@ -710,13 +713,55 @@ def test_affine_suspects_picks_an_affine_basis_of_each_class(p, e, n):
     assert quotient.affine_suspects(_row_count, record, group, mask) == bytes(len(group))
     assert quotient.affine_suspects(_row_count, lambda i, r: False, group, mask) == mask
     assert all(mask[i] for i in seen)
-    classes = [seen[k : k + d + 1] for k in range(0, len(seen), d + 1)]
-    assert len(classes) == len({i // size for i in compress(range(len(group)), mask)})
-    for q0, *rest in classes:
+    selected = sorted({i // size for i in compress(range(len(group)), mask)})
+    orbit = quotient._class_orbits(group)
+    orbits: dict[int, list[int]] = {}
+    for c in selected:
+        orbits.setdefault(orbit[c], []).append(c)
+    images = quotient._class_conjugates(group)
+    assert all(orbit[j] == orbit[c] for c in selected for j in images[c])  # closed under conjugation
+    assert len(orbits) == (4 if n == 3 else len(selected))  # 36 selected classes at n = 3
+    bases = [seen[k : k + d + 1] for k in range(0, len(seen), d + 1)]
+    assert [q0 // size for q0, *_ in bases] == [members[0] for members in orbits.values()]
+    for q0, *rest in bases:
         assert len({i // size for i in (q0, *rest)}) == 1
         base = group.label_keys[q0]
         diffs = [[(x - y) % p for x, y in zip(group.label_keys[i], base)] for i in rest]
         assert len(_echelon_mod_p(diffs, p)) == d
+    # One orbit's basis fails: exactly the selected members of that orbit
+    # are left to scan.
+    first = bases[-1][0] // size
+
+    def off_first(i: int, result: None) -> bool:
+        return i // size != first
+
+    flagged = quotient.affine_suspects(_row_count, off_first, group, mask)
+    kept = bytes(orbit[i // size] == orbit[first] for i in range(len(group)))
+    assert flagged == bytes(map(min, mask, kept))
+
+
+@pytest.mark.parametrize("p,e,n", WALK_CASES)
+def test_class_conjugates_are_the_class_images_of_the_conjugation_tables(p, e, n):
+    # The class of x^a and of x^b, read off the permutation rows, is that
+    # of every member's image in the element-by-element conjugation
+    # tables; and the orbit of a class is the set of classes that the
+    # conjugacy class of any of its members meets.
+    group = enumerate_quotient(DefiningVector(p, e), n)
+    size, total = group.class_size, len(group) // group.class_size
+    images = quotient._class_conjugates(group)
+    orbit = quotient._class_orbits(group)
+    if n == 1:  # no vertex below the root: every class has the one trivial row
+        assert images is None and orbit == list(range(total))
+        return
+    by_a, by_b = group._conjugation_tables()
+    assert [images[i // size] for i in range(len(group))] == [
+        (x // size, y // size) for x, y in zip(by_a, by_b)
+    ]
+    for c in range(total):
+        met = {j // size for j in group._conjugates([c * size], bytearray(len(group)))}
+        assert met == {k for k in range(total) if orbit[k] == orbit[c]}
+        assert orbit[c] == min(met)
+    assert n > 2 or orbit == list(range(total))  # G_1 = C_p is abelian
 
 
 def test_affine_suspects_flags_a_class_whose_b_coordinates_move(e10):
@@ -762,6 +807,26 @@ def test_failures_match_the_element_by_element_list(p, e, n):
         expected = [(i, o) for i, o in zip(compress(range(len(group)), mask), scanned) if o > p]
         assert expected or not any(mask)
         assert quotient.failures(quotient.orders, lambda i, o: o <= p, group, mask) == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_failures_match_the_element_by_element_list_on_random_vectors(data):
+    # x^(p^k) = 1 is affine on each power class and conjugation-invariant,
+    # so one basis per orbit decides it; with k drawn, some orbits pass and
+    # some fail, and the random mask leaves some classes without a basis.
+    # n = 3 first: orbits of several classes.
+    p, n = data.draw(st.sampled_from([(3, 3), (3, 2), (5, 2)]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+    assume(any(e))
+    group = enumerate_quotient(DefiningVector(p, tuple(e)), n)
+    bound = p ** data.draw(st.integers(0, n))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    density = data.draw(st.sampled_from([0.01, 0.5, 0.9, 1.0]))
+    mask = bytes(rng.random() < density for _ in range(len(group)))
+    scanned = quotient.map_power_classes(quotient.orders, group, mask)
+    expected = [(i, o) for i, o in zip(compress(range(len(group)), mask), scanned) if o > bound]
+    assert quotient.failures(quotient.orders, lambda i, o: o <= bound, group, mask) == expected
 
 
 def test_level_stabilizers(gs_g3):

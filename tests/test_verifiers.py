@@ -498,7 +498,8 @@ def test_collision_scan_runs_chains_on_an_affine_basis_of_each_class(e10, monkey
 
 
 def test_collision_scan_makes_one_chain_call_over_every_basis(e10, monkeypatch):
-    # e=(1,0), n=3: the 36 bases of 7 members each go to the kernel as 36
+    # e=(1,0), n=3: the 36 selected classes fall into 4 conjugation orbits,
+    # whose first classes' bases of 7 members each go to the kernel as 4
     # runs of one call, and no class is left for the full scan.
     calls = []
     chains = quotient.p_power_chains
@@ -509,7 +510,7 @@ def test_collision_scan_makes_one_chain_call_over_every_basis(e10, monkeypatch):
 
     monkeypatch.setattr(quotient, "p_power_chains", recorded)
     assert verify_claim("prop-collision", e10, 3).verified
-    assert calls == [(36 * 7, [7] * 36)]
+    assert calls == [(4 * 7, [7] * 4)]
 
 
 def test_scans_build_no_per_element_objects(e10, gs, monkeypatch):
