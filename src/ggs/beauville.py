@@ -35,6 +35,7 @@ from .portrait import Portrait
 from .quotient import (
     QuotientGroup,
     SubgroupHandle,
+    _orbits,
     coordinate_line,
     map_power_classes,
     socles,
@@ -152,7 +153,7 @@ def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
         mask = bytearray(len(group))
         mask[0] = 1  # the identity
         powers = chain.from_iterable(map(cyclic_powers, triple.members()))
-        group._conjugates((group._position(w.labels) for w in powers), mask)
+        _orbits(*group._conjugation_tables(), (group._position(w.labels) for w in powers), mask)
         sigma = SigmaSet(mask, group)
         counts["members"] = len(sigma)
     return sigma

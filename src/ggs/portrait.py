@@ -188,16 +188,8 @@ class Portrait:
         return Portrait.identity(self.shape) if result is None else result
 
     def conjugate_by(self, g: "Portrait") -> "Portrait":
-        """self^g = g^-1 * self * g, fused into a single label pass."""
-        g_inv = g.inverse()
-        p = self.shape.p
-        lgi, lf, lg = g_inv.labels, self.labels, g.labels
-        pgi, pf = g_inv.vertex_perm(), self.vertex_perm()
-        out = bytearray(len(lf))
-        for u in range(len(lf)):
-            v = pgi[u]
-            out[u] = (lgi[u] + lf[v] + lg[pf[v]]) % p
-        return Portrait._raw(self.shape, bytes(out))
+        """self^g = g^-1 * self * g."""
+        return g.inverse() * self * g
 
     def psi(self) -> "PsiDecomposition":
         """Split into the root label and the p sections one level down."""

@@ -27,13 +27,14 @@ on an affine basis of one class per conjugation orbit of classes
 on those bases: a class is an element of G/L = G_(n-1), named by its
 permutation row, so its orbit is walked on the rows.  Enumeration
 indices are computed, not looked up: _locator reads a key's index off its
-top and its coordinates in L, and _class_images the indices of every
-image of a class under a product or conjugation, for the subgroup walks,
-the conjugation tables and the signature table.  The label keys (one
-bytes object per element) are split from a transient row buffer on first
-read, and the interned Portrait elements built on the first read of
-`elements`, or one at a time through `element`.  The order formula and the element budget it
-guards live in generators.
+top and its coordinates in L, and _table the index of the image of every
+element under a product or conjugation, one power class at a time.  Each
+group map is such a table, and two walks read them: _walk for the normal
+closure, _orbits for conjugacy classes, Sigma sets and class orbits.  The
+label keys (one bytes object per element) are split from a transient row
+buffer on first read, and the interned Portrait elements built on the
+first read of `elements`, or one at a time through `element`.  The order
+formula and the element budget it guards live in generators.
 """
 
 from __future__ import annotations
@@ -140,34 +141,50 @@ class SubgroupHandle:
 
 # A group map on a power class: from the class's vertex permutation, the
 # sources and the row for which label u of each image is label sources[u]
-# of the member plus row[u] mod p (see _class_images).
+# of the member plus row[u] mod p (see _table).
 ClassMap = Callable[[bytes], tuple[Sequence[int], bytes]]
 
 
-def _walk(group: "QuotientGroup", steps: list[ClassMap]) -> list[int]:
-    """Enumeration indices of the elements reachable from 1 under the step
-    maps, in discovery order, 1 first.
-
-    The first time the breadth-first walk reaches a power class, every step
-    maps the whole class with one _class_images each, and the images'
-    indices are kept; new elements join element-major, step-minor, as a
-    walk taking one element and one step at a time finds them.
-    """
-    size = group.class_size
-    kernels = [_class_images(group, step) for step in steps]
-    tables: dict[int, list[memoryview]] = {}  # class start -> images of its members, by step
-    found, seen = [0], bytearray(len(group))
+def _walk(tables: Sequence[array]) -> list[int]:
+    """Enumeration indices of the elements reachable from 1 under the maps
+    whose index tables are given (_table), in discovery order, 1 first:
+    element-major, step-minor, as a walk taking one element and one step
+    at a time finds them."""
+    found, seen = [0], bytearray(len(tables[0]))
     seen[0] = 1
     for i in found:  # grows while it is read: breadth-first order
-        start = i - i % size
-        images = tables.get(start)
-        if images is None:
-            images = tables[start] = [memoryview(kernel(start)).cast("I") for kernel in kernels]
-        for image in images:
-            j = image[i - start]
+        for table in tables:
+            j = table[i]
             if not seen[j]:
                 seen[j] = 1
                 found.append(j)
+    return found
+
+
+def _orbits(
+    by_a: Sequence[int], by_b: Sequence[int], seeds: Iterable[int], seen: bytearray
+) -> list[int]:
+    """The indices that seen (a byte per index) does not mark in the orbits
+    of the seeds under the maps i -> by_a[i] and i -> by_b[i], in discovery
+    order, each marked as it is found: one breadth-first walk from all the
+    unmarked seeds under by_a, then by_b.  On the conjugation tables, from
+    one index of a class with no marked member, it lists that class."""
+    found = []
+    for i in seeds:
+        if not seen[i]:
+            seen[i] = 1
+            found.append(i)
+    # The two steps are written out: a loop over the pair (by_a[j],
+    # by_b[j]) made the walk half as slow again.
+    for j in found:  # grows while it is read
+        k = by_a[j]
+        if not seen[k]:
+            seen[k] = 1
+            found.append(k)
+        k = by_b[j]
+        if not seen[k]:
+            seen[k] = 1
+            found.append(k)
     return found
 
 
@@ -184,38 +201,38 @@ def _slots(column: bytes) -> int:
     return int.from_bytes(spread, sys.byteorder)
 
 
-def _class_images(group: "QuotientGroup", step: ClassMap) -> Callable[[int], bytes]:
-    """The map from the start of a power class to the enumeration indices
-    of its members' images under step, in order, as array('I') bytes.
+def _table(group: "QuotientGroup", step: ClassMap, stop: int) -> array:
+    """The enumeration indices of the images under step of the elements
+    before index stop, a multiple of class_size, in enumeration order.
 
     A class is a coset L*s of the last layer, and step (x -> x*g, g*x or
     x^c) takes u*s to M(u)*s' with M linear on L and the same for every
     class, so the digits of the images' offsets in L (_locator) are affine
-    in u.  The first class a step maps is mapped whole and checked (each
-    column above depth n-1 constant, each image less the first in L), and
-    every class adds those digits to its first image's, from _position.
+    in u.  The first class is mapped whole and checked (each column above
+    depth n-1 constant, each image less the first in L), and every class
+    adds those digits to its first image's, from _position.
     """
     p, shape, size = group.vector.p, group.shape, group.class_size
     cut, shifts = shape.level_starts[shape.n - 1], _add_tables(p)
     chunk = max(k for k in range(1, 9) if p**k <= 256)  # digits summed within a byte
     ones = _slots(b"\1" * size)
     first: list[bytes] = []  # the digit columns of the first class's images, less the first
-
-    def images(start: int) -> bytes:
+    table = array("I")
+    for start in range(0, stop, size):
         sources, row = step(group._perm_row(start))
         key = group._key(start)
         head = bytes(map(add, map(key.__getitem__, sources), row)).translate(shape.reduce)
         i = group._position(head)  # the image of the class's first member
         base, offset = divmod(i, size)
-        if size > 1 and not first:  # each image less the first: its columns less their first entry
-            columns = [group.cols[v][start : start + size] for v in sources]
+        if size > 1 and not start:  # each image less the first: its columns less their first entry
+            columns = [group.cols[v][:size] for v in sources]
             if any(column.count(column[0]) < size for column in columns[:cut]):
                 raise ValueError("a step split a power class")
             layer = [column.translate(shifts[-column[0] % p]) for column in columns[cut:]]
             solved = _eliminate(layer, group._pivots, shape)
             if any(map(any, solved[len(group._pivots) :])):
                 raise ValueError("a step left the quotient")
-            first.extend(solved[: len(group._pivots)])
+            first = solved[: len(group._pivots)]
         shifted = [
             int.from_bytes(column.translate(shifts[offset // p**k % p]), "little")
             for k, column in enumerate(first)
@@ -224,9 +241,8 @@ def _class_images(group: "QuotientGroup", step: ClassMap) -> Callable[[int], byt
         for k in range(0, len(shifted), chunk):
             part = sum(d * p**j for j, d in enumerate(shifted[k : k + chunk]))
             total += _slots(part.to_bytes(size, "little")) * p**k
-        return total.to_bytes(size * _SLOT, sys.byteorder)
-
-    return images
+        table.frombytes(total.to_bytes(size * _SLOT, sys.byteorder))
+    return table
 
 
 def _reduced(v: int, width: int, reduce: bytes) -> bytes:
@@ -278,11 +294,6 @@ def _conjugation(c: Portrait) -> ClassMap:
         return sources, bytes(map(add, ci.labels, lifted)).translate(reduce)
 
     return moved
-
-
-def _distinct(xs: Iterable[Portrait]) -> list[Portrait]:
-    """The non-identity elements of xs, each once, in first-seen order."""
-    return list({x.labels: x for x in xs if not x.is_identity()}.values())
 
 
 # -- row and column kernels --------------------------------------------------------
@@ -441,13 +452,10 @@ def orders_and_tops(
     shape: TreeShape, columns: Sequence[bytes], runs: Sequence[Run]
 ) -> list[tuple[int, bytes]]:
     """Order of each x of runs of power classes and the labels of
-    x^(p^(n-1)), equal labels sharing one bytes object."""
-    m = shape.internal_count
+    x^(p^(n-1))."""
     exps, levels = p_power_chains(shape, columns, runs)
-    width, top = len(exps), levels[-1]
-    rows = _rows([top[k * width : (k + 1) * width] for k in range(m)], width)
-    tops: dict[bytes, bytes] = {}
-    return list(zip(_orders_of(shape, exps), (tops.setdefault(t, t) for t in _split(rows, m))))
+    top = levels[-1]
+    return [(o, top[j :: len(exps)]) for j, o in enumerate(_orders_of(shape, exps))]
 
 
 def socles(shape: TreeShape, columns: Sequence[bytes], runs: Sequence[Run]) -> list[bytes | None]:
@@ -503,46 +511,39 @@ def _layer_span(
     return tuple(columns[:-1]), columns[-1]
 
 
-def _class_conjugates(group: "QuotientGroup") -> list[tuple[int, int]] | None:
+def _class_tables(group: "QuotientGroup") -> tuple[list[int], list[int]]:
     """The power class of x^a and of x^b, by number, for the members x of
-    each class c (the elements from c*class_size); None when two classes
-    share a vertex permutation.
+    each class c (the elements from c*class_size).
 
     A class is an element of G/L = G_(n-1), which acts faithfully on level
-    n-1, so distinct classes have distinct rows of group._perms, and x^g
-    has the row pi_g o pi_x o pi_(g^-1), as __mul__ composes
+    n-1 for n >= 2, so distinct classes have distinct rows of group._perms,
+    and x^g has the row pi_g o pi_x o pi_(g^-1), as __mul__ composes
     pi_(xy) = pi_y o pi_x: two translates of pi_(g^-1).
     """
     m = group.shape.internal_count
     rows = [group._perms[k : k + m] for k in range(0, len(group._perms), m)]
     number = dict(zip(rows, count()))
     if len(number) < len(rows):
-        return None
-    steps = [
-        (bytes(g.inverse().vertex_perm()), _vertex_table(g.vertex_perm())) for g in (group.a, group.b)
-    ]
-    return [
-        tuple(number[inv.translate(_vertex_table(row)).translate(by_g)] for inv, by_g in steps)
-        for row in rows
-    ]
+        raise RuntimeError("two power classes share a vertex permutation")
+
+    def table(g: Portrait) -> list[int]:
+        inverse, by_g = bytes(g.inverse().vertex_perm()), _vertex_table(g.vertex_perm())
+        return [number[inverse.translate(_vertex_table(row)).translate(by_g)] for row in rows]
+
+    return table(group.a), table(group.b)
 
 
 def _class_orbits(group: "QuotientGroup") -> list[int]:
     """For each power class, by number, the least class of its orbit under
     conjugation; each class is its own orbit at level 2, where G_1 = C_p
-    is abelian, and when _class_conjugates gives no map."""
-    images = _class_conjugates(group) if group.shape.n > 2 else None
+    is abelian."""
     orbit = list(range(len(group) // group.class_size))
-    if images is None:
-        return orbit
-    for c in range(len(orbit)):
-        if orbit[c] == c:  # the least class of an orbit not walked yet
-            found = [c]
-            for k in found:  # grows while it is read
-                for j in images[k]:
-                    if orbit[j] > c:  # j is no earlier orbit's and not yet found
-                        orbit[j] = c
-                        found.append(j)
+    if group.shape.n > 2:
+        by_a, by_b = _class_tables(group)
+        seen = bytearray(len(orbit))
+        for c in range(len(orbit)):  # each orbit is found from its least class
+            for j in _orbits(by_a, by_b, [c], seen):
+                orbit[j] = c
     return orbit
 
 
@@ -940,8 +941,7 @@ class QuotientGroup:
         """The enumeration indices of x*y for the elements y before index
         stop, a multiple of class_size, in enumeration order: label u of x*y
         is l_x(u) + l_y(pi_x(u)), sources pi_x and row l_x for every class."""
-        images = _class_images(self, lambda perm: (x.vertex_perm(), x.labels))
-        return array("I", b"".join(map(images, range(0, stop, self.class_size))))
+        return _table(self, lambda perm: (x.vertex_perm(), x.labels), stop)
 
     def coords_of(self, x: Portrait) -> tuple[int, int]:
         """Exponent sums of (a, b) modulo the derived subgroup."""
@@ -992,8 +992,7 @@ class QuotientGroup:
     @stage
     def _conjugation_tables(self) -> tuple[array, array]:
         """The index of x^a and the index of x^b, for every element x in
-        enumeration order; built one power class at a time by
-        _class_images.
+        enumeration order, each a _table.
 
         Only H = st(1)/st(n), the first |H| elements, is conjugated by a:
         index r*|H| + i holds h_i * a^r, and (h_i * a^r)^a = h_i^a * a^r, so
@@ -1001,30 +1000,25 @@ class QuotientGroup:
         big-integer add of r*|H| to every slot.
         """
         size = len(self) // self.vector.p
+        head = int.from_bytes(_table(self, _conjugation(self.a), size), sys.byteorder)
+        ones, by_a = _slots(b"\1" * size), array("I")
+        for r in range(self.vector.p):  # the a-table of coset r
+            by_a.frombytes((head + r * size * ones).to_bytes(size * _SLOT, sys.byteorder))
+        return by_a, _table(self, _conjugation(self.b), len(self))
 
-        def conjugates(c: Portrait, stop: int) -> bytes:
-            images = _class_images(self, _conjugation(c))
-            return b"".join(map(images, range(0, stop, self.class_size)))
+    def normal_closure(self, seeds: Iterable[Portrait]) -> SubgroupHandle:
+        """Smallest normal subgroup containing the seeds.
 
-        head, ones = int.from_bytes(conjugates(self.a, size), sys.byteorder), _slots(b"\1" * size)
-        shifted = (head + r * size * ones for r in range(self.vector.p))  # the a-table of coset r
-        by_a = b"".join(table.to_bytes(size * _SLOT, sys.byteorder) for table in shifted)
-        return array("I", by_a), array("I", conjugates(self.b, len(self)))
-
-    def normal_closure(
-        self, seeds: Iterable[Portrait], conjugators: Iterable[Portrait]
-    ) -> SubgroupHandle:
-        """Smallest subgroup containing the seeds and closed under conjugation
-        by the conjugators.
-
-        One walk from 1 under x -> x*s (s a seed) and x -> x^c = c^-1 x c
-        (c a conjugator).  The group is finite, so x -> x^(c^-1) is a power
-        of x -> x^c and the walked set also holds x * s^c = (x^(c^-1) * s)^c;
-        by induction it is closed under right multiplication by every
-        conjugate of every seed, which generate the normal closure.
+        One walk from 1 under x -> x*s for each seed s, then x -> x^a and
+        x -> x^b, each a _table.  The group is finite, so x -> x^(g^-1) is a
+        power of x -> x^g and the walked set also holds
+        x * s^g = (x^(g^-1) * s)^g; by induction it is closed under right
+        multiplication by every conjugate of every seed, which generate the
+        normal closure.  A repeated or trivial seed adds a table but no
+        element, and leaves the discovery order as it is.
         """
-        steps = [*map(_times, _distinct(seeds)), *map(_conjugation, _distinct(conjugators))]
-        return SubgroupHandle(tuple(map(self._at, _walk(self, steps))))
+        tables = [*(_table(self, _times(s), len(self)) for s in seeds), *self._conjugation_tables()]
+        return SubgroupHandle(tuple(map(self._at, _walk(tables))))
 
     def _subgroup(self, mask: bytes) -> SubgroupHandle:
         """The elements mask selects (a byte each, 1 to select), each by _at."""
@@ -1070,7 +1064,7 @@ class QuotientGroup:
         """
         a, b = self.a, self.b
         seeds = [commutator(b, b.conjugate_by(a**k)) for k in range(1, self.vector.p)]
-        return self.normal_closure(seeds, [a, b])
+        return self.normal_closure(seeds)
 
     @stage
     def maximal_subgroups(self) -> list[SubgroupHandle]:
@@ -1086,47 +1080,23 @@ class QuotientGroup:
         p = self.vector.p
         return [self._subgroup(self.line_mask(j, p + 1)) for j in range(p + 1)]
 
-    def _conjugates(self, seeds: Iterable[int], seen: bytearray) -> list[int]:
-        """Indices of the conjugates of the seeds that seen (a byte per
-        element) does not mark, in discovery order, each marked as it is
-        found: one breadth-first walk from all the unmarked seeds under
-        x -> x^a, then x -> x^b.  From one index of a class with no marked
-        member it lists that class."""
-        by_a, by_b = self._conjugation_tables()
-        found = []
-        for i in seeds:
-            if not seen[i]:
-                seen[i] = 1
-                found.append(i)
-        # The two steps are written out: a loop over the pair (by_a[j],
-        # by_b[j]) made the walk half as slow again.
-        for j in found:  # grows while it is read
-            k = by_a[j]
-            if not seen[k]:
-                seen[k] = 1
-                found.append(k)
-            k = by_b[j]
-            if not seen[k]:
-                seen[k] = 1
-                found.append(k)
-        return found
-
     def conjugacy_class(self, x: Portrait) -> tuple[Portrait, ...]:
         """Orbit of x under conjugation, in discovery order, as interned
         elements (which already carry their vertex permutations)."""
-        orbit = self._conjugates([self._position(x.labels)], bytearray(len(self)))
+        by_a, by_b = self._conjugation_tables()
+        orbit = _orbits(by_a, by_b, [self._position(x.labels)], bytearray(len(self)))
         return tuple(map(self._at, orbit))
 
     @stage
     def conjugacy_classes(self) -> list[tuple[Portrait, ...]]:
         """All conjugacy classes, in order of first appearance, each in
-        discovery order: every class is walked on one shared mask."""
-        elements = self.elements
+        discovery order (_orbits): every class is walked on one shared mask."""
+        elements, (by_a, by_b) = self.elements, self._conjugation_tables()
         assigned = bytearray(len(elements))
         classes = []
         i = 0  # the first element of no class yet
         while i >= 0:
-            classes.append(tuple(map(elements.__getitem__, self._conjugates([i], assigned))))
+            classes.append(tuple(map(elements.__getitem__, _orbits(by_a, by_b, [i], assigned))))
             i = assigned.find(0, i)
         return classes
 

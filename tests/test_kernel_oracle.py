@@ -16,9 +16,10 @@ that the enumeration and the collision scan's premise add rows to is
 checked against sums of multiples of its basis formed by plain loops.
 Enumeration positions are computed, not looked up: `_position` is checked
 against the enumeration order and on perturbed keys that are not elements,
-and the class kernel (`_class_images`), which maps one class in full and
-shifts its digits for every other, against products and conjugates formed
-one element at a time, on random defining vectors.
+and the class kernel (`_table`), which maps the first class in full and
+shifts its digits for every other into one table of indices, against
+products and conjugates formed one element at a time, on random defining
+vectors.
 """
 from __future__ import annotations
 
@@ -42,13 +43,14 @@ from ggs import (
 from ggs.generators import _guard_exponent
 from ggs.portrait import MAX_INTERNAL_VERTICES, MAX_PRIME
 from ggs.quotient import (
-    _class_images,
     _columns,
     _conjugation,
     _layer_span,
     _locator,
     _rows,
+    _table,
     _times,
+    _walk,
     p_power_chains,
 )
 
@@ -508,16 +510,18 @@ def _step(kind: str, g: Portrait):
 def test_class_kernel_matches_naive_compose_class_by_class(group, kind, data):
     # The first class a step maps is solved in full; every later one adds
     # the first's digits, less its first image's, to its own first image's.
-    # Both are checked member by member, the classes in a random order.
+    # Both are checked member by member, on a table of a random number of
+    # classes, at classes drawn from it in a random order.
     size, keys = group.class_size, group.label_keys
     g = group.elements[data.draw(st.integers(0, len(group) - 1))]
     step, plain = _step(kind, g)
-    images = _class_images(group, step)
-    starts = list(range(0, len(group), size))
+    stop = size * data.draw(st.integers(1, len(group) // size))
+    table = _table(group, step, stop)
+    assert (table.typecode, len(table)) == ("I", stop)
+    starts = list(range(0, stop, size))
     order = data.draw(st.permutations(starts))[: data.draw(st.integers(1, 4))]
     for start in order:
-        image = memoryview(images(start)).cast("I")
-        assert len(image) == size
+        image = table[start : start + size]
         target = image[0] - image[0] % size  # one power class, each member once
         assert sorted(image) == list(range(target, target + size))
         members = data.draw(st.lists(st.integers(0, size - 1), max_size=24)) + [0, size - 1]
@@ -528,11 +532,17 @@ def test_class_kernel_matches_naive_compose_class_by_class(group, kind, data):
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(group=small_quotients(bound=3**7), data=st.data())
 def test_normal_closure_matches_brute_closure_on_random_vectors(group, data):
+    # The normal closure of random seeds, and the walk over the tables of
+    # random seeds and random conjugators, against the brute closure.
     pick = st.sampled_from(group.elements)
     seeds = data.draw(st.lists(pick, min_size=1, max_size=2))
+    expected = brute_normal_closure(group, seeds, [group.a, group.b])
+    assert group.normal_closure(seeds).keys == expected
     conjugators = data.draw(st.lists(pick, min_size=1, max_size=2))
+    steps = [*map(_times, seeds), *map(_conjugation, conjugators)]
+    found = _walk([_table(group, step, len(group)) for step in steps])
     expected = brute_normal_closure(group, seeds, conjugators)
-    assert group.normal_closure(seeds, conjugators).keys == expected
+    assert frozenset(map(group.label_keys.__getitem__, found)) == expected
 
 
 def _solve_plainly(basis: list[bytes], v: list[int], p: int) -> list[int] | None:
@@ -594,8 +604,8 @@ def test_positions_and_class_kernel_at_p_17():
         assert (bytes(key) in group) == (bytes(key) in members)
     for kind in ("times", "left", "conjugation"):
         step, plain = _step(kind, group.elements[rng.randrange(len(group))])
-        images = _class_images(group, step)
+        table = _table(group, step, len(group))
         for start in rng.sample(range(0, len(group), size), 3):
-            image = memoryview(images(start)).cast("I")
+            image = table[start : start + size]
             for j in range(size):
                 assert keys[image[j]] == plain(group.elements[start + j]).labels

@@ -718,8 +718,9 @@ def test_affine_suspects_picks_an_affine_basis_of_each_class(p, e, n):
     orbits: dict[int, list[int]] = {}
     for c in selected:
         orbits.setdefault(orbit[c], []).append(c)
-    images = quotient._class_conjugates(group)
-    assert all(orbit[j] == orbit[c] for c in selected for j in images[c])  # closed under conjugation
+    by_a, by_b = quotient._class_tables(group)
+    # The orbits are closed under conjugation.
+    assert all(orbit[by_a[c]] == orbit[c] == orbit[by_b[c]] for c in selected)
     assert len(orbits) == (4 if n == 3 else len(selected))  # 36 selected classes at n = 3
     bases = [seen[k : k + d + 1] for k in range(0, len(seen), d + 1)]
     assert [q0 // size for q0, *_ in bases] == [members[0] for members in orbits.values()]
@@ -748,20 +749,35 @@ def test_class_conjugates_are_the_class_images_of_the_conjugation_tables(p, e, n
     # conjugacy class of any of its members meets.
     group = enumerate_quotient(DefiningVector(p, e), n)
     size, total = group.class_size, len(group) // group.class_size
-    images = quotient._class_conjugates(group)
     orbit = quotient._class_orbits(group)
     if n == 1:  # no vertex below the root: every class has the one trivial row
-        assert images is None and orbit == list(range(total))
+        with pytest.raises(RuntimeError, match="share a vertex permutation"):
+            quotient._class_tables(group)
+        assert orbit == list(range(total))
         return
+    class_a, class_b = quotient._class_tables(group)
     by_a, by_b = group._conjugation_tables()
-    assert [images[i // size] for i in range(len(group))] == [
-        (x // size, y // size) for x, y in zip(by_a, by_b)
-    ]
+    assert [class_a[i // size] for i in range(len(group))] == [x // size for x in by_a]
+    assert [class_b[i // size] for i in range(len(group))] == [y // size for y in by_b]
     for c in range(total):
-        met = {j // size for j in group._conjugates([c * size], bytearray(len(group)))}
+        met = {j // size for j in quotient._orbits(by_a, by_b, [c * size], bytearray(len(group)))}
         assert met == {k for k in range(total) if orbit[k] == orbit[c]}
         assert orbit[c] == min(met)
     assert n > 2 or orbit == list(range(total))  # G_1 = C_p is abelian
+
+
+def test_class_tables_refuse_two_classes_with_one_row(monkeypatch, e10):
+    # G_(n-1) acts faithfully on level n-1, so no two power classes share a
+    # permutation row; a row copied onto a second class is refused, not
+    # passed over, and the collision scan's orbits fail with it.
+    group = enumerate_quotient(e10, 3)
+    m = group.shape.internal_count
+    perms = group._perms
+    monkeypatch.setattr(group, "_perms", perms[:m] + perms[:m] + perms[2 * m :])
+    with pytest.raises(RuntimeError, match="share a vertex permutation"):
+        quotient._class_tables(group)
+    with pytest.raises(RuntimeError, match="share a vertex permutation"):
+        quotient._class_orbits(group)
 
 
 def test_affine_suspects_flags_a_class_whose_b_coordinates_move(e10):
@@ -836,7 +852,7 @@ def test_level_stabilizers(gs_g3):
     sizes = [sum(not any(key[: starts[k]]) for key in gs_g3.label_keys) for k in range(4)]
     assert sizes == [2187, 729, 81, 1]
     st1 = frozenset(key for key in gs_g3.label_keys if key[0] == 0)
-    assert gs_g3.normal_closure([gs_g3.b], [gs_g3.a, gs_g3.b]).keys == st1
+    assert gs_g3.normal_closure([gs_g3.b]).keys == st1
 
 
 def test_conjugacy_classes(gs_g2, gs_g3, e10_g2):
@@ -901,7 +917,7 @@ def _conjugation(c: Portrait):
 
 @pytest.mark.parametrize("stride", [None, 7])
 def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, stride):
-    """Walks that map a power class whole when they first reach it find
+    """Walks over index tables, each built a power class at a time, find
     elements in the order of a walk that takes one element and one step at
     a time: element-major, step-minor.  The normal closure of [a, b] in
     e10_g3 (6561 elements) spans many classes.  The derived subgroup is
@@ -916,12 +932,15 @@ def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, stride):
         by_a, by_b = _conjugation(a), _conjugation(b)
         s = commutator(a, b)
         expected = element_walk([one], [lambda x: x * s, by_a, by_b])
-        assert [x.labels for x in group.normal_closure([s], [a, b])] == expected
+        assert [x.labels for x in group.normal_closure([s])] == expected
         derived = group.derived_subgroup()
         assert [x.labels for x in derived] == [x.labels for x in group if x in derived]
-        closure = group.normal_closure([b, b], [a * b, a * b])
+        # Arbitrary steps, each twice: a repeated table adds no element.
+        steps = [quotient._times(b), quotient._times(b)]
+        steps += [quotient._conjugation(a * b), quotient._conjugation(a * b)]
+        closure = quotient._walk([quotient._table(group, step, len(group)) for step in steps])
         expected = element_walk([one], [lambda x: x * b, _conjugation(a * b)])
-        assert [x.labels for x in closure] == expected
+        assert [group.label_keys[i] for i in closure] == expected
         for x in group.elements[:: stride or max(1, len(group) // 40)]:
             expected = element_walk([x], [by_a, by_b])
             assert [y.labels for y in group.conjugacy_class(x)] == expected
@@ -960,9 +979,11 @@ def test_no_nontrivial_class_is_its_own_inverse(p, e, n):
 
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
 def test_walks_map_each_power_class_once(p, e, n):
-    # Each step maps a power class the first time the walk reaches it, and
-    # never again: a walk that reaches only 1 maps one class per step.
+    # Each step's table maps every power class before its stop exactly
+    # once, in enumeration order, and the walk over the tables of x -> x*b,
+    # x -> x^a and x -> x^b is the normal closure of b.
     group = enumerate_quotient(DefiningVector(p, e), n)
+    size = group.class_size
     calls: list[tuple[int, bytes]] = []
 
     def counting(t: int, step):
@@ -972,34 +993,55 @@ def test_walks_map_each_power_class_once(p, e, n):
 
         return counted
 
-    steps = [quotient._conjugation(group.a), quotient._conjugation(group.b)]
-    assert quotient._walk(group, [counting(t, s) for t, s in enumerate(steps)]) == [0]
-    assert calls == [(0, group._perm_row(0)), (1, group._perm_row(0))]
+    a, b = group.a, group.b
+    steps = [quotient._times(b), quotient._conjugation(a), quotient._conjugation(b)]
+    tables = [quotient._table(group, counting(t, s), len(group)) for t, s in enumerate(steps)]
+    rows = [group._perm_row(c) for c in range(0, len(group), size)]
+    assert calls == [(t, row) for t in range(len(steps)) for row in rows]
+    assert list(tables[1]) == list(group._conjugation_tables()[0])
+    found = quotient._walk(tables)
+    assert [x.labels for x in group.normal_closure([b])] == [group.label_keys[i] for i in found]
     calls.clear()
-    steps.insert(0, quotient._times(group.b))
-    found = quotient._walk(group, [counting(t, s) for t, s in enumerate(steps)])
-    assert [x.labels for x in group.normal_closure([group.b], [group.a, group.b])] == [
-        group.label_keys[i] for i in found
-    ]
-    reached = {i // group.class_size for i in found}
-    assert len(calls) == len(steps) * len(reached)
-    assert sorted(set(calls)) == sorted(
-        (t, group._perm_row(c * group.class_size)) for c in reached for t in range(len(steps))
-    )
+    assert len(quotient._table(group, counting(0, steps[0]), size)) == size  # one class
+    assert calls == [(0, rows[0])]
+
+
+def test_center_and_stabilizer_derived_build_each_table_once(monkeypatch, gs):
+    # The conjugation tables are built once, the a-table on st(1) alone,
+    # and the closure of st(1)' adds one table per seed [b, b^(a^k)].
+    group = enumerate_quotient(gs, 3)
+    stops: list[int] = []
+    table = quotient._table
+
+    def counted(group, step, stop):
+        stops.append(stop)
+        return table(group, step, stop)
+
+    monkeypatch.setattr(quotient, "_table", counted)
+    group.center()
+    group.stabilizer_derived()
+    group.conjugacy_classes()
+    p = gs.p
+    assert stops == [len(group) // p, len(group)] + [len(group)] * (p - 1)
+
+
+def _closure(group: quotient.QuotientGroup, seeds: list[Portrait], conjugators: list[Portrait]):
+    """The label keys of the walk from 1 under x -> x*s for the seeds and
+    x -> x^c for the conjugators, each a table of the class kernel."""
+    steps = [*map(quotient._times, seeds), *map(quotient._conjugation, conjugators)]
+    found = quotient._walk([quotient._table(group, step, len(group)) for step in steps])
+    return frozenset(map(group.label_keys.__getitem__, found))
 
 
 def test_normal_closure_matches_reference(gs_g2, gs_g3, e10_g2):
     for group in (gs_g2, gs_g3, e10_g2):
         a, b = group.a, group.b
-        for seeds, conjugators in (
-            ([b], [a, b]),
-            ([b], [a]),
-            ([a], [b]),
-            ([a * b * b], [a * b]),
-            ([group.identity], [a, b]),
-        ):
+        for seeds in ([b], [a], [a * b * b], [group.identity], [b, group.identity, b]):
+            expected = brute_normal_closure(group, seeds, [a, b])
+            assert group.normal_closure(seeds).keys == expected
+        for seeds, conjugators in (([b], [a]), ([a], [b]), ([a * b * b], [a * b])):
             expected = brute_normal_closure(group, seeds, conjugators)
-            assert group.normal_closure(seeds, conjugators).keys == expected
+            assert _closure(group, seeds, conjugators) == expected
 
 
 def test_derived_and_stabilizer_commutator_match_reference(gs, gs_g2, gs_g3, e10_g2, e10_g3):
