@@ -19,10 +19,10 @@ _EXPORTS = {
         "tree_shape",
         "generators": "CirculantAnalysis Classification DefiningVector analyze_circulant "
         "classify parse_vector BudgetExceeded DEFAULT_BUDGET predicted_order",
-        "quotient": "QuotientGroup SubgroupHandle enumerate_quotient",
-        "beauville": "GeneratingTriple NotGeneratingError SEARCH_ELEMENT_CAP SigmaSet "
-        "cyclic_subgroup is_beauville_pair search_beauville sigma_set "
-        "subgroup_conjugation_orbit triple_signature",
+        "quotient": "QuotientGroup Subset enumerate_quotient",
+        "beauville": "GeneratingTriple NotGeneratingError SEARCH_ELEMENT_CAP cyclic_subgroup "
+        "is_beauville_pair search_beauville sigma_set subgroup_conjugation_orbit "
+        "triple_signature",
         "verifiers": "CLAIMS replay_certificate verify_claim",
         "words": "WordSyntaxError evaluate_word parse_word",
     }.items()

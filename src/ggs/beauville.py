@@ -34,7 +34,7 @@ from .generators import BudgetExceeded
 from .portrait import Portrait
 from .quotient import (
     QuotientGroup,
-    SubgroupHandle,
+    Subset,
     _orbits,
     coordinate_line,
     map_power_classes,
@@ -45,7 +45,6 @@ from .quotient import (
 __all__ = [
     "NotGeneratingError",
     "GeneratingTriple",
-    "SigmaSet",
     "cyclic_subgroup",
     "subgroup_conjugation_orbit",
     "sigma_set",
@@ -92,32 +91,6 @@ class GeneratingTriple(NamedTuple):
         return [self.x.encode(), self.y.encode(), self.xy.encode()]
 
 
-class SigmaSet:
-    """Union of all conjugates of <x>, <y>, <xy> for one generating triple:
-    a byte per element of the group, in enumeration order, 1 on a member."""
-
-    __slots__ = ("mask", "_group", "_members")
-
-    def __init__(self, mask: bytearray, group: QuotientGroup) -> None:
-        self.mask = mask
-        self._group = group
-        self._members: frozenset[bytes] | None = None
-
-    @property
-    def members(self) -> frozenset[bytes]:
-        """The label keys of the members, built on first read."""
-        if self._members is None:
-            self._members = frozenset(compress(self._group.label_keys, self.mask))
-        return self._members
-
-    def __len__(self) -> int:
-        return self.mask.count(1)
-
-    def __contains__(self, x: Portrait | bytes) -> bool:
-        i = self._group._locate(bytes(x.labels if isinstance(x, Portrait) else x))
-        return i is not None and bool(self.mask[i])
-
-
 def cyclic_powers(x: Portrait) -> list[Portrait]:
     """x, x^2, ... up to, not including, the first identity power."""
     powers = []
@@ -128,9 +101,13 @@ def cyclic_powers(x: Portrait) -> list[Portrait]:
     return powers
 
 
-def cyclic_subgroup(group: QuotientGroup, x: Portrait) -> SubgroupHandle:
-    """The cyclic subgroup <x> as a handle."""
-    return SubgroupHandle((group.identity, *cyclic_powers(x)))
+def cyclic_subgroup(group: QuotientGroup, x: Portrait) -> Subset:
+    """The cyclic subgroup <x>: the identity and the positions of the powers."""
+    mask = bytearray(len(group))
+    mask[0] = 1
+    for w in cyclic_powers(x):
+        mask[group._position(w.labels)] = 1
+    return Subset(mask, group)
 
 
 def subgroup_conjugation_orbit(
@@ -142,19 +119,24 @@ def subgroup_conjugation_orbit(
     x = max(sorted(map(group.element, members)), key=Portrait.order)
     if cyclic_subgroup(group, x).keys != members:
         raise ValueError("conjugation orbits are taken of cyclic subgroups only")
-    orbit = (cyclic_subgroup(group, y).keys for y in group.conjugacy_class(x))
+    # Each <y> as its label keys, with no mask over the group per conjugate.
+    one = group.identity
+    orbit = (
+        frozenset(w.labels for w in (one, *cyclic_powers(y))) for y in group.conjugacy_class(x)
+    )
     return list(dict.fromkeys(orbit))
 
 
-def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> SigmaSet:
-    """Sigma of a triple: the identity and the classes of the powers of x,
-    y, xy, by one conjugation walk from every nontrivial power."""
+def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> Subset:
+    """Sigma of a triple, the union of all conjugates of <x>, <y>, <xy>: the
+    identity and the classes of the powers of x, y, xy, by one conjugation
+    walk from every nontrivial power."""
     with metrics.stage("sigma set") as counts:
         mask = bytearray(len(group))
         mask[0] = 1  # the identity
         powers = chain.from_iterable(map(cyclic_powers, triple.members()))
         _orbits(*group._conjugation_tables(), (group._position(w.labels) for w in powers), mask)
-        sigma = SigmaSet(mask, group)
+        sigma = Subset(mask, group)
         counts["members"] = len(sigma)
     return sigma
 
@@ -253,12 +235,9 @@ def is_beauville_pair(
         cert.verdict = "verified"
     else:
         cert.verdict = "refuted"
-        both = common.to_bytes(len(group), "little")
-        witness = min(compress(group.label_keys, both))
-        cert.witnesses["common_element"] = group.element(witness).encode()
-        cert.check(
-            "intersection_trivial", False, f"{both.count(1)} nontrivial common elements"
-        )
+        both = Subset(common.to_bytes(len(group), "little"), group)
+        cert.witnesses["common_element"] = Portrait(group.shape, min(both.keys)).encode()
+        cert.check("intersection_trivial", False, f"{len(both)} nontrivial common elements")
     return cert
 
 

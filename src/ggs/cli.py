@@ -347,7 +347,7 @@ def cmd_sigma(args) -> int:
         probe = parse_word(args.contains, group)
         doc["contains"] = {args.contains: probe in s}
     if args.dump:
-        doc["members"] = sorted(group.element(k).encode() for k in s.members)
+        doc["members"] = sorted(x.encode() for x in s)
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", _render_report(doc), args)
     return 0
 

@@ -109,12 +109,15 @@ class Portrait:
         self._perm: tuple[int, ...] | None = None
 
     @classmethod
-    def _raw(cls, shape: TreeShape, labels: bytes) -> "Portrait":
-        # Internal constructor: labels already reduced mod p.
+    def _raw(
+        cls, shape: TreeShape, labels: bytes, perm: tuple[int, ...] | None = None
+    ) -> "Portrait":
+        # Internal constructor: labels already reduced mod p, perm (when
+        # given) their vertex permutation.
         self = object.__new__(cls)
         self.shape = shape
         self.labels = labels
-        self._perm = None
+        self._perm = perm
         return self
 
     @classmethod

@@ -4,9 +4,9 @@ The level-n quotient is the image of the group in the automorphisms of the
 depth-n tree.  It splits as G_n = <a> x| H with H = st(1)/st(n).  The last
 layer L = (st(n-1) & st(1))/st(n) is an F_p-space: left multiplication by
 its elements only adds labels at depth n-1.  So the enumeration
-(_walk_queue) walks H modulo st(n-1), spans L from the Schreier generators,
-and writes each label column of G as joins of L's column shifted by the
-representatives' labels, with no product and no sum.
+(_enumerate_columns) walks H modulo st(n-1), spans L from the Schreier
+generators, and writes each label column of G as joins of L's column
+shifted by the representatives' labels, with no product and no sum.
 Exponent-sum coordinates are carried along; for n >= 2 they map G onto
 G/G' = C_p x C_p, so the derived subgroup, the p + 1 maximal subgroups and
 generation are all read off them (lines()), and the Frattini subgroup G'G^p
@@ -28,23 +28,26 @@ on those bases: a class is an element of G/L = G_(n-1), named by its
 permutation row, so its orbit is walked on the rows.  Enumeration
 indices are computed, not looked up: _locator reads a key's index off its
 top and its coordinates in L, and _table the index of the image of every
-element under a product or conjugation, one power class at a time.  Each
-group map is such a table, and two walks read them: _walk for the normal
-closure, _orbits for conjugacy classes, Sigma sets and class orbits.  The
+element under a product or conjugation, one power class at a time.  The
+conjugation tables are walked by _orbits for conjugacy classes, Sigma
+sets and class orbits; the normal closure steps from each element it
+finds by a product with each seed and by the two tables.  Subgroups and
+Sigma sets are Subsets, a byte per element in enumeration order.  The
 label keys (one bytes object per element) are split from a transient row
-buffer on first read, and the interned Portrait elements built on the
-first read of `elements`, or one at a time through `element`.  The order
-formula and the element budget it guards live in generators.
+buffer on first read, and the Portrait elements built on the first read of
+`elements`, or one at a time by index (_at).  The order formula and the
+element budget it guards live in generators.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from collections import Counter
 from functools import cached_property, lru_cache, partial, reduce as fold, wraps
 from itertools import accumulate, chain, compress, count, cycle, repeat
-from operator import add, attrgetter, getitem, mul, or_
+from operator import add, getitem, itemgetter, mul, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, cast
 
@@ -63,7 +66,7 @@ from .parallel import pmap
 from .portrait import Portrait, TreeShape, commutator, make_a, make_b, tree_shape
 
 __all__ = [
-    "SubgroupHandle",
+    "Subset",
     "QuotientGroup",
     "coordinate_line",
     "enumerate_quotient",
@@ -117,48 +120,47 @@ def stage(fn: F) -> F:
     return cast(F, memo)
 
 
-class SubgroupHandle:
-    """A subgroup of an enumerated quotient: its members and their keys."""
+class Subset:
+    """A subset of an enumerated quotient (a subgroup, a Sigma set): mask
+    holds a byte per element in enumeration order, 1 on a member.  It keeps
+    the group's label columns, locator and shape, not the group, so that a
+    memoised subset does not keep its group alive."""
 
-    def __init__(self, elements: tuple[Portrait, ...]):
-        self.elements = elements  # distinct, so len() counts them
+    def __init__(self, mask: bytes | bytearray, group: "QuotientGroup"):
+        self.mask = mask
+        self._cols, self._locate, self._shape = group.cols, group._locate, group.shape
+
+    def _keys(self) -> Iterator[bytes]:
+        """The label keys of the members in enumeration order: one scan of
+        the mask, then one gather per column."""
+        at = [m.start() for m in re.finditer(b"\1", self.mask)]
+        # itemgetter of one index returns the item, not a tuple, and of none
+        # is refused: a slice covers both
+        get = itemgetter(*at) if at[1:] else itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
+        columns = [bytes(get(column)) for column in self._cols]
+        return _split(_rows(columns, len(at)), self._shape.internal_count)
 
     @cached_property
     def keys(self) -> frozenset[bytes]:
-        """The label keys of the members, built on first read."""
-        return frozenset(map(attrgetter("labels"), self.elements))
+        """The label keys of the members, gathered on first read."""
+        return frozenset(self._keys())
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.mask.count(1)
 
     def __iter__(self) -> Iterator[Portrait]:
-        return iter(self.elements)
+        """The members in enumeration order."""
+        return map(Portrait._raw, repeat(self._shape), self._keys())
 
     def __contains__(self, x: Portrait | bytes) -> bool:
-        key = x.labels if isinstance(x, Portrait) else x
-        return key in self.keys
+        i = self._locate(bytes(x.labels if isinstance(x, Portrait) else x))
+        return i is not None and bool(self.mask[i])
 
 
 # A group map on a power class: from the class's vertex permutation, the
 # sources and the row for which label u of each image is label sources[u]
 # of the member plus row[u] mod p (see _table).
 ClassMap = Callable[[bytes], tuple[Sequence[int], bytes]]
-
-
-def _walk(tables: Sequence[array]) -> list[int]:
-    """Enumeration indices of the elements reachable from 1 under the maps
-    whose index tables are given (_table), in discovery order, 1 first:
-    element-major, step-minor, as a walk taking one element and one step
-    at a time finds them."""
-    found, seen = [0], bytearray(len(tables[0]))
-    seen[0] = 1
-    for i in found:  # grows while it is read: breadth-first order
-        for table in tables:
-            j = table[i]
-            if not seen[j]:
-                seen[j] = 1
-                found.append(j)
-    return found
 
 
 def _orbits(
@@ -273,13 +275,6 @@ def _eliminate(
     pivot_columns = {c for c, _ in pivots}
     rest = (ints[j] for j in range(len(layer)) if j not in pivot_columns)
     return digits + [_reduced(v, width, reduce) for v in rest]
-
-
-def _times(g: Portrait) -> ClassMap:
-    """x -> x*g: label u is l_x(u) + l_g(pi(u)), pi the class's permutation,
-    so the sources are the vertices themselves and the row is l_g o pi."""
-    by_label = _vertex_table(g.labels)
-    return lambda perm: (range(len(perm)), perm.translate(by_label))
 
 
 def _conjugation(c: Portrait) -> ClassMap:
@@ -657,13 +652,6 @@ def _stabilizer_steps(a: Portrait, b: Portrait) -> list[tuple[Portrait, int]]:
     return [(b.conjugate_by(a**j), 1) for j in range(a.shape.p)]
 
 
-def _interned(shape: TreeShape, key: bytes, perm: tuple[int, ...]) -> Portrait:
-    """The element with label key, carrying its vertex permutation perm."""
-    x = object.__new__(Portrait)
-    x.shape, x.labels, x._perm = shape, key, perm
-    return x
-
-
 def _locator(group: "QuotientGroup", tops: dict[bytes, int]) -> Callable[[bytes], int | None]:
     """The enumeration index of a label key, None when it is no element.
 
@@ -747,7 +735,7 @@ class QuotientGroup:
         self.identity = Portrait.identity(self.shape)
         self.identity.vertex_perm()
         with metrics.stage("enumeration") as counts:
-            walked = self._walk_queue(n, budget, predicted)
+            walked = self._enumerate_columns(n, budget, predicted)
             self.cols, self._perms, self.coords, self.layer_basis, self.layer_span = walked[:5]
             self._tops = walked[5]  # the number of each top, for _locate
             counts["elements"] = len(self)
@@ -759,12 +747,9 @@ class QuotientGroup:
             (row.index(1, cut) - cut, row[cut:].translate(_mul_tables(vector.p)[-1]))
             for row, _ in self.layer_basis
         ]
-        # Elements built one at a time by index, before `elements` is; the
-        # full tuple takes these objects over, so each element stays one.
-        self._made: dict[int, Portrait] = {0: self.identity}
         self._stages: dict[str, object] = {}  # the store of every @stage method
 
-    def _walk_queue(
+    def _enumerate_columns(
         self, n: int, budget: int, predicted: int | str | None
     ) -> tuple[
         tuple[bytes, ...],
@@ -860,12 +845,6 @@ class QuotientGroup:
         built on the first lookup: a collision scan makes none."""
         return _locator(self, self._tops)
 
-    @property
-    def rows(self) -> bytes:
-        """The label rows in enumeration order, m bytes per element: a view
-        written from the columns on each read, not kept."""
-        return bytes(_rows(self.cols, len(self)))
-
     @cached_property
     def label_keys(self) -> tuple[bytes, ...]:
         """The label key of every element, in enumeration order: a transient
@@ -901,27 +880,21 @@ class QuotientGroup:
 
     @cached_property
     def elements(self) -> tuple[Portrait, ...]:
-        """Every element as an interned Portrait carrying its vertex
-        permutation, in enumeration order, the identity first; built from
-        the label keys on first read.  The members of a power class share one
-        permutation tuple."""
+        """Every element as a Portrait carrying its vertex permutation, in
+        enumeration order, the identity first; built from the label keys on
+        first read.  The members of a power class share one permutation
+        tuple."""
         shape = self.shape
         perms = Struct(f"{shape.internal_count}B").iter_unpack(self._perms)
         shared = chain.from_iterable(map(repeat, perms, repeat(self.class_size)))
-        elements = list(map(_interned, repeat(shape), self.label_keys, shared))
-        for i, x in self._made.items():
-            elements[i] = x
-        return tuple(elements)
+        return tuple(map(Portrait._raw, repeat(shape), self.label_keys, shared))
 
     def _at(self, i: int) -> Portrait:
-        """The interned element at enumeration index i; built alone when
-        `elements` has not been read."""
+        """The element at enumeration index i, carrying its vertex
+        permutation; built alone when `elements` has not been read."""
         if "elements" in vars(self):
             return self.elements[i]
-        x = self._made.get(i)
-        if x is None:
-            x = self._made[i] = _interned(self.shape, self._key(i), tuple(self._perm_row(i)))
-        return x
+        return Portrait._raw(self.shape, self._key(i), tuple(self._perm_row(i)))
 
     def _position(self, key: bytes | str) -> int:
         """Enumeration index of the element with the given label key or text
@@ -934,7 +907,7 @@ class QuotientGroup:
         return i
 
     def element(self, key: bytes | str) -> Portrait:
-        """The interned element with the given label key or text encoding."""
+        """The element with the given label key or text encoding."""
         return self._at(self._position(key))
 
     def left_positions(self, x: Portrait, stop: int) -> array:
@@ -1006,26 +979,30 @@ class QuotientGroup:
             by_a.frombytes((head + r * size * ones).to_bytes(size * _SLOT, sys.byteorder))
         return by_a, _table(self, _conjugation(self.b), len(self))
 
-    def normal_closure(self, seeds: Iterable[Portrait]) -> SubgroupHandle:
+    def normal_closure(self, seeds: Iterable[Portrait]) -> Subset:
         """Smallest normal subgroup containing the seeds.
 
-        One walk from 1 under x -> x*s for each seed s, then x -> x^a and
-        x -> x^b, each a _table.  The group is finite, so x -> x^(g^-1) is a
+        One walk from 1: each element x it finds steps to x*s for each seed
+        s, a product and a _position, and to x^a and x^b, read off the
+        conjugation tables.  The group is finite, so x -> x^(g^-1) is a
         power of x -> x^g and the walked set also holds
         x * s^g = (x^(g^-1) * s)^g; by induction it is closed under right
         multiplication by every conjugate of every seed, which generate the
-        normal closure.  A repeated or trivial seed adds a table but no
-        element, and leaves the discovery order as it is.
+        normal closure.  Only the products of its members are formed.
         """
-        tables = [*(_table(self, _times(s), len(self)) for s in seeds), *self._conjugation_tables()]
-        return SubgroupHandle(tuple(map(self._at, _walk(tables))))
-
-    def _subgroup(self, mask: bytes) -> SubgroupHandle:
-        """The elements mask selects (a byte each, 1 to select), each by _at."""
-        return SubgroupHandle(tuple(map(self._at, compress(count(), mask))))
+        seeds, (by_a, by_b) = list(seeds), self._conjugation_tables()
+        found, seen = [0], bytearray(len(self))
+        seen[0] = 1
+        for i in found:  # grows while it is read
+            x = self._at(i)
+            for j in (*(self._position((x * s).labels) for s in seeds), by_a[i], by_b[i]):
+                if not seen[j]:
+                    seen[j] = 1
+                    found.append(j)
+        return Subset(seen, self)
 
     @stage
-    def derived_subgroup(self) -> SubgroupHandle:
+    def derived_subgroup(self) -> Subset:
         """G', in enumeration order: the elements on line p + 1, at (0, 0).
 
         For n >= 2 the coordinates map G onto C_p x C_p, so their kernel K
@@ -1042,17 +1019,18 @@ class QuotientGroup:
         images of a and b, both of order p, so |G:G'| <= p^2.  Hence K = G'.
         At level 1 the quotient is <a> = C_p, abelian, so G' = 1.
         """
-        mask = bytes([1]) if self.coords is None else self.line_mask(self.vector.p + 1)
-        return self._subgroup(mask)
+        if self.coords is None:
+            return Subset(bytes([1]).ljust(len(self), b"\0"), self)
+        return Subset(self.line_mask(self.vector.p + 1), self)
 
     @stage
-    def center(self) -> SubgroupHandle:
+    def center(self) -> Subset:
         """The elements fixed by conjugation with a and with b."""
         by_a, by_b = self._conjugation_tables()
-        return self._subgroup(bytes(x == i == y for i, x, y in zip(count(), by_a, by_b)))
+        return Subset(bytes(x == i == y for i, x, y in zip(count(), by_a, by_b)), self)
 
     @stage
-    def stabilizer_derived(self) -> SubgroupHandle:
+    def stabilizer_derived(self) -> Subset:
         """st(1)', the derived subgroup of the first-level stabilizer: the
         normal closure of the [b, b^(a^k)] for k = 1..p-1.
 
@@ -1067,7 +1045,7 @@ class QuotientGroup:
         return self.normal_closure(seeds)
 
     @stage
-    def maximal_subgroups(self) -> list[SubgroupHandle]:
+    def maximal_subgroups(self) -> list[Subset]:
         """The p+1 maximal subgroups <a, G'>, <b, G'>, <ab^i, G'> for n >= 2,
         in the order of coordinate_line: each holds the elements on its
         line, in enumeration order.
@@ -1078,11 +1056,11 @@ class QuotientGroup:
         if self.shape.n < 2:
             raise ValueError("maximal subgroups are tabulated for levels >= 2")
         p = self.vector.p
-        return [self._subgroup(self.line_mask(j, p + 1)) for j in range(p + 1)]
+        return [Subset(self.line_mask(j, p + 1), self) for j in range(p + 1)]
 
     def conjugacy_class(self, x: Portrait) -> tuple[Portrait, ...]:
-        """Orbit of x under conjugation, in discovery order, as interned
-        elements (which already carry their vertex permutations)."""
+        """Orbit of x under conjugation, in discovery order, as elements
+        carrying their vertex permutations."""
         by_a, by_b = self._conjugation_tables()
         orbit = _orbits(by_a, by_b, [self._position(x.labels)], bytearray(len(self)))
         return tuple(map(self._at, orbit))

@@ -25,7 +25,10 @@ coordinates rather than one point at a time, and the commutators [x, g] are
 formed for every element g rather than read off the conjugacy class of x,
 and the quotient's label rows are laid out row-major, one block of rows per
 top representative with the cosets of st(1) copied from it, rather than
-written one label column at a time.
+written one label column at a time.  A walk over `quotient._table`s of
+arbitrary right products and conjugations (`table_closure`) keeps an
+oracle for the class kernel under right products, which the package's own
+closure no longer builds tables of.
 The claims' domains are restated guard by guard (`parent_refuses`), as the
 verifiers once wrote them, rather than read off the registry.
 """
@@ -333,6 +336,36 @@ def brute_normal_closure(
                 gens.append(c)
                 members = brute_generated(group, gens)
     return frozenset(members)
+
+
+def times(g: Portrait):
+    """The class map of x -> x*g for quotient._table: label u is
+    l_x(u) + l_g(pi(u)), pi the class's permutation, so the sources are the
+    vertices themselves and the row is l_g o pi."""
+    by_label = bytes(g.labels).ljust(256, b"\0")
+    return lambda perm: (range(len(perm)), perm.translate(by_label))
+
+
+def table_walk(tables: Sequence[Sequence[int]]) -> list[int]:
+    """Indices reachable from 0 under the maps i -> table[i], in discovery
+    order: element-major, step-minor, one element and one step at a time."""
+    found, seen = [0], {0}
+    for i in found:  # grows while it is read
+        for table in tables:
+            if table[i] not in seen:
+                seen.add(table[i])
+                found.append(table[i])
+    return found
+
+
+def table_closure(
+    group: QuotientGroup, seeds: list[Portrait], conjugators: list[Portrait]
+) -> frozenset[bytes]:
+    """The label keys of the walk from 1 under x -> x*s for the seeds and
+    x -> x^c for the conjugators, each a whole-group quotient._table."""
+    steps = [*map(times, seeds), *map(quotient._conjugation, conjugators)]
+    found = table_walk([quotient._table(group, step, len(group)) for step in steps])
+    return frozenset(map(group.label_keys.__getitem__, found))
 
 
 def queue_walk(

@@ -164,12 +164,12 @@ def test_sigma_matches_brute_oracle(gs_g2, e10_g2):
                 pairs.append((x, y))
         for x, y in pairs:
             t = GeneratingTriple.make(group, x, y)
-            assert sigma_set(t, group).members == brute_sigma(group, x, y)
+            assert sigma_set(t, group).keys == brute_sigma(group, x, y)
 
 
 def test_sigma_matches_brute_oracle_depth_three(gs_g3):
     t = GeneratingTriple.make(gs_g3, gs_g3.a, gs_g3.b)
-    assert sigma_set(t, gs_g3).members == brute_sigma(gs_g3, gs_g3.a, gs_g3.b)
+    assert sigma_set(t, gs_g3).keys == brute_sigma(gs_g3, gs_g3.a, gs_g3.b)
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +222,7 @@ def test_sigma_masks_and_pair_verdicts_match_brute_intersection(p, n, data):
     t1, t2 = GeneratingTriple.make(group, x1, y1), GeneratingTriple.make(group, x2, y2)
     for t, brute in ((t1, brute1), (t2, brute2)):
         s = sigma_set(t, group)
-        assert s.members == brute
+        assert s.keys == brute
         assert len(s) == len(brute)
     cert = is_beauville_pair(t1, t2, group)
     common = (brute1 & brute2) - {group.identity.labels}
@@ -246,16 +246,16 @@ def test_sigma_invariants(gs_g2, e10_g2):
                 assert w in s
                 w = w * z
         # closed under conjugation
-        for k in s.members:
+        for k in s.keys:
             for g in (group.a, group.b):
-                assert (g.inverse() * group.element(k) * g).labels in s.members
+                assert (g.inverse() * group.element(k) * g).labels in s.keys
         # symmetric in the pair and invariant under conjugating the pair
         t_swapped = GeneratingTriple.make(group, y, x)
-        assert sigma_set(t_swapped, group).members == s.members
+        assert sigma_set(t_swapped, group).keys == s.keys
         g = rng.choice(elements)
         gi = g.inverse()
         t_conj = GeneratingTriple.make(group, gi * x * g, gi * y * g)
-        assert sigma_set(t_conj, group).members == s.members
+        assert sigma_set(t_conj, group).keys == s.keys
 
 
 def test_signature_disjointness_equals_literal_intersection(gs_g2, e10_g2):
@@ -273,7 +273,7 @@ def test_signature_disjointness_equals_literal_intersection(gs_g2, e10_g2):
                 sig_disjoint = not (
                     triple_signature(group, t1) & triple_signature(group, t2)
                 )
-                common = sigma_set(t1, group).members & sigma_set(t2, group).members
+                common = sigma_set(t1, group).keys & sigma_set(t2, group).keys
                 literally_trivial = common == {group.identity.labels}
                 assert sig_disjoint == literally_trivial
 

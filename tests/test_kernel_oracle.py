@@ -8,8 +8,8 @@ up to depth 5 and up to the largest supported prime, 127.  The reference
 batched left product (`reference.left_products`), which forms x*y for
 every element y of a quotient from its label columns, is checked the same
 way, and so are the maps of a power class (elements sharing their labels
-above the last level, and so one vertex permutation) that the subgroup
-walks and class tables run through: right products by one element and
+above the last level, and so one vertex permutation) that the class tables
+run through: right products by one element (`reference.times`) and
 conjugates by one element, with the whole-group tables of x -> x^a and
 x -> x^b built from them, and the batched p-power chains of a class.  The last-layer span
 that the enumeration and the collision scan's premise add rows to is
@@ -49,8 +49,6 @@ from ggs.quotient import (
     _locator,
     _rows,
     _table,
-    _times,
-    _walk,
     p_power_chains,
 )
 
@@ -61,6 +59,8 @@ from reference import (
     moved,
     naive_compose,
     naive_order,
+    table_closure,
+    times,
 )
 from test_cli import run_cli
 
@@ -204,7 +204,7 @@ def test_right_product_columns_match_naive_compose(p, n, data):
     xs = data.draw(power_classes(p, n))
     g = data.draw(portraits(p, n))
     m = xs[0].shape.internal_count
-    label_rows = _mapped_rows(xs, _times(g))
+    label_rows = _mapped_rows(xs, times(g))
     assert len(label_rows) == len(xs) * m
     for j, x in enumerate(xs):
         assert label_rows[j * m : (j + 1) * m] == naive_compose(x, g).labels
@@ -495,7 +495,7 @@ def _step(kind: str, g: Portrait):
     """The class map of x -> x*g, x -> g*x or x -> x^g, and the map on one
     element formed by plain composition."""
     if kind == "times":
-        return _times(g), lambda x: naive_compose(x, g)
+        return times(g), lambda x: naive_compose(x, g)
     if kind == "left":
         return (lambda perm: (g.vertex_perm(), g.labels)), lambda x: naive_compose(g, x)
     return _conjugation(g), lambda x: naive_compose(naive_compose(g.inverse(), x), g)
@@ -539,10 +539,8 @@ def test_normal_closure_matches_brute_closure_on_random_vectors(group, data):
     expected = brute_normal_closure(group, seeds, [group.a, group.b])
     assert group.normal_closure(seeds).keys == expected
     conjugators = data.draw(st.lists(pick, min_size=1, max_size=2))
-    steps = [*map(_times, seeds), *map(_conjugation, conjugators)]
-    found = _walk([_table(group, step, len(group)) for step in steps])
     expected = brute_normal_closure(group, seeds, conjugators)
-    assert frozenset(map(group.label_keys.__getitem__, found)) == expected
+    assert table_closure(group, seeds, conjugators) == expected
 
 
 def _solve_plainly(basis: list[bytes], v: list[int], p: int) -> list[int] | None:

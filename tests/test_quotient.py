@@ -44,6 +44,9 @@ from reference import (
     greedy_generators,
     queue_walk,
     row_major_layout,
+    table_closure,
+    table_walk,
+    times,
 )
 
 
@@ -185,12 +188,13 @@ def test_cosets_of_st1_are_h_with_the_root_label_set(p, e, n):
     # Index r*|H| + i holds h_i * a^r: the labels of h_i with root label r.
     group = enumerate_quotient(DefiningVector(p, e), n)
     m, size = group.shape.internal_count, len(group) // p
-    head = group.rows[: size * m]
+    rows = quotient._rows(group.cols, len(group))
+    head = rows[: size * m]
     assert not any(head[::m])
     for r in range(1, p):
         coset = bytearray(head)
         coset[::m] = bytes([r]) * size
-        assert group.rows[r * size * m : (r + 1) * size * m] == coset
+        assert rows[r * size * m : (r + 1) * size * m] == coset
 
 
 # SHA-256 digests of the label rows and the permutation rows: fixed bytes,
@@ -218,7 +222,8 @@ ROW_DIGESTS = {
 @pytest.mark.parametrize("p,e,n", list(ROW_DIGESTS))
 def test_rows_match_their_pinned_digests(p, e, n):
     group = enumerate_quotient(DefiningVector(p, e), n)
-    digests = (hashlib.sha256(group.rows).hexdigest(), hashlib.sha256(group._perms).hexdigest())
+    rows = quotient._rows(group.cols, len(group))
+    digests = (hashlib.sha256(rows).hexdigest(), hashlib.sha256(group._perms).hexdigest())
     assert digests == ROW_DIGESTS[p, e, n]
 
 
@@ -234,7 +239,7 @@ def test_column_store_read_row_wise_matches_the_row_major_layout(data):
     n = data.draw(st.integers(1, 3))
     assume(p ** quotient._guard_exponent(v, n) <= 3**10)
     group = enumerate_quotient(v, n)
-    assert group.rows == row_major_layout(group)
+    assert quotient._rows(group.cols, len(group)) == row_major_layout(group)
 
 
 @settings(max_examples=15, deadline=None)
@@ -267,12 +272,12 @@ def test_elements_are_built_from_the_rows(p, e, n):
     elements = group.elements
     assert [x.labels for x in elements] == list(group.label_keys)
     assert {x.labels for x in elements} == {x.labels for x in expected}
-    assert elements[0] is group.identity
-    assert elements[middle] is early
+    assert elements[0] == group.identity
+    assert elements[middle] == early and early._perm == elements[middle]._perm
     for x in elements:
         assert x._perm == Portrait(x.shape, x.labels).vertex_perm()
     for i in range(0, len(group), max(1, len(group) // 500)):
-        assert group.element(elements[i].labels) is elements[i]
+        assert group.element(elements[i].labels) == elements[i]
 
 
 @settings(max_examples=12, deadline=None)
@@ -299,25 +304,60 @@ def test_keys_and_index_are_derived_from_the_rows(data):
     failed = quotient.failures(quotient.orders, lambda i, o: False, group, mask) if n > 1 else []
     if n == 3 and not v.periodic:  # at level 2 the scan's centre check looks positions up
         assert verifiers._collision_scan(Certificate("prop-collision", "", {}, "", False), group)
-    assert not {"rows", "label_keys", "elements"} & set(vars(group))
+    assert not {"label_keys", "elements"} & set(vars(group))
     if n > 1:  # a power class has more than one member, so only rows are len(group) * m long
         held = [*vars(group).values(), *group._stages.values()]
         assert not [x for x in held if isinstance(x, (bytes, bytearray)) and len(x) == len(group) * m]
-    assert len(group) == len(group.rows) // m
-    assert group.cols == tuple(group.rows[k::m] for k in range(m))
-    key = group.rows[i * m : (i + 1) * m]
+    rows = quotient._rows(group.cols, len(group))
+    assert len(group) == len(rows) // m
+    assert group.cols == tuple(rows[k::m] for k in range(m))
+    key = bytes(rows[i * m : (i + 1) * m])
     x = group.element(key)  # computed, not looked up
-    assert not {"rows", "label_keys", "elements"} & set(vars(group))
+    assert not {"label_keys", "elements"} & set(vars(group))
     tables = [t for t in vars(group).values() if isinstance(t, dict) and len(t) == len(group)]
     assert n == 1 or not tables  # no dict of every element
-    assert group._position(key) == i and group.element(key) is x
-    assert group.element(early.labels) is early
-    assert b"".join(group.label_keys) == group.rows
+    assert group._position(key) == i and group.element(key) == x
+    assert group.element(early.labels) == early
+    assert b"".join(group.label_keys) == rows
     assert [group._position(k) for k in group.label_keys] == list(range(len(group)))
     assert len(group) == len(group.label_keys)
     if n > 1:
         assert [i for i, _ in failed] == list(compress(range(len(group)), mask))
-    assert group.elements[i] is x and group.elements[j] is early
+    assert group.elements[i] == x and group.elements[j] == early
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_subset_matches_brute_sets_of_label_keys(data):
+    # A Subset against the brute set of its label keys, on random quotients
+    # and masks of no, one and many members: its size, its keys (gathered
+    # for the members alone), its members in enumeration order, and
+    # membership of members, non-members and keys of the wrong length.
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+    assume(any(e))
+    v = DefiningVector(p, tuple(e))
+    n = data.draw(st.integers(1, 3))
+    assume(p ** quotient._guard_exponent(v, n) <= 3**8)
+    group = enumerate_quotient(v, n)
+    keys, size = group.label_keys, len(group)
+    kind = data.draw(st.sampled_from(["none", "one", "many"]))
+    mask = bytearray(size)
+    if kind == "one":
+        mask[data.draw(st.integers(0, size - 1))] = 1
+    elif kind == "many":
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        mask = bytearray(rng.getrandbits(1) for _ in range(size))
+    subset = quotient.Subset(bytes(mask), group)
+    members = list(compress(keys, mask))
+    assert len(subset) == len(members)
+    assert subset.keys == frozenset(members)
+    assert [x.labels for x in subset] == members
+    probe = {*range(0, size, max(1, size // 200)), *list(compress(range(size), mask))[:50]}
+    for i in probe:
+        assert (keys[i] in subset) == (group._at(i) in subset) == bool(mask[i])
+    for bad in (keys[-1] + b"\0", keys[-1][:-1], bytes([p]) + keys[-1][1:]):
+        assert bad not in subset
 
 
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
@@ -357,8 +397,7 @@ def test_one_permutation_row_per_power_class(p, e, n):
     for k in random.Random(p * n).sample(range(len(group)), min(len(group), 200)):
         x = Portrait(group.shape, group.label_keys[k])
         assert group._perm_row(k) == bytes(x.vertex_perm())
-    # The identity, built before the elements, keeps its own tuple.
-    assert len({id(x._perm) for x in group.elements}) <= len(group) // size + 1
+    assert len({id(x._perm) for x in group.elements}) == len(group) // size
 
 
 @pytest.mark.parametrize("p,e,n", WALK_CASES)
@@ -601,7 +640,7 @@ def test_center(gs_g2, gs_g3, e10_g2):
         assert len(z) == size
         assert group.identity in z
         a, b = group.a, group.b
-        assert z.elements == tuple(x for x in group if x * a == a * x and x * b == b * x)
+        assert list(z) == [x for x in group if x * a == a * x and x * b == b * x]
     assert sorted(x.encode() for x in e10_g2.center()) == [
         "3,2:0,0,0,0",
         "3,2:0,1,1,1",
@@ -919,10 +958,9 @@ def _conjugation(c: Portrait):
 def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, stride):
     """Walks over index tables, each built a power class at a time, find
     elements in the order of a walk that takes one element and one step at
-    a time: element-major, step-minor.  The normal closure of [a, b] in
-    e10_g3 (6561 elements) spans many classes.  The derived subgroup is
-    read off the coordinates, in enumeration order.  Conjugacy classes are
-    checked at about 40 sampled elements of e10_g3, or at every
+    a time: element-major, step-minor.  The derived subgroup is read off
+    the coordinates, in enumeration order.  Conjugacy classes are checked
+    at about 40 sampled elements of e10_g3 (6561 elements), or at every
     `stride`-th element of two smaller groups."""
     groups = [e10_g3]
     if stride is not None:
@@ -930,15 +968,11 @@ def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, stride):
     for group in groups:
         a, b, one = group.a, group.b, group.identity
         by_a, by_b = _conjugation(a), _conjugation(b)
-        s = commutator(a, b)
-        expected = element_walk([one], [lambda x: x * s, by_a, by_b])
-        assert [x.labels for x in group.normal_closure([s])] == expected
         derived = group.derived_subgroup()
         assert [x.labels for x in derived] == [x.labels for x in group if x in derived]
         # Arbitrary steps, each twice: a repeated table adds no element.
-        steps = [quotient._times(b), quotient._times(b)]
-        steps += [quotient._conjugation(a * b), quotient._conjugation(a * b)]
-        closure = quotient._walk([quotient._table(group, step, len(group)) for step in steps])
+        steps = [times(b), times(b), quotient._conjugation(a * b), quotient._conjugation(a * b)]
+        closure = table_walk([quotient._table(group, step, len(group)) for step in steps])
         expected = element_walk([one], [lambda x: x * b, _conjugation(a * b)])
         assert [group.label_keys[i] for i in closure] == expected
         for x in group.elements[:: stride or max(1, len(group) // 40)]:
@@ -981,7 +1015,7 @@ def test_no_nontrivial_class_is_its_own_inverse(p, e, n):
 def test_walks_map_each_power_class_once(p, e, n):
     # Each step's table maps every power class before its stop exactly
     # once, in enumeration order, and the walk over the tables of x -> x*b,
-    # x -> x^a and x -> x^b is the normal closure of b.
+    # x -> x^a and x -> x^b reaches the normal closure of b.
     group = enumerate_quotient(DefiningVector(p, e), n)
     size = group.class_size
     calls: list[tuple[int, bytes]] = []
@@ -994,43 +1028,45 @@ def test_walks_map_each_power_class_once(p, e, n):
         return counted
 
     a, b = group.a, group.b
-    steps = [quotient._times(b), quotient._conjugation(a), quotient._conjugation(b)]
+    steps = [times(b), quotient._conjugation(a), quotient._conjugation(b)]
     tables = [quotient._table(group, counting(t, s), len(group)) for t, s in enumerate(steps)]
     rows = [group._perm_row(c) for c in range(0, len(group), size)]
     assert calls == [(t, row) for t in range(len(steps)) for row in rows]
     assert list(tables[1]) == list(group._conjugation_tables()[0])
-    found = quotient._walk(tables)
-    assert [x.labels for x in group.normal_closure([b])] == [group.label_keys[i] for i in found]
+    found = {group.label_keys[i] for i in table_walk(tables)}
+    assert group.normal_closure([b]).keys == found
     calls.clear()
     assert len(quotient._table(group, counting(0, steps[0]), size)) == size  # one class
     assert calls == [(0, rows[0])]
 
 
 def test_center_and_stabilizer_derived_build_each_table_once(monkeypatch, gs):
-    # The conjugation tables are built once, the a-table on st(1) alone,
-    # and the closure of st(1)' adds one table per seed [b, b^(a^k)].
+    # The conjugation tables are built once, the a-table on st(1) alone.
+    # The closure of st(1)' builds no table of x -> x*s: it forms the
+    # product of each of its 27 members with each seed [b, b^(a^k)].
     group = enumerate_quotient(gs, 3)
+    a, b, p = group.a, group.b, gs.p
+    seeds = {commutator(b, b.conjugate_by(a**k)).labels for k in range(1, p)}
     stops: list[int] = []
-    table = quotient._table
+    table, mul = quotient._table, Portrait.__mul__
+    products = Counter()
 
     def counted(group, step, stop):
         stops.append(stop)
         return table(group, step, stop)
 
+    def counted_mul(x, y):
+        products[y.labels in seeds] += 1
+        return mul(x, y)
+
     monkeypatch.setattr(quotient, "_table", counted)
     group.center()
-    group.stabilizer_derived()
+    monkeypatch.setattr(Portrait, "__mul__", counted_mul)
+    closure = group.stabilizer_derived()
+    monkeypatch.undo()
     group.conjugacy_classes()
-    p = gs.p
-    assert stops == [len(group) // p, len(group)] + [len(group)] * (p - 1)
-
-
-def _closure(group: quotient.QuotientGroup, seeds: list[Portrait], conjugators: list[Portrait]):
-    """The label keys of the walk from 1 under x -> x*s for the seeds and
-    x -> x^c for the conjugators, each a table of the class kernel."""
-    steps = [*map(quotient._times, seeds), *map(quotient._conjugation, conjugators)]
-    found = quotient._walk([quotient._table(group, step, len(group)) for step in steps])
-    return frozenset(map(group.label_keys.__getitem__, found))
+    assert stops == [len(group) // p, len(group)]
+    assert len(closure) == 27 and products[True] == 27 * (p - 1)
 
 
 def test_normal_closure_matches_reference(gs_g2, gs_g3, e10_g2):
@@ -1041,7 +1077,7 @@ def test_normal_closure_matches_reference(gs_g2, gs_g3, e10_g2):
             assert group.normal_closure(seeds).keys == expected
         for seeds, conjugators in (([b], [a]), ([a], [b]), ([a * b * b], [a * b])):
             expected = brute_normal_closure(group, seeds, conjugators)
-            assert _closure(group, seeds, conjugators) == expected
+            assert table_closure(group, seeds, conjugators) == expected
 
 
 def test_derived_and_stabilizer_commutator_match_reference(gs, gs_g2, gs_g3, e10_g2, e10_g3):
