@@ -14,7 +14,9 @@ subgroups: a nontrivial element common to two Sigma sets exists exactly
 when some cyclic group on one side and some on the other have conjugate
 order-p subgroups (in a finite p-group every nontrivial intersection of
 cyclic subgroups contains both their unique minimal subgroups, which
-therefore coincide).  It is exact and fast enough to exhaust, and every
+therefore coincide).  The socle-orbit id is a class function, so it is
+found once per conjugacy class and read by enumeration index off the
+group's class_column.  It is exact and fast enough to exhaust, and every
 witness it reports is confirmed by the literal pair check, which
 intersects the two Sigma masks.  The test suite
 cross-checks both against brute-force oracles that conjugate by every
@@ -115,15 +117,13 @@ def subgroup_conjugation_orbit(
 ) -> list[frozenset[bytes]]:
     """Orbit of a cyclic subgroup under conjugation: <x>^g = <x^g>, so the
     orbit is the subgroups generated by the class of a generator x, in the
-    class's discovery order."""
+    class's discovery order, which starts at x."""
     x = max(sorted(map(group.element, members)), key=Portrait.order)
-    if cyclic_subgroup(group, x).keys != members:
-        raise ValueError("conjugation orbits are taken of cyclic subgroups only")
     # Each <y> as its label keys, with no mask over the group per conjugate.
-    one = group.identity
-    orbit = (
-        frozenset(w.labels for w in (one, *cyclic_powers(y))) for y in group.conjugacy_class(x)
-    )
+    powers = (cyclic_powers(group._at(i)) for i in group.conjugacy_class(x))
+    orbit = [frozenset(w.labels for w in (group.identity, *ws)) for ws in powers]
+    if orbit[0] != members:
+        raise ValueError("conjugation orbits are taken of cyclic subgroups only")
     return list(dict.fromkeys(orbit))
 
 
@@ -145,39 +145,31 @@ def sigma_set(triple: GeneratingTriple, group: QuotientGroup) -> Subset:
 
 
 @stage
-def _class_numbers(group: QuotientGroup) -> dict[bytes, int]:
-    """The number of each element's conjugacy class, classes in order of
-    first appearance, by label key."""
-    return {y.labels: c for c, cls in enumerate(group.conjugacy_classes()) for y in cls}
-
-
-@stage
 def _socle_data(group: QuotientGroup) -> tuple[list[int], int]:
     """The id of the conjugation orbit of each element's socle subgroup, in
     enumeration order (0 at the identity, whose id is never read), and the
     number of orbits.  Orbits are numbered densely in order of first
     appearance.
 
-    The orbit of <s> is the classes of the powers s^k: <s>^g = <s^g>, and
-    <t> = <s> exactly when t is such a power.  Each orbit is walked once:
-    the walk of the first socle met in it gives its id to the class of
-    every power, so a later socle of any of those classes reads it."""
-    classes = group.conjugacy_classes()
-    class_of = _class_numbers(group)
-    orbit_of: dict[int, int] = {}  # socle class -> id
-    ids: list[int] = []
-    count = 0
-    for s in map_power_classes(socles, group):
-        if s is None:
-            ids.append(0)
-            continue
-        c = class_of[s]
-        if c not in orbit_of:
-            for w in cyclic_powers(classes[c][0]):
-                orbit_of[class_of[w.labels]] = count
+    The id is a class function, as <s>^g = <s^g>: it is found for the first
+    member of each class, its least index, and spread over class_column.
+    The orbit of <s> is the classes of the powers s^k, as <t> = <s> exactly
+    when t is such a power.  Each orbit is walked once: the walk of the
+    first socle met in it gives its id to the class of every power, so a
+    later socle of any of those classes reads it."""
+    column, firsts = group.class_column(), bytearray(len(group))
+    for members in group.conjugacy_classes():
+        firsts[members[0]] = 1
+    orbit_of, count = {0: 0}, 0  # socle class -> id; the identity's class reads 0
+    class_ids = []
+    for s in map_power_classes(socles, group, firsts):
+        i = group._position(s) if s else 0
+        if column[i] not in orbit_of:
+            for w in cyclic_powers(group._at(i)):
+                orbit_of[column[group._position(w.labels)]] = count
             count += 1
-        ids.append(orbit_of[c])
-    return ids, count
+        class_ids.append(orbit_of[column[i]])
+    return list(map(class_ids.__getitem__, column)), count
 
 
 def triple_signature(group: QuotientGroup, triple: GeneratingTriple) -> frozenset[int]:
@@ -270,19 +262,19 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     4 of 7 at p = 7.
     """
     ids, _ = _socle_data(group)
-    class_of = _class_numbers(group)
+    column, keys = group.class_column(), group.label_keys
+    least = (min(members, key=keys.__getitem__) for members in group.conjugacy_classes())
     reps = [
         rep
-        for c, rep in enumerate(map(min, group.conjugacy_classes()))
-        if class_of[rep.inverse().labels] >= c
+        for c, rep in enumerate(map(group._at, least))
+        if column[group._position(rep.inverse().labels)] >= c
     ]
-    elements = group.elements
     table: dict[frozenset[int], list[str]] = {}
     if group.coords is None:
         # Level 1: the coordinates do not decide generation, and members of a
         # generating triple may be the identity.
         for rep in reps:
-            for y in elements:
+            for y in group:
                 if group.is_generating_pair(rep, y):
                     sig = triple_signature(group, GeneratingTriple(rep, y, rep * y))
                     if sig not in table:
@@ -310,7 +302,7 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
     # each signature kept, gives the table a scan of every partner in order
     # would.
     p = group.vector.p
-    size = len(elements) // p
+    size = len(group) // p
     cosets = [ids[t * size : (t + 1) * size] for t in range(p)]  # h_i * a^t at i
     js = list(range(size))  # one int object per j, shared by every group
     groups_of: dict[tuple[int, int], list[_PartnerGroup]] = {}  # by (line, coset)
@@ -343,7 +335,7 @@ def _signature_table(group: QuotientGroup) -> dict[frozenset[int], list[str]]:
         records.sort(key=itemgetter(0))
         for k, sig in records:
             if sig not in table:
-                table[sig] = [rep.encode(), elements[k].encode()]
+                table[sig] = [rep.encode(), group._at(k).encode()]
     return table
 
 

@@ -29,14 +29,15 @@ permutation row, so its orbit is walked on the rows.  Enumeration
 indices are computed, not looked up: _locator reads a key's index off its
 top and its coordinates in L, and _table the index of the image of every
 element under a product or conjugation, one power class at a time.  The
-conjugation tables are walked by _orbits for conjugacy classes, Sigma
-sets and class orbits; the normal closure steps from each element it
-finds by a product with each seed and by the two tables.  Subgroups and
-Sigma sets are Subsets, a byte per element in enumeration order.  The
-label keys (one bytes object per element) are split from a transient row
-buffer on first read, and the Portrait elements built on the first read of
-`elements`, or one at a time by index (_at).  The order formula and the
-element budget it guards live in generators.
+conjugation tables are walked by _orbits for conjugacy classes (lists of
+indices, numbered by least index in class_column), Sigma sets and class
+orbits; the normal closure steps from each element it finds by a product
+with each seed and by the two tables.  Subgroups and Sigma sets are
+Subsets, a byte per element in enumeration order.  The label keys (one
+bytes object per element) are split from a transient row buffer on first
+read, and the Portrait elements built on the first read of `elements`, or
+one at a time by index (_at).  The order formula and the element budget it
+guards live in generators.
 """
 
 from __future__ import annotations
@@ -1058,25 +1059,29 @@ class QuotientGroup:
         p = self.vector.p
         return [Subset(self.line_mask(j, p + 1), self) for j in range(p + 1)]
 
-    def conjugacy_class(self, x: Portrait) -> tuple[Portrait, ...]:
-        """Orbit of x under conjugation, in discovery order, as elements
-        carrying their vertex permutations."""
+    def conjugacy_class(self, x: Portrait) -> list[int]:
+        """Enumeration indices of the orbit of x under conjugation, in
+        discovery order (_orbits), x first."""
         by_a, by_b = self._conjugation_tables()
-        orbit = _orbits(by_a, by_b, [self._position(x.labels)], bytearray(len(self)))
-        return tuple(map(self._at, orbit))
+        return _orbits(by_a, by_b, [self._position(x.labels)], bytearray(len(self)))
 
     @stage
-    def conjugacy_classes(self) -> list[tuple[Portrait, ...]]:
-        """All conjugacy classes, in order of first appearance, each in
-        discovery order (_orbits): every class is walked on one shared mask."""
-        elements, (by_a, by_b) = self.elements, self._conjugation_tables()
-        assigned = bytearray(len(elements))
-        classes = []
-        i = 0  # the first element of no class yet
-        while i >= 0:
-            classes.append(tuple(map(elements.__getitem__, _orbits(by_a, by_b, [i], assigned))))
-            i = assigned.find(0, i)
-        return classes
+    def conjugacy_classes(self) -> list[list[int]]:
+        """All conjugacy classes as enumeration indices, in order of their
+        least index, each walked from it in discovery order (_orbits):
+        every class is walked on one shared mask."""
+        tables, assigned = self._conjugation_tables(), bytearray(len(self))
+        return [_orbits(*tables, [i], assigned) for i in range(len(self)) if not assigned[i]]
+
+    @stage
+    def class_column(self) -> array:
+        """The number of each element's class in conjugacy_classes, in
+        enumeration order."""
+        column = array("I", bytes(len(self) * _SLOT))
+        for c, members in enumerate(self.conjugacy_classes()):
+            for i in members:
+                column[i] = c
+        return column
 
     def order_histogram(self) -> dict[int, int]:
         """Element count by order, increasing, read off the p-power chains."""

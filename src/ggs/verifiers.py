@@ -697,7 +697,7 @@ def verify_lemma_center(cert: Certificate, v: DefiningVector, n: int, budget: in
 def _commutator_hits(group: QuotientGroup, x: Portrait, candidates) -> list[bytes]:
     """The sorted keys of the candidates z that are commutators [x, g]: as
     [x, g] = x^-1 x^g, those with x z in the conjugacy class of x."""
-    conjugates = {y.labels for y in group.conjugacy_class(x)}
+    conjugates = set(map(group._key, group.conjugacy_class(x)))
     return sorted(z.labels for z in candidates if (x * z).labels in conjugates)
 
 

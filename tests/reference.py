@@ -528,7 +528,7 @@ def reference_signature_table(group: QuotientGroup) -> dict[frozenset[int], list
     socle_of = dict(zip(group.label_keys, ids))
     table: dict[frozenset[int], list[str]] = {}
     for cls in group.conjugacy_classes():
-        rep = min(cls)
+        rep = min(map(group._at, cls))
         if group.coords is None:
             partners = [y for y in group.elements if group.is_generating_pair(rep, y)]
         else:
@@ -559,7 +559,7 @@ def whole_group_signature_table(group: QuotientGroup) -> dict[frozenset[int], li
     scale = [s * count for s in range(count)]
     partners_of: dict[int, tuple[bytes, list[int], array]] = {}
     for cls in group.conjugacy_classes():
-        rep = min(cls)
+        rep = min(map(group._at, cls))
         line = coordinate_line(*group.coords_of(rep), p)
         if line == p + 1:
             continue
@@ -609,7 +609,7 @@ def search_literal(group: QuotientGroup) -> Certificate:
     one = frozenset([group.identity.labels])
     class_of: dict[bytes, frozenset[bytes]] = {}  # the class of each element, as keys
     for cls in group.conjugacy_classes():
-        keys = frozenset(x.labels for x in cls)
+        keys = frozenset(group._at(i).labels for i in cls)
         class_of.update(dict.fromkeys(keys, keys))
     conjugates: dict[bytes, frozenset[bytes]] = {}
     interned: dict[frozenset[bytes], frozenset[bytes]] = {}

@@ -119,20 +119,37 @@ def test_socle_orbits_match_walk_oracle(p, e, n):
 
 def test_socle_data_walks_each_orbit_once(monkeypatch):
     # p=5 e=(1,4,1,4): 148 socle classes in 37 orbits; one walk of the
-    # powers of a socle names the class of every power.
+    # powers of a socle names the class of every power.  The socle-orbit
+    # id is a class function, so the kernel finds the socle of the first
+    # member of each of the 149 classes alone.
     group = enumerate_quotient(DefiningVector(5, (1, 4, 1, 4)), 2)
-    walks = []
-    powers = beauville.cyclic_powers
+    walks, fed = [], []
+    powers, kernel = beauville.cyclic_powers, beauville.socles
 
     def counted(x):
         walks.append(x)
         return powers(x)
 
+    def counted_socles(shape, columns, runs):
+        fed.append(len(columns[0]))
+        return kernel(shape, columns, runs)
+
     monkeypatch.setattr(beauville, "cyclic_powers", counted)
+    monkeypatch.setattr(beauville, "socles", counted_socles)
     ids, count = _socle_data(group)
     monkeypatch.undo()
     assert len(walks) == count == 37
+    assert sum(fed) == len(group.conjugacy_classes()) == 149
     assert (ids, count) == walk_socle_data(group)
+
+
+@pytest.mark.parametrize("p, e", [(5, (1, 4, 1, 4)), (3, (1, 2))])
+def test_search_builds_no_element_tuple(p, e):
+    # From level 2 on the search reads classes, socles and partners by
+    # enumeration index; only the representatives and the records are built.
+    group = enumerate_quotient(DefiningVector(p, e), 2)
+    search_beauville(group)
+    assert "elements" not in vars(group)
 
 
 def test_generating_triple(gs_g2):
@@ -418,7 +435,7 @@ def test_signature_table_scans_one_class_of_each_inverse_pair(
     # computed once (left_positions), and only the earlier class of each
     # inverse pair is scanned: half of the classes off the Frattini subgroup.
     group = enumerate_quotient(DefiningVector(p, e), n)
-    classes = group.conjugacy_classes()
+    classes = [list(map(group._at, cls)) for cls in group.conjugacy_classes()]
     lines = [quotient.coordinate_line(*group.coords_of(cls[0]), p) for cls in classes]
     assert sum(line != p + 1 for line in lines) == generating
     left_positions = quotient.QuotientGroup.left_positions

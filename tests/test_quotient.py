@@ -902,9 +902,36 @@ def test_conjugacy_classes(gs_g2, gs_g3, e10_g2):
         assert sum(len(c) for c in classes) == len(group)
         for c in classes:
             assert len(group) % len(c) == 0
-        assert [frozenset(x.labels for x in c) for c in classes] == brute_classes(group)
-    assert gs_g2.conjugacy_class(gs_g2.identity) == (gs_g2.identity,)
+        assert [frozenset(group._at(i).labels for i in c) for c in classes] == brute_classes(group)
+    assert gs_g2.conjugacy_class(gs_g2.identity) == [0]
 
+
+
+def _assert_class_column(group):
+    # The column is constant on each class and numbers the classes in order
+    # of their least index, where each class's walk starts; the classes
+    # partition the group as conjugation by every element does.
+    classes, column = group.conjugacy_classes(), group.class_column()
+    assert len(column) == len(group)
+    for c, members in enumerate(classes):
+        assert members[0] == min(members)
+        assert {column[i] for i in members} == {c}
+    assert list(dict.fromkeys(column)) == list(range(len(classes)))
+    keys = group.label_keys
+    assert [frozenset(map(keys.__getitem__, c)) for c in classes] == brute_classes(group)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_class_column_numbers_classes_by_least_index_on_random_vectors(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    e = data.draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+    assume(any(e))
+    v = DefiningVector(p, tuple(e))
+    n = data.draw(st.integers(1, 3))
+    assume(p ** quotient._guard_exponent(v, n) <= 3**7)
+    for level in sorted({1, n}):
+        _assert_class_column(enumerate_quotient(v, level))
 
 def test_order_histogram_and_exponent(gs_g2, gs_g3, e10_g2):
     assert gs_g2.order_histogram() == {1: 1, 3: 26}
@@ -977,13 +1004,13 @@ def test_walks_keep_the_one_at_a_time_order(gs, e10, e10_g3, stride):
         assert [group.label_keys[i] for i in closure] == expected
         for x in group.elements[:: stride or max(1, len(group) // 40)]:
             expected = element_walk([x], [by_a, by_b])
-            assert [y.labels for y in group.conjugacy_class(x)] == expected
+            assert [group._at(i).labels for i in group.conjugacy_class(x)] == expected
         expected, placed = [], set()
         for x in group:
             if x.labels not in placed:
                 expected.append(element_walk([x], [by_a, by_b]))
                 placed.update(expected[-1])
-        assert [[y.labels for y in c] for c in group.conjugacy_classes()] == expected
+        assert [[group._at(i).labels for i in c] for c in group.conjugacy_classes()] == expected
 
 
 @pytest.mark.parametrize("p,e,n", [(3, (1, 2), 3), (5, (1, 4, 1, 4), 2)])
@@ -991,8 +1018,8 @@ def test_class_walks_on_one_shared_mask_match_one_walk_per_class(p, e, n):
     # conjugacy_classes walks every class on the one mask of assigned
     # elements; each class keeps the discovery order of a walk of its own.
     group = enumerate_quotient(DefiningVector(p, e), n)
-    classes = [[x.labels for x in c] for c in group.conjugacy_classes()]
-    alone = [[x.labels for x in group.conjugacy_class(group.element(c[0]))] for c in classes]
+    classes = group.conjugacy_classes()
+    alone = [group.conjugacy_class(group._at(c[0])) for c in classes]
     assert classes == alone
     assert sum(map(len, classes)) == len(group)
 
@@ -1003,7 +1030,7 @@ def test_no_nontrivial_class_is_its_own_inverse(p, e, n):
     # (Burnside): the inverses of a class form another class.  The
     # signature table scans one class of each inverse pair on this fact.
     group = enumerate_quotient(DefiningVector(p, e), n)
-    classes = group.conjugacy_classes()
+    classes = [list(map(group._at, cls)) for cls in group.conjugacy_classes()]
     keys = [frozenset(x.labels for x in cls) for cls in classes]
     assert keys[0] == {group.identity.labels}
     for cls, members in zip(classes[1:], keys[1:]):
